@@ -44,6 +44,12 @@ class ComputationGraph:
     _layers: dict[str, Layer] = field(default_factory=dict, repr=False)
     _shapes: dict[str, FeatureMapShape] = field(default_factory=dict, repr=False)
     _schedule: list[str] | None = field(default=None, repr=False)
+    #: Lazy consumer index (producer -> consumers in schedule order, each
+    #: once) and schedule positions; reset by :meth:`add` with the schedule.
+    _consumers: dict[str, list[str]] | None = field(
+        default=None, repr=False, compare=False
+    )
+    _position: dict[str, int] | None = field(default=None, repr=False, compare=False)
     _current_block: str | None = field(default=None, repr=False)
 
     def add(self, layer: Layer) -> Layer:
@@ -67,6 +73,8 @@ class ComputationGraph:
         self._shapes[layer.name] = layer.infer_output_shape(input_shapes)
         self._layers[layer.name] = layer
         self._schedule = None
+        self._consumers = None
+        self._position = None
         if self._current_block is not None:
             self.blocks.setdefault(self._current_block, []).append(layer.name)
         return layer
@@ -123,11 +131,21 @@ class ComputationGraph:
     def successors(self, name: str) -> list[str]:
         """Consumer layer names reading ``name``'s output, in schedule order."""
         self.layer(name)
-        return [lyr.name for lyr in self._layers.values() if name in lyr.inputs]
+        return list(self._consumer_index().get(name, ()))
+
+    def _consumer_index(self) -> dict[str, list[str]]:
+        """Producer -> consumers, built in one pass over the layers."""
+        if self._consumers is None:
+            index: dict[str, list[str]] = {}
+            for lyr in self._layers.values():
+                for src in dict.fromkeys(lyr.inputs):
+                    index.setdefault(src, []).append(lyr.name)
+            self._consumers = index
+        return self._consumers
 
     def sinks(self) -> list[str]:
         """Layers whose output nobody consumes (the network outputs)."""
-        consumed = {src for lyr in self._layers.values() for src in lyr.inputs}
+        consumed = self._consumer_index()
         return [name for name in self._layers if name not in consumed]
 
     def schedule(self) -> list[str]:
@@ -180,16 +198,18 @@ class ComputationGraph:
 
     def _transitive_consumers(self, name: str) -> list[str]:
         """Consumers of a layer output, looking through concat nodes."""
-        order = {node: idx for idx, node in enumerate(self.schedule())}
+        if self._position is None:
+            self._position = {node: idx for idx, node in enumerate(self.schedule())}
+        index = self._consumer_index()
         result: list[str] = []
-        stack = self.successors(name)
+        stack = list(index.get(name, ()))
         while stack:
             consumer = stack.pop(0)
-            if self.layer(consumer).op_type is OpType.CONCAT:
-                stack.extend(self.successors(consumer))
+            if self._layers[consumer].op_type is OpType.CONCAT:
+                stack.extend(index.get(consumer, ()))
             else:
                 result.append(consumer)
-        return sorted(set(result), key=order.__getitem__)
+        return sorted(set(result), key=self._position.__getitem__)
 
     def feature_sources(self, name: str) -> list[str]:
         """Producer names whose feature values ``name`` actually reads.

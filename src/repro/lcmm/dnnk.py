@@ -29,7 +29,13 @@ Two interchangeable gain evaluators back the allocators:
   slot arrays of a :class:`repro.perf.engine.AllocationEngine` so a node
   query is one pass over small int/float tuples.  Pass ``engine=`` to any
   allocator to select it; results are exactly equal to the oracle's
-  because both compute identical per-node sums in identical order.
+  because both compute identical per-node sums in identical order.  It
+  also prunes exactly: a slot kind whose all-off-chip sum is at most the
+  node's compute can never bind (rounded addition of non-negative terms
+  is monotone), so buffers whose slots on a node lie only in such
+  dominated kinds drop out of that node's memo key, and a gain skips the
+  nodes where its buffer cannot bind — their difference is exactly
+  ``0.0``, and adding ``+0.0`` leaves a sum unchanged.
 """
 
 from __future__ import annotations
@@ -258,21 +264,50 @@ class _EngineGainEvaluator:
             self._relevant_mask.append(mask)
 
         # Touched nodes only: (kind, owning buffer or -1, latency) tuples,
-        # plus the node-local relevant mask (bits of buffers with a slot
-        # on this node) — a node's latency depends on those bits alone,
-        # which keys the per-node memo.
+        # plus the node's *live* mask, which keys the per-node memo.  A
+        # slot kind whose all-off-chip sum is <= the node's compute can
+        # never bind Eq. 1's max: adding non-negative floats is monotone
+        # under round-to-nearest, so every subset sum in slot order is <=
+        # the full sum.  Only bits of buffers with a slot in a kind that
+        # can bind ("live" bits) change the node's latency.
         self._node_slots: dict[int, tuple[tuple, tuple, tuple]] = {}
         self._node_mask: dict[int, int] = {}
         self._node_cache: dict[int, dict[int, float]] = {}
         for ni in node_to_buffers:
+            kinds, lats = engine.slot_kinds[ni], engine.slot_lats[ni]
             bufs = tuple(tid_buffer.get(t, -1) for t in engine.slot_tids[ni])
-            self._node_slots[ni] = (engine.slot_kinds[ni], bufs, engine.slot_lats[ni])
-            local = 0
-            for buf in bufs:
-                if buf >= 0:
-                    local |= 1 << buf
-            self._node_mask[ni] = local
+            self._node_slots[ni] = (kinds, bufs, lats)
+            # A negative or NaN term voids the monotonicity argument, and
+            # an infinite compute makes the oracle's per-node difference
+            # inf - inf = NaN rather than 0.0: such kinds stay live.
+            compute = engine.compute[ni]
+            full = [0.0, 0.0, 0.0]
+            for kind, lat in zip(kinds, lats):
+                full[kind] += lat if lat >= 0.0 else math.inf
+            dominated = [f <= compute < math.inf for f in full]
+            live = 0
+            for kind, buf in zip(kinds, bufs):
+                if buf >= 0 and not dominated[kind]:
+                    live |= 1 << buf
+            self._node_mask[ni] = live
             self._node_cache[ni] = {0: engine.base_node_lat[ni]}
+
+        # Gain loop inputs: the affected nodes where a buffer's bit is
+        # live (elsewhere its per-node difference is exactly 0.0, and
+        # adding +0.0 never changes a sum), in the same name-sorted order,
+        # and the union of those nodes' live masks — the only context bits
+        # its gain can depend on, which keys the gain memo and the DP.
+        self._gain_nodes: list[tuple[int, ...]] = []
+        self._gain_mask: list[int] = []
+        for bi in range(len(buffers)):
+            nodes = tuple(
+                ni for ni in self._affected[bi] if self._node_mask[ni] >> bi & 1
+            )
+            mask = 0
+            for ni in nodes:
+                mask |= self._node_mask[ni]
+            self._gain_nodes.append(nodes)
+            self._gain_mask.append(mask)
 
         self._cache: list[dict[int, float]] = [dict() for _ in buffers]
 
@@ -280,10 +315,10 @@ class _EngineGainEvaluator:
     def node_latency_mask(self, ni: int, mask: int) -> float:
         """Eq. 1 latency of the node at schedule index ``ni`` under a mask.
 
-        Memoised on the node-local sub-mask: only the bits of buffers
-        with a slot on this node can change the value, and the memoised
-        value is exactly the recomputed one, so caching never perturbs
-        parity.
+        Memoised on the node's live sub-mask: only the bits of buffers
+        with a slot in a kind that can bind change the value, and the
+        memoised value is exactly the recomputed one, so caching never
+        perturbs parity.
         """
         entry = self._node_slots.get(ni)
         if entry is None:
@@ -383,7 +418,7 @@ class _EngineGainEvaluator:
 
     def gain(self, buffer_index: int, context_mask: int) -> float:
         """Marginal latency reduction of taking ``buffer_index``."""
-        key = context_mask & self._relevant_mask[buffer_index]
+        key = context_mask & self._gain_mask[buffer_index]
         cache = self._cache[buffer_index]
         cached = cache.get(key)
         if cached is not None:
@@ -396,7 +431,7 @@ class _EngineGainEvaluator:
         total = 0.0
         # Inlined node lookups; each per-node term accumulates as a single
         # difference, exactly like the naive evaluator's gain loop.
-        for ni in self._affected[buffer_index]:
+        for ni in self._gain_nodes[buffer_index]:
             nc = node_cache[ni]
             kb = context_mask & node_mask[ni]
             before = nc.get(kb)
@@ -568,7 +603,7 @@ def _dp_pass_vector(
     """Column-vectorised DP sweep — identical decisions to :func:`_dp_pass`.
 
     The per-column work of a row is one gain lookup keyed on the context's
-    relevant sub-mask; across a row most columns share a handful of
+    gain sub-mask; across a row most columns share a handful of
     distinct keys, so the sweep reduces to ``np.unique`` over the key
     vector plus one gain evaluation per distinct key.  All arithmetic
     (``best[j - size] + gain`` and the ``>`` comparison) is the same
@@ -583,7 +618,7 @@ def _dp_pass_vector(
         size = sizes[i]
         row = _np.zeros(units + 1, dtype=bool)
         if size <= units:
-            rel = _np.uint64(evaluator._relevant_mask[i])
+            rel = _np.uint64(evaluator._gain_mask[i])
             keys = context[size:] & rel
             uniq, inverse = _np.unique(keys, return_inverse=True)
             gains = _np.fromiter(
@@ -672,17 +707,19 @@ def _local_search(
             # Add-with-eviction: offer each spilled buffer; evict the
             # cheapest (per block) residents until it fits, and keep the
             # exchange only when the exact Eq. 1 total improves.
+            # Both eviction orders depend only on the resident set, which
+            # stays fixed until an exchange is accepted: sort once.
+            eviction_orders = (
+                sorted(
+                    chosen_set,
+                    key=lambda i: evaluator.move_delta(context_mask, add=None, drop=i)
+                    / sizes[i],
+                ),
+                sorted(chosen_set, key=lambda i: -sizes[i]),
+            )
             for inc in range(num_buffers):
                 if inc in chosen_set or sizes[inc] > units:
                     continue
-                eviction_orders = (
-                    sorted(
-                        chosen_set,
-                        key=lambda i: evaluator.move_delta(context_mask, add=None, drop=i)
-                        / sizes[i],
-                    ),
-                    sorted(chosen_set, key=lambda i: -sizes[i]),
-                )
                 best_delta = 0.0
                 best_evict: list[int] | None = None
                 for order in eviction_orders:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.ir.graph import ComputationGraph, GraphValidationError
-from repro.ir.layer import Concat, Conv2D, InputLayer
+from repro.ir.layer import Concat, Conv2D, EltwiseAdd, InputLayer
 from repro.ir.tensor import FeatureMapShape
 from repro.models.common import conv
 
@@ -104,6 +104,46 @@ class TestFeatureTensors:
         tensors = {t.name: t for t in g.feature_tensors()}
         assert tensors["f:data"].consumers == ("conv1", "proj")
         assert tensors["f:conv3"].consumers == ("add",)
+
+
+class TestConsumerIndex:
+    """successors() and feature_tensors() read a lazily built consumer
+    index; add() must invalidate it."""
+
+    def test_add_after_query_is_visible(self):
+        g = build_chain(num_convs=2)
+        assert g.successors("c1") == ["c2"]
+        consumers = {t.name: t.consumers for t in g.feature_tensors()}
+        assert consumers["f:c1"] == ("c2",)
+        assert "f:c2" not in consumers
+        conv(g, "c3", "c1", 64, 1)
+        conv(g, "c4", "c2", 64, 1)
+        assert g.successors("c1") == ["c2", "c3"]
+        consumers = {t.name: t.consumers for t in g.feature_tensors()}
+        assert consumers["f:c1"] == ("c2", "c3")
+        assert consumers["f:c2"] == ("c4",)
+
+    def test_add_after_query_through_concat(self):
+        g = build_snippet()
+        assert {t.name: t.consumers for t in g.feature_tensors()}["f:C2"] == ("C4",)
+        conv(g, "C7", "cat", 32, 1)
+        consumers = {t.name: t.consumers for t in g.feature_tensors()}
+        assert consumers["f:C2"] == ("C4", "C7")
+        assert consumers["f:C3"] == ("C4", "C7")
+
+    def test_repeated_input_listed_once(self):
+        g = build_chain(num_convs=1)
+        g.add(EltwiseAdd(name="double", inputs=("c1", "c1")))
+        conv(g, "c2", "c1", 64, 1)
+        assert g.successors("c1") == ["double", "c2"]
+        consumers = {t.name: t.consumers for t in g.feature_tensors()}
+        assert consumers["f:c1"] == ("double", "c2")
+
+    def test_matches_linear_scan(self):
+        g = build_snippet()
+        for name in g.schedule():
+            scan = [lyr.name for lyr in g.layers() if name in lyr.inputs]
+            assert g.successors(name) == scan
 
 
 class TestWeightTensors:

@@ -21,6 +21,8 @@ from hypothesis import given, settings, strategies as st
 from repro.ir.graph import ComputationGraph
 from repro.ir.layer import Concat, EltwiseAdd, InputLayer
 from repro.ir.tensor import FeatureMapShape, weight_tensor_name
+from repro.lcmm.dnnk import _EngineGainEvaluator, _GainEvaluator
+from repro.lcmm.feature_reuse import feature_reuse_pass
 from repro.lcmm.framework import LCMMOptions, run_lcmm
 from repro.lcmm.passes import (
     CompilationContext,
@@ -30,12 +32,13 @@ from repro.lcmm.passes import (
     evaluate_allocation,
 )
 from repro.lcmm.prefetch import weight_prefetch_pass
+from repro.lcmm.splitting import combine_buffers
 from repro.models.common import conv
 from repro.models.zoo import build_googlenet, build_squeezenet
 from repro.perf.engine import AllocationEngine, EngineStats
 from repro.perf.latency import LatencyModel
 
-from tests.conftest import build_snippet, small_accel
+from tests.conftest import build_chain, build_snippet, small_accel
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -108,6 +111,31 @@ def refined_option_cases(draw):
         fractional_fill=draw(st.booleans()),
     )
     return graph, options
+
+
+@st.composite
+def evaluator_cases(draw):
+    """(model, buffers, contexts) for the DNNK gain evaluators.
+
+    The DDR efficiency spans compute-bound to memory-bound designs, so
+    nodes range from fully compute-dominated to several binding kinds.
+    """
+    graph = draw(random_dags())
+    model = LatencyModel(
+        graph, small_accel(ddr_efficiency=draw(st.sampled_from([1.0, 0.3, 0.05])))
+    )
+    buffers = _dnnk_buffers(model)
+    full = (1 << len(buffers)) - 1
+    contexts = draw(
+        st.lists(st.integers(min_value=0, max_value=full), min_size=1, max_size=6)
+    )
+    return model, buffers, contexts
+
+
+def _dnnk_buffers(model):
+    feature = feature_reuse_pass(model.graph, model)
+    prefetch = weight_prefetch_pass(model.graph, model)
+    return combine_buffers([feature.buffers, prefetch.buffers])
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +275,51 @@ class TestAllocatorProbe:
         assert engine.stats.applies - before == (2 if residuals else 1)
         assert latency == model.total_latency(onchip, residuals)
         assert engine.total() == latency
+
+
+class TestPrunedGainEvaluator:
+    """The engine-backed DNNK evaluator prunes compute-dominated slot
+    kinds from its memo keys and gain loop; every query must still equal
+    the naive oracle's bit for bit."""
+
+    @given(evaluator_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_queries_match_oracle(self, case):
+        model, buffers, contexts = case
+        oracle = _GainEvaluator(model, buffers)
+        fast = _EngineGainEvaluator(AllocationEngine(model), buffers)
+        n = len(buffers)
+        # One evaluator instance across all contexts, so memo hits under
+        # the pruned keys are checked as well as fresh computations.
+        for ctx in contexts:
+            chosen = {i for i in range(n) if ctx >> i & 1}
+            assert fast.total_latency(chosen) == oracle.total_latency(chosen)
+            for i in range(n):
+                assert fast.gain(i, ctx) == oracle.gain(i, ctx)
+                drop = i if ctx >> i & 1 else None
+                add = None if ctx >> i & 1 else i
+                assert fast.move_delta(ctx, add, drop) == oracle.move_delta(
+                    ctx, add, drop
+                )
+                for b in range(i + 1, n):
+                    assert fast.pair_delta(ctx, i, b) == oracle.pair_delta(ctx, i, b)
+
+    def test_compute_dominated_buffer_has_zero_gain(self):
+        # At full DDR efficiency the chain is compute-bound on every node:
+        # no slot kind can bind, so no context bit can matter.
+        model = LatencyModel(build_chain(), small_accel(ddr_efficiency=1.0))
+        buffers = _dnnk_buffers(model)
+        oracle = _GainEvaluator(model, buffers)
+        fast = _EngineGainEvaluator(AllocationEngine(model), buffers)
+        full = (1 << len(buffers)) - 1
+        assert buffers
+        for i, buf in enumerate(buffers):
+            nodes = {n for t in buf.tensors for n in t.affected_nodes}
+            assert not any(model.layer(n).is_memory_bound for n in nodes)
+            assert fast._gain_mask[i] == 0
+            for ctx in (0, full, full & ~(1 << i)):
+                gain = fast.gain(i, ctx)
+                assert gain == 0.0 and gain == oracle.gain(i, ctx)
 
 
 # ---------------------------------------------------------------------------
