@@ -1,7 +1,7 @@
 """Extension bench: allocator quality vs the provable optimum.
 
 Compares DNNK (heuristic DP + local search), the density-greedy baseline
-and the branch-and-bound exact allocator across a capacity sweep on
+and the branch-and-bound exact allocator (a test oracle) across a capacity sweep on
 GoogLeNet 16-bit, reporting each heuristic's optimality gap.  The key
 quality claim of the repository's allocator: within ~2% of optimal
 everywhere on this instance.
@@ -13,7 +13,6 @@ from repro.analysis.experiments import reference_design
 from repro.analysis.report import format_table
 from repro.hw.precision import INT16
 from repro.hw.sram import URAM_BYTES
-from repro.lcmm.branch_bound import branch_and_bound_allocate
 from repro.lcmm.dnnk import dnnk_allocate, greedy_allocate
 from repro.lcmm.feature_reuse import feature_reuse_pass
 from repro.lcmm.prefetch import weight_prefetch_pass
@@ -22,6 +21,7 @@ from repro.models import get_model
 from repro.perf.latency import LatencyModel
 
 from conftest import attach
+from tests.oracles import branch_and_bound_allocate
 
 CAPACITY_BLOCKS = (2, 4, 8, 16, 32, 64)
 

@@ -288,7 +288,7 @@ def _run_body(args: argparse.Namespace) -> None:
     if args.profile_passes:
         stats = cmp.lcmm.engine_stats
         if stats is None:
-            print("\n(no engine stats: the evaluation engine was disabled)")
+            print("\n(no engine stats: the run fell back to the UMM-only floor)")
             return
         print("\nEvaluation engine profile:")
         for name, seconds in stats.pass_seconds.items():

@@ -40,9 +40,6 @@ if TYPE_CHECKING:  # avoid import cycles; these are type-only imports
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
-    "FUSION_CACHE_SCHEMA_VERSION",
-    "GEMM_CACHE_SCHEMA_VERSION",
-    "LEGACY_CACHE_SCHEMA_VERSION",
     "accel_fingerprint",
     "compile_key",
     "fingerprint",
@@ -56,71 +53,10 @@ __all__ = [
 #: Version tag mixed into every cache key.  Bump whenever the meaning of
 #: a cached artifact changes — a new ``LCMMResult`` field that affects
 #: results, a latency-model fix, a serialization change — and every
-#: previously written entry silently becomes a miss.
-#:
-#: Version 2 marks the op-generic IR (GEMM / attention / norm layer
-#: kinds and the systolic GEMM latency model).  The conv-family op set
-#: compiles bit-identically under both IRs, so keys for graphs built
-#: only from legacy ops keep hashing with
-#: :data:`LEGACY_CACHE_SCHEMA_VERSION` — warm caches built before the
-#: refactor stay warm (see :func:`_schema_for`); only graphs that
-#: actually use the new kinds carry the bumped tag.
-#:
-#: Version 3 marks the fusion era: the ``fuse_layers`` and
-#: ``transfer_schedule`` passes.  Both are off by default and, when off,
-#: results are bit-identical to the version-1/2 pipeline, so keys for
-#: runs that do not enable them keep hashing under their pre-fusion
-#: schema (and :func:`options_fingerprint` omits the disabled flags) —
-#: every previously written cache entry stays warm.  Only runs that
-#: actually enable a fusion-era pass carry the bumped tag.
-#:
-#: Version 4 marks the partition era: multi-die layer-pipelined
-#: compilation (:func:`pipeline_key`).  Partitioning is a separate entry
-#: point, not an options flag, and a single-die request compiles
-#: bit-identically to the plain flow, so *only* multi-die pipeline keys
-#: carry the bumped tag: :func:`compile_key`/:func:`sweep_key` digests —
-#: fusion-era ones included, which keep hashing under
-#: :data:`FUSION_CACHE_SCHEMA_VERSION` — are byte-stable across the bump
-#: and every previously written cache entry stays warm.
-CACHE_SCHEMA_VERSION = 4
-
-#: Schema tag of the fusion era, still used for fusion-enabled runs.
-FUSION_CACHE_SCHEMA_VERSION = 3
-
-#: Schema tag of the op-generic-IR era (GEMM/attention graphs, no fusion).
-GEMM_CACHE_SCHEMA_VERSION = 2
-
-#: Schema tag of the conv-only era, still used for conv-family graphs.
-LEGACY_CACHE_SCHEMA_VERSION = 1
-
-#: Option fields introduced by schema version 3.  When every one of them
-#: holds its disabled default the run is indistinguishable from a
-#: pre-fusion compilation, so they are folded into neither the options
-#: fingerprint nor the schema tag — old cache keys stay byte-stable.
-_FUSION_OPTION_FIELDS = ("fuse_layers", "transfer_schedule")
-
-
-def _uses_fusion(options: "LCMMOptions | None") -> bool:
-    """Whether an options object enables any schema-3 (fusion-era) pass."""
-    if options is None:
-        return False
-    return any(getattr(options, name, False) for name in _FUSION_OPTION_FIELDS)
-
-
-def _schema_for(
-    graph: "ComputationGraph", options: "LCMMOptions | None" = None
-) -> int:
-    """Cache schema version a (graph, options) pair hashes under (see above)."""
-    from repro.io.serialize import (  # deferred: io imports lcmm
-        GRAPH_FORMAT_VERSION,
-        graph_format_version,
-    )
-
-    if _uses_fusion(options):
-        return FUSION_CACHE_SCHEMA_VERSION
-    if graph_format_version(graph) == GRAPH_FORMAT_VERSION:
-        return LEGACY_CACHE_SCHEMA_VERSION
-    return GEMM_CACHE_SCHEMA_VERSION
+#: previously written entry silently becomes a miss.  Every key kind
+#: (compile, tile sweep, multi-die pipeline) hashes this one tag, and a
+#: bump is never scoped to some graphs or option sets.
+CACHE_SCHEMA_VERSION = 5
 
 
 def _digest(payload: Any) -> str:
@@ -268,10 +204,6 @@ def options_fingerprint(options: "LCMMOptions | None") -> str:
     payload = {}
     for f in fields(options):
         value = getattr(options, f.name)
-        if f.name in _FUSION_OPTION_FIELDS and not value:
-            # Disabled fusion-era flags hash exactly like the pre-fusion
-            # dataclass that did not have them: old keys stay stable.
-            continue
         payload[f.name] = float(value).hex() if isinstance(value, float) else value
     return _digest(payload)
 
@@ -295,7 +227,7 @@ def compile_key(
     """
     return _digest(
         {
-            "schema": _schema_for(graph, options),
+            "schema": CACHE_SCHEMA_VERSION,
             "kind": "compile",
             "graph": graph_fingerprint(graph),
             "accel": accel_fingerprint(accel),
@@ -313,7 +245,7 @@ def sweep_key(graph: "ComputationGraph", base: "AcceleratorConfig") -> str:
     """
     return _digest(
         {
-            "schema": _schema_for(graph),
+            "schema": CACHE_SCHEMA_VERSION,
             "kind": "tile-sweep",
             "graph": graph_fingerprint(graph),
             "accel": accel_fingerprint(base, include_tile=False),
@@ -332,11 +264,10 @@ def pipeline_key(
 
     With partitioning disabled — one device, or no link model, exactly
     the cases :func:`~repro.perf.partition.design_partition` degrades to
-    the single-die flow — this *is* :func:`compile_key`: the digest is
-    byte-identical to the pre-partition era, so every previously written
-    cache entry stays warm.  Only a genuine multi-die request folds the
-    partition payload (device count, per-link bandwidth and efficiency)
-    into a schema-:data:`CACHE_SCHEMA_VERSION` digest.
+    the single-die flow — this *is* :func:`compile_key`, so a single-die
+    request shares the plain compile's cache entry.  Only a genuine
+    multi-die request folds the partition payload (device count,
+    per-link bandwidth and efficiency) into its digest.
     """
     if devices <= 1 or link is None:
         return compile_key(graph, accel, options)

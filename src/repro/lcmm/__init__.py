@@ -26,12 +26,7 @@ from repro.lcmm.interference import InterferenceGraph
 from repro.lcmm.coloring import color_buffers, total_buffer_bytes, validate_coloring
 from repro.lcmm.feature_reuse import FeatureReuseResult, feature_reuse_pass
 from repro.lcmm.prefetch import PrefetchEdge, PrefetchResult, weight_prefetch_pass
-from repro.lcmm.dnnk import (
-    DNNKResult,
-    dnnk_allocate,
-    exhaustive_allocate,
-    greedy_allocate,
-)
+from repro.lcmm.dnnk import DNNKResult, dnnk_allocate, greedy_allocate
 from repro.lcmm.splitting import SplitAttempt, SplittingOutcome, buffer_splitting_pass
 from repro.lcmm.passes import (
     CompilationContext,
@@ -58,7 +53,6 @@ from repro.lcmm.double_buffer import (
     is_linear,
     run_double_buffer,
 )
-from repro.lcmm.branch_bound import branch_and_bound_allocate
 from repro.lcmm.reorder import peak_live_feature_bytes, reorder_depth_first
 from repro.lcmm.cotuning import CoTuningResult, cotune
 from repro.lcmm.framework import LCMMOptions, LCMMResult, run_lcmm
@@ -84,7 +78,6 @@ __all__ = [
     "DNNKResult",
     "dnnk_allocate",
     "greedy_allocate",
-    "exhaustive_allocate",
     "SplitAttempt",
     "SplittingOutcome",
     "buffer_splitting_pass",
@@ -108,7 +101,6 @@ __all__ = [
     "LinearityError",
     "is_linear",
     "run_double_buffer",
-    "branch_and_bound_allocate",
     "reorder_depth_first",
     "peak_live_feature_bytes",
     "CoTuningResult",

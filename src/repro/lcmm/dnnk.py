@@ -21,31 +21,26 @@ knapsack path, the final allocation is always re-scored with the exact
 Eq. 1 evaluator; tests compare DNNK against exhaustive search on small
 instances.
 
-Two interchangeable gain evaluators back the allocators:
-
-* :class:`_GainEvaluator` — the naive oracle, querying the latency model
-  through frozensets per node.  Kept bit-for-bit as the reference.
-* :class:`_EngineGainEvaluator` — the hot path, reading the flattened
-  slot arrays of a :class:`repro.perf.engine.AllocationEngine` so a node
-  query is one pass over small int/float tuples.  Pass ``engine=`` to any
-  allocator to select it; results are exactly equal to the oracle's
-  because both compute identical per-node sums in identical order.  It
-  also prunes exactly: a slot kind whose all-off-chip sum is at most the
-  node's compute can never bind (rounded addition of non-negative terms
-  is monotone), so buffers whose slots on a node lie only in such
-  dominated kinds drop out of that node's memo key, and a gain skips the
-  nodes where its buffer cannot bind — their difference is exactly
-  ``0.0``, and adding ``+0.0`` leaves a sum unchanged.
+Gains are evaluated by :class:`_EngineGainEvaluator`, which reads the
+flattened slot arrays of a :class:`repro.perf.engine.AllocationEngine`
+so a node query is one pass over small int/float tuples.  Its per-node
+sums accumulate in the same order as ``LayerLatency.latency``, so every
+gain, delta and total equals the plain latency-model walk bit for bit
+(``tests/oracles.py`` keeps that walk as the test oracle).  It also
+prunes exactly: a slot kind whose all-off-chip sum is at most the
+node's compute can never bind (rounded addition of non-negative terms
+is monotone), so buffers whose slots on a node lie only in such
+dominated kinds drop out of that node's memo key, and a gain skips the
+nodes where its buffer cannot bind — their difference is exactly
+``0.0``, and adding ``+0.0`` leaves a sum unchanged.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.hw.sram import URAM_BYTES
-from repro.ir.tensor import TensorKind
 from repro.lcmm.buffers import VirtualBuffer
 from repro.perf.engine import AllocationEngine
 from repro.perf.latency import LatencyModel
@@ -81,153 +76,18 @@ class DNNKResult:
     used_bytes: int
 
 
-class _GainEvaluator:
+class _EngineGainEvaluator:
     """Exact marginal latency gain of taking one buffer, given a context.
 
-    The context is the set of buffers already decided on-chip in the same
-    capacity column.  Gains are memoised per buffer on the *relevant*
-    sub-mask — the context bits belonging to buffers that touch the same
-    nodes — so repeated columns with identical local context hit the cache.
-
-    This is the naive oracle: every node query rebuilds the resident
-    frozenset and walks the latency model.  The engine-backed evaluator
-    below reproduces its results bit-for-bit from flattened arrays.
-    """
-
-    def __init__(self, model: LatencyModel, buffers: list[VirtualBuffer]) -> None:
-        self._model = model
-        self._buffers = buffers
-        # tensor value name -> index of the buffer holding it.
-        self._tensor_buffer: dict[str, int] = {}
-        for idx, buf in enumerate(buffers):
-            for t in buf.tensors:
-                self._tensor_buffer[t.name] = idx
-        # buffer index -> nodes it affects.
-        self._affected: list[tuple[str, ...]] = []
-        # buffer index -> bitmask of buffer indices sharing a node with it.
-        self._relevant_mask: list[int] = []
-        # buffer index -> frozenset of its member tensor names.
-        self._member_tensors: list[frozenset[str]] = [
-            frozenset(b.tensor_names) for b in buffers
-        ]
-        node_to_buffers: dict[str, set[int]] = {}
-        for idx, buf in enumerate(buffers):
-            nodes = sorted({n for t in buf.tensors for n in t.affected_nodes})
-            self._affected.append(tuple(nodes))
-            for n in nodes:
-                node_to_buffers.setdefault(n, set()).add(idx)
-        for idx in range(len(buffers)):
-            mask = 0
-            for n in self._affected[idx]:
-                for other in node_to_buffers[n]:
-                    mask |= 1 << other
-            self._relevant_mask.append(mask)
-        self._cache: list[dict[int, float]] = [dict() for _ in buffers]
-
-    def _node_latency(self, node: str, onchip: frozenset[str]) -> float:
-        ll = self._model.layer(node)
-        return ll.latency(onchip)
-
-    def _context_tensors(self, node: str, context_mask: int) -> set[str]:
-        """Tensors of ``node`` resident on-chip under a context mask."""
-        resident = set()
-        for slot in self._model.layer(node).slots:
-            buf_idx = self._tensor_buffer.get(slot.tensor)
-            if buf_idx is not None and context_mask >> buf_idx & 1:
-                resident.add(slot.tensor)
-        return resident
-
-    def node_latency_under_mask(self, node: str, context_mask: int) -> float:
-        """Exact Eq. 1 latency of one node given a buffer bitmask."""
-        return self._node_latency(node, frozenset(self._context_tensors(node, context_mask)))
-
-    def _affected_union(self, indices: tuple[int, ...]) -> list[str]:
-        affected: set[str] = set()
-        for i in indices:
-            affected.update(self._affected[i])
-        return sorted(affected)
-
-    def move_delta(self, context_mask: int, add: int | None, drop: int | None) -> float:
-        """Exact latency change of adding/dropping buffers (negative = better)."""
-        new_mask = context_mask
-        indices = []
-        if drop is not None:
-            new_mask &= ~(1 << drop)
-            indices.append(drop)
-        if add is not None:
-            new_mask |= 1 << add
-            indices.append(add)
-        delta = 0.0
-        for node in self._affected_union(tuple(indices)):
-            delta += self.node_latency_under_mask(node, new_mask)
-            delta -= self.node_latency_under_mask(node, context_mask)
-        return delta
-
-    def pair_delta(self, context_mask: int, a: int, b: int) -> float:
-        """Exact latency change of adding buffers ``a`` and ``b`` together."""
-        trial = (context_mask | 1 << a) | 1 << b
-        delta = 0.0
-        for node in self._affected_union((a, b)):
-            delta += self.node_latency_under_mask(node, trial)
-            delta -= self.node_latency_under_mask(node, context_mask)
-        return delta
-
-    def exchange_delta(self, context_mask: int, inc: int, evict: list[int]) -> float:
-        """Exact latency change of adding ``inc`` while evicting ``evict``."""
-        trial = context_mask | 1 << inc
-        for out in evict:
-            trial &= ~(1 << out)
-        delta = 0.0
-        for node in self._affected_union((inc, *evict)):
-            delta += self.node_latency_under_mask(node, trial)
-            delta -= self.node_latency_under_mask(node, context_mask)
-        return delta
-
-    def relevant_pair(self, a: int, b: int) -> bool:
-        """Whether two buffers share a node (can be complementary)."""
-        return bool(self._relevant_mask[a] >> b & 1)
-
-    def gain(self, buffer_index: int, context_mask: int) -> float:
-        """Marginal latency reduction of taking ``buffer_index``.
-
-        Args:
-            buffer_index: Buffer under consideration.
-            context_mask: Bitmask of buffers already on-chip in this
-                capacity column (earlier rows' decisions).
-        """
-        key = context_mask & self._relevant_mask[buffer_index]
-        cached = self._cache[buffer_index].get(key)
-        if cached is not None:
-            return cached
-        members = self._member_tensors[buffer_index]
-        total = 0.0
-        for node in self._affected[buffer_index]:
-            before = frozenset(self._context_tensors(node, context_mask))
-            after = frozenset(before | members)
-            total += self._node_latency(node, before) - self._node_latency(node, after)
-        self._cache[buffer_index][key] = total
-        return total
-
-    def total_latency(self, chosen: set[int]) -> float:
-        """Exact end-to-end latency with a chosen buffer set on chip."""
-        onchip = frozenset(
-            name for i in chosen for name in self._buffers[i].tensor_names
-        )
-        return self._model.total_latency(onchip)
-
-
-class _EngineGainEvaluator:
-    """Engine-backed gain evaluator — the allocators' hot path.
-
-    Reads the flattened per-node slot arrays of an
+    The context is the bitmask of buffers already decided on-chip in the
+    same capacity column.  Reads the flattened per-node slot arrays of an
     :class:`AllocationEngine` (never its mutable state: DNNK evaluates
-    allocations without residuals or fractions, exactly like the naive
-    evaluator) and binds each candidate slot to the virtual buffer holding
-    its tensor.  A node query is then one pass over small tuples; the
-    per-kind sums accumulate in the same slot order as
-    ``LayerLatency.slot_latency`` and per-buffer node iteration follows
-    the naive evaluator's name-sorted order, so every gain, delta and
-    total is bit-for-bit equal to the oracle's.
+    allocations without residuals or fractions) and binds each candidate
+    slot to the virtual buffer holding its tensor.  A node query is then
+    one pass over small tuples; the per-kind sums accumulate in the same
+    slot order as ``LayerLatency.slot_latency`` and per-buffer node
+    iteration follows name-sorted order, so every gain, delta and total
+    is bit-for-bit equal to walking the latency model.
     """
 
     def __init__(self, engine: AllocationEngine, buffers: list[VirtualBuffer]) -> None:
@@ -244,9 +104,8 @@ class _EngineGainEvaluator:
                 if tid is not None:
                     tid_buffer[tid] = bi
 
-        # Per-buffer affected nodes as schedule indices, in the naive
-        # evaluator's name-sorted order (gains sum per-node differences in
-        # exactly that order).
+        # Per-buffer affected nodes as schedule indices, in name-sorted
+        # order (gains sum per-node differences in exactly that order).
         self._affected: list[tuple[int, ...]] = []
         node_to_buffers: dict[int, set[int]] = {}
         for bi, buf in enumerate(buffers):
@@ -278,7 +137,7 @@ class _EngineGainEvaluator:
             bufs = tuple(tid_buffer.get(t, -1) for t in engine.slot_tids[ni])
             self._node_slots[ni] = (kinds, bufs, lats)
             # A negative or NaN term voids the monotonicity argument, and
-            # an infinite compute makes the oracle's per-node difference
+            # an infinite compute makes a plain walk's per-node difference
             # inf - inf = NaN rather than 0.0: such kinds stay live.
             compute = engine.compute[ni]
             full = [0.0, 0.0, 0.0]
@@ -342,10 +201,6 @@ class _EngineGainEvaluator:
         value = max(self._engine.compute[ni], s0, s1, s2)
         cache[key] = value
         return value
-
-    def node_latency_under_mask(self, node: str, context_mask: int) -> float:
-        """Name-keyed variant (API parity with the naive evaluator)."""
-        return self.node_latency_mask(self._engine.node_index[node], context_mask)
 
     def total_latency(self, chosen: set[int]) -> float:
         """Exact end-to-end latency with a chosen buffer set on chip.
@@ -430,7 +285,7 @@ class _EngineGainEvaluator:
         node_cache = self._node_cache
         total = 0.0
         # Inlined node lookups; each per-node term accumulates as a single
-        # difference, exactly like the naive evaluator's gain loop.
+        # difference, exactly like a plain per-node walk.
         for ni in self._gain_nodes[buffer_index]:
             nc = node_cache[ni]
             kb = context_mask & node_mask[ni]
@@ -444,17 +299,6 @@ class _EngineGainEvaluator:
             total += before - after
         cache[key] = total
         return total
-
-
-def _make_evaluator(
-    model: LatencyModel,
-    buffers: list[VirtualBuffer],
-    engine: AllocationEngine | None,
-):
-    """Select the gain evaluator: engine-backed hot path or naive oracle."""
-    if engine is not None:
-        return _EngineGainEvaluator(engine, buffers)
-    return _GainEvaluator(model, buffers)
 
 
 def dnnk_allocate(
@@ -473,10 +317,8 @@ def dnnk_allocate(
             (``Rsram`` in the paper).
         granularity: Capacity quantum of the DP sweep; defaults to one
             URAM block, the unit the device allocates buffers in.
-        engine: Optional :class:`AllocationEngine`; when given, gains and
-            re-scores run on its flattened arrays (and the DP sweep is
-            vectorised over capacity columns) with results identical to
-            the naive evaluator's.
+        engine: :class:`AllocationEngine` of ``model`` to reuse; one is
+            built when absent.
 
     Returns:
         The allocation, with decisions backtraced from the DP memo.
@@ -488,10 +330,10 @@ def dnnk_allocate(
 
     units = capacity_bytes // granularity
     sizes = [math.ceil(b.size_bytes / granularity) for b in buffers]
-    evaluator = _make_evaluator(model, buffers, engine)
-    dp = _dp_pass
-    if engine is not None and _np is not None and len(buffers) <= 63:
-        dp = _dp_pass_vector
+    evaluator = _EngineGainEvaluator(engine or AllocationEngine(model), buffers)
+    # The vector sweep keys columns on uint64 masks; without numpy, or
+    # with more buffers than a mask holds, the scalar sweep runs.
+    dp = _dp_pass_vector if _np is not None and len(buffers) <= 63 else _dp_pass
 
     # The DP's column-context gains depend on the order buffers are
     # processed in, so run it under two orderings — the caller's list
@@ -540,7 +382,7 @@ def _block_rounded_bytes(
     """Block-granular consumption of a chosen buffer set.
 
     Every allocator reports this same quantity so ``used_bytes`` is
-    comparable across DNNK, greedy, exhaustive and branch-and-bound.
+    comparable across DNNK, greedy and the exhaustive test oracle.
     """
     return sum(
         math.ceil(buffers[i].size_bytes / granularity) * granularity for i in chosen
@@ -759,11 +601,16 @@ def greedy_allocate(
     Repeatedly takes the buffer with the best exact marginal
     reduction-per-byte that still fits, with the same block-granular size
     accounting as DNNK.  Used to quantify what the dynamic program buys
-    over the obvious heuristic.
+    over the obvious heuristic.  ``engine`` is reused like DNNK's.
+
+    Raises:
+        ValueError: On a negative capacity or a non-positive granularity.
     """
+    if capacity_bytes < 0:
+        raise ValueError("capacity_bytes must be non-negative")
     if granularity <= 0:
         raise ValueError("granularity must be positive")
-    evaluator = _make_evaluator(model, buffers, engine)
+    evaluator = _EngineGainEvaluator(engine or AllocationEngine(model), buffers)
     block_sizes = [
         math.ceil(b.size_bytes / granularity) * granularity for b in buffers
     ]
@@ -803,135 +650,3 @@ def greedy_allocate(
         capacity_bytes=capacity_bytes,
         used_bytes=_block_rounded_bytes(buffers, chosen_set, granularity),
     )
-
-
-def exhaustive_allocate(
-    buffers: list[VirtualBuffer],
-    model: LatencyModel,
-    capacity_bytes: int,
-    max_buffers: int = 20,
-    granularity: int = URAM_BYTES,
-    engine: AllocationEngine | None = None,
-) -> DNNKResult:
-    """Optimal allocation by exhaustive subset search (test oracle only).
-
-    Scores every fitting subset with the exact Eq. 1 evaluator, using the
-    same block-granular size accounting as :func:`dnnk_allocate` so the
-    two are comparable.  Guarded to small instances — the search is
-    exponential by construction.
-
-    Without an engine, subsets are enumerated by ascending size through
-    ``itertools.combinations`` and each is scored from scratch.  With an
-    engine, the sweep walks the binary-reflected Gray code so consecutive
-    subsets differ by one buffer: each step recomputes only that buffer's
-    affected nodes, and full totals are only re-summed when the running
-    total signals a potential improvement.  Both modes find a subset of
-    the same optimal latency (tie subsets may differ with the visit
-    order).
-
-    Raises:
-        ValueError: If more than ``max_buffers`` buffers are given.
-    """
-    if len(buffers) > max_buffers:
-        raise ValueError(
-            f"exhaustive search limited to {max_buffers} buffers, got {len(buffers)}"
-        )
-    block_sizes = [
-        math.ceil(b.size_bytes / granularity) * granularity for b in buffers
-    ]
-    if engine is not None:
-        best_subset, best_latency, baseline = _gray_code_sweep(
-            _EngineGainEvaluator(engine, buffers), block_sizes, capacity_bytes
-        )
-    else:
-        baseline = model.total_latency()
-        best_subset = set()
-        best_latency = baseline
-        for r in range(len(buffers) + 1):
-            for subset in itertools.combinations(range(len(buffers)), r):
-                size = sum(block_sizes[i] for i in subset)
-                if size > capacity_bytes:
-                    continue
-                onchip = frozenset(
-                    name for i in subset for name in buffers[i].tensor_names
-                )
-                latency = model.total_latency(onchip)
-                if latency < best_latency - 1e-15:
-                    best_latency = latency
-                    best_subset = set(subset)
-    chosen = sorted(best_subset)
-    return DNNKResult(
-        allocated=[buffers[i] for i in chosen],
-        spilled=[b for i, b in enumerate(buffers) if i not in best_subset],
-        onchip_tensors=frozenset(
-            name for i in chosen for name in buffers[i].tensor_names
-        ),
-        predicted_reduction=baseline - best_latency,
-        capacity_bytes=capacity_bytes,
-        used_bytes=_block_rounded_bytes(buffers, chosen, granularity),
-    )
-
-
-#: Gray-code sweep: steps between exact re-sums of the running total.
-#: Per-node latencies are always exact (each toggle recomputes affected
-#: nodes from their slots); only the accumulated sum can drift, by at most
-#: ~one ulp per step, so re-summing every 1024 steps keeps the drift well
-#: under the improvement margin the pre-filter guards.
-_GRAY_RESYNC_STEPS = 1024
-
-
-def _gray_code_sweep(
-    evaluator: _EngineGainEvaluator,
-    block_sizes: list[int],
-    capacity_bytes: int,
-) -> tuple[set[int], float, float]:
-    """Visit all subsets in Gray-code order with O(affected) step cost.
-
-    Returns ``(best_subset, best_latency, baseline)`` where latencies are
-    exact (re-summed, never trusted from the incremental accumulator).
-    """
-    n = len(block_sizes)
-    base_lat = evaluator._engine.base_node_lat
-    node_lat = {ni: base_lat[ni] for ni in evaluator._node_slots}
-
-    def exact_total() -> float:
-        total = 0.0
-        for ni, base in enumerate(base_lat):
-            total += node_lat.get(ni, base)
-        return total
-
-    baseline = exact_total()
-    best_latency = baseline
-    best_mask = 0
-    running = baseline
-    mask = 0
-    size = 0
-    since_sync = 0
-    for g in range(1, 1 << n):
-        bit = (g & -g).bit_length() - 1
-        flip = 1 << bit
-        mask ^= flip
-        size += block_sizes[bit] if mask & flip else -block_sizes[bit]
-        for ni in evaluator._affected[bit]:
-            new = evaluator.node_latency_mask(ni, mask)
-            running += new - node_lat[ni]
-            node_lat[ni] = new
-        since_sync += 1
-        if since_sync >= _GRAY_RESYNC_STEPS:
-            running = exact_total()
-            since_sync = 0
-        if size > capacity_bytes:
-            continue
-        # Pre-filter on the (possibly drifted) running total with a guard
-        # band tighter than the resync drift bound; confirm with an exact
-        # re-sum before accepting, using the same margin as the naive
-        # enumeration.
-        if running < best_latency - 8e-16:
-            exact = exact_total()
-            running = exact
-            since_sync = 0
-            if exact < best_latency - 1e-15:
-                best_latency = exact
-                best_mask = mask
-    best_subset = {i for i in range(n) if best_mask >> i & 1}
-    return best_subset, best_latency, baseline

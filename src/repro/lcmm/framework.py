@@ -102,16 +102,17 @@ class LCMMResult:
     #: Partial residency per spilled tensor (extension; empty unless
     #: ``LCMMOptions.fractional_fill`` is enabled).
     fractions: dict[str, float] = field(default_factory=dict)
-    #: Evaluation-engine counters and per-pass wall time (``None`` when
-    #: the run used the naive evaluator).
+    #: Evaluation-engine counters and per-pass wall time (``None`` only
+    #: for the UMM-only floor, which runs no passes).
     engine_stats: EngineStats | None = None
     #: Structured per-pass records (splits kept, refinement verdicts,
     #: stranded capacity, ...) in emission order.
     diagnostics: tuple[PassDiagnostic, ...] = ()
     #: The executed pipeline as ``"feature_reuse -> ... -> placement"``.
     pipeline_description: str = ""
-    #: Per-pass wall seconds in execution order (available on the naive
-    #: path too, unlike ``engine_stats.pass_seconds``).
+    #: Per-pass wall seconds of the executed passes, in order
+    #: (``engine_stats.pass_seconds`` sums the same spans by pass name,
+    #: failed passes included).
     pass_timings: tuple[tuple[str, float], ...] = ()
     #: How far the fallback chain had to degrade: 0 = the requested
     #: pipeline succeeded, each +1 is one abandoned attempt (see

@@ -40,11 +40,6 @@ class LCMMOptions:
             stops streaming, the remainder still pays DDR.  An extension
             beyond the paper (off by default): whole-tensor knapsacks
             strand capacity smaller than any remaining tensor.
-        use_engine: Evaluate allocations on the incremental
-            :class:`repro.perf.engine.AllocationEngine` instead of walking
-            the latency model per query.  Results are bit-for-bit
-            identical either way; the naive route exists as the test
-            oracle.
         fuse_layers: After scoring, run the fused-layer tiling pass
             (:class:`repro.lcmm.passes.standard.FuseLayersPass`):
             producer/consumer chains whose intermediate tile fits the
@@ -71,6 +66,5 @@ class LCMMOptions:
     sram_budget: int | None = None
     prefetch_refinement: int = 0
     fractional_fill: bool = False
-    use_engine: bool = True
     fuse_layers: bool = False
     transfer_schedule: bool = False

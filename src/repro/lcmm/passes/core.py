@@ -114,9 +114,8 @@ class CompilationContext:
         accel: The accelerator design point.
         options: Feature switches (passes read their knobs from here).
         model: Exact Eq. 1 latency model.
-        engine: Incremental evaluator, or ``None`` on the naive oracle
-            path (``options.use_engine=False``).
-        stats: The engine's counters/timing sink (``None`` without one).
+        engine: The incremental Eq. 1 evaluator every pass scores with.
+        stats: The engine's counters/timing sink.
         budget: Total SRAM bytes available to LCMM (tile buffers
             included).
         capacity: Bytes left for tensor buffers after the block-rounded
@@ -129,8 +128,8 @@ class CompilationContext:
     accel: AcceleratorConfig
     options: LCMMOptions
     model: LatencyModel
-    engine: AllocationEngine | None
-    stats: EngineStats | None
+    engine: AllocationEngine
+    stats: EngineStats
     budget: int
     capacity: int
     artifacts: dict[str, Any] = field(default_factory=dict)
@@ -153,11 +152,8 @@ class CompilationContext:
         """
         options = options or LCMMOptions()
         model = model or LatencyModel(graph, accel)
-        if options.use_engine:
-            with span("engine.build", graph=graph.name, nodes=len(model.nodes())):
-                engine = AllocationEngine(model)
-        else:
-            engine = None
+        with span("engine.build", graph=graph.name, nodes=len(model.nodes())):
+            engine = AllocationEngine(model)
         budget = options.sram_budget
         if budget is None:
             budget = accel.device.sram_bytes
@@ -176,7 +172,7 @@ class CompilationContext:
             options=options,
             model=model,
             engine=engine,
-            stats=engine.stats if engine is not None else None,
+            stats=engine.stats,
             budget=budget,
             capacity=capacity,
         )
@@ -296,10 +292,10 @@ class PassManager:
     """Executes a pass list over a context with timing and validation.
 
     Every pass gets uniform wall-time accounting (mirrored into
-    ``EngineStats.pass_seconds`` when an engine is attached, which is
-    what ``lcmm run --profile-passes`` prints) and its requires/produces
-    contract checked; violations raise :class:`PipelineError` naming the
-    pass and the artifact.
+    ``EngineStats.pass_seconds``, which is what ``lcmm run
+    --profile-passes`` prints) and its requires/produces contract
+    checked; violations raise :class:`PipelineError` naming the pass and
+    the artifact.
 
     **Checked execution.**  With ``strict=True`` each pass's
     :meth:`Pass.verify` invariant check runs right after the pass, so a
@@ -387,10 +383,9 @@ class PassManager:
                 raise
             except Exception as exc:  # noqa: BLE001 — recovery boundary
                 elapsed = pass_span.seconds
-                if ctx.stats is not None:
-                    ctx.stats.pass_seconds[pass_.name] = (
-                        ctx.stats.pass_seconds.get(pass_.name, 0.0) + elapsed
-                    )
+                ctx.stats.pass_seconds[pass_.name] = (
+                    ctx.stats.pass_seconds.get(pass_.name, 0.0) + elapsed
+                )
                 self._handle_failure(ctx, pass_, exc, elapsed, snapshot)
                 continue
             elapsed = pass_span.seconds
@@ -402,10 +397,9 @@ class PassManager:
                         pass_name=pass_.name,
                         artifact=key,
                     )
-            if ctx.stats is not None:
-                ctx.stats.pass_seconds[pass_.name] = (
-                    ctx.stats.pass_seconds.get(pass_.name, 0.0) + elapsed
-                )
+            ctx.stats.pass_seconds[pass_.name] = (
+                ctx.stats.pass_seconds.get(pass_.name, 0.0) + elapsed
+            )
             self.executions.append(
                 PassExecution(
                     name=pass_.name, seconds=elapsed, produced=tuple(pass_.produces)
@@ -459,7 +453,7 @@ class PassManager:
         ctx.artifacts.clear()
         ctx.artifacts.update(snapshot)
         score = ctx.get("score")
-        if ctx.engine is not None and score is not None:
+        if score is not None:
             ctx.engine.set_state(
                 score.onchip, score.residuals, ctx.get("fractions")
             )

@@ -52,14 +52,9 @@ from repro.lcmm.feature_reuse import FeatureReuseResult, feature_reuse_pass
 from repro.lcmm.fusion import FusedEdge, apply_fusion, find_fusion_candidates
 from repro.lcmm.interference import InterferenceGraph
 from repro.lcmm.passes.core import CompilationContext, Pass, register_pass
-from repro.lcmm.prefetch import (
-    PrefetchResult,
-    hiding_capacity,
-    weight_prefetch_pass,
-)
+from repro.lcmm.prefetch import PrefetchResult, weight_prefetch_pass
 from repro.lcmm.splitting import buffer_splitting_pass, combine_buffers
 from repro.perf.engine import AllocationEngine
-from repro.perf.latency import LatencyModel
 from repro.sim.schedule import (
     TransferTimeline,
     demand_bytes,
@@ -172,10 +167,9 @@ def empty_dnnk_result(capacity_bytes: int = 0) -> DNNKResult:
 
 
 def compute_residuals(
-    model: LatencyModel,
     prefetch: PrefetchResult,
     onchip: frozenset[str],
-    engine: AllocationEngine | None = None,
+    engine: AllocationEngine,
 ) -> dict[str, float]:
     """Unhidden prefetch time per on-chip weight tensor.
 
@@ -183,28 +177,21 @@ def compute_residuals(
     pinning tensors on chip makes earlier nodes faster, which shrinks the
     window a prefetch can hide behind.
 
-    With an engine, this performs exactly **one** ``set_state`` jump to
-    ``onchip`` and reads the per-node latencies and weight-interface
-    demands from the cached state; the engine is left parked there, so
-    callers that need residuals folded in patch them incrementally
-    (see :func:`evaluate_allocation`) instead of issuing a second
-    absolute jump.  The numbers are bit-for-bit the same as the naive
-    walk either way.
+    This performs exactly **one** ``set_state`` jump to ``onchip`` and
+    reads the per-node latencies and weight-interface demands from the
+    cached state; the engine is left parked there, so callers that need
+    residuals folded in patch them incrementally (see
+    :func:`evaluate_allocation`) instead of issuing a second absolute
+    jump.
     """
-    schedule = model.nodes()
-    index_of = {name: idx for idx, name in enumerate(schedule)}
-    if engine is not None:
-        engine.set_state(onchip)
-        latencies = engine.node_latency_list()
-        # hiding_capacity's demand term is the node's weight-interface
-        # sum under `onchip` — exactly the engine's cached kind-1 sum.
-        capacities = [
-            max(0.0, lat - engine.weight_demand(ni))
-            for ni, lat in enumerate(latencies)
-        ]
-    else:
-        latencies = [model.node_latency(name, onchip) for name in schedule]
-        capacities = hiding_capacity(model, latencies, schedule, onchip)
+    engine.set_state(onchip)
+    # A node's hiding capacity is its latency minus its weight-interface
+    # demand under `onchip` — exactly the engine's cached kind-1 sum.
+    capacities = [
+        max(0.0, lat - engine.weight_demand(ni))
+        for ni, lat in enumerate(engine.node_latency_list())
+    ]
+    index_of = engine.node_index
     residuals: dict[str, float] = {}
     for node, edge in prefetch.edges.items():
         wname = weight_tensor_name(node)
@@ -219,40 +206,20 @@ def compute_residuals(
 
 
 def evaluate_allocation(
-    model: LatencyModel,
     prefetch: PrefetchResult,
     onchip: frozenset[str],
-    engine: AllocationEngine | None = None,
+    engine: AllocationEngine,
 ) -> tuple[dict[str, float], float]:
     """Residuals and exact end-to-end latency of one candidate allocation.
 
-    This is the allocator probe.  With an engine it costs a single
-    ``set_state`` transition (plus one incremental residual patch only
-    when residuals exist) — the old evaluate closure issued a second
-    absolute jump per probe, re-diffing the whole on-chip set.  The
-    engine is left parked on ``(onchip, residuals)``.
+    This is the allocator probe.  It costs a single ``set_state``
+    transition (plus one incremental residual patch only when residuals
+    exist) and leaves the engine parked on ``(onchip, residuals)``.
     """
-    residuals = compute_residuals(model, prefetch, onchip, engine)
-    if engine is not None:
-        if residuals:
-            engine.apply(residuals=residuals)
-        return residuals, engine.total()
-    return residuals, model.total_latency(onchip, residuals)
-
-
-def _node_latencies(
-    model: LatencyModel,
-    onchip: frozenset[str],
-    residuals: dict[str, float],
-    engine: AllocationEngine | None,
-) -> dict[str, float]:
-    """Per-node latencies under the (already engine-synced) state."""
-    if engine is not None:
-        return engine.node_latencies()
-    return {
-        name: model.node_latency(name, onchip, residuals)
-        for name in model.nodes()
-    }
+    residuals = compute_residuals(prefetch, onchip, engine)
+    if residuals:
+        engine.apply(residuals=residuals)
+    return residuals, engine.total()
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +362,7 @@ class SplittingAllocatePass(_AllocateBase):
         model, engine = ctx.model, ctx.engine
 
         def evaluate(onchip: frozenset[str]) -> float:
-            return evaluate_allocation(model, prefetch, onchip, engine)[1]
+            return evaluate_allocation(prefetch, onchip, engine)[1]
 
         outcome = buffer_splitting_pass(
             feature.interference,
@@ -461,10 +428,8 @@ class ScorePass(Pass):
         if prefetch is None:
             prefetch = empty_prefetch_result()
         onchip = allocation.result.onchip_tensors
-        residuals, latency = evaluate_allocation(
-            ctx.model, prefetch, onchip, ctx.engine
-        )
-        node_latencies = _node_latencies(ctx.model, onchip, residuals, ctx.engine)
+        residuals, latency = evaluate_allocation(prefetch, onchip, ctx.engine)
+        node_latencies = ctx.engine.node_latencies()
         ctx.put(
             "score",
             AllocationScore(
@@ -551,14 +516,10 @@ class FuseLayersPass(Pass):
             return
 
         fused_model = apply_fusion(ctx.model, edges)
-        fused_engine = (
-            AllocationEngine(fused_model, stats=ctx.stats)
-            if ctx.engine is not None
-            else None
-        )
+        fused_engine = AllocationEngine(fused_model, stats=ctx.stats)
         # Candidate "keep": the incumbent on-chip set on the fused model.
         keep_residuals, keep_latency = evaluate_allocation(
-            fused_model, prefetch, score.onchip, fused_engine
+            prefetch, score.onchip, fused_engine
         )
         # Candidate "reallocate": the allocator re-run on the fused model.
         if ctx.options.use_greedy:
@@ -574,7 +535,7 @@ class FuseLayersPass(Pass):
                 engine=fused_engine,
             )
         reall_residuals, reall_latency = evaluate_allocation(
-            fused_model, prefetch, fused_dnnk.onchip_tensors, fused_engine
+            prefetch, fused_dnnk.onchip_tensors, fused_engine
         )
 
         reallocate = reall_latency < keep_latency - 1e-15
@@ -608,18 +569,15 @@ class FuseLayersPass(Pass):
             onchip, residuals, latency = (
                 score.onchip, keep_residuals, keep_latency,
             )
-            if fused_engine is not None:
-                # The engine is parked on the losing reallocation trial.
-                fused_engine.set_state(onchip, residuals)
+            # The engine is parked on the losing reallocation trial.
+            fused_engine.set_state(onchip, residuals)
 
         # The fused model is now the model of record: every downstream
         # pass (refinement, placement, fractional fill, scheduling) and
         # the packaged result evaluate against the fused transfers.
         ctx.model = fused_model
         ctx.engine = fused_engine
-        node_latencies = _node_latencies(
-            fused_model, onchip, residuals, fused_engine
-        )
+        node_latencies = fused_engine.node_latencies()
         ctx.put(
             "score",
             AllocationScore(
@@ -718,7 +676,7 @@ class RefinementPass(Pass):
                 )
             refined_onchip = refined_dnnk.onchip_tensors
             refined_residuals, refined_latency = evaluate_allocation(
-                model, refined, refined_onchip, engine
+                refined, refined_onchip, engine
             )
             if refined_latency >= latency - 1e-15:
                 ctx.diagnose(
@@ -743,7 +701,7 @@ class RefinementPass(Pass):
             prefetch, dnnk = refined, refined_dnnk
             onchip, residuals = refined_onchip, refined_residuals
             latency = refined_latency
-            node_latencies = _node_latencies(model, onchip, residuals, engine)
+            node_latencies = engine.node_latencies()
             ctx.put("prefetch", prefetch)
             ctx.put(
                 "allocation",
@@ -766,8 +724,7 @@ class RefinementPass(Pass):
         # A rejected iteration leaves the engine on its trial state; park
         # it on the accepted allocation so downstream incremental deltas
         # (fractional fill) start from the right baseline.
-        if engine is not None:
-            engine.set_state(onchip, residuals)
+        engine.set_state(onchip, residuals)
 
     def verify(self, ctx: CompilationContext) -> None:
         score: AllocationScore = ctx.require("score")
@@ -839,11 +796,10 @@ class FractionalFillPass(Pass):
         feature = ctx.get("feature")
         if feature is None:
             feature = empty_feature_result()
-        model, engine = ctx.model, ctx.engine
+        engine = ctx.engine
         granularity = ctx.options.granularity
         usage = placement.usage
-        onchip, residuals = score.onchip, score.residuals
-        latency = score.latency
+        onchip, latency = score.onchip, score.latency
 
         fractions: dict[str, float] = {}
         allocated_bytes = sum(
@@ -874,12 +830,9 @@ class FractionalFillPass(Pass):
                 continue
             trial = dict(fractions)
             trial[cand.name] = fraction
-            if engine is not None:
-                # One-tensor incremental pin; rolled back on rejection.
-                engine.apply(fractions={cand.name: fraction})
-                trial_latency = engine.total()
-            else:
-                trial_latency = model.total_latency(onchip, residuals, trial)
+            # One-tensor incremental pin; rolled back on rejection.
+            engine.apply(fractions={cand.name: fraction})
+            trial_latency = engine.total()
             accepted = False
             if trial_latency < latency - 1e-15:
                 block_bytes = blocks_for(
@@ -900,20 +853,14 @@ class FractionalFillPass(Pass):
                         fraction=fraction,
                         block_bytes=block_bytes,
                     )
-            if engine is not None and not accepted:
+            if not accepted:
                 engine.undo()
         if fractions:
-            node_latencies = (
-                engine.node_latencies()
-                if engine is not None
-                else {
-                    name: model.node_latency(name, onchip, residuals, fractions)
-                    for name in model.nodes()
-                }
-            )
             ctx.put(
                 "score",
-                replace(score, latency=latency, node_latencies=node_latencies),
+                replace(
+                    score, latency=latency, node_latencies=engine.node_latencies()
+                ),
             )
         ctx.put("fractions", fractions)
         ctx.diagnose(

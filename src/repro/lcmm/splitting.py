@@ -117,13 +117,14 @@ def buffer_splitting_pass(
             Supplied by the framework so prefetch residuals are included.
         granularity: DNNK capacity quantum.
         max_iterations: Bound on false edges inserted.
-        engine: Optional :class:`AllocationEngine` forwarded to each
-            DNNK retry, so every re-colour/re-allocate iteration runs on
-            the incremental hot path.
+        engine: :class:`AllocationEngine` of ``model`` shared by every
+            DNNK retry; one is built when absent.
 
     Returns:
         The best configuration seen (the initial one if no split helps).
     """
+
+    engine = engine or AllocationEngine(model)
 
     def recolor_and_allocate() -> tuple[list[VirtualBuffer], DNNKResult, float]:
         buffers = combine_buffers(

@@ -12,16 +12,16 @@ O(slots of the affected nodes) and a total query costs O(nodes).
 
 Exactness contract
 ------------------
-The engine is *bit-for-bit* equivalent to the naive evaluator, not merely
+The engine is *bit-for-bit* equivalent to the naive route, not merely
 close: a cached node latency is recomputed by iterating the node's slots
 in their original order and accumulating the three per-kind interface sums
 exactly as ``LayerLatency.slot_latency`` does, and ``total()`` re-sums the
 cached per-node latencies in schedule order exactly as
 ``LatencyModel.total_latency`` does.  No incremental float accumulation is
-ever trusted for a value the naive evaluator would compute differently —
+ever trusted for a value the naive route would compute differently —
 incrementality buys the *selection* of what to recompute, never a
-different arithmetic.  This is what lets the allocators treat the naive
-evaluator as an interchangeable test oracle.
+different arithmetic.  This is what lets the test suite check every
+engine-backed result against a plain latency-model walk bit for bit.
 """
 
 from __future__ import annotations
@@ -132,9 +132,9 @@ class AllocationEngine:
     each node's decomposition into parallel ``(kind, tensor-id, latency)``
     arrays, and keeps the tensor -> nodes adjacency so a state change only
     revisits the nodes it can affect.  Mutable state per tensor mirrors
-    the three allocation inputs of the naive evaluator: fully resident
-    (``onchip``), resident with an unhidden prefetch residual, and
-    fractionally pinned.
+    the three allocation inputs of ``LatencyModel.total_latency``: fully
+    resident (``onchip``), resident with an unhidden prefetch residual,
+    and fractionally pinned.
 
     Args:
         model: The latency model to flatten.  The engine never mutates it.
@@ -205,7 +205,7 @@ class AllocationEngine:
 
         Mirrors ``LayerLatency.latency`` exactly: each interface sum
         accumulates the node's slots in their original order, so the
-        result is bit-for-bit what the naive evaluator returns.
+        result is bit-for-bit what ``LayerLatency.latency`` returns.
         """
         resident = self._resident
         residual = self._residual
@@ -327,8 +327,8 @@ class AllocationEngine:
 
         Returns:
             The latency delta over affected nodes (negative = faster).
-            Unknown tensor names are ignored, matching the naive
-            evaluator's set-membership semantics.
+            Unknown tensor names are ignored, matching the latency
+            model's set-membership semantics.
         """
         changes: list[tuple[int, bool, float, float | None]] = []
         index = self.tensor_index

@@ -1,0 +1,388 @@
+"""Reference implementations the package is checked against.
+
+Nothing here ships in ``repro``: each oracle recomputes what the
+engine-backed package computes, by the plainest route available, and
+shares no evaluation code with :class:`repro.perf.engine.AllocationEngine`.
+
+* :class:`NaiveGainEvaluator` — DNNK's gain evaluator walking the
+  latency model through frozensets per node.  :func:`naive_allocators`
+  swaps it into ``dnnk_allocate`` / ``greedy_allocate`` (on the scalar DP
+  sweep) so a whole compile can be re-decided without the engine.
+* :func:`exhaustive_allocate` / :func:`branch_and_bound_allocate` —
+  provably optimal allocators for small and medium instances.
+* :func:`naive_residuals` / :func:`naive_walk` — the published
+  latency, per-node latencies and prefetch residuals of a result,
+  re-derived from its decisions alone.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from contextlib import contextmanager
+from dataclasses import dataclass
+from unittest import mock
+
+from repro.hw.sram import URAM_BYTES
+from repro.ir.tensor import weight_tensor_name
+from repro.lcmm.buffers import VirtualBuffer
+from repro.lcmm.dnnk import DNNKResult, _block_rounded_bytes, dnnk_allocate
+from repro.lcmm.fusion import apply_fusion
+from repro.lcmm.prefetch import PrefetchResult, hiding_capacity
+from repro.perf.latency import LatencyModel
+from repro.sim import schedule_transfers
+
+
+class NaiveGainEvaluator:
+    """Exact marginal latency gain of taking one buffer, given a context.
+
+    The context is the set of buffers already decided on-chip in the same
+    capacity column.  Gains are memoised per buffer on the *relevant*
+    sub-mask — the context bits belonging to buffers that touch the same
+    nodes — so repeated columns with identical local context hit the cache.
+    Every node query rebuilds the resident frozenset and walks the latency
+    model; the engine-backed evaluator must reproduce it bit for bit.
+    """
+
+    def __init__(self, model: LatencyModel, buffers: list[VirtualBuffer]) -> None:
+        self._model = model
+        self._buffers = buffers
+        # tensor value name -> index of the buffer holding it.
+        self._tensor_buffer: dict[str, int] = {}
+        for idx, buf in enumerate(buffers):
+            for t in buf.tensors:
+                self._tensor_buffer[t.name] = idx
+        # buffer index -> nodes it affects.
+        self._affected: list[tuple[str, ...]] = []
+        # buffer index -> bitmask of buffer indices sharing a node with it.
+        self._relevant_mask: list[int] = []
+        # buffer index -> frozenset of its member tensor names.
+        self._member_tensors: list[frozenset[str]] = [
+            frozenset(b.tensor_names) for b in buffers
+        ]
+        node_to_buffers: dict[str, set[int]] = {}
+        for idx, buf in enumerate(buffers):
+            nodes = sorted({n for t in buf.tensors for n in t.affected_nodes})
+            self._affected.append(tuple(nodes))
+            for n in nodes:
+                node_to_buffers.setdefault(n, set()).add(idx)
+        for idx in range(len(buffers)):
+            mask = 0
+            for n in self._affected[idx]:
+                for other in node_to_buffers[n]:
+                    mask |= 1 << other
+            self._relevant_mask.append(mask)
+        self._cache: list[dict[int, float]] = [dict() for _ in buffers]
+
+    def _node_latency(self, node: str, onchip: frozenset[str]) -> float:
+        return self._model.layer(node).latency(onchip)
+
+    def _context_tensors(self, node: str, context_mask: int) -> set[str]:
+        """Tensors of ``node`` resident on-chip under a context mask."""
+        resident = set()
+        for slot in self._model.layer(node).slots:
+            buf_idx = self._tensor_buffer.get(slot.tensor)
+            if buf_idx is not None and context_mask >> buf_idx & 1:
+                resident.add(slot.tensor)
+        return resident
+
+    def node_latency_under_mask(self, node: str, context_mask: int) -> float:
+        """Exact Eq. 1 latency of one node given a buffer bitmask."""
+        return self._node_latency(node, frozenset(self._context_tensors(node, context_mask)))
+
+    def _affected_union(self, indices: tuple[int, ...]) -> list[str]:
+        affected: set[str] = set()
+        for i in indices:
+            affected.update(self._affected[i])
+        return sorted(affected)
+
+    def _delta(self, indices: tuple[int, ...], before: int, after: int) -> float:
+        delta = 0.0
+        for node in self._affected_union(indices):
+            delta += self.node_latency_under_mask(node, after)
+            delta -= self.node_latency_under_mask(node, before)
+        return delta
+
+    def move_delta(self, context_mask: int, add: int | None, drop: int | None) -> float:
+        """Exact latency change of adding/dropping buffers (negative = better)."""
+        new_mask = context_mask
+        indices = []
+        if drop is not None:
+            new_mask &= ~(1 << drop)
+            indices.append(drop)
+        if add is not None:
+            new_mask |= 1 << add
+            indices.append(add)
+        return self._delta(tuple(indices), context_mask, new_mask)
+
+    def pair_delta(self, context_mask: int, a: int, b: int) -> float:
+        """Exact latency change of adding buffers ``a`` and ``b`` together."""
+        return self._delta((a, b), context_mask, (context_mask | 1 << a) | 1 << b)
+
+    def exchange_delta(self, context_mask: int, inc: int, evict: list[int]) -> float:
+        """Exact latency change of adding ``inc`` while evicting ``evict``."""
+        trial = context_mask | 1 << inc
+        for out in evict:
+            trial &= ~(1 << out)
+        return self._delta((inc, *evict), context_mask, trial)
+
+    def relevant_pair(self, a: int, b: int) -> bool:
+        """Whether two buffers share a node (can be complementary)."""
+        return bool(self._relevant_mask[a] >> b & 1)
+
+    def gain(self, buffer_index: int, context_mask: int) -> float:
+        """Marginal latency reduction of taking ``buffer_index``."""
+        key = context_mask & self._relevant_mask[buffer_index]
+        cached = self._cache[buffer_index].get(key)
+        if cached is not None:
+            return cached
+        members = self._member_tensors[buffer_index]
+        total = 0.0
+        for node in self._affected[buffer_index]:
+            before = frozenset(self._context_tensors(node, context_mask))
+            after = frozenset(before | members)
+            total += self._node_latency(node, before) - self._node_latency(node, after)
+        self._cache[buffer_index][key] = total
+        return total
+
+    def total_latency(self, chosen: set[int]) -> float:
+        """Exact end-to-end latency with a chosen buffer set on chip."""
+        onchip = frozenset(
+            name for i in chosen for name in self._buffers[i].tensor_names
+        )
+        return self._model.total_latency(onchip)
+
+
+@contextmanager
+def naive_allocators():
+    """Make DNNK and greedy decide with :class:`NaiveGainEvaluator`.
+
+    Inside the block every allocator call — including the ones the
+    passes make — evaluates gains by walking the latency model, and DNNK
+    runs the scalar DP sweep, so the decisions share only the DP and
+    local-search drivers with the engine-backed path.
+    """
+    with mock.patch(
+        "repro.lcmm.dnnk._EngineGainEvaluator",
+        lambda engine, buffers: NaiveGainEvaluator(engine.model, buffers),
+    ), mock.patch("repro.lcmm.dnnk._np", None):
+        yield
+
+
+def exhaustive_allocate(
+    buffers: list[VirtualBuffer],
+    model: LatencyModel,
+    capacity_bytes: int,
+    max_buffers: int = 20,
+    granularity: int = URAM_BYTES,
+) -> DNNKResult:
+    """Optimal allocation by exhaustive subset search.
+
+    Scores every fitting subset, by ascending size, from scratch with the
+    exact Eq. 1 evaluator, using the same block-granular size accounting
+    as :func:`dnnk_allocate`.
+
+    Raises:
+        ValueError: If more than ``max_buffers`` buffers are given.
+    """
+    if len(buffers) > max_buffers:
+        raise ValueError(
+            f"exhaustive search limited to {max_buffers} buffers, got {len(buffers)}"
+        )
+    block_sizes = [
+        math.ceil(b.size_bytes / granularity) * granularity for b in buffers
+    ]
+    baseline = model.total_latency()
+    best_subset: set[int] = set()
+    best_latency = baseline
+    for r in range(len(buffers) + 1):
+        for subset in itertools.combinations(range(len(buffers)), r):
+            if sum(block_sizes[i] for i in subset) > capacity_bytes:
+                continue
+            onchip = frozenset(
+                name for i in subset for name in buffers[i].tensor_names
+            )
+            latency = model.total_latency(onchip)
+            if latency < best_latency - 1e-15:
+                best_latency = latency
+                best_subset = set(subset)
+    chosen = sorted(best_subset)
+    return DNNKResult(
+        allocated=[buffers[i] for i in chosen],
+        spilled=[b for i, b in enumerate(buffers) if i not in best_subset],
+        onchip_tensors=frozenset(
+            name for i in chosen for name in buffers[i].tensor_names
+        ),
+        predicted_reduction=baseline - best_latency,
+        capacity_bytes=capacity_bytes,
+        used_bytes=_block_rounded_bytes(buffers, chosen, granularity),
+    )
+
+
+@dataclass
+class _SearchState:
+    """Mutable best-so-far of the branch-and-bound DFS."""
+
+    best_gain: float
+    best_mask: int
+    nodes_visited: int = 0
+
+
+def branch_and_bound_allocate(
+    buffers: list[VirtualBuffer],
+    model: LatencyModel,
+    capacity_bytes: int,
+    granularity: int = URAM_BYTES,
+    max_buffers: int = 40,
+) -> DNNKResult:
+    """Provably optimal allocation for medium instances (up to ~40 buffers).
+
+    Depth-first search with pruning.  The bound is built from per-buffer
+    gain ceilings: the marginal gain of buffer ``b`` in *any* context is
+    at most the total reducible slack of the nodes it touches —
+    ``sum over affected nodes n of (lat(n, nothing on-chip) - lat(n,
+    every candidate on-chip))`` — because a node's latency is monotone in
+    its off-chip set.  The classic fractional-knapsack relaxation over
+    those ceilings is therefore a valid optimistic bound for any partial
+    solution.  (A tighter "gain given all others resident" bound would be
+    invalid: the gains are neither sub- nor supermodular — pinning one
+    tensor can expose another interface as the binding term and shrink a
+    later marginal.)
+
+    Raises:
+        ValueError: If more than ``max_buffers`` buffers are given, or on
+            a negative capacity.
+    """
+    if len(buffers) > max_buffers:
+        raise ValueError(
+            f"branch-and-bound limited to {max_buffers} buffers, got {len(buffers)}"
+        )
+    if capacity_bytes < 0:
+        raise ValueError("capacity_bytes must be non-negative")
+
+    units = capacity_bytes // granularity
+    sizes = [math.ceil(b.size_bytes / granularity) for b in buffers]
+    evaluator = NaiveGainEvaluator(model, buffers)
+    n = len(buffers)
+    all_on = (1 << n) - 1
+
+    # Per-buffer gain ceiling: the total reducible slack of the nodes the
+    # buffer touches (valid in any context, see the docstring).
+    upper = []
+    for i in range(n):
+        slack = 0.0
+        for node in evaluator._affected[i]:
+            slack += evaluator.node_latency_under_mask(node, 0)
+            slack -= evaluator.node_latency_under_mask(node, all_on)
+        upper.append(slack)
+
+    # Branch in descending bound-density order so good solutions are found
+    # early and the fractional bound prunes aggressively.
+    order = sorted(
+        range(n), key=lambda i: -(upper[i] / sizes[i] if sizes[i] else math.inf)
+    )
+
+    # Warm start from DNNK so pruning bites immediately.
+    warm = dnnk_allocate(buffers, model, capacity_bytes, granularity)
+    warm_mask = 0
+    for i, buf in enumerate(buffers):
+        if buf in warm.allocated:
+            warm_mask |= 1 << i
+    baseline = model.total_latency()
+    warm_gain = baseline - model.total_latency(warm.onchip_tensors)
+    state = _SearchState(best_gain=warm_gain, best_mask=warm_mask)
+
+    def fractional_bound(pos: int, remaining: int) -> float:
+        """Optimistic gain from buffers order[pos:] within ``remaining``."""
+        bound = 0.0
+        for k in range(pos, n):
+            i = order[k]
+            if upper[i] <= 0:
+                continue
+            if sizes[i] <= remaining:
+                bound += upper[i]
+                remaining -= sizes[i]
+            else:
+                bound += upper[i] * remaining / sizes[i]
+                break
+        return bound
+
+    def dfs(pos: int, mask: int, gain: float, remaining: int) -> None:
+        state.nodes_visited += 1
+        if gain > state.best_gain + 1e-15:
+            state.best_gain = gain
+            state.best_mask = mask
+        if pos == n:
+            return
+        if gain + fractional_bound(pos, remaining) <= state.best_gain + 1e-15:
+            return
+        i = order[pos]
+        # Include branch first (density order makes it the promising one).
+        if sizes[i] <= remaining:
+            marginal = evaluator.gain(i, mask)
+            dfs(pos + 1, mask | 1 << i, gain + marginal, remaining - sizes[i])
+        dfs(pos + 1, mask, gain, remaining)
+
+    dfs(0, 0, 0.0, units)
+
+    chosen = [i for i in range(n) if state.best_mask >> i & 1]
+    return DNNKResult(
+        allocated=[buffers[i] for i in chosen],
+        spilled=[b for i, b in enumerate(buffers) if not state.best_mask >> i & 1],
+        onchip_tensors=frozenset(
+            name for i in chosen for name in buffers[i].tensor_names
+        ),
+        predicted_reduction=state.best_gain,
+        capacity_bytes=capacity_bytes,
+        used_bytes=sum(buffers[i].size_bytes for i in chosen),
+    )
+
+
+def naive_residuals(
+    model: LatencyModel, prefetch: PrefetchResult, onchip: frozenset[str]
+) -> dict[str, float]:
+    """Unhidden prefetch time per on-chip weight tensor, by a plain walk.
+
+    Hiding windows are measured against the post-allocation node
+    latencies with :func:`repro.lcmm.prefetch.hiding_capacity`.
+    """
+    schedule = model.nodes()
+    index_of = {name: idx for idx, name in enumerate(schedule)}
+    latencies = [model.node_latency(name, onchip) for name in schedule]
+    capacities = hiding_capacity(model, latencies, schedule, onchip)
+    residuals: dict[str, float] = {}
+    for node, edge in prefetch.edges.items():
+        wname = weight_tensor_name(node)
+        if wname not in onchip:
+            continue
+        start, end = index_of[edge.start], index_of[node]
+        residual = max(0.0, edge.load_time - sum(capacities[start:end]))
+        if residual > 0.0:
+            residuals[wname] = residual
+    return residuals
+
+
+def naive_walk(
+    result, model: LatencyModel
+) -> tuple[float, dict[str, float], dict[str, float]]:
+    """``(latency, node_latencies, residuals)`` of a result, re-derived.
+
+    Rebuilds the fused model from ``fused_edges``, recomputes the
+    residuals and replays Eq. 1 from the result's decisions alone, and
+    replays the transfer scheduler's accept-if-improves gate when the
+    result carries a timeline.
+    """
+    if result.fused_edges:
+        model = apply_fusion(model, result.fused_edges)
+    onchip, fractions = result.onchip_tensors, result.fractions
+    residuals = naive_residuals(model, result.prefetch_result, onchip)
+    latency = model.total_latency(onchip, residuals, fractions)
+    node_latencies = {
+        name: model.node_latency(name, onchip, residuals, fractions)
+        for name in model.nodes()
+    }
+    if result.transfer_timeline is not None:
+        timeline = schedule_transfers(model, onchip, residuals, fractions)
+        if timeline.makespan < latency - 1e-15:
+            return timeline.makespan, timeline.node_latencies(), residuals
+    return latency, node_latencies, residuals

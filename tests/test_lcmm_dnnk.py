@@ -9,18 +9,21 @@ instances it must be exactly optimal).
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.hw.sram import URAM_BYTES
-from repro.lcmm.coloring import color_buffers
-from repro.lcmm.dnnk import dnnk_allocate, exhaustive_allocate, greedy_allocate
+from repro.lcmm import dnnk
+from repro.lcmm.buffers import VirtualBuffer
+from repro.lcmm.dnnk import dnnk_allocate, greedy_allocate
 from repro.lcmm.feature_reuse import feature_reuse_pass
-from repro.lcmm.interference import InterferenceGraph
 from repro.lcmm.prefetch import weight_prefetch_pass
 from repro.lcmm.splitting import combine_buffers
 from repro.perf.engine import AllocationEngine
 from repro.perf.latency import LatencyModel
 
 from tests.conftest import build_chain, build_snippet, small_accel
+from tests.oracles import exhaustive_allocate, naive_allocators
+from tests.test_perf_engine import random_dags
 
 
 def make_buffers(model):
@@ -132,6 +135,13 @@ class TestVersusExhaustive:
 
 
 class TestGreedyBaseline:
+    def test_greedy_rejects_negative_capacity(self, starved_model):
+        # Greedy used to return an empty result reporting the negative
+        # capacity; it now fails like DNNK does.
+        buffers = make_buffers(starved_model)
+        with pytest.raises(ValueError, match="capacity_bytes"):
+            greedy_allocate(buffers, starved_model, -1)
+
     def test_greedy_capacity_respected(self, starved_model):
         buffers = make_buffers(starved_model)
         result = greedy_allocate(buffers, starved_model, 3 * URAM_BYTES)
@@ -182,13 +192,15 @@ class TestAccounting:
 
 
 class TestEngineParity:
-    """Each allocator decides identically with and without the engine."""
+    """Each allocator decides identically with the engine-backed gain
+    evaluator and with the naive oracle (scalar DP sweep)."""
 
     @pytest.mark.parametrize("capacity_blocks", [0, 2, 6])
     def test_dnnk_engine_identical(self, starved_model, capacity_blocks):
         buffers = make_buffers(starved_model)
         capacity = capacity_blocks * URAM_BYTES
-        naive = dnnk_allocate(buffers, starved_model, capacity)
+        with naive_allocators():
+            naive = dnnk_allocate(buffers, starved_model, capacity)
         fast = dnnk_allocate(
             buffers, starved_model, capacity, engine=AllocationEngine(starved_model)
         )
@@ -199,7 +211,8 @@ class TestEngineParity:
     def test_greedy_engine_identical(self, starved_model):
         buffers = make_buffers(starved_model)
         capacity = 4 * URAM_BYTES
-        naive = greedy_allocate(buffers, starved_model, capacity)
+        with naive_allocators():
+            naive = greedy_allocate(buffers, starved_model, capacity)
         fast = greedy_allocate(
             buffers, starved_model, capacity, engine=AllocationEngine(starved_model)
         )
@@ -207,24 +220,8 @@ class TestEngineParity:
         assert fast.used_bytes == naive.used_bytes
         assert fast.predicted_reduction == naive.predicted_reduction
 
-    @pytest.mark.parametrize("capacity_blocks", [1, 4])
-    def test_exhaustive_engine_identical(self, snippet_starved, capacity_blocks):
-        buffers = make_buffers(snippet_starved)
-        capacity = capacity_blocks * URAM_BYTES
-        naive = exhaustive_allocate(buffers, snippet_starved, capacity)
-        fast = exhaustive_allocate(
-            buffers,
-            snippet_starved,
-            capacity,
-            engine=AllocationEngine(snippet_starved),
-        )
-        assert fast.onchip_tensors == naive.onchip_tensors
-        assert fast.predicted_reduction == naive.predicted_reduction
-        assert fast.used_bytes == naive.used_bytes
-
     def test_dnnk_engine_near_exhaustive(self, snippet_starved):
-        # The engine-backed DP must stay comparable to the oracle, like
-        # the naive DP does.
+        # The engine-backed DP must stay comparable to the optimum.
         buffers = make_buffers(snippet_starved)
         capacity = 4 * URAM_BYTES
         engine = AllocationEngine(snippet_starved)
@@ -236,6 +233,69 @@ class TestEngineParity:
         dp_gain = baseline - snippet_starved.total_latency(dp.onchip_tensors)
         opt_gain = baseline - snippet_starved.total_latency(opt.onchip_tensors)
         assert dp_gain >= 0.9 * opt_gain - 1e-12
+
+
+@st.composite
+def dp_cases(draw):
+    """(sizes, units, order, evaluator) for one DP sweep."""
+    model = LatencyModel(
+        draw(random_dags()),
+        small_accel(ddr_efficiency=draw(st.sampled_from([1.0, 0.3, 0.05]))),
+    )
+    buffers = make_buffers(model)
+    granularity = 1024
+    sizes = [math.ceil(b.size_bytes / granularity) for b in buffers]
+    units = draw(st.integers(min_value=0, max_value=sum(sizes) + 1))
+    order = draw(st.permutations(range(len(buffers))))
+    evaluator = dnnk._EngineGainEvaluator(AllocationEngine(model), buffers)
+    return sizes, units, list(order), evaluator
+
+
+class TestDPKernels:
+    """The scalar sweep is the only DP without numpy or past 63 buffers;
+    it must decide exactly like the vectorised one."""
+
+    @pytest.mark.skipif(dnnk._np is None, reason="the vector sweep needs numpy")
+    @given(dp_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_scalar_matches_vector(self, case):
+        sizes, units, order, evaluator = case
+        assert len(sizes) <= 63
+        scalar = dnnk._dp_pass(order, sizes, units, evaluator)
+        vector = dnnk._dp_pass_vector(order, sizes, units, evaluator)
+        assert scalar == vector
+
+    def test_wide_instance_takes_scalar_path(self, monkeypatch):
+        model = LatencyModel(
+            build_chain(num_convs=35, channels=32, hw=14),
+            small_accel(ddr_efficiency=0.05),
+        )
+        feature = feature_reuse_pass(model.graph, model)
+        prefetch = weight_prefetch_pass(model.graph, model)
+        # One buffer per tensor: more buffers than a uint64 mask holds.
+        buffers = [
+            VirtualBuffer(index=i, tensors=[t])
+            for i, t in enumerate(feature.candidates + prefetch.candidates)
+        ]
+        assert len(buffers) > 63
+        calls = []
+        scalar = dnnk._dp_pass
+        monkeypatch.setattr(
+            dnnk, "_dp_pass", lambda *args: calls.append(1) or scalar(*args)
+        )
+        monkeypatch.setattr(dnnk, "_dp_pass_vector", None)
+        capacity = 64 * 1024
+        result = dnnk_allocate(buffers, model, capacity, granularity=1024)
+        assert calls
+        assert result.allocated
+        assert result.used_bytes <= capacity
+        assert result.predicted_reduction == model.umm_latency() - (
+            model.total_latency(result.onchip_tensors)
+        )
+        with naive_allocators():
+            naive = dnnk_allocate(buffers, model, capacity, granularity=1024)
+        assert result.onchip_tensors == naive.onchip_tensors
+        assert result.predicted_reduction == naive.predicted_reduction
 
 
 class TestGranularity:

@@ -2,7 +2,7 @@
 
 These pieces are exercised indirectly everywhere; testing them directly
 pins their contracts: the Eq. 2 optimistic metric, the idle-time hiding
-capacity, the gain evaluator's mask-based node latencies, and the
+capacity, the naive gain oracle's mask-based node latencies, and the
 pipeline's stage-array tuner.
 """
 
@@ -10,7 +10,6 @@ import pytest
 
 from repro.hw.precision import INT8
 from repro.ir.tensor import TensorKind, weight_tensor_name
-from repro.lcmm.dnnk import _GainEvaluator
 from repro.lcmm.feature_reuse import feature_reuse_pass
 from repro.lcmm.prefetch import hiding_capacity, weight_prefetch_pass
 from repro.lcmm.splitting import combine_buffers
@@ -20,6 +19,7 @@ from repro.perf.pipeline import tune_stage_array
 from repro.perf.systolic import SystolicArray
 
 from tests.conftest import build_chain, small_accel
+from tests.oracles import NaiveGainEvaluator
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +112,7 @@ class TestGainEvaluator:
         feature = feature_reuse_pass(model.graph, model)
         prefetch = weight_prefetch_pass(model.graph, model)
         buffers = combine_buffers([feature.buffers, prefetch.buffers])
-        return buffers, _GainEvaluator(model, buffers)
+        return buffers, NaiveGainEvaluator(model, buffers)
 
     def test_mask_latency_matches_model(self, model, evaluator):
         buffers, ev = evaluator

@@ -135,12 +135,10 @@ class TestCompilationContext:
                 snippet_graph, accel, options=LCMMOptions(sram_budget=1)
             )
 
-    def test_naive_path_has_no_engine(self, snippet_graph, accel):
-        ctx = CompilationContext.create(
-            snippet_graph, accel, options=LCMMOptions(use_engine=False)
-        )
-        assert ctx.engine is None
-        assert ctx.stats is None
+    def test_context_always_builds_engine(self, snippet_graph, accel):
+        ctx = CompilationContext.create(snippet_graph, accel)
+        assert ctx.engine.model is ctx.model
+        assert ctx.stats is ctx.engine.stats
 
 
 class TestRunLcmmPipelines:

@@ -1,4 +1,4 @@
-"""The incremental allocation-evaluation engine vs the naive evaluator.
+"""The incremental allocation-evaluation engine vs the naive oracles.
 
 The engine's contract is *bit-for-bit* equality with walking the
 :class:`LatencyModel` per query — not approximate agreement.  These tests
@@ -7,13 +7,13 @@ enforce that contract three ways:
 * hypothesis property tests over random DAGs and random allocation states
   (on-chip sets, prefetch residuals, fractional pins);
 * apply/undo round-trips returning the exact prior state;
-* end-to-end ``run_lcmm`` parity (engine on vs off) across real models
-  and option combinations, down to physical placement.
+* end-to-end ``run_lcmm`` parity across real models and option
+  combinations: the decisions match a re-run on the naive gain
+  evaluator down to physical placement, and the latencies and residuals
+  match a plain model walk (:mod:`tests.oracles`).
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +21,8 @@ from hypothesis import given, settings, strategies as st
 from repro.ir.graph import ComputationGraph
 from repro.ir.layer import Concat, EltwiseAdd, InputLayer
 from repro.ir.tensor import FeatureMapShape, weight_tensor_name
-from repro.lcmm.dnnk import _EngineGainEvaluator, _GainEvaluator
+from repro.fingerprint import fingerprint
+from repro.lcmm.dnnk import _EngineGainEvaluator
 from repro.lcmm.feature_reuse import feature_reuse_pass
 from repro.lcmm.framework import LCMMOptions, run_lcmm
 from repro.lcmm.passes import (
@@ -39,6 +40,7 @@ from repro.perf.engine import AllocationEngine, EngineStats
 from repro.perf.latency import LatencyModel
 
 from tests.conftest import build_chain, build_snippet, small_accel
+from tests.oracles import NaiveGainEvaluator, naive_allocators, naive_walk
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -257,7 +259,7 @@ class TestAllocatorProbe:
         onchip = frozenset(["w:C1"])
         before = engine.stats.applies
         residuals, latency = evaluate_allocation(
-            snippet_model, empty_prefetch_result(), onchip, engine
+            empty_prefetch_result(), onchip, engine
         )
         assert engine.stats.applies - before == 1
         assert residuals == {}
@@ -271,7 +273,7 @@ class TestAllocatorProbe:
         engine = AllocationEngine(model)
         onchip = frozenset(weight_tensor_name(n) for n in prefetch.edges)
         before = engine.stats.applies
-        residuals, latency = evaluate_allocation(model, prefetch, onchip, engine)
+        residuals, latency = evaluate_allocation(prefetch, onchip, engine)
         assert engine.stats.applies - before == (2 if residuals else 1)
         assert latency == model.total_latency(onchip, residuals)
         assert engine.total() == latency
@@ -286,7 +288,7 @@ class TestPrunedGainEvaluator:
     @settings(max_examples=60, deadline=None)
     def test_queries_match_oracle(self, case):
         model, buffers, contexts = case
-        oracle = _GainEvaluator(model, buffers)
+        oracle = NaiveGainEvaluator(model, buffers)
         fast = _EngineGainEvaluator(AllocationEngine(model), buffers)
         n = len(buffers)
         # One evaluator instance across all contexts, so memo hits under
@@ -309,7 +311,7 @@ class TestPrunedGainEvaluator:
         # no slot kind can bind, so no context bit can matter.
         model = LatencyModel(build_chain(), small_accel(ddr_efficiency=1.0))
         buffers = _dnnk_buffers(model)
-        oracle = _GainEvaluator(model, buffers)
+        oracle = NaiveGainEvaluator(model, buffers)
         fast = _EngineGainEvaluator(AllocationEngine(model), buffers)
         full = (1 << len(buffers)) - 1
         assert buffers
@@ -323,32 +325,34 @@ class TestPrunedGainEvaluator:
 
 
 # ---------------------------------------------------------------------------
-# End-to-end parity: run_lcmm with the engine on vs off
+# End-to-end parity: run_lcmm vs the naive oracles
 # ---------------------------------------------------------------------------
 
 
 def _assert_runs_identical(graph, accel, options):
+    """Decisions equal a re-run on the naive gain evaluator; latencies
+    and residuals equal a plain latency-model walk."""
     model = LatencyModel(graph, accel)
-    naive = run_lcmm(
-        graph, accel, options=dataclasses.replace(options, use_engine=False),
-        model=model,
-    )
-    fast = run_lcmm(
-        graph, accel, options=dataclasses.replace(options, use_engine=True),
-        model=model,
-    )
-    assert fast.latency == naive.latency
+    fast = run_lcmm(graph, accel, options=options, model=model)
+    with naive_allocators():
+        naive = run_lcmm(graph, accel, options=options, model=model)
     assert fast.onchip_tensors == naive.onchip_tensors
-    assert fast.node_latencies == naive.node_latencies
-    assert fast.residuals == naive.residuals
     assert fast.fractions == naive.fractions
     assert fast.splitting_iterations == naive.splitting_iterations
+    assert (
+        fast.dnnk_result.predicted_reduction
+        == naive.dnnk_result.predicted_reduction
+    )
     placement = lambda r: [
         (b.name, b.uram_blocks, b.bram36_blocks, tuple(b.virtual.tensor_names))
         for b in r.physical_buffers
     ]
     assert placement(fast) == placement(naive)
-    assert naive.engine_stats is None
+    assert fingerprint(fast) == fingerprint(naive)
+    latency, node_latencies, residuals = naive_walk(fast, model)
+    assert fast.latency == latency
+    assert fast.node_latencies == node_latencies
+    assert fast.residuals == residuals
     assert fast.engine_stats is not None
 
 
@@ -366,6 +370,15 @@ class TestRunParity:
     )
     def test_snippet_parity(self, options):
         _assert_runs_identical(build_snippet(), small_accel(), options)
+
+    @pytest.mark.parametrize("refinement", [0, 2])
+    def test_starved_snippet_parity(self, refinement):
+        # A memory-starved design leaves prefetches unhidden, so the
+        # residual arithmetic is exercised, not just the empty case.
+        accel = small_accel(ddr_efficiency=0.1)
+        options = LCMMOptions(prefetch_refinement=refinement)
+        assert run_lcmm(build_snippet(), accel, options=options).residuals
+        _assert_runs_identical(build_snippet(), accel, options)
 
     def test_squeezenet_parity(self):
         _assert_runs_identical(build_squeezenet(), small_accel(), LCMMOptions())

@@ -3,8 +3,8 @@
 Covers the link model's unit conventions, the cut-traffic account, the
 link-aware DP partitioner (against brute force), stage subgraph
 extraction, the full partitioned design with its degradation paths, and
-the cache-key discipline: every pre-partition digest is pinned so the
-schema-4 bump can never silently move a warm cache entry.
+the cache-key discipline: a single-die request shares the plain
+compile's key, and every partition option moves a multi-die key.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fingerprint import compile_key, fingerprint, pipeline_key, sweep_key
+from repro.fingerprint import compile_key, fingerprint, pipeline_key
 from repro.ir.graph import ComputationGraph
 from repro.ir.layer import Concat, InputLayer
 from repro.ir.tensor import FeatureMapShape
@@ -355,23 +355,8 @@ class TestDesignPartition:
 
 
 class TestCacheKeys:
-    """Pre-partition digests are pinned: the schema-4 bump moves nothing."""
-
-    # Captured immediately before the partition era (schema head = 3).
-    _PINNED = {
-        "resnet152": {
-            "lcmm": "7e695d5ba472deb41082f740c6406b23eccf38fe5333c9f419febdd6a2505615",
-            "umm": "a724331db45716cce14edfe0498f0bd689160920e5ac23da8c0626ed2b71326f",
-            "fused": "817e25db583d517b4874a1678e19658f10023ab5b48899f17a929c75ead3fecb",
-            "sweep": "e8e6cf798999eccfdff64e0876469f9943db6afb61d620b4b9da311c8451f435",
-        },
-        "bert_base": {
-            "lcmm": "8846709d1297e69a9d44c9261120e217fdd5f67384f55a3ce2939c8cab626aba",
-            "umm": "2d6783aa9fa98bec98abe34e43cec82c6b41a9b4a43d460cefb48732ec3ea069",
-            "fused": "232da79f20dffd3b0e5056809d3fc6369223cdc35b7994656ddc9034e61ef91b",
-            "sweep": "19e6ad953d12f0f3cef379e525ccd9699d1179dc6ec93a52143129d80254d376",
-        },
-    }
+    """Multi-die requests get their own keys; single-die ones share the
+    plain compile's key."""
 
     @pytest.fixture(scope="class")
     def accel(self):
@@ -379,20 +364,6 @@ class TestCacheKeys:
         from repro.hw.precision import INT8
 
         return reference_design("resnet152", INT8, "lcmm")
-
-    @pytest.mark.parametrize("model", sorted(_PINNED))
-    def test_pre_partition_digests_unmoved(self, accel, model):
-        from repro.models.zoo import get_model
-
-        graph = get_model(model)
-        pinned = self._PINNED[model]
-        assert compile_key(graph, accel, LCMMOptions()) == pinned["lcmm"]
-        assert compile_key(graph, accel, None) == pinned["umm"]
-        assert (
-            compile_key(graph, accel, LCMMOptions(fuse_layers=True))
-            == pinned["fused"]
-        )
-        assert sweep_key(graph, accel) == pinned["sweep"]
 
     def test_pipeline_key_disabled_is_compile_key(self, accel):
         from repro.models.zoo import get_model

@@ -15,8 +15,7 @@ from hypothesis import given, settings, strategies as st
 from repro.hw.sram import URAM_BYTES
 from repro.io import graph_from_dict, graph_to_dict
 from repro.lcmm.buffers import CandidateTensor, TensorClass, VirtualBuffer
-from repro.lcmm.branch_bound import branch_and_bound_allocate
-from repro.lcmm.dnnk import dnnk_allocate, exhaustive_allocate, greedy_allocate
+from repro.lcmm.dnnk import dnnk_allocate, greedy_allocate
 from repro.lcmm.double_buffer import is_linear
 from repro.lcmm.feature_reuse import feature_reuse_pass
 from repro.lcmm.liveness import LiveRange
@@ -26,6 +25,7 @@ from repro.lcmm.splitting import combine_buffers
 from repro.perf.latency import LatencyModel
 
 from tests.conftest import small_accel
+from tests.oracles import branch_and_bound_allocate, exhaustive_allocate
 from tests.test_properties import random_dags
 
 
