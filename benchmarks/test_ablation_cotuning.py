@@ -14,8 +14,8 @@ from repro.analysis.report import format_table
 from repro.hw.precision import INT16
 from repro.lcmm.cotuning import cotune
 from repro.models import get_model
-from repro.perf.dse import best_design
 from repro.perf.latency import LatencyModel
+from repro.perf.space import SampledSpace, explore_space
 from repro.perf.tiling import TileConfig
 
 from conftest import attach
@@ -54,7 +54,8 @@ def test_cotuning(benchmark):
           f"-> {result.best_result.latency * 1e3:.3f} ms")
 
     # Reference: LCMM run on the tile a UMM-oriented DSE would pick.
-    umm_best_tile = best_design(graph, base, 512 * 1024, tiles=TILES).tile
+    space = SampledSpace([(base, TILES)])
+    umm_best_tile = explore_space(graph, space, 512 * 1024).best.accel.tile
     umm_tile_point = next(p for p in result.points if p.tile == umm_best_tile)
 
     attach(

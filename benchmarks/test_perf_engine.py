@@ -6,7 +6,7 @@ results to ``BENCH_engine.json`` at the repo root:
 * ``run_lcmm`` on GoogLeNet (prebuilt graph and latency model, timing
   the pipeline only), with the engine's evaluation counters;
 * a 64-point tile DSE sweep, old per-tile ``LatencyModel`` scoring vs
-  ``explore_designs`` (sweep scorer, ``workers=4``).
+  ``explore_space`` on the one base (sweep scorer, ``workers=4``).
 
 Results are checked against the golden fingerprint and the per-tile
 model respectively (and bit-for-bit against the naive oracles in the
@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -28,8 +29,9 @@ from repro.fingerprint import fingerprint
 from repro.hw.precision import INT8, INT16
 from repro.lcmm.framework import run_lcmm
 from repro.models import get_model
-from repro.perf.dse import _configure, candidate_tiles, explore_designs
+from repro.perf.dse import candidate_tiles
 from repro.perf.latency import LatencyModel
+from repro.perf.space import SampledSpace, explore_space
 
 _ROOT = Path(__file__).resolve().parent.parent
 _RESULT_PATH = _ROOT / "BENCH_engine.json"
@@ -43,6 +45,12 @@ def _best_of(fn, repeats: int = _REPEATS) -> float:
         fn()
         times.append(time.perf_counter() - start)
     return min(times)
+
+
+def _sweep(graph, base, budget, tiles, workers=1):
+    """Every feasible tile of one base design, ascending UMM latency."""
+    space = SampledSpace([(base, tiles)])
+    return explore_space(graph, space, budget, workers=workers, prune=False).points
 
 
 def _record(section: str, payload: dict) -> None:
@@ -86,12 +94,12 @@ def test_dse_sweep_speedup():
             t for t in tiles if t.tile_buffer_bytes(base.precision.bytes) <= budget
         ]
         return {
-            t: LatencyModel(graph, _configure(base, t)).umm_latency()
+            t: LatencyModel(graph, replace(base, tile=t)).umm_latency()
             for t in feasible
         }
 
     def new_sweep():
-        return explore_designs(graph, base, budget, tiles=tiles, workers=4)
+        return _sweep(graph, base, budget, tiles, workers=4)
 
     old_scores = old_sweep()
     new_points = new_sweep()
@@ -101,7 +109,7 @@ def test_dse_sweep_speedup():
 
     old_s = _best_of(old_sweep)
     new_s = _best_of(new_sweep)
-    serial_s = _best_of(lambda: explore_designs(graph, base, budget, tiles=tiles))
+    serial_s = _best_of(lambda: _sweep(graph, base, budget, tiles))
     speedup = old_s / new_s
     _record(
         "dse_sweep_64pt_inception_v4",
@@ -155,18 +163,18 @@ def test_dse_pool_beats_serial_on_multicore():
     budget = 8 * 2**20
 
     pool_mod.close_pool()
-    parallel = explore_designs(graph, base, budget, tiles=tiles, workers=4)
-    serial = explore_designs(graph, base, budget, tiles=tiles)
+    parallel = _sweep(graph, base, budget, tiles, workers=4)
+    serial = _sweep(graph, base, budget, tiles)
     key = lambda pts: [(p.accel.tile, p.umm_latency) for p in pts]
     assert key(parallel) == key(serial)
 
     # The warm-up sweep above leaves the persistent pool hot; time what
     # a session actually sees on repeated sweeps.
     serial_s = _best_of(
-        lambda: explore_designs(graph, base, budget, tiles=tiles)
+        lambda: _sweep(graph, base, budget, tiles)
     )
     pooled_s = _best_of(
-        lambda: explore_designs(graph, base, budget, tiles=tiles, workers=4)
+        lambda: _sweep(graph, base, budget, tiles, workers=4)
     )
     speedup = serial_s / pooled_s
     _record(

@@ -15,8 +15,9 @@ from repro.ir.layer import EltwiseAdd, FullyConnected, InputLayer
 from repro.ir.tensor import FeatureMapShape
 from repro.lcmm import run_lcmm, run_umm, validate_result
 from repro.models.common import conv, global_avg_pool, max_pool
-from repro.perf.dse import best_design
+from repro.perf.dse import candidate_tiles
 from repro.perf.latency import LatencyModel
+from repro.perf.space import SampledSpace, explore_space
 from repro.perf.systolic import default_accelerator
 from repro.sim import simulate
 
@@ -49,7 +50,8 @@ def main() -> None:
     # Design-space exploration: pick the best tile shape under a 256 KB
     # tile-buffer budget, starting from the default 16-bit design.
     base = default_accelerator(INT16, frequency=200e6, ddr_efficiency=0.5)
-    accel = best_design(graph, base, tile_buffer_budget=256 * 1024)
+    space = SampledSpace([(base, candidate_tiles())])
+    accel = explore_space(graph, space, tile_buffer_budget=256 * 1024).best.accel
     print(f"DSE picked tiles {accel.tile} "
           f"({accel.tile_buffer_bytes() / 1024:.0f} KB of tile buffers)")
 

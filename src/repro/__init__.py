@@ -10,7 +10,7 @@ model, and the LCMM / UMM memory-management entry points.
 
 from repro.hw import FP32, INT8, INT16, Precision, VU9P, make_vu9p_ddr
 from repro.models import get_model, list_models
-from repro.perf import AcceleratorConfig, LatencyModel, RooflineModel, explore_designs
+from repro.perf import AcceleratorConfig, LatencyModel, RooflineModel
 from repro.lcmm import LCMMResult, UMMResult, run_lcmm, run_umm
 
 __version__ = "1.0.0"
@@ -27,7 +27,6 @@ __all__ = [
     "AcceleratorConfig",
     "LatencyModel",
     "RooflineModel",
-    "explore_designs",
     "run_lcmm",
     "run_umm",
     "LCMMResult",

@@ -9,7 +9,7 @@ both:
   disk store of pickled :class:`~repro.lcmm.framework.LCMMResult`
   artifacts keyed by :func:`repro.fingerprint.compile_key`, with a
   bounded in-memory LRU in front.  ``run_lcmm(..., cache=...)`` and
-  ``explore_designs(..., cache=...)`` consume it; caching is **off by
+  ``explore_space(..., cache=...)`` consume it; caching is **off by
   default** everywhere.
 * :func:`batch_compile` (:mod:`repro.cache.batch`) — compiles a
   model/configuration matrix across a worker pool with cache reuse

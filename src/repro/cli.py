@@ -577,28 +577,36 @@ def _cmd_dse(args: argparse.Namespace) -> None:
 
 
 def _dse_body(args: argparse.Namespace) -> None:
-    from repro.perf.dse import WorkerStats, explore_designs
+    from repro.perf.dse import WorkerStats, candidate_tiles
+    from repro.perf.space import SampledSpace, explore_space, large_space, small_space
 
     graph = _load_model(args.model)
     budget = int(args.budget * 2**20)
     stats = WorkerStats()
-    cache = _open_cache(args.cache)
     if args.space:
-        from repro.perf.space import explore_space, large_space, small_space
-
         space = small_space() if args.space == "small" else large_space()
         swept = space if args.sample is None else space.sample(args.sample)
-        result = explore_space(
-            graph,
-            swept,
-            budget,
-            workers=args.workers,
-            prune=args.prune,
-            top=args.top,
-            stats=stats,
-            cache=cache,
-            pool_mode=args.pool,
+        prune = args.prune
+    else:
+        base = reference_design(
+            args.model if args.model in BENCHMARKS else "resnet152",
+            precision_by_name(args.precision),
+            "lcmm",
         )
+        # One base, unpruned: every feasible tile is listed, tn duplicates too.
+        swept = SampledSpace([(base, candidate_tiles())])
+        prune = False
+    result = explore_space(
+        graph,
+        swept,
+        budget,
+        workers=args.workers,
+        prune=prune,
+        stats=stats,
+        cache=_open_cache(args.cache),
+        pool_mode=args.pool,
+    )
+    if args.space:
         sample_note = f", {args.sample}-point sample" if args.sample else ""
         print(
             f"Design-space DSE on {graph.name} ({args.space} space{sample_note}), "
@@ -617,26 +625,12 @@ def _dse_body(args: argparse.Namespace) -> None:
                 f"UMM {point.umm_latency * 1e3:8.3f} ms"
             )
     else:
-        base = reference_design(
-            args.model if args.model in BENCHMARKS else "resnet152",
-            precision_by_name(args.precision),
-            "lcmm",
-        )
-        points = explore_designs(
-            graph,
-            base,
-            budget,
-            workers=args.workers,
-            stats=stats,
-            cache=cache,
-            pool_mode=args.pool,
-        )
         print(
             f"Tile DSE on {graph.name} ({args.precision}), "
             f"{args.budget:.1f} MB tile-buffer budget, "
-            f"{len(points)} feasible points, workers={args.workers}:"
+            f"{result.total_points} feasible points, workers={args.workers}:"
         )
-        for point in points[: args.top]:
+        for point in result.points[: args.top]:
             print(
                 f"  {str(point.accel.tile):28s} "
                 f"UMM {point.umm_latency * 1e3:8.3f} ms  "

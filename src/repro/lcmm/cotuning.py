@@ -20,7 +20,7 @@ co-design loop the paper sketches as integration with DSE frameworks
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.ir.graph import ComputationGraph
 from repro.lcmm.framework import LCMMOptions, LCMMResult, run_lcmm
@@ -67,22 +67,6 @@ class CoTuningResult:
         return min(self.points, key=lambda p: p.lcmm_latency)
 
 
-def _with_tile(base: AcceleratorConfig, tile: TileConfig) -> AcceleratorConfig:
-    """Clone a design point with a different tile configuration."""
-    return AcceleratorConfig(
-        name=base.name,
-        precision=base.precision,
-        array=base.array,
-        tile=tile,
-        frequency=base.frequency,
-        device=base.device,
-        ddr=base.ddr,
-        ddr_efficiency=base.ddr_efficiency,
-        if_resident_cap=base.if_resident_cap,
-        wt_resident_cap=base.wt_resident_cap,
-    )
-
-
 def cotune(
     graph: ComputationGraph,
     base: AcceleratorConfig,
@@ -109,7 +93,7 @@ def cotune(
     best_accel: AcceleratorConfig | None = None
     best_result: LCMMResult | None = None
     for tile in candidates:
-        accel = _with_tile(base, tile)
+        accel = replace(base, tile=tile)
         if accel.tile_buffer_bytes() >= accel.device.sram_bytes:
             continue
         model = LatencyModel(graph, accel)

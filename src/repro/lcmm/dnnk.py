@@ -37,6 +37,7 @@ nodes where its buffer cannot bind — their difference is exactly
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -256,13 +257,17 @@ class _EngineGainEvaluator:
             delta -= self.node_latency_mask(ni, context_mask)
         return delta
 
-    def exchange_delta(self, context_mask: int, inc: int, evict: list[int]) -> float:
-        """Exact latency change of adding ``inc`` while evicting ``evict``."""
-        trial = context_mask | 1 << inc
+    def exchange_delta(
+        self, context_mask: int, incoming: tuple[int, ...], evict: list[int]
+    ) -> float:
+        """Exact latency change of adding ``incoming`` while evicting ``evict``."""
+        trial = context_mask
+        for inc in incoming:
+            trial |= 1 << inc
         for out in evict:
             trial &= ~(1 << out)
         delta = 0.0
-        for ni in self._affected_union((inc, *evict)):
+        for ni in self._affected_union((*incoming, *evict)):
             delta += self.node_latency_mask(ni, trial)
             delta -= self.node_latency_mask(ni, context_mask)
         return delta
@@ -500,8 +505,8 @@ def _local_search(
     materialises once a partner is resident (Eq. 2's second-tier tensors)
     reads as worthless when its row runs, and an early over-valued pick
     can crowd out a better large buffer.  Repair both with exact-gain
-    moves against the final allocation — adds first, then adds with
-    evictions — each strictly improving and capacity-respecting, until a
+    moves against the final allocation — single and pair adds first, then
+    single and pair adds with evictions — each strictly improving and capacity-respecting, until a
     full sweep changes nothing.
     """
     chosen_set = set(chosen_set)
@@ -546,9 +551,13 @@ def _local_search(
                 remaining -= sizes[pair[0]] + sizes[pair[1]]
                 improved = True
         if not improved:
-            # Add-with-eviction: offer each spilled buffer; evict the
-            # cheapest (per block) residents until it fits, and keep the
-            # exchange only when the exact Eq. 1 total improves.
+            # Add-with-eviction: offer each spilled buffer, then each
+            # complementary spilled pair (which pair-add could not fit);
+            # evict the cheapest (per block) residents until the offer
+            # fits, and keep the exchange only when the exact Eq. 1 total
+            # improves.  Pairs are only offered once no single exchange
+            # helps, so a pair worthless alone can still displace a
+            # resident it beats together.
             # Both eviction orders depend only on the resident set, which
             # stays fixed until an exchange is accepted: sort once.
             eviction_orders = (
@@ -559,8 +568,19 @@ def _local_search(
                 ),
                 sorted(chosen_set, key=lambda i: -sizes[i]),
             )
-            for inc in range(num_buffers):
-                if inc in chosen_set or sizes[inc] > units:
+            spilled = [i for i in range(num_buffers) if i not in chosen_set]
+            offers = itertools.chain(
+                ((i,) for i in spilled),
+                (
+                    (a, b)
+                    for a_pos, a in enumerate(spilled)
+                    for b in spilled[a_pos + 1 :]
+                    if evaluator.relevant_pair(a, b)
+                ),
+            )
+            for offer in offers:
+                need = sum(sizes[i] for i in offer)
+                if need > units:
                     continue
                 best_delta = 0.0
                 best_evict: list[int] | None = None
@@ -568,19 +588,19 @@ def _local_search(
                     evict: list[int] = []
                     freed = remaining
                     for out in order:
-                        if freed >= sizes[inc]:
+                        if freed >= need:
                             break
                         evict.append(out)
                         freed += sizes[out]
-                    if freed < sizes[inc]:
+                    if freed < need:
                         continue
-                    delta = evaluator.exchange_delta(context_mask, inc, evict)
+                    delta = evaluator.exchange_delta(context_mask, offer, evict)
                     if delta < best_delta - 1e-15:
                         best_delta = delta
                         best_evict = evict
                 if best_evict is not None:
                     chosen_set.difference_update(best_evict)
-                    chosen_set.add(inc)
+                    chosen_set.update(offer)
                     remaining = units - sum(sizes[i] for i in chosen_set)
                     improved = True
                     break

@@ -18,9 +18,7 @@ from repro.perf.roofline import RooflineModel, RooflinePoint
 from repro.perf.dse import (
     DesignPoint,
     WorkerStats,
-    best_design,
     candidate_tiles,
-    explore_designs,
 )
 from repro.perf.pool import ScorerPool, close_pool, persistent_pool
 from repro.perf.space import (
@@ -55,9 +53,7 @@ __all__ = [
     "RooflinePoint",
     "DesignPoint",
     "WorkerStats",
-    "best_design",
     "candidate_tiles",
-    "explore_designs",
     "ScorerPool",
     "close_pool",
     "persistent_pool",

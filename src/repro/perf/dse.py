@@ -1,11 +1,11 @@
-"""Design-space exploration over tile configurations.
+"""Tile scoring for the design-space explorer.
 
 The paper plugs LCMM into an external DSE framework ([12, 18, 22]) that
 fixes the PE array and tile buffer structure; LCMM then manages whatever
-on-chip memory the tile buffers do not use (Fig. 4).  This module is that
-producer: given a model, a precision and a tile-buffer byte budget, it
-enumerates tile shapes, scores each by end-to-end UMM latency under the
-analytical model, and returns the Pareto-best design point.
+on-chip memory the tile buffers do not use (Fig. 4).  The explorer that
+stands in for that DSE is :func:`repro.perf.space.explore_space`; this
+module holds the parts it scores with: the candidate tile grid, the fast
+per-base UMM scorer, and the hardened parallel scoring loop.
 
 Tile sizes trade buffer footprint against reload traffic: larger ``tm``
 cuts input re-streaming (``ceil(M/tm)`` passes), larger ``th x tw`` cuts
@@ -20,11 +20,8 @@ import time
 from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from pickle import PicklingError
-from typing import TYPE_CHECKING
 
-from repro.errors import CapacityError, ConfigError, ReproError
-from repro.fingerprint import accel_fingerprint, sweep_key, tile_key
+from repro.fingerprint import accel_fingerprint
 from repro.obs import spans as obs
 from repro.ir.graph import ComputationGraph
 from repro.ir.layer import Attention, Conv2D, DepthwiseConv2D, Gemm
@@ -34,15 +31,11 @@ from repro.perf.latency import LatencyModel
 from repro.perf.pool import ScorerPool
 from repro.perf.systolic import (
     AcceleratorConfig,
-    SystolicArray,
     gemm_compute_cycles,
     gemm_cycles_lower_bound,
     gemm_reload_trips,
 )
 from repro.perf.tiling import TileConfig
-
-if TYPE_CHECKING:
-    from repro.cache.store import CompilationCache
 
 #: Candidate tile extents; powers of two for channels (all benchmark models
 #: use channel counts divisible by 32) and the common feature-map extents
@@ -85,22 +78,6 @@ def candidate_tiles(
     ]
 
 
-def _configure(base: AcceleratorConfig, tile: TileConfig) -> AcceleratorConfig:
-    """The base design point with only the tile configuration replaced."""
-    return AcceleratorConfig(
-        name=base.name,
-        precision=base.precision,
-        array=base.array,
-        tile=tile,
-        frequency=base.frequency,
-        device=base.device,
-        ddr=base.ddr,
-        ddr_efficiency=base.ddr_efficiency,
-        if_resident_cap=base.if_resident_cap,
-        wt_resident_cap=base.wt_resident_cap,
-    )
-
-
 class _SweepScorer:
     """Fast per-tile UMM scoring for a fixed (graph, base) pair.
 
@@ -116,7 +93,8 @@ class _SweepScorer:
     same order (integer byte products, one division per slot, the same
     ``max`` and the same schedule-order summation), so ``score(tile)`` is
     bit-for-bit equal to
-    ``LatencyModel(graph, _configure(base, tile)).umm_latency()``.
+    ``LatencyModel(graph, replace(base, tile=tile)).umm_latency()``
+    (:func:`dataclasses.replace`).
     """
 
     def __init__(self, graph: ComputationGraph, base: AcceleratorConfig) -> None:
@@ -350,24 +328,6 @@ class WorkerStats:
             or self.pool_unavailable
         )
 
-    def absorb(self, other: "WorkerStats") -> None:
-        """Accumulate another sweep's counters into this one.
-
-        :func:`repro.perf.space.explore_space` runs one sweep per base
-        design and reports space-wide totals through a single stats
-        object.
-        """
-        self.chunks += other.chunks
-        self.retries += other.retries
-        self.timeouts += other.timeouts
-        self.failures += other.failures
-        self.pool_broken = self.pool_broken or other.pool_broken
-        self.serial_chunks += other.serial_chunks
-        self.pool_unavailable = self.pool_unavailable or other.pool_unavailable
-        self.chunks_reused_pool += other.chunks_reused_pool
-        self.init_seconds += other.init_seconds
-        self.points_pruned += other.points_pruned
-
 
 #: Points the parent scores itself to measure the per-point cost when a
 #: pool has no throughput estimate yet.  Their scores are part of the
@@ -433,7 +393,7 @@ def _score_parallel(
         for i in range(0, len(rest), chunk)
     ]
     sizes = [len(encoded) // pool_mod.TILE_WORDS for encoded in chunks]
-    stats.chunks = len(chunks)
+    stats.chunks += len(chunks)
     preexisting = pool.is_warm()
     start_generation = pool.generation
     results: list[list[float] | None] = [None] * len(chunks)
@@ -492,7 +452,7 @@ def _score_parallel(
         pending = retry
     lost = [i for i in range(len(chunks)) if results[i] is None]
     if lost:
-        stats.serial_chunks = len(lost)
+        stats.serial_chunks += len(lost)
         with obs.span("dse.serial-rescore", chunks=len(lost)):
             scorer = scorer if scorer is not None else _SweepScorer(graph, base)
             for i in lost:
@@ -503,184 +463,8 @@ def _score_parallel(
     return prefix + [lat for part in results for lat in part]
 
 
-def explore_designs(
-    graph: ComputationGraph,
-    base: AcceleratorConfig,
-    tile_buffer_budget: int,
-    tiles: list[TileConfig] | None = None,
-    workers: int = 1,
-    chunk_timeout: float | None = None,
-    chunk_retries: int = 1,
-    stats: WorkerStats | None = None,
-    cache: "CompilationCache | None" = None,
-    pool: ScorerPool | None = None,
-    pool_mode: str = "keep",
-    scorer: _SweepScorer | None = None,
-) -> list[DesignPoint]:
-    """Score every feasible tile configuration on a model.
-
-    Args:
-        graph: The DNN to optimise for.
-        base: Design point providing array/clock/precision/memory system;
-            only the tile configuration is varied.
-        tile_buffer_budget: Maximum bytes the double-buffered tile buffers
-            may occupy (the rest of SRAM is left to LCMM's tensor buffers).
-        tiles: Optional explicit candidate list.  An explicitly empty list
-            yields an empty result (nothing to explore is not an error).
-        workers: Process count for the scoring sweep.  ``1`` (the
-            default) runs serially in-process; higher values fan chunks
-            of tiles out over a process pool, clamped to the number of
-            feasible tiles so small sweeps never spawn idle workers.
-            Results are identical and identically ordered either way, and
-            any pool failure (a crashed worker, a hung chunk, or an
-            environment without working process spawning) is recovered by
-            re-scoring the missing chunks serially.
-        chunk_timeout: Optional per-chunk deadline in seconds for the
-            parallel sweep; a timed-out chunk is retried in a fresh pool
-            and, past its retry budget, re-scored serially.
-        chunk_retries: Re-submissions allowed per failing chunk before it
-            falls back to serial re-scoring.
-        stats: Optional :class:`WorkerStats` filled in with what the
-            parallel sweep had to recover from.
-        cache: Optional :class:`~repro.cache.store.CompilationCache`.
-            Warm-starts the sweep from previously cached per-tile scores
-            of the same (graph, base-sans-tile) pair — only unseen tiles
-            are scored (serially or in the pool), and their scores are
-            written back for the next sweep.  Off by default.
-        pool: Explicit :class:`~repro.perf.pool.ScorerPool` to score on
-            (:func:`~repro.perf.space.explore_space` shares one across
-            bases).  The caller owns its lifetime.
-        pool_mode: ``"keep"`` (default) scores on the process-wide
-            persistent pool, which stays warm for later sweeps of the
-            same graph; ``"fresh"`` builds a private pool and closes it
-            before returning.  Ignored when ``pool`` is given.
-        scorer: Optional pre-built :class:`_SweepScorer` for
-            (graph, base), reused by the serial/calibration paths
-            instead of re-characterising the graph
-            (:func:`~repro.perf.space.explore_space` already built one
-            for the dominance bound).
-
-    Returns:
-        Feasible design points sorted by ascending UMM latency.
-
-    Raises:
-        repro.errors.CapacityError: On a non-positive budget, or when no
-            candidate tile fits it.
-        repro.errors.ConfigError: On ``workers < 1``.
-        repro.errors.ReproError: Any taxonomy error raised while setting
-            up the parallel sweep (an invalid graph or configuration)
-            propagates — only *environmental* pool failures fall back to
-            the serial path.
-    """
-    if tile_buffer_budget <= 0:
-        raise CapacityError(
-            "tile_buffer_budget must be positive",
-            details={"tile_buffer_budget": tile_buffer_budget},
-        )
-    if workers < 1:
-        raise ConfigError("workers must be at least 1", details={"workers": workers})
-    if pool_mode not in ("keep", "fresh"):
-        raise ConfigError(
-            "pool_mode must be 'keep' or 'fresh'",
-            details={"pool_mode": pool_mode},
-        )
-    if tiles is not None and not tiles:
-        return []
-    feasible: list[tuple[TileConfig, int]] = []
-    for tile in tiles if tiles is not None else candidate_tiles():
-        footprint = tile.tile_buffer_bytes(base.precision.bytes)
-        if footprint <= tile_buffer_budget:
-            feasible.append((tile, footprint))
-    if not feasible:
-        raise CapacityError(
-            f"no tile configuration fits a {tile_buffer_budget}-byte budget",
-            details={"tile_buffer_budget": tile_buffer_budget},
-        )
-    tile_list = [tile for tile, _ in feasible]
-    workers = min(workers, len(tile_list))
-    with obs.span(
-        "dse.explore", graph=graph.name, tiles=len(tile_list), workers=workers
-    ):
-        warm: dict[str, float] = {}
-        warm_key: str | None = None
-        if cache is not None:
-            warm_key = sweep_key(graph, base)
-            warm = cache.get(warm_key, namespace="sweep") or {}
-        pending = [tile for tile in tile_list if tile_key(tile) not in warm]
-        if warm_key is not None:
-            obs.annotate(
-                "dse.warm-start",
-                known=len(tile_list) - len(pending),
-                scored=len(pending),
-            )
-        scored: list[float] | None = None
-        if pending:
-            if min(workers, len(pending)) > 1:
-                sweep_pool = pool
-                private_pool: ScorerPool | None = None
-                try:
-                    if sweep_pool is None:
-                        if pool_mode == "fresh":
-                            private_pool = ScorerPool(graph, workers)
-                            sweep_pool = private_pool
-                        else:
-                            sweep_pool = pool_mod.persistent_pool(graph, workers)
-                    scored = _score_parallel(
-                        graph,
-                        base,
-                        pending,
-                        min(workers, len(pending)),
-                        chunk_timeout=chunk_timeout,
-                        chunk_retries=chunk_retries,
-                        stats=stats,
-                        pool=sweep_pool,
-                        scorer=scorer,
-                    )
-                except ReproError:
-                    # A genuinely invalid graph/config surfaced during
-                    # pool setup is a caller error — relabeling it as an
-                    # environmental failure would bury it in a silent
-                    # serial fallback.
-                    raise
-                except (OSError, RuntimeError, PicklingError):
-                    # Pool could not even be created (sandboxed
-                    # interpreter, no fork/spawn support, unpicklable
-                    # initargs...); the serial path below is exact.
-                    if stats is not None:
-                        stats.pool_unavailable = True
-                    scored = None
-                finally:
-                    if private_pool is not None:
-                        private_pool.close()
-            if scored is None:
-                with obs.span("dse.serial-sweep", tiles=len(pending)):
-                    if scorer is None:
-                        scorer = _SweepScorer(graph, base)
-                    scored = [scorer.score(tile) for tile in pending]
-        else:
-            scored = []
-        fresh = {tile_key(tile): s for tile, s in zip(pending, scored)}
-        if warm_key is not None and fresh:
-            warm.update(fresh)
-            cache.put(warm_key, warm, namespace="sweep")
-        lookup = warm if warm_key is not None else fresh
-        latencies = [lookup[tile_key(tile)] for tile in tile_list]
-        if obs.enabled() and stats is not None:
-            _publish_sweep_metrics(stats, graph.name)
-    points = [
-        DesignPoint(
-            accel=_configure(base, tile),
-            umm_latency=latency,
-            tile_buffer_bytes=footprint,
-        )
-        for (tile, footprint), latency in zip(feasible, latencies)
-    ]
-    points.sort(key=lambda p: p.umm_latency)
-    return points
-
-
 def _publish_sweep_metrics(stats: WorkerStats, graph_name: str) -> None:
-    """Mirror one sweep's :class:`WorkerStats` into the metrics registry."""
+    """Mirror one ``explore_space`` call's totals into the metrics registry."""
     from repro.obs.metrics import registry
 
     counters = registry()
@@ -699,14 +483,3 @@ def _publish_sweep_metrics(stats: WorkerStats, graph_name: str) -> None:
         float(stats.pool_unavailable), graph=graph_name
     )
     counters.gauge("dse.init_seconds").set(stats.init_seconds, graph=graph_name)
-
-
-def best_design(
-    graph: ComputationGraph,
-    base: AcceleratorConfig,
-    tile_buffer_budget: int,
-    tiles: list[TileConfig] | None = None,
-    workers: int = 1,
-) -> AcceleratorConfig:
-    """The lowest-UMM-latency feasible design (convenience wrapper)."""
-    return explore_designs(graph, base, tile_buffer_budget, tiles, workers=workers)[0].accel

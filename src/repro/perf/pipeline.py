@@ -23,7 +23,7 @@ per-stage array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.ir.graph import ComputationGraph
 from repro.ir.tensor import feature_tensor_name
@@ -235,25 +235,6 @@ def tune_stage_array(
     return best
 
 
-def _stage_accel(
-    base: AcceleratorConfig,
-    array: SystolicArray,
-    index: int,
-) -> AcceleratorConfig:
-    return AcceleratorConfig(
-        name=f"{base.name}-stage{index}",
-        precision=base.precision,
-        array=array,
-        tile=base.tile,
-        frequency=base.frequency,
-        device=base.device,
-        ddr=base.ddr,
-        ddr_efficiency=base.ddr_efficiency,
-        if_resident_cap=base.if_resident_cap,
-        wt_resident_cap=base.wt_resident_cap,
-    )
-
-
 def _stage_latency(
     model: LatencyModel,
     nodes: list[str],
@@ -301,7 +282,7 @@ def design_pipeline(
         raise ValueError("sram_share must be in (0, 1]")
 
     uniform_array = _stage_array(base.array, num_stages)
-    stage_base = _stage_accel(base, uniform_array, 0)
+    stage_base = replace(base, name=f"{base.name}-stage0", array=uniform_array)
     balance_model = LatencyModel(graph, stage_base)
     weights = [balance_model.node_latency(n) for n in schedule]
     cuts = balanced_contiguous_partition(weights, num_stages)
@@ -344,7 +325,7 @@ def design_pipeline(
             array = tune_stage_array(graph, list(nodes), mac_budget, uniform_array)
         else:
             array = uniform_array
-        accel = _stage_accel(base, array, idx)
+        accel = replace(base, name=f"{base.name}-stage{idx}", array=array)
         # LCMM runs on the stage *subgraph*, so the stage's SRAM slice
         # can only hold tensors its own nodes live with.  (The previous
         # whole-graph run let a stage pin foreign-stage tensors into its

@@ -10,8 +10,8 @@ the actual work:
 
 * **One pool per graph, kept warm.**  The initializer ships the
   computation graph (the only heavy payload) exactly once per worker
-  process.  The pool persists across ``explore_designs`` / ``sweep`` /
-  ``cotune`` / cache-warm-start calls on the same graph; a module
+  process.  The pool persists across
+  :func:`~repro.perf.space.explore_space` calls on the same graph; a module
   registry (:func:`persistent_pool`) hands the live pool back whenever
   the (graph fingerprint, workers, tracing, fault plans) identity
   matches, and :func:`close_pool` / ``lcmm dse --pool fresh`` manage its
@@ -199,7 +199,7 @@ def _pool_lower_bounds(bases, base_keys: Sequence[str]) -> array:
     """Characterise bases in a worker and return their sweep floors.
 
     The per-base graph characterisation behind
-    :func:`repro.perf.roofline.sweep_lower_bound` is the serial
+    :meth:`~repro.perf.dse._SweepScorer.lower_bound` is the serial
     bottleneck of a pruned exploded sweep (hundreds of bases, a handful
     of surviving tiles), so :func:`repro.perf.space.explore_space` fans
     it out over the same pool that scores the tiles.

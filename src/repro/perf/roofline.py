@@ -115,28 +115,3 @@ class RooflineModel:
         """Fraction of layers that are memory bound."""
         bound, total = self.memory_bound_count(convs_only=convs_only)
         return bound / total if total else 0.0
-
-
-def sweep_lower_bound(graph, base, scorer=None) -> float:
-    """UMM latency floor of a base design over *all* tile choices.
-
-    The roofline idea applied to the tile sweep: evaluate the latency
-    model with every reload trip count at its floor of 1, i.e. each
-    tensor streamed from DDR exactly once — no tile can transfer less,
-    and compute/output terms are tile-invariant.  The result bounds
-    ``explore_designs`` from below for the base, so a base whose floor
-    already exceeds the best design found elsewhere is provably
-    dominated and :func:`repro.perf.space.explore_space` can discard all
-    of its tiles unscored.
-
-    Args:
-        graph: The DNN computation graph.
-        base: Design point whose tile axis is being swept.
-        scorer: Optional pre-built ``_SweepScorer`` for (graph, base),
-            reused instead of re-characterising the graph.
-    """
-    from repro.perf.dse import _SweepScorer  # deferred: dse sits above roofline
-
-    if scorer is None:
-        scorer = _SweepScorer(graph, base)
-    return scorer.lower_bound()

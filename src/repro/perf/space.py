@@ -1,10 +1,12 @@
-"""Exploded accelerator design spaces with dominance pre-pruning.
+"""The tile explorer: accelerator design spaces with dominance pre-pruning.
 
-:mod:`repro.perf.dse` sweeps the tile axis of *one* base design.  This
-module widens the sweep to the full design space the external DSE of
-[18] would explore — PE array shapes x tile sizes x clock x precision x
-DDR configuration — at the 10^5-to-10^6-point scale where SoMa/AutoWS
+:func:`explore_space` is the one explorer that stands in for the
+external DSE of [18].  It sweeps the full design space that DSE would
+explore — PE array shapes x tile sizes x clock x precision x DDR
+configuration — at the 10^5-to-10^6-point scale where SoMa/AutoWS
 (PAPERS.md) show communication/allocation co-design actually pays off.
+Sweeping the tile axis of one fixed base design is the same call on a
+one-base space, ``SampledSpace([(base, candidate_tiles())])``.
 
 Scoring every point at that scale is wasteful, because most of the space
 is *provably* uncompetitive before any scoring happens:
@@ -16,11 +18,12 @@ is *provably* uncompetitive before any scoring happens:
   accumulates on chip — so of all budget-feasible tiles sharing
   ``(tm, th, tw)`` only the first-enumerated needs scoring — the rest
   are equal-score duplicates with a larger or equal buffer footprint.
-* **Roofline base dominance.**  :func:`repro.perf.roofline.sweep_lower_bound`
-  evaluates a base with every DDR reload at its floor of one trip; no
-  tile on that base can do better.  Bases are scored in ascending order
-  of this bound, and a base whose *floor* already exceeds the best
-  design found so far is discarded whole, with every tile unscored.
+* **Roofline base dominance.**
+  :meth:`~repro.perf.dse._SweepScorer.lower_bound` evaluates a base with
+  every DDR reload at its floor of one trip; no tile on that base can do
+  better.  Bases are scored in ascending order of this bound, and a base
+  whose *floor* already exceeds the best design found so far is
+  discarded whole, with every tile unscored.
 
 Both prunings are exact: :func:`explore_space` returns the bit-identical
 best design point (same accelerator, same score) with pruning on or off,
@@ -31,9 +34,8 @@ and every pruned count is reported — in the returned
 Scoring streams through one persistent :class:`~repro.perf.pool.ScorerPool`
 shared across every base (workers memoise per-base scorers in a small
 LRU), and per-tile scores warm-start from the
-:class:`~repro.cache.store.CompilationCache` under the same per-base
-``sweep_key`` that :func:`~repro.perf.dse.explore_designs` uses — a
-repeated exploded sweep only scores what it has never seen.
+:class:`~repro.cache.store.CompilationCache` under each base's
+``sweep_key`` — a repeated sweep only scores what it has never seen.
 """
 
 from __future__ import annotations
@@ -41,16 +43,24 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from pickle import PicklingError
 from typing import TYPE_CHECKING
 
-from repro.errors import CapacityError, ConfigError
-from repro.fingerprint import accel_fingerprint
+from repro.errors import CapacityError, ConfigError, ReproError
+from repro.fingerprint import accel_fingerprint, sweep_key, tile_key
 from repro.hw.fpga import FPGADevice, VU9P
 from repro.hw.precision import ALL_PRECISIONS, INT8, INT16, Precision
 from repro.obs import spans as obs
 from repro.perf import pool as pool_mod
-from repro.perf.dse import DesignPoint, WorkerStats, _SweepScorer, explore_designs
+from repro.perf.dse import (
+    DesignPoint,
+    WorkerStats,
+    _publish_sweep_metrics,
+    _score_parallel,
+    _SweepScorer,
+    candidate_tiles,
+)
 from repro.perf.pool import ScorerPool
 from repro.perf.systolic import AcceleratorConfig, SystolicArray
 from repro.perf.tiling import TileConfig
@@ -119,12 +129,7 @@ class DesignSpace:
 
     def tiles(self) -> list[TileConfig]:
         """Tile shapes, in canonical enumeration order."""
-        return [
-            TileConfig(tm=tm, tn=tn, th=sp, tw=sp)
-            for tm, tn, sp in itertools.product(
-                self.tm_values, self.tn_values, self.spatial_values
-            )
-        ]
+        return candidate_tiles(self.tm_values, self.tn_values, self.spatial_values)
 
     def _base_combos(self):
         return itertools.product(
@@ -215,7 +220,12 @@ class DesignSpace:
 
 @dataclass
 class SampledSpace:
-    """An explicit (base, tiles) subset produced by :meth:`DesignSpace.sample`."""
+    """An explicit list of (base, candidate tiles) groups.
+
+    :meth:`DesignSpace.sample` produces one; a single group
+    ``SampledSpace([(base, candidate_tiles())])`` is the tile sweep of
+    one fixed base design.
+    """
 
     groups_: list[tuple[AcceleratorConfig, list[TileConfig]]]
     infeasible: int = 0
@@ -389,13 +399,97 @@ def _lower_bounds(
     return bounds
 
 
+def _sweep_base(
+    graph: "ComputationGraph",
+    base: AcceleratorConfig,
+    tiles: list[TileConfig],
+    workers: int,
+    stats: WorkerStats,
+    cache: "CompilationCache | None",
+    sweep_pool: ScorerPool | None,
+    scorer: _SweepScorer | None,
+    chunk_timeout: float | None,
+    chunk_retries: int,
+) -> list[DesignPoint]:
+    """Score one base's budget-feasible tiles; ascending UMM latency.
+
+    Warm-starts from ``cache`` under the base's ``sweep_key`` and writes
+    fresh scores back.  Pending tiles go to the pool when more than one
+    worker can be used, otherwise they are scored serially with
+    ``scorer`` (built here if the bound pass did not already).  Only
+    *environmental* pool failures fall back to the serial path; a
+    taxonomy error raised while setting up the pool propagates.
+    """
+    with obs.span(
+        "dse.explore",
+        graph=graph.name,
+        tiles=len(tiles),
+        workers=min(workers, len(tiles)),
+    ):
+        scores: dict[str, float] = {}
+        if cache is not None:
+            warm_key = sweep_key(graph, base)
+            scores = cache.get(warm_key, namespace="sweep") or {}
+        pending = [tile for tile in tiles if tile_key(tile) not in scores]
+        if cache is not None:
+            obs.annotate(
+                "dse.warm-start",
+                known=len(tiles) - len(pending),
+                scored=len(pending),
+            )
+        scored: list[float] | None = None
+        if min(workers, len(pending)) > 1:
+            try:
+                scored = _score_parallel(
+                    graph,
+                    base,
+                    pending,
+                    min(workers, len(pending)),
+                    chunk_timeout=chunk_timeout,
+                    chunk_retries=chunk_retries,
+                    stats=stats,
+                    pool=sweep_pool,
+                    scorer=scorer,
+                )
+            except ReproError:
+                # A genuinely invalid graph/config surfaced during pool
+                # setup is a caller error — relabeling it as an
+                # environmental failure would bury it in a silent serial
+                # fallback.
+                raise
+            except (OSError, RuntimeError, PicklingError):
+                # The pool could not even be created (sandboxed
+                # interpreter, no fork/spawn support, unpicklable
+                # initargs...); the serial path below is exact.
+                stats.pool_unavailable = True
+        if pending:
+            if scored is None:
+                with obs.span("dse.serial-sweep", tiles=len(pending)):
+                    if scorer is None:
+                        scorer = _SweepScorer(graph, base)
+                    scored = [scorer.score(tile) for tile in pending]
+            scores.update(zip(map(tile_key, pending), scored))
+            if cache is not None:
+                cache.put(warm_key, scores, namespace="sweep")
+        elem = base.precision.bytes
+        points = [
+            DesignPoint(
+                accel=replace(base, tile=tile),
+                umm_latency=scores[tile_key(tile)],
+                tile_buffer_bytes=tile.tile_buffer_bytes(elem),
+            )
+            for tile in tiles
+        ]
+    points.sort(key=lambda p: p.umm_latency)
+    return points
+
+
 def explore_space(
     graph: "ComputationGraph",
     space: DesignSpace | SampledSpace,
     tile_buffer_budget: int,
     workers: int = 1,
     prune: bool = True,
-    top: int | None = None,
     chunk_timeout: float | None = None,
     chunk_retries: int = 1,
     stats: WorkerStats | None = None,
@@ -403,25 +497,39 @@ def explore_space(
     pool: ScorerPool | None = None,
     pool_mode: str = "keep",
 ) -> SpaceResult:
-    """Sweep an exploded design space, pruning what cannot win.
+    """Sweep a design space, pruning what cannot win.
 
     Args:
         graph: The DNN to optimise for.
-        space: A :class:`DesignSpace` (cartesian) or the result of
-            :meth:`DesignSpace.sample` (sampled mode).
+        space: A :class:`DesignSpace` (cartesian) or a
+            :class:`SampledSpace` — a :meth:`DesignSpace.sample`, or one
+            ``(base, tiles)`` group to sweep a single base design.
         tile_buffer_budget: Byte budget for the double-buffered tile
             buffers, applied per base at its element width.
         workers: Process count for scoring; every base shares one pool.
+            Clamped to the number of points to score, so small sweeps
+            never spawn idle workers.  Results are identical and
+            identically ordered for any count, and any pool failure (a
+            crashed worker, a hung chunk, or an environment without
+            working process spawning) is recovered by re-scoring the
+            missing points serially.
         prune: Apply tile dominance and the roofline base bound.  The
             best design and score are bit-identical either way; pruning
             only skips provably worse points (all counted, never
-            silent).
-        top: Optionally truncate the returned points to the best ``top``.
-        chunk_timeout: Per-chunk deadline forwarded to each base sweep.
-        chunk_retries: Chunk retry budget forwarded to each base sweep.
-        stats: Optional aggregate :class:`~repro.perf.dse.WorkerStats`.
+            silent).  ``False`` keeps every feasible point in
+            ``result.points``.
+        chunk_timeout: Optional per-chunk deadline in seconds; a
+            timed-out chunk is retried in a fresh pool and, past its
+            retry budget, re-scored serially.
+        chunk_retries: Re-submissions allowed per failing chunk before it
+            falls back to serial re-scoring.
+        stats: Optional :class:`~repro.perf.dse.WorkerStats` filled in
+            with totals over every base (``points_pruned`` holds the
+            pruned total).  When tracing is on they are published once
+            per sweep as the ``dse.*`` metrics.
         cache: Optional compilation cache; per-tile scores warm-start
-            under each base's ``sweep_key``.
+            under each base's ``sweep_key`` and fresh scores are written
+            back.
         pool: Explicit pool to score on (caller owns its lifetime).
         pool_mode: ``"keep"`` (default) uses the process-wide persistent
             pool; ``"fresh"`` builds a private pool and closes it before
@@ -431,11 +539,19 @@ def explore_space(
         A :class:`SpaceResult`; ``result.best`` is the space optimum.
 
     Raises:
-        repro.errors.CapacityError: When no point in the space fits the
-            tile-buffer budget.
+        repro.errors.CapacityError: On a non-positive budget, or when no
+            point in the space fits it.
         repro.errors.ConfigError: On ``workers < 1`` or an unknown
             ``pool_mode``.
+        repro.errors.ReproError: Any taxonomy error raised while setting
+            up the parallel sweep propagates — only *environmental* pool
+            failures fall back to the serial path.
     """
+    if tile_buffer_budget <= 0:
+        raise CapacityError(
+            "tile_buffer_budget must be positive",
+            details={"tile_buffer_budget": tile_buffer_budget},
+        )
     if workers < 1:
         raise ConfigError("workers must be at least 1", details={"workers": workers})
     if pool_mode not in ("keep", "fresh"):
@@ -467,10 +583,11 @@ def explore_space(
             prepped.append((idx, base, kept))
     if not prepped:
         raise CapacityError(
-            f"no design point in the space fits a {tile_buffer_budget}-byte "
+            f"no tile configuration in the space fits a {tile_buffer_budget}-byte "
             "tile-buffer budget",
             details={"tile_buffer_budget": tile_buffer_budget},
         )
+    workers = min(workers, sum(len(kept) for _, _, kept in prepped))
 
     pruned_bounded = 0
     bases_pruned = 0
@@ -511,21 +628,18 @@ def explore_space(
                     pruned_bounded += len(kept)
                     bases_pruned += 1
                     continue
-                base_stats = WorkerStats()
-                points = explore_designs(
+                points = _sweep_base(
                     graph,
                     base,
-                    tile_buffer_budget,
-                    tiles=kept,
-                    workers=workers,
-                    chunk_timeout=chunk_timeout,
-                    chunk_retries=chunk_retries,
-                    stats=base_stats,
-                    cache=cache,
-                    pool=sweep_pool,
-                    scorer=scorers.get(idx),
+                    kept,
+                    workers,
+                    stats,
+                    cache,
+                    sweep_pool,
+                    scorers.get(idx),
+                    chunk_timeout,
+                    chunk_retries,
                 )
-                stats.absorb(base_stats)
                 per_base[idx] = points
                 incumbent = min(incumbent, points[0].umm_latency)
         finally:
@@ -540,11 +654,7 @@ def explore_space(
             scored=total_points - pruned_dominated - pruned_bounded,
         )
         if obs.enabled():
-            from repro.obs.metrics import registry
-
-            registry().counter("dse.points_pruned").inc(
-                pruned_dominated + pruned_bounded, graph=graph.name
-            )
+            _publish_sweep_metrics(stats, graph.name)
 
     # Reassemble in canonical base order before the final stable sort:
     # ties across bases then resolve exactly as an unpruned sweep would.
@@ -552,11 +662,10 @@ def explore_space(
     for idx in sorted(per_base):
         merged.extend(per_base[idx])
     merged.sort(key=lambda p: p.umm_latency)
-    scored_points = sum(len(points) for points in per_base.values())
     return SpaceResult(
-        points=merged[:top] if top is not None else merged,
+        points=merged,
         total_points=total_points,
-        scored_points=scored_points,
+        scored_points=len(merged),
         pruned_dominated=pruned_dominated,
         pruned_bounded=pruned_bounded,
         infeasible_bases=space.infeasible_bases(),

@@ -140,7 +140,8 @@ def run_dse_job(
     from repro.cache.store import CompilationCache
     from repro.hw.precision import precision_by_name
     from repro.models.zoo import get_model
-    from repro.perf.dse import explore_designs
+    from repro.perf.dse import candidate_tiles
+    from repro.perf.space import SampledSpace, explore_space
 
     start = time.perf_counter()
     with deadline_scope(None, epoch=deadline_epoch):
@@ -153,21 +154,25 @@ def run_dse_job(
             "lcmm",
         )
         cache = CompilationCache(cache_dir) if cache_dir is not None else None
-        points = explore_designs(
-            graph, base, int(budget_mb * 2**20), cache=cache
+        result = explore_space(
+            graph,
+            SampledSpace([(base, candidate_tiles())]),
+            int(budget_mb * 2**20),
+            prune=False,
+            cache=cache,
         )
     return {
         "model": model,
         "precision": precision,
         "budget_mb": budget_mb,
-        "feasible_points": len(points),
+        "feasible_points": result.total_points,
         "points": [
             {
                 "tile": str(point.accel.tile),
                 "umm_latency": point.umm_latency,
                 "tile_buffer_bytes": point.tile_buffer_bytes,
             }
-            for point in points[:top]
+            for point in result.points[:top]
         ],
         "seconds": time.perf_counter() - start,
     }

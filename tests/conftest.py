@@ -77,6 +77,19 @@ def small_accel(
     )
 
 
+def sweep_base(graph, base, budget, tiles=None, **kwargs):
+    """Every feasible tile of one base design, ascending UMM latency.
+
+    The single-base tile sweep: ``explore_space`` on a one-base space
+    with pruning off, so ``tn`` duplicates stay in the list.
+    """
+    from repro.perf.dse import candidate_tiles
+    from repro.perf.space import SampledSpace, explore_space
+
+    space = SampledSpace([(base, candidate_tiles() if tiles is None else tiles)])
+    return explore_space(graph, space, budget, prune=False, **kwargs).points
+
+
 def pytest_addoption(parser: pytest.Parser) -> None:
     parser.addoption(
         "--update-golden",

@@ -119,12 +119,16 @@ class NaiveGainEvaluator:
         """Exact latency change of adding buffers ``a`` and ``b`` together."""
         return self._delta((a, b), context_mask, (context_mask | 1 << a) | 1 << b)
 
-    def exchange_delta(self, context_mask: int, inc: int, evict: list[int]) -> float:
-        """Exact latency change of adding ``inc`` while evicting ``evict``."""
-        trial = context_mask | 1 << inc
+    def exchange_delta(
+        self, context_mask: int, incoming: tuple[int, ...], evict: list[int]
+    ) -> float:
+        """Exact latency change of adding ``incoming`` while evicting ``evict``."""
+        trial = context_mask
+        for inc in incoming:
+            trial |= 1 << inc
         for out in evict:
             trial &= ~(1 << out)
-        return self._delta((inc, *evict), context_mask, trial)
+        return self._delta((*incoming, *evict), context_mask, trial)
 
     def relevant_pair(self, a: int, b: int) -> bool:
         """Whether two buffers share a node (can be complementary)."""

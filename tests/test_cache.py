@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro import obs
@@ -19,10 +21,9 @@ from repro.fingerprint import (
 )
 from repro.lcmm.framework import run_lcmm
 from repro.lcmm.options import LCMMOptions
-from repro.perf.dse import _configure, explore_designs
 from repro.perf.tiling import TileConfig
 
-from tests.conftest import build_chain, build_snippet, small_accel
+from tests.conftest import build_chain, build_snippet, small_accel, sweep_base
 
 
 class TestFingerprints:
@@ -45,7 +46,7 @@ class TestFingerprints:
 
     def test_accel_fingerprint_tile_optional(self):
         a = small_accel()
-        b = _configure(a, TileConfig(8, 8, 7, 7))
+        b = replace(a, tile=TileConfig(8, 8, 7, 7))
         assert accel_fingerprint(a) != accel_fingerprint(b)
         assert accel_fingerprint(a, include_tile=False) == accel_fingerprint(
             b, include_tile=False
@@ -53,7 +54,7 @@ class TestFingerprints:
 
     def test_sweep_key_ignores_tile(self):
         g, a = build_chain(), small_accel()
-        assert sweep_key(g, a) == sweep_key(g, _configure(a, TileConfig(8, 8, 7, 7)))
+        assert sweep_key(g, a) == sweep_key(g, replace(a, tile=TileConfig(8, 8, 7, 7)))
 
     def test_options_fingerprint_distinguishes_umm_floor(self):
         assert options_fingerprint(None) != options_fingerprint(LCMMOptions())
@@ -177,9 +178,9 @@ class TestDseWarmStart:
         graph, base = build_chain(), small_accel()
         cache = CompilationCache()
         budget = 10 * 2**20
-        cold = explore_designs(graph, base, budget, cache=cache)
+        cold = sweep_base(graph, base, budget, cache=cache)
         stores_after_cold = cache.stats.stores
-        warm = explore_designs(graph, base, budget, cache=cache)
+        warm = sweep_base(graph, base, budget, cache=cache)
         key = lambda points: [(p.accel.tile, p.umm_latency) for p in points]
         assert key(warm) == key(cold)
         # Second sweep scored nothing new, so nothing was written back.
@@ -190,20 +191,20 @@ class TestDseWarmStart:
         cache = CompilationCache()
         first = [TileConfig(8, 8, 7, 7), TileConfig(16, 16, 14, 14)]
         second = first + [TileConfig(32, 16, 14, 14)]
-        explore_designs(graph, base, 10 * 2**20, tiles=first, cache=cache)
+        sweep_base(graph, base, 10 * 2**20, tiles=first, cache=cache)
         warm = cache.get(sweep_key(graph, base), namespace=SWEEP_NAMESPACE)
         assert set(warm) == {tile_key(t) for t in first}
-        points = explore_designs(graph, base, 10 * 2**20, tiles=second, cache=cache)
+        points = sweep_base(graph, base, 10 * 2**20, tiles=second, cache=cache)
         merged = cache.get(sweep_key(graph, base), namespace=SWEEP_NAMESPACE)
         assert set(merged) == {tile_key(t) for t in second}
-        plain = explore_designs(graph, base, 10 * 2**20, tiles=second)
+        plain = sweep_base(graph, base, 10 * 2**20, tiles=second)
         key = lambda pts: [(p.accel.tile, p.umm_latency) for p in pts]
         assert key(points) == key(plain)
 
     def test_uncached_behaviour_unchanged(self):
         graph, base = build_chain(), small_accel()
-        a = explore_designs(graph, base, 10 * 2**20)
-        b = explore_designs(graph, base, 10 * 2**20, cache=None)
+        a = sweep_base(graph, base, 10 * 2**20)
+        b = sweep_base(graph, base, 10 * 2**20, cache=None)
         key = lambda pts: [(p.accel.tile, p.umm_latency) for p in pts]
         assert key(a) == key(b)
 

@@ -12,12 +12,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.hw.sram import URAM_BYTES
+from repro.ir.graph import ComputationGraph
+from repro.ir.layer import InputLayer
+from repro.ir.tensor import FeatureMapShape
 from repro.lcmm import dnnk
 from repro.lcmm.buffers import VirtualBuffer
 from repro.lcmm.dnnk import dnnk_allocate, greedy_allocate
 from repro.lcmm.feature_reuse import feature_reuse_pass
 from repro.lcmm.prefetch import weight_prefetch_pass
 from repro.lcmm.splitting import combine_buffers
+from repro.models.common import conv
 from repro.perf.engine import AllocationEngine
 from repro.perf.latency import LatencyModel
 
@@ -127,6 +131,32 @@ class TestVersusExhaustive:
         dp_gain = baseline - dp_latency
         opt_gain = baseline - opt_latency
         assert dp_gain >= 0.9 * opt_gain - 1e-12
+
+    def test_complementary_pair_displaces_resident(self):
+        # c3's input f:c0 and output f:c3 are each worthless alone but
+        # together beat the DP's pick f:c1.  With two blocks and f:c1
+        # resident only one block is free, so pair-add cannot fit them:
+        # only a pair exchange that evicts f:c1 reaches the optimum.
+        g = ComputationGraph(name="pair")
+        g.add(InputLayer(name="data", shape=FeatureMapShape(16, 14, 14)))
+        spec = [
+            ("data", 16, 1), ("data", 32, 1), ("data", 16, 1), ("c0", 16, 1),
+            ("data", 16, 1), ("data", 16, 1), ("data", 16, 1), ("data", 16, 1),
+            ("c3", 16, 1), ("c1", 16, 3),
+        ]
+        for i, (src, channels, kernel) in enumerate(spec):
+            conv(g, f"c{i}", src, channels, kernel)
+        model = LatencyModel(g, small_accel(ddr_efficiency=0.05))
+        buffers = make_buffers(model)
+        capacity = 2 * URAM_BYTES
+        dp = dnnk_allocate(buffers, model, capacity)
+        opt = exhaustive_allocate(buffers, model, capacity)
+        assert dp.onchip_tensors == opt.onchip_tensors == {"f:c0", "f:c3"}
+        with naive_allocators():
+            assert dnnk_allocate(buffers, model, capacity).onchip_tensors == {
+                "f:c0",
+                "f:c3",
+            }
 
     def test_exhaustive_guard(self, starved_model):
         buffers = make_buffers(starved_model)

@@ -170,12 +170,12 @@ class TestWorkerPoolIntegration:
         from repro.analysis.experiments import reference_design
         from repro.hw.precision import INT8
         from repro.models.zoo import get_model
-        from repro.perf.dse import explore_designs
+        from tests.conftest import sweep_base
 
         graph = get_model("alexnet")
         base = reference_design("resnet152", INT8, "lcmm")
         with obs.tracing("main") as tracer:
-            explore_designs(graph, base, int(2.0 * 2**20), workers=2)
+            sweep_base(graph, base, int(2.0 * 2**20), workers=2)
         worker_spans = [
             record
             for record in tracer.records

@@ -1,21 +1,22 @@
-"""Tests for repro.perf.dse."""
+"""Tests for repro.perf.dse and the single-base tile sweep."""
+
+from dataclasses import replace
 
 import pytest
 
+from repro.perf import pool as pool_mod
 from repro.perf.dse import (
     WorkerStats,
-    _configure,
     _score_parallel,
     _SweepScorer,
-    best_design,
     candidate_tiles,
-    explore_designs,
 )
 from repro.perf.latency import LatencyModel
+from repro.perf.space import SampledSpace, explore_space
 from repro.perf.tiling import TileConfig
 from repro.robustness.inject import FaultPlan, injected
 
-from tests.conftest import build_chain, build_snippet, small_accel
+from tests.conftest import build_chain, build_snippet, small_accel, sweep_base
 
 
 class TestCandidates:
@@ -31,39 +32,40 @@ class TestCandidates:
 
 class TestExplore:
     def test_results_sorted_by_latency(self):
-        points = explore_designs(build_chain(), small_accel(), 10 * 2**20)
+        points = sweep_base(build_chain(), small_accel(), 10 * 2**20)
         latencies = [p.umm_latency for p in points]
         assert latencies == sorted(latencies)
 
     def test_budget_excludes_large_tiles(self):
-        tight = explore_designs(build_chain(), small_accel(), 64 * 1024)
+        tight = sweep_base(build_chain(), small_accel(), 64 * 1024)
         for p in tight:
             assert p.tile_buffer_bytes <= 64 * 1024
 
     def test_impossible_budget_raises(self):
         with pytest.raises(ValueError, match="no tile configuration"):
-            explore_designs(build_chain(), small_accel(), 16)
+            sweep_base(build_chain(), small_accel(), 16)
 
     def test_invalid_budget_rejected(self):
         with pytest.raises(ValueError):
-            explore_designs(build_chain(), small_accel(), 0)
+            sweep_base(build_chain(), small_accel(), 0)
 
     def test_best_design_beats_or_ties_all(self):
         g = build_chain()
         base = small_accel()
         budget = 1 * 2**20
-        best = best_design(g, base, budget)
-        points = explore_designs(g, base, budget)
+        space = SampledSpace([(base, candidate_tiles())])
+        best = explore_space(g, space, budget).best.accel
+        points = sweep_base(g, base, budget)
         assert best.tile == points[0].accel.tile
 
     def test_explicit_tile_list(self):
         tiles = [TileConfig(8, 8, 7, 7), TileConfig(16, 16, 14, 14)]
-        points = explore_designs(build_chain(), small_accel(), 10 * 2**20, tiles=tiles)
+        points = sweep_base(build_chain(), small_accel(), 10 * 2**20, tiles=tiles)
         assert {p.accel.tile for p in points} == set(tiles)
 
     def test_base_caps_preserved(self):
         base = small_accel(if_resident_cap=4096, wt_resident_cap=8192)
-        points = explore_designs(build_chain(), base, 10 * 2**20)
+        points = sweep_base(build_chain(), base, 10 * 2**20)
         assert points[0].accel.if_resident_cap == 4096
         assert points[0].accel.wt_resident_cap == 8192
 
@@ -79,7 +81,7 @@ class TestSweepScorer:
         graph = graph_builder()
         scorer = _SweepScorer(graph, base)
         for tile in candidate_tiles():
-            expected = LatencyModel(graph, _configure(base, tile)).umm_latency()
+            expected = LatencyModel(graph, replace(base, tile=tile)).umm_latency()
             assert scorer.score(tile) == expected
 
 
@@ -88,36 +90,24 @@ class TestWorkers:
         graph = build_chain()
         base = small_accel()
         budget = 10 * 2**20
-        serial = explore_designs(graph, base, budget)
-        parallel = explore_designs(graph, base, budget, workers=2)
+        serial = sweep_base(graph, base, budget)
+        parallel = sweep_base(graph, base, budget, workers=2)
         key = lambda points: [(p.accel.tile, p.umm_latency) for p in points]
         assert key(parallel) == key(serial)
 
     def test_invalid_workers_rejected(self):
         with pytest.raises(ValueError, match="workers"):
-            explore_designs(build_chain(), small_accel(), 10 * 2**20, workers=0)
+            sweep_base(build_chain(), small_accel(), 10 * 2**20, workers=0)
 
     def test_taxonomy_errors(self):
         from repro.errors import CapacityError, ConfigError
 
         with pytest.raises(CapacityError):
-            explore_designs(build_chain(), small_accel(), 0)
+            sweep_base(build_chain(), small_accel(), 0)
         with pytest.raises(CapacityError):
-            explore_designs(build_chain(), small_accel(), 16)
+            sweep_base(build_chain(), small_accel(), 16)
         with pytest.raises(ConfigError):
-            explore_designs(build_chain(), small_accel(), 10 * 2**20, workers=0)
-
-    def test_best_design_forwards_workers(self):
-        graph = build_chain()
-        base = small_accel()
-        budget = 10 * 2**20
-        assert (
-            best_design(graph, base, budget, workers=2).tile
-            == best_design(graph, base, budget).tile
-        )
-
-    def test_empty_tile_list_returns_empty(self):
-        assert explore_designs(build_chain(), small_accel(), 2**20, tiles=[]) == []
+            sweep_base(build_chain(), small_accel(), 10 * 2**20, workers=0)
 
     def test_more_workers_than_tiles(self):
         # workers is clamped to the feasible tile count, so a 2-tile
@@ -125,15 +115,16 @@ class TestWorkers:
         tiles = [TileConfig(8, 8, 7, 7), TileConfig(16, 16, 14, 14)]
         graph = build_chain()
         base = small_accel()
-        serial = explore_designs(graph, base, 10 * 2**20, tiles=tiles)
-        wide = explore_designs(graph, base, 10 * 2**20, tiles=tiles, workers=8)
+        serial = sweep_base(graph, base, 10 * 2**20, tiles=tiles)
+        wide = sweep_base(graph, base, 10 * 2**20, tiles=tiles, workers=8)
         key = lambda points: [(p.accel.tile, p.umm_latency) for p in points]
         assert key(wide) == key(serial)
+        assert pool_mod.active_pool().workers == 2
 
     def test_single_tile_many_workers_stays_serial(self):
         tiles = [TileConfig(8, 8, 7, 7)]
         stats = WorkerStats()
-        points = explore_designs(
+        points = sweep_base(
             build_chain(), small_accel(), 10 * 2**20, tiles=tiles, workers=4,
             stats=stats,
         )
@@ -208,10 +199,10 @@ class TestWorkerRecovery:
     def test_explore_designs_exact_under_crash(self):
         graph, base, _, _ = self._setup()
         budget = 10 * 2**20
-        clean = explore_designs(graph, base, budget)
+        clean = sweep_base(graph, base, budget)
         stats = WorkerStats()
         with injected(FaultPlan("dse.chunk", mode="crash")):
-            chaotic = explore_designs(graph, base, budget, workers=2, stats=stats)
+            chaotic = sweep_base(graph, base, budget, workers=2, stats=stats)
         key = lambda points: [(p.accel.tile, p.umm_latency) for p in points]
         assert key(chaotic) == key(clean)
         assert stats.recovered()
@@ -256,31 +247,31 @@ class TestErrorRouting:
 
     def test_repro_error_propagates_not_relabeled(self, monkeypatch):
         from repro.errors import PassError
-        import repro.perf.dse as dse_mod
+        import repro.perf.space as space_mod
 
         def boom(*args, **kwargs):
             raise PassError("synthetic taxonomy failure")
 
-        monkeypatch.setattr(dse_mod, "_score_parallel", boom)
+        monkeypatch.setattr(space_mod, "_score_parallel", boom)
         stats = WorkerStats()
         with pytest.raises(PassError):
-            explore_designs(
+            sweep_base(
                 build_chain(), small_accel(), 10 * 2**20, workers=2, stats=stats
             )
         assert not stats.pool_unavailable
 
     def test_environmental_error_falls_back_serially(self, monkeypatch):
-        import repro.perf.dse as dse_mod
+        import repro.perf.space as space_mod
 
         def boom(*args, **kwargs):
             raise OSError("no process spawning in this environment")
 
-        monkeypatch.setattr(dse_mod, "_score_parallel", boom)
+        monkeypatch.setattr(space_mod, "_score_parallel", boom)
         graph = build_chain()
         base = small_accel()
-        serial = explore_designs(graph, base, 10 * 2**20)
+        serial = sweep_base(graph, base, 10 * 2**20)
         stats = WorkerStats()
-        fallback = explore_designs(graph, base, 10 * 2**20, workers=2, stats=stats)
+        fallback = sweep_base(graph, base, 10 * 2**20, workers=2, stats=stats)
         key = lambda points: [(p.accel.tile, p.umm_latency) for p in points]
         assert key(fallback) == key(serial)
         assert stats.pool_unavailable

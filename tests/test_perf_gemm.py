@@ -20,7 +20,7 @@ from repro.ir.graph import ComputationGraph
 from repro.ir.layer import Attention, Gemm, GemmDims, InputLayer, LayerNorm
 from repro.ir.tensor import FeatureMapShape
 from repro.models.zoo import get_model
-from repro.perf.dse import _configure, _SweepScorer
+from repro.perf.dse import _SweepScorer
 from repro.perf.latency import LatencyModel
 from repro.perf.systolic import (
     SystolicArray,
@@ -192,7 +192,7 @@ class TestScorerParity:
         )
         scorer = _SweepScorer(graph, base)
         for tile in _PARITY_TILES:
-            full = LatencyModel(graph, _configure(base, tile)).umm_latency()
+            full = LatencyModel(graph, dataclasses.replace(base, tile=tile)).umm_latency()
             assert scorer.score(tile) == full
 
     def test_lower_bound_below_every_score(self):

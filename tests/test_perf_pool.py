@@ -3,7 +3,7 @@
 import pytest
 
 from repro.perf import pool as pool_mod
-from repro.perf.dse import WorkerStats, explore_designs
+from repro.perf.dse import WorkerStats
 from repro.perf.pool import (
     ScorerPool,
     adaptive_chunk_size,
@@ -14,7 +14,7 @@ from repro.perf.pool import (
 from repro.perf.tiling import TileConfig
 from repro.robustness.inject import FaultPlan, injected
 
-from tests.conftest import build_chain, small_accel
+from tests.conftest import build_chain, small_accel, sweep_base
 
 
 @pytest.fixture(autouse=True)
@@ -157,12 +157,12 @@ class TestPoolReuseAcrossSweeps:
         base = small_accel()
         budget = 10 * 2**20
         cold = WorkerStats()
-        first = explore_designs(graph, base, budget, workers=2, stats=cold)
+        first = sweep_base(graph, base, budget, workers=2, stats=cold)
         assert cold.chunks_reused_pool == 0  # nothing was warm yet
         pool = pool_mod.active_pool()
         assert pool is not None and pool.is_warm()
         warm = WorkerStats()
-        second = explore_designs(graph, base, budget, workers=2, stats=warm)
+        second = sweep_base(graph, base, budget, workers=2, stats=warm)
         key = lambda points: [(p.accel.tile, p.umm_latency) for p in points]
         assert key(second) == key(first)
         assert warm.chunks_reused_pool == warm.chunks > 0
@@ -172,8 +172,8 @@ class TestPoolReuseAcrossSweeps:
     def test_fresh_mode_leaves_no_persistent_pool(self):
         graph = build_chain()
         base = small_accel()
-        serial = explore_designs(graph, base, 10 * 2**20)
-        fresh = explore_designs(
+        serial = sweep_base(graph, base, 10 * 2**20)
+        fresh = sweep_base(
             graph, base, 10 * 2**20, workers=2, pool_mode="fresh"
         )
         key = lambda points: [(p.accel.tile, p.umm_latency) for p in points]
@@ -185,7 +185,7 @@ class TestPoolReuseAcrossSweeps:
         base = small_accel()
         pool = ScorerPool(graph, 2)
         try:
-            explore_designs(graph, base, 10 * 2**20, workers=2, pool=pool)
+            sweep_base(graph, base, 10 * 2**20, workers=2, pool=pool)
             assert pool.is_warm() and not pool.closed
             # The registry never saw it.
             assert pool_mod.active_pool() is None
@@ -196,7 +196,7 @@ class TestPoolReuseAcrossSweeps:
         from repro.errors import ConfigError
 
         with pytest.raises(ConfigError):
-            explore_designs(
+            sweep_base(
                 build_chain(), small_accel(), 10 * 2**20, pool_mode="leaky"
             )
 
@@ -205,8 +205,8 @@ class TestPoolReuseAcrossSweeps:
         # must appear in the result exactly once.
         graph = build_chain()
         base = small_accel()
-        serial = explore_designs(graph, base, 10 * 2**20)
-        pooled = explore_designs(graph, base, 10 * 2**20, workers=2)
+        serial = sweep_base(graph, base, 10 * 2**20)
+        pooled = sweep_base(graph, base, 10 * 2**20, workers=2)
         key = lambda points: [(p.accel.tile, p.umm_latency) for p in points]
         assert key(pooled) == key(serial)
         pool = pool_mod.active_pool()

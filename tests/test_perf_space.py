@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.errors import CapacityError, ConfigError
 from repro.hw.precision import FP32, INT8, INT16
 from repro.perf.dse import WorkerStats, _SweepScorer, candidate_tiles
-from repro.perf.roofline import sweep_lower_bound
 from repro.perf.space import (
     DesignSpace,
     explore_space,
@@ -90,17 +89,20 @@ class TestLowerBound:
         graph = graph_builder()
         base = small_accel(if_resident_cap=1 << 14, wt_resident_cap=1 << 13)
         scorer = _SweepScorer(graph, base)
-        floor = sweep_lower_bound(graph, base, scorer=scorer)
+        floor = scorer.lower_bound()
         for tile in candidate_tiles():
             assert floor <= scorer.score(tile)
 
     def test_scorer_reused_when_given(self):
+        # explore_space scores a base with the scorer its bound was
+        # computed on; scoring must not move the bound.
         graph = build_chain()
         base = small_accel()
         scorer = _SweepScorer(graph, base)
-        assert sweep_lower_bound(graph, base, scorer=scorer) == (
-            sweep_lower_bound(graph, base)
-        )
+        floor = scorer.lower_bound()
+        for tile in candidate_tiles():
+            scorer.score(tile)
+        assert scorer.lower_bound() == floor == _SweepScorer(graph, base).lower_bound()
 
 
 class TestExploreSpace:
@@ -134,12 +136,6 @@ class TestExploreSpace:
         result = explore_space(build_chain(), _tiny_space(), BUDGET)
         latencies = [p.umm_latency for p in result.points]
         assert latencies == sorted(latencies)
-
-    def test_top_truncates_points_only(self):
-        full = explore_space(build_chain(), _tiny_space(), BUDGET)
-        capped = explore_space(build_chain(), _tiny_space(), BUDGET, top=3)
-        assert capped.points == full.points[:3]
-        assert capped.scored_points == full.scored_points
 
     def test_sampled_space_swept_like_cartesian(self):
         graph = build_chain()
@@ -178,6 +174,33 @@ class TestExploreSpace:
         warm = explore_space(graph, space, BUDGET, cache=cache, stats=warm_stats)
         assert warm.best.accel == cold.best.accel
         assert warm.best.umm_latency == cold.best.umm_latency
+
+    @pytest.mark.parametrize("prune", [True, False])
+    def test_metrics_describe_the_whole_sweep(self, prune):
+        # The dse.* metrics are published once per sweep from the totals
+        # over every base, so a cold pool spun up for the first base (or
+        # for the bounds) still shows in the init gauge after the last.
+        from repro import obs
+
+        graph = build_chain()
+        stats = WorkerStats()
+        obs.reset_registry()
+        try:
+            with obs.tracing("test"):
+                result = explore_space(
+                    graph, _tiny_space(), BUDGET, workers=2, prune=prune,
+                    stats=stats, pool_mode="fresh",
+                )
+            registry = obs.registry()
+            assert result.bases_total > 1
+            init = registry.gauge("dse.init_seconds").value(graph=graph.name)
+            assert init == stats.init_seconds > 0
+            pruned = registry.counter("dse.points_pruned").value(graph=graph.name)
+            assert pruned == result.pruned_points
+            chunks = registry.counter("dse.chunks").value(graph=graph.name)
+            assert chunks == stats.chunks
+        finally:
+            obs.reset_registry()
 
 
 #: Axes for the randomised spaces of the pruning-soundness property.

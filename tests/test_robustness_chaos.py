@@ -241,13 +241,13 @@ class TestPersistentPoolLifecycle:
         pool_mod.close_pool()
 
     def _sweep(self, **kwargs):
-        from repro.perf.dse import WorkerStats, explore_designs
-        from tests.conftest import build_chain
+        from repro.perf.dse import WorkerStats
+        from tests.conftest import build_chain, sweep_base
 
         graph = build_chain()
         accel = small_accel()
         stats = WorkerStats()
-        points = explore_designs(
+        points = sweep_base(
             graph, accel, 10 * 2**20, workers=2, stats=stats, **kwargs
         )
         return [(p.accel.tile, p.umm_latency) for p in points], stats
