@@ -65,8 +65,8 @@ def main() -> None:
           f"{len(lcmm.onchip_tensors)} tensors on chip)")
 
     # Confirm with the event-driven simulator and show the timeline head.
-    sim = simulate(model, lcmm.onchip_tensors, lcmm.prefetch_result)
-    print(f"Simulated makespan: {sim.total_latency * 1e6:.1f} us "
+    sim = simulate(model, lcmm.onchip_tensors, prefetch=lcmm.prefetch_result)
+    print(f"Simulated makespan: {sim.makespan * 1e6:.1f} us "
           f"(analytical {lcmm.latency * 1e6:.1f} us, "
           f"stalls {sim.stall_time * 1e6:.1f} us)")
     print("Weight-interface utilisation: "

@@ -14,8 +14,7 @@ from typing import Sequence
 
 from repro.lcmm.framework import LCMMResult
 from repro.perf.roofline import RooflineModel, RooflinePoint
-from repro.sim.events import EventKind
-from repro.sim.simulator import SimulationResult
+from repro.sim import EventKind, Timeline
 
 
 def roofline_scatter(
@@ -112,26 +111,26 @@ def footprint_timeline(result: LCMMResult, max_steps: int | None = None) -> str:
 
 
 def simulation_gantt(
-    sim: SimulationResult,
+    sim: Timeline,
     width: int = 64,
     max_rows: int = 40,
 ) -> str:
     """Gantt chart of node execution spans with prefetch/stall markers."""
-    if not sim.node_start:
+    if not sim.node_spans:
         raise ValueError("empty simulation")
-    total = sim.total_latency
+    total = sim.makespan
     rows = []
     prefetch_spans: dict[str, tuple[float, float]] = {}
     starts: dict[str, float] = {}
-    for event in sim.events:
+    for event in sim.prefetch_events:
         if event.kind is EventKind.PREFETCH_START:
             starts[event.node] = event.time
         elif event.kind is EventKind.PREFETCH_END and event.node in starts:
             prefetch_spans[event.node] = (starts[event.node], event.time)
-    name_width = max(len(n) for n in sim.node_start)
-    for node in list(sim.node_start)[:max_rows]:
-        begin = int(sim.node_start[node] / total * (width - 1))
-        end = max(begin + 1, int(sim.node_end[node] / total * (width - 1)))
+    name_width = max(len(n) for n in sim.node_spans)
+    for node, (start, stop) in list(sim.node_spans.items())[:max_rows]:
+        begin = int(start / total * (width - 1))
+        end = max(begin + 1, int(stop / total * (width - 1)))
         row = [" "] * width
         for x in range(begin, min(end, width)):
             row[x] = "="

@@ -218,11 +218,11 @@ def _cmd_run(args: argparse.Namespace) -> None:
 def _run_body(args: argparse.Namespace) -> None:
     cache = _open_cache(args.cache)
     options = None
-    if args.fuse or args.schedule_transfers:
+    if args.fuse or args.transfer_schedule:
         from repro.lcmm.options import LCMMOptions
 
         options = LCMMOptions(
-            fuse_layers=args.fuse, transfer_schedule=args.schedule_transfers
+            fuse_layers=args.fuse, transfer_schedule=args.transfer_schedule
         )
     cmp = run_comparison(
         args.model,
@@ -353,8 +353,8 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     accel = reference_design(args.model, precision_by_name(args.precision), "lcmm")
     model = LatencyModel(graph, accel)
     lcmm = run_lcmm(graph, accel, model=model)
-    sim = simulate(model, lcmm.onchip_tensors, lcmm.prefetch_result)
-    print(f"Simulated {graph.name}: makespan {sim.total_latency * 1e3:.3f} ms "
+    sim = simulate(model, lcmm.onchip_tensors, prefetch=lcmm.prefetch_result)
+    print(f"Simulated {graph.name}: makespan {sim.makespan * 1e3:.3f} ms "
           f"(analytical {lcmm.latency * 1e3:.3f} ms, "
           f"stalls {sim.stall_time * 1e6:.1f} us)")
     for kind in ("if", "wt", "of"):
@@ -801,6 +801,7 @@ def build_parser() -> argparse.ArgumentParser:
     prun.add_argument(
         "--schedule-transfers",
         action="store_true",
+        dest="transfer_schedule",
         help="enable the DMA transfer scheduling pass (transfer_schedule)",
     )
     prun.add_argument(

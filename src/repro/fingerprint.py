@@ -56,7 +56,7 @@ __all__ = [
 #: previously written entry silently becomes a miss.  Every key kind
 #: (compile, tile sweep, multi-die pipeline) hashes this one tag, and a
 #: bump is never scoped to some graphs or option sets.
-CACHE_SCHEMA_VERSION = 5
+CACHE_SCHEMA_VERSION = 6
 
 
 def _digest(payload: Any) -> str:

@@ -27,8 +27,9 @@ registered :class:`~repro.lcmm.passes.core.Pass`:
   candidate wins, swaps the context's model/engine and republishes
   ``"allocation"``/``"score"``;
 * :class:`TransferSchedulePass` — SoMa-style DMA scheduling
-  (:mod:`repro.sim.schedule`): every transfer is slotted onto its DDR
-  channel with a double-buffered prefetch window; publishes
+  (:func:`repro.sim.simulate` with its load window): every transfer is
+  slotted onto its DDR channel with a double-buffered prefetch window;
+  publishes
   ``"transfer_schedule"`` and republishes ``"score"`` when the
   scheduled makespan beats the bulk-synchronous Eq. 1 timeline.
 
@@ -55,11 +56,7 @@ from repro.lcmm.passes.core import CompilationContext, Pass, register_pass
 from repro.lcmm.prefetch import PrefetchResult, weight_prefetch_pass
 from repro.lcmm.splitting import buffer_splitting_pass, combine_buffers
 from repro.perf.engine import AllocationEngine
-from repro.sim.schedule import (
-    TransferTimeline,
-    demand_bytes,
-    schedule_transfers,
-)
+from repro.sim import Timeline, demand_bytes, simulate
 
 
 # ---------------------------------------------------------------------------
@@ -894,7 +891,7 @@ class TransferSchedulePass(Pass):
 
     Runs after placement with the final allocation fixed; list-schedules
     every transfer onto its DDR channel with double-buffered prefetch
-    windows (:func:`repro.sim.schedule.schedule_transfers`) and, when
+    windows (:func:`repro.sim.simulate` with ``overlap_loads``) and, when
     the scheduled makespan beats the bulk-synchronous Eq. 1 total,
     republishes the score with the scheduled latency.  The schedule is
     monotone non-increasing by construction, so this pass can only
@@ -908,8 +905,9 @@ class TransferSchedulePass(Pass):
     def run(self, ctx: CompilationContext) -> None:
         score: AllocationScore = ctx.require("score")
         fractions = ctx.get("fractions", {})
-        timeline = schedule_transfers(
-            ctx.model, score.onchip, score.residuals, fractions
+        timeline = simulate(
+            ctx.model, score.onchip, score.residuals, fractions,
+            overlap_loads=True,
         )
         ctx.put("transfer_schedule", timeline)
         if timeline.makespan < score.latency - 1e-15:
@@ -943,7 +941,7 @@ class TransferSchedulePass(Pass):
             )
 
     def verify(self, ctx: CompilationContext) -> None:
-        timeline: TransferTimeline = ctx.require("transfer_schedule")
+        timeline: Timeline = ctx.require("transfer_schedule")
         score: AllocationScore = ctx.require("score")
         if timeline.makespan > timeline.baseline + 1e-12:
             raise AllocationError(

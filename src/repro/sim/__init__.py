@@ -1,30 +1,11 @@
-"""Event-driven schedule simulator.
+"""The DDR timeline simulator: one walk of the compute schedule against
+three explicit DDR interface channels (see :mod:`repro.sim.simulator`)."""
 
-The analytical model (Eq. 1) assumes every transfer overlaps perfectly
-with its own node's compute and that weight prefetches never contend with
-demand traffic.  The simulator drops both assumptions: it plays the
-schedule against explicit interface channels, serialises prefetch loads
-with demand weight streams on the weight interface, and stalls a node
-whose prefetched weights are not resident yet.  Its totals validate the
-analytical model (tests assert they agree within the contention margin).
-"""
-
-from repro.sim.events import EventKind, TimelineEvent
-from repro.sim.schedule import (
-    TransferRecord,
-    TransferTimeline,
-    demand_bytes,
-    schedule_transfers,
+from repro.sim.simulator import (
+    EventKind, Timeline, TimelineEvent, TransferRecord, demand_bytes, simulate,
 )
-from repro.sim.simulator import SimulationResult, simulate
 
 __all__ = [
-    "EventKind",
-    "TimelineEvent",
-    "SimulationResult",
-    "simulate",
-    "TransferRecord",
-    "TransferTimeline",
-    "demand_bytes",
-    "schedule_transfers",
+    "EventKind", "Timeline", "TimelineEvent", "TransferRecord",
+    "demand_bytes", "simulate",
 ]

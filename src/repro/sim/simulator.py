@@ -1,219 +1,317 @@
-"""The schedule simulator.
+"""The DDR timeline: one walk of the schedule against three DMA channels.
 
-Executes the compute schedule node by node against three explicit DDR
-interface channels.  Per node:
+Eq. 1 is *bulk-synchronous*: a node's transfers overlap its own compute
+and nothing else, so a node costs ``max(compute, if, wt, of)``.
+:func:`simulate` plays the schedule one transfer at a time (SoMa-style)
+instead.  Each DDR interface (if / wt / of) is a **channel** moving one
+stream at a time at its bandwidth.  Node ``i`` computes once node
+``i-1`` is done and is done once its compute and streams are.  Its
+stores start with its compute; its loads too (the *bulk* policy) or,
+with ``overlap_loads``, as early as node ``i-1``'s start (the one-deep
+**load window** the ping-pong tile buffers provide).
 
-* demand transfers (off-chip ifmap / weight tiles / ofmap write-back)
-  occupy their channel for the transfer duration and overlap the node's
-  compute (double buffering);
-* weight prefetch loads are issued when their PDG start node begins and
-  run as *background* traffic on the weight channel: demand tile streams
-  have priority, prefetches consume only the channel's idle time (the
-  standard DMA arbitration).  A prefetch squeezed out by demand traffic
-  finishes late — the contention the analytical model ignores;
-* a node whose weights live on chip stalls until its prefetch completes.
+An on-chip weight costs its unhidden ``residuals`` seconds on its slot,
+or, given ``prefetch``, a background PDG load issued when its start node
+begins.  Demand streams have channel priority, prefetches take only the
+weight channel's idle tail of each node, and a node whose prefetch is
+unfinished stalls until it lands: the contention Eq. 1 ignores.
 
-The result carries the full event timeline plus per-channel busy time, so
-tests can assert both totals and causality (no node starts before its
-weights are resident; channels never exceed 100 % occupancy).
+Guarantees (property-tested in ``tests/test_sim_schedule.py``):
+**conservation** (records move exactly :func:`demand_bytes`),
+**capacity** (per channel, records never overlap nor beat the
+bandwidth) and **monotonicity** (under the load window the makespan
+never exceeds Eq. 1: by induction node ``j``'s loads start no earlier
+than ``t_{j-1}`` on a channel free by ``t_j``, so every stream ends by
+``t_j + L_j``).  Under the bulk policy without prefetch, every node
+spans its Eq.-1 latency.
 """
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass, field
 
+from repro.errors import AllocationError, ConfigError
 from repro.ir.tensor import TensorKind, weight_tensor_name
 from repro.lcmm.prefetch import PrefetchResult
 from repro.obs.spans import span as obs_span
-from repro.perf.latency import LatencyModel
-from repro.sim.events import EventKind, TimelineEvent
+from repro.perf.latency import LatencyModel, Slot
+
+_KINDS = (TensorKind.IFMAP, TensorKind.WEIGHT, TensorKind.OFMAP)
 
 
-@dataclass
-class SimulationResult:
-    """Outcome of one simulated inference.
+class EventKind(str, enum.Enum):
+    """What happened at a timeline event."""
+
+    NODE_START = "node_start"
+    NODE_END = "node_end"
+    TRANSFER = "transfer"
+    PREFETCH_START = "prefetch_start"
+    PREFETCH_END = "prefetch_end"
+    STALL = "stall"
+
+    def __str__(self) -> str:
+        return self.value
+
+
+@dataclass(frozen=True)
+class TimelineEvent:
+    """One event on the simulated timeline: ``kind`` happened to ``node``
+    at ``time`` seconds.  ``detail`` annotates it (interface, stall
+    cause) and span-like events (transfers, stalls) carry a duration."""
+
+    time: float
+    kind: EventKind
+    node: str
+    detail: str = ""
+    duration: float = 0.0
+
+    def __str__(self) -> str:
+        span = f" (+{self.duration * 1e6:.1f}us)" if self.duration else ""
+        note = f" [{self.detail}]" if self.detail else ""
+        return f"{self.time * 1e3:9.4f}ms {self.kind}:{self.node}{note}{span}"
+
+
+@dataclass(frozen=True)
+class TransferRecord:
+    """One DMA stream on one channel: ``bytes`` of ``tensor`` for
+    ``node``, occupying the channel for ``duration`` seconds from
+    ``start`` (0 bytes when a resident weight pays only its residual)."""
+
+    node: str
+    kind: TensorKind
+    tensor: str
+    bytes: int
+    start: float
+    duration: float
+
+    @property
+    def end(self) -> float:
+        return self.start + self.duration
+
+
+@dataclass(frozen=True)
+class Timeline:
+    """One simulated inference.
 
     Attributes:
-        total_latency: Makespan of the schedule in seconds.
-        node_start: Per node, the time its execution began.
-        node_end: Per node, the time its execution finished.
+        records: Every demand stream, in schedule order.
+        node_spans: Per node ``(start, end)`` of its execution window.
+        makespan: End-to-end latency of the simulated execution.
+        baseline: The Eq.-1 total for the same ``(onchip, residuals,
+            fractions)``.
         stall_time: Total time nodes waited for unfinished prefetches.
-        channel_busy: Busy seconds per interface kind ("if"/"wt"/"of").
-        events: Full event timeline, time-ordered.
+        prefetch_busy: Weight-channel seconds spent on prefetches.
+        prefetch_events: The prefetch start/end and stall events.
     """
 
-    total_latency: float
-    node_start: dict[str, float]
-    node_end: dict[str, float]
-    stall_time: float
-    channel_busy: dict[str, float]
-    events: list[TimelineEvent] = field(repr=False, default_factory=list)
+    records: tuple[TransferRecord, ...]
+    node_spans: dict[str, tuple[float, float]]
+    makespan: float
+    baseline: float
+    stall_time: float = 0.0
+    prefetch_busy: float = 0.0
+    prefetch_events: tuple[TimelineEvent, ...] = field(default=(), repr=False)
 
-    def node_latency(self, name: str) -> float:
-        """Wall-clock residence of one node on the timeline."""
-        return self.node_end[name] - self.node_start[name]
+    @property
+    def total_bytes(self) -> int:
+        """Bytes moved over all channels (conserved vs the demand)."""
+        return sum(r.bytes for r in self.records)
+
+    @property
+    def improvement(self) -> float:
+        """Seconds saved vs the bulk-synchronous Eq.-1 timeline."""
+        return self.baseline - self.makespan
+
+    def node_latencies(self) -> dict[str, float]:
+        """Per-node wall-clock residence on the timeline."""
+        return {n: end - start for n, (start, end) in self.node_spans.items()}
+
+    def channel_records(self, kind: TensorKind) -> list[TransferRecord]:
+        """Records of one channel, in start order."""
+        return sorted(
+            (r for r in self.records if r.kind is kind), key=lambda r: r.start
+        )
+
+    @property
+    def channel_busy(self) -> dict[str, float]:
+        """Busy seconds per interface (``"if"``/``"wt"``/``"of"``)."""
+        busy = {kind.value: 0.0 for kind in _KINDS}
+        for r in self.records:
+            busy[r.kind.value] += r.duration
+        busy[TensorKind.WEIGHT.value] += self.prefetch_busy
+        return busy
 
     def channel_utilization(self, kind: str) -> float:
         """Busy fraction of one interface over the whole run."""
-        if self.total_latency <= 0:
+        if self.makespan <= 0:
             return 0.0
-        return self.channel_busy[kind] / self.total_latency
+        return self.channel_busy[kind] / self.makespan
+
+    @property
+    def events(self) -> list[TimelineEvent]:
+        """The full event timeline, time-ordered."""
+        events = list(self.prefetch_events)
+        records = iter(self.records)
+        record = next(records, None)
+        for node, (start, end) in self.node_spans.items():
+            events.append(TimelineEvent(start, EventKind.NODE_START, node))
+            while record is not None and record.node == node:
+                events.append(TimelineEvent(
+                    record.start, EventKind.TRANSFER, node,
+                    record.kind.value, record.duration,
+                ))
+                record = next(records, None)
+            events.append(TimelineEvent(end, EventKind.NODE_END, node))
+        events.sort(key=lambda e: e.time)
+        return events
+
+
+def _effective(slot: Slot, onchip, residuals, fractions) -> tuple[int, float]:
+    """(bytes, seconds) a slot occupies under an allocation; mirrors
+    :meth:`repro.perf.latency.LayerLatency.slot_latency` bit for bit."""
+    if slot.tensor in onchip:
+        residual = residuals.get(slot.tensor, 0.0) if residuals else 0.0
+        return 0, residual
+    if fractions and slot.tensor in fractions:
+        keep = 1.0 - fractions[slot.tensor]
+        return round(slot.bytes * keep), slot.latency * keep
+    return slot.bytes, slot.latency
+
+
+def demand_bytes(
+    model: LatencyModel,
+    onchip: frozenset[str] = frozenset(),
+    residuals: dict[str, float] | None = None,
+    fractions: dict[str, float] | None = None,
+) -> int:
+    """Total DDR bytes one inference demands under an allocation."""
+    return sum(
+        _effective(slot, onchip, residuals, fractions)[0]
+        for slot in model.slots()
+    )
 
 
 def simulate(
     model: LatencyModel,
     onchip: frozenset[str] = frozenset(),
+    residuals: dict[str, float] | None = None,
+    fractions: dict[str, float] | None = None,
     prefetch: PrefetchResult | None = None,
-    record_events: bool = True,
-) -> SimulationResult:
-    """Simulate one inference under an allocation.
+    *,
+    overlap_loads: bool = False,
+) -> Timeline:
+    """Walk one inference under an allocation against the DDR channels.
 
     Args:
-        model: Latency model supplying per-node compute/transfer times.
-        onchip: Tensor values resident on chip (empty = UMM).
-        prefetch: Prefetch pass output; required for on-chip weight
-            tensors to be loaded at all.  When an on-chip weight has no
-            prefetch edge its load is issued at the node itself (worst
-            case).
-        record_events: Keep the full timeline (disable for speed in
-            property tests that only check totals).
+        model: Characterised latency model (fused or plain).
+        onchip: Tensor values fully resident on chip (empty = UMM).
+        residuals: Unhidden prefetch seconds per on-chip weight tensor.
+        fractions: Partial residency per tensor.
+        prefetch: Load the on-chip weights as background PDG traffic.
+        overlap_loads: Start a node's loads at its predecessor's start.
 
-    Returns:
-        The simulated timeline.
+    Raises:
+        ConfigError: If ``prefetch`` comes with ``residuals`` (the same
+            unhidden load, counted twice) or ``overlap_loads`` (early
+            loads would claim the idle time prefetches drain into).
+        AllocationError: If ``prefetch`` has no edge for an on-chip
+            weight, so nothing would ever load it.
     """
+    if prefetch is not None and (residuals is not None or overlap_loads):
+        raise ConfigError("prefetch cannot be combined with residuals or overlap_loads")
     with obs_span(
         "sim.simulate", graph=model.graph.name, onchip=len(onchip)
     ) as sim_span:
-        return _simulate(model, onchip, prefetch, record_events, sim_span)
-
-
-def _simulate(
-    model: LatencyModel,
-    onchip: frozenset[str],
-    prefetch: PrefetchResult | None,
-    record_events: bool,
-    sim_span,
-) -> SimulationResult:
-    schedule = model.nodes()
-    index_of = {name: idx for idx, name in enumerate(schedule)}
-    events: list[TimelineEvent] = []
-
-    def emit(time: float, kind: EventKind, node: str, detail: str = "", duration: float = 0.0) -> None:
-        if record_events:
-            events.append(TimelineEvent(time, kind, node, detail, duration))
-
-    # Prefetch loads to issue when a given node starts.
-    with obs_span("sim.setup", nodes=len(schedule)):
-        issue_at: dict[str, list[tuple[str, float]]] = {}
-        prefetched_nodes: set[str] = set()
+        issue_at: dict[str, list[tuple[str, float]]] = {}  # by start node
+        prefetched: set[str] = set()
         if prefetch is not None:
             for node, edge in prefetch.edges.items():
-                wname = weight_tensor_name(node)
-                if wname not in onchip:
-                    continue
-                issue_at.setdefault(edge.start, []).append((node, edge.load_time))
-                prefetched_nodes.add(node)
+                if weight_tensor_name(node) in onchip:
+                    issue_at.setdefault(edge.start, []).append((node, edge.load_time))
+                    prefetched.add(node)
+            unloaded = sorted(
+                s.tensor for s in model.slots() if s.kind is TensorKind.WEIGHT
+                and s.tensor in onchip and s.node not in prefetched
+            )
+            if unloaded:
+                raise AllocationError(f"no prefetch edge loads {unloaded}")
 
-    clock = 0.0
-    weights_ready: dict[str, float] = {}
-    node_start: dict[str, float] = {}
-    node_end: dict[str, float] = {}
-    busy = {"if": 0.0, "wt": 0.0, "of": 0.0}
-    stall_total = 0.0
-    # Outstanding background prefetches, FIFO: [node, remaining seconds].
-    outstanding: list[list] = []
+        free = dict.fromkeys(_KINDS, 0.0)
+        records: list[TransferRecord] = []
+        node_spans: dict[str, tuple[float, float]] = {}
+        prefetch_events: list[TimelineEvent] = []
+        ready: set[str] = set()
+        outstanding: list[list] = []  # FIFO of [node, remaining seconds]
+        stall_time = prefetch_busy = 0.0
+        clock = window = 0.0  # the predecessor's end and start
 
-    def drain_prefetches(window_start: float, window_end: float, demand: float) -> None:
-        """Give the window's idle weight-channel time to prefetches.
+        def drain(begin: float, end: float) -> None:
+            """Give the weight channel's idle ``[begin, end)`` to prefetches."""
+            nonlocal prefetch_busy
+            idle = end - begin
+            while outstanding and idle > 1e-18:
+                entry = outstanding[0]
+                served = min(idle, entry[1])
+                entry[1] -= served
+                idle -= served
+                prefetch_busy += served
+                if entry[1] <= 1e-18:
+                    ready.add(entry[0])
+                    prefetch_events.append(TimelineEvent(
+                        end - idle, EventKind.PREFETCH_END, entry[0], "wt"
+                    ))
+                    outstanding.pop(0)
 
-        Demand traffic has priority and occupies the head of the window;
-        the remaining idle tail feeds the outstanding prefetch queue.
-        """
-        nonlocal outstanding
-        idle_begin = window_start + demand
-        idle = window_end - idle_begin
-        while outstanding and idle > 1e-18:
-            entry = outstanding[0]
-            served = min(idle, entry[1])
-            entry[1] -= served
-            idle -= served
-            busy["wt"] += served
-            if entry[1] <= 1e-18:
-                done_at = window_end - idle
-                weights_ready[entry[0]] = done_at
-                emit(done_at, EventKind.PREFETCH_END, entry[0], "wt")
-                outstanding.pop(0)
-
-    # The event loop proper, as its own phase span in the trace.
-    walk_span = obs_span("sim.schedule-walk", nodes=len(schedule))
-    with walk_span:
-        for name in schedule:
-            ll = model.layer(name)
-
-            # Issue this node's prefetches before it starts executing: the
-            # PDG says the load begins when the start node begins.
+        for name in model.nodes():
             for target, load_time in issue_at.get(name, ()):
                 outstanding.append([target, load_time])
-                emit(clock, EventKind.PREFETCH_START, target, "wt", load_time)
-
-            # Stall until prefetched weights are resident; stalled time is
-            # pure idle on every channel, so prefetches drain during it.
+                prefetch_events.append(TimelineEvent(
+                    clock, EventKind.PREFETCH_START, target, "wt", load_time
+                ))
+            # Stall until this node's weights land; the idle channel
+            # drains everything queued up to them at full rate.
             start = clock
-            if name in prefetched_nodes and weights_ready.get(name) is None:
-                pos = next(
-                    (i for i, e in enumerate(outstanding) if e[0] == name), None
-                )
-                if pos is not None:
-                    # Time to finish everything up to and including ours if
-                    # the channel were fully idle from now on.
-                    wait = sum(e[1] for e in outstanding[: pos + 1])
-                    emit(start, EventKind.STALL, name, "await-prefetch", wait)
-                    walk_span.annotate("sim.stall", node=name, wait=wait)
-                    stall_total += wait
-                    drain_prefetches(start, start + wait, demand=0.0)
-                    start += wait
-            node_start[name] = start
-            emit(start, EventKind.NODE_START, name)
+            if name in prefetched and name not in ready:
+                wait = 0.0
+                for target, remaining in outstanding:
+                    wait += remaining
+                    if target == name:
+                        break
+                prefetch_events.append(TimelineEvent(
+                    start, EventKind.STALL, name, "await-prefetch", wait
+                ))
+                sim_span.annotate("sim.stall", node=name, wait=wait)
+                stall_time += wait
+                drain(start, start + wait)
+                start += wait
 
+            ll = model.layer(name)
+            load_start = window if overlap_loads else start
             end = start + ll.compute
-            # Demand transfers overlap the node's own compute (double
-            # buffering); each occupies its channel for its duration.
-            if_time = ll.slot_latency(TensorKind.IFMAP, onchip)
-            of_time = ll.slot_latency(TensorKind.OFMAP, onchip)
-            wt_time = ll.slot_latency(TensorKind.WEIGHT, onchip)
-            if if_time > 0:
-                busy["if"] += if_time
-                emit(start, EventKind.TRANSFER, name, "if", if_time)
-                end = max(end, start + if_time)
-            if of_time > 0:
-                busy["of"] += of_time
-                emit(start, EventKind.TRANSFER, name, "of", of_time)
-                end = max(end, start + of_time)
-            if wt_time > 0:
-                # Demand weight tiles have channel priority over prefetches.
-                busy["wt"] += wt_time
-                emit(start, EventKind.TRANSFER, name, "wt", wt_time)
-                end = max(end, start + wt_time)
+            for slot in ll.slots:
+                num_bytes, duration = _effective(slot, onchip, residuals, fractions)
+                if num_bytes == 0 and duration == 0.0:
+                    continue
+                earliest = start if slot.kind is TensorKind.OFMAP else load_start
+                begin = max(free[slot.kind], earliest)
+                free[slot.kind] = finish = begin + duration
+                records.append(TransferRecord(
+                    name, slot.kind, slot.tensor, num_bytes, begin, duration
+                ))
+                end = max(end, finish)
+            if outstanding:
+                drain(max(start, free[TensorKind.WEIGHT]), end)
+            node_spans[name] = (start, end)
+            window, clock = start, end
 
-            # Whatever the window leaves idle on the weight channel feeds
-            # the outstanding prefetches.
-            drain_prefetches(start, end, demand=wt_time)
-
-            node_end[name] = end
-            emit(end, EventKind.NODE_END, name)
-            clock = end
-
-    with obs_span("sim.finalize", events=len(events)):
-        events.sort(key=lambda e: e.time)
-        result = SimulationResult(
-            total_latency=clock,
-            node_start=node_start,
-            node_end=node_end,
-            stall_time=stall_total,
-            channel_busy=busy,
-            events=events,
-        )
-    sim_span.annotate(
-        "sim.result", makespan=result.total_latency, stall=result.stall_time
+        sim_span.annotate("sim.result", makespan=clock, stall=stall_time)
+    return Timeline(
+        records=tuple(records),
+        node_spans=node_spans,
+        makespan=clock,
+        baseline=model.total_latency(onchip, residuals, fractions),
+        stall_time=stall_time,
+        prefetch_busy=prefetch_busy,
+        prefetch_events=tuple(prefetch_events),
     )
-    return result

@@ -13,6 +13,9 @@ shares no evaluation code with :class:`repro.perf.engine.AllocationEngine`.
 * :func:`naive_residuals` / :func:`naive_walk` — the published
   latency, per-node latencies and prefetch residuals of a result,
   re-derived from its decisions alone.
+* :func:`simulate_tiles` / :func:`network_tile_latency` — the dataflow
+  of Fig. 1 simulated one outer-loop tile iteration at a time, the
+  from-first-principles check of the bulk Eq.-1 latencies.
 """
 
 from __future__ import annotations
@@ -24,13 +27,15 @@ from dataclasses import dataclass
 from unittest import mock
 
 from repro.hw.sram import URAM_BYTES
-from repro.ir.tensor import weight_tensor_name
+from repro.ir.layer import Attention, Conv2D, Gemm
+from repro.ir.tensor import TensorKind, weight_tensor_name
 from repro.lcmm.buffers import VirtualBuffer
 from repro.lcmm.dnnk import DNNKResult, _block_rounded_bytes, dnnk_allocate
 from repro.lcmm.fusion import apply_fusion
 from repro.lcmm.prefetch import PrefetchResult, hiding_capacity
 from repro.perf.latency import LatencyModel
-from repro.sim import schedule_transfers
+from repro.perf.systolic import gemm_compute_cycles
+from repro.sim import simulate
 
 
 class NaiveGainEvaluator:
@@ -386,7 +391,128 @@ def naive_walk(
         for name in model.nodes()
     }
     if result.transfer_timeline is not None:
-        timeline = schedule_transfers(model, onchip, residuals, fractions)
+        timeline = simulate(
+            model, onchip, residuals, fractions, overlap_loads=True
+        )
         if timeline.makespan < latency - 1e-15:
             return timeline.makespan, timeline.node_latencies(), residuals
     return latency, node_latencies, residuals
+
+
+# ---------------------------------------------------------------------------
+# Tile-granularity dataflow model
+# ---------------------------------------------------------------------------
+#
+# Each tiled layer is decomposed into its outer iterations — for a conv
+# ``ceil(M/tm) x ceil(H/th) x ceil(W/tw)``, for a GEMM or attention node
+# ``ceil(M/(th*tw)) x ceil(P/tm)`` of its leading multiply.  Every
+# iteration loads an input and a weight tile (unless resident), computes
+# and stores an output tile; loads for iteration ``k+1`` overlap the
+# compute of iteration ``k`` (double buffering), so the first loads are
+# the pipeline fill the bulk model ignores.
+
+
+@dataclass
+class TileLevelResult:
+    """Outcome of a tile-granularity layer simulation.
+
+    Attributes:
+        node: Layer simulated.
+        iterations: Number of outer-loop iterations.
+        total_latency: Makespan with double buffering.
+        pipeline_fill: The unhidden first-load time (the term the bulk
+            model ignores).
+        bulk_latency: The analytical Eq. 1 latency for comparison.
+    """
+
+    node: str
+    iterations: int
+    total_latency: float
+    pipeline_fill: float
+    bulk_latency: float
+
+
+def _has_tile_schedule(layer) -> bool:
+    """Convs, attention and GEMMs run a multi-tile outer loop.  FC heads
+    run the conv datapath as a single 1x1x1 tile and keep their bulk
+    latency, as do the single-tile data-movement ops."""
+    if isinstance(layer, Conv2D):
+        return True
+    return isinstance(layer, (Gemm, Attention)) and not getattr(
+        layer, "conv_datapath", False
+    )
+
+
+def simulate_tiles(
+    model: LatencyModel, node: str, onchip: frozenset[str] = frozenset()
+) -> TileLevelResult:
+    """Simulate one tiled layer at tile granularity.
+
+    The per-interface payloads are read from the node's characterised
+    slots, so the totals match the bulk model exactly and a fused
+    stream (a zero-byte slot) loads in zero time.  Edge tiles are
+    averaged out: for ``n`` iterations with uniform stage times the
+    makespan is the classic ``fill + (n-1) * period + drain``.
+
+    Raises:
+        ValueError: If the layer has no tile-level schedule (pool,
+            eltwise, norm, concat, input, conv-datapath FC).
+    """
+    graph, accel = model.graph, model.accel
+    tile = accel.tile
+    layer = graph.layer(node)
+    if not _has_tile_schedule(layer):
+        raise ValueError(
+            f"{node!r} (kind {layer.compute_kind}) has no tile-level schedule"
+        )
+    if isinstance(layer, Conv2D):
+        out = graph.output_shape(node)
+        iterations = (
+            tile.output_channel_trips(out.channels)
+            * math.ceil(out.height / tile.th)
+            * math.ceil(out.width / tile.tw)
+        )
+        macs = layer.macs(graph.input_shapes(node))
+        effective = accel.array.effective_macs(out.channels, layer.in_channels)
+        compute = macs / (effective * accel.frequency)
+    else:
+        # Attention's downstream GEMMs run out of the tile buffers: they
+        # add compute time but no extra streams.
+        dims = layer.gemm_dims()
+        components = dims if isinstance(dims, tuple) else (dims,)
+        lead = components[0]
+        iterations = tile.gemm_row_trips(lead.m) * tile.gemm_output_trips(lead.p)
+        cycles = sum(gemm_compute_cycles(d, accel.array, tile) for d in components)
+        compute = cycles / accel.frequency
+
+    payload = dict.fromkeys(TensorKind, 0)
+    for slot in model.layer(node).slots:
+        if slot.tensor not in onchip:
+            payload[slot.kind] += slot.bytes
+    if_t, wt_t, of_t = (
+        payload[kind] / accel.interface_bandwidth(kind.value) / iterations
+        for kind in (TensorKind.IFMAP, TensorKind.WEIGHT, TensorKind.OFMAP)
+    )
+    compute_t = compute / iterations
+    load = max(if_t, wt_t)
+    period = max(load, compute_t, of_t)
+    return TileLevelResult(
+        node=node,
+        iterations=iterations,
+        total_latency=load + compute_t + of_t + (iterations - 1) * period,
+        pipeline_fill=load,
+        bulk_latency=model.layer(node).latency(onchip),
+    )
+
+
+def network_tile_latency(
+    model: LatencyModel, onchip: frozenset[str] = frozenset()
+) -> float:
+    """End-to-end latency with tiled layers at tile granularity; the
+    single-tile layers keep their bulk latencies."""
+    return sum(
+        simulate_tiles(model, node, onchip).total_latency
+        if _has_tile_schedule(model.graph.layer(node))
+        else model.layer(node).latency(onchip)
+        for node in model.nodes()
+    )

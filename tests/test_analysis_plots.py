@@ -94,20 +94,20 @@ class TestFootprintTimeline:
 class TestGantt:
     def test_rows_and_legend(self, setup):
         _, _, model, lcmm = setup
-        sim = simulate(model, lcmm.onchip_tensors, lcmm.prefetch_result)
+        sim = simulate(model, lcmm.onchip_tensors, prefetch=lcmm.prefetch_result)
         out = simulation_gantt(sim)
         assert "= execution" in out
         assert "=" in out.splitlines()[0]
 
     def test_max_rows(self, setup):
         _, _, model, lcmm = setup
-        sim = simulate(model, lcmm.onchip_tensors, lcmm.prefetch_result)
+        sim = simulate(model, lcmm.onchip_tensors, prefetch=lcmm.prefetch_result)
         out = simulation_gantt(sim, max_rows=3)
         assert len(out.splitlines()) == 4  # 3 rows + legend
 
     def test_prefetch_marker_present_when_prefetching(self, setup):
         _, _, model, lcmm = setup
-        sim = simulate(model, lcmm.onchip_tensors, lcmm.prefetch_result)
+        sim = simulate(model, lcmm.onchip_tensors, prefetch=lcmm.prefetch_result)
         onchip_weights = [t for t in lcmm.onchip_tensors if t.startswith("w:")]
         if onchip_weights:
             assert "~" in simulation_gantt(sim)

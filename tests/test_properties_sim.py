@@ -13,9 +13,9 @@ from hypothesis import given, settings, strategies as st
 from repro.lcmm.feature_reuse import feature_candidates
 from repro.perf.latency import LatencyModel
 from repro.sim import EventKind, simulate
-from repro.sim.tilesim import network_tile_latency
 
 from tests.conftest import small_accel
+from tests.oracles import network_tile_latency
 from tests.test_properties import random_dags
 
 
@@ -24,14 +24,12 @@ class TestSimulatorProperties:
     @settings(max_examples=20, deadline=None)
     def test_pinning_never_slows_simulation(self, graph, efficiency):
         model = LatencyModel(graph, small_accel(ddr_efficiency=efficiency))
-        baseline = simulate(model, record_events=False).total_latency
+        baseline = simulate(model).makespan
         candidates = feature_candidates(graph, model)
         if not candidates:
             return
         best = max(candidates, key=lambda c: c.latency_reduction)
-        pinned = simulate(
-            model, frozenset({best.name}), record_events=False
-        ).total_latency
+        pinned = simulate(model, frozenset({best.name})).makespan
         assert pinned <= baseline + 1e-15
 
     @given(random_dags())
@@ -43,14 +41,17 @@ class TestSimulatorProperties:
         ends = [e for e in sim.events if e.kind is EventKind.NODE_END]
         assert len(starts) == len(ends) == len(model.nodes())
         for name in model.nodes():
-            assert sim.node_end[name] >= sim.node_start[name]
+            start, end = sim.node_spans[name]
+            assert end >= start
 
     @given(random_dags())
     @settings(max_examples=20, deadline=None)
     def test_makespan_is_last_node_end(self, graph):
         model = LatencyModel(graph, small_accel(ddr_efficiency=0.2))
-        sim = simulate(model, record_events=False)
-        assert sim.total_latency == pytest.approx(max(sim.node_end.values()))
+        sim = simulate(model)
+        assert sim.makespan == pytest.approx(
+            max(end for _, end in sim.node_spans.values())
+        )
 
 
 class TestTileSimulatorProperties:

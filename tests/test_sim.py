@@ -1,7 +1,10 @@
 """Tests for repro.sim — the event-driven simulator."""
 
+import dataclasses
+
 import pytest
 
+from repro.errors import AllocationError, ConfigError
 from repro.lcmm.framework import run_lcmm
 from repro.lcmm.prefetch import weight_prefetch_pass
 from repro.perf.latency import LatencyModel
@@ -23,13 +26,13 @@ class TestUMMSimulation:
         result = simulate(model)
         # Without prefetch traffic, demand streams never contend: the
         # simulated makespan equals the Eq. 1 sum.
-        assert result.total_latency == pytest.approx(model.umm_latency())
+        assert result.makespan == pytest.approx(model.umm_latency())
 
     def test_node_latencies_match(self, starved):
         _, _, model = starved
         result = simulate(model)
         for name in model.nodes():
-            assert result.node_latency(name) == pytest.approx(
+            assert result.node_latencies()[name] == pytest.approx(
                 model.node_latency(name)
             )
 
@@ -38,7 +41,7 @@ class TestUMMSimulation:
         result = simulate(model)
         schedule = model.nodes()
         for earlier, later in zip(schedule, schedule[1:]):
-            assert result.node_end[earlier] <= result.node_start[later] + 1e-15
+            assert result.node_spans[earlier][1] <= result.node_spans[later][0] + 1e-15
 
     def test_channel_busy_under_makespan(self, starved):
         _, _, model = starved
@@ -55,24 +58,26 @@ class TestLCMMSimulation:
     def test_simulated_allocation_close_to_analytical(self, starved):
         graph, accel, model = starved
         lcmm = run_lcmm(graph, accel, model=model)
-        sim = simulate(model, lcmm.onchip_tensors, lcmm.prefetch_result)
+        sim = simulate(model, lcmm.onchip_tensors, prefetch=lcmm.prefetch_result)
         # Contention can make the simulation slower than the analytical
         # estimate, but never faster (beyond float noise), and the two
         # should agree within 25%.
-        assert sim.total_latency >= lcmm.latency * 0.99
-        assert sim.total_latency <= lcmm.latency * 1.25
+        assert sim.makespan >= lcmm.latency * 0.99
+        assert sim.makespan <= lcmm.latency * 1.25
 
     def test_simulated_lcmm_beats_simulated_umm(self, starved):
         graph, accel, model = starved
         lcmm = run_lcmm(graph, accel, model=model)
         sim_umm = simulate(model)
-        sim_lcmm = simulate(model, lcmm.onchip_tensors, lcmm.prefetch_result)
-        assert sim_lcmm.total_latency < sim_umm.total_latency
+        sim_lcmm = simulate(
+            model, lcmm.onchip_tensors, prefetch=lcmm.prefetch_result
+        )
+        assert sim_lcmm.makespan < sim_umm.makespan
 
     def test_prefetch_events_present(self, starved):
         graph, accel, model = starved
         lcmm = run_lcmm(graph, accel, model=model)
-        sim = simulate(model, lcmm.onchip_tensors, lcmm.prefetch_result)
+        sim = simulate(model, lcmm.onchip_tensors, prefetch=lcmm.prefetch_result)
         onchip_weights = {n for n in lcmm.onchip_tensors if n.startswith("w:")}
         starts = [e for e in sim.events if e.kind is EventKind.PREFETCH_START]
         assert len(starts) == len(onchip_weights)
@@ -80,26 +85,17 @@ class TestLCMMSimulation:
     def test_no_node_starts_before_its_prefetch_ends(self, starved):
         graph, accel, model = starved
         lcmm = run_lcmm(graph, accel, model=model)
-        sim = simulate(model, lcmm.onchip_tensors, lcmm.prefetch_result)
+        sim = simulate(model, lcmm.onchip_tensors, prefetch=lcmm.prefetch_result)
         ends = {
             e.node: e.time for e in sim.events if e.kind is EventKind.PREFETCH_END
         }
         for node, ready in ends.items():
-            assert sim.node_start[node] >= ready - 1e-12
-
-    def test_record_events_off(self, starved):
-        graph, accel, model = starved
-        lcmm = run_lcmm(graph, accel, model=model)
-        sim = simulate(
-            model, lcmm.onchip_tensors, lcmm.prefetch_result, record_events=False
-        )
-        assert sim.events == []
-        assert sim.total_latency > 0
+            assert sim.node_spans[node][0] >= ready - 1e-12
 
     def test_events_time_ordered(self, starved):
         graph, accel, model = starved
         lcmm = run_lcmm(graph, accel, model=model)
-        sim = simulate(model, lcmm.onchip_tensors, lcmm.prefetch_result)
+        sim = simulate(model, lcmm.onchip_tensors, prefetch=lcmm.prefetch_result)
         times = [e.time for e in sim.events]
         assert times == sorted(times)
 
@@ -107,6 +103,27 @@ class TestLCMMSimulation:
         _, _, model = starved
         sim = simulate(model)
         assert "node_start" in str(sim.events[0]) or "transfer" in str(sim.events[0])
+
+
+class TestPrefetchInputs:
+    def test_onchip_weight_without_edge_rejected(self, starved):
+        """A resident weight no PDG edge loads must not load for free."""
+        graph, accel, model = starved
+        lcmm = run_lcmm(graph, accel, model=model)
+        no_edges = dataclasses.replace(lcmm.prefetch_result, edges={})
+        with pytest.raises(AllocationError, match="no prefetch edge loads .*w:c3"):
+            simulate(model, frozenset({"w:c3"}), prefetch=no_edges)
+
+    def test_prefetch_excludes_residuals_and_load_window(self, starved):
+        """Residuals and prefetch model the same unhidden load; the load
+        window would claim the idle time prefetches drain into."""
+        graph, accel, model = starved
+        lcmm = run_lcmm(graph, accel, model=model)
+        onchip, prefetch = lcmm.onchip_tensors, lcmm.prefetch_result
+        with pytest.raises(ConfigError):
+            simulate(model, onchip, lcmm.residuals, prefetch=prefetch)
+        with pytest.raises(ConfigError):
+            simulate(model, onchip, prefetch=prefetch, overlap_loads=True)
 
 
 class TestOnchipFeatureSimulation:
@@ -119,6 +136,6 @@ class TestOnchipFeatureSimulation:
         candidates = feature_candidates(graph, model)
         assert candidates, "snippet should have beneficial feature tensors"
         best = max(candidates, key=lambda c: c.latency_reduction)
-        baseline = simulate(model).total_latency
-        pinned = simulate(model, frozenset({best.name})).total_latency
+        baseline = simulate(model).makespan
+        pinned = simulate(model, frozenset({best.name})).makespan
         assert pinned < baseline

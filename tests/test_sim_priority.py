@@ -24,16 +24,16 @@ class TestDemandPriority:
         """Demand transfers are never queued behind prefetches: every wt
         TRANSFER event begins exactly when its node begins."""
         model, lcmm = lcmm_setup
-        sim = simulate(model, lcmm.onchip_tensors, lcmm.prefetch_result)
+        sim = simulate(model, lcmm.onchip_tensors, prefetch=lcmm.prefetch_result)
         for event in sim.events:
             if event.kind is EventKind.TRANSFER and event.detail == "wt":
-                assert event.time == pytest.approx(sim.node_start[event.node])
+                assert event.time == pytest.approx(sim.node_spans[event.node][0])
 
     def test_prefetch_ends_no_earlier_than_idle_allows(self, lcmm_setup):
         """A prefetch can only consume idle channel time, so it never
         completes before issue + load_time."""
         model, lcmm = lcmm_setup
-        sim = simulate(model, lcmm.onchip_tensors, lcmm.prefetch_result)
+        sim = simulate(model, lcmm.onchip_tensors, prefetch=lcmm.prefetch_result)
         starts = {
             e.node: e.time for e in sim.events if e.kind is EventKind.PREFETCH_START
         }
@@ -47,13 +47,13 @@ class TestDemandPriority:
 
     def test_channel_busy_never_exceeds_makespan(self, lcmm_setup):
         model, lcmm = lcmm_setup
-        sim = simulate(model, lcmm.onchip_tensors, lcmm.prefetch_result)
+        sim = simulate(model, lcmm.onchip_tensors, prefetch=lcmm.prefetch_result)
         for kind in ("if", "wt", "of"):
-            assert sim.channel_busy[kind] <= sim.total_latency + 1e-12
+            assert sim.channel_busy[kind] <= sim.makespan + 1e-12
 
     def test_wt_busy_accounts_demand_plus_completed_prefetches(self, lcmm_setup):
         model, lcmm = lcmm_setup
-        sim = simulate(model, lcmm.onchip_tensors, lcmm.prefetch_result)
+        sim = simulate(model, lcmm.onchip_tensors, prefetch=lcmm.prefetch_result)
         demand = sum(
             model.layer(n).slot_latency(TensorKind.WEIGHT, lcmm.onchip_tensors)
             for n in model.nodes()
@@ -67,7 +67,7 @@ class TestDemandPriority:
 
     def test_stalls_only_for_unfinished_prefetches(self, lcmm_setup):
         model, lcmm = lcmm_setup
-        sim = simulate(model, lcmm.onchip_tensors, lcmm.prefetch_result)
+        sim = simulate(model, lcmm.onchip_tensors, prefetch=lcmm.prefetch_result)
         stalled_nodes = {
             e.node for e in sim.events if e.kind is EventKind.STALL
         }
@@ -102,7 +102,7 @@ class TestHeavyPrefetchScenario:
         accel = small_accel(ddr_efficiency=0.05)
         model = LatencyModel(g, accel)
         lcmm = run_lcmm(g, accel, model=model)
-        sim = simulate(model, lcmm.onchip_tensors, lcmm.prefetch_result)
+        sim = simulate(model, lcmm.onchip_tensors, prefetch=lcmm.prefetch_result)
         for event in sim.events:
             if event.kind is EventKind.TRANSFER and event.detail == "wt":
-                assert event.time == pytest.approx(sim.node_start[event.node])
+                assert event.time == pytest.approx(sim.node_spans[event.node][0])

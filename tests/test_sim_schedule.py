@@ -1,8 +1,8 @@
 """Property tests for the DMA transfer scheduler.
 
-The three guarantees the module docstring of :mod:`repro.sim.schedule`
-claims, checked over random graphs, random allocations, and fused
-models:
+The guarantees the module docstring of :mod:`repro.sim.simulator`
+claims for the load-window policy, checked over random graphs, random
+allocations, and fused models:
 
 * conservation — scheduled bytes equal the allocation's demand bytes
   exactly;
@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from repro.ir.tensor import TensorKind
 from repro.lcmm.fusion import apply_fusion, find_fusion_candidates
 from repro.perf.latency import LatencyModel
-from repro.sim import demand_bytes, schedule_transfers
+from repro.sim import demand_bytes, simulate
 
 from tests.conftest import small_accel
 from tests.test_properties import random_dags
@@ -57,7 +57,9 @@ class TestSchedulerProperties:
     @settings(max_examples=30, deadline=None)
     def test_conserves_demand_bytes(self, case):
         model, onchip, fractions = case
-        timeline = schedule_transfers(model, onchip, fractions=fractions)
+        timeline = simulate(
+            model, onchip, fractions=fractions, overlap_loads=True
+        )
         assert timeline.total_bytes == demand_bytes(
             model, onchip, fractions=fractions
         )
@@ -66,7 +68,9 @@ class TestSchedulerProperties:
     @settings(max_examples=30, deadline=None)
     def test_channels_never_overlap_or_exceed_bandwidth(self, case):
         model, onchip, fractions = case
-        timeline = schedule_transfers(model, onchip, fractions=fractions)
+        timeline = simulate(
+            model, onchip, fractions=fractions, overlap_loads=True
+        )
         for kind, short in _KIND_NAMES.items():
             bandwidth = model.accel.interface_bandwidth(short)
             prev_end = 0.0
@@ -79,7 +83,9 @@ class TestSchedulerProperties:
     @settings(max_examples=30, deadline=None)
     def test_makespan_monotone_vs_eq1(self, case):
         model, onchip, fractions = case
-        timeline = schedule_transfers(model, onchip, fractions=fractions)
+        timeline = simulate(
+            model, onchip, fractions=fractions, overlap_loads=True
+        )
         baseline = model.total_latency(onchip, fractions=fractions)
         assert timeline.baseline == baseline
         assert timeline.makespan <= baseline + 1e-12
@@ -88,7 +94,9 @@ class TestSchedulerProperties:
     @settings(max_examples=30, deadline=None)
     def test_node_spans_cover_makespan(self, case):
         model, onchip, fractions = case
-        timeline = schedule_transfers(model, onchip, fractions=fractions)
+        timeline = simulate(
+            model, onchip, fractions=fractions, overlap_loads=True
+        )
         spans = timeline.node_spans
         assert set(spans) == set(model.nodes())
         assert timeline.makespan == pytest.approx(
@@ -106,7 +114,7 @@ class TestSchedulerProperties:
         if not edges:
             return
         fused = apply_fusion(model, edges)
-        timeline = schedule_transfers(fused)
+        timeline = simulate(fused, overlap_loads=True)
         assert timeline.total_bytes == demand_bytes(fused)
         assert timeline.total_bytes <= demand_bytes(model)
         assert timeline.makespan <= fused.total_latency() + 1e-12

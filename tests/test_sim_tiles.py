@@ -1,4 +1,4 @@
-"""Tests for the tile-granularity simulator."""
+"""Tests for the tile-granularity oracle in :mod:`tests.oracles`."""
 
 import pytest
 
@@ -7,13 +7,8 @@ from repro.hw.precision import INT8
 from repro.lcmm.framework import run_lcmm
 from repro.models import get_model
 from repro.perf.latency import LatencyModel
-from repro.sim.tilesim import (
-    network_tile_latency,
-    simulate_conv_tiles,
-    simulate_network_tiles,
-)
-
 from tests.conftest import build_chain, small_accel
+from tests.oracles import network_tile_latency, simulate_tiles
 
 
 @pytest.fixture(scope="module")
@@ -27,13 +22,13 @@ def chain_model():
 class TestSingleLayer:
     def test_iteration_count(self, chain_model):
         # 128 channels / tm=16 -> 8; 28x28 / 14x14 -> 4 spatial tiles.
-        result = simulate_conv_tiles(chain_model, "c2")
+        result = simulate_tiles(chain_model, "c2")
         assert result.iterations == 8 * 2 * 2
 
     def test_close_to_bulk_model(self, chain_model):
         """The tile pipeline converges to the bulk Eq. 1 max as the
         pipeline fill amortises over many iterations."""
-        result = simulate_conv_tiles(chain_model, "c2")
+        result = simulate_tiles(chain_model, "c2")
         assert result.total_latency == pytest.approx(
             result.bulk_latency, rel=0.15
         )
@@ -43,30 +38,38 @@ class TestSingleLayer:
         # pipeline adds fill/drain, so it can only be slower.
         for node in chain_model.nodes():
             if node.startswith("c"):
-                result = simulate_conv_tiles(chain_model, node)
+                result = simulate_tiles(chain_model, node)
                 assert result.total_latency >= result.bulk_latency * 0.999
 
     def test_pipeline_fill_is_first_load(self, chain_model):
-        result = simulate_conv_tiles(chain_model, "c2")
+        result = simulate_tiles(chain_model, "c2")
         assert result.pipeline_fill > 0
         assert result.pipeline_fill < result.total_latency
 
     def test_onchip_input_removes_load(self, chain_model):
-        off = simulate_conv_tiles(chain_model, "c2")
-        on = simulate_conv_tiles(chain_model, "c2", frozenset({"f:c1"}))
+        off = simulate_tiles(chain_model, "c2")
+        on = simulate_tiles(chain_model, "c2", frozenset({"f:c1"}))
         assert on.total_latency < off.total_latency
 
     def test_non_conv_rejected(self):
         graph = get_model("googlenet")
         model = LatencyModel(graph, small_accel())
-        with pytest.raises(ValueError, match="not a convolution"):
-            simulate_conv_tiles(model, "pool1/3x3_s2")
+        with pytest.raises(ValueError, match="no tile-level schedule"):
+            simulate_tiles(model, "pool1/3x3_s2")
 
 
 class TestNetworkLevel:
     def test_all_convs_simulated(self, chain_model):
-        results = simulate_network_tiles(chain_model)
-        assert set(results) == {f"c{i}" for i in range(1, 7)}
+        # Every conv runs at tile granularity; the rest keep bulk latency.
+        convs = {f"c{i}" for i in range(1, 7)}
+        assert convs <= set(chain_model.nodes())
+        expected = sum(
+            simulate_tiles(chain_model, node).total_latency
+            if node in convs
+            else chain_model.node_latency(node)
+            for node in chain_model.nodes()
+        )
+        assert network_tile_latency(chain_model) == expected
 
     def test_network_latency_close_to_bulk(self, chain_model):
         tile_total = network_tile_latency(chain_model)
