@@ -45,7 +45,7 @@ from repro.analysis.experiments import (
 )
 from repro.analysis.metrics import average_speedup
 from repro.analysis.report import format_table
-from repro.errors import ReproError, exit_code
+from repro.errors import ConfigError, ReproError, exit_code
 from repro.hw.precision import precision_by_name
 from repro.ir.graph import ComputationGraph
 from repro.models.zoo import get_model, list_models
@@ -188,11 +188,11 @@ def _traced(trace_path, body) -> None:
     Dumps the run's spans plus a metrics snapshot as a Chrome trace JSON
     (openable in ``chrome://tracing`` or https://ui.perfetto.dev).
     """
-    from repro import obs
-
     if not trace_path:
         body()
         return
+    from repro import obs
+
     obs.reset_registry()
     with obs.tracing("main") as tracer:
         body()
@@ -200,6 +200,17 @@ def _traced(trace_path, body) -> None:
         trace_path, tracer, metrics=obs.registry().snapshot()
     )
     print(f"\nWrote Chrome trace ({count} spans) to {trace_path}")
+
+
+def _add_trace(parser: argparse.ArgumentParser, help: str) -> None:
+    """Give a command ``--trace PATH``: :func:`main` runs it under :func:`_traced`."""
+    parser.add_argument("--trace", metavar="PATH", default=None, help=help)
+
+
+def _require_images(images: int) -> None:
+    """Reject a batch size below one before anything compiles."""
+    if images < 1:
+        raise ConfigError(f"--images must be at least 1, got {images}")
 
 
 def _open_cache(path):
@@ -212,10 +223,6 @@ def _open_cache(path):
 
 
 def _cmd_run(args: argparse.Namespace) -> None:
-    _traced(args.trace, lambda: _run_body(args))
-
-
-def _run_body(args: argparse.Namespace) -> None:
     cache = _open_cache(args.cache)
     options = None
     if args.fuse or args.transfer_schedule:
@@ -318,10 +325,6 @@ def _cmd_passes(args: argparse.Namespace) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> None:
-    _traced(args.trace, lambda: _sweep_body(args))
-
-
-def _sweep_body(args: argparse.Namespace) -> None:
     from repro.lcmm.framework import LCMMOptions, run_lcmm
     from repro.perf.latency import LatencyModel
 
@@ -404,10 +407,7 @@ def _cmd_doublebuffer(args: argparse.Namespace) -> None:
 
 
 def _cmd_batch(args: argparse.Namespace) -> None:
-    _traced(args.trace, lambda: _batch_body(args))
-
-
-def _batch_body(args: argparse.Namespace) -> None:
+    _require_images(args.images)
     from repro.lcmm.framework import run_lcmm
     from repro.perf.batching import batched_latency, umm_batched_latency
     from repro.perf.latency import LatencyModel
@@ -429,10 +429,7 @@ def _batch_body(args: argparse.Namespace) -> None:
 
 
 def _cmd_pipeline(args: argparse.Namespace) -> None:
-    _traced(args.trace, lambda: _pipeline_body(args))
-
-
-def _pipeline_body(args: argparse.Namespace) -> None:
+    _require_images(args.images)
     from repro.perf.partition import (
         InterDieLink,
         design_partition,
@@ -447,8 +444,6 @@ def _pipeline_body(args: argparse.Namespace) -> None:
             gbps=args.link_gbps, efficiency=args.link_efficiency
         )
     except ValueError as exc:
-        from repro.errors import ConfigError
-
         raise ConfigError(str(exc)) from exc
     result = design_partition(graph, accel, args.devices, link=link)
     print(
@@ -493,10 +488,6 @@ def _pipeline_body(args: argparse.Namespace) -> None:
 
 
 def _cmd_batch_compile(args: argparse.Namespace) -> None:
-    _traced(args.trace, lambda: _batch_compile_body(args))
-
-
-def _batch_compile_body(args: argparse.Namespace) -> None:
     from repro.cache import batch_compile
 
     configs = args.configs.split(",") if args.configs else None
@@ -573,10 +564,6 @@ def _cmd_dot(args: argparse.Namespace) -> None:
 
 
 def _cmd_dse(args: argparse.Namespace) -> None:
-    _traced(args.trace, lambda: _dse_body(args))
-
-
-def _dse_body(args: argparse.Namespace) -> None:
     from repro.perf.dse import WorkerStats, candidate_tiles
     from repro.perf.space import SampledSpace, explore_space, large_space, small_space
 
@@ -705,10 +692,6 @@ def _cmd_serve(args: argparse.Namespace) -> None:
 
 
 def _cmd_cotune(args: argparse.Namespace) -> None:
-    _traced(args.trace, lambda: _cotune_body(args))
-
-
-def _cotune_body(args: argparse.Namespace) -> None:
     from repro.lcmm.cotuning import cotune
 
     graph = get_model(args.model)
@@ -742,11 +725,11 @@ def _cmd_stats(args: argparse.Namespace) -> None:
           f"{result.latency * 1e3:.3f} ms, "
           f"degradation level {result.degradation_level}\n")
     print(obs.stats_table(tracer.records, obs.registry().snapshot()))
-    if args.trace:
+    if args.dump_trace:
         count = obs.write_chrome_trace(
-            args.trace, tracer, metrics=obs.registry().snapshot()
+            args.dump_trace, tracer, metrics=obs.registry().snapshot()
         )
-        print(f"\nWrote Chrome trace ({count} spans) to {args.trace}")
+        print(f"\nWrote Chrome trace ({count} spans) to {args.dump_trace}")
 
 
 def _cmd_report(args: argparse.Namespace) -> None:
@@ -814,12 +797,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="disable the degradation chain: a pipeline failure is fatal",
     )
-    prun.add_argument(
-        "--trace",
-        metavar="PATH",
-        default=None,
-        help="record a Chrome trace (chrome://tracing) of the run to PATH",
-    )
+    _add_trace(prun, "record a Chrome trace (chrome://tracing) of the run to PATH")
     prun.add_argument(
         "--cache",
         metavar="DIR",
@@ -835,12 +813,7 @@ def build_parser() -> argparse.ArgumentParser:
     psweep = sub.add_parser("sweep", help="speedup vs on-chip memory budget")
     psweep.add_argument("model", choices=list(BENCHMARKS))
     psweep.add_argument("--precision", default="int16")
-    psweep.add_argument(
-        "--trace",
-        metavar="PATH",
-        default=None,
-        help="record a Chrome trace of the sweep to PATH",
-    )
+    _add_trace(psweep, "record a Chrome trace of the sweep to PATH")
     psweep.set_defaults(func=_cmd_sweep)
 
     psim = sub.add_parser("simulate", help="event-driven timeline (Gantt)")
@@ -865,12 +838,7 @@ def build_parser() -> argparse.ArgumentParser:
     pbatch.add_argument("model", choices=list(BENCHMARKS))
     pbatch.add_argument("--precision", default="int8")
     pbatch.add_argument("--images", type=int, default=16)
-    pbatch.add_argument(
-        "--trace",
-        metavar="PATH",
-        default=None,
-        help="record a Chrome trace of the batch analysis to PATH",
-    )
+    _add_trace(pbatch, "record a Chrome trace of the batch analysis to PATH")
     pbatch.set_defaults(func=_cmd_batch)
 
     ppipe = sub.add_parser(
@@ -902,12 +870,7 @@ def build_parser() -> argparse.ArgumentParser:
     ppipe.add_argument(
         "--images", type=int, default=16, help="batch size for the fill profile"
     )
-    ppipe.add_argument(
-        "--trace",
-        metavar="PATH",
-        default=None,
-        help="record a Chrome trace of the partitioning to PATH",
-    )
+    _add_trace(ppipe, "record a Chrome trace of the partitioning to PATH")
     ppipe.set_defaults(func=_cmd_pipeline)
 
     pbc = sub.add_parser(
@@ -947,12 +910,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="exit non-zero unless every job was served from the cache",
     )
-    pbc.add_argument(
-        "--trace",
-        metavar="PATH",
-        default=None,
-        help="record a Chrome trace of the batch compile to PATH",
-    )
+    _add_trace(pbc, "record a Chrome trace of the batch compile to PATH")
     pbc.set_defaults(func=_cmd_batch_compile)
 
     preport = sub.add_parser("report", help="regenerate the full markdown report")
@@ -998,12 +956,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker-pool lifetime: 'keep' leaves the pool warm for later "
         "sweeps in this process, 'fresh' builds and closes a private pool",
     )
-    pdse.add_argument(
-        "--trace",
-        metavar="PATH",
-        default=None,
-        help="record a Chrome trace of the sweep (worker spans merged in)",
-    )
+    _add_trace(pdse, "record a Chrome trace of the sweep (worker spans merged in)")
     pdse.add_argument(
         "--cache",
         metavar="DIR",
@@ -1017,9 +970,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pstats.add_argument("model")
     pstats.add_argument("--precision", default="int8")
+    # stats always traces itself; its own dest keeps main from nesting
+    # a second tracer around it.
     pstats.add_argument(
         "--trace",
         metavar="PATH",
+        dest="dump_trace",
         default=None,
         help="additionally dump the Chrome trace to PATH",
     )
@@ -1103,12 +1059,7 @@ def build_parser() -> argparse.ArgumentParser:
     pcotune = sub.add_parser("cotune", help="tile/allocation co-tuning sweep")
     pcotune.add_argument("model", choices=list(BENCHMARKS))
     pcotune.add_argument("--precision", default="int16")
-    pcotune.add_argument(
-        "--trace",
-        metavar="PATH",
-        default=None,
-        help="record a Chrome trace of the co-tuning sweep to PATH",
-    )
+    _add_trace(pcotune, "record a Chrome trace of the co-tuning sweep to PATH")
     pcotune.set_defaults(func=_cmd_cotune)
 
     pdot = sub.add_parser("dot", help="export graphviz views of the analysis")
@@ -1134,7 +1085,7 @@ def main(argv: list[str] | None = None) -> int:
     """
     args = build_parser().parse_args(argv)
     try:
-        args.func(args)
+        _traced(getattr(args, "trace", None), lambda: args.func(args))
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exit_code(exc)

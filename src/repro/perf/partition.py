@@ -137,10 +137,12 @@ def throughput_balanced_cuts(
     Minimises the pipeline bottleneck where stage ``[i, j)`` costs
     ``max(sum(weights[i:j]), cut_seconds[i], cut_seconds[j])`` — compute
     overlapped with the stage's receive and send streams (the Eq.-1
-    shape at stage granularity).  Unlike the binary-search pre-pass this
-    sees the link time a candidate boundary would create, so it will
-    shift a cut off a fat feature map onto a thin one even at the price
-    of slightly less balanced compute.
+    shape at stage granularity).  It sees the link time a candidate
+    boundary would create, so it will shift a cut off a fat feature map
+    onto a thin one even at the price of slightly less balanced compute;
+    with all-zero ``cut_seconds`` it is the classic balanced partition.
+    Among bottleneck-optimal partitions it returns one with the least
+    sum of squared stage costs, so slack spreads evenly over the stages.
 
     Args:
         weights: Per-node latencies, in schedule order (length ``n``).
@@ -170,26 +172,40 @@ def throughput_balanced_cuts(
         return max(prefix[j] - prefix[i], cut_seconds[i], cut_seconds[j])
 
     inf = float("inf")
-    # dp[j] = minimal bottleneck of the first j items in s stages.
-    dp = [0.0] + [inf] * n
-    choice: list[list[int]] = []
-    for s in range(1, k + 1):
-        nxt = [inf] * (n + 1)
-        arg = [0] * (n + 1)
-        # Stage s covers (i, j]; previous stages cover the first i items.
-        lo_j = s  # each stage is non-empty
-        hi_j = n - (k - s)  # leave room for the remaining stages
-        for j in range(lo_j, hi_j + 1):
-            best, best_i = inf, -1
-            for i in range(s - 1, j):
-                if dp[i] >= best:
-                    continue
-                cost = max(dp[i], stage_cost(i, j))
-                if cost < best:
-                    best, best_i = cost, i
-            nxt[j], arg[j] = best, best_i
-        dp = nxt
-        choice.append(arg)
+
+    def solve(fold, cap: float) -> tuple[float, list[list[int]]]:
+        # dp[j] = best folded cost of the first j items in s stages,
+        # using only stages that cost at most ``cap``.
+        dp = [0.0] + [inf] * n
+        choice: list[list[int]] = []
+        for s in range(1, k + 1):
+            nxt = [inf] * (n + 1)
+            arg = [0] * (n + 1)
+            # Stage s covers (i, j]; previous stages cover the first i items.
+            lo_j = s  # each stage is non-empty
+            hi_j = n - (k - s)  # leave room for the remaining stages
+            for j in range(lo_j, hi_j + 1):
+                best, best_i = inf, -1
+                for i in range(s - 1, j):
+                    if dp[i] >= best:  # folding never lowers the prefix
+                        continue
+                    cost = stage_cost(i, j)
+                    if cost > cap:
+                        continue
+                    value = fold(dp[i], cost)
+                    if value < best:
+                        best, best_i = value, i
+                nxt[j], arg[j] = best, best_i
+            dp = nxt
+            choice.append(arg)
+        return dp[n], choice
+
+    bottleneck, _ = solve(max, inf)
+    # Among the bottleneck-optimal partitions, the least sum of squared
+    # stage costs spreads the slack evenly instead of leaving 1-node
+    # stages in front of full ones.  ``bottleneck`` is a ``stage_cost``
+    # value, so the cap admits the optimum exactly.
+    _, choice = solve(lambda acc, cost: acc + cost * cost, bottleneck)
     cuts: list[int] = []
     j = n
     for s in range(k, 1, -1):

@@ -16,9 +16,10 @@ module performs that integration:
   slowest stage, so throughput scales with balanced stages while
   single-image latency stays the sum.
 
-Stage boundaries are chosen by an optimal contiguous partition (binary
-search over the bottleneck value) of the per-node latencies under the
-per-stage array.
+Stage boundaries are chosen by the optimal contiguous partition of
+:func:`repro.perf.partition.throughput_balanced_cuts` over the per-node
+latencies under the per-stage array, with free links: on-chip streams
+cost nothing at a cut.
 """
 
 from __future__ import annotations
@@ -26,82 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.ir.graph import ComputationGraph
-from repro.ir.tensor import feature_tensor_name
 from repro.lcmm.framework import LCMMOptions, LCMMResult, run_lcmm
 from repro.perf.latency import LatencyModel
-from repro.perf.partition import stage_subgraph
+from repro.perf.partition import stage_subgraph, throughput_balanced_cuts
 from repro.perf.systolic import AcceleratorConfig, SystolicArray
-
-
-def balanced_contiguous_partition(weights: list[float], k: int) -> list[int]:
-    """Split ``weights`` into ``k`` contiguous runs minimising the max sum.
-
-    Args:
-        weights: Non-negative per-item weights, in order.
-        k: Number of runs (1 <= k <= len(weights)).
-
-    Returns:
-        Boundary indices: run ``i`` covers ``weights[b[i]:b[i+1]]`` for the
-        implied boundary list ``[0] + returned + [len(weights)]``.  Always
-        exactly ``k - 1`` strictly increasing cuts — degenerate weight
-        vectors are padded deterministically, so a ``k``-stage request
-        never silently yields a shallower pipeline.
-
-    Raises:
-        ValueError: On an infeasible ``k``.
-    """
-    if not 1 <= k <= len(weights):
-        raise ValueError(f"cannot split {len(weights)} items into {k} runs")
-    if any(w < 0 for w in weights):
-        raise ValueError("weights must be non-negative")
-
-    def runs_needed(cap: float) -> tuple[int, list[int]]:
-        runs, total = 1, 0.0
-        cuts: list[int] = []
-        for idx, w in enumerate(weights):
-            if total + w > cap and total > 0:
-                runs += 1
-                cuts.append(idx)
-                total = w
-            else:
-                total += w
-        return runs, cuts
-
-    lo, hi = max(weights), sum(weights)
-    for _ in range(60):  # float binary search converges long before this
-        mid = (lo + hi) / 2
-        needed, _ = runs_needed(mid)
-        if needed <= k:
-            hi = mid
-        else:
-            lo = mid
-    _, cuts = runs_needed(hi)
-    # The greedy walk can emit fewer than k - 1 cuts (degenerate weight
-    # vectors: zeros, one dominant item), but callers size pipelines by
-    # len(cuts) + 1 and must get the depth they asked for.  Pad
-    # deterministically to exactly k runs: split the heaviest splittable
-    # run at the position that best balances its halves (leftmost on ties).
-    while len(cuts) < k - 1:
-        boundaries = [0] + cuts + [len(weights)]
-        best_run, best_sum = -1, -1.0
-        for r in range(len(boundaries) - 1):
-            lo_b, hi_b = boundaries[r], boundaries[r + 1]
-            if hi_b - lo_b < 2:
-                continue
-            run_sum = sum(weights[lo_b:hi_b])
-            if run_sum > best_sum:
-                best_run, best_sum = r, run_sum
-        lo_b, hi_b = boundaries[best_run], boundaries[best_run + 1]
-        total = sum(weights[lo_b:hi_b])
-        split, split_cost = lo_b + 1, float("inf")
-        left = 0.0
-        for pos in range(lo_b + 1, hi_b):
-            left += weights[pos - 1]
-            cost = max(left, total - left)
-            if cost < split_cost:
-                split, split_cost = pos, cost
-        cuts = sorted(cuts + [split])
-    return cuts
 
 
 @dataclass
@@ -285,7 +214,7 @@ def design_pipeline(
     stage_base = replace(base, name=f"{base.name}-stage0", array=uniform_array)
     balance_model = LatencyModel(graph, stage_base)
     weights = [balance_model.node_latency(n) for n in schedule]
-    cuts = balanced_contiguous_partition(weights, num_stages)
+    cuts = throughput_balanced_cuts(weights, [0.0] * (len(schedule) + 1), num_stages)
     boundaries = [0] + cuts + [len(schedule)]
 
     # Stage-boundary feature values stream between accelerators on chip.
@@ -309,14 +238,8 @@ def design_pipeline(
     # geometry, so one model suffices).
     stages: list[PipelineStage] = []
     options = options or LCMMOptions()
-    stage_options = LCMMOptions(
-        feature_reuse=options.feature_reuse,
-        weight_prefetch=options.weight_prefetch,
-        splitting=options.splitting,
-        use_greedy=options.use_greedy,
-        granularity=options.granularity,
-        sram_budget=int(base.device.sram_bytes * sram_share),
-        prefetch_refinement=options.prefetch_refinement,
+    stage_options = replace(
+        options, sram_budget=int(base.device.sram_bytes * sram_share)
     )
     mac_budget = max(1, base.array.macs // num_stages)
     for idx in range(len(boundaries) - 1):

@@ -230,6 +230,13 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert "no tile configuration" in err
 
+    @pytest.mark.parametrize("command", ["batch", "pipeline"])
+    def test_zero_images_rejected_before_compiling(self, command, capsys):
+        assert main([command, "googlenet", "--images", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --images must be at least 1, got 0\n"
+        assert captured.out == ""
+
     def test_run_strict_succeeds(self, capsys):
         assert main(["run", "googlenet", "--strict", "--explain"]) == 0
         out = capsys.readouterr().out

@@ -14,7 +14,7 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.fingerprint import compile_key, fingerprint, pipeline_key
@@ -105,33 +105,28 @@ class TestCutTraffic:
         assert twos == [2 * t for t in ones]
 
 
+def _stage_costs(weights, cut_seconds, cuts) -> list:
+    bounds = [0, *cuts, len(weights)]
+    return [
+        max(sum(weights[i:j]), cut_seconds[i], cut_seconds[j])
+        for i, j in zip(bounds, bounds[1:])
+    ]
+
+
 def _brute_force_bottleneck(weights, cut_seconds, k) -> float:
-    n = len(weights)
-    best = float("inf")
-    for cuts in itertools.combinations(range(1, n), k - 1):
-        bounds = [0, *cuts, n]
-        cost = max(
-            max(
-                sum(weights[bounds[i] : bounds[i + 1]]),
-                cut_seconds[bounds[i]],
-                cut_seconds[bounds[i + 1]],
-            )
-            for i in range(k)
-        )
-        best = min(best, cost)
-    return best
+    return min(
+        max(_stage_costs(weights, cut_seconds, cuts))
+        for cuts in itertools.combinations(range(1, len(weights)), k - 1)
+    )
 
 
 def _bottleneck(weights, cut_seconds, cuts) -> float:
-    bounds = [0, *cuts, len(weights)]
-    return max(
-        max(
-            sum(weights[bounds[i] : bounds[i + 1]]),
-            cut_seconds[bounds[i]],
-            cut_seconds[bounds[i + 1]],
-        )
-        for i in range(len(bounds) - 1)
-    )
+    return max(_stage_costs(weights, cut_seconds, cuts))
+
+
+def _bottleneck_and_spread(weights, cut_seconds, cuts) -> tuple:
+    costs = _stage_costs(weights, cut_seconds, cuts)
+    return max(costs), sum(c * c for c in costs)
 
 
 class TestThroughputBalancedCuts:
@@ -146,6 +141,11 @@ class TestThroughputBalancedCuts:
         # With zero link time this reduces to classic balanced partition.
         cuts = throughput_balanced_cuts([5, 1, 1, 1, 5], [0.0] * 6, 3)
         assert cuts == [1, 4]
+
+    def test_tie_break_spreads_slack(self):
+        # Every split with [10] alone is bottleneck-optimal; the even
+        # 4/4 split of the ones has the least sum of squared stage costs.
+        assert throughput_balanced_cuts([10] + [1] * 8, [0.0] * 10, 3) == [1, 5]
 
     def test_shifts_cut_off_fat_boundary(self):
         # Balanced compute wants the cut at 2, but that boundary costs 10
@@ -192,6 +192,31 @@ class TestThroughputBalancedCuts:
         assert cuts == sorted(set(cuts))
         assert _bottleneck(weights, cut_seconds, cuts) == pytest.approx(
             _brute_force_bottleneck(weights, cut_seconds, k)
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        weights=st.lists(st.integers(0, 10), min_size=1, max_size=8),
+        interior=st.lists(st.integers(0, 12), max_size=7),
+        k=st.integers(1, 8),
+    )
+    @example(weights=[0, 0, 0, 10], interior=[], k=3)
+    @example(weights=[10, 0, 0, 0, 0], interior=[], k=4)
+    @example(weights=[0, 0, 0, 0], interior=[], k=4)
+    @example(weights=[0, 5, 0, 0, 5, 0], interior=[], k=5)
+    @example(weights=[0, 7, 0, 7, 0], interior=[], k=3)
+    @example(weights=[10] + [1] * 7, interior=[], k=3)
+    def test_property_lexicographically_optimal(self, weights, interior, k):
+        # Integer inputs keep every sum exact, so optima compare exactly:
+        # least bottleneck first, then least sum of squared stage costs.
+        n = len(weights)
+        k = min(k, n)
+        cut_seconds = [0] + (interior + [0] * n)[: n - 1] + [0]
+        cuts = throughput_balanced_cuts(weights, cut_seconds, k)
+        assert len(cuts) == k - 1
+        assert _bottleneck_and_spread(weights, cut_seconds, cuts) == min(
+            _bottleneck_and_spread(weights, cut_seconds, c)
+            for c in itertools.combinations(range(1, n), k - 1)
         )
 
 

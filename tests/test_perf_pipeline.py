@@ -2,27 +2,32 @@
 
 import pytest
 
-from repro.perf.pipeline import (
-    balanced_contiguous_partition,
-    design_pipeline,
-    tune_stage_array,
-)
+from repro.lcmm.framework import LCMMOptions
+from repro.perf.partition import throughput_balanced_cuts
+from repro.perf.pipeline import design_pipeline, tune_stage_array
 from repro.perf.latency import LatencyModel
 
 from tests.conftest import build_chain, small_accel
 
 
+def free_link_cuts(weights, k):
+    """The single-chip stage split: the one partition DP with free links."""
+    return throughput_balanced_cuts(weights, [0.0] * (len(weights) + 1), k)
+
+
 class TestBalancedPartition:
+    """``design_pipeline``'s stage split: on-chip streams cost nothing."""
+
     def test_single_run(self):
-        assert balanced_contiguous_partition([1, 2, 3], 1) == []
+        assert free_link_cuts([1, 2, 3], 1) == []
 
     def test_even_split(self):
-        cuts = balanced_contiguous_partition([1, 1, 1, 1], 2)
+        cuts = free_link_cuts([1, 1, 1, 1], 2)
         assert cuts == [2]
 
     def test_bottleneck_minimised(self):
         weights = [5, 1, 1, 1, 5]
-        cuts = balanced_contiguous_partition(weights, 3)
+        cuts = free_link_cuts(weights, 3)
         boundaries = [0] + cuts + [len(weights)]
         sums = [
             sum(weights[boundaries[i] : boundaries[i + 1]])
@@ -32,7 +37,7 @@ class TestBalancedPartition:
 
     def test_heavy_item_dominates(self):
         weights = [1, 100, 1]
-        cuts = balanced_contiguous_partition(weights, 3)
+        cuts = free_link_cuts(weights, 3)
         boundaries = [0] + cuts + [len(weights)]
         sums = [
             sum(weights[boundaries[i] : boundaries[i + 1]])
@@ -42,13 +47,13 @@ class TestBalancedPartition:
 
     def test_infeasible_k_rejected(self):
         with pytest.raises(ValueError):
-            balanced_contiguous_partition([1, 2], 3)
+            free_link_cuts([1, 2], 3)
         with pytest.raises(ValueError):
-            balanced_contiguous_partition([1, 2], 0)
+            free_link_cuts([1, 2], 0)
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
-            balanced_contiguous_partition([1, -1], 1)
+            free_link_cuts([1, -1], 1)
 
 
 class TestPipelineDesign:
@@ -152,24 +157,35 @@ class TestPipelineDesign:
         with pytest.raises(ValueError):
             design_pipeline(graph, accel, 2, sram_share=0.0)
 
+    def test_stage_compiles_keep_every_option(self, setup):
+        graph, accel = setup
+        options = LCMMOptions(
+            fractional_fill=True, fuse_layers=True, transfer_schedule=True
+        )
+        result = design_pipeline(graph, accel, 2, options=options)
+        for stage in result.stages:
+            passes = stage.lcmm.pipeline_description.split(" -> ")
+            assert {"fractional_fill", "fuse_layers", "transfer_schedule"} <= set(
+                passes
+            )
+
 
 class TestPartitionPadding:
     """Degenerate weight vectors must still yield exactly k-1 cuts."""
 
     def test_zero_prefix_pads_to_requested_stages(self):
-        cuts = balanced_contiguous_partition([0, 0, 0, 10], 3)
+        cuts = free_link_cuts([0, 0, 0, 10], 3)
         assert len(cuts) == 2
         assert cuts == sorted(set(cuts))
         assert all(0 < c < 4 for c in cuts)
 
     def test_all_zero_weights(self):
-        cuts = balanced_contiguous_partition([0, 0, 0, 0], 4)
+        cuts = free_link_cuts([0, 0, 0, 0], 4)
         assert cuts == [1, 2, 3]
 
     def test_one_heavy_item_among_zeros(self):
-        # The binary search puts every zero in one run; padding must
-        # split deterministically without moving the bottleneck.
-        cuts = balanced_contiguous_partition([10, 0, 0, 0, 0], 4)
+        # Zero-weight stages must not move the bottleneck.
+        cuts = free_link_cuts([10, 0, 0, 0, 0], 4)
         assert len(cuts) == 3
         boundaries = [0] + cuts + [5]
         sums = [sum([10, 0, 0, 0, 0][i:j]) for i, j in zip(boundaries, boundaries[1:])]
@@ -177,15 +193,13 @@ class TestPartitionPadding:
 
     def test_padding_is_deterministic(self):
         weights = [0.0, 5.0, 0.0, 0.0, 5.0, 0.0]
-        first = balanced_contiguous_partition(weights, 5)
-        assert all(
-            balanced_contiguous_partition(weights, 5) == first for _ in range(5)
-        )
+        first = free_link_cuts(weights, 5)
+        assert all(free_link_cuts(weights, 5) == first for _ in range(5))
 
     def test_every_feasible_k_gets_exact_cut_count(self):
         for weights in ([0, 0, 0, 10], [10, 0, 0, 0], [0, 7, 0, 7, 0], [1] * 6):
             for k in range(1, len(weights) + 1):
-                cuts = balanced_contiguous_partition(list(weights), k)
+                cuts = free_link_cuts(list(weights), k)
                 assert len(cuts) == k - 1, (weights, k, cuts)
                 assert cuts == sorted(set(cuts))
                 assert all(0 < c < len(weights) for c in cuts)
