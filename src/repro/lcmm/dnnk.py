@@ -32,7 +32,10 @@ node's compute can never bind (rounded addition of non-negative terms
 is monotone), so buffers whose slots on a node lie only in such
 dominated kinds drop out of that node's memo key, and a gain skips the
 nodes where its buffer cannot bind — their difference is exactly
-``0.0``, and adding ``+0.0`` leaves a sum unchanged.
+``0.0``, and adding ``+0.0`` leaves a sum unchanged.  A node memo miss
+walks only the kinds that can bind, and a gain takes ``after`` from
+``before`` at a node already at its compute, which more on-chip buffers
+cannot lower (see ``docs/algorithms.md``, "Query complexity").
 """
 
 from __future__ import annotations
@@ -123,50 +126,72 @@ class _EngineGainEvaluator:
                     mask |= 1 << other
             self._relevant_mask.append(mask)
 
-        # Touched nodes only: (kind, owning buffer or -1, latency) tuples,
-        # plus the node's *live* mask, which keys the per-node memo.  A
-        # slot kind whose all-off-chip sum is <= the node's compute can
-        # never bind Eq. 1's max: adding non-negative floats is monotone
-        # under round-to-nearest, so every subset sum in slot order is <=
-        # the full sum.  Only bits of buffers with a slot in a kind that
-        # can bind ("live" bits) change the node's latency.
-        self._node_slots: dict[int, tuple[tuple, tuple, tuple]] = {}
+        # Touched nodes only.  A slot kind whose all-off-chip sum is <=
+        # the node's compute can never bind Eq. 1's max: adding
+        # non-negative floats is monotone under round-to-nearest, so
+        # every subset sum in slot order is <= the full sum.  Each node
+        # keeps only the kinds that can bind ("live" kinds), in kind
+        # order, as (buffer bit or 0, latency) tuples in slot order, plus
+        # its *live* mask — the bits of buffers with a slot in a live
+        # kind, the only bits that change the node's latency — which
+        # keys the per-node memo.
+        self._node_walk: dict[int, tuple[tuple[tuple[int, float], ...], ...]] = {}
         self._node_mask: dict[int, int] = {}
         self._node_cache: dict[int, dict[int, float]] = {}
+        # The compute-floor rule (see ``gain``): the node's compute where
+        # every term is non-negative and not NaN, else NaN, which no
+        # latency compares equal to.
+        node_floor: dict[int, float] = {}
         for ni in node_to_buffers:
-            kinds, lats = engine.slot_kinds[ni], engine.slot_lats[ni]
-            bufs = tuple(tid_buffer.get(t, -1) for t in engine.slot_tids[ni])
-            self._node_slots[ni] = (kinds, bufs, lats)
             # A negative or NaN term voids the monotonicity argument, and
-            # an infinite compute makes a plain walk's per-node difference
-            # inf - inf = NaN rather than 0.0: such kinds stay live.
+            # an infinite latency makes a plain walk's per-node difference
+            # inf - inf = NaN rather than 0.0: a node prunes only when its
+            # compute and every kind's all-off-chip sum are finite.
             compute = engine.compute[ni]
+            clean = compute == compute
             full = [0.0, 0.0, 0.0]
-            for kind, lat in zip(kinds, lats):
-                full[kind] += lat if lat >= 0.0 else math.inf
-            dominated = [f <= compute < math.inf for f in full]
+            per_kind: tuple[list, list, list] = ([], [], [])
+            for kind, tid, lat in zip(
+                engine.slot_kinds[ni], engine.slot_tids[ni], engine.slot_lats[ni]
+            ):
+                bi = tid_buffer.get(tid)
+                per_kind[kind].append((0 if bi is None else 1 << bi, lat))
+                if lat >= 0.0:
+                    full[kind] += lat
+                else:
+                    full[kind] = math.inf
+                    clean = False
+            prune = max(compute, *full) < math.inf
+            walk = []
             live = 0
-            for kind, buf in zip(kinds, bufs):
-                if buf >= 0 and not dominated[kind]:
-                    live |= 1 << buf
+            for terms, total in zip(per_kind, full):
+                if terms and not (prune and total <= compute):
+                    walk.append(tuple(terms))
+                    for bit, _ in terms:
+                        live |= bit
+            self._node_walk[ni] = tuple(walk)
             self._node_mask[ni] = live
             self._node_cache[ni] = {0: engine.base_node_lat[ni]}
+            node_floor[ni] = compute if clean else math.nan
 
         # Gain loop inputs: the affected nodes where a buffer's bit is
         # live (elsewhere its per-node difference is exactly 0.0, and
         # adding +0.0 never changes a sum), in the same name-sorted order,
-        # and the union of those nodes' live masks — the only context bits
-        # its gain can depend on, which keys the gain memo and the DP.
-        self._gain_nodes: list[tuple[int, ...]] = []
+        # as (node, live mask, memo, floor) tuples; and the union of those
+        # nodes' live masks — the only context bits its gain can depend
+        # on, which keys the gain memo and the DP.
+        self._gain_nodes: list[tuple[tuple[int, int, dict[int, float], float], ...]] = []
         self._gain_mask: list[int] = []
+        node_mask, node_cache = self._node_mask, self._node_cache
         for bi in range(len(buffers)):
-            nodes = tuple(
-                ni for ni in self._affected[bi] if self._node_mask[ni] >> bi & 1
-            )
+            nodes = []
             mask = 0
-            for ni in nodes:
-                mask |= self._node_mask[ni]
-            self._gain_nodes.append(nodes)
+            for ni in self._affected[bi]:
+                live = node_mask[ni]
+                if live >> bi & 1:
+                    nodes.append((ni, live, node_cache[ni], node_floor[ni]))
+                    mask |= live
+            self._gain_nodes.append(tuple(nodes))
             self._gain_mask.append(mask)
 
         self._cache: list[dict[int, float]] = [dict() for _ in buffers]
@@ -178,28 +203,30 @@ class _EngineGainEvaluator:
         Memoised on the node's live sub-mask: only the bits of buffers
         with a slot in a kind that can bind change the value, and the
         memoised value is exactly the recomputed one, so caching never
-        perturbs parity.
+        perturbs parity.  A miss walks the live kinds only, each summed
+        in slot order and folded in kind order with ``max``'s ``>``, so
+        the value equals ``max(compute, s0, s1, s2)`` bit for bit.
         """
-        entry = self._node_slots.get(ni)
-        if entry is None:
+        walk = self._node_walk.get(ni)
+        if walk is None:
             return self._engine.base_node_lat[ni]
         key = mask & self._node_mask[ni]
         cache = self._node_cache[ni]
         cached = cache.get(key)
         if cached is not None:
             return cached
-        kinds, bufs, lats = entry
-        s0 = s1 = s2 = 0.0
-        for kind, buf, lat in zip(kinds, bufs, lats):
-            if buf >= 0 and mask >> buf & 1:
-                continue
-            if kind == 0:
-                s0 += lat
-            elif kind == 1:
-                s1 += lat
-            else:
-                s2 += lat
-        value = max(self._engine.compute[ni], s0, s1, s2)
+        # Every buffer bit of a live kind is in the live mask, so ``key``
+        # decides residency; bit 0 (no buffer) never tests as on chip.
+        # Skipped dominated kinds sum to <= compute and could not have
+        # replaced it under ``max``'s strict ``>``.
+        value = self._engine.compute[ni]
+        for terms in walk:
+            s = 0.0
+            for bit, lat in terms:
+                if not key & bit:
+                    s += lat
+            if s > value:
+                value = s
         cache[key] = value
         return value
 
@@ -216,10 +243,10 @@ class _EngineGainEvaluator:
         return self.total_latency_mask(mask)
 
     def total_latency_mask(self, mask: int) -> float:
-        node_slots = self._node_slots
+        node_walk = self._node_walk
         total = 0.0
         for ni, base in enumerate(self._engine.base_node_lat):
-            if ni in node_slots:
+            if ni in node_walk:
                 total += self.node_latency_mask(ni, mask)
             else:
                 total += base
@@ -286,21 +313,25 @@ class _EngineGainEvaluator:
             return cached
         self._engine.stats.gain_cache_misses += 1
         bit = 1 << buffer_index
-        node_mask = self._node_mask
-        node_cache = self._node_cache
         total = 0.0
         # Inlined node lookups; each per-node term accumulates as a single
-        # difference, exactly like a plain per-node walk.
-        for ni in self._gain_nodes[buffer_index]:
-            nc = node_cache[ni]
-            kb = context_mask & node_mask[ni]
+        # difference, exactly like a plain per-node walk.  Compute floor:
+        # on a node whose terms are all non-negative and not NaN, taking
+        # more buffers only shrinks each slot-order kind sum, so a node
+        # already at its compute stays there — ``after`` is ``before``
+        # (and an infinite compute still gives inf - inf = NaN).
+        for ni, live, nc, floor in self._gain_nodes[buffer_index]:
+            kb = context_mask & live
             before = nc.get(kb)
             if before is None:
                 before = self.node_latency_mask(ni, kb)
-            ka = kb | bit
-            after = nc.get(ka)
-            if after is None:
-                after = self.node_latency_mask(ni, ka)
+            if before == floor:
+                after = before
+            else:
+                ka = kb | bit
+                after = nc.get(ka)
+                if after is None:
+                    after = self.node_latency_mask(ni, ka)
             total += before - after
         cache[key] = total
         return total

@@ -29,24 +29,34 @@ class InterferenceGraph:
 
     @classmethod
     def from_tensors(cls, tensors: Iterable[CandidateTensor]) -> "InterferenceGraph":
-        """Build the graph from live-range overlaps."""
-        graph = cls()
-        for tensor in tensors:
-            graph.add_tensor(tensor)
-        return graph
+        """Build the graph from live-range overlaps.
 
-    def add_tensor(self, tensor: CandidateTensor) -> None:
-        """Add a tensor, connecting it to every live-range-overlapping peer."""
-        if tensor.name in self.tensors:
-            raise ValueError(f"duplicate tensor {tensor.name!r}")
-        self.tensors[tensor.name] = tensor
-        self._adjacency[tensor.name] = set()
-        for other_name, other in self.tensors.items():
-            if other_name == tensor.name:
-                continue
-            if tensor.live_range.overlaps(other.live_range):
-                self._adjacency[tensor.name].add(other_name)
-                self._adjacency[other_name].add(tensor.name)
+        An interval sweep: visiting tensors by live-range start, a tensor
+        overlaps exactly the earlier-started ones whose range has not
+        ended before its start (closed intervals), so each one is
+        connected to an active list pruned of the ranges that ended.
+        ``tensors`` keeps the input order.
+
+        Raises:
+            ValueError: On two tensors with the same name.
+        """
+        graph = cls()
+        adjacency = graph._adjacency
+        for tensor in tensors:
+            if tensor.name in graph.tensors:
+                raise ValueError(f"duplicate tensor {tensor.name!r}")
+            graph.tensors[tensor.name] = tensor
+            adjacency[tensor.name] = set()
+        active: list[tuple[int, str]] = []
+        for tensor in sorted(graph.tensors.values(), key=lambda t: t.live_range.start):
+            start = tensor.live_range.start
+            active = [(end, name) for end, name in active if end >= start]
+            neighbours = adjacency[tensor.name]
+            for _, name in active:
+                neighbours.add(name)
+                adjacency[name].add(tensor.name)
+            active.append((tensor.live_range.end, tensor.name))
+        return graph
 
     def add_false_edge(self, a: str, b: str) -> None:
         """Insert a false lifespan-overlap edge (buffer splitting, Sec. 3.4).

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from repro.ir.tensor import TensorKind
 from repro.lcmm.buffers import VirtualBuffer
-from repro.perf.latency import LatencyModel
+from repro.perf.latency import LatencyModel, LayerLatency
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,10 @@ def latency_reduction(
 
 
 def eq2_latency_reduction(
-    model: LatencyModel, tensor_name: str, affected_nodes: tuple[str, ...]
+    model: LatencyModel,
+    tensor_name: str,
+    affected_nodes: tuple[str, ...],
+    node_terms: dict[str, dict[str, float]] | None = None,
 ) -> float:
     """The paper's Eq. 2 tensor metric: the next-lower-latency gap.
 
@@ -92,30 +95,58 @@ def eq2_latency_reduction(
     When several input values share the "if" interface, the if-component
     gap is apportioned between them in proportion to their slot
     latencies.
+
+    Args:
+        node_terms: Optional memo of :func:`eq2_node_terms` per node name,
+            filled on a miss, for callers that query many tensors over
+            the same nodes.
     """
     total = 0.0
     for node in affected_nodes:
-        ll = model.layer(node)
-        components = {
-            "c": ll.compute,
-            TensorKind.IFMAP: ll.slot_latency(TensorKind.IFMAP),
-            TensorKind.WEIGHT: ll.slot_latency(TensorKind.WEIGHT),
-            TensorKind.OFMAP: ll.slot_latency(TensorKind.OFMAP),
-        }
-        kind = None
-        share = 1.0
-        for slot in ll.slots:
-            if slot.tensor == tensor_name:
-                kind = slot.kind
-                kind_total = components[kind]
-                share = slot.latency / kind_total if kind_total > 0 else 0.0
-                break
-        if kind is None or components[kind] <= 0.0:
-            continue
-        lower = [v for k, v in components.items() if k != kind and v < components[kind]]
-        floor = max(lower) if lower else 0.0
-        total += (components[kind] - floor) * share
+        terms = None if node_terms is None else node_terms.get(node)
+        if terms is None:
+            terms = eq2_node_terms(model.layer(node))
+            if node_terms is not None:
+                node_terms[node] = terms
+        term = terms.get(tensor_name)
+        if term is not None:
+            total += term
     return total
+
+
+_KINDS = (TensorKind.IFMAP, TensorKind.WEIGHT, TensorKind.OFMAP)
+
+
+def eq2_node_terms(ll: LayerLatency) -> dict[str, float]:
+    """Each tensor's Eq. 2 term at one node, keyed by tensor name.
+
+    A tensor's term comes from its first slot at the node; a tensor
+    whose component is not positive has no term.  The component sums
+    accumulate in slot order, exactly as ``LayerLatency.slot_latency``.
+    """
+    slots = ll.slots
+    kinds = [_KINDS.index(slot.kind) for slot in slots]
+    sums = [0.0, 0.0, 0.0]
+    for k, slot in zip(kinds, slots):
+        sums[k] += slot.latency
+    components = (ll.compute, *sums)
+    # Per kind: its total and its gap to the next-lower component.
+    gaps: list[tuple[float, float] | None] = [None, None, None]
+    for k, kind_total in enumerate(sums):
+        if kind_total <= 0.0:
+            continue
+        lower = [v for j, v in enumerate(components) if j != k + 1 and v < kind_total]
+        gaps[k] = (kind_total, kind_total - (max(lower) if lower else 0.0))
+    terms: dict[str, float] = {}
+    seen: set[str] = set()
+    for k, slot in zip(kinds, slots):
+        if slot.tensor in seen:
+            continue
+        seen.add(slot.tensor)
+        gap = gaps[k]
+        if gap is not None:
+            terms[slot.tensor] = gap[1] * (slot.latency / gap[0])
+    return terms
 
 
 def tensor_metric_table(

@@ -399,17 +399,33 @@ def _score_parallel(
     results: list[list[float] | None] = [None] * len(chunks)
     pending = list(range(len(chunks)))
     attempts = [0] * len(chunks)
+
+    def charge(i: int, retry: list[int]) -> None:
+        """Count a failed attempt; queue the chunk while retries remain."""
+        attempts[i] += 1
+        if attempts[i] <= chunk_retries:
+            stats.retries += 1
+            retry.append(i)
+
     while pending:
         _, init_elapsed = pool.ensure()
         stats.init_seconds += init_elapsed
         if preexisting and pool.generation == start_generation:
             stats.chunks_reused_pool += len(pending)
-        futures = [
-            (pool.submit_chunk(base, base_key, chunks[i], i), i) for i in pending
-        ]
-        retry: list[int] = []
+        futures = []
+        unsubmitted: list[int] = []
         broken = False
         stranded = False
+        for pos, i in enumerate(pending):
+            try:
+                futures.append((pool.submit_chunk(base, base_key, chunks[i], i), i))
+            except BrokenProcessPool:
+                # A worker died while chunks were still being handed out:
+                # the rest count an attempt, as if their result had raised.
+                broken = True
+                unsubmitted = pending[pos:]
+                break
+        retry: list[int] = []
         for future, i in futures:
             try:
                 # Chunks run concurrently, so waiting on them in
@@ -428,22 +444,15 @@ def _score_parallel(
                 # mark the executor for replacement.
                 if not future.cancel():
                     stranded = True
-                attempts[i] += 1
-                if attempts[i] <= chunk_retries:
-                    stats.retries += 1
-                    retry.append(i)
+                charge(i, retry)
             except BrokenProcessPool:
                 broken = True
-                attempts[i] += 1
-                if attempts[i] <= chunk_retries:
-                    stats.retries += 1
-                    retry.append(i)
+                charge(i, retry)
             except Exception:
                 stats.failures += 1
-                attempts[i] += 1
-                if attempts[i] <= chunk_retries:
-                    stats.retries += 1
-                    retry.append(i)
+                charge(i, retry)
+        for i in unsubmitted:
+            charge(i, retry)
         if broken:
             stats.pool_broken = True
             pool.refresh()

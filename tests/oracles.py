@@ -10,6 +10,9 @@ shares no evaluation code with :class:`repro.perf.engine.AllocationEngine`.
   sweep) so a whole compile can be re-decided without the engine.
 * :func:`exhaustive_allocate` / :func:`branch_and_bound_allocate` —
   provably optimal allocators for small and medium instances.
+* :func:`pairwise_interference` — interference adjacency by testing
+  every pair of live ranges, the check of the interval sweep in
+  ``InterferenceGraph.from_tensors``.
 * :func:`naive_residuals` / :func:`naive_walk` — the published
   latency, per-node latencies and prefetch residuals of a result,
   re-derived from its decisions alone.
@@ -397,6 +400,17 @@ def naive_walk(
         if timeline.makespan < latency - 1e-15:
             return timeline.makespan, timeline.node_latencies(), residuals
     return latency, node_latencies, residuals
+
+
+def pairwise_interference(tensors) -> dict[str, set[str]]:
+    """Interference adjacency by testing every pair of live ranges."""
+    tensors = list(tensors)
+    adjacency: dict[str, set[str]] = {t.name: set() for t in tensors}
+    for a, b in itertools.combinations(tensors, 2):
+        if a.live_range.overlaps(b.live_range):
+            adjacency[a.name].add(b.name)
+            adjacency[b.name].add(a.name)
+    return adjacency
 
 
 # ---------------------------------------------------------------------------

@@ -161,6 +161,34 @@ class TestWorkerRecovery:
         assert stats.pool_broken
         assert stats.serial_chunks >= 1
 
+    def test_break_during_submission_recovers(self, monkeypatch):
+        # Regression: a worker crash can break the executor while chunks
+        # are still being submitted, so ``submit`` itself raises
+        # ``BrokenProcessPool``.  That used to escape the sweep; now the
+        # unsubmitted chunks are retried in a fresh pool like any chunk
+        # whose result raised.
+        from concurrent.futures.process import BrokenProcessPool
+
+        graph, base, tiles, expected = self._setup()
+        pool = pool_mod.persistent_pool(graph, 2)
+        submit = pool.submit_chunk
+        calls = []
+
+        def breaks_on_second_call(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise BrokenProcessPool("a worker died during submission")
+            return submit(*args)
+
+        monkeypatch.setattr(pool, "submit_chunk", breaks_on_second_call)
+        stats = WorkerStats()
+        got = _score_parallel(graph, base, tiles, 2, stats=stats, pool=pool)
+        assert got == expected
+        assert stats.chunks >= 2
+        assert stats.pool_broken
+        assert stats.retries >= 1
+        assert len(calls) > stats.chunks  # the broken submission was redone
+
     def test_chunk_timeout_recovers_serially(self):
         graph, base, tiles, expected = self._setup()
         stats = WorkerStats()

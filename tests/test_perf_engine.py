@@ -15,12 +15,16 @@ enforce that contract three ways:
 
 from __future__ import annotations
 
+import math
+import random
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ir.graph import ComputationGraph
 from repro.ir.layer import Concat, EltwiseAdd, InputLayer
-from repro.ir.tensor import FeatureMapShape, weight_tensor_name
+from repro.ir.tensor import FeatureMapShape, TensorKind, weight_tensor_name
 from repro.fingerprint import fingerprint
 from repro.lcmm.dnnk import _EngineGainEvaluator
 from repro.lcmm.feature_reuse import feature_reuse_pass
@@ -322,6 +326,107 @@ class TestPrunedGainEvaluator:
             for ctx in (0, full, full & ~(1 << i)):
                 gain = fast.gain(i, ctx)
                 assert gain == 0.0 and gain == oracle.gain(i, ctx)
+
+
+    # -- edge-case models ------------------------------------------------
+    # A wide concat fan-in gives one node nine if-slots on one interface
+    # (``random_dags`` joins at most two), and ``LatencyModel.from_layers``
+    # plants the terms the evaluator's exact shortcuts must not take:
+    # the compute-floor rule and the dominated-kind pruning both assume
+    # non-negative, non-NaN terms, and an infinite compute turns a
+    # per-node difference into inf - inf = NaN.
+
+    @pytest.mark.parametrize("efficiency", [1.0, 0.3, 0.05])
+    def test_wide_fan_in_matches_oracle(self, efficiency):
+        model = LatencyModel(_fan_in_graph(), small_accel(ddr_efficiency=efficiency))
+        _assert_evaluators_agree(model, _dnnk_buffers(model))
+
+    @pytest.mark.parametrize(
+        "edit", ["negative_slot", "nan_slot", "inf_slot", "inf_compute"]
+    )
+    def test_edge_terms_match_oracle(self, edit):
+        base = LatencyModel(_fan_in_graph(), small_accel(ddr_efficiency=0.05))
+        buffers = _dnnk_buffers(base)
+        _assert_evaluators_agree(_edited_fan_in(base, edit), buffers)
+
+    def test_negative_term_below_compute_still_binds_when_removed(self):
+        # The node sits at its compute with nothing on chip only because
+        # of the negative term; taking that term's buffer lifts the if
+        # sum above compute.  A floor rule without its guard would call
+        # this gain 0.0.
+        base = LatencyModel(_fan_in_graph(), small_accel(ddr_efficiency=0.05))
+        buffers = _dnnk_buffers(base)
+        model = _edited_fan_in(base, "negative_slot")
+        layer = model.layer("fuse")
+        assert model.node_latency("fuse") == layer.compute
+        assert model.node_latency("fuse", frozenset({"f:p0"})) > layer.compute
+        fast = _EngineGainEvaluator(AllocationEngine(model), buffers)
+        oracle = NaiveGainEvaluator(model, buffers)
+        p0 = next(i for i, b in enumerate(buffers) if "f:p0" in b.tensor_names)
+        assert fast.gain(p0, 0) < 0.0
+        assert fast.gain(p0, 0) == oracle.gain(p0, 0)
+
+
+def _fan_in_graph(width: int = 9) -> ComputationGraph:
+    """``width`` convs concatenated into one 1x1 conv, ``fuse``."""
+    g = ComputationGraph(name="fan_in")
+    g.add(InputLayer(name="data", shape=FeatureMapShape(16, 14, 14)))
+    producers = tuple(conv(g, f"p{i}", "data", 16, 3) for i in range(width))
+    g.add(Concat(name="cat", inputs=producers))
+    conv(g, "fuse", "cat", 32, 1)
+    g.validate()
+    return g
+
+
+def _edited_fan_in(model: LatencyModel, edit: str) -> LatencyModel:
+    """``model`` with one term of the fan-in node ``fuse`` replaced.
+
+    The slot edits raise compute to five if-slots' worth and leave the
+    node exactly at its compute with nothing on chip, so taking the
+    first if-slot's buffer is what moves it.
+    """
+    layers = {name: model.layer(name) for name in model.nodes()}
+    fuse = layers["fuse"]
+    lat = fuse.slots[0].latency
+    assert fuse.slots[0].kind is TensorKind.IFMAP
+    first = {"negative_slot": -5 * lat, "nan_slot": math.nan, "inf_slot": math.inf}
+    if edit == "inf_compute":
+        layers["fuse"] = replace(fuse, compute=math.inf)
+    else:
+        slots = [replace(fuse.slots[0], latency=first[edit]), *fuse.slots[1:]]
+        layers["fuse"] = replace(fuse, compute=5 * lat, slots=slots)
+    return LatencyModel.from_layers(model.graph, model.accel, layers)
+
+
+def _same(a: float, b: float) -> bool:
+    """Equal, or both NaN."""
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def _assert_evaluators_agree(model, buffers, samples: int = 12) -> None:
+    """Every total, gain and delta of the engine-backed evaluator equals
+    the naive oracle's (NaN-aware), over the empty, full and seeded
+    random contexts, on one evaluator instance so memo hits are checked
+    as well as fresh walks."""
+    oracle = NaiveGainEvaluator(model, buffers)
+    fast = _EngineGainEvaluator(AllocationEngine(model), buffers)
+    n = len(buffers)
+    assert n >= 2
+    full = (1 << n) - 1
+    rng = random.Random(n)
+    contexts = [0, full, *(rng.randint(0, full) for _ in range(samples))]
+    for ctx in contexts:
+        chosen = {i for i in range(n) if ctx >> i & 1}
+        assert _same(fast.total_latency(chosen), oracle.total_latency(chosen))
+        for i in range(n):
+            assert _same(fast.gain(i, ctx), oracle.gain(i, ctx)), (ctx, i)
+            drop = i if ctx >> i & 1 else None
+            add = None if ctx >> i & 1 else i
+            assert _same(
+                fast.move_delta(ctx, add, drop), oracle.move_delta(ctx, add, drop)
+            )
+            for b in range(i + 1, n):
+                assert _same(fast.pair_delta(ctx, i, b), oracle.pair_delta(ctx, i, b))
 
 
 # ---------------------------------------------------------------------------
