@@ -6,30 +6,35 @@ per-experiment drivers, metric helpers and plain-text/markdown table
 rendering.
 """
 
-from repro.analysis.experiments import (
-    BENCHMARKS,
-    PRECISIONS,
-    DesignComparison,
-    reference_design,
-    run_comparison,
-    run_fig8,
-    run_table1,
-    run_table2,
-    run_table3,
-)
-from repro.analysis.design_space import DesignSpacePoint, enumerate_design_space
-from repro.analysis.metrics import average_speedup, block_throughput, geomean
-from repro.analysis.report import format_markdown_table, format_table
-from repro.analysis.dot import (
-    computation_graph_dot,
-    interference_graph_dot,
-    prefetch_graph_dot,
-)
-from repro.analysis.plots import (
-    bar_chart,
-    footprint_timeline,
-    roofline_scatter,
-    simulation_gantt,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.analysis.reference": ("BENCHMARKS", "PRECISIONS", "reference_design"),
+        "repro.analysis.experiments": (
+            "DesignComparison",
+            "run_comparison",
+            "run_fig8",
+            "run_table1",
+            "run_table2",
+            "run_table3",
+        ),
+        "repro.analysis.design_space": ("DesignSpacePoint", "enumerate_design_space"),
+        "repro.analysis.metrics": ("average_speedup", "block_throughput", "geomean"),
+        "repro.analysis.report": ("format_markdown_table", "format_table"),
+        "repro.analysis.dot": (
+            "computation_graph_dot",
+            "interference_graph_dot",
+            "prefetch_graph_dot",
+        ),
+        "repro.analysis.plots": (
+            "bar_chart",
+            "footprint_timeline",
+            "roofline_scatter",
+            "simulation_gantt",
+        ),
+    },
 )
 
 __all__ = [

@@ -27,9 +27,9 @@ from pathlib import Path
 from pickle import PicklingError
 
 from repro.errors import ConfigError, ModelNotFoundError, ReproError
-from repro.fingerprint import compile_key, fingerprint
+from repro.fingerprint import compile_key_for_digest, fingerprint, graph_fingerprint
 from repro.lcmm.options import LCMMOptions
-from repro.models.zoo import get_model, list_models
+from repro.models.zoo import canonical_model_name, get_model, list_models
 from repro.obs import spans as obs
 
 __all__ = [
@@ -166,6 +166,10 @@ class BatchReport:
 #: read-only, so one instance can serve every job in a batch.
 _DESIGN_MEMO: dict[tuple[str, str], tuple] = {}
 
+#: Per-process memo of graph digests by (model, precision): every
+#: configuration of one model keys the same graph.
+_DIGEST_MEMO: dict[tuple[str, str], str] = {}
+
 #: Per-process memo of content keys by (model, config, precision).  The
 #: key is content-derived on first use; memoising the derivation lets a
 #: warm batch answer hits without rebuilding the model graph at all.
@@ -173,10 +177,11 @@ _KEY_MEMO: dict[tuple[str, str, str], str] = {}
 
 
 def _design(model_name: str, precision_name: str) -> tuple:
+    model_name = canonical_model_name(model_name)
     memo = (model_name, precision_name)
     pair = _DESIGN_MEMO.get(memo)
     if pair is None:
-        from repro.analysis.experiments import BENCHMARKS, reference_design
+        from repro.analysis.reference import BENCHMARKS, reference_design
         from repro.hw.precision import precision_by_name
 
         graph = get_model(model_name)
@@ -190,18 +195,66 @@ def _design(model_name: str, precision_name: str) -> tuple:
 
 
 def _job_key(model_name: str, config: str, precision_name: str) -> str:
+    """The content key of one job; aliases key as their canonical name.
+
+    Raises:
+        repro.errors.ModelNotFoundError: Unknown model.
+        repro.errors.ConfigError: Unknown configuration label.
+    """
+    model_name = canonical_model_name(model_name)
     memo = (model_name, config, precision_name)
     key = _KEY_MEMO.get(memo)
     if key is None:
-        graph, accel = _design(model_name, precision_name)
         options = standard_options(config)
+        graph, accel = _design(model_name, precision_name)
+        design = (model_name, precision_name)
+        digest = _DIGEST_MEMO.get(design)
+        if digest is None:
+            digest = _DIGEST_MEMO[design] = graph_fingerprint(graph)
         # Matches the key run_lcmm(cache=...) derives for a default
         # (non-strict) run, so batch artifacts and `lcmm run --cache`
         # artifacts are interchangeable.
         extra = None if options is None else {"strict": False}
-        key = compile_key(graph, accel, options, extra=extra)
+        key = compile_key_for_digest(digest, accel, options, extra=extra)
         _KEY_MEMO[memo] = key
     return key
+
+
+def preload_compiler() -> None:
+    """Import the compiler, numpy included, before forking workers.
+
+    Forked workers inherit what the parent has imported; without this a
+    parent that has not compiled yet leaves every worker to import the
+    compiler during its first cold compile.
+    """
+    import repro.lcmm.framework  # noqa: F401
+    from repro.lcmm.dnnk import _numpy
+
+    _numpy()
+
+
+def _outcome(
+    model_name: str, config: str, result, hit: bool, start: float
+) -> CompileOutcome:
+    return CompileOutcome(
+        model=model_name,
+        config=config,
+        latency=result.latency,
+        cache_hit=hit,
+        seconds=time.perf_counter() - start,
+        fingerprint=fingerprint(result),
+    )
+
+
+def _cached_outcome(
+    cache, model_name: str, config: str, precision_name: str
+) -> CompileOutcome | None:
+    """One job answered from ``cache``, or ``None`` on a miss."""
+    start = time.perf_counter()
+    result = cache.get(_job_key(model_name, config, precision_name))
+    if result is None:
+        return None
+    return _outcome(model_name, config, result, True, start)
 
 
 def _compile_job(
@@ -213,40 +266,33 @@ def _compile_job(
     """Compile one (model, configuration) pair — process-pool safe.
 
     Top level so pools can pickle it; opens its own handle on the shared
-    cache directory.  The lookup happens here rather than inside
-    ``run_lcmm`` so a hit skips graph construction entirely (the content
-    key derivation is memoised per process).
+    cache directory and looks the key up first, so an artifact another
+    writer stored meanwhile is still a hit.
     """
     from repro.cache.store import CompilationCache
     from repro.lcmm.framework import run_lcmm, umm_only_result
 
     cache = CompilationCache(cache_dir) if cache_dir is not None else None
+    if cache is not None:
+        outcome = _cached_outcome(cache, model_name, config, precision_name)
+        if outcome is not None:
+            return outcome
     start = time.perf_counter()
     key = _job_key(model_name, config, precision_name)
-    result = cache.get(key) if cache is not None else None
-    hit = result is not None
-    if result is None:
-        graph, accel = _design(model_name, precision_name)
-        options = standard_options(config)
-        if options is None:
-            # The UMM floor bypasses the pass machinery entirely.
-            result = umm_only_result(graph, accel)
-            if cache is not None:
-                cache.put(key, result)
-        else:
-            result = run_lcmm(graph, accel, options=options)
-            # Mirror the framework's rule: only clean (non-degraded)
-            # results are cached.
-            if cache is not None and result.degradation_level == 0:
-                cache.put(key, result)
-    return CompileOutcome(
-        model=model_name,
-        config=config,
-        latency=result.latency,
-        cache_hit=hit,
-        seconds=time.perf_counter() - start,
-        fingerprint=fingerprint(result),
-    )
+    graph, accel = _design(model_name, precision_name)
+    options = standard_options(config)
+    if options is None:
+        # The UMM floor bypasses the pass machinery entirely.
+        result = umm_only_result(graph, accel)
+        if cache is not None:
+            cache.put(key, result)
+    else:
+        result = run_lcmm(graph, accel, options=options)
+        # Mirror the framework's rule: only clean (non-degraded)
+        # results are cached.
+        if cache is not None and result.degradation_level == 0:
+            cache.put(key, result)
+    return _outcome(model_name, config, result, False, start)
 
 
 def batch_compile(
@@ -258,6 +304,9 @@ def batch_compile(
 ) -> BatchReport:
     """Compile a model/configuration matrix with cache reuse.
 
+    Every key is derived and every artifact read in the calling
+    process first; only the misses are compiled.
+
     Args:
         models: Zoo model names (default: the whole zoo).
         configs: Configuration labels from :data:`STANDARD_CONFIGS`
@@ -265,11 +314,12 @@ def batch_compile(
         precision: Arithmetic precision name.
         cache_dir: Shared cache directory; ``None`` disables caching
             (every job compiles).
-        workers: Process count.  ``1`` compiles in-process; higher
-            values shard jobs over a pool, clamped to the job count.  A
-            pool that cannot be created falls back to in-process
-            compilation (reported via ``pool_unavailable``), exactly
-            like the DSE sweep.
+        workers: Process count for the misses.  ``1`` compiles
+            in-process; higher values shard the misses over a pool,
+            clamped to their count, so a batch of hits uses one
+            process.  A pool that cannot be created falls back to
+            in-process compilation (reported via ``pool_unavailable``),
+            exactly like the DSE sweep.
 
     Raises:
         repro.errors.ConfigError: On unknown configuration labels or
@@ -290,31 +340,40 @@ def batch_compile(
             )
     jobs = [(model, config) for model in models for config in configs]
     cache_str = str(cache_dir) if cache_dir is not None else None
-    workers = min(workers, len(jobs)) if jobs else 1
     start = time.perf_counter()
     pool_unavailable = False
-    outcomes: list[CompileOutcome] | None = None
-    with obs.span(
-        "cache.batch-compile", jobs=len(jobs), workers=workers
-    ) as batch_span:
+    with obs.span("cache.batch-compile", jobs=len(jobs)) as batch_span:
+        outcomes: list[CompileOutcome | None] = [None] * len(jobs)
+        if cache_str is not None:
+            from repro.cache.store import CompilationCache
+
+            cache = CompilationCache(cache_str)
+            outcomes = [
+                _cached_outcome(cache, model, config, precision)
+                for model, config in jobs
+            ]
+        missed = [i for i, outcome in enumerate(outcomes) if outcome is None]
+        workers = min(workers, len(missed)) if missed else 1
+        compiled: list[CompileOutcome] | None = None
         if workers > 1:
+            preload_compiler()
             try:
                 with ProcessPoolExecutor(max_workers=workers) as pool:
                     futures = [
-                        pool.submit(_compile_job, model, config, precision, cache_str)
-                        for model, config in jobs
+                        pool.submit(_compile_job, *jobs[i], precision, cache_str)
+                        for i in missed
                     ]
-                    outcomes = [future.result() for future in futures]
+                    compiled = [future.result() for future in futures]
             except ReproError:
                 raise
             except (OSError, RuntimeError, PicklingError):
                 pool_unavailable = True
-                outcomes = None
-        if outcomes is None:
-            outcomes = [
-                _compile_job(model, config, precision, cache_str)
-                for model, config in jobs
+        if compiled is None:
+            compiled = [
+                _compile_job(*jobs[i], precision, cache_str) for i in missed
             ]
+        for i, outcome in zip(missed, compiled):
+            outcomes[i] = outcome
         report = BatchReport(
             outcomes=outcomes,
             seconds=time.perf_counter() - start,
@@ -322,6 +381,6 @@ def batch_compile(
             pool_unavailable=pool_unavailable,
         )
         batch_span.annotate(
-            "batch-complete", hits=report.hits, misses=report.misses
+            "batch-complete", hits=report.hits, misses=report.misses, workers=workers
         )
     return report

@@ -30,20 +30,11 @@ Exit codes follow the error taxonomy (see the README table): 0 success,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
-from repro.analysis.design_space import enumerate_design_space
-from repro.analysis.experiments import (
-    BENCHMARKS,
-    reference_design,
-    run_comparison,
-    run_fig2a,
-    run_fig8,
-    run_table1,
-    run_table2,
-    run_table3,
-)
 from repro.analysis.metrics import average_speedup
+from repro.analysis.reference import BENCHMARKS, reference_design
 from repro.analysis.report import format_table
 from repro.errors import ConfigError, ReproError, exit_code
 from repro.hw.precision import precision_by_name
@@ -64,6 +55,8 @@ def _load_model(name: str) -> ComputationGraph:
 
 
 def _cmd_table1(args: argparse.Namespace) -> None:
+    from repro.analysis.experiments import run_table1
+
     rows = run_table1()
     print(
         format_table(
@@ -89,6 +82,8 @@ def _cmd_table1(args: argparse.Namespace) -> None:
 
 
 def _cmd_table2(args: argparse.Namespace) -> None:
+    from repro.analysis.experiments import run_table2
+
     rows = run_table2()
     print(
         format_table(
@@ -109,6 +104,8 @@ def _cmd_table2(args: argparse.Namespace) -> None:
 
 
 def _cmd_table3(args: argparse.Namespace) -> None:
+    from repro.analysis.experiments import run_table3
+
     rows = run_table3()
     print(
         format_table(
@@ -129,6 +126,8 @@ def _cmd_table3(args: argparse.Namespace) -> None:
 
 
 def _cmd_fig2a(args: argparse.Namespace) -> None:
+    from repro.analysis.experiments import run_fig2a
+
     roofline = run_fig2a(precision_by_name(args.precision))
     bound, total = roofline.memory_bound_count(convs_only=True)
     print(f"Ridge point: {roofline.ridge_point():.1f} ops/byte")
@@ -152,6 +151,8 @@ def _cmd_fig2a(args: argparse.Namespace) -> None:
 
 
 def _cmd_fig2b(args: argparse.Namespace) -> None:
+    from repro.analysis.design_space import enumerate_design_space
+
     graph = get_model("inception_v4")
     accel = reference_design("inception_v4", precision_by_name(args.precision), "lcmm")
     points = enumerate_design_space(graph, accel, stride=args.stride)
@@ -174,6 +175,8 @@ def _cmd_fig2b(args: argparse.Namespace) -> None:
 
 
 def _cmd_fig8(args: argparse.Namespace) -> None:
+    from repro.analysis.experiments import run_fig8
+
     series = run_fig8()
     headers = ("Design",) + series[0].blocks
     rows = [
@@ -223,6 +226,8 @@ def _open_cache(path):
 
 
 def _cmd_run(args: argparse.Namespace) -> None:
+    from repro.analysis.experiments import run_comparison
+
     cache = _open_cache(args.cache)
     options = None
     if args.fuse or args.transfer_schedule:
@@ -1081,14 +1086,21 @@ def main(argv: list[str] | None = None) -> int:
     fault it was (:func:`repro.errors.exit_code`): user/configuration
     errors — unknown model, invalid graph, infeasible budget — exit 2;
     internal failures — pipeline bugs with fallback disabled, worker
-    crashes — exit 1.
+    crashes — exit 1.  A reader that closes the pipe early (``lcmm
+    table1 | head -1``) ends the command unfinished: exit 1, no traceback.
     """
     args = build_parser().parse_args(argv)
     try:
         _traced(getattr(args, "trace", None), lambda: args.func(args))
+        sys.stdout.flush()
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exit_code(exc)
+    except BrokenPipeError:
+        # Nothing more can reach the reader; point stdout at devnull so
+        # the interpreter's exit flush does not fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

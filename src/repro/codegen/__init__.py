@@ -18,13 +18,20 @@ tooling to run or test — but the emitted structure mirrors what the
 paper's flow would hand to Vivado HLS.
 """
 
-from repro.codegen.hls import (
-    HLSDesign,
-    generate_buffers_header,
-    generate_design,
-    generate_design_header,
-    generate_schedule_source,
-    write_design,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.codegen.hls": (
+            "HLSDesign",
+            "generate_buffers_header",
+            "generate_design",
+            "generate_design_header",
+            "generate_schedule_source",
+            "write_design",
+        ),
+    },
 )
 
 __all__ = [

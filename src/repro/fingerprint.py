@@ -42,6 +42,7 @@ __all__ = [
     "CACHE_SCHEMA_VERSION",
     "accel_fingerprint",
     "compile_key",
+    "compile_key_for_digest",
     "fingerprint",
     "graph_fingerprint",
     "options_fingerprint",
@@ -225,11 +226,25 @@ def compile_key(
     version; ``extra`` lets callers fold in additional switches that
     change the result (e.g. ``strict``).
     """
+    return compile_key_for_digest(graph_fingerprint(graph), accel, options, extra)
+
+
+def compile_key_for_digest(
+    graph_digest: str,
+    accel: "AcceleratorConfig",
+    options: "LCMMOptions | None",
+    extra: Mapping[str, Any] | None = None,
+) -> str:
+    """:func:`compile_key` from the graph's :func:`graph_fingerprint`.
+
+    Callers that key one graph under many configurations hash the graph
+    once and pass its digest here.
+    """
     return _digest(
         {
             "schema": CACHE_SCHEMA_VERSION,
             "kind": "compile",
-            "graph": graph_fingerprint(graph),
+            "graph": graph_digest,
             "accel": accel_fingerprint(accel),
             "options": options_fingerprint(options),
             "extra": dict(extra or {}),

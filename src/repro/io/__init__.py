@@ -8,13 +8,20 @@ computation graphs (round-trippable) and LCMM results (export-only — a
 report, not a reconstruction format).
 """
 
-from repro.io.serialize import (
-    allocation_report,
-    graph_from_dict,
-    graph_to_dict,
-    load_graph,
-    save_allocation_report,
-    save_graph,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.io.serialize": (
+            "allocation_report",
+            "graph_from_dict",
+            "graph_to_dict",
+            "load_graph",
+            "save_allocation_report",
+            "save_graph",
+        ),
+    },
 )
 
 __all__ = [

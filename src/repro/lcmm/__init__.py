@@ -15,48 +15,75 @@ plus the UMM baseline, the pass pipeline (:mod:`repro.lcmm.passes`) that
 orchestrates them, the thin :func:`run_lcmm` driver and invariant checks.
 """
 
-from repro.lcmm.buffers import (
-    CandidateTensor,
-    PhysicalBuffer,
-    TensorClass,
-    VirtualBuffer,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.lcmm.buffers": (
+            "CandidateTensor",
+            "PhysicalBuffer",
+            "TensorClass",
+            "VirtualBuffer",
+        ),
+        "repro.lcmm.liveness": (
+            "LiveRange",
+            "feature_live_ranges",
+            "schedule_positions",
+        ),
+        "repro.lcmm.interference": ("InterferenceGraph",),
+        "repro.lcmm.coloring": (
+            "color_buffers",
+            "total_buffer_bytes",
+            "validate_coloring",
+        ),
+        "repro.lcmm.feature_reuse": ("FeatureReuseResult", "feature_reuse_pass"),
+        "repro.lcmm.prefetch": (
+            "PrefetchEdge",
+            "PrefetchResult",
+            "weight_prefetch_pass",
+        ),
+        "repro.lcmm.dnnk": ("DNNKResult", "dnnk_allocate", "greedy_allocate"),
+        "repro.lcmm.splitting": (
+            "SplitAttempt",
+            "SplittingOutcome",
+            "buffer_splitting_pass",
+        ),
+        "repro.lcmm.passes": (
+            "CompilationContext",
+            "Pass",
+            "PassDiagnostic",
+            "PassManager",
+            "PipelineError",
+            "default_pipeline",
+            "make_pass",
+            "pipeline_from_names",
+            "register_pass",
+            "registered_passes",
+        ),
+        "repro.lcmm.tables": (
+            "OperationLatencyRow",
+            "operation_latency_table",
+            "tensor_metric_table",
+            "virtual_buffer_table",
+        ),
+        "repro.lcmm.umm": ("UMMResult", "run_umm"),
+        "repro.lcmm.double_buffer": (
+            "DoubleBufferResult",
+            "LinearityError",
+            "is_linear",
+            "run_double_buffer",
+        ),
+        "repro.lcmm.reorder": ("peak_live_feature_bytes", "reorder_depth_first"),
+        "repro.lcmm.cotuning": ("CoTuningResult", "cotune"),
+        "repro.lcmm.framework": ("LCMMOptions", "LCMMResult", "run_lcmm"),
+        "repro.lcmm.validate": (
+            "AllocationError",
+            "validate_buffers",
+            "validate_result",
+        ),
+    },
 )
-from repro.lcmm.liveness import LiveRange, feature_live_ranges, schedule_positions
-from repro.lcmm.interference import InterferenceGraph
-from repro.lcmm.coloring import color_buffers, total_buffer_bytes, validate_coloring
-from repro.lcmm.feature_reuse import FeatureReuseResult, feature_reuse_pass
-from repro.lcmm.prefetch import PrefetchEdge, PrefetchResult, weight_prefetch_pass
-from repro.lcmm.dnnk import DNNKResult, dnnk_allocate, greedy_allocate
-from repro.lcmm.splitting import SplitAttempt, SplittingOutcome, buffer_splitting_pass
-from repro.lcmm.passes import (
-    CompilationContext,
-    Pass,
-    PassDiagnostic,
-    PassManager,
-    PipelineError,
-    default_pipeline,
-    make_pass,
-    pipeline_from_names,
-    register_pass,
-    registered_passes,
-)
-from repro.lcmm.tables import (
-    OperationLatencyRow,
-    operation_latency_table,
-    tensor_metric_table,
-    virtual_buffer_table,
-)
-from repro.lcmm.umm import UMMResult, run_umm
-from repro.lcmm.double_buffer import (
-    DoubleBufferResult,
-    LinearityError,
-    is_linear,
-    run_double_buffer,
-)
-from repro.lcmm.reorder import peak_live_feature_bytes, reorder_depth_first
-from repro.lcmm.cotuning import CoTuningResult, cotune
-from repro.lcmm.framework import LCMMOptions, LCMMResult, run_lcmm
-from repro.lcmm.validate import AllocationError, validate_buffers, validate_result
 
 __all__ = [
     "CandidateTensor",

@@ -49,10 +49,26 @@ from repro.lcmm.buffers import VirtualBuffer
 from repro.perf.engine import AllocationEngine
 from repro.perf.latency import LatencyModel
 
-try:  # pragma: no cover - exercised implicitly everywhere numpy exists
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+#: numpy for the vector sweep: ``_UNLOADED`` until :func:`_numpy` first
+#: runs, then the module, or ``None`` when numpy is not installed.
+_UNLOADED = object()
+_np = _UNLOADED
+
+
+def _numpy():
+    """numpy, imported on first use, or ``None`` when it is absent.
+
+    Only the vector DP sweep needs numpy, so a process that never runs
+    DNNK (a warm cache read, ``lcmm --help``) never pays its import.
+    """
+    global _np
+    if _np is _UNLOADED:
+        try:
+            import numpy
+        except ImportError:  # pragma: no cover - the no-numpy CI job
+            numpy = None
+        _np = numpy
+    return _np
 
 
 @dataclass
@@ -369,7 +385,7 @@ def dnnk_allocate(
     evaluator = _EngineGainEvaluator(engine or AllocationEngine(model), buffers)
     # The vector sweep keys columns on uint64 masks; without numpy, or
     # with more buffers than a mask holds, the scalar sweep runs.
-    dp = _dp_pass_vector if _np is not None and len(buffers) <= 63 else _dp_pass
+    dp = _dp_pass_vector if len(buffers) <= 63 and _numpy() is not None else _dp_pass
 
     # The DP's column-context gains depend on the order buffers are
     # processed in, so run it under two orderings — the caller's list
@@ -488,20 +504,21 @@ def _dp_pass_vector(
     float64 operation as the scalar loop, so the backtraced set is
     bit-for-bit the same.
     """
-    best = _np.zeros(units + 1)
-    context = _np.zeros(units + 1, dtype=_np.uint64)
+    np = _numpy()
+    best = np.zeros(units + 1)
+    context = np.zeros(units + 1, dtype=np.uint64)
     decisions: list = []
 
     for i in order:
         size = sizes[i]
-        row = _np.zeros(units + 1, dtype=bool)
+        row = np.zeros(units + 1, dtype=bool)
         if size <= units:
-            rel = _np.uint64(evaluator._gain_mask[i])
+            rel = np.uint64(evaluator._gain_mask[i])
             keys = context[size:] & rel
-            uniq, inverse = _np.unique(keys, return_inverse=True)
-            gains = _np.fromiter(
+            uniq, inverse = np.unique(keys, return_inverse=True)
+            gains = np.fromiter(
                 (evaluator.gain(i, int(k)) for k in uniq),
-                dtype=_np.float64,
+                dtype=np.float64,
                 count=len(uniq),
             )
             take = best[: units + 1 - size] + gains[inverse]
@@ -511,7 +528,7 @@ def _dp_pass_vector(
                 new_best[size:][better] = take[better]
                 best = new_best
                 row[size:] = better
-                context[size:][better] |= _np.uint64(1 << i)
+                context[size:][better] |= np.uint64(1 << i)
         decisions.append(row)
 
     chosen_set: set[int] = set()

@@ -60,8 +60,10 @@ def list_models() -> list[str]:
     return sorted(MODEL_BUILDERS)
 
 
-def get_model(name: str) -> ComputationGraph:
-    """Build a model by canonical name or paper abbreviation (RN/GN/IN).
+def canonical_model_name(name: str) -> str:
+    """The zoo's canonical name for a name or paper abbreviation (RN/GN/IN).
+
+    Validates without building the graph.
 
     Raises:
         repro.errors.ModelNotFoundError: If the name matches no
@@ -69,10 +71,18 @@ def get_model(name: str) -> ComputationGraph:
     """
     key = name.strip().lower()
     key = _ALIASES.get(key, key)
-    try:
-        builder = MODEL_BUILDERS[key]
-    except KeyError:
+    if key not in MODEL_BUILDERS:
         raise ModelNotFoundError(
             f"unknown model {name!r}; known: {', '.join(list_models())}"
-        ) from None
-    return builder()
+        )
+    return key
+
+
+def get_model(name: str) -> ComputationGraph:
+    """Build a model by canonical name or paper abbreviation (RN/GN/IN).
+
+    Raises:
+        repro.errors.ModelNotFoundError: If the name matches no
+            registered model (remains catchable as ``KeyError``).
+    """
+    return MODEL_BUILDERS[canonical_model_name(name)]()

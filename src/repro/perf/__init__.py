@@ -10,34 +10,45 @@ roofline characterisation and a small design-space explorer that stands in
 for the external DSE the paper plugs LCMM into.
 """
 
-from repro.perf.tiling import TileConfig
-from repro.perf.systolic import AcceleratorConfig, SystolicArray, default_accelerator
-from repro.perf.engine import AllocationEngine, EngineStats
-from repro.perf.latency import LatencyModel, LayerLatency, Slot
-from repro.perf.roofline import RooflineModel, RooflinePoint
-from repro.perf.dse import (
-    DesignPoint,
-    WorkerStats,
-    candidate_tiles,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.perf.tiling": ("TileConfig",),
+        "repro.perf.systolic": (
+            "AcceleratorConfig",
+            "SystolicArray",
+            "default_accelerator",
+        ),
+        "repro.perf.engine": ("AllocationEngine", "EngineStats"),
+        "repro.perf.latency": ("LatencyModel", "LayerLatency", "Slot"),
+        "repro.perf.roofline": ("RooflineModel", "RooflinePoint"),
+        "repro.perf.dse": ("DesignPoint", "WorkerStats", "candidate_tiles"),
+        "repro.perf.pool": ("ScorerPool", "close_pool", "persistent_pool"),
+        "repro.perf.space": (
+            "DesignSpace",
+            "SampledSpace",
+            "SpaceResult",
+            "explore_space",
+            "large_space",
+            "small_space",
+        ),
+        "repro.perf.batching": (
+            "BatchResult",
+            "batched_latency",
+            "umm_batched_latency",
+        ),
+        "repro.perf.partition": (
+            "DieStage",
+            "InterDieLink",
+            "PartitionResult",
+            "design_partition",
+            "partition_batched_latency",
+        ),
+        "repro.perf.pipeline": ("PipelineResult", "PipelineStage", "design_pipeline"),
+    },
 )
-from repro.perf.pool import ScorerPool, close_pool, persistent_pool
-from repro.perf.space import (
-    DesignSpace,
-    SampledSpace,
-    SpaceResult,
-    explore_space,
-    large_space,
-    small_space,
-)
-from repro.perf.batching import BatchResult, batched_latency, umm_batched_latency
-from repro.perf.partition import (
-    DieStage,
-    InterDieLink,
-    PartitionResult,
-    design_partition,
-    partition_batched_latency,
-)
-from repro.perf.pipeline import PipelineResult, PipelineStage, design_pipeline
 
 __all__ = [
     "TileConfig",

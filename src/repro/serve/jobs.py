@@ -52,14 +52,15 @@ declare_fault_point("serve.worker", "one compile/DSE job body in a serve worker"
 def job_key(model: str, config: str, precision: str) -> str:
     """The content key a compile job will use (validates its inputs).
 
+    The name is checked against the zoo without building the graph, so
+    a warm request with a memoised key builds nothing.
+
     Raises:
         repro.errors.ModelNotFoundError: Unknown model.
         repro.errors.ConfigError: Unknown configuration label.
     """
     from repro.cache.batch import _job_key
-    from repro.models.zoo import get_model
 
-    get_model(model)  # raises ModelNotFoundError before any queueing
     return _job_key(model, config, precision)
 
 
@@ -136,7 +137,7 @@ def run_dse_job(
     inside a pool worker would not survive the spawn limits anyway.
     Sweep-score warm-starts come from the shared cache directory.
     """
-    from repro.analysis.experiments import BENCHMARKS, reference_design
+    from repro.analysis.reference import BENCHMARKS, reference_design
     from repro.cache.store import CompilationCache
     from repro.hw.precision import precision_by_name
     from repro.models.zoo import get_model
@@ -203,6 +204,9 @@ class CompilePool(ResilientPool):
         self.plans = tuple(plans) if plans is not None else inject.active_plans()
 
     def _build_executor(self) -> ProcessPoolExecutor:
+        from repro.cache.batch import preload_compiler
+
+        preload_compiler()
         return ProcessPoolExecutor(
             max_workers=self.workers,
             initializer=_serve_worker_init,

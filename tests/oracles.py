@@ -177,7 +177,7 @@ def naive_allocators():
     with mock.patch(
         "repro.lcmm.dnnk._EngineGainEvaluator",
         lambda engine, buffers: NaiveGainEvaluator(engine.model, buffers),
-    ), mock.patch("repro.lcmm.dnnk._np", None):
+    ), mock.patch("repro.lcmm.dnnk._numpy", lambda: None):
         yield
 
 

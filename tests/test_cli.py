@@ -1,5 +1,8 @@
 """Tests for the lcmm command-line interface."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -254,3 +257,26 @@ class TestErrorHandling:
         out = capsys.readouterr().out
         assert "Degradation: level" in out
         assert "Recovery events" in out
+
+
+class TestClosedPipe:
+    def test_closed_stdout_exits_one_without_traceback(self):
+        env = dict(os.environ)
+        repo_src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = repo_src + os.pathsep + env.get("PYTHONPATH", "")
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before anything is written
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "passes"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                text=True,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "Exception ignored" not in proc.stderr

@@ -285,7 +285,7 @@ class TestDPKernels:
     """The scalar sweep is the only DP without numpy or past 63 buffers;
     it must decide exactly like the vectorised one."""
 
-    @pytest.mark.skipif(dnnk._np is None, reason="the vector sweep needs numpy")
+    @pytest.mark.skipif(dnnk._numpy() is None, reason="the vector sweep needs numpy")
     @given(dp_cases())
     @settings(max_examples=60, deadline=None)
     def test_scalar_matches_vector(self, case):
@@ -294,6 +294,27 @@ class TestDPKernels:
         scalar = dnnk._dp_pass(order, sizes, units, evaluator)
         vector = dnnk._dp_pass_vector(order, sizes, units, evaluator)
         assert scalar == vector
+
+    def test_naive_allocators_run_only_the_scalar_sweep(
+        self, monkeypatch, starved_model
+    ):
+        # The differential suite compares against naive_allocators(); if
+        # the vector sweep ran there too, it would test one DP twice.
+        calls = []
+        scalar, vector = dnnk._dp_pass, dnnk._dp_pass_vector
+        monkeypatch.setattr(
+            dnnk, "_dp_pass", lambda *args: calls.append("scalar") or scalar(*args)
+        )
+        monkeypatch.setattr(
+            dnnk,
+            "_dp_pass_vector",
+            lambda *args: calls.append("vector") or vector(*args),
+        )
+        buffers = make_buffers(starved_model)
+        assert len(buffers) <= 63
+        with naive_allocators():
+            dnnk_allocate(buffers, starved_model, 3 * URAM_BYTES, granularity=1024)
+        assert "scalar" in calls and "vector" not in calls
 
     def test_wide_instance_takes_scalar_path(self, monkeypatch):
         model = LatencyModel(

@@ -270,3 +270,37 @@ class TestErrorTaxonomyMapping:
     )
     def test_http_statuses(self, exc, status):
         assert http_status(exc) == status
+
+
+class TestJobKey:
+    def test_alias_keys_as_its_canonical_name(self):
+        from repro.serve.jobs import job_key
+
+        assert job_key("GN", "dnnk", "int8") == job_key("googlenet", "dnnk", "int8")
+        assert job_key(" ResNet-50 ", "umm", "int8") == job_key("resnet50", "umm", "int8")
+
+    def test_unknown_model_raises_like_get_model(self):
+        from repro.models.zoo import get_model
+        from repro.serve.jobs import job_key
+
+        with pytest.raises(ModelNotFoundError) as built:
+            get_model("lenet")
+        with pytest.raises(ModelNotFoundError) as keyed:
+            job_key("lenet", "dnnk", "int8")
+        assert str(keyed.value) == str(built.value)
+
+    def test_warm_key_builds_no_graph(self, monkeypatch):
+        from repro.models import zoo
+        from repro.serve.jobs import job_key
+
+        first = job_key("googlenet", "splitting", "int8")
+        built = []
+        for name, builder in list(zoo.MODEL_BUILDERS.items()):
+            monkeypatch.setitem(
+                zoo.MODEL_BUILDERS,
+                name,
+                lambda builder=builder: built.append(1) or builder(),
+            )
+        assert job_key("googlenet", "splitting", "int8") == first
+        assert job_key("gn", "splitting", "int8") == first
+        assert built == []
