@@ -15,19 +15,23 @@ Each outcome carries the :func:`repro.fingerprint.fingerprint` of its
 result, which makes the report directly comparable against
 ``tests/golden/*.json`` — ``lcmm batch-compile --verify-golden`` and the
 CI cache round-trip job do exactly that.
+
+:func:`compile_job` is the one compile-job body: ``batch_compile`` runs
+it for its misses and ``lcmm serve`` wraps it (:mod:`repro.serve.jobs`).
+A hit is answered from the reply stored beside the result, so a warm
+batch neither unpickles a result nor imports the compiler.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from pickle import PicklingError
 
 from repro.errors import ConfigError, ModelNotFoundError, ReproError
-from repro.fingerprint import compile_key_for_digest, fingerprint, graph_fingerprint
+from repro.fingerprint import compile_key_for_digest, graph_fingerprint, result_reply
 from repro.lcmm.options import LCMMOptions
 from repro.models.zoo import canonical_model_name, get_model, list_models
 from repro.obs import spans as obs
@@ -38,6 +42,7 @@ __all__ = [
     "FUSED_CONFIGS",
     "STANDARD_CONFIGS",
     "batch_compile",
+    "compile_job",
     "standard_options",
 ]
 
@@ -75,23 +80,41 @@ def standard_options(config: str) -> LCMMOptions | None:
 
 @dataclass(frozen=True)
 class CompileOutcome:
-    """One (model, configuration) compilation in a batch.
+    """One (model, configuration) compile job: a batch row, a serve reply.
 
     Attributes:
-        model: Zoo model name.
+        model: Model name as requested.
         config: Configuration label (``"umm"``, ``"splitting"``, ...).
-        latency: Predicted end-to-end latency of the compiled result.
+        precision: Arithmetic precision name.
+        compile_key: The job's content key.
         cache_hit: Whether the artifact came from the cache.
-        seconds: Wall time this job took (lookup or compile).
+        latency: Predicted end-to-end latency of the compiled result.
+        degradation_level: Fallback attempts the compile went through
+            (0 = the requested pipeline landed).
+        degradation_path: Labels of the attempts that failed.
         fingerprint: The result's golden-format regression fingerprint.
+        seconds: Wall time this job took (lookup or compile).
     """
 
     model: str
     config: str
-    latency: float
+    precision: str
+    compile_key: str
     cache_hit: bool
-    seconds: float
+    latency: float
+    degradation_level: int
+    degradation_path: list
     fingerprint: dict
+    seconds: float
+
+    def as_payload(self) -> dict:
+        """The JSON-ready dict ``lcmm serve`` answers a compile with.
+
+        A shallow copy (``dataclasses.asdict`` deep-copies, which costs
+        a warm serve hit more than its checksum): the payload shares the
+        nested ``fingerprint`` and ``degradation_path``.
+        """
+        return dict(vars(self))
 
 
 @dataclass
@@ -233,50 +256,60 @@ def preload_compiler() -> None:
     _numpy()
 
 
-def _outcome(
-    model_name: str, config: str, result, hit: bool, start: float
-) -> CompileOutcome:
-    return CompileOutcome(
-        model=model_name,
-        config=config,
-        latency=result.latency,
-        cache_hit=hit,
-        seconds=time.perf_counter() - start,
-        fingerprint=fingerprint(result),
-    )
-
-
 def _cached_outcome(
     cache, model_name: str, config: str, precision_name: str
 ) -> CompileOutcome | None:
-    """One job answered from ``cache``, or ``None`` on a miss."""
+    """One job answered from ``cache``'s stored reply, or ``None`` on a miss.
+
+    An artifact stored without a reply is read whole and its reply
+    rebuilt, so it still counts as one hit.
+    """
     start = time.perf_counter()
-    result = cache.get(_job_key(model_name, config, precision_name))
-    if result is None:
+    key = _job_key(model_name, config, precision_name)
+    reply = cache.get_reply(key)
+    if reply is None and cache.contains(key):
+        result = cache.get(key)
+        reply = None if result is None else result_reply(result)
+    if reply is None:
         return None
-    return _outcome(model_name, config, result, True, start)
+    return CompileOutcome(
+        model=model_name,
+        config=config,
+        precision=precision_name,
+        compile_key=key,
+        cache_hit=True,
+        seconds=time.perf_counter() - start,
+        **reply,
+    )
 
 
-def _compile_job(
+def compile_job(
     model_name: str,
     config: str,
     precision_name: str,
     cache_dir: str | None,
 ) -> CompileOutcome:
-    """Compile one (model, configuration) pair — process-pool safe.
+    """Answer one (model, configuration) job — process-pool safe.
 
     Top level so pools can pickle it; opens its own handle on the shared
     cache directory and looks the key up first, so an artifact another
-    writer stored meanwhile is still a hit.
+    writer stored meanwhile is still a hit.  A miss compiles and stores
+    the result with its reply, but only a clean (level-0) result, as
+    ``run_lcmm(cache=...)`` does.
+
+    Raises:
+        repro.errors.ModelNotFoundError: Unknown model.
+        repro.errors.ConfigError: Unknown configuration label.
     """
     from repro.cache.store import CompilationCache
-    from repro.lcmm.framework import run_lcmm, umm_only_result
 
     cache = CompilationCache(cache_dir) if cache_dir is not None else None
     if cache is not None:
         outcome = _cached_outcome(cache, model_name, config, precision_name)
         if outcome is not None:
             return outcome
+    from repro.lcmm.framework import run_lcmm, umm_only_result
+
     start = time.perf_counter()
     key = _job_key(model_name, config, precision_name)
     graph, accel = _design(model_name, precision_name)
@@ -284,15 +317,20 @@ def _compile_job(
     if options is None:
         # The UMM floor bypasses the pass machinery entirely.
         result = umm_only_result(graph, accel)
-        if cache is not None:
-            cache.put(key, result)
     else:
         result = run_lcmm(graph, accel, options=options)
-        # Mirror the framework's rule: only clean (non-degraded)
-        # results are cached.
-        if cache is not None and result.degradation_level == 0:
-            cache.put(key, result)
-    return _outcome(model_name, config, result, False, start)
+    reply = result_reply(result)
+    if cache is not None and result.degradation_level == 0:
+        cache.put(key, result, reply=reply)
+    return CompileOutcome(
+        model=model_name,
+        config=config,
+        precision=precision_name,
+        compile_key=key,
+        cache_hit=False,
+        seconds=time.perf_counter() - start,
+        **reply,
+    )
 
 
 def batch_compile(
@@ -356,11 +394,13 @@ def batch_compile(
         workers = min(workers, len(missed)) if missed else 1
         compiled: list[CompileOutcome] | None = None
         if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             preload_compiler()
             try:
                 with ProcessPoolExecutor(max_workers=workers) as pool:
                     futures = [
-                        pool.submit(_compile_job, *jobs[i], precision, cache_str)
+                        pool.submit(compile_job, *jobs[i], precision, cache_str)
                         for i in missed
                     ]
                     compiled = [future.result() for future in futures]
@@ -370,7 +410,7 @@ def batch_compile(
                 pool_unavailable = True
         if compiled is None:
             compiled = [
-                _compile_job(*jobs[i], precision, cache_str) for i in missed
+                compile_job(*jobs[i], precision, cache_str) for i in missed
             ]
         for i, outcome in zip(missed, compiled):
             outcomes[i] = outcome

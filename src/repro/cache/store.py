@@ -10,8 +10,18 @@ were never written.
 
 Design points:
 
+* **One artifact per key.**  A ``result`` artifact holds three parts:
+  the *reply* (the four fields a compile request answers with, built by
+  :func:`repro.fingerprint.result_reply`), a CRC32 over the reply and
+  result bytes, and the pickled result.  :meth:`CompilationCache.get`
+  verifies the checksum and unpickles the result;
+  :meth:`CompilationCache.get_reply` verifies the same checksum and
+  unpickles only the reply, so a warm hit that needs no result object
+  never imports the compiler.  Both verify bytes read from disk; the
+  memory LRU admits only verified or freshly packed bytes.  ``sweep``
+  artifacts are plain pickles.
 * **Values round-trip through pickle on every read**, including
-  memory-LRU hits: the LRU holds the pickled *bytes*, so every ``get``
+  memory-LRU hits: the LRU holds the artifact *bytes*, so every ``get``
   returns an independent object and a caller mutating its result (the
   framework stamps ``degradation_level`` on it) can never corrupt the
   cached copy.
@@ -19,9 +29,11 @@ Design points:
   directory), so concurrent batch-compile workers sharing one cache
   directory never observe torn artifacts; last-writer-wins races are
   harmless because identical keys hold identical content.
-* **Corrupt or unreadable entries are misses**: a failed unpickle
-  deletes the file and returns ``None`` rather than raising into the
-  compile path.
+* **Corrupt or unreadable entries are misses**: a checksum mismatch or
+  a failed unpickle deletes the file and returns ``None`` rather than
+  raising into the compile path, so the slot heals on the next store.
+  The checksum covers both parts, so a damaged result is never served
+  behind an intact reply.
 * **The cache never fails a compilation**: ``get`` and ``put`` absorb
   storage-layer failures (I/O errors, and the ``cache.get`` /
   ``cache.put`` fault points the chaos suite arms) and degrade to
@@ -46,12 +58,14 @@ from __future__ import annotations
 
 import os
 import pickle
+import struct
 import tempfile
 import time
+import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from repro.errors import ConfigError, InjectedFault
 from repro.obs import spans as obs
@@ -74,10 +88,59 @@ _LOCK_TIMEOUT = 5.0
 #: between acquire and release) and taken over.
 _LOCK_STALE_SECONDS = 30.0
 
-#: Namespace for whole-compilation artifacts (pickled ``LCMMResult``).
+#: Namespace for whole-compilation artifacts (reply + ``LCMMResult``).
 RESULT_NAMESPACE = "result"
 #: Namespace for DSE warm-start score maps (``{tile_key: latency}``).
 SWEEP_NAMESPACE = "sweep"
+
+#: Header of a result artifact: magic, CRC32 of everything after the
+#: header, byte length of the pickled reply (0 = stored without one).
+_HEADER = struct.Struct("<4sII")
+_MAGIC = b"LCR7"
+
+
+def _pack(value: Any, reply: Any | None) -> bytes:
+    """One result artifact: header, pickled reply, pickled value."""
+    value_part = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+    reply_part = (
+        b"" if reply is None else pickle.dumps(reply, protocol=pickle.HIGHEST_PROTOCOL)
+    )
+    crc = zlib.crc32(value_part, zlib.crc32(reply_part))
+    return _HEADER.pack(_MAGIC, crc, len(reply_part)) + reply_part + value_part
+
+
+def _verify(payload: bytes) -> None:
+    """Check a result artifact read from disk.
+
+    Raises:
+        ValueError: Wrong magic or checksum mismatch (a torn or damaged
+            file, or one written under another layout).
+    """
+    magic, crc, _ = _HEADER.unpack_from(payload)
+    if magic != _MAGIC or zlib.crc32(memoryview(payload)[_HEADER.size:]) != crc:
+        raise ValueError("damaged result artifact")
+
+
+def _parts(payload: bytes) -> tuple[memoryview, memoryview]:
+    """The (reply, value) byte ranges of a result artifact."""
+    reply_len = _HEADER.unpack_from(payload)[2]
+    rest = memoryview(payload)[_HEADER.size:]
+    return rest[:reply_len], rest[reply_len:]
+
+
+class _NoReply(Exception):
+    """An intact result artifact that was stored without a reply."""
+
+
+def _decode_value(payload: bytes) -> Any:
+    return pickle.loads(_parts(payload)[1])
+
+
+def _decode_reply(payload: bytes) -> Any:
+    reply_part = _parts(payload)[0]
+    if not reply_part:
+        raise _NoReply
+    return pickle.loads(reply_part)
 
 
 @dataclass
@@ -170,6 +233,26 @@ class CompilationCache:
         ``cache.get`` fault) degrades to a miss — the cache must never
         fail the compilation it fronts.
         """
+        decode = _decode_value if namespace == RESULT_NAMESPACE else pickle.loads
+        return self._read(key, namespace, decode)
+
+    def get_reply(self, key: str) -> Any | None:
+        """The reply stored beside the result under ``key``, or ``None``.
+
+        Verifies the same checksum as :meth:`get` and counts the lookup
+        the same way, but unpickles only the reply.  ``None`` also
+        answers an intact artifact stored without a reply; that read
+        counts nothing, so a caller that then falls back to :meth:`get`
+        (``contains`` tells the two ``None`` apart) counts one lookup.
+        """
+        try:
+            return self._read(key, RESULT_NAMESPACE, _decode_reply)
+        except _NoReply:
+            return None
+
+    def _read(
+        self, key: str, namespace: str, decode: Callable[[bytes], Any]
+    ) -> Any | None:
         payload = self._lru.get((namespace, key))
         from_memory = payload is not None
         if payload is None and self.root is not None:
@@ -185,10 +268,15 @@ class CompilationCache:
                 payload = None
         if payload is not None:
             try:
-                value = pickle.loads(payload)
+                if namespace == RESULT_NAMESPACE and not from_memory:
+                    # LRU bytes were verified (or packed) on the way in.
+                    _verify(payload)
+                value = decode(payload)
+            except _NoReply:
+                raise  # intact: the caller's fallback read counts it
             except Exception:
-                # A torn or schema-incompatible artifact is a miss; drop
-                # it so the slot heals on the next store.
+                # A torn, damaged or schema-incompatible artifact is a
+                # miss; drop it so the slot heals on the next store.
                 self._lru.pop((namespace, key), None)
                 if self.root is not None:
                     try:
@@ -207,17 +295,29 @@ class CompilationCache:
         self._record("cache.miss", namespace)
         return None
 
-    def put(self, key: str, value: Any, namespace: str = RESULT_NAMESPACE) -> None:
+    def put(
+        self,
+        key: str,
+        value: Any,
+        namespace: str = RESULT_NAMESPACE,
+        *,
+        reply: Any | None = None,
+    ) -> None:
         """Store ``value`` under ``key`` (atomic on disk, LRU-admitted).
 
-        The disk write is serialized against concurrent cross-process
-        writers by a per-key lockfile and performed as temp-write +
-        atomic rename.  A failing storage layer (I/O error, armed
-        ``cache.put`` fault) drops the disk copy — counted in
-        ``CacheStats.errors`` — but never raises into the compile path;
-        the in-memory LRU still remembers the value.
+        In the result namespace ``reply`` is stored beside the value for
+        :meth:`get_reply`; other namespaces store the value alone.  The
+        disk write is serialized against concurrent cross-process writers
+        by a per-key lockfile and performed as temp-write + atomic
+        rename.  A failing storage layer (I/O error, armed ``cache.put``
+        fault) drops the disk copy — counted in ``CacheStats.errors`` —
+        but never raises into the compile path; the in-memory LRU still
+        remembers the value.
         """
-        payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        if namespace == RESULT_NAMESPACE:
+            payload = _pack(value, reply)
+        else:
+            payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         if self.root is not None:
             path = self._path(key, namespace)
             try:

@@ -47,6 +47,7 @@ __all__ = [
     "graph_fingerprint",
     "options_fingerprint",
     "pipeline_key",
+    "result_reply",
     "sweep_key",
     "tile_key",
 ]
@@ -56,8 +57,9 @@ __all__ = [
 #: results, a latency-model fix, a serialization change — and every
 #: previously written entry silently becomes a miss.  Every key kind
 #: (compile, tile sweep, multi-die pipeline) hashes this one tag, and a
-#: bump is never scoped to some graphs or option sets.
-CACHE_SCHEMA_VERSION = 6
+#: bump is never scoped to some graphs or option sets.  Version 7 stores
+#: each result's reply and a checksum in the same artifact.
+CACHE_SCHEMA_VERSION = 7
 
 
 def _digest(payload: Any) -> str:
@@ -116,6 +118,22 @@ def fingerprint(result: "LCMMResult") -> dict:
     }
 
 
+def result_reply(result: "LCMMResult") -> dict:
+    """What a compile request answers with, reduced from one result.
+
+    The cache stores this beside each result
+    (:meth:`repro.cache.store.CompilationCache.get_reply`), so a warm
+    hit answers without unpickling the result; every writer builds it
+    here, which computes :func:`fingerprint` once per compile.
+    """
+    return {
+        "latency": result.latency,
+        "degradation_level": result.degradation_level,
+        "degradation_path": list(result.degradation_path),
+        "fingerprint": fingerprint(result),
+    }
+
+
 # ----------------------------------------------------------------------
 # Input fingerprints (cache-key components)
 # ----------------------------------------------------------------------
@@ -128,7 +146,7 @@ def graph_fingerprint(graph: "ComputationGraph") -> str:
     block map — fingerprint identically regardless of how they were
     built.
     """
-    from repro.io.serialize import graph_to_dict  # deferred: io imports lcmm
+    from repro.io.serialize import graph_to_dict  # deferred: only keys need it
 
     return _digest(graph_to_dict(graph))
 

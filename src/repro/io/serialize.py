@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.ir.graph import ComputationGraph
 from repro.ir.layer import (
@@ -23,7 +23,9 @@ from repro.ir.layer import (
     Pooling,
 )
 from repro.ir.tensor import FeatureMapShape
-from repro.lcmm.framework import LCMMResult
+
+if TYPE_CHECKING:  # keys built from graph_to_dict must not load the compiler
+    from repro.lcmm.framework import LCMMResult
 
 #: Format tag written into serialized graphs of the original conv-family
 #: op set.  Graphs built only from these ops serialize byte-identically

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.errors import DeadlineExceeded, PassError, PipelineError, ReproError
-from repro.fingerprint import compile_key
+from repro.fingerprint import compile_key, result_reply
 from repro.hw.sram import BRAM36_BYTES, SRAMUsage, blocks_for
 from repro.obs.metrics import registry as obs_registry
 from repro.obs.spans import annotate as obs_annotate
@@ -395,7 +395,7 @@ def run_lcmm(
             if carried:
                 result.diagnostics = tuple(carried) + result.diagnostics
             if cache_key is not None and result.degradation_level == 0:
-                cache.put(cache_key, result)
+                cache.put(cache_key, result, reply=result_reply(result))
             run_span.annotate(
                 "lcmm.result",
                 landed=result.pipeline_description or "umm-only",

@@ -4,11 +4,12 @@ Everything a job needs crosses the process boundary as plain picklable
 arguments, and everything it returns is a JSON-ready dict — the service
 layer never ships live objects to or from workers.
 
-Key compatibility is deliberate: a served compile derives the same
-content key as ``batch_compile`` and ``lcmm run --cache`` (via
-:func:`repro.cache.batch._job_key`), so a daemon pointed at a
-pre-warmed batch cache directory answers from it immediately, and
-artifacts the daemon writes warm later batch runs.
+Key compatibility is deliberate: a served compile runs the batch job
+body (:func:`repro.cache.batch.compile_job`), so it derives the same
+content key and writes the same artifact as ``batch_compile`` and
+``lcmm run --cache``; a daemon pointed at a pre-warmed batch cache
+directory answers from it immediately, and artifacts the daemon writes
+warm later batch runs.
 
 Two pools, one lifecycle (:class:`repro.perf.pool.ResilientPool`):
 
@@ -71,55 +72,25 @@ def run_compile_job(
     cache_dir: str | None,
     deadline_epoch: float | None = None,
 ) -> dict:
-    """Compile one (model, configuration) pair under a request deadline.
+    """One compile job under a request deadline, as a JSON-ready payload.
 
-    Top-level so process pools can pickle it.  Mirrors
-    :func:`repro.cache.batch._compile_job` — shared cache directory,
-    identical content keys, only clean (level-0) results written back —
-    plus the serving concerns: the caller's wall-clock deadline is
-    re-anchored onto this process and checked at every pass boundary,
-    and the ``serve.worker`` fault point runs under it.
-
-    Returns a JSON-ready payload including ``degradation_level`` /
-    ``degradation_path`` — a degraded result is always labeled, never
-    silently served.
+    Top-level so process pools can pickle it.  The body is
+    :func:`repro.cache.batch.compile_job`; this wrapper adds the serving
+    concerns: the caller's wall-clock deadline is re-anchored onto this
+    process and checked at every pass boundary, the ``serve.worker``
+    fault point runs under it, and ``seconds`` covers the whole job.
+    The payload carries ``degradation_level`` / ``degradation_path`` — a
+    degraded result is always labeled, never silently served.
     """
-    from repro.cache.batch import _design, _job_key, standard_options
-    from repro.cache.store import CompilationCache
-    from repro.fingerprint import fingerprint
-    from repro.lcmm.framework import run_lcmm, umm_only_result
+    from repro.cache.batch import compile_job
 
     start = time.perf_counter()
     with deadline_scope(None, epoch=deadline_epoch):
         fault_point("serve.worker", model=model, config=config)
         check_deadline("serve.worker")
-        key = _job_key(model, config, precision)
-        cache = CompilationCache(cache_dir) if cache_dir is not None else None
-        result = cache.get(key) if cache is not None else None
-        hit = result is not None
-        if result is None:
-            graph, accel = _design(model, precision)
-            options = standard_options(config)
-            if options is None:
-                result = umm_only_result(graph, accel)
-                if cache is not None:
-                    cache.put(key, result)
-            else:
-                result = run_lcmm(graph, accel, options=options)
-                if cache is not None and result.degradation_level == 0:
-                    cache.put(key, result)
-    return {
-        "model": model,
-        "config": config,
-        "precision": precision,
-        "compile_key": key,
-        "cache_hit": hit,
-        "latency": result.latency,
-        "degradation_level": result.degradation_level,
-        "degradation_path": list(result.degradation_path),
-        "fingerprint": fingerprint(result),
-        "seconds": time.perf_counter() - start,
-    }
+        payload = compile_job(model, config, precision, cache_dir).as_payload()
+    payload["seconds"] = time.perf_counter() - start
+    return payload
 
 
 def run_dse_job(

@@ -161,10 +161,12 @@ class CompileService:
         deadline_epoch: float | None = None,
     ) -> dict:
         """One DSE sweep request (single-flight on its full parameter set)."""
-        precision = precision or self.config.precision
-        from repro.models.zoo import get_model
+        from repro.models.zoo import canonical_model_name
 
-        await asyncio.to_thread(get_model, model)  # validate before queueing
+        precision = precision or self.config.precision
+        # Validate before queueing, without building the graph; aliases
+        # share the canonical name's single-flight key and design.
+        model = canonical_model_name(model)
         key = f"dse:{model}:{precision}:{budget_mb}:{top}"
         return await self._single_flight(
             key,
@@ -201,24 +203,23 @@ class CompileService:
     def _warm_lookup(
         self, key: str, model: str, config_label: str, precision: str
     ) -> dict | None:
-        from repro.fingerprint import fingerprint
+        from repro.cache.batch import CompileOutcome
+        from repro.fingerprint import result_reply
 
         start = time.perf_counter()
         result = self.cache.get(key)
         if result is None:
             return None
-        return {
-            "model": model,
-            "config": config_label,
-            "precision": precision,
-            "compile_key": key,
-            "cache_hit": True,
-            "latency": result.latency,
-            "degradation_level": result.degradation_level,
-            "degradation_path": list(result.degradation_path),
-            "fingerprint": fingerprint(result),
-            "seconds": time.perf_counter() - start,
-        }
+        reply = result_reply(result)
+        return CompileOutcome(
+            model=model,
+            config=config_label,
+            precision=precision,
+            compile_key=key,
+            cache_hit=True,
+            seconds=time.perf_counter() - start,
+            **reply,
+        ).as_payload()
 
     # ------------------------------------------------------------------
     # Single-flight

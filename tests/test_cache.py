@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import struct
 from dataclasses import replace
 
 import pytest
 
 from repro import obs
 from repro.cache import CompilationCache, batch_compile, standard_options
-from repro.cache.store import SWEEP_NAMESPACE
+from repro.cache.batch import _design, _job_key
+from repro.cache.store import RESULT_NAMESPACE, SWEEP_NAMESPACE
 from repro.errors import ConfigError, ModelNotFoundError
 from repro.fingerprint import (
     accel_fingerprint,
@@ -16,12 +18,14 @@ from repro.fingerprint import (
     fingerprint,
     graph_fingerprint,
     options_fingerprint,
+    result_reply,
     sweep_key,
     tile_key,
 )
 from repro.lcmm.framework import run_lcmm
 from repro.lcmm.options import LCMMOptions
 from repro.perf.tiling import TileConfig
+from repro.robustness.inject import FaultPlan, injected
 
 from tests.conftest import build_chain, build_snippet, small_accel, sweep_base
 
@@ -262,6 +266,138 @@ class TestBatchCompile:
             batch_compile(workers=0)
         with pytest.raises(ConfigError):
             standard_options("nonsense")
+
+
+def damage_result_part(path, latency: float) -> None:
+    """Flip the lowest mantissa bit of ``latency`` inside the result part.
+
+    The pickled result stores the latency as one BINFLOAT (``G`` + eight
+    big-endian bytes) after the reply, so the last occurrence is the
+    result's own.  The damaged file still unpickles — to a result whose
+    latency is off by one ulp — so only a checksum can catch it.
+    """
+    data = bytearray(path.read_bytes())
+    at = data.rfind(b"G" + struct.pack(">d", latency))
+    assert at >= 0
+    data[at + 8] ^= 0x01
+    path.write_bytes(bytes(data))
+
+
+class TestResultArtifact:
+    """One file per key: the reply, a checksum and the pickled result."""
+
+    def test_damaged_result_part_is_a_miss_for_every_read(self, tmp_path):
+        cold = batch_compile(models=["alexnet"], configs=["dnnk"], cache_dir=tmp_path)
+        (outcome,) = cold.outcomes
+        key = _job_key("alexnet", "dnnk", "int8")
+        path = CompilationCache(tmp_path)._path(key, RESULT_NAMESPACE)
+
+        damage_result_part(path, outcome.latency)
+        cache = CompilationCache(tmp_path)
+        assert cache.get(key) is None
+        assert not path.exists()  # dropped, so the slot heals
+        assert cache.stats.misses == 1 and cache.stats.hits == 0
+
+        batch_compile(models=["alexnet"], configs=["dnnk"], cache_dir=tmp_path)
+        damage_result_part(path, outcome.latency)
+        cache = CompilationCache(tmp_path)
+        assert cache.get_reply(key) is None
+        assert not path.exists()
+        assert cache.stats.misses == 1 and cache.stats.hits == 0
+
+        batch_compile(models=["alexnet"], configs=["dnnk"], cache_dir=tmp_path)
+        damage_result_part(path, outcome.latency)
+        warm = batch_compile(models=["alexnet"], configs=["dnnk"], cache_dir=tmp_path)
+        assert warm.misses == 1  # recompiled, never served
+        assert warm.outcomes[0].fingerprint == outcome.fingerprint
+        assert warm.verify_golden("tests/golden") == []
+        healed = batch_compile(models=["alexnet"], configs=["dnnk"], cache_dir=tmp_path)
+        assert healed.all_hits
+        assert healed.outcomes[0].fingerprint == outcome.fingerprint
+
+    def test_run_lcmm_artifacts_serve_a_warm_batch(self, tmp_path, capsys):
+        from repro.cli import main
+
+        configs = ["dnnk", "greedy", "splitting"]
+        graph, accel = _design("alexnet", "int8")
+        cache = CompilationCache(tmp_path)
+        for config in configs:
+            result = run_lcmm(graph, accel, options=standard_options(config), cache=cache)
+            key = _job_key("alexnet", config, "int8")
+            assert cache.get_reply(key) == result_reply(result)
+        capsys.readouterr()
+        code = main(
+            [
+                "batch-compile", "alexnet", "--configs", ",".join(configs),
+                "--cache", str(tmp_path), "--require-all-hits",
+                "--verify-golden", "tests/golden",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "3 cache hits, 0 misses" in out
+        assert "All results match the golden fingerprints" in out
+
+    def test_artifact_without_reply_falls_back_to_get(self, tmp_path):
+        graph, accel = _design("alexnet", "int8")
+        result = run_lcmm(graph, accel, options=standard_options("dnnk"))
+        key = _job_key("alexnet", "dnnk", "int8")
+        CompilationCache(tmp_path).put(key, result)  # no reply stored
+
+        cache = CompilationCache(tmp_path)
+        assert cache.get_reply(key) is None
+        assert cache.stats.lookups == 0  # deferred to the fallback read
+        assert cache.contains(key)
+        warm = batch_compile(models=["alexnet"], configs=["dnnk"], cache_dir=tmp_path)
+        assert warm.all_hits
+        assert warm.outcomes[0].fingerprint == fingerprint(result)
+        assert warm.verify_golden("tests/golden") == []
+
+        other = CompilationCache()
+        other.put("k", {"x": 1})
+        assert other.get_reply("k") is None
+        assert other.get("k") == {"x": 1}
+
+    @pytest.mark.parametrize("disk", [False, True])
+    def test_reply_read_counts_like_get(self, tmp_path, disk):
+        reply = {"latency": 1.0, "degradation_level": 0,
+                 "degradation_path": [], "fingerprint": {"x": 1}}
+
+        def scenario(read) -> tuple[dict, int]:
+            root = tmp_path / read if disk else None
+            writer = CompilationCache(root)
+            writer.put("k", "result", reply=reply)
+            cache = CompilationCache(root) if disk else writer
+            with injected(FaultPlan("cache.get", rate=0.0)) as armed:
+                assert getattr(cache, read)("absent") is None
+                assert getattr(cache, read)("k") is not None
+                assert getattr(cache, read)("k") is not None  # memory hit
+            fires = armed["cache.get"].hits
+            fresh = CompilationCache(root) if disk else cache
+            with injected(FaultPlan("cache.get")):
+                getattr(fresh, read)("k")
+            stats = cache.stats.as_dict()
+            if disk:
+                stats["fresh"] = fresh.stats.as_dict()
+            return stats, fires
+
+        assert scenario("get_reply") == scenario("get")
+        stats, fires = scenario("get_reply")
+        if disk:
+            assert (stats["hits"], stats["misses"], stats["memory_hits"]) == (2, 1, 1)
+            assert fires == 2  # the absent key and the first disk read
+            assert stats["fresh"]["errors"] == 1
+            assert stats["fresh"]["misses"] == 1
+        else:
+            # No disk, so no fault point: the armed read is a memory hit.
+            assert (stats["hits"], stats["misses"], stats["memory_hits"]) == (3, 1, 3)
+            assert fires == 0
+
+    def test_reply_reads_return_independent_copies(self):
+        cache = CompilationCache()
+        cache.put("k", "result", reply={"degradation_path": []})
+        cache.get_reply("k")["degradation_path"].append("mutated")
+        assert cache.get_reply("k") == {"degradation_path": []}
 
 
 class TestCli:

@@ -145,7 +145,7 @@ class TestGoldenCompatibility:
 
 
 class TestCacheKeyStability:
-    """Pinned schema-6 digests: any change to what a key hashes — a new
+    """Pinned schema-7 digests: any change to what a key hashes — a new
     option field, a payload tweak, a schema bump — must show up here as
     a deliberate re-pin, because it turns every warm cache cold."""
 
@@ -171,13 +171,13 @@ class TestCacheKeyStability:
         assert compile_key(
             graph, accel, LCMMOptions(), extra={"strict": False}
         ) == (
-            "9b54770b15292dddd34df78981eb2c427b4864038d31467a45bcbc74e64af2e6"
+            "3b9fd8cb11e03c2376e6524b0fa6d365406eab722d07d80d060a8cfc2869a421"
         )
         assert compile_key(graph, accel, None) == (
-            "f2ae92b7049fbc141f63dcaf17a13efa816ad95d8093bbcccd25ea2166aec9a7"
+            "12c2bfe9583a34328a0a1ad09c31a39cf1de9856c988bd68bf8561e9fd58c80c"
         )
         assert sweep_key(graph, accel) == (
-            "150e8b4251b405e3c4f9fed5d163ca7cdea606a3752f56f03616b9bb921157a8"
+            "1a568fa1b9cfbb68f267b8506b3136a5afd6b6065317783139b37c84749e7e31"
         )
 
     def test_gemm_compile_key_stable(self):
@@ -186,7 +186,7 @@ class TestCacheKeyStability:
         assert compile_key(
             graph, accel, LCMMOptions(), extra={"strict": False}
         ) == (
-            "d63e3bbf105e18479dd3a56450df2ff573e4e27bf1095273834625225242ff0f"
+            "7f5845c9b3e97c7ab160e74f660427f5006e68fadba6c6b5cccc680f26809fab"
         )
 
     def test_fusion_options_change_keys(self):

@@ -1,8 +1,9 @@
 """Import budget: the warm path imports only what it uses.
 
 ``lcmm --help`` and a warm ``lcmm batch-compile`` must not load numpy
-(only DNNK's vector sweep needs it), and ``--help`` must not load the
-compiler or the experiment drivers either.  Each check runs in a fresh
+(only DNNK's vector sweep needs it) or the compiler, and a warm batch
+must not load the process-pool machinery either; nor may deriving a
+graph's cache-key digest load the compiler.  Each check runs in a fresh
 interpreter, because this test process has long since imported
 everything.
 """
@@ -27,6 +28,9 @@ GOLDEN = str(Path(__file__).resolve().parent / "golden")
 #: Modules a process that compiles nothing has no use for.
 HEAVY = ("numpy", "repro.lcmm.framework", "repro.analysis.experiments")
 
+#: What a process that forks no workers has no use for.
+POOL = ("concurrent.futures.process",)
+
 #: Packages whose exports load on first access.
 LAZY_PACKAGES = (
     "repro",
@@ -49,8 +53,10 @@ PACKAGES = LAZY_PACKAGES + (
 )
 
 
-def run_fresh(code: str, *args: str) -> tuple[subprocess.CompletedProcess, list[str]]:
-    """Run ``code`` in a fresh interpreter; also the HEAVY modules it loaded.
+def run_fresh(
+    code: str, *args: str, watch: tuple[str, ...] = HEAVY
+) -> tuple[subprocess.CompletedProcess, list[str]]:
+    """Run ``code`` in a fresh interpreter; also the ``watch`` modules it loaded.
 
     ``code`` runs first; the loaded-module list is printed to stderr as
     the last line afterwards.
@@ -59,7 +65,7 @@ def run_fresh(code: str, *args: str) -> tuple[subprocess.CompletedProcess, list[
     env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
     report = (
         "\nimport json as _json, sys as _sys\n"
-        f"print(_json.dumps([m for m in {HEAVY!r} if m in _sys.modules]), "
+        f"print(_json.dumps([m for m in {watch!r} if m in _sys.modules]), "
         "file=_sys.stderr)\n"
     )
     proc = subprocess.run(
@@ -100,11 +106,23 @@ def test_warm_batch_compile_loads_no_numpy_and_no_pool(tmp_path):
         "--workers", "2",
         "--require-all-hits",
         "--verify-golden", GOLDEN,
+        watch=HEAVY + POOL,
     )
     assert "6 cache hits, 0 misses" in proc.stdout
     assert "(workers=1)" in proc.stdout
     assert "All results match the golden fingerprints" in proc.stdout
-    assert "numpy" not in loaded
+    # Hits are answered from the stored replies: no result is unpickled,
+    # so neither the compiler nor numpy loads, and no pool is imported.
+    assert loaded == []
+
+
+def test_graph_fingerprint_loads_no_compiler():
+    _, loaded = run_fresh(
+        "from repro.fingerprint import graph_fingerprint\n"
+        "from repro.models.zoo import get_model\n"
+        "graph_fingerprint(get_model('googlenet'))\n"
+    )
+    assert loaded == []
 
 
 @pytest.mark.parametrize("package", LAZY_PACKAGES)

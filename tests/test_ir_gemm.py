@@ -229,7 +229,7 @@ class TestCacheKeyStability:
     """One schema for every key; conv graph fingerprints never move."""
 
     def test_schema_bumped(self):
-        assert CACHE_SCHEMA_VERSION == 6
+        assert CACHE_SCHEMA_VERSION == 7
 
     def test_component_fingerprints_stable(self):
         accel = default_accelerator()

@@ -132,6 +132,51 @@ class TestHappyPath:
         assert request(server, "GET", "/v1/requests/r999999/trace")[0] == 404
 
 
+class TestDseModelNames:
+    """DSE requests validate the name without building the graph."""
+
+    def test_no_zoo_builder_runs_on_the_server_side(self, server, monkeypatch):
+        from repro.models import zoo
+
+        threads = []
+        for name, builder in list(zoo.MODEL_BUILDERS.items()):
+            monkeypatch.setitem(
+                zoo.MODEL_BUILDERS,
+                name,
+                lambda builder=builder: threads.append(
+                    threading.current_thread().name
+                ) or builder(),
+            )
+        status, _, _ = request(
+            server, "POST", "/v1/dse", {"model": "alexnet", "budget_mb": 2.0, "top": 1}
+        )
+        assert status == 200
+        # Only the job's own build, on a worker thread.
+        assert len(threads) == 1 and threads[0].startswith("serve-inline")
+
+    def test_alias_gets_the_canonical_payload(self, server):
+        def dse(model):
+            status, payload, _ = request(
+                server, "POST", "/v1/dse", {"model": model, "budget_mb": 2.0, "top": 3}
+            )
+            assert status == 200
+            return {k: v for k, v in payload.items() if k not in ("seconds", "request_id")}
+
+        assert dse("gn") == dse("googlenet")
+        assert dse("gn")["model"] == "googlenet"
+
+    def test_unknown_model_answers_like_get_model(self, server):
+        from repro.errors import ModelNotFoundError, http_status
+        from repro.models.zoo import get_model
+
+        with pytest.raises(ModelNotFoundError) as built:
+            get_model("nosuchnet")
+        status, payload, _ = request(server, "POST", "/v1/dse", {"model": "nosuchnet"})
+        assert status == http_status(built.value)
+        assert payload["error"]["type"] == "ModelNotFoundError"
+        assert payload["error"]["message"] == str(built.value)
+
+
 class TestErrorMapping:
     def test_unknown_model_is_400(self, server):
         status, payload, _ = request(
