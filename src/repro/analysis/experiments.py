@@ -27,6 +27,7 @@ from repro.analysis.reference import (
     REFERENCE_FREQUENCIES,
     REFERENCE_IF_RESIDENT_CAP,
     REFERENCE_WT_RESIDENT_CAP,
+    model_reference_design,
     reference_design,
 )
 
@@ -83,9 +84,8 @@ def run_comparison(
     convention as the golden-fingerprint suite.
     """
     graph = graph or get_model(model_name)
-    design_key = model_name if model_name in BENCHMARKS else "resnet152"
-    accel_umm = reference_design(design_key, precision, "umm")
-    accel_lcmm = reference_design(design_key, precision, "lcmm")
+    accel_umm = model_reference_design(model_name, precision, "umm")
+    accel_lcmm = model_reference_design(model_name, precision, "lcmm")
     umm_model = LatencyModel(graph, accel_umm)
     lcmm_model = LatencyModel(graph, accel_lcmm)
     umm = run_umm(graph, accel_umm, umm_model)

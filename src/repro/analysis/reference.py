@@ -100,3 +100,24 @@ def reference_design(
         if_resident_cap=REFERENCE_IF_RESIDENT_CAP,
         wt_resident_cap=REFERENCE_WT_RESIDENT_CAP,
     )
+
+
+def model_reference_design(
+    model_name: str, precision: Precision, style: str
+) -> AcceleratorConfig:
+    """The reference design a zoo model compiles on.
+
+    The name is canonicalised first, so an alias (``gn``, ``RN``) gets
+    the same design as its model; models outside :data:`BENCHMARKS`
+    (the rest of the CNN zoo and the transformers) use resnet152's.
+
+    Raises:
+        repro.errors.ModelNotFoundError: If the name matches no
+            registered model.
+    """
+    from repro.models.zoo import canonical_model_name
+
+    name = canonical_model_name(model_name)
+    return reference_design(
+        name if name in BENCHMARKS else "resnet152", precision, style
+    )

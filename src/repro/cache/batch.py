@@ -204,13 +204,12 @@ def _design(model_name: str, precision_name: str) -> tuple:
     memo = (model_name, precision_name)
     pair = _DESIGN_MEMO.get(memo)
     if pair is None:
-        from repro.analysis.reference import BENCHMARKS, reference_design
+        from repro.analysis.reference import model_reference_design
         from repro.hw.precision import precision_by_name
 
         graph = get_model(model_name)
-        design_key = model_name if model_name in BENCHMARKS else "resnet152"
-        accel = reference_design(
-            design_key, precision_by_name(precision_name), "lcmm"
+        accel = model_reference_design(
+            model_name, precision_by_name(precision_name), "lcmm"
         )
         pair = (graph, accel)
         _DESIGN_MEMO[memo] = pair

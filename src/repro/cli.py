@@ -34,7 +34,11 @@ import os
 import sys
 
 from repro.analysis.metrics import average_speedup
-from repro.analysis.reference import BENCHMARKS, reference_design
+from repro.analysis.reference import (
+    BENCHMARKS,
+    model_reference_design,
+    reference_design,
+)
 from repro.analysis.report import format_table
 from repro.errors import ConfigError, ReproError, exit_code
 from repro.hw.precision import precision_by_name
@@ -377,10 +381,8 @@ def _cmd_export(args: argparse.Namespace) -> None:
     from repro.perf.latency import LatencyModel
 
     graph = _load_model(args.model)
-    accel = reference_design(
-        args.model if args.model in BENCHMARKS else "resnet152",
-        precision_by_name(args.precision),
-        "lcmm",
+    accel = model_reference_design(
+        args.model, precision_by_name(args.precision), "lcmm"
     )
     model = LatencyModel(graph, accel)
     lcmm = run_lcmm(graph, accel, model=model)
@@ -442,8 +444,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> None:
     )
 
     graph = _load_model(args.model)
-    design_key = args.model if args.model in BENCHMARKS else "resnet152"
-    accel = reference_design(design_key, precision_by_name(args.precision), "lcmm")
+    accel = model_reference_design(args.model, precision_by_name(args.precision), "lcmm")
     try:
         link = None if args.no_link else InterDieLink(
             gbps=args.link_gbps, efficiency=args.link_efficiency
@@ -551,8 +552,7 @@ def _cmd_dot(args: argparse.Namespace) -> None:
     from repro.perf.latency import LatencyModel
 
     graph = _load_model(args.model)
-    design_key = args.model if args.model in BENCHMARKS else "resnet152"
-    accel = reference_design(design_key, precision_by_name(args.precision), "lcmm")
+    accel = model_reference_design(args.model, precision_by_name(args.precision), "lcmm")
     model = LatencyModel(graph, accel)
     if args.view == "graph":
         bound = frozenset(model.memory_bound_nodes())
@@ -580,10 +580,8 @@ def _cmd_dse(args: argparse.Namespace) -> None:
         swept = space if args.sample is None else space.sample(args.sample)
         prune = args.prune
     else:
-        base = reference_design(
-            args.model if args.model in BENCHMARKS else "resnet152",
-            precision_by_name(args.precision),
-            "lcmm",
+        base = model_reference_design(
+            args.model, precision_by_name(args.precision), "lcmm"
         )
         # One base, unpruned: every feasible tile is listed, tn duplicates too.
         swept = SampledSpace([(base, candidate_tiles())])
@@ -717,10 +715,8 @@ def _cmd_stats(args: argparse.Namespace) -> None:
     from repro.perf.latency import LatencyModel
 
     graph = _load_model(args.model)
-    accel = reference_design(
-        args.model if args.model in BENCHMARKS else "resnet152",
-        precision_by_name(args.precision),
-        "lcmm",
+    accel = model_reference_design(
+        args.model, precision_by_name(args.precision), "lcmm"
     )
     model = LatencyModel(graph, accel)
     obs.reset_registry()

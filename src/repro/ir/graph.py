@@ -201,15 +201,16 @@ class ComputationGraph:
         if self._position is None:
             self._position = {node: idx for idx, node in enumerate(self.schedule())}
         index = self._consumer_index()
-        result: list[str] = []
+        # Visit order does not matter: the result is sorted by position.
+        result: set[str] = set()
         stack = list(index.get(name, ()))
         while stack:
-            consumer = stack.pop(0)
+            consumer = stack.pop()
             if self._layers[consumer].op_type is OpType.CONCAT:
                 stack.extend(index.get(consumer, ()))
             else:
-                result.append(consumer)
-        return sorted(set(result), key=self._position.__getitem__)
+                result.add(consumer)
+        return sorted(result, key=self._position.__getitem__)
 
     def feature_sources(self, name: str) -> list[str]:
         """Producer names whose feature values ``name`` actually reads.
@@ -218,12 +219,15 @@ class ComputationGraph:
         reads the concat's branch outputs directly (address steering), so
         the returned producers are always non-concat layers.
         """
+        # Depth-first in input order: the stack holds inputs reversed, so
+        # popping from its end visits them first to last.
         sources: list[str] = []
-        stack = list(self.layer(name).inputs)
+        stack = list(reversed(self.layer(name).inputs))
         while stack:
-            src = stack.pop(0)
-            if self.layer(src).op_type is OpType.CONCAT:
-                stack = list(self.layer(src).inputs) + stack
+            src = stack.pop()
+            lyr = self._layers[src]
+            if lyr.op_type is OpType.CONCAT:
+                stack.extend(reversed(lyr.inputs))
             else:
                 sources.append(src)
         return sources

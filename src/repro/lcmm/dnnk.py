@@ -497,12 +497,14 @@ def _dp_pass_vector(
     """Column-vectorised DP sweep — identical decisions to :func:`_dp_pass`.
 
     The per-column work of a row is one gain lookup keyed on the context's
-    gain sub-mask; across a row most columns share a handful of
-    distinct keys, so the sweep reduces to ``np.unique`` over the key
-    vector plus one gain evaluation per distinct key.  All arithmetic
+    gain sub-mask.  Across a row the keys come in a few runs of equal
+    columns (context bits are set over column ranges), so the sweep
+    finds the runs' change points, evaluates one gain per distinct key
+    and repeats each run's gain over its columns (a row of one run adds
+    its one gain as a scalar).  The gain calls are the same set as the
+    scalar loop's, and all arithmetic
     (``best[j - size] + gain`` and the ``>`` comparison) is the same
-    float64 operation as the scalar loop, so the backtraced set is
-    bit-for-bit the same.
+    float64 operation, so the backtraced set is bit-for-bit the same.
     """
     np = _numpy()
     best = np.zeros(units + 1)
@@ -511,30 +513,37 @@ def _dp_pass_vector(
 
     for i in order:
         size = sizes[i]
-        row = np.zeros(units + 1, dtype=bool)
+        row = None  # the row's take bits, when it takes any
         if size <= units:
-            rel = np.uint64(evaluator._gain_mask[i])
-            keys = context[size:] & rel
-            uniq, inverse = np.unique(keys, return_inverse=True)
-            gains = np.fromiter(
-                (evaluator.gain(i, int(k)) for k in uniq),
-                dtype=np.float64,
-                count=len(uniq),
-            )
-            take = best[: units + 1 - size] + gains[inverse]
+            keys = context[size:] & np.uint64(evaluator._gain_mask[i])
+            starts = np.flatnonzero(keys[1:] != keys[:-1]) + 1
+            if len(starts):
+                bounds = [0, *starts.tolist(), len(keys)]
+                row_gains: dict[int, float] = {}
+                run_gains = []
+                for key in keys[bounds[:-1]].tolist():
+                    gain = row_gains.get(key)
+                    if gain is None:
+                        gain = row_gains[key] = evaluator.gain(i, key)
+                    run_gains.append(gain)
+                gains = np.repeat(run_gains, np.diff(bounds))
+            else:
+                gains = evaluator.gain(i, int(keys[0]))
+            take = best[: units + 1 - size] + gains
             better = take > best[size:]
             if better.any():
-                new_best = best.copy()
-                new_best[size:][better] = take[better]
-                best = new_best
-                row[size:] = better
+                # ``take`` already holds the prior row's values.
+                best[size:][better] = take[better]
                 context[size:][better] |= np.uint64(1 << i)
+                row = np.zeros(units + 1, dtype=bool)
+                row[size:] = better
         decisions.append(row)
 
     chosen_set: set[int] = set()
     j = units
     for k in range(len(order) - 1, -1, -1):
-        if decisions[k][j]:
+        row = decisions[k]
+        if row is not None and row[j]:
             chosen_set.add(order[k])
             j -= sizes[order[k]]
     return chosen_set, float(best[units])

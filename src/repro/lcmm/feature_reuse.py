@@ -52,13 +52,12 @@ def feature_candidates(
     """
     positions = schedule_positions(graph)
     elem = model.accel.precision.bytes
-    node_terms: dict[str, dict[str, float]] = {}
     candidates = []
     for tensor in graph.feature_tensors():
         if graph.layer(tensor.producer).op_type is OpType.INPUT:
             continue
         affected = (tensor.producer,) + tensor.consumers
-        reduction = eq2_latency_reduction(model, tensor.name, affected, node_terms)
+        reduction = eq2_latency_reduction(model, tensor.name, affected)
         if reduction <= 0.0:
             continue
         candidates.append(

@@ -47,7 +47,6 @@ from repro.errors import AllocationError
 from repro.hw.sram import SRAMUsage, blocks_for, BRAM36_BYTES
 from repro.ir.tensor import TensorKind, weight_tensor_name
 from repro.lcmm.buffers import PhysicalBuffer, VirtualBuffer
-from repro.lcmm.coloring import color_buffers
 from repro.lcmm.dnnk import DNNKResult, dnnk_allocate, greedy_allocate
 from repro.lcmm.feature_reuse import FeatureReuseResult, feature_reuse_pass
 from repro.lcmm.fusion import FusedEdge, apply_fusion, find_fusion_candidates
@@ -379,13 +378,11 @@ class SplittingAllocatePass(_AllocateBase):
             ),
         )
         # The splitting loop may have added false edges; republish the
-        # per-technique results with buffer views recoloured against the
-        # final graphs.  New objects, not field patches — pass results
-        # stay immutable once published.
-        ctx.put("feature", replace(feature, buffers=color_buffers(feature.interference)))
-        ctx.put(
-            "prefetch", replace(prefetch, buffers=color_buffers(prefetch.interference))
-        )
+        # per-technique results with the loop's colourings of the final
+        # graphs.  New objects, not field patches — pass results stay
+        # immutable once published.
+        ctx.put("feature", replace(feature, buffers=outcome.feature_buffers))
+        ctx.put("prefetch", replace(prefetch, buffers=outcome.weight_buffers))
         for attempt in outcome.attempts:
             if attempt.accepted:
                 ctx.diagnose(

@@ -21,7 +21,7 @@ from repro.lcmm.buffers import CandidateTensor, TensorClass, VirtualBuffer
 from repro.lcmm.coloring import color_buffers
 from repro.lcmm.interference import InterferenceGraph
 from repro.lcmm.liveness import LiveRange
-from repro.lcmm.tables import eq2_latency_reduction
+from repro.lcmm.tables import eq2_latency_reduction, operation_latency_table
 from repro.perf.latency import LatencyModel
 
 
@@ -109,13 +109,21 @@ def hiding_capacity(
 
     A prefetch shares the weight interface with the demand tile streams
     of the nodes it hides behind, so only the part of each node's latency
-    not already consumed by its own weight traffic counts.
+    not already consumed by its own weight traffic counts.  With nothing
+    on chip the demand is the operation latency table's weight column.
     """
-    capacities = []
-    for name, latency in zip(schedule, node_latencies):
-        demand = model.layer(name).slot_latency(TensorKind.WEIGHT, onchip)
-        capacities.append(max(0.0, latency - demand))
-    return capacities
+    if onchip:
+        demands = [
+            model.layer(name).slot_latency(TensorKind.WEIGHT, onchip)
+            for name in schedule
+        ]
+    else:
+        table = operation_latency_table(model)
+        demands = [table[name].lat_weight for name in schedule]
+    return [
+        max(0.0, latency - demand)
+        for latency, demand in zip(node_latencies, demands)
+    ]
 
 
 def weight_prefetch_pass(
@@ -135,9 +143,9 @@ def weight_prefetch_pass(
             nodes faster and shrinks the windows a prefetch can hide in.
     """
     schedule = model.nodes()
-    index_of = {name: idx for idx, name in enumerate(schedule)}
+    table = operation_latency_table(model)
     if baseline_latencies is None:
-        baseline = [model.node_latency(name) for name in schedule]
+        baseline = [table[name].latency for name in schedule]
     else:
         baseline = [baseline_latencies[name] for name in schedule]
     capacities = hiding_capacity(model, baseline, schedule)
@@ -148,12 +156,12 @@ def weight_prefetch_pass(
     candidates: list[CandidateTensor] = []
     weight_shapes = {t.node: t for t in graph.weight_tensors()}
 
-    for name in schedule:
+    for idx, name in enumerate(schedule):
         tensor = weight_shapes.get(name)
         if tensor is None:
             continue
-        ll = model.layer(name)
-        if not ll.is_memory_bound:
+        row = table[name]
+        if not row.is_memory_bound:
             # Compute-bound nodes gain nothing from resident weights.
             continue
         wname = weight_tensor_name(name)
@@ -161,7 +169,6 @@ def weight_prefetch_pass(
         if reduction <= 0.0:
             continue
         load_time = tensor.bytes(elem) / wt_bandwidth
-        idx = index_of[name]
         start_idx, hidden = _prefetch_edge(schedule, idx, capacities, load_time)
         edge = PrefetchEdge(
             node=name,

@@ -13,7 +13,7 @@ if the exact end-to-end latency improves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from repro.hw.sram import URAM_BYTES
@@ -57,6 +57,11 @@ class SplittingOutcome:
         false_edges: False edges inserted across both interference graphs.
         attempts: Every split trialled, accepted or not, in order —
             the raw material for pipeline diagnostics.
+        feature_buffers: Colouring of the feature graph in its final
+            state, every false edge included (a rejected last split's
+            edge stays in the graph, so this can differ from the
+            colouring behind ``buffers``).
+        weight_buffers: Likewise for the weight graph.
     """
 
     buffers: list[VirtualBuffer]
@@ -65,6 +70,8 @@ class SplittingOutcome:
     iterations: int
     false_edges: int
     attempts: tuple[SplitAttempt, ...] = ()
+    feature_buffers: list[VirtualBuffer] = field(default_factory=list)
+    weight_buffers: list[VirtualBuffer] = field(default_factory=list)
 
 
 def combine_buffers(groups: list[list[VirtualBuffer]]) -> list[VirtualBuffer]:
@@ -125,15 +132,17 @@ def buffer_splitting_pass(
     """
 
     engine = engine or AllocationEngine(model)
+    # Each graph's latest colouring.  A false edge changes one graph and
+    # colouring is deterministic, so only that graph is recoloured.
+    feature_buffers = color_buffers(feature_graph)
+    weight_buffers = color_buffers(weight_graph)
 
-    def recolor_and_allocate() -> tuple[list[VirtualBuffer], DNNKResult, float]:
-        buffers = combine_buffers(
-            [color_buffers(feature_graph), color_buffers(weight_graph)]
-        )
+    def allocate() -> tuple[list[VirtualBuffer], DNNKResult, float]:
+        buffers = combine_buffers([feature_buffers, weight_buffers])
         result = dnnk_allocate(buffers, model, capacity_bytes, granularity, engine=engine)
         return buffers, result, evaluate(result.onchip_tensors)
 
-    buffers, result, latency = recolor_and_allocate()
+    buffers, result, latency = allocate()
     best = SplittingOutcome(
         buffers=buffers, result=result, latency=latency, iterations=0, false_edges=0
     )
@@ -150,7 +159,11 @@ def buffer_splitting_pass(
             break
         graph.add_false_edge(tensor_a, tensor_b)
         edges_added += 1
-        buffers, result, latency = recolor_and_allocate()
+        if graph is feature_graph:
+            feature_buffers = color_buffers(feature_graph)
+        else:
+            weight_buffers = color_buffers(weight_graph)
+        buffers, result, latency = allocate()
         accepted = latency < best.latency - 1e-15
         attempts.append(
             SplitAttempt(
@@ -172,4 +185,9 @@ def buffer_splitting_pass(
             # The split did not pay off; keep the edge (it is harmless for
             # correctness) but stop exploring further splits.
             break
-    return replace(best, attempts=tuple(attempts))
+    return replace(
+        best,
+        attempts=tuple(attempts),
+        feature_buffers=feature_buffers,
+        weight_buffers=weight_buffers,
+    )

@@ -22,21 +22,38 @@ and extends it cleanly to multi-input nodes whose input streams serialise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.ir.tensor import TensorKind
 from repro.lcmm.buffers import VirtualBuffer
-from repro.perf.latency import LatencyModel, LayerLatency
+from repro.perf.latency import LatencyModel, Slot
 
 
-@dataclass(frozen=True)
-class OperationLatencyRow:
-    """One row of the operation latency table (Fig. 7(c))."""
+class OperationLatencyRow(NamedTuple):
+    """One row of the operation latency table (Fig. 7(c)).
+
+    Every value is with all tensors off chip (UMM).  A named tuple, not
+    a frozen dataclass: each compile builds one row per node, and the
+    tuple is as immutable and several times cheaper to build.
+
+    Attributes:
+        node: Node name.
+        lat_compute: Compute latency.
+        lat_ifmap: Summed if-slot latencies, in slot order.
+        lat_weight: Summed wt-slot latencies, in slot order.
+        lat_ofmap: Summed of-slot latencies, in slot order.
+        latency: Eq. 1 latency, the max of the four components.
+        eq2_terms: Each tensor's Eq. 2 term at the node
+            (:func:`eq2_latency_reduction` sums them over nodes).
+    """
 
     node: str
     lat_compute: float
     lat_ifmap: float
     lat_weight: float
     lat_ofmap: float
+    latency: float
+    eq2_terms: dict[str, float]
 
     @property
     def bottleneck(self) -> str:
@@ -49,18 +66,45 @@ class OperationLatencyRow:
         }
         return max(values, key=values.__getitem__)
 
+    @property
+    def is_memory_bound(self) -> bool:
+        """Whether off-chip transfer, not compute, limits the node."""
+        return max(self.lat_ifmap, self.lat_weight, self.lat_ofmap) > self.lat_compute
+
 
 def operation_latency_table(model: LatencyModel) -> dict[str, OperationLatencyRow]:
-    """Build the operation latency table from a latency model."""
+    """The operation latency table of a latency model, in schedule order.
+
+    Built once per model instance and shared by every reader of that
+    model (the colouring passes read it on each compile); do not mutate
+    the returned mapping.
+    """
+    return model.derived(_build_operation_table)
+
+
+_KIND_INDEX = {TensorKind.IFMAP: 0, TensorKind.WEIGHT: 1, TensorKind.OFMAP: 2}
+
+
+def _build_operation_table(model: LatencyModel) -> dict[str, OperationLatencyRow]:
     table = {}
     for name in model.nodes():
         ll = model.layer(name)
+        compute, slots = ll.compute, ll.slots
+        # Kind sums in slot order, as ``LayerLatency.slot_latency`` with
+        # everything off chip.
+        kinds = [_KIND_INDEX[slot.kind] for slot in slots]
+        sums = [0.0, 0.0, 0.0]
+        for k, slot in zip(kinds, slots):
+            sums[k] += slot.latency
+        s_if, s_wt, s_of = sums
         table[name] = OperationLatencyRow(
-            node=name,
-            lat_compute=ll.compute,
-            lat_ifmap=ll.slot_latency(TensorKind.IFMAP),
-            lat_weight=ll.slot_latency(TensorKind.WEIGHT),
-            lat_ofmap=ll.slot_latency(TensorKind.OFMAP),
+            name,
+            compute,
+            s_if,
+            s_wt,
+            s_of,
+            max(compute, s_if, s_wt, s_of),
+            _eq2_terms(compute, slots, kinds, sums),
         )
     return table
 
@@ -80,7 +124,6 @@ def eq2_latency_reduction(
     model: LatencyModel,
     tensor_name: str,
     affected_nodes: tuple[str, ...],
-    node_terms: dict[str, dict[str, float]] | None = None,
 ) -> float:
     """The paper's Eq. 2 tensor metric: the next-lower-latency gap.
 
@@ -94,58 +137,55 @@ def eq2_latency_reduction(
 
     When several input values share the "if" interface, the if-component
     gap is apportioned between them in proportion to their slot
-    latencies.
-
-    Args:
-        node_terms: Optional memo of :func:`eq2_node_terms` per node name,
-            filled on a miss, for callers that query many tensors over
-            the same nodes.
+    latencies.  The per-node terms come from the model's
+    :func:`operation_latency_table`.
     """
+    table = operation_latency_table(model)
     total = 0.0
     for node in affected_nodes:
-        terms = None if node_terms is None else node_terms.get(node)
-        if terms is None:
-            terms = eq2_node_terms(model.layer(node))
-            if node_terms is not None:
-                node_terms[node] = terms
-        term = terms.get(tensor_name)
+        term = table[node].eq2_terms.get(tensor_name)
         if term is not None:
             total += term
     return total
 
 
-_KINDS = (TensorKind.IFMAP, TensorKind.WEIGHT, TensorKind.OFMAP)
+#: Per kind (if, wt, of), the positions of the other three components
+#: in ``(compute, if, wt, of)``, in that order.
+_OTHERS = ((0, 2, 3), (0, 1, 3), (0, 1, 2))
 
 
-def eq2_node_terms(ll: LayerLatency) -> dict[str, float]:
+def _eq2_terms(
+    compute: float, slots: list[Slot], kinds: list[int], sums: list[float]
+) -> dict[str, float]:
     """Each tensor's Eq. 2 term at one node, keyed by tensor name.
 
     A tensor's term comes from its first slot at the node; a tensor
-    whose component is not positive has no term.  The component sums
-    accumulate in slot order, exactly as ``LayerLatency.slot_latency``.
+    whose component is not positive has no term.
     """
-    slots = ll.slots
-    kinds = [_KINDS.index(slot.kind) for slot in slots]
-    sums = [0.0, 0.0, 0.0]
-    for k, slot in zip(kinds, slots):
-        sums[k] += slot.latency
-    components = (ll.compute, *sums)
-    # Per kind: its total and its gap to the next-lower component.
+    # Per kind: its total and its gap to the next-lower component.  The
+    # next-lower component is the first largest of the others below the
+    # total (``max``'s tie rule), or 0.0 when none is below it.
+    components = (compute, *sums)
     gaps: list[tuple[float, float] | None] = [None, None, None]
     for k, kind_total in enumerate(sums):
         if kind_total <= 0.0:
             continue
-        lower = [v for j, v in enumerate(components) if j != k + 1 and v < kind_total]
-        gaps[k] = (kind_total, kind_total - (max(lower) if lower else 0.0))
+        lower = None
+        for j in _OTHERS[k]:
+            v = components[j]
+            if v < kind_total and (lower is None or v > lower):
+                lower = v
+        gaps[k] = (kind_total, kind_total - (0.0 if lower is None else lower))
     terms: dict[str, float] = {}
     seen: set[str] = set()
     for k, slot in zip(kinds, slots):
-        if slot.tensor in seen:
+        tensor = slot.tensor
+        if tensor in seen:
             continue
-        seen.add(slot.tensor)
+        seen.add(tensor)
         gap = gaps[k]
         if gap is not None:
-            terms[slot.tensor] = gap[1] * (slot.latency / gap[0])
+            terms[tensor] = gap[1] * (slot.latency / gap[0])
     return terms
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable, TypeVar
 
 from repro.ir.graph import ComputationGraph
 from repro.ir.layer import (
@@ -40,12 +40,19 @@ from repro.ir.layer import (
     Layer,
     Pooling,
 )
-from repro.ir.tensor import TensorKind, feature_tensor_name, weight_tensor_name
+from repro.ir.tensor import (
+    FeatureMapShape,
+    TensorKind,
+    feature_tensor_name,
+    weight_tensor_name,
+)
 from repro.perf.systolic import (
     AcceleratorConfig,
     gemm_compute_cycles,
     gemm_reload_trips,
 )
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -145,6 +152,29 @@ class LayerLatency:
         return self.worst_transfer > self.compute
 
 
+class _Bandwidths(dict):
+    """Per-kind interface bandwidth of a design, read on first use.
+
+    A kind whose slots all carry zero bytes never reads its bandwidth, so
+    a design without a DDR model still characterises a graph whose
+    slots are all empty, and fails at its first non-empty slot.
+    """
+
+    def __init__(self, accel: AcceleratorConfig) -> None:
+        super().__init__()
+        self._accel = accel
+
+    def __missing__(self, kind: TensorKind) -> float:
+        value = self[kind] = self._accel.interface_bandwidth(kind.value)
+        return value
+
+
+def _weight_volume(layer: Layer) -> int:
+    shape = layer.weight_shape
+    assert shape is not None
+    return shape.volume
+
+
 class LatencyModel:
     """Latency model of one (graph, accelerator design) pair.
 
@@ -160,6 +190,11 @@ class LatencyModel:
     def __init__(self, graph: ComputationGraph, accel: AcceleratorConfig) -> None:
         self.graph = graph
         self.accel = accel
+        # Build-time constants: the element size and the per-kind
+        # interface bandwidths, each read once per model.
+        self._elem = accel.precision.bytes
+        self._bandwidth = _Bandwidths(accel)
+        self._derived: dict[Callable, object] = {}
         self._layers: dict[str, LayerLatency] = {}
         for name in graph.compute_schedule():
             self._layers[name] = self._characterize(name)
@@ -182,18 +217,26 @@ class LatencyModel:
         model.graph = graph
         model.accel = accel
         model._layers = dict(layers)
+        model._derived = {}
         return model
+
+    def derived(self, build: Callable[["LatencyModel"], T]) -> T:
+        """``build(self)``, computed on first use and kept on this model.
+
+        For tables derived from the per-node decomposition (the
+        operation latency table of :mod:`repro.lcmm.tables`): every
+        reader of one model shares one build, and a model built by
+        :meth:`from_layers` starts with none of its source's.
+        """
+        try:
+            return self._derived[build]  # type: ignore[return-value]
+        except KeyError:
+            value = self._derived[build] = build(self)
+            return value
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def _transfer_latency(self, kind: TensorKind, num_bytes: int) -> float:
-        """Seconds to move ``num_bytes`` over the ``kind`` interface."""
-        if num_bytes == 0:
-            return 0.0
-        bandwidth = self.accel.interface_bandwidth(kind.value)
-        return num_bytes / bandwidth
-
     def _characterize(self, name: str) -> LayerLatency:
         layer = self.graph.layer(name)
         kind = layer.compute_kind
@@ -220,48 +263,47 @@ class LatencyModel:
             return self._characterize_eltwise(name, layer)
         raise ValueError(f"cannot characterise compute kind {kind} of {name!r}")
 
-    def _input_slots(self, name: str, reloads: int = 1) -> list[Slot]:
-        """One if-slot per feature value the node reads, with reloads."""
-        elem = self.accel.precision.bytes
-        slots = []
-        for src in self.graph.feature_sources(name):
-            num_bytes = self.graph.output_shape(src).volume * elem * reloads
-            slots.append(
-                Slot(
-                    node=name,
-                    kind=TensorKind.IFMAP,
-                    tensor=feature_tensor_name(src),
-                    bytes=num_bytes,
-                    latency=self._transfer_latency(TensorKind.IFMAP, num_bytes),
-                )
+    def _transfer_slots(
+        self,
+        name: str,
+        out_volume: int,
+        if_reloads: int = 1,
+        weight_volume: int | None = None,
+        wt_reloads: int = 1,
+    ) -> list[Slot]:
+        """The node's slots in (if..., wt, of) order.
+
+        One if-slot per feature value the node reads, with reloads; a wt
+        slot only for a node with weights; then the output slot.  A slot
+        takes ``bytes / bandwidth`` seconds on its interface, and a
+        zero-byte slot takes none without reading the bandwidth.
+        """
+        graph = self.graph
+        elem = self._elem
+        streams = [
+            (
+                TensorKind.IFMAP,
+                feature_tensor_name(src),
+                graph.output_shape(src).volume * elem * if_reloads,
             )
-        return slots
+            for src in graph.feature_sources(name)
+        ]
+        if weight_volume is not None:
+            wt_bytes = weight_volume * elem * wt_reloads
+            streams.append((TensorKind.WEIGHT, weight_tensor_name(name), wt_bytes))
+        streams.append((TensorKind.OFMAP, feature_tensor_name(name), out_volume * elem))
+        bandwidth = self._bandwidth
+        # Slot(node, kind, tensor, bytes, latency), positionally: cheaper
+        # than keywords at one call per slot.
+        return [
+            Slot(
+                name, kind, tensor, num_bytes,
+                num_bytes / bandwidth[kind] if num_bytes else 0.0,
+            )
+            for kind, tensor, num_bytes in streams
+        ]
 
-    def _output_slot(self, name: str) -> Slot:
-        elem = self.accel.precision.bytes
-        num_bytes = self.graph.output_shape(name).volume * elem
-        return Slot(
-            node=name,
-            kind=TensorKind.OFMAP,
-            tensor=feature_tensor_name(name),
-            bytes=num_bytes,
-            latency=self._transfer_latency(TensorKind.OFMAP, num_bytes),
-        )
-
-    def _weight_slot(self, name: str, layer: Layer, reloads: int) -> Slot:
-        elem = self.accel.precision.bytes
-        shape = layer.weight_shape
-        assert shape is not None
-        num_bytes = shape.volume * elem * reloads
-        return Slot(
-            node=name,
-            kind=TensorKind.WEIGHT,
-            tensor=weight_tensor_name(name),
-            bytes=num_bytes,
-            latency=self._transfer_latency(TensorKind.WEIGHT, num_bytes),
-        )
-
-    def _conv_reloads(self, name: str, layer: Conv2D) -> tuple[int, int]:
+    def _conv_reloads(self, layer: Conv2D, out: FeatureMapShape) -> tuple[int, int]:
         """Per-layer schedule selection: (ifmap reloads, weight reloads).
 
         The default loop order streams the input once per output-channel
@@ -271,9 +313,8 @@ class LatencyModel:
         per-layer schedule chosen by the DSE keeps it resident and the
         corresponding reload factor drops to one.
         """
-        out = self.graph.output_shape(name)
         tile = self.accel.tile
-        elem = self.accel.precision.bytes
+        elem = self._elem
         n_tm = tile.output_channel_trips(out.channels)
         n_sp = tile.spatial_trips(out.height, out.width)
 
@@ -297,18 +338,21 @@ class LatencyModel:
         return n_tm, n_sp
 
     def _characterize_conv(self, name: str, layer: Conv2D) -> LayerLatency:
-        out = self.graph.output_shape(name)
-        macs = layer.macs(self.graph.input_shapes(name))
+        # Shapes come from the graph, which resolved them at construction.
+        graph = self.graph
+        out = graph.output_shape(name)
+        inp = graph.output_shape(layer.inputs[0])
+        kh, kw = layer.kernel
+        macs = out.channels * out.height * out.width * inp.channels * kh * kw
         array = self.accel.array
 
-        n_tm, n_sp = self._conv_reloads(name, layer)
+        n_tm, n_sp = self._conv_reloads(layer, out)
 
         effective_macs = array.effective_macs(out.channels, layer.in_channels)
         compute = macs / (effective_macs * self.accel.frequency)
 
-        slots = self._input_slots(name, reloads=n_tm)
-        slots.append(self._weight_slot(name, layer, reloads=n_sp))
-        slots.append(self._output_slot(name))
+        weight_volume = layer.out_channels * layer.in_channels * kh * kw
+        slots = self._transfer_slots(name, out.volume, n_tm, weight_volume, n_sp)
         return LayerLatency(node=name, compute=compute, slots=slots, macs=macs)
 
     def _characterize_depthwise(self, name: str, layer: DepthwiseConv2D) -> LayerLatency:
@@ -331,9 +375,7 @@ class LatencyModel:
         compute = macs / (effective * self.accel.frequency)
 
         n_sp = self.accel.tile.spatial_trips(out.height, out.width)
-        slots = self._input_slots(name, reloads=1)
-        slots.append(self._weight_slot(name, layer, reloads=n_sp))
-        slots.append(self._output_slot(name))
+        slots = self._transfer_slots(name, out.volume, 1, _weight_volume(layer), n_sp)
         return LayerLatency(node=name, compute=compute, slots=slots, macs=macs)
 
     def _characterize_fc(self, name: str, layer: Gemm) -> LayerLatency:
@@ -348,9 +390,9 @@ class LatencyModel:
         array = self.accel.array
         effective_macs = array.effective_macs(layer.out_features, layer.in_features)
         compute = macs / (effective_macs * self.accel.frequency)
-        slots = self._input_slots(name, reloads=1)
-        slots.append(self._weight_slot(name, layer, reloads=1))
-        slots.append(self._output_slot(name))
+        slots = self._transfer_slots(
+            name, self.graph.output_shape(name).volume, 1, _weight_volume(layer), 1
+        )
         return LayerLatency(node=name, compute=compute, slots=slots, macs=macs)
 
     def _gemm_reloads(self, dims: GemmDims) -> tuple[int, int]:
@@ -358,7 +400,7 @@ class LatencyModel:
         return gemm_reload_trips(
             dims,
             self.accel.tile,
-            self.accel.precision.bytes,
+            self._elem,
             self.accel.if_resident_cap,
             self.accel.wt_resident_cap,
         )
@@ -370,9 +412,9 @@ class LatencyModel:
         cycles = gemm_compute_cycles(dims, self.accel.array, self.accel.tile)
         compute = cycles / self.accel.frequency
         n_if, n_wt = self._gemm_reloads(dims)
-        slots = self._input_slots(name, reloads=n_if)
-        slots.append(self._weight_slot(name, layer, reloads=n_wt))
-        slots.append(self._output_slot(name))
+        slots = self._transfer_slots(
+            name, self.graph.output_shape(name).volume, n_if, _weight_volume(layer), n_wt
+        )
         return LayerLatency(node=name, compute=compute, slots=slots, macs=macs)
 
     def _characterize_attention(self, name: str, layer: Attention) -> LayerLatency:
@@ -387,9 +429,9 @@ class LatencyModel:
         cycles = sum(gemm_compute_cycles(d, array, tile) for d in layer.gemm_dims())
         compute = cycles / self.accel.frequency
         n_if, n_wt = self._gemm_reloads(layer.gemm_dims()[0])
-        slots = self._input_slots(name, reloads=n_if)
-        slots.append(self._weight_slot(name, layer, reloads=n_wt))
-        slots.append(self._output_slot(name))
+        slots = self._transfer_slots(
+            name, self.graph.output_shape(name).volume, n_if, _weight_volume(layer), n_wt
+        )
         return LayerLatency(node=name, compute=compute, slots=slots, macs=macs)
 
     def _characterize_norm(self, name: str, layer: Layer) -> LayerLatency:
@@ -399,8 +441,7 @@ class LatencyModel:
         """
         out = self.graph.output_shape(name)
         compute = 2 * out.volume / (self.accel.array.macs * self.accel.frequency)
-        slots = self._input_slots(name)
-        slots.append(self._output_slot(name))
+        slots = self._transfer_slots(name, out.volume)
         return LayerLatency(node=name, compute=compute, slots=slots, macs=0)
 
     def _characterize_pool(self, name: str, layer: Pooling) -> LayerLatency:
@@ -413,15 +454,13 @@ class LatencyModel:
         else:
             ops = out.volume * layer.kernel[0] * layer.kernel[1]
         compute = ops / (self.accel.array.macs * self.accel.frequency)
-        slots = self._input_slots(name)
-        slots.append(self._output_slot(name))
+        slots = self._transfer_slots(name, out.volume)
         return LayerLatency(node=name, compute=compute, slots=slots, macs=0)
 
     def _characterize_eltwise(self, name: str, layer: Layer) -> LayerLatency:
         out = self.graph.output_shape(name)
         compute = out.volume / (self.accel.array.macs * self.accel.frequency)
-        slots = self._input_slots(name)
-        slots.append(self._output_slot(name))
+        slots = self._transfer_slots(name, out.volume)
         return LayerLatency(node=name, compute=compute, slots=slots, macs=0)
 
     # ------------------------------------------------------------------

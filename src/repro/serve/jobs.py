@@ -108,7 +108,7 @@ def run_dse_job(
     inside a pool worker would not survive the spawn limits anyway.
     Sweep-score warm-starts come from the shared cache directory.
     """
-    from repro.analysis.reference import BENCHMARKS, reference_design
+    from repro.analysis.reference import model_reference_design
     from repro.cache.store import CompilationCache
     from repro.hw.precision import precision_by_name
     from repro.models.zoo import get_model
@@ -120,11 +120,7 @@ def run_dse_job(
         fault_point("serve.worker", model=model, config="dse")
         check_deadline("serve.worker")
         graph = get_model(model)
-        base = reference_design(
-            model if model in BENCHMARKS else "resnet152",
-            precision_by_name(precision),
-            "lcmm",
-        )
+        base = model_reference_design(model, precision_by_name(precision), "lcmm")
         cache = CompilationCache(cache_dir) if cache_dir is not None else None
         result = explore_space(
             graph,

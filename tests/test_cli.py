@@ -7,7 +7,11 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.reference import model_reference_design, reference_design
 from repro.cli import build_parser, main
+from repro.errors import ModelNotFoundError
+from repro.hw.precision import INT8
+from repro.models.zoo import list_models
 
 SNAPSHOTS = Path(__file__).parent / "snapshots"
 
@@ -203,6 +207,28 @@ class TestCommands:
         assert data["buffers"]
 
 
+    def test_export_alias_gets_its_models_design(self, tmp_path):
+        # An alias compiles on its model's reference design, not on the
+        # resnet152 design every non-benchmark model shares.
+        import json
+
+        designs = {}
+        for name in ("gn", "googlenet"):
+            target = tmp_path / f"{name}.json"
+            assert main(["export", name, "-o", str(target)]) == 0
+            designs[name] = json.loads(target.read_text())["design"]
+        assert designs["gn"] == designs["googlenet"] == "lcmm-googlenet-int16"
+
+    def test_reference_design_per_model_name(self):
+        assert model_reference_design("RN", INT8, "umm") == reference_design(
+            "resnet152", INT8, "umm"
+        )
+        assert model_reference_design("IN", INT8, "lcmm").name == "lcmm-inception_v4-int8"
+        assert model_reference_design("vgg16", INT8, "lcmm").name == "lcmm-resnet152-int8"
+        with pytest.raises(ModelNotFoundError):
+            model_reference_design("lenet", INT8, "lcmm")
+
+
 class TestErrorHandling:
     """ReproErrors become one-line stderr messages, not tracebacks.
 
@@ -221,6 +247,13 @@ class TestErrorHandling:
         assert main(["export", "lenet"]) == 2
         err = capsys.readouterr().err
         assert "googlenet" in err  # actionable: names the known models
+
+    def test_unknown_model_message(self, capsys):
+        assert main(["export", "lenet"]) == 2
+        known = ", ".join(list_models())
+        assert capsys.readouterr().err == (
+            f"error: unknown model 'lenet'; known: {known}\n"
+        )
 
     def test_nonpositive_budget_exits_nonzero(self, capsys):
         assert main(["dse", "googlenet", "--budget", "0"]) == 2

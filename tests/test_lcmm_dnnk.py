@@ -11,6 +11,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.reference import model_reference_design
+from repro.hw.precision import INT8
 from repro.hw.sram import URAM_BYTES
 from repro.ir.graph import ComputationGraph
 from repro.ir.layer import InputLayer
@@ -19,9 +21,11 @@ from repro.lcmm import dnnk
 from repro.lcmm.buffers import VirtualBuffer
 from repro.lcmm.dnnk import dnnk_allocate, greedy_allocate
 from repro.lcmm.feature_reuse import feature_reuse_pass
+from repro.lcmm.passes.core import CompilationContext
 from repro.lcmm.prefetch import weight_prefetch_pass
 from repro.lcmm.splitting import combine_buffers
 from repro.models.common import conv
+from repro.models.zoo import get_model
 from repro.perf.engine import AllocationEngine
 from repro.perf.latency import LatencyModel
 
@@ -281,6 +285,12 @@ def dp_cases(draw):
     return sizes, units, list(order), evaluator
 
 
+def _recurring_key(keys: list[int]) -> bool:
+    """Whether a key reappears after a run of another key."""
+    runs = [k for j, k in enumerate(keys) if j == 0 or keys[j - 1] != k]
+    return len(runs) != len(set(runs))
+
+
 class TestDPKernels:
     """The scalar sweep is the only DP without numpy or past 63 buffers;
     it must decide exactly like the vectorised one."""
@@ -294,6 +304,58 @@ class TestDPKernels:
         scalar = dnnk._dp_pass(order, sizes, units, evaluator)
         vector = dnnk._dp_pass_vector(order, sizes, units, evaluator)
         assert scalar == vector
+
+    @pytest.mark.skipif(dnnk._numpy() is None, reason="the vector sweep needs numpy")
+    @pytest.mark.parametrize("model_name", ["densenet121", "googlenet"])
+    def test_scalar_matches_vector_on_zoo_buffers(self, model_name):
+        # The compile's own buffer list and capacity, in both DP orders.
+        graph = get_model(model_name)
+        ctx = CompilationContext.create(
+            graph, model_reference_design(model_name, INT8, "lcmm")
+        )
+        buffers = combine_buffers(
+            [
+                feature_reuse_pass(graph, ctx.model).buffers,
+                weight_prefetch_pass(graph, ctx.model).buffers,
+            ]
+        )
+        sizes = [math.ceil(b.size_bytes / URAM_BYTES) for b in buffers]
+        units = ctx.capacity // URAM_BYTES
+        evaluator = dnnk._EngineGainEvaluator(ctx.engine, buffers)
+        density = sorted(
+            range(len(buffers)),
+            key=lambda i: -buffers[i].total_latency_reduction / max(1, sizes[i]),
+        )
+
+        def sweep(kernel, order):
+            """The kernel's result and its gain calls as (row, key)."""
+            calls = []
+            gain = evaluator.gain
+
+            def spy(i, context):
+                calls.append((i, context & evaluator._gain_mask[i]))
+                return gain(i, context)
+
+            evaluator.gain = spy
+            try:
+                return kernel(order, sizes, units, evaluator), calls
+            finally:
+                del evaluator.gain
+
+        for order in (list(range(len(buffers))), density):
+            scalar, scalar_calls = sweep(dnnk._dp_pass, order)
+            vector, vector_calls = sweep(dnnk._dp_pass_vector, order)
+            assert vector == scalar
+            # One call per distinct (row, key), the scalar sweep's set: the
+            # gain memo counters cannot tell the kernels apart.
+            assert len(vector_calls) == len(set(vector_calls))
+            assert set(vector_calls) == set(scalar_calls)
+            # Some row meets one key in two runs apart, so the vector sweep
+            # must score it once and repeat it over both runs.
+            rows: dict[int, list[int]] = {}
+            for i, key in scalar_calls:
+                rows.setdefault(i, []).append(key)
+            assert any(_recurring_key(keys) for keys in rows.values())
 
     def test_naive_allocators_run_only_the_scalar_sweep(
         self, monkeypatch, starved_model

@@ -2,14 +2,20 @@
 
 import pytest
 
+from repro.analysis.reference import model_reference_design
+from repro.hw.precision import INT8, INT16
+from repro.lcmm import feature_reuse, prefetch, splitting
 from repro.lcmm.buffers import CandidateTensor, TensorClass, VirtualBuffer
 from repro.lcmm.coloring import color_buffers
 from repro.lcmm.dnnk import dnnk_allocate
+from repro.lcmm.framework import LCMMOptions, run_lcmm
 from repro.lcmm.interference import InterferenceGraph
 from repro.lcmm.liveness import LiveRange
+from repro.lcmm.passes import standard
 from repro.lcmm.splitting import _pick_split, buffer_splitting_pass, combine_buffers
 from repro.lcmm.feature_reuse import feature_reuse_pass
 from repro.lcmm.prefetch import weight_prefetch_pass
+from repro.models.zoo import get_model
 from repro.perf.latency import LatencyModel
 
 from tests.conftest import build_chain, small_accel
@@ -152,3 +158,62 @@ class TestSplittingPass:
             feature.interference, prefetch.interference, model, 5 * 10**5, evaluate
         )
         assert outcome.latency <= base_latency + 1e-12
+
+
+class TestRecolouring:
+    """A false edge changes one interference graph, so the splitting
+    loop recolours only that graph and republishes its own colourings."""
+
+    @pytest.mark.parametrize(
+        "model_name, precision",
+        [("vgg16", INT16), ("googlenet", INT8)],  # accept + reject; reject
+    )
+    def test_one_recolour_per_split(self, monkeypatch, model_name, precision):
+        calls = []
+
+        def spy(graph):
+            calls.append(graph)
+            return color_buffers(graph)
+
+        for module in (feature_reuse, prefetch, splitting, standard):
+            monkeypatch.setattr(module, "color_buffers", spy, raising=False)
+
+        graphs = []
+        real_split = splitting.buffer_splitting_pass
+
+        def split(feature_graph, weight_graph, *args, **kwargs):
+            graphs.extend((feature_graph, weight_graph))
+            return real_split(feature_graph, weight_graph, *args, **kwargs)
+
+        allocations = []
+        real_allocate = splitting.dnnk_allocate
+
+        def allocate(buffers, *args, **kwargs):
+            # Each retry allocates what recolouring both graphs gives.
+            assert buffers == combine_buffers([color_buffers(g) for g in graphs])
+            allocations.append(buffers)
+            return real_allocate(buffers, *args, **kwargs)
+
+        monkeypatch.setattr(standard, "buffer_splitting_pass", split)
+        monkeypatch.setattr(splitting, "dnnk_allocate", allocate)
+
+        result = run_lcmm(
+            get_model(model_name),
+            model_reference_design(model_name, precision, "lcmm"),
+            options=LCMMOptions(),
+            fallback=False,
+        )
+        attempts = [
+            d
+            for d in result.diagnostics
+            if d.category in ("split-accepted", "split-rejected")
+        ]
+        assert attempts
+        assert len(allocations) == 1 + len(attempts)
+        # Two colouring passes, then the loop's two plus one per attempt;
+        # the republish colours nothing.
+        assert len(calls) == 2 + 2 + len(attempts)
+        # The republished buffers colour the graphs in their final state.
+        feature, weights = result.feature_result, result.prefetch_result
+        assert feature.buffers == color_buffers(feature.interference)
+        assert weights.buffers == color_buffers(weights.interference)

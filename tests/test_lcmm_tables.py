@@ -2,14 +2,19 @@
 
 import pytest
 
+from repro.analysis.reference import model_reference_design
+from repro.hw.precision import INT8, INT16
 from repro.ir.tensor import TensorKind
 from repro.lcmm.feature_reuse import feature_candidates, feature_reuse_pass
+from repro.lcmm.fusion import apply_fusion, find_fusion_candidates
+from repro.lcmm.prefetch import hiding_capacity
 from repro.lcmm.tables import (
     latency_reduction,
     operation_latency_table,
     tensor_metric_table,
     virtual_buffer_table,
 )
+from repro.models.zoo import get_model, list_models
 from repro.perf.latency import LatencyModel
 
 from tests.conftest import build_chain, small_accel
@@ -80,3 +85,81 @@ class TestVirtualBufferTable:
             assert row.size_bytes == buf.size_bytes
             assert row.tensors == tuple(buf.tensor_names)
             assert row.start <= row.end
+
+
+_KINDS = (TensorKind.IFMAP, TensorKind.WEIGHT, TensorKind.OFMAP)
+
+
+def _eq2_terms_from_api(ll):
+    """Each tensor's Eq. 2 term, straight from the ``LayerLatency`` API."""
+    sums = [ll.slot_latency(kind) for kind in _KINDS]
+    components = (ll.compute, *sums)
+    gaps = {}
+    for k, kind in enumerate(_KINDS):
+        if sums[k] <= 0.0:
+            continue
+        lower = [v for j, v in enumerate(components) if j != k + 1 and v < sums[k]]
+        gaps[kind] = (sums[k], sums[k] - (max(lower) if lower else 0.0))
+    terms, seen = {}, set()
+    for slot in ll.slots:
+        if slot.tensor in seen:
+            continue
+        seen.add(slot.tensor)
+        if slot.kind in gaps:
+            total, gap = gaps[slot.kind]
+            terms[slot.tensor] = gap * (slot.latency / total)
+    return terms
+
+
+def _hex_terms(terms):
+    return {name: value.hex() for name, value in terms.items()}
+
+
+def _assert_table_matches_api(model):
+    table = operation_latency_table(model)
+    assert list(table) == model.nodes()
+    schedule = model.nodes()
+    lats = [model.layer(name).latency() for name in schedule]
+    capacities = hiding_capacity(model, lats, schedule)
+    for name, latency, capacity in zip(schedule, lats, capacities):
+        ll, row = model.layer(name), table[name]
+        assert row.lat_compute.hex() == ll.compute.hex()
+        assert row.lat_ifmap.hex() == ll.slot_latency(TensorKind.IFMAP).hex()
+        assert row.lat_weight.hex() == ll.slot_latency(TensorKind.WEIGHT).hex()
+        assert row.lat_ofmap.hex() == ll.slot_latency(TensorKind.OFMAP).hex()
+        assert row.latency.hex() == latency.hex()
+        assert row.is_memory_bound == ll.is_memory_bound
+        demand = ll.slot_latency(TensorKind.WEIGHT)
+        assert capacity.hex() == max(0.0, latency - demand).hex()
+        assert _hex_terms(row.eq2_terms) == _hex_terms(_eq2_terms_from_api(ll))
+
+
+class TestPerModelTable:
+    """The table both colouring passes read equals the ``LayerLatency``
+    API bit for bit, and each model instance holds its own."""
+
+    @pytest.mark.parametrize("precision", [INT8, INT16], ids=["int8", "int16"])
+    @pytest.mark.parametrize("model_name", list_models())
+    def test_zoo_parity(self, model_name, precision):
+        model = LatencyModel(
+            get_model(model_name),
+            model_reference_design(model_name, precision, "lcmm"),
+        )
+        _assert_table_matches_api(model)
+        assert operation_latency_table(model) is operation_latency_table(model)
+
+        fused = apply_fusion(model, find_fusion_candidates(model))
+        assert operation_latency_table(fused) is not operation_latency_table(model)
+        _assert_table_matches_api(fused)
+
+    def test_fused_model_reads_its_own_slots(self):
+        model = LatencyModel(
+            get_model("resnet50"), model_reference_design("resnet50", INT8, "lcmm")
+        )
+        operation_latency_table(model)  # built before the fused model exists
+        edges = find_fusion_candidates(model)
+        assert edges
+        fused = operation_latency_table(apply_fusion(model, edges))
+        plain = operation_latency_table(model)
+        consumer = edges[0].consumer
+        assert fused[consumer].lat_ifmap < plain[consumer].lat_ifmap

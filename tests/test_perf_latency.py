@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hw.precision import INT8, INT16
+from repro.hw.precision import INT8, INT16, Precision
 from repro.ir.tensor import TensorKind
 from repro.perf.latency import LatencyModel
 
@@ -179,3 +179,28 @@ class TestResidencyOptions:
         # int8: 9 KB fits; int16: 18 KB does not.
         assert int8_model.layer("c2").slots[1].bytes == 64 * 64 * 9
         assert int16_model.layer("c2").slots[1].bytes == 64 * 64 * 9 * 2 * 4
+
+
+def _without_ddr(accel):
+    """The design with its DDR model removed after validation."""
+    object.__setattr__(accel, "ddr", None)
+    return accel
+
+
+class TestBandwidthReads:
+    """A slot reads its interface bandwidth only when it moves bytes."""
+
+    def test_zero_byte_slots_build_without_ddr(self):
+        # A zero-width element makes every slot carry zero bytes.
+        empty = Precision(name="int8", bits=8, dsps_per_mac=1)
+        object.__setattr__(empty, "bits", 0)
+        accel = _without_ddr(small_accel())
+        object.__setattr__(accel, "precision", empty)
+        model = LatencyModel(build_chain(), accel)
+        slots = list(model.slots())
+        assert slots
+        assert all(s.bytes == 0 and s.latency == 0.0 for s in slots)
+
+    def test_first_nonempty_slot_needs_ddr(self):
+        with pytest.raises(AssertionError):
+            LatencyModel(build_chain(), _without_ddr(small_accel()))
