@@ -287,6 +287,7 @@ def _cmd_run(args: argparse.Namespace) -> None:
             )
         else:
             print("Degradation: none (requested pipeline succeeded)")
+        print(_bound_line(result, cmp.lcmm_model))
         recovery = [
             d for d in result.diagnostics
             if d.category in ("pass-failed", "degraded")
@@ -316,6 +317,26 @@ def _cmd_run(args: argparse.Namespace) -> None:
         total = hits + misses
         rate = hits / total if total else 0.0
         print(f"  gain cache:       {hits}/{total} hits ({rate:.0%})")
+
+
+def _bound_line(result, model) -> str:
+    """The ``--explain`` line: the result's exact lower bound and its gap.
+
+    The bound is the capacity form of ``compute_bound_latency`` on the
+    model the result was scored on (the fused one when fusion was
+    accepted).  It covers whole-tensor Eq. 1 scores only.
+    """
+    if result.fractions:
+        return "Lower bound: n/a (fractional fill pins partial tensors)"
+    if result.transfer_timeline is not None:
+        return "Lower bound: n/a (the transfer schedule overlaps loads across nodes)"
+    if result.fused_edges:
+        from repro.lcmm.fusion import apply_fusion
+
+        model = apply_fusion(model, result.fused_edges)
+    bound = model.compute_bound_latency(result.dnnk_result.capacity_bytes)
+    gap = f"{result.latency / bound - 1:.4%}" if bound > 0 else "n/a"
+    return f"Lower bound: {bound * 1e3:.3f} ms (latency / bound - 1 = {gap})"
 
 
 def _cmd_passes(args: argparse.Namespace) -> None:

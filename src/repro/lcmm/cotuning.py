@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro.errors import CapacityError
 from repro.ir.graph import ComputationGraph
 from repro.lcmm.framework import LCMMOptions, LCMMResult, run_lcmm
 from repro.perf.dse import candidate_tiles
@@ -83,7 +84,8 @@ def cotune(
         options: LCMM feature switches applied at every point.
 
     Raises:
-        ValueError: If no candidate tile fits the device at all.
+        repro.errors.CapacityError: If no candidate tile's buffers fit
+            the device SRAM (remains catchable as ``ValueError``).
     """
     candidates = list(tiles) if tiles is not None else candidate_tiles()
     if base.tile not in candidates:
@@ -109,7 +111,10 @@ def cotune(
         if best_result is None or result.latency < best_result.latency:
             best_accel, best_result = accel, result
     if best_accel is None or best_result is None:
-        raise ValueError("no candidate tile configuration fits the device")
+        raise CapacityError(
+            "no candidate tile configuration fits the device",
+            details={"tiles": len(candidates), "sram_bytes": base.device.sram_bytes},
+        )
     return CoTuningResult(
         best_accel=best_accel, best_result=best_result, points=points
     )

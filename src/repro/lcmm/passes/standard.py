@@ -486,6 +486,16 @@ class FuseLayersPass(Pass):
     score **only when it strictly improves** the Eq. 1 objective —
     zeroing a shortcut producer's read can shrink prefetch hiding
     windows, so monotonicity is enforced by evaluation, not assumed.
+
+    Two exact lower bounds decide the search before it runs: when the
+    incumbent already scores the compute floor (fusion leaves compute
+    unchanged), or the capacity bound of the fused model
+    (:meth:`~repro.perf.latency.LatencyModel.compute_bound_latency`),
+    no fused candidate can win, so neither the fused model nor its
+    engine is built.  The ``fusion-rejected`` diagnostic names which
+    test decided (``bound``: ``"compute"``, ``"capacity"`` or
+    ``"evaluated"``); ``docs/algorithms.md`` gives the exactness
+    argument.
     """
 
     name = "fuse_layers"
@@ -509,7 +519,18 @@ class FuseLayersPass(Pass):
             )
             return
 
+        # Fusion copies every node's compute unchanged, so the unfused
+        # floor is the fused one, bit for bit.
+        floor = ctx.model.compute_bound_latency()
+        if floor >= score.latency - 1e-15:
+            self._reject(ctx, len(edges), floor, score.latency, "compute")
+            return
         fused_model = apply_fusion(ctx.model, edges)
+        # Fusion zeroes streams, so the capacity bound is the fused model's.
+        floor = fused_model.compute_bound_latency(ctx.capacity)
+        if floor >= score.latency - 1e-15:
+            self._reject(ctx, len(edges), floor, score.latency, "capacity")
+            return
         fused_engine = AllocationEngine(fused_model, stats=ctx.stats)
         # Candidate "keep": the incumbent on-chip set on the fused model.
         keep_residuals, keep_latency = evaluate_allocation(
@@ -535,16 +556,7 @@ class FuseLayersPass(Pass):
         reallocate = reall_latency < keep_latency - 1e-15
         best = reall_latency if reallocate else keep_latency
         if best >= score.latency - 1e-15:
-            ctx.put("fusion", FusionDecision(candidates=len(edges)))
-            ctx.diagnose(
-                self.name,
-                "fusion-rejected",
-                f"fusion of {len(edges)} edges rejected: Δlatency ≥ 0 "
-                f"(fused {best:.3e}s vs {score.latency:.3e}s)",
-                candidates=len(edges),
-                fused_latency=best,
-                best_latency=score.latency,
-            )
+            self._reject(ctx, len(edges), best, score.latency, "evaluated")
             return
 
         if reallocate:
@@ -602,6 +614,33 @@ class FuseLayersPass(Pass):
             latency=latency,
             previous_latency=score.latency,
             reallocated=reallocate,
+        )
+
+    def _reject(
+        self,
+        ctx: CompilationContext,
+        candidates: int,
+        fused_latency: float,
+        best_latency: float,
+        bound: str,
+    ) -> None:
+        """Publish a rejection; ``fused_latency`` is a bound unless evaluated."""
+        ctx.put("fusion", FusionDecision(candidates=candidates))
+        if bound == "evaluated":
+            why = f"Δlatency ≥ 0 (fused {fused_latency:.3e}s vs {best_latency:.3e}s)"
+        else:
+            why = (
+                f"the {bound} bound {fused_latency:.3e}s meets the incumbent "
+                f"{best_latency:.3e}s, no fused engine built"
+            )
+        ctx.diagnose(
+            self.name,
+            "fusion-rejected",
+            f"fusion of {candidates} edges rejected: {why}",
+            candidates=candidates,
+            fused_latency=fused_latency,
+            best_latency=best_latency,
+            bound=bound,
         )
 
     def verify(self, ctx: CompilationContext) -> None:

@@ -518,9 +518,48 @@ class LatencyModel:
         """Latency with everything off-chip (the UMM baseline)."""
         return self.total_latency(frozenset())
 
-    def compute_bound_latency(self) -> float:
-        """Lower bound: latency if no transfer ever stalled the array."""
-        return sum(ll.compute for ll in self._layers.values())
+    def compute_bound_latency(self, capacity: int | None = None) -> float:
+        """Lower bound on the latency of any allocation of this model.
+
+        Without ``capacity``: Σ compute, the latency if no transfer ever
+        stalled the array.  With ``capacity`` (bytes for tensor buffers),
+        a tensor whose bytes alone exceed it can never be resident, so
+        each node also pays, per interface, the summed latency of such
+        slots.  A node with a negative or NaN slot term counts compute
+        alone.
+
+        Both bounds hold exactly (in floats) for every whole-tensor
+        allocation that fits ``capacity`` with non-negative residuals;
+        the capacity bound does not hold under fractional fill or for an
+        overlapped transfer schedule (see ``docs/algorithms.md``).
+        """
+        if capacity is None:
+            return sum(ll.compute for ll in self._layers.values())
+        graph = self.graph
+        elem = self.accel.precision.bytes
+
+        def tensor_bytes(slot: Slot) -> int:
+            if slot.kind is TensorKind.WEIGHT:
+                return _weight_volume(graph.layer(slot.node)) * elem
+            producer = slot.tensor.partition(":")[2]
+            return graph.output_shape(producer).volume * elem
+
+        def node_bound(ll: LayerLatency) -> float:
+            # Per-kind sums in slot order, as the engine accumulates them.
+            sums = {TensorKind.IFMAP: 0.0, TensorKind.WEIGHT: 0.0, TensorKind.OFMAP: 0.0}
+            for slot in ll.slots:
+                if not slot.latency >= 0.0:
+                    return ll.compute
+                if slot.latency and tensor_bytes(slot) > capacity:
+                    sums[slot.kind] += slot.latency
+            return max(
+                ll.compute,
+                sums[TensorKind.IFMAP],
+                sums[TensorKind.WEIGHT],
+                sums[TensorKind.OFMAP],
+            )
+
+        return sum(node_bound(ll) for ll in self._layers.values())
 
     def memory_bound_nodes(self) -> list[str]:
         """Executed nodes whose UMM latency is transfer-limited."""

@@ -62,3 +62,22 @@ class TestCoTuning:
         graph, accel = setup
         result = cotune(graph, accel, tiles=TILES)
         assert result.best_accel.tile == result.best_point.tile
+
+
+def test_no_fitting_tile_raises_capacity_error():
+    """googlenet int16 with only a 142.8 MB tile against 45.3 MB of SRAM."""
+    from dataclasses import replace
+
+    from repro.analysis.reference import model_reference_design
+    from repro.errors import CapacityError, ReproError
+    from repro.hw.precision import INT16
+    from repro.models.zoo import get_model
+
+    huge = TileConfig(1024, 1024, 112, 112)
+    base = replace(model_reference_design("googlenet", INT16, "lcmm"), tile=huge)
+    assert base.tile_buffer_bytes() > base.device.sram_bytes
+    with pytest.raises(CapacityError) as info:
+        cotune(get_model("googlenet"), base, tiles=[huge])
+    assert isinstance(info.value, ReproError)
+    assert isinstance(info.value, ValueError)
+    assert info.value.details["sram_bytes"] == base.device.sram_bytes
