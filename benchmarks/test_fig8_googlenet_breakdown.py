@@ -8,7 +8,7 @@ improves every block (Fig. 8(c)).
 """
 
 from repro.analysis.experiments import run_fig8
-from repro.analysis.report import format_table
+from repro.analysis.report import fig8_table, format_table
 
 from conftest import attach
 
@@ -19,15 +19,7 @@ def test_fig8(benchmark):
     blocks = series[0].blocks
 
     print("\nFig. 8 — GoogLeNet 16-bit per-block performance in Tops (reproduced)")
-    print(
-        format_table(
-            ("Design",) + tuple(b.replace("inception_", "") for b in blocks),
-            [
-                (s.label,) + tuple(f"{v:.2f}" for v in s.tops)
-                for s in series
-            ],
-        )
-    )
+    print(format_table(*fig8_table(series)))
 
     umm = by_label["UMM"].tops
     feat = by_label["LCMM (feature reuse)"].tops

@@ -7,7 +7,7 @@ GN 1.23x, IN 1.17x (we reproduce the ordering and rough magnitudes).
 
 from repro.analysis.experiments import run_table1
 from repro.analysis.metrics import average_speedup
-from repro.analysis.report import format_table
+from repro.analysis.report import format_table, table1_table
 
 from conftest import attach
 
@@ -21,24 +21,7 @@ def test_table1(benchmark):
     avg = average_speedup(speedups.values())
 
     print("\nTable 1 — detailed results (reproduced)")
-    print(
-        format_table(
-            ("Benchmark", "Prec", "Design", "Latency(ms)", "Tops", "MHz", "SRAM", "Speedup"),
-            [
-                (
-                    r.benchmark,
-                    r.precision,
-                    r.design,
-                    f"{r.latency_ms:.3f}",
-                    f"{r.tops:.3f}",
-                    int(r.frequency_mhz),
-                    f"{r.sram_utilization:.0%}",
-                    f"{r.speedup:.2f}",
-                )
-                for r in rows
-            ],
-        )
-    )
+    print(format_table(*table1_table(rows)))
     print(f"Average speedup: {avg:.2f}x   (paper: 1.36x)")
 
     attach(

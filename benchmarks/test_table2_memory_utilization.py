@@ -6,7 +6,7 @@ a high percentage of memory-bound layers benefit (POL 61-94%).
 """
 
 from repro.analysis.experiments import run_table2
-from repro.analysis.report import format_table
+from repro.analysis.report import format_table, table2_table
 
 from conftest import attach
 
@@ -15,22 +15,7 @@ def test_table2(benchmark):
     rows = benchmark(run_table2)
 
     print("\nTable 2 — on-chip memory utilisation (reproduced)")
-    print(
-        format_table(
-            ("Benchmark", "Prec", "Design", "BRAM", "URAM", "POL"),
-            [
-                (
-                    r.benchmark,
-                    r.precision,
-                    r.design,
-                    f"{r.bram_utilization:.0%}",
-                    f"{r.uram_utilization:.0%}",
-                    f"{r.percentage_onchip_layers:.0%}",
-                )
-                for r in rows
-            ],
-        )
-    )
+    print(format_table(*table2_table(rows)))
 
     attach(
         benchmark,

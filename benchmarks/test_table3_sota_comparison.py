@@ -6,7 +6,7 @@ Paper's claims this reproduces: the 16-bit LCMM design beats Cloud-DNN
 """
 
 from repro.analysis.experiments import run_table3
-from repro.analysis.report import format_table
+from repro.analysis.report import format_table, table3_table
 
 from conftest import attach
 
@@ -15,22 +15,7 @@ def test_table3(benchmark):
     rows = benchmark(run_table3)
 
     print("\nTable 3 — state-of-the-art comparison (published vs reproduced)")
-    print(
-        format_table(
-            ("Design", "Model", "MHz", "Tops", "Latency/Image(ms)", "Source"),
-            [
-                (
-                    r.design,
-                    r.dnn_model,
-                    int(r.frequency_mhz),
-                    f"{r.throughput_tops:.3f}",
-                    f"{r.latency_ms:.2f}",
-                    "published" if r.published else "measured",
-                )
-                for r in rows
-            ],
-        )
-    )
+    print(format_table(*table3_table(rows)))
 
     by_model = {}
     for r in rows:

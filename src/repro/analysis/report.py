@@ -1,4 +1,9 @@
-"""Plain-text and markdown table rendering for experiment output."""
+"""Experiment tables as ``(headers, rows)``, rendered as text or markdown.
+
+Each ``*_table`` function builds one experiment's cells once, for both
+renderers: ``lcmm table1`` prints ``format_table(*table1_table(rows))``
+and the live report writes ``format_markdown_table`` of the same.
+"""
 
 from __future__ import annotations
 
@@ -53,3 +58,65 @@ def format_markdown_table(
     for row in str_rows:
         lines.append("| " + " | ".join(row) + " |")
     return "\n".join(lines)
+
+
+Table = tuple[tuple[str, ...], list[tuple[object, ...]]]
+
+
+def table1_table(rows) -> Table:
+    """Table 1 (UMM vs LCMM) from :func:`run_table1` rows."""
+    headers = (
+        "Benchmark", "Prec", "Design", "Latency(ms)", "Tops", "MHz", "DSP", "SRAM",
+        "Speedup",
+    )
+    return headers, [
+        (
+            r.benchmark,
+            r.precision,
+            r.design,
+            f"{r.latency_ms:.3f}",
+            f"{r.tops:.3f}",
+            int(r.frequency_mhz),
+            f"{r.dsp_utilization:.0%}",
+            f"{r.sram_utilization:.0%}",
+            f"{r.speedup:.2f}",
+        )
+        for r in rows
+    ]
+
+
+def table2_table(rows) -> Table:
+    """Table 2 (on-chip memory utilisation) from :func:`run_table2` rows."""
+    return ("Benchmark", "Prec", "Design", "BRAM", "URAM", "POL"), [
+        (
+            r.benchmark,
+            r.precision,
+            r.design,
+            f"{r.bram_utilization:.0%}",
+            f"{r.uram_utilization:.0%}",
+            f"{r.percentage_onchip_layers:.0%}",
+        )
+        for r in rows
+    ]
+
+
+def table3_table(rows) -> Table:
+    """Table 3 (state-of-the-art comparison) from :func:`run_table3` rows."""
+    return ("Design", "Model", "MHz", "Tops", "Latency(ms)", "Source"), [
+        (
+            r.design,
+            r.dnn_model,
+            int(r.frequency_mhz),
+            f"{r.throughput_tops:.3f}",
+            f"{r.latency_ms:.2f}",
+            "published" if r.published else "measured",
+        )
+        for r in rows
+    ]
+
+
+def fig8_table(series) -> Table:
+    """Fig. 8 (per-block Tops) from :func:`run_fig8` series."""
+    return ("Design",) + tuple(series[0].blocks), [
+        (s.label,) + tuple(f"{v:.2f}" for v in s.tops) for s in series
+    ]

@@ -18,7 +18,13 @@ from repro.analysis.experiments import (
     run_table3,
 )
 from repro.analysis.metrics import average_speedup
-from repro.analysis.report import format_markdown_table
+from repro.analysis.report import (
+    fig8_table,
+    format_markdown_table,
+    table1_table,
+    table2_table,
+    table3_table,
+)
 
 
 def generate_report() -> str:
@@ -29,22 +35,7 @@ def generate_report() -> str:
     rows = run_table1()
     sections.append("## Table 1 — UMM vs LCMM")
     sections.append("")
-    sections.append(
-        format_markdown_table(
-            ("Benchmark", "Precision", "Design", "Latency (ms)", "Tops", "Speedup"),
-            [
-                (
-                    r.benchmark,
-                    r.precision,
-                    r.design,
-                    f"{r.latency_ms:.3f}",
-                    f"{r.tops:.3f}",
-                    f"{r.speedup:.2f}",
-                )
-                for r in rows
-            ],
-        )
-    )
+    sections.append(format_markdown_table(*table1_table(rows)))
     avg = average_speedup([r.speedup for r in rows if r.design == "LCMM"])
     sections.append("")
     sections.append(f"Average speedup: **{avg:.2f}x** (paper: 1.36x)")
@@ -53,42 +44,13 @@ def generate_report() -> str:
     # Table 2.
     sections.append("## Table 2 — on-chip memory utilisation")
     sections.append("")
-    sections.append(
-        format_markdown_table(
-            ("Benchmark", "Precision", "Design", "BRAM", "URAM", "POL"),
-            [
-                (
-                    r.benchmark,
-                    r.precision,
-                    r.design,
-                    f"{r.bram_utilization:.0%}",
-                    f"{r.uram_utilization:.0%}",
-                    f"{r.percentage_onchip_layers:.0%}",
-                )
-                for r in run_table2()
-            ],
-        )
-    )
+    sections.append(format_markdown_table(*table2_table(run_table2())))
     sections.append("")
 
     # Table 3.
     sections.append("## Table 3 — state-of-the-art comparison")
     sections.append("")
-    sections.append(
-        format_markdown_table(
-            ("Design", "Model", "Tops", "Latency/Image (ms)", "Source"),
-            [
-                (
-                    r.design,
-                    r.dnn_model,
-                    f"{r.throughput_tops:.3f}",
-                    f"{r.latency_ms:.2f}",
-                    "published" if r.published else "measured",
-                )
-                for r in run_table3()
-            ],
-        )
-    )
+    sections.append(format_markdown_table(*table3_table(run_table3())))
     sections.append("")
 
     # Fig. 2(a).
@@ -103,16 +65,9 @@ def generate_report() -> str:
     sections.append("")
 
     # Fig. 8.
-    series = run_fig8()
-    blocks = series[0].blocks
     sections.append("## Fig. 8 — GoogLeNet 16-bit per-block breakdown (Tops)")
     sections.append("")
-    sections.append(
-        format_markdown_table(
-            ("Design",) + tuple(b.replace("inception_", "") for b in blocks),
-            [(s.label,) + tuple(f"{v:.2f}" for v in s.tops) for s in series],
-        )
-    )
+    sections.append(format_markdown_table(*fig8_table(run_fig8())))
     sections.append("")
     return "\n".join(sections)
 

@@ -243,16 +243,13 @@ def _job_key(model_name: str, config: str, precision_name: str) -> str:
 
 
 def preload_compiler() -> None:
-    """Import the compiler, numpy included, before forking workers.
+    """Import the compiler before forking workers.
 
     Forked workers inherit what the parent has imported; without this a
     parent that has not compiled yet leaves every worker to import the
     compiler during its first cold compile.
     """
     import repro.lcmm.framework  # noqa: F401
-    from repro.lcmm.dnnk import _numpy
-
-    _numpy()
 
 
 def _cached_outcome(

@@ -39,7 +39,13 @@ from repro.analysis.reference import (
     model_reference_design,
     reference_design,
 )
-from repro.analysis.report import format_table
+from repro.analysis.report import (
+    fig8_table,
+    format_table,
+    table1_table,
+    table2_table,
+    table3_table,
+)
 from repro.errors import ConfigError, ReproError, exit_code
 from repro.hw.precision import precision_by_name
 from repro.ir.graph import ComputationGraph
@@ -62,25 +68,7 @@ def _cmd_table1(args: argparse.Namespace) -> None:
     from repro.analysis.experiments import run_table1
 
     rows = run_table1()
-    print(
-        format_table(
-            ("Benchmark", "Prec", "Design", "Latency(ms)", "Tops", "MHz", "DSP", "SRAM", "Speedup"),
-            [
-                (
-                    r.benchmark,
-                    r.precision,
-                    r.design,
-                    f"{r.latency_ms:.3f}",
-                    f"{r.tops:.3f}",
-                    int(r.frequency_mhz),
-                    f"{r.dsp_utilization:.0%}",
-                    f"{r.sram_utilization:.0%}",
-                    f"{r.speedup:.2f}",
-                )
-                for r in rows
-            ],
-        )
-    )
+    print(format_table(*table1_table(rows)))
     speedups = [r.speedup for r in rows if r.design == "LCMM"]
     print(f"\nAverage speedup: {average_speedup(speedups):.2f}x (paper: 1.36x)")
 
@@ -88,45 +76,13 @@ def _cmd_table1(args: argparse.Namespace) -> None:
 def _cmd_table2(args: argparse.Namespace) -> None:
     from repro.analysis.experiments import run_table2
 
-    rows = run_table2()
-    print(
-        format_table(
-            ("Benchmark", "Prec", "Design", "BRAM", "URAM", "POL"),
-            [
-                (
-                    r.benchmark,
-                    r.precision,
-                    r.design,
-                    f"{r.bram_utilization:.0%}",
-                    f"{r.uram_utilization:.0%}",
-                    f"{r.percentage_onchip_layers:.0%}",
-                )
-                for r in rows
-            ],
-        )
-    )
+    print(format_table(*table2_table(run_table2())))
 
 
 def _cmd_table3(args: argparse.Namespace) -> None:
     from repro.analysis.experiments import run_table3
 
-    rows = run_table3()
-    print(
-        format_table(
-            ("Design", "Model", "MHz", "Tops", "Latency(ms)", "Source"),
-            [
-                (
-                    r.design,
-                    r.dnn_model,
-                    int(r.frequency_mhz),
-                    f"{r.throughput_tops:.3f}",
-                    f"{r.latency_ms:.2f}",
-                    "published" if r.published else "measured",
-                )
-                for r in rows
-            ],
-        )
-    )
+    print(format_table(*table3_table(run_table3())))
 
 
 def _cmd_fig2a(args: argparse.Namespace) -> None:
@@ -181,12 +137,7 @@ def _cmd_fig2b(args: argparse.Namespace) -> None:
 def _cmd_fig8(args: argparse.Namespace) -> None:
     from repro.analysis.experiments import run_fig8
 
-    series = run_fig8()
-    headers = ("Design",) + series[0].blocks
-    rows = [
-        (s.label,) + tuple(f"{v:.2f}" for v in s.tops) for s in series
-    ]
-    print(format_table(headers, rows))
+    print(format_table(*fig8_table(run_fig8())))
 
 
 def _traced(trace_path, body) -> None:

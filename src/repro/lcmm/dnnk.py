@@ -42,34 +42,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from repro.hw.sram import URAM_BYTES
 from repro.lcmm.buffers import VirtualBuffer
 from repro.perf.engine import AllocationEngine
 from repro.perf.latency import LatencyModel
-
-#: numpy for the vector sweep: ``_UNLOADED`` until :func:`_numpy` first
-#: runs, then the module, or ``None`` when numpy is not installed.
-_UNLOADED = object()
-_np = _UNLOADED
-
-
-def _numpy():
-    """numpy, imported on first use, or ``None`` when it is absent.
-
-    Only the vector DP sweep needs numpy, so a process that never runs
-    DNNK (a warm cache read, ``lcmm --help``) never pays its import.
-    """
-    global _np
-    if _np is _UNLOADED:
-        try:
-            import numpy
-        except ImportError:  # pragma: no cover - the no-numpy CI job
-            numpy = None
-        _np = numpy
-    return _np
-
 
 @dataclass
 class DNNKResult:
@@ -383,9 +362,6 @@ def dnnk_allocate(
     units = capacity_bytes // granularity
     sizes = [math.ceil(b.size_bytes / granularity) for b in buffers]
     evaluator = _EngineGainEvaluator(engine or AllocationEngine(model), buffers)
-    # The vector sweep keys columns on uint64 masks; without numpy, or
-    # with more buffers than a mask holds, the scalar sweep runs.
-    dp = _dp_pass_vector if len(buffers) <= 63 and _numpy() is not None else _dp_pass
 
     # The DP's column-context gains depend on the order buffers are
     # processed in, so run it under two orderings — the caller's list
@@ -403,7 +379,7 @@ def dnnk_allocate(
     best_chosen: set[int] = set()
     best_latency = float("inf")
     for order in orders:
-        chosen_set, _ = dp(order, sizes, units, evaluator)
+        chosen_set, _ = _dp_pass(order, sizes, units, evaluator)
         chosen_set = _local_search(chosen_set, sizes, units, evaluator, len(buffers))
         latency = evaluator.total_latency(chosen_set)
         if latency < best_latency - 1e-18:
@@ -445,108 +421,85 @@ def _dp_pass(
     order: list[int],
     sizes: list[int],
     units: int,
-    evaluator,
+    evaluator: _EngineGainEvaluator,
 ) -> tuple[set[int], float]:
     """One pivot-compensated DP sweep over buffers in ``order``.
+
+    Alg. 1's table has a column per capacity unit: ``best[j]``, the best
+    predicted reduction within ``j`` units, and ``context[j]``, the mask
+    of buffers earlier rows took at ``j`` (the paper's
+    ``pbuf_table(·, j)``).  Columns come in runs of equal ``(best,
+    context)``, so the sweep keeps the row as parallel run lists and,
+    for buffer ``i`` of size ``s``, walks the segments of ``[s, units]``
+    where both the run of ``j`` and the run of ``j - s`` stay constant.
+    Each segment makes the column rule's float64 ``best[j - s] + gain``
+    and ``>`` once for all its columns, and each distinct gain key of a
+    row is scored once, so the decisions, ``best[units]`` and the set of
+    gain calls equal a column-by-column sweep's
+    (``tests/oracles.py::column_dp``).
 
     Returns the backtraced chosen set (original indices) and the DP's
     predicted total reduction.
     """
-    # L[j]: best predicted reduction using buffers processed so far within
-    # capacity j.  decisions[k] is the take/skip bit per column for row k.
-    best = [0.0] * (units + 1)
-    decisions: list[list[bool]] = []
-    # Column context: bitmask of buffers taken at each column by earlier
-    # rows — the paper's pbuf_table(·, j) pivot-compensation context.
-    context = [0] * (units + 1)
-
+    # Run k covers columns [starts[k], starts[k + 1]); masks are ints,
+    # so any number of buffers fits.
+    starts, values, masks = [0], [0.0], [0]
+    gain_mask = evaluator._gain_mask
+    # Per row, the taken columns as flat [start, end) pairs, ascending.
+    taken: list[list[int]] = []
     for i in order:
         size = sizes[i]
-        row = [False] * (units + 1)
-        if size <= units:
-            new_best = list(best)
-            # Sweep descending so best[j - size] is still the prior row.
-            for j in range(units, size - 1, -1):
-                gain = evaluator.gain(i, context[j])
-                take = best[j - size] + gain
-                if take > best[j]:
-                    new_best[j] = take
-                    row[j] = True
-            best = new_best
-        decisions.append(row)
-        for j in range(units + 1):
-            if row[j]:
-                context[j] |= 1 << i
+        row: list[int] = []
+        taken.append(row)
+        if size > units:
+            continue
+        bit, want = 1 << i, gain_mask[i]
+        row_gains: dict[int, float] = {}
+        ends = starts[1:]
+        ends.append(units + 1)
+        a = bisect_right(starts, size) - 1  # the run of column size
+        new_starts, new_values, new_masks = starts[:a], values[:a], masks[:a]
+        if starts[a] < size:
+            new_starts.append(starts[a])
+            new_values.append(values[a])
+            new_masks.append(masks[a])
+        b = 0  # the run of column j - size
+        j = size
+        while j <= units:
+            end = min(ends[a], ends[b] + size)
+            value, mask = values[a], masks[a]
+            key = mask & want
+            gain = row_gains.get(key)
+            if gain is None:
+                gain = row_gains[key] = evaluator.gain(i, key)
+            take = values[b] + gain
+            if take > value:
+                value = take
+                mask |= bit
+                if row and row[-1] == j:
+                    row[-1] = end
+                else:
+                    row += (j, end)
+            if not (new_values and new_values[-1] == value and new_masks[-1] == mask):
+                new_starts.append(j)
+                new_values.append(value)
+                new_masks.append(mask)
+            j = end
+            if j == ends[a]:
+                a += 1
+            if j == ends[b] + size:
+                b += 1
+        starts, values, masks = new_starts, new_values, new_masks
 
-    # Standard knapsack backtrace over the stored decisions.
+    # Standard knapsack backtrace: column j lies in a taken interval of
+    # row k when an odd number of its bounds are <= j.
     chosen_set: set[int] = set()
     j = units
     for k in range(len(order) - 1, -1, -1):
-        if decisions[k][j]:
+        if bisect_right(taken[k], j) & 1:
             chosen_set.add(order[k])
             j -= sizes[order[k]]
-    return chosen_set, best[units]
-
-
-def _dp_pass_vector(
-    order: list[int],
-    sizes: list[int],
-    units: int,
-    evaluator,
-) -> tuple[set[int], float]:
-    """Column-vectorised DP sweep — identical decisions to :func:`_dp_pass`.
-
-    The per-column work of a row is one gain lookup keyed on the context's
-    gain sub-mask.  Across a row the keys come in a few runs of equal
-    columns (context bits are set over column ranges), so the sweep
-    finds the runs' change points, evaluates one gain per distinct key
-    and repeats each run's gain over its columns (a row of one run adds
-    its one gain as a scalar).  The gain calls are the same set as the
-    scalar loop's, and all arithmetic
-    (``best[j - size] + gain`` and the ``>`` comparison) is the same
-    float64 operation, so the backtraced set is bit-for-bit the same.
-    """
-    np = _numpy()
-    best = np.zeros(units + 1)
-    context = np.zeros(units + 1, dtype=np.uint64)
-    decisions: list = []
-
-    for i in order:
-        size = sizes[i]
-        row = None  # the row's take bits, when it takes any
-        if size <= units:
-            keys = context[size:] & np.uint64(evaluator._gain_mask[i])
-            starts = np.flatnonzero(keys[1:] != keys[:-1]) + 1
-            if len(starts):
-                bounds = [0, *starts.tolist(), len(keys)]
-                row_gains: dict[int, float] = {}
-                run_gains = []
-                for key in keys[bounds[:-1]].tolist():
-                    gain = row_gains.get(key)
-                    if gain is None:
-                        gain = row_gains[key] = evaluator.gain(i, key)
-                    run_gains.append(gain)
-                gains = np.repeat(run_gains, np.diff(bounds))
-            else:
-                gains = evaluator.gain(i, int(keys[0]))
-            take = best[: units + 1 - size] + gains
-            better = take > best[size:]
-            if better.any():
-                # ``take`` already holds the prior row's values.
-                best[size:][better] = take[better]
-                context[size:][better] |= np.uint64(1 << i)
-                row = np.zeros(units + 1, dtype=bool)
-                row[size:] = better
-        decisions.append(row)
-
-    chosen_set: set[int] = set()
-    j = units
-    for k in range(len(order) - 1, -1, -1):
-        row = decisions[k]
-        if row is not None and row[j]:
-            chosen_set.add(order[k])
-            j -= sizes[order[k]]
-    return chosen_set, float(best[units])
+    return chosen_set, values[-1]
 
 
 def _local_search(

@@ -6,8 +6,11 @@ shares no evaluation code with :class:`repro.perf.engine.AllocationEngine`.
 
 * :class:`NaiveGainEvaluator` — DNNK's gain evaluator walking the
   latency model through frozensets per node.  :func:`naive_allocators`
-  swaps it into ``dnnk_allocate`` / ``greedy_allocate`` (on the scalar DP
-  sweep) so a whole compile can be re-decided without the engine.
+  swaps it into ``dnnk_allocate`` / ``greedy_allocate`` (on
+  :func:`column_dp`) so a whole compile can be re-decided without the
+  engine.
+* :func:`column_dp` — Alg. 1's sweep one capacity column at a time, the
+  check of the run-length sweep ``dnnk._dp_pass``.
 * :func:`exhaustive_allocate` / :func:`branch_and_bound_allocate` —
   provably optimal allocators for small and medium instances.
 * :func:`pairwise_interference` — interference adjacency by testing
@@ -165,19 +168,68 @@ class NaiveGainEvaluator:
         return self._model.total_latency(onchip)
 
 
+def column_dp(
+    order: list[int],
+    sizes: list[int],
+    units: int,
+    evaluator,
+) -> tuple[set[int], float]:
+    """One pivot-compensated DP sweep, column by column.
+
+    Returns the backtraced chosen set (original indices) and the DP's
+    predicted total reduction, as ``dnnk._dp_pass`` does.
+    """
+    # L[j]: best predicted reduction using buffers processed so far within
+    # capacity j.  decisions[k] is the take/skip bit per column for row k.
+    best = [0.0] * (units + 1)
+    decisions: list[list[bool]] = []
+    # Column context: bitmask of buffers taken at each column by earlier
+    # rows — the paper's pbuf_table(·, j) pivot-compensation context.
+    context = [0] * (units + 1)
+
+    for i in order:
+        size = sizes[i]
+        row = [False] * (units + 1)
+        if size <= units:
+            new_best = list(best)
+            # Sweep descending so best[j - size] is still the prior row.
+            for j in range(units, size - 1, -1):
+                gain = evaluator.gain(i, context[j])
+                take = best[j - size] + gain
+                if take > best[j]:
+                    new_best[j] = take
+                    row[j] = True
+            best = new_best
+        decisions.append(row)
+        for j in range(units + 1):
+            if row[j]:
+                context[j] |= 1 << i
+
+    # Standard knapsack backtrace over the stored decisions.
+    chosen_set: set[int] = set()
+    j = units
+    for k in range(len(order) - 1, -1, -1):
+        if decisions[k][j]:
+            chosen_set.add(order[k])
+            j -= sizes[order[k]]
+    return chosen_set, best[units]
+
+
 @contextmanager
 def naive_allocators():
     """Make DNNK and greedy decide with :class:`NaiveGainEvaluator`.
 
     Inside the block every allocator call — including the ones the
     passes make — evaluates gains by walking the latency model, and DNNK
-    runs the scalar DP sweep, so the decisions share only the DP and
-    local-search drivers with the engine-backed path.
+    sweeps with :func:`column_dp`, so the decisions share only the
+    local-search driver with the engine-backed path.  (The run-length
+    sweep keys its rows on the engine evaluator's gain masks, which the
+    naive evaluator does not have.)
     """
     with mock.patch(
         "repro.lcmm.dnnk._EngineGainEvaluator",
         lambda engine, buffers: NaiveGainEvaluator(engine.model, buffers),
-    ), mock.patch("repro.lcmm.dnnk._numpy", lambda: None):
+    ), mock.patch("repro.lcmm.dnnk._dp_pass", column_dp):
         yield
 
 

@@ -1,11 +1,11 @@
 """Import budget: the warm path imports only what it uses.
 
-``lcmm --help`` and a warm ``lcmm batch-compile`` must not load numpy
-(only DNNK's vector sweep needs it) or the compiler, and a warm batch
-must not load the process-pool machinery either; nor may deriving a
-graph's cache-key digest load the compiler.  Each check runs in a fresh
-interpreter, because this test process has long since imported
-everything.
+``lcmm --help`` and a warm ``lcmm batch-compile`` must not load the
+compiler, and a warm batch must not load the process-pool machinery
+either; nor may deriving a graph's cache-key digest load the compiler.
+Nothing in the package uses numpy, so not even a compile may load it.
+Each check runs in a fresh interpreter, because this test process has
+long since imported everything.
 """
 
 from __future__ import annotations
@@ -113,6 +113,22 @@ def test_warm_batch_compile_loads_no_numpy_and_no_pool(tmp_path):
     assert "All results match the golden fingerprints" in proc.stdout
     # Hits are answered from the stored replies: no result is unpickled,
     # so neither the compiler nor numpy loads, and no pool is imported.
+    assert loaded == []
+
+
+def test_compile_and_worker_preload_load_no_numpy():
+    _, loaded = run_fresh(
+        "from repro.analysis.reference import model_reference_design\n"
+        "from repro.cache.batch import preload_compiler\n"
+        "from repro.hw.precision import INT8\n"
+        "from repro.lcmm.framework import run_lcmm\n"
+        "from repro.models.zoo import get_model\n"
+        "preload_compiler()\n"
+        "accel = model_reference_design('googlenet', INT8, 'lcmm')\n"
+        "result = run_lcmm(get_model('googlenet'), accel)\n"
+        "assert result.dnnk_result.allocated and result.degradation_level == 0\n",
+        watch=("numpy",),
+    )
     assert loaded == []
 
 

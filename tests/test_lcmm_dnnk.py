@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.reference import model_reference_design
-from repro.hw.precision import INT8
+from repro.hw.precision import precision_by_name
 from repro.hw.sram import URAM_BYTES
 from repro.ir.graph import ComputationGraph
 from repro.ir.layer import InputLayer
@@ -30,7 +30,7 @@ from repro.perf.engine import AllocationEngine
 from repro.perf.latency import LatencyModel
 
 from tests.conftest import build_chain, build_snippet, small_accel
-from tests.oracles import exhaustive_allocate, naive_allocators
+from tests.oracles import column_dp, exhaustive_allocate, naive_allocators
 from tests.test_perf_engine import random_dags
 
 
@@ -227,7 +227,7 @@ class TestAccounting:
 
 class TestEngineParity:
     """Each allocator decides identically with the engine-backed gain
-    evaluator and with the naive oracle (scalar DP sweep)."""
+    evaluator and with the naive oracles (gain walk and column DP)."""
 
     @pytest.mark.parametrize("capacity_blocks", [0, 2, 6])
     def test_dnnk_engine_identical(self, starved_model, capacity_blocks):
@@ -285,6 +285,33 @@ def dp_cases(draw):
     return sizes, units, list(order), evaluator
 
 
+class _KeyedGains:
+    """A gain evaluator over a fixed table: each buffer's gain shrinks
+    with the number of its key bits already taken in the column."""
+
+    def __init__(self, base: list[float], masks: list[int]) -> None:
+        self._base = base
+        self._gain_mask = masks
+
+    def gain(self, i: int, context: int) -> float:
+        return self._base[i] / (1 + bin(context & self._gain_mask[i]).count("1"))
+
+
+@st.composite
+def keyed_dp_cases(draw):
+    """(sizes, units, order, evaluator) on small tables, where the
+    backtrace often lands on a run or take-interval boundary."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    sizes = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    base = draw(
+        st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0, 10.0]), min_size=n, max_size=n)
+    )
+    masks = draw(st.lists(st.integers(0, 2**n - 1), min_size=n, max_size=n))
+    units = draw(st.integers(min_value=0, max_value=sum(sizes) + 1))
+    order = draw(st.permutations(range(n)))
+    return sizes, units, list(order), _KeyedGains(base, masks)
+
+
 def _recurring_key(keys: list[int]) -> bool:
     """Whether a key reappears after a run of another key."""
     runs = [k for j, k in enumerate(keys) if j == 0 or keys[j - 1] != k]
@@ -292,26 +319,29 @@ def _recurring_key(keys: list[int]) -> bool:
 
 
 class TestDPKernels:
-    """The scalar sweep is the only DP without numpy or past 63 buffers;
-    it must decide exactly like the vectorised one."""
+    """The run-length sweep is DNNK's one DP kernel; it must decide, score
+    and call gains exactly like the column-by-column oracle."""
 
-    @pytest.mark.skipif(dnnk._numpy() is None, reason="the vector sweep needs numpy")
-    @given(dp_cases())
-    @settings(max_examples=60, deadline=None)
-    def test_scalar_matches_vector(self, case):
+    @given(st.one_of(dp_cases(), keyed_dp_cases()))
+    @settings(max_examples=200, deadline=None)
+    def test_run_sweep_matches_column_oracle(self, case):
         sizes, units, order, evaluator = case
-        assert len(sizes) <= 63
-        scalar = dnnk._dp_pass(order, sizes, units, evaluator)
-        vector = dnnk._dp_pass_vector(order, sizes, units, evaluator)
-        assert scalar == vector
+        assert dnnk._dp_pass(order, sizes, units, evaluator) == column_dp(
+            order, sizes, units, evaluator
+        )
 
-    @pytest.mark.skipif(dnnk._numpy() is None, reason="the vector sweep needs numpy")
-    @pytest.mark.parametrize("model_name", ["densenet121", "googlenet"])
-    def test_scalar_matches_vector_on_zoo_buffers(self, model_name):
+    @pytest.mark.parametrize(
+        "model_name,precision",
+        [("densenet121", "int8"), ("googlenet", "int8"), ("inception_v4", "int16")],
+    )
+    def test_run_sweep_matches_column_oracle_on_zoo_buffers(
+        self, model_name, precision
+    ):
         # The compile's own buffer list and capacity, in both DP orders.
         graph = get_model(model_name)
         ctx = CompilationContext.create(
-            graph, model_reference_design(model_name, INT8, "lcmm")
+            graph,
+            model_reference_design(model_name, precision_by_name(precision), "lcmm"),
         )
         buffers = combine_buffers(
             [
@@ -343,64 +373,67 @@ class TestDPKernels:
                 del evaluator.gain
 
         for order in (list(range(len(buffers))), density):
-            scalar, scalar_calls = sweep(dnnk._dp_pass, order)
-            vector, vector_calls = sweep(dnnk._dp_pass_vector, order)
-            assert vector == scalar
-            # One call per distinct (row, key), the scalar sweep's set: the
-            # gain memo counters cannot tell the kernels apart.
-            assert len(vector_calls) == len(set(vector_calls))
-            assert set(vector_calls) == set(scalar_calls)
-            # Some row meets one key in two runs apart, so the vector sweep
-            # must score it once and repeat it over both runs.
+            oracle, oracle_calls = sweep(column_dp, order)
+            runs, run_calls = sweep(dnnk._dp_pass, order)
+            assert runs == oracle
+            assert runs[0]
+            # One call per distinct (row, key), the oracle's set: the gain
+            # memo counters cannot tell the kernels apart.
+            assert len(run_calls) == len(set(run_calls))
+            assert set(run_calls) == set(oracle_calls)
+            # Some row meets one key in two runs apart, so the sweep must
+            # score it once and reuse it for both runs.
             rows: dict[int, list[int]] = {}
-            for i, key in scalar_calls:
+            for i, key in oracle_calls:
                 rows.setdefault(i, []).append(key)
             assert any(_recurring_key(keys) for keys in rows.values())
 
-    def test_naive_allocators_run_only_the_scalar_sweep(
+    def test_naive_allocators_run_only_the_column_oracle(
         self, monkeypatch, starved_model
     ):
         # The differential suite compares against naive_allocators(); if
-        # the vector sweep ran there too, it would test one DP twice.
+        # the run sweep ran there too, it would check one DP against itself.
         calls = []
-        scalar, vector = dnnk._dp_pass, dnnk._dp_pass_vector
+        runs = dnnk._dp_pass
         monkeypatch.setattr(
-            dnnk, "_dp_pass", lambda *args: calls.append("scalar") or scalar(*args)
-        )
-        monkeypatch.setattr(
-            dnnk,
-            "_dp_pass_vector",
-            lambda *args: calls.append("vector") or vector(*args),
+            dnnk, "_dp_pass", lambda *args: calls.append("runs") or runs(*args)
         )
         buffers = make_buffers(starved_model)
-        assert len(buffers) <= 63
         with naive_allocators():
+            assert dnnk._dp_pass is column_dp
             dnnk_allocate(buffers, starved_model, 3 * URAM_BYTES, granularity=1024)
-        assert "scalar" in calls and "vector" not in calls
+        assert calls == []
+        dnnk_allocate(buffers, starved_model, 3 * URAM_BYTES, granularity=1024)
+        assert calls
 
-    def test_wide_instance_takes_scalar_path(self, monkeypatch):
+    def test_wide_instance_runs_the_one_kernel(self, monkeypatch):
         model = LatencyModel(
             build_chain(num_convs=35, channels=32, hw=14),
             small_accel(ddr_efficiency=0.05),
         )
         feature = feature_reuse_pass(model.graph, model)
         prefetch = weight_prefetch_pass(model.graph, model)
-        # One buffer per tensor: more buffers than a uint64 mask holds.
+        # One buffer per tensor, more than a 64-bit mask holds, with the
+        # feature maps (the ones worth taking here) last.
         buffers = [
             VirtualBuffer(index=i, tensors=[t])
-            for i, t in enumerate(feature.candidates + prefetch.candidates)
+            for i, t in enumerate(prefetch.candidates + feature.candidates)
         ]
-        assert len(buffers) > 63
-        calls = []
-        scalar = dnnk._dp_pass
-        monkeypatch.setattr(
-            dnnk, "_dp_pass", lambda *args: calls.append(1) or scalar(*args)
-        )
-        monkeypatch.setattr(dnnk, "_dp_pass_vector", None)
-        capacity = 64 * 1024
+        assert len(buffers) > 64
+        sweeps = []
+        runs = dnnk._dp_pass
+
+        def checked(*args):
+            result = runs(*args)
+            sweeps.append(result == column_dp(*args))
+            return result
+
+        monkeypatch.setattr(dnnk, "_dp_pass", checked)
+        capacity = 256 * 1024
         result = dnnk_allocate(buffers, model, capacity, granularity=1024)
-        assert calls
-        assert result.allocated
+        assert sweeps and all(sweeps)
+        # The instance is wide in fact: a buffer past bit 63 is resident.
+        assert any(buffers.index(b) > 63 for b in result.allocated)
         assert result.used_bytes <= capacity
         assert result.predicted_reduction == model.umm_latency() - (
             model.total_latency(result.onchip_tensors)
