@@ -2,7 +2,7 @@
 
 Sweeps a >=10^4-point design space (a ~2k-point one under
 ``BENCH_SMOKE=1``) over GoogLeNet with roofline/dominance pruning on,
-times ``workers=4`` against ``workers=1`` on the persistent pool, and
+times ``workers=4`` on one held pool against ``workers=1``, and
 writes the results to ``BENCH_dse_scale.json`` at the repo root.
 
 Two guarantees are asserted here, not just measured:
@@ -26,8 +26,7 @@ import pytest
 
 from repro.hw.precision import INT8, INT16
 from repro.models import get_model
-from repro.perf import pool as pool_mod
-from repro.perf.dse import WorkerStats
+from repro.perf.pool import ScorerPool
 from repro.perf.space import DesignSpace, explore_space, small_space
 from repro.perf.systolic import SystolicArray
 
@@ -78,11 +77,14 @@ def test_space_sweep_scaling():
     assert pruned.best.accel == full.best.accel
     assert pruned.best.umm_latency == full.best.umm_latency
 
-    pool_mod.close_pool()
-    stats_w4 = WorkerStats()
-    explore_space(graph, space, _BUDGET, workers=4, stats=stats_w4)  # warm pool
-    w1_s = _best_of(lambda: explore_space(graph, space, _BUDGET, workers=1))
-    w4_s = _best_of(lambda: explore_space(graph, space, _BUDGET, workers=4))
+    # One pool for the warm-up and the timed workers=4 sweeps.
+    pool = ScorerPool(graph, 4)
+    try:
+        explore_space(graph, space, _BUDGET, pool=pool)  # warm pool
+        w1_s = _best_of(lambda: explore_space(graph, space, _BUDGET, workers=1))
+        w4_s = _best_of(lambda: explore_space(graph, space, _BUDGET, pool=pool))
+    finally:
+        pool.close()
     speedup = w1_s / w4_s
     cores = os.cpu_count() or 1
 

@@ -31,6 +31,7 @@ from repro.lcmm.framework import run_lcmm
 from repro.models import get_model
 from repro.perf.dse import candidate_tiles
 from repro.perf.latency import LatencyModel
+from repro.perf.pool import ScorerPool
 from repro.perf.space import SampledSpace, explore_space
 
 _ROOT = Path(__file__).resolve().parent.parent
@@ -47,10 +48,13 @@ def _best_of(fn, repeats: int = _REPEATS) -> float:
     return min(times)
 
 
-def _sweep(graph, base, budget, tiles, workers=1):
-    """Every feasible tile of one base design, ascending UMM latency."""
+def _sweep(graph, base, budget, tiles, pool=None):
+    """Every feasible tile of one base design, ascending UMM latency.
+
+    Scores on ``pool`` when one is given, serially otherwise.
+    """
     space = SampledSpace([(base, tiles)])
-    return explore_space(graph, space, budget, workers=workers, prune=False).points
+    return explore_space(graph, space, budget, pool=pool, prune=False).points
 
 
 def _record(section: str, payload: dict) -> None:
@@ -98,18 +102,24 @@ def test_dse_sweep_speedup():
             for t in feasible
         }
 
+    # One pool for the warm-up and the timed sweeps.
+    pool = ScorerPool(graph, 4)
+
     def new_sweep():
-        return _sweep(graph, base, budget, tiles, workers=4)
+        return _sweep(graph, base, budget, tiles, pool=pool)
 
-    old_scores = old_sweep()
-    new_points = new_sweep()
-    assert len(new_points) == len(old_scores)
-    for point in new_points:
-        assert point.umm_latency == old_scores[point.accel.tile]
+    try:
+        old_scores = old_sweep()
+        new_points = new_sweep()
+        assert len(new_points) == len(old_scores)
+        for point in new_points:
+            assert point.umm_latency == old_scores[point.accel.tile]
 
-    old_s = _best_of(old_sweep)
-    new_s = _best_of(new_sweep)
-    serial_s = _best_of(lambda: _sweep(graph, base, budget, tiles))
+        old_s = _best_of(old_sweep)
+        new_s = _best_of(new_sweep)
+        serial_s = _best_of(lambda: _sweep(graph, base, budget, tiles))
+    finally:
+        pool.close()
     speedup = old_s / new_s
     _record(
         "dse_sweep_64pt_inception_v4",
@@ -151,8 +161,6 @@ def test_dse_pool_beats_serial_on_multicore():
         pytest.skip(
             f"pool-scaling regression needs a >=4-core runner, host has {cores}"
         )
-    from repro.perf import pool as pool_mod
-
     graph = get_model("inception_v4")
     base = reference_design("inception_v4", INT16, "lcmm")
     tiles = candidate_tiles(
@@ -162,20 +170,19 @@ def test_dse_pool_beats_serial_on_multicore():
     )
     budget = 8 * 2**20
 
-    pool_mod.close_pool()
-    parallel = _sweep(graph, base, budget, tiles, workers=4)
-    serial = _sweep(graph, base, budget, tiles)
-    key = lambda pts: [(p.accel.tile, p.umm_latency) for p in pts]
-    assert key(parallel) == key(serial)
+    pool = ScorerPool(graph, 4)
+    try:
+        parallel = _sweep(graph, base, budget, tiles, pool=pool)
+        serial = _sweep(graph, base, budget, tiles)
+        key = lambda pts: [(p.accel.tile, p.umm_latency) for p in pts]
+        assert key(parallel) == key(serial)
 
-    # The warm-up sweep above leaves the persistent pool hot; time what
-    # a session actually sees on repeated sweeps.
-    serial_s = _best_of(
-        lambda: _sweep(graph, base, budget, tiles)
-    )
-    pooled_s = _best_of(
-        lambda: _sweep(graph, base, budget, tiles, workers=4)
-    )
+        # The warm-up sweep above leaves the pool hot; time what a
+        # session holding one pool sees on repeated sweeps.
+        serial_s = _best_of(lambda: _sweep(graph, base, budget, tiles))
+        pooled_s = _best_of(lambda: _sweep(graph, base, budget, tiles, pool=pool))
+    finally:
+        pool.close()
     speedup = serial_s / pooled_s
     _record(
         "dse_pool_scaling_inception_v4",

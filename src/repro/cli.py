@@ -566,7 +566,6 @@ def _cmd_dse(args: argparse.Namespace) -> None:
         prune=prune,
         stats=stats,
         cache=_open_cache(args.cache),
-        pool_mode=args.pool,
     )
     if args.space:
         sample_note = f", {args.sample}-point sample" if args.sample else ""
@@ -600,7 +599,7 @@ def _cmd_dse(args: argparse.Namespace) -> None:
             )
     if args.workers > 1:
         print(
-            f"Pool ({args.pool}): {stats.chunks} chunks, "
+            f"Pool: {stats.chunks} chunks, "
             f"{stats.chunks_reused_pool} on an already-warm pool, "
             f"{stats.init_seconds:.2f}s spinning up workers"
         )
@@ -921,13 +920,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=True,
         help="with --space: tile-dominance + roofline pre-pruning "
         "(exact: same best design either way; --no-prune scores everything)",
-    )
-    pdse.add_argument(
-        "--pool",
-        choices=("keep", "fresh"),
-        default="keep",
-        help="worker-pool lifetime: 'keep' leaves the pool warm for later "
-        "sweeps in this process, 'fresh' builds and closes a private pool",
     )
     _add_trace(pdse, "record a Chrome trace of the sweep (worker spans merged in)")
     pdse.add_argument(

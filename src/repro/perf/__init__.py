@@ -25,7 +25,7 @@ __getattr__, __dir__ = lazy_exports(
         "repro.perf.latency": ("LatencyModel", "LayerLatency", "Slot"),
         "repro.perf.roofline": ("RooflineModel", "RooflinePoint"),
         "repro.perf.dse": ("DesignPoint", "WorkerStats", "candidate_tiles"),
-        "repro.perf.pool": ("ScorerPool", "close_pool", "persistent_pool"),
+        "repro.perf.pool": ("ScorerPool",),
         "repro.perf.space": (
             "DesignSpace",
             "SampledSpace",
@@ -66,8 +66,6 @@ __all__ = [
     "WorkerStats",
     "candidate_tiles",
     "ScorerPool",
-    "close_pool",
-    "persistent_pool",
     "DesignSpace",
     "SampledSpace",
     "SpaceResult",

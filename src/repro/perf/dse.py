@@ -297,11 +297,11 @@ class WorkerStats:
         pool_unavailable: The pool could not be created at all and the
             whole sweep ran serially.
         chunks_reused_pool: Chunks served by a pool that was already
-            warm when the sweep began — the persistent-pool win; a cold
-            first sweep has 0 here, every later sweep on the same graph
-            should have ``chunks_reused_pool == chunks``.
+            warm when their base's scoring began — every base after the
+            first on a private pool, and every chunk of a sweep on a
+            caller's pool that an earlier sweep warmed.
         init_seconds: Wall seconds this sweep spent spinning up worker
-            pools (0.0 when the persistent pool was already warm).
+            pools (0.0 when the pool was already warm).
         points_pruned: Design points discarded before scoring by the
             dominance/roofline pruning of :mod:`repro.perf.space`.
     """
@@ -340,14 +340,13 @@ def _score_parallel(
     graph: ComputationGraph,
     base: AcceleratorConfig,
     tiles: list[TileConfig],
-    workers: int,
+    pool: ScorerPool,
     chunk_timeout: float | None = None,
     chunk_retries: int = 1,
     stats: WorkerStats | None = None,
-    pool: ScorerPool | None = None,
     scorer: _SweepScorer | None = None,
 ) -> list[float]:
-    """Fan tile scoring out over a (persistent) pool, preserving order.
+    """Fan tile scoring out over ``pool``, preserving order.
 
     Chunks are sized adaptively from the pool's measured per-point cost
     (a cold pool first calibrates on a small parent-scored prefix),
@@ -365,13 +364,11 @@ def _score_parallel(
     A broken pool (``BrokenProcessPool``) or a timed-out chunk whose
     future is already running (uncancellable, stranding the hung worker
     on its slot) triggers :meth:`ScorerPool.refresh`: the executor is
-    discarded and retries run in a freshly created one — the persistent
-    pool *object* survives, so no broken executor leaks into later
-    sweeps and no slot stays occupied by a dead deadline.
+    discarded and retries run in a freshly created one — the pool
+    *object* survives, so no broken executor leaks into later sweeps and
+    no slot stays occupied by a dead deadline.
     """
     stats = stats if stats is not None else WorkerStats()
-    if pool is None:
-        pool = pool_mod.persistent_pool(graph, workers)
     tracer = obs.tracer()
     base_key = accel_fingerprint(base, include_tile=False)
     n = len(tiles)
@@ -434,7 +431,6 @@ def _score_parallel(
                 scores, seconds, worker_spans = future.result(timeout=chunk_timeout)
                 results[i] = list(scores)
                 pool.observe(sizes[i], seconds)
-                pool.chunks_scored += 1
                 if tracer is not None and worker_spans:
                     tracer.merge(worker_spans)
             except FutureTimeout:

@@ -1,21 +1,19 @@
-"""Persistent, reusable worker pools for design-space scoring.
+"""Reusable worker pools for design-space scoring.
 
 ``BENCH_engine.json`` showed the original parallel DSE path *losing* to
 the serial fast path (64-point sweep: 17.6x serial vs 4.4x with
 ``workers=4``): every sweep paid full ``ProcessPoolExecutor`` spin-up,
 every chunk re-pickled result objects, and the fixed ``n / (workers*4)``
 chunking left nothing to amortise any of it against.  This module is the
-fix — a pool that outlives a single sweep and a wire protocol sized to
-the actual work:
+fix — a pool that outlives a single base design and a wire protocol
+sized to the actual work:
 
-* **One pool per graph, kept warm.**  The initializer ships the
+* **One pool per sweep, warm across bases.**  The initializer ships the
   computation graph (the only heavy payload) exactly once per worker
-  process.  The pool persists across
-  :func:`~repro.perf.space.explore_space` calls on the same graph; a module
-  registry (:func:`persistent_pool`) hands the live pool back whenever
-  the (graph fingerprint, workers, tracing, fault plans) identity
-  matches, and :func:`close_pool` / ``lcmm dse --pool fresh`` manage its
-  lifetime explicitly.
+  process, and every base of a :func:`~repro.perf.space.explore_space`
+  sweep scores on the same pool.  A sweep either scores on the pool its
+  caller passes (the caller owns it and may keep it warm across sweeps)
+  or builds a private pool and closes it before returning.
 * **Scorers memoised per worker.**  Chunks carry the *base* design point
   (~1 kB of scalars) and a worker builds one
   :class:`~repro.perf.dse._SweepScorer` per base fingerprint (small
@@ -36,13 +34,12 @@ Fault handling composes with the hardened retry loop in
 :mod:`repro.perf.dse`: a broken or stranded pool is *refreshed*
 (:meth:`ScorerPool.refresh` discards the executor; the next
 :meth:`ScorerPool.ensure` builds a fresh one with identical initargs),
-so crash/hang faults trigger fresh-pool retries without leaking the
-persistent pool object or its registry slot.
+so crash/hang faults trigger fresh-pool retries without losing the
+pool object or its measurements.
 """
 
 from __future__ import annotations
 
-import atexit
 import math
 import os
 import time
@@ -50,7 +47,7 @@ from array import array
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import ConfigError
 from repro.obs import spans as obs
@@ -67,12 +64,9 @@ __all__ = [
     "ResilientPool",
     "ScorerPool",
     "TARGET_CHUNK_SECONDS",
-    "active_pool",
     "adaptive_chunk_size",
-    "close_pool",
     "decode_tiles",
     "encode_tiles",
-    "persistent_pool",
 ]
 
 #: Ints per tile in the packed wire encoding (tm, tn, th, tw).
@@ -262,15 +256,15 @@ class ResilientPool:
       fallbacks catch) rather than mid-job.
     * :meth:`refresh` replaces a broken or stranded executor (crashed
       worker, uncancellable hung future) without losing the pool
-      object, its identity or its measurements — the fault costs the
-      executor its life, not the pool its registry slot.
+      object or its measurements — the fault costs the executor its
+      life, not the pool.
     * :meth:`close` ends the pool's life explicitly (idempotent).
 
     Subclasses override :meth:`_build_executor` to attach their
     initializer and its arguments.
     """
 
-    def __init__(self, workers: int, warmup_timeout: float = _WARMUP_TIMEOUT) -> None:
+    def __init__(self, workers: int) -> None:
         if workers < 1:
             raise ConfigError(
                 "pool workers must be at least 1", details={"workers": workers}
@@ -280,7 +274,6 @@ class ResilientPool:
         self.generation = 0
         #: Total wall seconds spent spinning up executors (all generations).
         self.init_seconds_total = 0.0
-        self._warmup_timeout = warmup_timeout
         self._executor: ProcessPoolExecutor | None = None
         self._closed = False
 
@@ -312,10 +305,10 @@ class ResilientPool:
         executor = self._build_executor()
         try:
             pings = [executor.submit(_pool_ping) for _ in range(self.workers)]
-            done, not_done = futures_wait(pings, timeout=self._warmup_timeout)
+            done, not_done = futures_wait(pings, timeout=_WARMUP_TIMEOUT)
             if not_done:
                 raise RuntimeError(
-                    f"worker pool warm-up timed out after {self._warmup_timeout}s"
+                    f"worker pool warm-up timed out after {_WARMUP_TIMEOUT}s"
                 )
             for ping in done:
                 ping.result()  # surfaces initializer failures
@@ -330,8 +323,8 @@ class ResilientPool:
     def refresh(self) -> None:
         """Discard the current executor (broken pool / stranded worker).
 
-        The pool object stays alive and registered; the next
-        :meth:`ensure` builds a fresh executor with identical initargs.
+        The pool object stays alive; the next :meth:`ensure` builds a
+        fresh executor with identical initargs.
         """
         if self._executor is not None:
             self._executor.shutdown(wait=False, cancel_futures=True)
@@ -349,20 +342,16 @@ class ResilientPool:
 class ScorerPool(ResilientPool):
     """A lazily created, reusable process pool bound to one graph.
 
-    Extends :class:`ResilientPool` with the DSE-specific identity (graph
-    fingerprint, tracing state, armed fault plans — see :meth:`matches`)
-    and the adaptive chunk-size measurements that survive across sweeps.
+    Extends :class:`ResilientPool` with the DSE worker initializer —
+    the graph, the tracing state and the fault plans armed in this
+    process at construction time — and the adaptive chunk-size
+    measurements that survive across sweeps.
 
     Args:
         graph: The computation graph workers score against.
         workers: Worker process count.
         trace: Ship parent tracing into the workers (worker spans are
             returned with each chunk for merging).
-        plans: Fault plans to install in each worker; defaults to the
-            plans armed in this process at construction time.
-        graph_fp: Precomputed :func:`~repro.fingerprint.graph_fingerprint`
-            (avoids re-serializing the graph when the caller already has
-            it).
     """
 
     def __init__(
@@ -370,40 +359,19 @@ class ScorerPool(ResilientPool):
         graph: "ComputationGraph",
         workers: int,
         trace: bool = False,
-        plans: Iterable | None = None,
-        graph_fp: str | None = None,
     ) -> None:
         super().__init__(workers)
-        from repro.fingerprint import graph_fingerprint
-
         self.graph = graph
         self.trace = bool(trace)
-        self.plans = tuple(plans) if plans is not None else inject.active_plans()
-        self.graph_fp = graph_fp or graph_fingerprint(graph)
+        self.plans = inject.active_plans()
         #: EWMA of measured seconds per scored point (None until observed).
         self.per_point_seconds: float | None = None
-        #: Chunks successfully scored over the pool's lifetime.
-        self.chunks_scored = 0
 
     def _build_executor(self) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(
             max_workers=self.workers,
             initializer=_pool_init,
             initargs=(self.graph, self.plans, self.trace),
-        )
-
-    # -- identity ------------------------------------------------------
-
-    def matches(
-        self, graph_fp: str, workers: int, trace: bool, plans: tuple
-    ) -> bool:
-        """Whether this pool can serve a request with the given identity."""
-        return (
-            not self.closed
-            and self.graph_fp == graph_fp
-            and self.workers == workers
-            and self.trace == trace
-            and self.plans == plans
         )
 
     # -- scoring support ----------------------------------------------
@@ -438,76 +406,9 @@ class ScorerPool(ResilientPool):
         """Adaptive chunk size for a sweep of ``points`` on this pool."""
         return adaptive_chunk_size(points, self.workers, self.per_point_seconds)
 
-    def describe(self) -> dict:
-        """Lifetime counters for ``lcmm dse`` / stats output."""
-        return {
-            "workers": self.workers,
-            "warm": self.is_warm(),
-            "generation": self.generation,
-            "chunks_scored": self.chunks_scored,
-            "init_seconds_total": self.init_seconds_total,
-            "per_point_seconds": self.per_point_seconds,
-        }
-
     def __repr__(self) -> str:  # pragma: no cover — debug aid
         state = "closed" if self._closed else ("warm" if self.is_warm() else "cold")
         return (
             f"ScorerPool(workers={self.workers}, {state}, "
-            f"gen={self.generation}, graph={self.graph_fp[:12]})"
+            f"gen={self.generation}, graph={self.graph.name})"
         )
-
-
-# ----------------------------------------------------------------------
-# Process-wide registry (one persistent pool at a time)
-# ----------------------------------------------------------------------
-
-_PERSISTENT: ScorerPool | None = None
-
-
-def persistent_pool(
-    graph: "ComputationGraph",
-    workers: int,
-    trace: bool | None = None,
-    graph_fp: str | None = None,
-) -> ScorerPool:
-    """The process-wide persistent pool for ``(graph, workers)``.
-
-    Returns the live pool when its identity — graph fingerprint, worker
-    count, tracing state and armed fault plans — matches the request;
-    otherwise closes the old pool and registers a fresh (still lazy)
-    one.  Keeping at most one persistent pool bounds resident worker
-    processes regardless of how many different sweeps a session runs.
-    """
-    global _PERSISTENT
-    if trace is None:
-        trace = obs.enabled()
-    plans = inject.active_plans()
-    if graph_fp is None:
-        from repro.fingerprint import graph_fingerprint
-
-        graph_fp = graph_fingerprint(graph)
-    pool = _PERSISTENT
-    if pool is not None and pool.matches(graph_fp, workers, trace, plans):
-        return pool
-    if pool is not None:
-        pool.close()
-    _PERSISTENT = ScorerPool(
-        graph, workers, trace=trace, plans=plans, graph_fp=graph_fp
-    )
-    return _PERSISTENT
-
-
-def active_pool() -> ScorerPool | None:
-    """The registered persistent pool, if any (for tests and stats)."""
-    return _PERSISTENT
-
-
-def close_pool() -> None:
-    """Close and drop the persistent pool (idempotent)."""
-    global _PERSISTENT
-    if _PERSISTENT is not None:
-        _PERSISTENT.close()
-        _PERSISTENT = None
-
-
-atexit.register(close_pool)

@@ -31,9 +31,10 @@ and every pruned count is reported — in the returned
 :class:`SpaceResult`, in ``WorkerStats.points_pruned`` and in the
 ``dse.points_pruned`` metric.  There are no silent caps.
 
-Scoring streams through one persistent :class:`~repro.perf.pool.ScorerPool`
-shared across every base (workers memoise per-base scorers in a small
-LRU), and per-tile scores warm-start from the
+Scoring streams through one :class:`~repro.perf.pool.ScorerPool` shared
+across every base (workers memoise per-base scorers in a small LRU): the
+pool the caller passes, or a private one the sweep builds and closes.
+Per-tile scores warm-start from the
 :class:`~repro.cache.store.CompilationCache` under each base's
 ``sweep_key`` — a repeated sweep only scores what it has never seen.
 """
@@ -52,7 +53,6 @@ from repro.fingerprint import accel_fingerprint, sweep_key, tile_key
 from repro.hw.fpga import FPGADevice, VU9P
 from repro.hw.precision import ALL_PRECISIONS, INT8, INT16, Precision
 from repro.obs import spans as obs
-from repro.perf import pool as pool_mod
 from repro.perf.dse import (
     DesignPoint,
     WorkerStats,
@@ -444,11 +444,10 @@ def _sweep_base(
                     graph,
                     base,
                     pending,
-                    min(workers, len(pending)),
+                    sweep_pool,
                     chunk_timeout=chunk_timeout,
                     chunk_retries=chunk_retries,
                     stats=stats,
-                    pool=sweep_pool,
                     scorer=scorer,
                 )
             except ReproError:
@@ -488,14 +487,13 @@ def explore_space(
     graph: "ComputationGraph",
     space: DesignSpace | SampledSpace,
     tile_buffer_budget: int,
-    workers: int = 1,
+    workers: int | None = None,
     prune: bool = True,
     chunk_timeout: float | None = None,
     chunk_retries: int = 1,
     stats: WorkerStats | None = None,
     cache: "CompilationCache | None" = None,
     pool: ScorerPool | None = None,
-    pool_mode: str = "keep",
 ) -> SpaceResult:
     """Sweep a design space, pruning what cannot win.
 
@@ -507,9 +505,10 @@ def explore_space(
         tile_buffer_budget: Byte budget for the double-buffered tile
             buffers, applied per base at its element width.
         workers: Process count for scoring; every base shares one pool.
-            Clamped to the number of points to score, so small sweeps
-            never spawn idle workers.  Results are identical and
-            identically ordered for any count, and any pool failure (a
+            Defaults to ``pool.workers`` with a ``pool``, else 1 (a
+            serial sweep).  Clamped to the number of points to score, so
+            small sweeps never spawn idle workers.  Results are identical
+            and identically ordered for any count, and any pool failure (a
             crashed worker, a hung chunk, or an environment without
             working process spawning) is recovered by re-scoring the
             missing points serially.
@@ -530,10 +529,10 @@ def explore_space(
         cache: Optional compilation cache; per-tile scores warm-start
             under each base's ``sweep_key`` and fresh scores are written
             back.
-        pool: Explicit pool to score on (caller owns its lifetime).
-        pool_mode: ``"keep"`` (default) uses the process-wide persistent
-            pool; ``"fresh"`` builds a private pool and closes it before
-            returning.  Ignored when ``pool`` is given.
+        pool: Pool to score on; the caller owns it, so it stays open
+            (and warm) for later sweeps.  Without one, a sweep with more
+            than one worker builds a private pool (tracing when tracing
+            is on) and closes it before returning.
 
     Returns:
         A :class:`SpaceResult`; ``result.best`` is the space optimum.
@@ -541,8 +540,8 @@ def explore_space(
     Raises:
         repro.errors.CapacityError: On a non-positive budget, or when no
             point in the space fits it.
-        repro.errors.ConfigError: On ``workers < 1`` or an unknown
-            ``pool_mode``.
+        repro.errors.ConfigError: On ``workers < 1``, or a ``workers``
+            that differs from ``pool.workers``.
         repro.errors.ReproError: Any taxonomy error raised while setting
             up the parallel sweep propagates — only *environmental* pool
             failures fall back to the serial path.
@@ -552,13 +551,15 @@ def explore_space(
             "tile_buffer_budget must be positive",
             details={"tile_buffer_budget": tile_buffer_budget},
         )
+    if workers is None:
+        workers = pool.workers if pool is not None else 1
+    elif pool is not None and workers != pool.workers:
+        raise ConfigError(
+            "workers must equal the given pool's worker count",
+            details={"workers": workers, "pool_workers": pool.workers},
+        )
     if workers < 1:
         raise ConfigError("workers must be at least 1", details={"workers": workers})
-    if pool_mode not in ("keep", "fresh"):
-        raise ConfigError(
-            "pool_mode must be 'keep' or 'fresh'",
-            details={"pool_mode": pool_mode},
-        )
     stats = stats if stats is not None else WorkerStats()
     groups = space.groups()
 
@@ -593,8 +594,9 @@ def explore_space(
     bases_pruned = 0
     incumbent = float("inf")
     per_base: dict[int, list[DesignPoint]] = {}
-    private_pool: ScorerPool | None = None
-    sweep_pool = pool
+    owned = pool is None and workers > 1
+    if owned:
+        pool = ScorerPool(graph, workers, trace=obs.enabled())
     with obs.span(
         "dse.space",
         graph=graph.name,
@@ -604,17 +606,11 @@ def explore_space(
         prune=prune,
     ):
         try:
-            if sweep_pool is None and workers > 1:
-                if pool_mode == "fresh":
-                    private_pool = ScorerPool(graph, workers)
-                    sweep_pool = private_pool
-                else:
-                    sweep_pool = pool_mod.persistent_pool(graph, workers)
             scorers: dict[int, _SweepScorer] = {}
             bounds: dict[int, float] = {}
             if prune:
                 bounds = _lower_bounds(
-                    graph, prepped, sweep_pool, workers, stats, scorers
+                    graph, prepped, pool, workers, stats, scorers
                 )
                 # Most promising floors first maximises how early the
                 # incumbent tightens and how much the bound can discard.
@@ -635,7 +631,7 @@ def explore_space(
                     workers,
                     stats,
                     cache,
-                    sweep_pool,
+                    pool,
                     scorers.get(idx),
                     chunk_timeout,
                     chunk_retries,
@@ -643,8 +639,8 @@ def explore_space(
                 per_base[idx] = points
                 incumbent = min(incumbent, points[0].umm_latency)
         finally:
-            if private_pool is not None:
-                private_pool.close()
+            if owned:
+                pool.close()
         stats.points_pruned += pruned_dominated + pruned_bounded
         obs.annotate(
             "dse.pruned",

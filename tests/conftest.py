@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import time
+
 import pytest
 
 from repro.hw.precision import INT8, INT16
@@ -88,6 +91,21 @@ def sweep_base(graph, base, budget, tiles=None, **kwargs):
 
     space = SampledSpace([(base, candidate_tiles() if tiles is None else tiles)])
     return explore_space(graph, space, budget, prune=False, **kwargs).points
+
+
+def child_pids() -> set[int]:
+    """Pids of this process's live child processes (pool workers)."""
+    return {child.pid for child in multiprocessing.active_children()}
+
+
+def wait_for_exit(pids: set[int], timeout: float = 5.0) -> set[int]:
+    """Poll until none of ``pids`` is a live child; returns the survivors."""
+    deadline = time.monotonic() + timeout
+    while True:
+        alive = pids & child_pids()
+        if not alive or time.monotonic() > deadline:
+            return alive
+        time.sleep(0.05)
 
 
 def pytest_addoption(parser: pytest.Parser) -> None:

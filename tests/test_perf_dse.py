@@ -4,7 +4,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.perf import pool as pool_mod
 from repro.perf.dse import (
     WorkerStats,
     _score_parallel,
@@ -12,6 +11,7 @@ from repro.perf.dse import (
     candidate_tiles,
 )
 from repro.perf.latency import LatencyModel
+from repro.perf.pool import ScorerPool
 from repro.perf.space import SampledSpace, explore_space
 from repro.perf.tiling import TileConfig
 from repro.robustness.inject import FaultPlan, injected
@@ -109,9 +109,19 @@ class TestWorkers:
         with pytest.raises(ConfigError):
             sweep_base(build_chain(), small_accel(), 10 * 2**20, workers=0)
 
-    def test_more_workers_than_tiles(self):
+    def test_more_workers_than_tiles(self, monkeypatch):
         # workers is clamped to the feasible tile count, so a 2-tile
         # sweep with 8 requested workers must not over-spawn or hang.
+        from repro.perf import space
+
+        built = []
+
+        class RecordingPool(ScorerPool):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(space, "ScorerPool", RecordingPool)
         tiles = [TileConfig(8, 8, 7, 7), TileConfig(16, 16, 14, 14)]
         graph = build_chain()
         base = small_accel()
@@ -119,7 +129,8 @@ class TestWorkers:
         wide = sweep_base(graph, base, 10 * 2**20, tiles=tiles, workers=8)
         key = lambda points: [(p.accel.tile, p.umm_latency) for p in points]
         assert key(wide) == key(serial)
-        assert pool_mod.active_pool().workers == 2
+        assert [pool.workers for pool in built] == [2]
+        assert built[0].closed
 
     def test_single_tile_many_workers_stays_serial(self):
         tiles = [TileConfig(8, 8, 7, 7)]
@@ -152,11 +163,21 @@ class TestWorkerRecovery:
         expected = [scorer.score(t) for t in tiles]
         return graph, base, tiles, expected
 
+    @staticmethod
+    def _score(graph, base, tiles, workers, **kwargs):
+        """``_score_parallel`` on a pool built here (with the fault plans
+        armed right now) and closed afterwards."""
+        pool = ScorerPool(graph, workers)
+        try:
+            return _score_parallel(graph, base, tiles, pool, **kwargs)
+        finally:
+            pool.close()
+
     def test_worker_crash_recovers_serially(self):
         graph, base, tiles, expected = self._setup()
         stats = WorkerStats()
         with injected(FaultPlan("dse.chunk", mode="crash")):
-            got = _score_parallel(graph, base, tiles, 2, stats=stats)
+            got = self._score(graph, base, tiles, 2, stats=stats)
         assert got == expected
         assert stats.pool_broken
         assert stats.serial_chunks >= 1
@@ -170,7 +191,7 @@ class TestWorkerRecovery:
         from concurrent.futures.process import BrokenProcessPool
 
         graph, base, tiles, expected = self._setup()
-        pool = pool_mod.persistent_pool(graph, 2)
+        pool = ScorerPool(graph, 2)
         submit = pool.submit_chunk
         calls = []
 
@@ -182,7 +203,10 @@ class TestWorkerRecovery:
 
         monkeypatch.setattr(pool, "submit_chunk", breaks_on_second_call)
         stats = WorkerStats()
-        got = _score_parallel(graph, base, tiles, 2, stats=stats, pool=pool)
+        try:
+            got = _score_parallel(graph, base, tiles, pool, stats=stats)
+        finally:
+            pool.close()
         assert got == expected
         assert stats.chunks >= 2
         assert stats.pool_broken
@@ -194,7 +218,7 @@ class TestWorkerRecovery:
         stats = WorkerStats()
         plan = FaultPlan("dse.chunk", mode="hang", hang_seconds=5.0)
         with injected(plan):
-            got = _score_parallel(
+            got = self._score(
                 graph, base, tiles, 2,
                 chunk_timeout=0.2, chunk_retries=0, stats=stats,
             )
@@ -208,7 +232,7 @@ class TestWorkerRecovery:
         # One worker, one fire: the first chunk fails once, the retry
         # (same worker, fault already spent) succeeds in the pool.
         with injected(FaultPlan("dse.chunk", mode="raise", max_fires=1)):
-            got = _score_parallel(graph, base, tiles, 1, stats=stats)
+            got = self._score(graph, base, tiles, 1, stats=stats)
         assert got == expected
         assert stats.failures == 1
         assert stats.retries == 1
@@ -218,7 +242,7 @@ class TestWorkerRecovery:
         graph, base, tiles, expected = self._setup()
         stats = WorkerStats()
         with injected(FaultPlan("dse.chunk", mode="raise")):
-            got = _score_parallel(
+            got = self._score(
                 graph, base, tiles, 2, chunk_retries=1, stats=stats,
             )
         assert got == expected
@@ -249,7 +273,7 @@ class TestWorkerRecovery:
         plan = FaultPlan("dse.chunk", mode="hang", hang_seconds=30.0)
         start = time.monotonic()
         with injected(plan):
-            got = _score_parallel(
+            got = self._score(
                 graph, base, tiles, 2,
                 chunk_timeout=0.2, chunk_retries=1, stats=stats,
             )

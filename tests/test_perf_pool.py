@@ -1,28 +1,25 @@
-"""Tests for repro.perf.pool: the persistent DSE worker pool."""
+"""Tests for repro.perf.pool: the reusable DSE worker pool."""
 
 import pytest
 
 from repro.perf import pool as pool_mod
 from repro.perf.dse import WorkerStats
+from repro.errors import ConfigError
 from repro.perf.pool import (
     ScorerPool,
     adaptive_chunk_size,
     decode_tiles,
     encode_tiles,
-    persistent_pool,
 )
 from repro.perf.tiling import TileConfig
-from repro.robustness.inject import FaultPlan, injected
 
-from tests.conftest import build_chain, small_accel, sweep_base
-
-
-@pytest.fixture(autouse=True)
-def _fresh_registry():
-    """Each test starts and ends without a registered persistent pool."""
-    pool_mod.close_pool()
-    yield
-    pool_mod.close_pool()
+from tests.conftest import (
+    build_chain,
+    child_pids,
+    small_accel,
+    sweep_base,
+    wait_for_exit,
+)
 
 
 class TestWireEncoding:
@@ -76,12 +73,11 @@ class TestScorerPool:
     def test_refresh_bumps_generation_not_identity(self):
         graph = build_chain()
         pool = ScorerPool(graph, 1)
-        fp = pool.graph_fp
         pool.ensure()
         pool.refresh()
         assert pool.generation == 1
         assert not pool.is_warm()
-        assert pool.graph_fp == fp and not pool.closed
+        assert pool.graph is graph and not pool.closed
         pool.ensure()  # comes back up with identical initargs
         assert pool.is_warm()
         pool.close()
@@ -94,8 +90,6 @@ class TestScorerPool:
             pool.ensure()
 
     def test_invalid_workers(self):
-        from repro.errors import ConfigError
-
         with pytest.raises(ConfigError):
             ScorerPool(build_chain(), 0)
 
@@ -111,74 +105,29 @@ class TestScorerPool:
         pool.observe(10, 0.0)
         assert pool.per_point_seconds == pytest.approx(2e-3)
 
-    def test_describe_reports_lifetime(self):
-        pool = ScorerPool(build_chain(), 2)
-        d = pool.describe()
-        assert d["workers"] == 2 and not d["warm"] and d["generation"] == 0
-
-
-class TestPersistentRegistry:
-    def test_same_identity_reuses_the_pool(self):
-        graph = build_chain()
-        first = persistent_pool(graph, 2)
-        assert persistent_pool(graph, 2) is first
-
-    def test_worker_count_change_replaces_the_pool(self):
-        graph = build_chain()
-        first = persistent_pool(graph, 2)
-        second = persistent_pool(graph, 3)
-        assert second is not first and first.closed
-
-    def test_graph_change_replaces_the_pool(self):
-        first = persistent_pool(build_chain(num_convs=2), 2)
-        second = persistent_pool(build_chain(num_convs=3), 2)
-        assert second is not first and first.closed
-
-    def test_armed_fault_plans_change_the_identity(self):
-        # A reused pool's workers would not have newly-armed plans
-        # installed; arming plans must therefore force a fresh pool.
-        graph = build_chain()
-        clean = persistent_pool(graph, 2)
-        with injected(FaultPlan("dse.chunk", mode="raise", max_fires=0)):
-            armed = persistent_pool(graph, 2)
-            assert armed is not clean
-        after = persistent_pool(graph, 2)
-        assert after is not armed
-
-    def test_close_pool_clears_the_registry(self):
-        pool = persistent_pool(build_chain(), 2)
-        pool_mod.close_pool()
-        assert pool.closed and pool_mod.active_pool() is None
-
 
 class TestPoolReuseAcrossSweeps:
     def test_second_sweep_reuses_warm_pool(self):
         graph = build_chain()
         base = small_accel()
         budget = 10 * 2**20
-        cold = WorkerStats()
-        first = sweep_base(graph, base, budget, workers=2, stats=cold)
-        assert cold.chunks_reused_pool == 0  # nothing was warm yet
-        pool = pool_mod.active_pool()
-        assert pool is not None and pool.is_warm()
-        warm = WorkerStats()
-        second = sweep_base(graph, base, budget, workers=2, stats=warm)
-        key = lambda points: [(p.accel.tile, p.umm_latency) for p in points]
-        assert key(second) == key(first)
-        assert warm.chunks_reused_pool == warm.chunks > 0
-        assert warm.init_seconds == 0.0
-        assert pool_mod.active_pool() is pool
-
-    def test_fresh_mode_leaves_no_persistent_pool(self):
-        graph = build_chain()
-        base = small_accel()
-        serial = sweep_base(graph, base, 10 * 2**20)
-        fresh = sweep_base(
-            graph, base, 10 * 2**20, workers=2, pool_mode="fresh"
-        )
-        key = lambda points: [(p.accel.tile, p.umm_latency) for p in points]
-        assert key(fresh) == key(serial)
-        assert pool_mod.active_pool() is None
+        pool = ScorerPool(graph, 2)
+        try:
+            # ``workers`` is omitted: the given pool sets the count, so
+            # the sweep scores on it rather than serially.
+            cold = WorkerStats()
+            first = sweep_base(graph, base, budget, pool=pool, stats=cold)
+            assert cold.chunks > 0 and cold.chunks_reused_pool == 0
+            assert pool.is_warm()
+            warm = WorkerStats()
+            second = sweep_base(graph, base, budget, pool=pool, stats=warm)
+            key = lambda points: [(p.accel.tile, p.umm_latency) for p in points]
+            assert key(second) == key(first)
+            assert warm.chunks_reused_pool == warm.chunks > 0
+            assert warm.init_seconds == 0.0
+            assert pool.generation == 0 and not pool.closed
+        finally:
+            pool.close()
 
     def test_explicit_pool_is_caller_owned(self):
         graph = build_chain()
@@ -187,18 +136,45 @@ class TestPoolReuseAcrossSweeps:
         try:
             sweep_base(graph, base, 10 * 2**20, workers=2, pool=pool)
             assert pool.is_warm() and not pool.closed
-            # The registry never saw it.
-            assert pool_mod.active_pool() is None
         finally:
             pool.close()
 
-    def test_invalid_pool_mode_rejected(self):
-        from repro.errors import ConfigError
+    def test_conflicting_workers_rejected(self):
+        # A given pool sets the worker count; a different count is a
+        # caller error, not a silent override.
+        pool = ScorerPool(build_chain(), 2)
+        try:
+            with pytest.raises(ConfigError, match="pool"):
+                sweep_base(
+                    build_chain(), small_accel(), 10 * 2**20, workers=3,
+                    pool=pool,
+                )
+            assert not pool.is_warm()
+        finally:
+            pool.close()
 
-        with pytest.raises(ConfigError):
-            sweep_base(
-                build_chain(), small_accel(), 10 * 2**20, pool_mode="leaky"
-            )
+    def test_private_pool_leaves_no_worker_behind(self):
+        # Without a pool the sweep builds a private one, tracing when
+        # tracing is on, and closes it before returning: the chunks'
+        # worker spans are merged and the worker processes exit.
+        from repro import obs
+
+        graph = build_chain()
+        base = small_accel()
+        before = child_pids()
+        serial = sweep_base(graph, base, 10 * 2**20)
+        with obs.tracing("main") as tracer:
+            pooled = sweep_base(graph, base, 10 * 2**20, workers=2)
+        key = lambda points: [(p.accel.tile, p.umm_latency) for p in points]
+        assert key(pooled) == key(serial)
+        chunk_processes = {
+            record.process
+            for record in tracer.records
+            if record.name == "dse.chunk"
+        }
+        assert chunk_processes
+        assert all(p.startswith("dse-worker-") for p in chunk_processes)
+        assert not wait_for_exit(child_pids() - before)
 
     def test_calibration_scores_count_toward_results(self):
         # A cold pool calibrates on a parent-scored prefix; those scores
@@ -206,8 +182,11 @@ class TestPoolReuseAcrossSweeps:
         graph = build_chain()
         base = small_accel()
         serial = sweep_base(graph, base, 10 * 2**20)
-        pooled = sweep_base(graph, base, 10 * 2**20, workers=2)
+        pool = ScorerPool(graph, 2)
+        try:
+            pooled = sweep_base(graph, base, 10 * 2**20, pool=pool)
+        finally:
+            pool.close()
         key = lambda points: [(p.accel.tile, p.umm_latency) for p in points]
         assert key(pooled) == key(serial)
-        pool = pool_mod.active_pool()
-        assert pool is not None and pool.per_point_seconds is not None
+        assert pool.per_point_seconds is not None

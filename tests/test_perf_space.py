@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.errors import CapacityError, ConfigError
 from repro.hw.precision import FP32, INT8, INT16
 from repro.perf.dse import WorkerStats, _SweepScorer, candidate_tiles
+from repro.perf.pool import ScorerPool
 from repro.perf.space import (
     DesignSpace,
     explore_space,
@@ -157,11 +158,9 @@ class TestExploreSpace:
         with pytest.raises(CapacityError):
             explore_space(build_chain(), _tiny_space(), 16)
 
-    def test_invalid_workers_and_pool_mode(self):
+    def test_invalid_workers(self):
         with pytest.raises(ConfigError):
             explore_space(build_chain(), _tiny_space(), BUDGET, workers=0)
-        with pytest.raises(ConfigError):
-            explore_space(build_chain(), _tiny_space(), BUDGET, pool_mode="bad")
 
     def test_warm_start_skips_seen_points(self):
         from repro.cache import CompilationCache
@@ -184,12 +183,13 @@ class TestExploreSpace:
 
         graph = build_chain()
         stats = WorkerStats()
+        pool = ScorerPool(graph, 2)
         obs.reset_registry()
         try:
             with obs.tracing("test"):
                 result = explore_space(
-                    graph, _tiny_space(), BUDGET, workers=2, prune=prune,
-                    stats=stats, pool_mode="fresh",
+                    graph, _tiny_space(), BUDGET, prune=prune, stats=stats,
+                    pool=pool,
                 )
             registry = obs.registry()
             assert result.bases_total > 1
@@ -200,6 +200,7 @@ class TestExploreSpace:
             chunks = registry.counter("dse.chunks").value(graph=graph.name)
             assert chunks == stats.chunks
         finally:
+            pool.close()
             obs.reset_registry()
 
 

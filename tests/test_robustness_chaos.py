@@ -224,79 +224,82 @@ class TestFusionDegradation:
 
 
 class TestPersistentPoolLifecycle:
-    """``dse.chunk`` faults against the *persistent* worker pool.
+    """``dse.chunk`` faults against a caller-owned worker pool.
 
-    The ISSUE 6 guarantee: a hang or crash in a pooled chunk triggers
+    The guarantee: a hang or crash in a pooled chunk triggers
     the fresh-pool retry path (the executor is refreshed, results stay
-    exact) without leaking the persistent pool — the pool object
-    survives the fault, and ending the injection retires it cleanly.
+    exact) without losing the pool — the pool object survives the fault
+    and stays usable until its owner closes it.
     """
 
-    @pytest.fixture(autouse=True)
-    def _fresh_pool(self):
-        from repro.perf import pool as pool_mod
-
-        pool_mod.close_pool()
-        yield
-        pool_mod.close_pool()
-
-    def _sweep(self, **kwargs):
+    def _sweep(self, pool=None, **kwargs):
         from repro.perf.dse import WorkerStats
         from tests.conftest import build_chain, sweep_base
 
-        graph = build_chain()
+        graph = pool.graph if pool is not None else build_chain()
         accel = small_accel()
         stats = WorkerStats()
         points = sweep_base(
-            graph, accel, 10 * 2**20, workers=2, stats=stats, **kwargs
+            graph, accel, 10 * 2**20, workers=2, stats=stats, pool=pool,
+            **kwargs,
         )
         return [(p.accel.tile, p.umm_latency) for p in points], stats
 
-    def test_crash_refreshes_executor_not_pool(self):
-        from repro.perf import pool as pool_mod
+    @staticmethod
+    def _pool():
+        from repro.perf.pool import ScorerPool
+        from tests.conftest import build_chain
 
+        return ScorerPool(build_chain(), 2)
+
+    def test_crash_refreshes_executor_not_pool(self):
         clean, _ = self._sweep()
         with injected(FaultPlan("dse.chunk", mode="crash", seed=CHAOS_SEED)):
-            chaotic, stats = self._sweep()
-            armed_pool = pool_mod.active_pool()
+            armed_pool = self._pool()
+            try:
+                chaotic, stats = self._sweep(pool=armed_pool)
+                # The executor was replaced, the pool object survived.
+                assert not armed_pool.closed
+                assert armed_pool.generation >= 1
+            finally:
+                armed_pool.close()
         assert chaotic == clean  # exact results despite the dying workers
         assert stats.pool_broken and stats.serial_chunks >= 1
-        # The executor was replaced, the pool object survived.
-        assert armed_pool is not None and not armed_pool.closed
-        assert armed_pool.generation >= 1
 
     def test_hang_refreshes_executor_not_pool(self):
-        from repro.perf import pool as pool_mod
-
         clean, _ = self._sweep()
         plan = FaultPlan(
             "dse.chunk", mode="hang", hang_seconds=30.0, seed=CHAOS_SEED
         )
         with injected(plan):
-            chaotic, stats = self._sweep(chunk_timeout=0.2, chunk_retries=1)
-            armed_pool = pool_mod.active_pool()
+            armed_pool = self._pool()
+            try:
+                chaotic, stats = self._sweep(
+                    pool=armed_pool, chunk_timeout=0.2, chunk_retries=1
+                )
+                # The stranded (uncancellable) hung worker cost the
+                # executor its life, not the pool.
+                assert not armed_pool.closed
+                assert armed_pool.generation >= 1
+            finally:
+                armed_pool.close()
         assert chaotic == clean
         assert stats.timeouts >= 1 and stats.serial_chunks >= 1
-        # The stranded (uncancellable) hung worker cost the executor its
-        # life, not the pool its registry slot.
-        assert armed_pool is not None and not armed_pool.closed
-        assert armed_pool.generation >= 1
 
     def test_disarming_retires_the_armed_pool(self):
-        from repro.perf import pool as pool_mod
-
-        # Fault plans are part of the pool identity: workers get plans
-        # via the initializer, so an armed sweep must not reuse a clean
-        # pool, and a clean sweep must not reuse an armed one.
+        # Workers get fault plans via the initializer, so a pool carries
+        # the plans armed when it was built: an armed pool recovers from
+        # its faults, and once it is closed a clean sweep builds a clean
+        # pool of its own.
         clean, _ = self._sweep()
-        before = pool_mod.active_pool()
         with injected(FaultPlan("dse.chunk", mode="crash", seed=CHAOS_SEED)):
-            self._sweep()
-            armed = pool_mod.active_pool()
-        assert armed is not before and before is not None and before.closed
+            armed = self._pool()
+            try:
+                _, armed_stats = self._sweep(pool=armed)
+            finally:
+                armed.close()
+        assert armed.plans and armed.closed and armed_stats.recovered()
         after_points, after_stats = self._sweep()
-        after = pool_mod.active_pool()
-        assert after is not armed and armed.closed  # no leaked armed pool
         assert after_points == clean and not after_stats.recovered()
 
 
