@@ -10,8 +10,7 @@ import pytest
 from repro.analysis.experiments import reference_design
 from repro.analysis.report import format_table
 from repro.hw.precision import INT16
-from repro.lcmm.framework import LCMMOptions, run_lcmm
-from repro.lcmm.umm import run_umm
+from repro.lcmm.framework import LCMMOptions, run_lcmm, umm_only_result
 from repro.models import get_model
 from repro.perf.latency import LatencyModel
 
@@ -33,7 +32,7 @@ def setup():
     accel_lcmm = reference_design("googlenet", INT16, "lcmm")
     umm_model = LatencyModel(graph, accel_umm)
     lcmm_model = LatencyModel(graph, accel_lcmm)
-    umm = run_umm(graph, accel_umm, umm_model)
+    umm = umm_only_result(graph, accel_umm, umm_model)
     return graph, accel_lcmm, lcmm_model, umm
 
 

@@ -17,7 +17,6 @@ numbers and assertions, written to ``BENCH_cache.json``:
 
 from __future__ import annotations
 
-import json
 import tempfile
 import time
 from pathlib import Path
@@ -25,7 +24,8 @@ from pathlib import Path
 from repro.cache import STANDARD_CONFIGS, batch_compile
 from repro.models.zoo import list_models
 
-_RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_cache.json"
+from conftest import write_bench
+
 _GOLDEN_DIR = Path(__file__).resolve().parent.parent / "tests" / "golden"
 _MIN_SPEEDUP = 10.0
 
@@ -63,24 +63,21 @@ def test_warm_batch_compile_speedup():
         f"need >= {_MIN_SPEEDUP:.0f}x"
     )
 
-    _RESULT_PATH.write_text(
-        json.dumps(
-            {
-                "batch_compile_zoo": {
-                    "models": len(models),
-                    "configs": configs,
-                    "jobs": len(cold.outcomes),
-                    "cold_seconds": cold_seconds,
-                    "warm_seconds": warm_seconds,
-                    "speedup": speedup,
-                    "min_speedup": _MIN_SPEEDUP,
-                    "warm_hit_rate": warm.hits / len(warm.outcomes),
-                    "golden_verified": True,
-                },
+    write_bench(
+        "BENCH_cache.json",
+        {
+            "batch_compile_zoo": {
+                "models": len(models),
+                "configs": configs,
+                "jobs": len(cold.outcomes),
+                "cold_seconds": cold_seconds,
+                "warm_seconds": warm_seconds,
+                "speedup": speedup,
+                "min_speedup": _MIN_SPEEDUP,
+                "warm_hit_rate": warm.hits / len(warm.outcomes),
+                "golden_verified": True,
             },
-            indent=2,
-        )
-        + "\n"
+        },
     )
     print(
         f"\ncache bench: {len(cold.outcomes)} jobs cold {cold_seconds:.2f}s, "

@@ -3,7 +3,8 @@
 Sweeps a >=10^4-point design space (a ~2k-point one under
 ``BENCH_SMOKE=1``) over GoogLeNet with roofline/dominance pruning on,
 times ``workers=4`` on one held pool against ``workers=1``, and
-writes the results to ``BENCH_dse_scale.json`` at the repo root.
+writes the results to ``BENCH_dse_scale.json`` at the repo root (under
+``.bench_out/smoke/`` for a smoke run).
 
 Two guarantees are asserted here, not just measured:
 
@@ -17,10 +18,8 @@ Two guarantees are asserted here, not just measured:
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
 import pytest
 
@@ -30,15 +29,15 @@ from repro.perf.pool import ScorerPool
 from repro.perf.space import DesignSpace, explore_space, small_space
 from repro.perf.systolic import SystolicArray
 
-_RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_dse_scale.json"
-_SMOKE = bool(os.environ.get("BENCH_SMOKE"))
-_REPEATS = 2 if _SMOKE else 3
+from conftest import SMOKE, write_bench
+
+_REPEATS = 2 if SMOKE else 3
 _BUDGET = 4 * 2**20
 
 
 def _bench_space() -> DesignSpace:
     """The swept space: ~2k points for smoke, >=10^4 for the full bench."""
-    if _SMOKE:
+    if SMOKE:
         return small_space()
     return DesignSpace(
         arrays=(
@@ -67,7 +66,7 @@ def _best_of(fn, repeats: int = _REPEATS) -> float:
 def test_space_sweep_scaling():
     graph = get_model("googlenet")
     space = _bench_space()
-    if not _SMOKE:
+    if not SMOKE:
         assert space.size() >= 10_000
 
     # Exactness first: the pruned sweep must land on the bit-identical
@@ -90,7 +89,7 @@ def test_space_sweep_scaling():
 
     payload = {
         "model": graph.name,
-        "smoke": _SMOKE,
+        "smoke": SMOKE,
         "cpu_count": cores,
         "space_points": space.size(),
         "feasible_points": pruned.total_points,
@@ -106,7 +105,7 @@ def test_space_sweep_scaling():
         "workers4_seconds": w4_s,
         "speedup_workers4_over_workers1": speedup,
     }
-    _RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    write_bench("BENCH_dse_scale.json", payload)
     print(
         f"\nspace sweep ({pruned.total_points} feasible pts, "
         f"{pruned.scored_points} scored, {cores} cores): "

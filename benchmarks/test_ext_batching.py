@@ -11,7 +11,7 @@ import pytest
 from repro.analysis.experiments import BENCHMARKS, reference_design, run_comparison
 from repro.analysis.report import format_table
 from repro.hw.precision import INT16
-from repro.perf.batching import batched_latency, umm_batched_latency
+from repro.perf.batching import batched_latency
 
 from conftest import attach
 
@@ -23,7 +23,7 @@ def run_all():
     for model_name in BENCHMARKS:
         cmp = run_comparison(model_name, INT16)
         lcmm_batch = batched_latency(cmp.lcmm_model, cmp.lcmm, BATCH)
-        umm_batch = umm_batched_latency(cmp.umm_model, BATCH)
+        umm_batch = batched_latency(cmp.umm_model, cmp.umm, BATCH)
         rows.append((model_name, lcmm_batch, umm_batch))
     return rows
 

@@ -11,8 +11,7 @@ import pytest
 from repro.analysis.experiments import reference_design
 from repro.analysis.report import format_table
 from repro.hw.precision import INT16
-from repro.lcmm.framework import run_lcmm
-from repro.lcmm.umm import run_umm
+from repro.lcmm.framework import run_lcmm, umm_only_result
 from repro.lcmm.validate import validate_result
 from repro.models import get_model
 from repro.perf.latency import LatencyModel
@@ -27,7 +26,7 @@ def run_mobilenet():
     accel_lcmm = reference_design("resnet152", INT16, "lcmm")
     umm_model = LatencyModel(graph, accel_umm)
     lcmm_model = LatencyModel(graph, accel_lcmm)
-    umm = run_umm(graph, accel_umm, umm_model)
+    umm = umm_only_result(graph, accel_umm, umm_model)
     lcmm = run_lcmm(graph, accel_lcmm, model=lcmm_model)
     return graph, umm_model, lcmm_model, umm, lcmm
 

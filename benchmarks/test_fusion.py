@@ -3,7 +3,8 @@
 Runs :func:`repro.analysis.experiments.run_fusion_ablation` over the
 model zoo (a three-model subset under ``BENCH_SMOKE=1``) on the
 bandwidth-constrained ablation design and writes the per-model table to
-``BENCH_fusion.json`` at the repo root.
+``BENCH_fusion.json`` at the repo root (under ``.bench_out/smoke/`` for
+a smoke run).
 
 Two guarantees are asserted here, not just measured:
 
@@ -17,17 +18,12 @@ Two guarantees are asserted here, not just measured:
 
 from __future__ import annotations
 
-import json
-import os
-from pathlib import Path
-
 from repro.analysis.experiments import run_fusion_ablation
 from repro.models.zoo import list_models
 
-_RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_fusion.json"
-_SMOKE = bool(os.environ.get("BENCH_SMOKE"))
+from conftest import SMOKE, write_bench
 
-_MODELS = ("resnet50", "googlenet", "squeezenet") if _SMOKE else tuple(list_models())
+_MODELS = ("resnet50", "googlenet", "squeezenet") if SMOKE else tuple(list_models())
 
 
 def test_fusion_ablation():
@@ -66,9 +62,9 @@ def test_fusion_ablation():
             for r in rows
         },
         "best_improvement": max(r.improvement for r in rows),
-        "smoke": _SMOKE,
+        "smoke": SMOKE,
     }
-    _RESULT_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_bench("BENCH_fusion.json", payload, sort_keys=True)
 
     print("\nfusion ablation (constrained design):")
     for r in rows:

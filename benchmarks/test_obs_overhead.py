@@ -16,15 +16,13 @@ that claim into numbers and an assertion, written to ``BENCH_obs.json``:
   (not asserted: two ~20 ms wall-time samples are noisier than the 2 %
   budget, which is exactly why the bound is computed analytically).
 
-Set ``BENCH_SMOKE=1`` to cut repeats for CI smoke runs.
+Set ``BENCH_SMOKE=1`` to cut repeats for CI smoke runs; a smoke run
+writes under ``.bench_out/smoke/`` instead (``conftest.bench_path``).
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
-from pathlib import Path
 
 from repro import obs
 from repro.analysis.experiments import reference_design
@@ -33,9 +31,10 @@ from repro.lcmm.framework import run_lcmm
 from repro.models import get_model
 from repro.perf.latency import LatencyModel
 
-_RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_obs.json"
-_REPEATS = 2 if os.environ.get("BENCH_SMOKE") else 5
-_GUARD_CALLS = 20_000 if os.environ.get("BENCH_SMOKE") else 200_000
+from conftest import SMOKE, write_bench
+
+_REPEATS = 2 if SMOKE else 5
+_GUARD_CALLS = 20_000 if SMOKE else 200_000
 _OVERHEAD_BUDGET = 0.02
 _CALL_COUNT_MARGIN = 10
 
@@ -92,23 +91,20 @@ def test_disabled_tracing_overhead_under_budget():
         f"({call_count} guarded calls at {guard_seconds * 1e9:.0f} ns)"
     )
 
-    _RESULT_PATH.write_text(
-        json.dumps(
-            {
-                "run_lcmm_googlenet": {
-                    "disabled_seconds": disabled_seconds,
-                    "enabled_seconds": enabled_seconds,
-                    "enabled_span_count": len(tracer.records),
-                    "instrumentation_hits": hits,
-                    "guard_call_ns": guard_seconds * 1e9,
-                    "overhead_bound_fraction": overhead_fraction,
-                    "overhead_budget": _OVERHEAD_BUDGET,
-                    "call_count_margin": _CALL_COUNT_MARGIN,
-                },
+    write_bench(
+        "BENCH_obs.json",
+        {
+            "run_lcmm_googlenet": {
+                "disabled_seconds": disabled_seconds,
+                "enabled_seconds": enabled_seconds,
+                "enabled_span_count": len(tracer.records),
+                "instrumentation_hits": hits,
+                "guard_call_ns": guard_seconds * 1e9,
+                "overhead_bound_fraction": overhead_fraction,
+                "overhead_budget": _OVERHEAD_BUDGET,
+                "call_count_margin": _CALL_COUNT_MARGIN,
             },
-            indent=2,
-        )
-        + "\n"
+        },
     )
     print(
         f"\nobs overhead: guard {guard_seconds * 1e9:.0f} ns/call, "

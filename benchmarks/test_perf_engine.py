@@ -11,7 +11,8 @@ results to ``BENCH_engine.json`` at the repo root:
 Results are checked against the golden fingerprint and the per-tile
 model respectively (and bit-for-bit against the naive oracles in the
 tier-1 suite); this file measures only wall time and evaluation counts.
-Set ``BENCH_SMOKE=1`` to cut repeats for CI smoke runs.
+Set ``BENCH_SMOKE=1`` to cut repeats for CI smoke runs; a smoke run
+writes under ``.bench_out/smoke/`` instead (``conftest.bench_path``).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import json
 import os
 import time
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
@@ -34,9 +34,9 @@ from repro.perf.latency import LatencyModel
 from repro.perf.pool import ScorerPool
 from repro.perf.space import SampledSpace, explore_space
 
-_ROOT = Path(__file__).resolve().parent.parent
-_RESULT_PATH = _ROOT / "BENCH_engine.json"
-_REPEATS = 2 if os.environ.get("BENCH_SMOKE") else 5
+from conftest import ROOT, SMOKE, bench_path, write_bench
+
+_REPEATS = 2 if SMOKE else 5
 
 
 def _best_of(fn, repeats: int = _REPEATS) -> float:
@@ -58,11 +58,10 @@ def _sweep(graph, base, budget, tiles, pool=None):
 
 
 def _record(section: str, payload: dict) -> None:
-    data = {}
-    if _RESULT_PATH.exists():
-        data = json.loads(_RESULT_PATH.read_text())
+    path = bench_path("BENCH_engine.json")
+    data = json.loads(path.read_text()) if path.exists() else {}
     data[section] = payload
-    _RESULT_PATH.write_text(json.dumps(data, indent=2) + "\n")
+    write_bench("BENCH_engine.json", data)
 
 
 def test_run_lcmm_engine():
@@ -71,7 +70,7 @@ def test_run_lcmm_engine():
     model = LatencyModel(graph, accel)
 
     result = run_lcmm(graph, accel, model=model)
-    golden = json.loads((_ROOT / "tests" / "golden" / "googlenet.json").read_text())
+    golden = json.loads((ROOT / "tests" / "golden" / "googlenet.json").read_text())
     assert fingerprint(result) == golden["splitting"]
 
     engine_s = _best_of(lambda: run_lcmm(graph, accel, model=model))

@@ -4,7 +4,8 @@ Sweeps the layer-pipelined partitioner (:mod:`repro.perf.partition`)
 over devices in {1, 2, 4, 8} on the CNN + transformer zoo (resnet152
 and bert_base under ``BENCH_SMOKE=1``) with the default 12.5 GB/s
 inter-die link, and writes the per-model scaling table to
-``BENCH_pipeline.json`` at the repo root.
+``BENCH_pipeline.json`` at the repo root (under ``.bench_out/smoke/``
+for a smoke run).
 
 Three guarantees are asserted here, not just measured:
 
@@ -21,7 +22,6 @@ Three guarantees are asserted here, not just measured:
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 from repro.analysis.experiments import BENCHMARKS, reference_design
@@ -30,13 +30,13 @@ from repro.hw.precision import precision_by_name
 from repro.models.zoo import get_model
 from repro.perf.partition import InterDieLink, design_partition
 
-_RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_pipeline.json"
+from conftest import SMOKE, write_bench
+
 _GOLDEN_DIR = Path(__file__).resolve().parent.parent / "tests" / "golden"
-_SMOKE = bool(os.environ.get("BENCH_SMOKE"))
 
 _MODELS = (
     ("resnet152", "bert_base")
-    if _SMOKE
+    if SMOKE
     else ("resnet50", "resnet152", "vit_b16", "bert_base")
 )
 _DEVICES = (1, 2, 4, 8)
@@ -96,9 +96,9 @@ def test_pipeline_scaling():
             }
             for name, points in table.items()
         },
-        "smoke": _SMOKE,
+        "smoke": SMOKE,
     }
-    _RESULT_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_bench("BENCH_pipeline.json", payload, sort_keys=True)
 
     print("\nmulti-die pipeline scaling (12.5 GB/s links):")
     for name, points in table.items():

@@ -31,7 +31,8 @@ from pathlib import Path
 from repro.robustness.inject import FaultPlan, disarm_all, injected
 from repro.serve import ServerConfig, ServerThread, ServiceConfig
 
-_RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_serve.json"
+from conftest import write_bench
+
 _GOLDEN_DIR = Path(__file__).resolve().parent.parent / "tests" / "golden"
 _MIN_WARM_SPEEDUP = 10.0
 
@@ -192,7 +193,7 @@ def test_serve_cold_warm_throughput_and_overload():
         },
         "golden_verified": True,
     }
-    _RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
+    write_bench("BENCH_serve.json", results)
     print(
         f"\nserve bench: cold p50 {cold_p50 * 1e3:.1f} ms, warm p50 "
         f"{warm_p50 * 1e3:.2f} ms ({speedup:.0f}x), {throughput:.0f} rps warm, "

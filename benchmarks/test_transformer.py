@@ -32,8 +32,9 @@ from repro.lcmm.framework import LCMMOptions, run_lcmm, umm_only_result
 from repro.models.zoo import get_model
 from repro.perf.latency import LatencyModel
 
+from conftest import write_bench
+
 _TRANSFORMERS = ("bert_base", "vit_b16")
-_RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_transformer.json"
 _GOLDEN_DIR = Path(__file__).resolve().parent.parent / "tests" / "golden"
 
 
@@ -96,7 +97,7 @@ def test_transformer_lcmm_beats_umm():
             "golden_verified": True,
         },
     }
-    _RESULT_PATH.write_text(json.dumps(report, indent=2) + "\n")
+    write_bench("BENCH_transformer.json", report)
 
     print("\nTransformer zoo — LCMM vs UMM (reproduced)")
     for name, row in per_model.items():

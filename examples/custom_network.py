@@ -13,7 +13,7 @@ from repro.hw.precision import INT16
 from repro.ir.graph import ComputationGraph
 from repro.ir.layer import EltwiseAdd, FullyConnected, InputLayer
 from repro.ir.tensor import FeatureMapShape
-from repro.lcmm import run_lcmm, run_umm, validate_result
+from repro.lcmm import run_lcmm, umm_only_result, validate_result
 from repro.models.common import conv, global_avg_pool, max_pool
 from repro.perf.dse import candidate_tiles
 from repro.perf.latency import LatencyModel
@@ -56,9 +56,9 @@ def main() -> None:
           f"({accel.tile_buffer_bytes() / 1024:.0f} KB of tile buffers)")
 
     model = LatencyModel(graph, accel)
-    umm = run_umm(graph, accel, model)
+    umm = umm_only_result(graph, accel, model)
     lcmm = run_lcmm(graph, accel, model=model)
-    validate_result(lcmm, model, umm)
+    validate_result(lcmm, model)
     print(f"UMM  {umm.latency * 1e6:8.1f} us")
     print(f"LCMM {lcmm.latency * 1e6:8.1f} us  "
           f"({umm.latency / lcmm.latency:.2f}x, "

@@ -18,8 +18,8 @@ from repro.lcmm import (
     LCMMOptions,
     operation_latency_table,
     run_lcmm,
-    run_umm,
     schedule_positions,
+    umm_only_result,
 )
 from repro.models.common import conv
 from repro.perf.latency import LatencyModel
@@ -99,7 +99,7 @@ def main() -> None:
         ]
         print(f"  t={step} {node:4s} on-chip: {sorted(live_onchip)}")
 
-    umm = run_umm(graph, accel, model)
+    umm = umm_only_result(graph, accel, model)
     print(f"\nUMM {umm.latency * 1e6:.1f}us -> LCMM {lcmm.latency * 1e6:.1f}us "
           f"({umm.latency / lcmm.latency:.2f}x)")
 

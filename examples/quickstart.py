@@ -10,7 +10,7 @@ Run:  python examples/quickstart.py
 
 from repro.analysis.experiments import reference_design
 from repro.hw.precision import INT8
-from repro.lcmm import run_lcmm, run_umm
+from repro.lcmm import run_lcmm, umm_only_result
 from repro.models import get_model
 from repro.perf.latency import LatencyModel
 
@@ -25,7 +25,7 @@ def main() -> None:
     accel_umm = reference_design("resnet152", INT8, "umm")
     accel_lcmm = reference_design("resnet152", INT8, "lcmm")
 
-    umm = run_umm(graph, accel_umm)
+    umm = umm_only_result(graph, accel_umm)
     print(f"\nUMM  baseline: {umm.latency * 1e3:8.3f} ms   {umm.tops:.3f} Tops")
 
     lcmm_model = LatencyModel(graph, accel_lcmm)

@@ -11,7 +11,7 @@ first access (:mod:`repro._lazy`), so ``import repro`` imports none of them.
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.hw.precision": ("FP32", "INT8", "INT16", "Precision"),
@@ -21,28 +21,9 @@ __getattr__, __dir__ = lazy_exports(
         "repro.perf.systolic": ("AcceleratorConfig",),
         "repro.perf.latency": ("LatencyModel",),
         "repro.perf.roofline": ("RooflineModel",),
-        "repro.lcmm.framework": ("LCMMResult", "run_lcmm"),
-        "repro.lcmm.umm": ("UMMResult", "run_umm"),
+        "repro.lcmm.framework": ("LCMMResult", "run_lcmm", "umm_only_result"),
     },
 )
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "Precision",
-    "INT8",
-    "INT16",
-    "FP32",
-    "VU9P",
-    "make_vu9p_ddr",
-    "get_model",
-    "list_models",
-    "AcceleratorConfig",
-    "LatencyModel",
-    "RooflineModel",
-    "run_lcmm",
-    "run_umm",
-    "LCMMResult",
-    "UMMResult",
-    "__version__",
-]
+__all__.append("__version__")

@@ -15,12 +15,13 @@ from typing import Callable, Iterable, Mapping
 
 def lazy_exports(
     package: str, exports: Mapping[str, Iterable[str]]
-) -> tuple[Callable[[str], object], Callable[[], list[str]]]:
-    """``(__getattr__, __dir__)`` for ``package`` over ``{module: names}``.
+) -> tuple[Callable[[str], object], Callable[[], list[str]], list[str]]:
+    """``(__getattr__, __dir__, __all__)`` for ``package`` over ``{module: names}``.
 
     A resolved name is bound on the package, so each one is looked up
     once.  Names outside the map fall back to the package's submodules,
-    as attribute access on an eagerly imported package would.
+    as attribute access on an eagerly imported package would.  ``__all__``
+    lists the mapped names in map order, so each export is written once.
     """
     origin = {name: module for module, names in exports.items() for name in names}
 
@@ -43,4 +44,4 @@ def lazy_exports(
     def __dir__() -> list[str]:
         return sorted(set(vars(sys.modules[package])) | set(origin))
 
-    return __getattr__, __dir__
+    return __getattr__, __dir__, list(origin)

@@ -8,7 +8,7 @@ rendering.
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.analysis.reference": ("BENCHMARKS", "PRECISIONS", "reference_design"),
@@ -36,29 +36,3 @@ __getattr__, __dir__ = lazy_exports(
         ),
     },
 )
-
-__all__ = [
-    "BENCHMARKS",
-    "PRECISIONS",
-    "DesignComparison",
-    "reference_design",
-    "run_comparison",
-    "run_table1",
-    "run_table2",
-    "run_table3",
-    "run_fig8",
-    "DesignSpacePoint",
-    "enumerate_design_space",
-    "average_speedup",
-    "block_throughput",
-    "geomean",
-    "format_table",
-    "format_markdown_table",
-    "computation_graph_dot",
-    "interference_graph_dot",
-    "prefetch_graph_dot",
-    "roofline_scatter",
-    "bar_chart",
-    "footprint_timeline",
-    "simulation_gantt",
-]

@@ -12,9 +12,8 @@ from dataclasses import dataclass, replace
 
 from repro.hw.precision import INT8, INT16, Precision
 from repro.ir.graph import ComputationGraph
-from repro.lcmm.framework import LCMMOptions, LCMMResult, run_lcmm
+from repro.lcmm.framework import LCMMOptions, LCMMResult, run_lcmm, umm_only_result
 from repro.lcmm.passes import pipeline_from_names
-from repro.lcmm.umm import UMMResult, run_umm
 from repro.models.zoo import get_model, list_models
 from repro.perf.latency import LatencyModel
 from repro.perf.roofline import RooflineModel
@@ -39,7 +38,7 @@ class DesignComparison:
     Attributes:
         model_name: Benchmark name.
         precision: Arithmetic precision.
-        umm: Baseline result.
+        umm: Baseline result (:func:`umm_only_result`).
         lcmm: LCMM result.
         umm_model: Latency model of the baseline design point.
         lcmm_model: Latency model of the LCMM design point.
@@ -47,7 +46,7 @@ class DesignComparison:
 
     model_name: str
     precision: Precision
-    umm: UMMResult
+    umm: LCMMResult
     lcmm: LCMMResult
     umm_model: LatencyModel
     lcmm_model: LatencyModel
@@ -88,7 +87,7 @@ def run_comparison(
     accel_lcmm = model_reference_design(model_name, precision, "lcmm")
     umm_model = LatencyModel(graph, accel_umm)
     lcmm_model = LatencyModel(graph, accel_lcmm)
-    umm = run_umm(graph, accel_umm, umm_model)
+    umm = umm_only_result(graph, accel_umm, umm_model)
     lcmm = run_lcmm(
         graph,
         accel_lcmm,
@@ -186,7 +185,7 @@ def run_table2(
         for precision in precisions:
             cmp = run_comparison(model_name, precision, graph=graph)
             pol = cmp.lcmm.percentage_onchip_layers(cmp.lcmm_model)
-            umm_usage = cmp.umm.sram_used_bytes
+            umm_usage = cmp.umm.sram_usage.used_bytes
             bram_total = cmp.umm.accel.device.sram.bram_bytes
             rows.append(
                 Table2Row(
@@ -325,7 +324,7 @@ def run_fig8(precision: Precision = INT16) -> list[Fig8Series]:
     blocks = tuple(b for b in graph.blocks if b.startswith("inception"))
     accel_umm = reference_design("googlenet", precision, "umm")
     umm_model = LatencyModel(graph, accel_umm)
-    umm = run_umm(graph, accel_umm, umm_model)
+    umm = umm_only_result(graph, accel_umm, umm_model)
 
     accel_lcmm = reference_design("googlenet", precision, "lcmm")
     lcmm_model = LatencyModel(graph, accel_lcmm)
@@ -425,7 +424,7 @@ def run_fusion_ablation(
     rows = []
     for model_name in names:
         graph = get_model(model_name)
-        umm = run_umm(graph, accel_umm)
+        umm = umm_only_result(graph, accel_umm)
         lcmm_model = LatencyModel(graph, accel_lcmm)
         results = {
             label: run_lcmm(

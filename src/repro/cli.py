@@ -367,14 +367,14 @@ def _cmd_export(args: argparse.Namespace) -> None:
 
 def _cmd_doublebuffer(args: argparse.Namespace) -> None:
     from repro.lcmm.double_buffer import LinearityError, run_double_buffer
-    from repro.lcmm.umm import run_umm
+    from repro.lcmm.framework import umm_only_result
     from repro.perf.latency import LatencyModel
 
     accel = reference_design("resnet152", precision_by_name(args.precision), "lcmm")
     for name in ("alexnet", "vgg16", "resnet152", "googlenet"):
         graph = get_model(name)
         model = LatencyModel(graph, accel)
-        umm = run_umm(graph, accel, model)
+        umm = umm_only_result(graph, accel, model)
         try:
             db = run_double_buffer(graph, accel, model)
             print(f"{name:12s} linear: double-buffer {db.latency * 1e3:8.3f} ms "
@@ -387,8 +387,8 @@ def _cmd_doublebuffer(args: argparse.Namespace) -> None:
 
 def _cmd_batch(args: argparse.Namespace) -> None:
     _require_images(args.images)
-    from repro.lcmm.framework import run_lcmm
-    from repro.perf.batching import batched_latency, umm_batched_latency
+    from repro.lcmm.framework import run_lcmm, umm_only_result
+    from repro.perf.batching import batched_latency
     from repro.perf.latency import LatencyModel
 
     graph = get_model(args.model)
@@ -396,7 +396,7 @@ def _cmd_batch(args: argparse.Namespace) -> None:
     model = LatencyModel(graph, accel)
     lcmm = run_lcmm(graph, accel, model=model)
     batch = batched_latency(model, lcmm, args.images)
-    umm = umm_batched_latency(model, args.images)
+    umm = batched_latency(model, umm_only_result(graph, accel, model), args.images)
     print(f"Batch of {args.images} images on {graph.name} ({args.precision}):")
     print(f"  LCMM first image:  {batch.first_image_latency * 1e3:8.3f} ms")
     print(f"  LCMM steady state: {batch.steady_image_latency * 1e3:8.3f} ms "

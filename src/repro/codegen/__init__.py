@@ -20,7 +20,7 @@ paper's flow would hand to Vivado HLS.
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.codegen.hls": (
@@ -33,12 +33,3 @@ __getattr__, __dir__ = lazy_exports(
         ),
     },
 )
-
-__all__ = [
-    "HLSDesign",
-    "generate_design",
-    "generate_buffers_header",
-    "generate_schedule_source",
-    "generate_design_header",
-    "write_design",
-]

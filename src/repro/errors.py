@@ -108,6 +108,10 @@ class ModelNotFoundError(ConfigError, KeyError):
     """A model name matches nothing in the zoo."""
 
 
+class PrecisionNotFoundError(ConfigError, KeyError):
+    """A precision name matches no known precision or alias."""
+
+
 class CapacityError(ReproError, ValueError):
     """A memory budget cannot be satisfied: tile buffers exceed the SRAM
     budget, no tile configuration fits, non-positive budget."""

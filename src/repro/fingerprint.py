@@ -46,7 +46,6 @@ __all__ = [
     "fingerprint",
     "graph_fingerprint",
     "options_fingerprint",
-    "pipeline_key",
     "result_reply",
     "sweep_key",
     "tile_key",
@@ -56,7 +55,7 @@ __all__ = [
 #: a cached artifact changes — a new ``LCMMResult`` field that affects
 #: results, a latency-model fix, a serialization change — and every
 #: previously written entry silently becomes a miss.  Every key kind
-#: (compile, tile sweep, multi-die pipeline) hashes this one tag, and a
+#: (compile, tile sweep) hashes this one tag, and a
 #: bump is never scoped to some graphs or option sets.  Version 7 stores
 #: each result's reply and a checksum in the same artifact.
 CACHE_SCHEMA_VERSION = 7
@@ -282,40 +281,6 @@ def sweep_key(graph: "ComputationGraph", base: "AcceleratorConfig") -> str:
             "kind": "tile-sweep",
             "graph": graph_fingerprint(graph),
             "accel": accel_fingerprint(base, include_tile=False),
-        }
-    )
-
-
-def pipeline_key(
-    graph: "ComputationGraph",
-    accel: "AcceleratorConfig",
-    options: "LCMMOptions | None",
-    devices: int = 1,
-    link: Any = None,
-) -> str:
-    """Identity of a multi-die pipelined compilation.
-
-    With partitioning disabled — one device, or no link model, exactly
-    the cases :func:`~repro.perf.partition.design_partition` degrades to
-    the single-die flow — this *is* :func:`compile_key`, so a single-die
-    request shares the plain compile's cache entry.  Only a genuine
-    multi-die request folds the partition payload (device count,
-    per-link bandwidth and efficiency) into its digest.
-    """
-    if devices <= 1 or link is None:
-        return compile_key(graph, accel, options)
-    return _digest(
-        {
-            "schema": CACHE_SCHEMA_VERSION,
-            "kind": "pipeline",
-            "graph": graph_fingerprint(graph),
-            "accel": accel_fingerprint(accel),
-            "options": options_fingerprint(options),
-            "devices": devices,
-            "link": {
-                "gbps": float(link.gbps).hex(),
-                "efficiency": float(link.efficiency).hex(),
-            },
         }
     )
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import PrecisionNotFoundError
+
 
 @dataclass(frozen=True)
 class Precision:
@@ -81,11 +83,14 @@ def precision_by_name(name: str) -> Precision:
             ``"8-bit"`` / ``"32"``.
 
     Raises:
-        KeyError: If the name matches no known precision.
+        repro.errors.PrecisionNotFoundError: If the name matches no known
+            precision (remains catchable as ``KeyError``).
     """
     key = name.strip().lower()
     if key in _BY_NAME:
         return _BY_NAME[key]
     if key in _ALIASES:
         return _ALIASES[key]
-    raise KeyError(f"unknown precision {name!r}; known: {sorted(_BY_NAME)}")
+    raise PrecisionNotFoundError(
+        f"unknown precision {name!r}; known: {sorted(_BY_NAME)}"
+    )

@@ -10,7 +10,7 @@ report, not a reconstruction format).
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.io.serialize": (
@@ -23,12 +23,3 @@ __getattr__, __dir__ = lazy_exports(
         ),
     },
 )
-
-__all__ = [
-    "graph_to_dict",
-    "graph_from_dict",
-    "save_graph",
-    "load_graph",
-    "allocation_report",
-    "save_allocation_report",
-]

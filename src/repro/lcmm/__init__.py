@@ -11,13 +11,15 @@ The four coordinated techniques of Sec. 3:
 * :mod:`repro.lcmm.splitting` — buffer splitting against misspilling
   (Sec. 3.4);
 
-plus the UMM baseline, the pass pipeline (:mod:`repro.lcmm.passes`) that
-orchestrates them, the thin :func:`run_lcmm` driver and invariant checks.
+plus the pass pipeline (:mod:`repro.lcmm.passes`) that orchestrates them,
+the thin :func:`run_lcmm` driver, the UMM baseline
+(:func:`umm_only_result`, which is also the degradation floor) and
+invariant checks.
 """
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.lcmm.buffers": (
@@ -67,7 +69,6 @@ __getattr__, __dir__ = lazy_exports(
             "tensor_metric_table",
             "virtual_buffer_table",
         ),
-        "repro.lcmm.umm": ("UMMResult", "run_umm"),
         "repro.lcmm.double_buffer": (
             "DoubleBufferResult",
             "LinearityError",
@@ -76,7 +77,12 @@ __getattr__, __dir__ = lazy_exports(
         ),
         "repro.lcmm.reorder": ("peak_live_feature_bytes", "reorder_depth_first"),
         "repro.lcmm.cotuning": ("CoTuningResult", "cotune"),
-        "repro.lcmm.framework": ("LCMMOptions", "LCMMResult", "run_lcmm"),
+        "repro.lcmm.framework": (
+            "LCMMOptions",
+            "LCMMResult",
+            "run_lcmm",
+            "umm_only_result",
+        ),
         "repro.lcmm.validate": (
             "AllocationError",
             "validate_buffers",
@@ -84,58 +90,3 @@ __getattr__, __dir__ = lazy_exports(
         ),
     },
 )
-
-__all__ = [
-    "CandidateTensor",
-    "TensorClass",
-    "VirtualBuffer",
-    "PhysicalBuffer",
-    "LiveRange",
-    "schedule_positions",
-    "feature_live_ranges",
-    "InterferenceGraph",
-    "color_buffers",
-    "total_buffer_bytes",
-    "validate_coloring",
-    "FeatureReuseResult",
-    "feature_reuse_pass",
-    "PrefetchEdge",
-    "PrefetchResult",
-    "weight_prefetch_pass",
-    "DNNKResult",
-    "dnnk_allocate",
-    "greedy_allocate",
-    "SplitAttempt",
-    "SplittingOutcome",
-    "buffer_splitting_pass",
-    "CompilationContext",
-    "Pass",
-    "PassDiagnostic",
-    "PassManager",
-    "PipelineError",
-    "default_pipeline",
-    "make_pass",
-    "pipeline_from_names",
-    "register_pass",
-    "registered_passes",
-    "OperationLatencyRow",
-    "operation_latency_table",
-    "tensor_metric_table",
-    "virtual_buffer_table",
-    "UMMResult",
-    "run_umm",
-    "DoubleBufferResult",
-    "LinearityError",
-    "is_linear",
-    "run_double_buffer",
-    "reorder_depth_first",
-    "peak_live_feature_bytes",
-    "CoTuningResult",
-    "cotune",
-    "LCMMOptions",
-    "LCMMResult",
-    "run_lcmm",
-    "AllocationError",
-    "validate_result",
-    "validate_buffers",
-]

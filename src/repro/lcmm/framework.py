@@ -197,13 +197,21 @@ def umm_only_result(
     accel: AcceleratorConfig,
     model: LatencyModel | None = None,
 ) -> LCMMResult:
-    """The degradation floor: a UMM schedule packaged as an LCMM result.
+    """Uniform memory management — the paper's baseline (Sec. 2.1).
 
-    Built with plain loops over the pure latency model — no passes, no
-    engine, no colouring — so it stays reachable when any of that
-    machinery is the thing that is failing.  Every tensor streams from
-    DDR; latency equals the UMM latency by construction, which satisfies
-    every invariant :func:`repro.lcmm.validate.validate_result` checks.
+    Every layer streams tiles of all three tensors through the
+    double-buffered tile buffers; no tensor ever stays on chip between
+    layers.  This is the strategy of the prior accelerators the paper
+    compares against ([10, 12, 18, 22, 23]) and the denominator of every
+    speedup it reports.  Only the tile buffers occupy SRAM, counted in
+    whole BRAM blocks as the device allocates them.
+
+    The same result is the degradation floor of the fallback chain.  It
+    is built with plain loops over the pure latency model — no passes,
+    no engine, no colouring — so it stays reachable when any of that
+    machinery is the thing that is failing.  Latency equals the UMM
+    latency by construction, which satisfies every invariant
+    :func:`repro.lcmm.validate.validate_result` checks.
     """
     model = model or LatencyModel(graph, accel)
     latency = model.umm_latency()

@@ -16,17 +16,12 @@ from __future__ import annotations
 from repro.errors import AllocationError
 from repro.lcmm.coloring import validate_coloring
 from repro.lcmm.framework import LCMMResult
-from repro.lcmm.umm import UMMResult
 from repro.perf.latency import LatencyModel
 
 __all__ = ["AllocationError", "validate_result", "validate_buffers"]
 
 
-def validate_result(
-    result: LCMMResult,
-    model: LatencyModel,
-    umm: UMMResult | None = None,
-) -> None:
+def validate_result(result: LCMMResult, model: LatencyModel) -> None:
     """Check all invariants of an LCMM allocation.
 
     Invariants:
@@ -86,7 +81,7 @@ def validate_result(
             )
 
     # (4) end-to-end bounds.
-    umm_latency = umm.latency if umm is not None else model.umm_latency()
+    umm_latency = model.umm_latency()
     if result.latency > umm_latency + 1e-12:
         raise AllocationError(
             f"LCMM latency {result.latency} exceeds UMM latency {umm_latency}"

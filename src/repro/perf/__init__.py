@@ -12,7 +12,7 @@ for the external DSE the paper plugs LCMM into.
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.perf.tiling": ("TileConfig",),
@@ -34,11 +34,7 @@ __getattr__, __dir__ = lazy_exports(
             "large_space",
             "small_space",
         ),
-        "repro.perf.batching": (
-            "BatchResult",
-            "batched_latency",
-            "umm_batched_latency",
-        ),
+        "repro.perf.batching": ("BatchResult", "batched_latency"),
         "repro.perf.partition": (
             "DieStage",
             "InterDieLink",
@@ -49,38 +45,3 @@ __getattr__, __dir__ = lazy_exports(
         "repro.perf.pipeline": ("PipelineResult", "PipelineStage", "design_pipeline"),
     },
 )
-
-__all__ = [
-    "TileConfig",
-    "SystolicArray",
-    "AcceleratorConfig",
-    "default_accelerator",
-    "AllocationEngine",
-    "EngineStats",
-    "LatencyModel",
-    "LayerLatency",
-    "Slot",
-    "RooflineModel",
-    "RooflinePoint",
-    "DesignPoint",
-    "WorkerStats",
-    "candidate_tiles",
-    "ScorerPool",
-    "DesignSpace",
-    "SampledSpace",
-    "SpaceResult",
-    "explore_space",
-    "large_space",
-    "small_space",
-    "BatchResult",
-    "batched_latency",
-    "umm_batched_latency",
-    "DieStage",
-    "InterDieLink",
-    "PartitionResult",
-    "design_partition",
-    "partition_batched_latency",
-    "PipelineResult",
-    "PipelineStage",
-    "design_pipeline",
-]

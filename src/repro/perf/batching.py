@@ -100,16 +100,3 @@ def batched_latency(
         batch=batch,
         total_latency=total,
     )
-
-
-def umm_batched_latency(model: LatencyModel, batch: int) -> BatchResult:
-    """Profile a batch under uniform memory management (no state reuse)."""
-    if batch < 1:
-        raise ValueError(f"batch must be at least 1, got {batch}")
-    per_image = model.umm_latency()
-    return BatchResult(
-        first_image_latency=per_image,
-        steady_image_latency=per_image,
-        batch=batch,
-        total_latency=batch * per_image,
-    )

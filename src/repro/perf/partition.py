@@ -437,10 +437,9 @@ def design_partition(
         options: LCMM switches applied on every die (``sram_budget``
             caps each die's SRAM individually).
         cache: Optional :class:`~repro.cache.store.CompilationCache`
-            forwarded to the single-die baseline compilation (per-stage
-            subgraph compilations are not cached individually — the
-            partitioned artifact is keyed as a whole by
-            :func:`repro.fingerprint.pipeline_key`).
+            forwarded to the single-die baseline compilation.  Per-stage
+            subgraph compilations and the partitioned result are not
+            cached.
 
     Returns:
         The partitioned design, or the single-die result when the

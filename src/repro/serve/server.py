@@ -69,6 +69,21 @@ declare_fault_point("serve.accept", "one parsed request entering the front door"
 TRACE_HISTORY = 256
 
 
+def _is_byte_budget(value: Any) -> bool:
+    """Whether a JSON ``budget_mb`` is a number with a finite byte count.
+
+    Booleans are not numbers here, and a value whose bytes overflow a
+    float (``1e309``, ``10**400``) is refused; a negative budget passes,
+    so the sweep rejects it as unsatisfiable (422) rather than malformed.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value * 2**20)
+    except OverflowError:
+        return False
+
+
 @dataclass
 class ServerConfig:
     """Front-door tunables (execution tunables live in ServiceConfig).
@@ -411,6 +426,16 @@ class CompileServer:
         if not isinstance(deadline_s, (int, float)) or deadline_s <= 0:
             raise HttpError(400, "'deadline_seconds' must be a positive number")
         deadline_s = min(float(deadline_s), self.service.config.max_deadline)
+        precision = body.get("precision")
+        if precision is not None and not isinstance(precision, str):
+            raise HttpError(400, "'precision' must be a string")
+        if kind == "dse":
+            budget_mb = body.get("budget_mb", 2.0)
+            top = body.get("top", 5)
+            if not _is_byte_budget(budget_mb):
+                raise HttpError(400, "'budget_mb' must be a finite number")
+            if isinstance(top, bool) or not isinstance(top, int) or top < 1:
+                raise HttpError(400, "'top' must be an integer >= 1")
 
         allowed, retry_after = self.quota.admit(tenant)
         if not allowed:
@@ -457,16 +482,12 @@ class CompileServer:
                 payload = await self.service.submit_compile(
                     model,
                     str(body.get("config", "splitting")),
-                    body.get("precision"),
+                    precision,
                     deadline_epoch,
                 )
             else:
                 payload = await self.service.submit_dse(
-                    model,
-                    body.get("precision"),
-                    float(body.get("budget_mb", 2.0)),
-                    int(body.get("top", 5)),
-                    deadline_epoch,
+                    model, precision, float(budget_mb), top, deadline_epoch
                 )
         finally:
             self._active -= 1

@@ -206,7 +206,7 @@ class TestFig8Claims:
 class TestComparisonObject:
     def test_comparison_is_internally_valid(self):
         cmp = run_comparison("googlenet", INT8)
-        validate_result(cmp.lcmm, cmp.lcmm_model, None)
+        validate_result(cmp.lcmm, cmp.lcmm_model)
         validate_buffers(cmp.lcmm)
         assert cmp.speedup == pytest.approx(cmp.umm.latency / cmp.lcmm.latency)
         assert cmp.graph.name == "googlenet"

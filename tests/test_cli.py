@@ -263,6 +263,21 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert "no tile configuration" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "alexnet"],
+            ["batch", "googlenet"],
+            ["dse", "alexnet"],
+            ["doublebuffer"],
+        ],
+    )
+    def test_unknown_precision_exits_two(self, argv, capsys):
+        assert main([*argv, "--precision", "int3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: unknown precision 'int3'; known: ")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("command", ["batch", "pipeline"])
     def test_zero_images_rejected_before_compiling(self, command, capsys):
         assert main([command, "googlenet", "--images", "0"]) == 2

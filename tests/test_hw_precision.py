@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ConfigError, PrecisionNotFoundError, exit_code, http_status
 from repro.hw.precision import (
     ALL_PRECISIONS,
     FP32,
@@ -80,3 +81,14 @@ class TestPrecisionLookup:
     def test_unknown_name_raises(self):
         with pytest.raises(KeyError, match="unknown precision"):
             precision_by_name("int4")
+
+    @pytest.mark.parametrize("name", ["int3", "", "bf16"])
+    def test_unknown_name_is_a_config_error(self, name):
+        """User input, so the taxonomy maps it to exit 2 / HTTP 400."""
+        with pytest.raises(PrecisionNotFoundError) as info:
+            precision_by_name(name)
+        assert isinstance(info.value, ConfigError)
+        assert isinstance(info.value, KeyError)
+        assert exit_code(info.value) == 2
+        assert http_status(info.value) == 400
+        assert str(info.value).startswith(f"unknown precision {name!r}; known: ")

@@ -1,10 +1,9 @@
-"""Tests for repro.lcmm.framework and repro.lcmm.umm — the full pipeline."""
+"""Tests for repro.lcmm.framework — the full pipeline and the UMM baseline."""
 
 import pytest
 
 from repro.hw.precision import INT16
-from repro.lcmm.framework import LCMMOptions, run_lcmm
-from repro.lcmm.umm import run_umm
+from repro.lcmm.framework import LCMMOptions, run_lcmm, umm_only_result
 from repro.lcmm.validate import validate_buffers, validate_result
 from repro.perf.latency import LatencyModel
 
@@ -26,30 +25,30 @@ def starved():
 class TestUMM:
     def test_umm_latency_matches_model(self, starved):
         graph, accel, model = starved
-        umm = run_umm(graph, accel, model)
+        umm = umm_only_result(graph, accel, model)
         assert umm.latency == pytest.approx(model.umm_latency())
 
     def test_node_latencies_sum_to_total(self, starved):
         graph, accel, model = starved
-        umm = run_umm(graph, accel, model)
+        umm = umm_only_result(graph, accel, model)
         assert sum(umm.node_latencies.values()) == pytest.approx(umm.latency)
 
     def test_tops_property(self, starved):
         graph, accel, model = starved
-        umm = run_umm(graph, accel, model)
+        umm = umm_only_result(graph, accel, model)
         assert umm.tops == pytest.approx(umm.throughput / 1e12)
 
     def test_sram_is_tile_buffers_only(self, starved):
         graph, accel, model = starved
-        umm = run_umm(graph, accel, model)
-        assert umm.sram_used_bytes >= accel.tile_buffer_bytes()
+        umm = umm_only_result(graph, accel, model)
+        assert umm.sram_usage.used_bytes >= accel.tile_buffer_bytes()
         assert umm.sram_utilization < 0.05
 
 
 class TestLCMMPipeline:
     def test_speedup_on_memory_bound_graph(self, starved):
         graph, accel, model = starved
-        umm = run_umm(graph, accel, model)
+        umm = umm_only_result(graph, accel, model)
         lcmm = run_lcmm(graph, accel, model=model)
         assert lcmm.latency < umm.latency
         assert lcmm.throughput > umm.throughput
@@ -57,7 +56,7 @@ class TestLCMMPipeline:
     def test_all_invariants_hold(self, starved):
         graph, accel, model = starved
         lcmm = run_lcmm(graph, accel, model=model)
-        validate_result(lcmm, model, run_umm(graph, accel, model))
+        validate_result(lcmm, model)
         validate_buffers(lcmm)
 
     def test_invariants_hold_on_all_fixture_graphs(self):

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.lcmm.framework import run_lcmm
-from repro.lcmm.umm import run_umm
+from repro.lcmm.framework import run_lcmm, umm_only_result
 from repro.lcmm.validate import AllocationError, validate_buffers, validate_result
 from repro.perf.latency import LatencyModel
 
@@ -38,10 +37,9 @@ class TestValidatorAcceptsGoodResults:
         validate_result(lcmm, model)
         validate_buffers(lcmm)
 
-    def test_valid_with_explicit_umm(self, valid_setup):
-        model, lcmm = valid_setup
-        umm = run_umm(model.graph, model.accel, model)
-        validate_result(lcmm, model, umm)
+    def test_umm_floor_passes(self, valid_setup):
+        model, _ = valid_setup
+        validate_result(umm_only_result(model.graph, model.accel, model), model)
 
 
 class TestValidatorCatchesCorruption:

@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.lcmm.framework import run_lcmm
-from repro.perf.batching import (
-    batched_latency,
-    persistent_weight_tensors,
-    umm_batched_latency,
-)
+from repro.lcmm.framework import run_lcmm, umm_only_result
+from repro.perf.batching import batched_latency, persistent_weight_tensors
 from repro.perf.latency import LatencyModel
 
 from tests.conftest import build_chain, small_accel
@@ -63,8 +59,9 @@ class TestBatchedLatency:
         model, lcmm = setup
         with pytest.raises(ValueError):
             batched_latency(model, lcmm, 0)
+        umm = umm_only_result(model.graph, model.accel, model)
         with pytest.raises(ValueError):
-            umm_batched_latency(model, -3)
+            batched_latency(model, umm, -3)
 
 
 class TestPersistence:
@@ -80,14 +77,17 @@ class TestPersistence:
 
     def test_umm_has_no_state(self, setup):
         model, _ = setup
-        batch = umm_batched_latency(model, 7)
+        umm = umm_only_result(model.graph, model.accel, model)
+        batch = batched_latency(model, umm, 7)
         assert batch.first_image_latency == batch.steady_image_latency
         assert batch.total_latency == pytest.approx(7 * model.umm_latency())
 
     def test_lcmm_steady_state_beats_umm(self, setup):
         model, lcmm = setup
         lcmm_batch = batched_latency(model, lcmm, 16)
-        umm_batch = umm_batched_latency(model, 16)
+        umm_batch = batched_latency(
+            model, umm_only_result(model.graph, model.accel, model), 16
+        )
         assert lcmm_batch.total_latency < umm_batch.total_latency
 
     def test_persistence_uses_canonical_weight_naming(self):

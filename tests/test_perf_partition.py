@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.fingerprint import compile_key, fingerprint, pipeline_key
+from repro.fingerprint import fingerprint
 from repro.ir.graph import ComputationGraph
 from repro.ir.layer import Concat, InputLayer
 from repro.ir.tensor import FeatureMapShape
@@ -377,46 +377,6 @@ class TestDesignPartition:
         assert result.period == pytest.approx(
             max(s.steady_latency for s in result.stages)
         )
-
-
-class TestCacheKeys:
-    """Multi-die requests get their own keys; single-die ones share the
-    plain compile's key."""
-
-    @pytest.fixture(scope="class")
-    def accel(self):
-        from repro.analysis.experiments import reference_design
-        from repro.hw.precision import INT8
-
-        return reference_design("resnet152", INT8, "lcmm")
-
-    def test_pipeline_key_disabled_is_compile_key(self, accel):
-        from repro.models.zoo import get_model
-
-        graph = get_model("resnet152")
-        options = LCMMOptions()
-        base = compile_key(graph, accel, options)
-        link = InterDieLink(gbps=12.5)
-        # Single die and link-off are exactly the degraded single-die
-        # flow: they must hit the same warm cache entries.
-        assert pipeline_key(graph, accel, options, 1, link) == base
-        assert pipeline_key(graph, accel, options, 4, None) == base
-
-    def test_pipeline_key_enabled_folds_partition_options(self, accel):
-        from repro.models.zoo import get_model
-
-        graph = get_model("resnet152")
-        options = LCMMOptions()
-        base = compile_key(graph, accel, options)
-        k4 = pipeline_key(graph, accel, options, 4, InterDieLink(gbps=12.5))
-        assert k4 != base
-        assert pipeline_key(graph, accel, options, 2, InterDieLink(12.5)) != k4
-        assert pipeline_key(graph, accel, options, 4, InterDieLink(25.0)) != k4
-        assert (
-            pipeline_key(graph, accel, options, 4, InterDieLink(12.5, 0.8)) != k4
-        )
-        # Deterministic across calls.
-        assert pipeline_key(graph, accel, options, 4, InterDieLink(12.5)) == k4
 
 
 class TestBenchmarkGoldenIdentity:

@@ -148,3 +148,72 @@ class TestResponses:
         assert b"Retry-After: 2" in head
         assert b"Connection: close" in head
         assert json.loads(body) == {"error": "shed"}
+
+
+class TestHostileBodies:
+    """Bad field values end in a taxonomy answer, never a 500.
+
+    Bodies are raw JSON text so that out-of-range literals such as
+    ``1e309`` reach the daemon as written.
+    """
+
+    @pytest.fixture(scope="class")
+    def server(self):
+        from repro.serve import ServerThread, ServiceConfig
+
+        thread = ServerThread(ServiceConfig(inline=True, workers=1)).start()
+        yield thread
+        thread.stop()
+
+    @staticmethod
+    def post(server, path: str, body: str):
+        from http.client import HTTPConnection
+
+        conn = HTTPConnection(server.host, server.port, timeout=60)
+        try:
+            conn.request("POST", path, body, {"Content-Type": "application/json"})
+            response = conn.getresponse()
+            return response.status, json.loads(response.read())
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            '"budget_mb": "abc"',
+            '"budget_mb": null',
+            '"budget_mb": 1e309',
+            '"budget_mb": 1e308',
+            '"budget_mb": true',
+            '"budget_mb": [2]',
+            '"top": "x"',
+            '"top": -1',
+            '"top": 0',
+            '"top": 1.5',
+            '"top": true',
+            '"precision": 5',
+        ],
+    )
+    def test_bad_dse_field_is_400(self, server, field):
+        status, payload = self.post(
+            server, "/v1/dse", '{"model": "alexnet", %s}' % field
+        )
+        assert status == 400, payload
+        assert field.split(":")[0].strip('"') in payload["error"]["message"]
+
+    @pytest.mark.parametrize("value", ["5", "true", "[\"int8\"]", "{}"])
+    def test_non_string_compile_precision_is_400(self, server, value):
+        status, payload = self.post(
+            server, "/v1/compile", '{"model": "alexnet", "precision": %s}' % value
+        )
+        assert status == 400, payload
+        assert "'precision' must be a string" in payload["error"]["message"]
+
+    @pytest.mark.parametrize("path", ["/v1/compile", "/v1/dse"])
+    def test_unknown_precision_is_400(self, server, path):
+        status, payload = self.post(
+            server, path, '{"model": "alexnet", "precision": "int3"}'
+        )
+        assert status == 400, payload
+        assert payload["error"]["type"] == "PrecisionNotFoundError"
+        assert "unknown precision 'int3'" in payload["error"]["message"]

@@ -187,11 +187,12 @@ class TestErrorMapping:
         assert "unknown model" in payload["error"]["message"]
 
     def test_infeasible_budget_is_422(self, server):
-        status, payload, _ = request(
-            server, "POST", "/v1/dse", {"model": "alexnet", "budget_mb": 0.00001}
-        )
-        assert status == 422
-        assert payload["error"]["type"] == "CapacityError"
+        for budget_mb in (0.00001, -1):
+            status, payload, _ = request(
+                server, "POST", "/v1/dse", {"model": "alexnet", "budget_mb": budget_mb}
+            )
+            assert status == 422
+            assert payload["error"]["type"] == "CapacityError"
 
     def test_unknown_config_is_400(self, server):
         status, payload, _ = request(
