@@ -105,7 +105,7 @@ class LCMMResult:
     #: Evaluation-engine counters and per-pass wall time (``None`` only
     #: for the UMM-only floor, which runs no passes).
     engine_stats: EngineStats | None = None
-    #: Structured per-pass records (splits kept, refinement verdicts,
+    #: Structured per-pass records (splits kept, fusion verdicts,
     #: stranded capacity, ...) in emission order.
     diagnostics: tuple[PassDiagnostic, ...] = ()
     #: The executed pipeline as ``"feature_reuse -> ... -> placement"``.
@@ -236,10 +236,10 @@ def umm_only_result(
 
 
 #: Default per-pass recovery policy of the fallback-enabled driver: the
-#: optional improvement passes are skippable (the pipeline is already in
-#: a valid scored state when they run), everything else degrades the
-#: whole attempt.
-_DEFAULT_RECOVERY = {"refinement": "skip", "fractional_fill": "skip"}
+#: optional fractional fill is skippable (the pipeline is already in a
+#: valid scored state when it runs), everything else degrades the whole
+#: attempt.
+_DEFAULT_RECOVERY = {"fractional_fill": "skip"}
 
 
 def _degradation_chain(
@@ -267,7 +267,6 @@ def _degradation_chain(
         options,
         splitting=False,
         use_greedy=False,
-        prefetch_refinement=0,
         fractional_fill=False,
         fuse_layers=False,
         transfer_schedule=False,

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.hw.sram import URAM_BYTES
-
 
 @dataclass
 class LCMMOptions:
@@ -26,15 +24,8 @@ class LCMMOptions:
         weight_prefetch: Enable the weight prefetching pass.
         splitting: Enable the buffer splitting pass.
         use_greedy: Replace DNNK with the density-greedy allocator.
-        granularity: DNNK capacity quantum in bytes.
         sram_budget: Override the on-chip memory available to LCMM
             (tile buffers included); defaults to the whole device.
-        prefetch_refinement: Extra fixpoint iterations of the prefetch
-            pass.  The paper computes hiding windows once, against UMM
-            latencies; each refinement recomputes them against the
-            latencies of the current allocation (which are shorter, so
-            windows shrink and spans lengthen) and re-allocates.  Kept at
-            0 by default for paper fidelity.
         fractional_fill: After DNNK, fill leftover capacity with *partial*
             pins of spilled feature tensors — the resident channel slice
             stops streaming, the remainder still pays DDR.  An extension
@@ -62,9 +53,7 @@ class LCMMOptions:
     weight_prefetch: bool = True
     splitting: bool = True
     use_greedy: bool = False
-    granularity: int = URAM_BYTES
     sram_budget: int | None = None
-    prefetch_refinement: int = 0
     fractional_fill: bool = False
     fuse_layers: bool = False
     transfer_schedule: bool = False

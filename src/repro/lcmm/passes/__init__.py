@@ -46,7 +46,6 @@ from repro.lcmm.passes.standard import (
     GreedyAllocatePass,
     Placement,
     PlacementPass,
-    RefinementPass,
     ScorePass,
     SplittingAllocatePass,
     TransferSchedulePass,
@@ -82,7 +81,6 @@ __all__ = [
     "GreedyAllocatePass",
     "SplittingAllocatePass",
     "ScorePass",
-    "RefinementPass",
     "PlacementPass",
     "FractionalFillPass",
     "FuseLayersPass",

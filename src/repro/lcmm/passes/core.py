@@ -62,7 +62,7 @@ class PassDiagnostic:
     Attributes:
         pass_name: The emitting pass.
         category: Machine-matchable kebab-case tag (e.g.
-            ``"split-accepted"``, ``"refinement-rejected"``).
+            ``"split-accepted"``, ``"fusion-rejected"``).
         message: Human-readable one-liner for ``lcmm run --explain``.
         data: Supporting values (byte counts, latency deltas, tensor
             names) for programmatic consumers.
@@ -311,8 +311,8 @@ class PassManager:
       catches this and falls back along its degradation chain.
     * ``"skip"`` — restore the artifacts published before the pass ran,
       re-park the engine on the last accepted score, and continue.  Only
-      meaningful for optional improvement passes (refinement, fractional
-      fill) whose output downstream passes can live without.
+      meaningful for optional improvement passes (fractional fill) whose
+      output downstream passes can live without.
 
     Args:
         passes: The pipeline, in execution order.

@@ -12,9 +12,6 @@ registered :class:`~repro.lcmm.passes.core.Pass`:
   ablation baseline / Sec. 3.4), publish ``"allocation"``;
 * :class:`ScorePass` — exact Eq. 1 scoring with prefetch residuals,
   publishes ``"score"``;
-* :class:`RefinementPass` — the optional prefetch fixpoint, *as a pass*
-  rather than a driver loop, republishes ``"prefetch"``/``"allocation"``/
-  ``"score"`` on accepted iterations;
 * :class:`PlacementPass` — block-granular URAM/BRAM placement, publishes
   ``"placement"``;
 * :class:`FractionalFillPass` — the partial-residency extension,
@@ -44,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.errors import AllocationError
-from repro.hw.sram import SRAMUsage, blocks_for, BRAM36_BYTES
+from repro.hw.sram import SRAMUsage, blocks_for, BRAM36_BYTES, URAM_BYTES
 from repro.ir.tensor import TensorKind, weight_tensor_name
 from repro.lcmm.buffers import PhysicalBuffer, VirtualBuffer
 from repro.lcmm.dnnk import DNNKResult, dnnk_allocate, greedy_allocate
@@ -326,8 +323,7 @@ class DNNKAllocatePass(_AllocateBase):
         feature, prefetch = self._inputs(ctx)
         buffers = combine_buffers([feature.buffers, prefetch.buffers])
         result = dnnk_allocate(
-            buffers, ctx.model, ctx.capacity, ctx.options.granularity,
-            engine=ctx.engine,
+            buffers, ctx.model, ctx.capacity, URAM_BYTES, engine=ctx.engine
         )
         ctx.put("allocation", AllocationDecision(buffers=buffers, result=result))
         self._summarise(ctx, result)
@@ -366,7 +362,6 @@ class SplittingAllocatePass(_AllocateBase):
             model,
             ctx.capacity,
             evaluate,
-            granularity=ctx.options.granularity,
             engine=engine,
         )
         ctx.put(
@@ -546,7 +541,7 @@ class FuseLayersPass(Pass):
                 allocation.buffers,
                 fused_model,
                 ctx.capacity,
-                ctx.options.granularity,
+                URAM_BYTES,
                 engine=fused_engine,
             )
         reall_residuals, reall_latency = evaluate_allocation(
@@ -579,8 +574,8 @@ class FuseLayersPass(Pass):
             fused_engine.set_state(onchip, residuals)
 
         # The fused model is now the model of record: every downstream
-        # pass (refinement, placement, fractional fill, scheduling) and
-        # the packaged result evaluate against the fused transfers.
+        # pass (placement, fractional fill, scheduling) and the packaged
+        # result evaluate against the fused transfers.
         ctx.model = fused_model
         ctx.engine = fused_engine
         node_latencies = fused_engine.node_latencies()
@@ -662,115 +657,6 @@ class FuseLayersPass(Pass):
 
 
 @register_pass
-class RefinementPass(Pass):
-    """Prefetch fixpoint: re-derive hiding windows from the achieved schedule.
-
-    Each iteration recomputes prefetch windows against the current
-    (faster) node latencies, re-colours the weight buffers with the new
-    lifespans and re-allocates; an iteration is kept only if the exact
-    latency improves.  The fixpoint lives here as a pass — the driver no
-    longer loops.  On exit the engine is parked on the accepted state,
-    whatever trial state the last rejected iteration left it in.
-    """
-
-    name = "refinement"
-    requires = ("allocation", "score")
-
-    def run(self, ctx: CompilationContext) -> None:
-        score: AllocationScore = ctx.require("score")
-        prefetch = ctx.get("prefetch")
-        if prefetch is None:
-            ctx.diagnose(
-                self.name,
-                "refinement-skipped",
-                "refinement skipped: no prefetch artifact in the pipeline",
-            )
-            return
-        feature = ctx.get("feature")
-        if feature is None:
-            feature = empty_feature_result()
-        model, engine, options = ctx.model, ctx.engine, ctx.options
-        allocation: AllocationDecision = ctx.require("allocation")
-        onchip, residuals = score.onchip, score.residuals
-        latency, node_latencies = score.latency, score.node_latencies
-        dnnk = allocation.result
-
-        for iteration in range(1, options.prefetch_refinement + 1):
-            refined = weight_prefetch_pass(ctx.graph, model, node_latencies)
-            refined_buffers = combine_buffers([feature.buffers, refined.buffers])
-            if options.use_greedy:
-                refined_dnnk = greedy_allocate(
-                    refined_buffers, model, ctx.capacity, engine=engine
-                )
-            else:
-                refined_dnnk = dnnk_allocate(
-                    refined_buffers, model, ctx.capacity, options.granularity,
-                    engine=engine,
-                )
-            refined_onchip = refined_dnnk.onchip_tensors
-            refined_residuals, refined_latency = evaluate_allocation(
-                refined, refined_onchip, engine
-            )
-            if refined_latency >= latency - 1e-15:
-                ctx.diagnose(
-                    self.name,
-                    "refinement-rejected",
-                    f"refinement iteration {iteration} rejected: "
-                    "Δlatency ≥ 0",
-                    iteration=iteration,
-                    latency=refined_latency,
-                    best_latency=latency,
-                )
-                break
-            ctx.diagnose(
-                self.name,
-                "refinement-accepted",
-                f"refinement iteration {iteration} accepted: "
-                f"latency {latency:.3e}s -> {refined_latency:.3e}s",
-                iteration=iteration,
-                latency=refined_latency,
-                previous_latency=latency,
-            )
-            prefetch, dnnk = refined, refined_dnnk
-            onchip, residuals = refined_onchip, refined_residuals
-            latency = refined_latency
-            node_latencies = engine.node_latencies()
-            ctx.put("prefetch", prefetch)
-            ctx.put(
-                "allocation",
-                AllocationDecision(
-                    buffers=refined_buffers,
-                    result=dnnk,
-                    splitting_iterations=allocation.splitting_iterations,
-                ),
-            )
-            ctx.put(
-                "score",
-                AllocationScore(
-                    onchip=onchip,
-                    residuals=residuals,
-                    latency=latency,
-                    node_latencies=node_latencies,
-                ),
-            )
-
-        # A rejected iteration leaves the engine on its trial state; park
-        # it on the accepted allocation so downstream incremental deltas
-        # (fractional fill) start from the right baseline.
-        engine.set_state(onchip, residuals)
-
-    def verify(self, ctx: CompilationContext) -> None:
-        score: AllocationScore = ctx.require("score")
-        allocation: AllocationDecision = ctx.require("allocation")
-        if score.onchip != allocation.result.onchip_tensors:
-            raise AllocationError(
-                "refined score and allocation disagree on the on-chip set",
-                pass_name=self.name,
-            )
-        _verify_score(self.name, ctx)
-
-
-@register_pass
 class PlacementPass(Pass):
     """Block-granular physical placement: tile buffers, then URAM-first tensors."""
 
@@ -830,13 +716,12 @@ class FractionalFillPass(Pass):
         if feature is None:
             feature = empty_feature_result()
         engine = ctx.engine
-        granularity = ctx.options.granularity
         usage = placement.usage
         onchip, latency = score.onchip, score.latency
 
         fractions: dict[str, float] = {}
         allocated_bytes = sum(
-            blocks_for(b.size_bytes, granularity) * granularity
+            blocks_for(b.size_bytes, URAM_BYTES) * URAM_BYTES
             for b in allocation.result.allocated
         )
         leftover = ctx.capacity - allocated_bytes
@@ -849,14 +734,14 @@ class FractionalFillPass(Pass):
             key=lambda c: -c.latency_reduction / c.size_bytes,
         )
         for cand in spill_candidates:
-            if leftover < granularity:
+            if leftover < URAM_BYTES:
                 break
             # Partial pins occupy whole blocks: floor the usable slice to
-            # the capacity quantum so block-level placement cannot
+            # whole URAM blocks so block-level placement cannot
             # overflow the budget.
             usable = min(
-                (leftover // granularity) * granularity,
-                blocks_for(cand.size_bytes, granularity) * granularity,
+                (leftover // URAM_BYTES) * URAM_BYTES,
+                blocks_for(cand.size_bytes, URAM_BYTES) * URAM_BYTES,
             )
             fraction = min(1.0, usable / cand.size_bytes)
             if fraction <= 0.0:
@@ -869,8 +754,8 @@ class FractionalFillPass(Pass):
             accepted = False
             if trial_latency < latency - 1e-15:
                 block_bytes = blocks_for(
-                    min(usable, cand.size_bytes), granularity
-                ) * granularity
+                    min(usable, cand.size_bytes), URAM_BYTES
+                ) * URAM_BYTES
                 if block_bytes <= leftover and usage.can_fit(block_bytes):
                     usage.allocate(block_bytes)
                     fractions = trial
@@ -1009,8 +894,8 @@ def default_pipeline(options) -> list[Pass]:
     """The pass list :func:`repro.lcmm.framework.run_lcmm` executes.
 
     Mirrors the paper's Fig. 4 flow: the enabled colouring techniques,
-    one allocator variant, exact scoring, then the optional fixpoint and
-    extension passes.  Ablations that used to flip option flags can
+    one allocator variant, exact scoring, then the optional extension
+    passes.  Ablations that used to flip option flags can
     equivalently drop or swap passes here (see
     :func:`repro.lcmm.passes.core.pipeline_from_names`).
     """
@@ -1028,8 +913,6 @@ def default_pipeline(options) -> list[Pass]:
     passes.append(ScorePass())
     if options.fuse_layers:
         passes.append(FuseLayersPass())
-    if options.weight_prefetch and options.prefetch_refinement > 0:
-        passes.append(RefinementPass())
     passes.append(PlacementPass())
     if options.fractional_fill:
         passes.append(FractionalFillPass())

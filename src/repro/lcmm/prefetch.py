@@ -57,8 +57,8 @@ class PrefetchEdge:
 class PrefetchResult:
     """Output of the weight prefetching pass.
 
-    Frozen: refinements republish a new result object rather than
-    mutating one already handed out (see the splitting recolour).
+    Frozen: the splitting recolour republishes a new result object
+    rather than mutating one already handed out.
 
     Attributes:
         edges: Prefetch edges by node name (the PDG).
@@ -100,54 +100,37 @@ def _prefetch_edge(
 
 
 def hiding_capacity(
-    model: LatencyModel,
-    node_latencies: list[float],
-    schedule: list[str],
-    onchip: frozenset[str] = frozenset(),
+    model: LatencyModel, node_latencies: list[float], schedule: list[str]
 ) -> list[float]:
     """Weight-channel idle time per node — the budget a prefetch can use.
 
     A prefetch shares the weight interface with the demand tile streams
     of the nodes it hides behind, so only the part of each node's latency
     not already consumed by its own weight traffic counts.  With nothing
-    on chip the demand is the operation latency table's weight column.
+    on chip that demand is the operation latency table's weight column.
     """
-    if onchip:
-        demands = [
-            model.layer(name).slot_latency(TensorKind.WEIGHT, onchip)
-            for name in schedule
-        ]
-    else:
-        table = operation_latency_table(model)
-        demands = [table[name].lat_weight for name in schedule]
+    table = operation_latency_table(model)
     return [
-        max(0.0, latency - demand)
-        for latency, demand in zip(node_latencies, demands)
+        max(0.0, latency - table[name].lat_weight)
+        for latency, name in zip(node_latencies, schedule)
     ]
 
 
 def weight_prefetch_pass(
-    graph: ComputationGraph,
-    model: LatencyModel,
-    baseline_latencies: dict[str, float] | None = None,
+    graph: ComputationGraph, model: LatencyModel
 ) -> PrefetchResult:
     """Build prefetch edges, weight live ranges and virtual weight buffers.
+
+    Hiding windows are measured once, against the all-off-chip (UMM)
+    node latencies, as in Sec. 3.2 of the paper.
 
     Args:
         graph: The DNN computation graph.
         model: Latency model.
-        baseline_latencies: Per-node latencies to measure hiding windows
-            against.  Defaults to the all-off-chip (UMM) latencies; the
-            framework's fixpoint refinement passes post-allocation
-            latencies here, because pinning tensors on chip makes earlier
-            nodes faster and shrinks the windows a prefetch can hide in.
     """
     schedule = model.nodes()
     table = operation_latency_table(model)
-    if baseline_latencies is None:
-        baseline = [table[name].latency for name in schedule]
-    else:
-        baseline = [baseline_latencies[name] for name in schedule]
+    baseline = [table[name].latency for name in schedule]
     capacities = hiding_capacity(model, baseline, schedule)
     elem = model.accel.precision.bytes
     wt_bandwidth = model.accel.interface_bandwidth(TensorKind.WEIGHT.value)

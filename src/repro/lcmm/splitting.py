@@ -109,7 +109,6 @@ def buffer_splitting_pass(
     capacity_bytes: int,
     evaluate: Callable[[frozenset[str]], float],
     granularity: int = URAM_BYTES,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
     engine: AllocationEngine | None = None,
 ) -> SplittingOutcome:
     """Iteratively split misspilled buffers while latency improves.
@@ -123,12 +122,12 @@ def buffer_splitting_pass(
         evaluate: Exact allocation scorer: on-chip tensor set -> seconds.
             Supplied by the framework so prefetch residuals are included.
         granularity: DNNK capacity quantum.
-        max_iterations: Bound on false edges inserted.
         engine: :class:`AllocationEngine` of ``model`` shared by every
             DNNK retry; one is built when absent.
 
     Returns:
-        The best configuration seen (the initial one if no split helps).
+        The best configuration seen (the initial one if no split helps)
+        after at most :data:`DEFAULT_MAX_ITERATIONS` false edges.
     """
 
     engine = engine or AllocationEngine(model)
@@ -149,7 +148,7 @@ def buffer_splitting_pass(
 
     edges_added = 0
     attempts: list[SplitAttempt] = []
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, DEFAULT_MAX_ITERATIONS + 1):
         split = _pick_split(best.result)
         if split is None:
             break

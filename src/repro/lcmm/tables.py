@@ -9,14 +9,12 @@ Three tables drive the allocator:
 * the **virtual buffer table** — per virtual buffer, its size and the
   schedule span of its member tensors (Fig. 7(a)).
 
-The latency reduction is computed *exactly* from the latency model rather
-than via the paper's next-lower-latency subtraction: for tensor ``t``
-affecting nodes ``N(t)``,
-
-    ``L(t) = sum over n in N(t) of  lat(n, nothing on-chip) - lat(n, {t})``
-
-which coincides with Eq. 2 when ``t`` is the unique bottleneck of a node
-and extends it cleanly to multi-input nodes whose input streams serialise.
+Feature reuse and weight prefetching both rank their candidates by the
+paper's next-lower-latency metric (:func:`eq2_latency_reduction`), not
+by the exact single-tensor reduction ``lat(n) - lat(n, {t})``: Eq. 2
+credits a tensor hidden behind a slower one, and DNNK's pivot
+compensation (Eq. 4) and exact-gain search undo the over-count when
+several tensors of one node are pinned together.
 """
 
 from __future__ import annotations
@@ -109,17 +107,6 @@ def _build_operation_table(model: LatencyModel) -> dict[str, OperationLatencyRow
     return table
 
 
-def latency_reduction(
-    model: LatencyModel, tensor_name: str, affected_nodes: tuple[str, ...]
-) -> float:
-    """Exact single-tensor latency reduction (see module docs)."""
-    onchip = frozenset((tensor_name,))
-    total = 0.0
-    for node in affected_nodes:
-        total += model.node_latency(node) - model.node_latency(node, onchip)
-    return total
-
-
 def eq2_latency_reduction(
     model: LatencyModel,
     tensor_name: str,
@@ -130,7 +117,7 @@ def eq2_latency_reduction(
     ``L_d(i) = lat_d(i) - max{lat_d'(i) | lat_d'(i) < lat_d(i)}`` — the
     latency a node sheds once tensor ``d`` moves on chip *and every
     slower component has already been dealt with*.  Unlike the exact
-    single-tensor reduction, this is non-zero for second-tier tensors
+    single-tensor reduction ``lat(n) - lat(n, {d})``, this is non-zero for second-tier tensors
     (a tensor hidden behind a slower one still has value as part of a
     pair), which is exactly why DNNK then needs pivot compensation to
     avoid over-counting when summing these metrics (Eq. 4).

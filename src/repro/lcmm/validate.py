@@ -49,11 +49,6 @@ def validate_result(result: LCMMResult, model: LatencyModel) -> None:
             seen.add(a.name)
             for b in tensors[i + 1 :]:
                 if a.live_range.overlaps(b.live_range):
-                    interference = (
-                        result.feature_result.interference
-                        if a.name in result.feature_result.interference.tensors
-                        else result.prefetch_result.interference
-                    )
                     # A false edge would have separated them; overlapping
                     # live ranges sharing a buffer is always a bug.
                     raise AllocationError(

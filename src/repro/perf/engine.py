@@ -1,7 +1,7 @@
 """Incremental allocation-evaluation engine for the LCMM hot path.
 
 Every LCMM decision — the DNNK dynamic program, local-search refinement,
-buffer splitting, prefetch refinement, fractional fill — bottoms out in
+buffer splitting, fractional fill — bottoms out in
 re-evaluating Eq. 1 latencies.  The naive route walks every node and every
 slot per query (``LatencyModel.total_latency``) and rebuilds frozensets of
 resident tensors on the way, so one candidate evaluation costs
@@ -26,7 +26,6 @@ engine-backed result against a plain latency-model walk bit for bit.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -66,10 +65,6 @@ class EngineStats:
     gain_cache_misses: int = 0
     pass_seconds: dict[str, float] = field(default_factory=dict)
 
-    def time_pass(self, name: str) -> "_PassTimer":
-        """Context manager accumulating wall time under ``name``."""
-        return _PassTimer(self, name)
-
     def as_dict(self) -> dict:
         """JSON-friendly view (used by the CLI and benchmarks)."""
         return {
@@ -104,25 +99,6 @@ class EngineStats:
         )
         for pass_name, seconds in self.pass_seconds.items():
             timer.observe(seconds, **dict(labels, pass_name=pass_name))
-
-
-class _PassTimer:
-    """Accumulates elapsed wall time into ``stats.pass_seconds[name]``."""
-
-    def __init__(self, stats: EngineStats, name: str) -> None:
-        self._stats = stats
-        self._name = name
-        self._start = 0.0
-
-    def __enter__(self) -> "_PassTimer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        elapsed = time.perf_counter() - self._start
-        self._stats.pass_seconds[self._name] = (
-            self._stats.pass_seconds.get(self._name, 0.0) + elapsed
-        )
 
 
 class AllocationEngine:

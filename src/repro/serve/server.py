@@ -69,6 +69,20 @@ declare_fault_point("serve.accept", "one parsed request entering the front door"
 TRACE_HISTORY = 256
 
 
+def _is_deadline(value: Any) -> bool:
+    """Whether a JSON ``deadline_seconds`` is a positive finite number.
+
+    Booleans are not numbers here, and NaN, infinities and integers
+    beyond float range are refused rather than clamped.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value) and value > 0
+    except OverflowError:
+        return False
+
+
 def _is_byte_budget(value: Any) -> bool:
     """Whether a JSON ``budget_mb`` is a number with a finite byte count.
 
@@ -423,8 +437,10 @@ class CompileServer:
         deadline_s = body.get(
             "deadline_seconds", self.service.config.default_deadline
         )
-        if not isinstance(deadline_s, (int, float)) or deadline_s <= 0:
-            raise HttpError(400, "'deadline_seconds' must be a positive number")
+        if not _is_deadline(deadline_s):
+            raise HttpError(
+                400, "'deadline_seconds' must be a positive finite number"
+            )
         deadline_s = min(float(deadline_s), self.service.config.max_deadline)
         precision = body.get("precision")
         if precision is not None and not isinstance(precision, str):

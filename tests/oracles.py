@@ -16,6 +16,10 @@ shares no evaluation code with :class:`repro.perf.engine.AllocationEngine`.
 * :func:`pairwise_interference` — interference adjacency by testing
   every pair of live ranges, the check of the interval sweep in
   ``InterferenceGraph.from_tensors``.
+* :func:`latency_reduction` — a tensor's exact single-tensor latency
+  reduction, the value Eq. 2's next-lower-latency metric approximates.
+* :func:`onchip_hiding_capacity` — weight-channel idle time per node
+  with a given set of tensors already on chip.
 * :func:`naive_residuals` / :func:`naive_walk` — the published
   latency, per-node latencies and prefetch residuals of a result,
   re-derived from its decisions alone.
@@ -38,7 +42,7 @@ from repro.ir.tensor import TensorKind, weight_tensor_name
 from repro.lcmm.buffers import VirtualBuffer
 from repro.lcmm.dnnk import DNNKResult, _block_rounded_bytes, dnnk_allocate
 from repro.lcmm.fusion import apply_fusion
-from repro.lcmm.prefetch import PrefetchResult, hiding_capacity
+from repro.lcmm.prefetch import PrefetchResult
 from repro.perf.latency import LatencyModel
 from repro.perf.systolic import gemm_compute_cycles
 from repro.sim import simulate
@@ -402,18 +406,48 @@ def branch_and_bound_allocate(
     )
 
 
+def latency_reduction(
+    model: LatencyModel, tensor_name: str, affected_nodes: tuple[str, ...]
+) -> float:
+    """Exact single-tensor latency reduction over ``affected_nodes``:
+    ``sum of lat(n, nothing on chip) - lat(n, {tensor})``."""
+    onchip = frozenset((tensor_name,))
+    total = 0.0
+    for node in affected_nodes:
+        total += model.node_latency(node) - model.node_latency(node, onchip)
+    return total
+
+
+def onchip_hiding_capacity(
+    model: LatencyModel,
+    node_latencies: list[float],
+    schedule: list[str],
+    onchip: frozenset[str],
+) -> list[float]:
+    """Weight-channel idle time per node with ``onchip`` resident.
+
+    The general form of :func:`repro.lcmm.prefetch.hiding_capacity`
+    (which measures against the all-off-chip weight demand): each
+    node's own weight demand is walked with ``onchip`` resident.
+    """
+    return [
+        max(0.0, lat - model.layer(name).slot_latency(TensorKind.WEIGHT, onchip))
+        for lat, name in zip(node_latencies, schedule)
+    ]
+
+
 def naive_residuals(
     model: LatencyModel, prefetch: PrefetchResult, onchip: frozenset[str]
 ) -> dict[str, float]:
     """Unhidden prefetch time per on-chip weight tensor, by a plain walk.
 
     Hiding windows are measured against the post-allocation node
-    latencies with :func:`repro.lcmm.prefetch.hiding_capacity`.
+    latencies with :func:`onchip_hiding_capacity`.
     """
     schedule = model.nodes()
     index_of = {name: idx for idx, name in enumerate(schedule)}
     latencies = [model.node_latency(name, onchip) for name in schedule]
-    capacities = hiding_capacity(model, latencies, schedule, onchip)
+    capacities = onchip_hiding_capacity(model, latencies, schedule, onchip)
     residuals: dict[str, float] = {}
     for node, edge in prefetch.edges.items():
         wname = weight_tensor_name(node)

@@ -151,18 +151,18 @@ class TestCacheKeyStability:
 
     def test_options_fingerprints_stable(self):
         assert options_fingerprint(LCMMOptions()) == (
-            "3cf7063cb92e923a9622b77e5c7a7bd059f5139329faa4a2c639e94e0180a4dc"
+            "e135b672c38ee4b03de737b957c01a5e1221d6465ae6a128b3b92dcdc38a1a57"
         )
         assert options_fingerprint(None) == (
             "213321f6407d5c210349dc48206377dc12530736bd67bb3cd1be5f1808b3cfb5"
         )
         assert options_fingerprint(LCMMOptions(splitting=False)) == (
-            "1677da96d2f9e19e3c8b444ca3c93501bb2e4e136fa02054c3393b7cd950e965"
+            "ea967f579e253d45aa014caf9a5f48e97a6919867b6dc6b1cd2339de62d880d6"
         )
         assert options_fingerprint(
             LCMMOptions(use_greedy=True, splitting=False)
         ) == (
-            "21fcc52c4f14457c6f9732fc16c9595dda052ad65b05c2e7f8697738ea9326cc"
+            "1238085b4d5f5c8d024c7f34e55daf095c1427e274be9e3853cd5172b7c62c8a"
         )
 
     def test_compile_keys_stable(self):
@@ -171,7 +171,7 @@ class TestCacheKeyStability:
         assert compile_key(
             graph, accel, LCMMOptions(), extra={"strict": False}
         ) == (
-            "3b9fd8cb11e03c2376e6524b0fa6d365406eab722d07d80d060a8cfc2869a421"
+            "14953a5418fbf76631560887e0b45a4c5f668c848d89f0e04e3701fa46f5a095"
         )
         assert compile_key(graph, accel, None) == (
             "12c2bfe9583a34328a0a1ad09c31a39cf1de9856c988bd68bf8561e9fd58c80c"
@@ -186,7 +186,7 @@ class TestCacheKeyStability:
         assert compile_key(
             graph, accel, LCMMOptions(), extra={"strict": False}
         ) == (
-            "7f5845c9b3e97c7ab160e74f660427f5006e68fadba6c6b5cccc680f26809fab"
+            "62a29562ffcd93dfda5c5f79aa60e9a546f67fe70857e6748e9687673762cac9"
         )
 
     def test_fusion_options_change_keys(self):

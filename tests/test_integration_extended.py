@@ -68,11 +68,9 @@ class TestOptionMatrix:
 
     @pytest.mark.parametrize("extra", (
         LCMMOptions(use_greedy=True),
-        LCMMOptions(prefetch_refinement=2),
         LCMMOptions(fractional_fill=True),
         LCMMOptions(use_greedy=True, fractional_fill=True),
-        LCMMOptions(prefetch_refinement=1, fractional_fill=True),
-    ), ids=("greedy", "refine", "fill", "greedy+fill", "refine+fill"))
+    ), ids=("greedy", "fill", "greedy+fill"))
     def test_extension_combinations(self, setup, extra):
         graph, accel, model = setup
         lcmm = run_lcmm(graph, accel, options=extra, model=model)

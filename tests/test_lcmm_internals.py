@@ -13,13 +13,17 @@ from repro.ir.tensor import TensorKind, weight_tensor_name
 from repro.lcmm.feature_reuse import feature_reuse_pass
 from repro.lcmm.prefetch import hiding_capacity, weight_prefetch_pass
 from repro.lcmm.splitting import combine_buffers
-from repro.lcmm.tables import eq2_latency_reduction, latency_reduction
+from repro.lcmm.tables import eq2_latency_reduction
 from repro.perf.latency import LatencyModel
 from repro.perf.pipeline import tune_stage_array
 from repro.perf.systolic import SystolicArray
 
 from tests.conftest import build_chain, small_accel
-from tests.oracles import NaiveGainEvaluator
+from tests.oracles import (
+    NaiveGainEvaluator,
+    latency_reduction,
+    onchip_hiding_capacity,
+)
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +94,9 @@ class TestHidingCapacity:
         schedule = model.nodes()
         latencies = [model.node_latency(n) for n in schedule]
         wname = weight_tensor_name("c3")
-        free = hiding_capacity(model, latencies, schedule, frozenset({wname}))
+        free = onchip_hiding_capacity(
+            model, latencies, schedule, frozenset({wname})
+        )
         busy = hiding_capacity(model, latencies, schedule)
         idx = schedule.index("c3")
         assert free[idx] >= busy[idx]

@@ -2,7 +2,7 @@
 
 Covers the compiler-style infrastructure around the techniques — the
 numeric behaviour of the passes themselves is exercised by the existing
-framework/refinement/fractional suites and the engine parity tests.
+framework/fractional suites and the engine parity tests.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ STANDARD_PASSES = (
     "allocate_greedy",
     "allocate_splitting",
     "score",
-    "refinement",
     "placement",
     "fractional_fill",
 )

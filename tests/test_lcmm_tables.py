@@ -9,7 +9,6 @@ from repro.lcmm.feature_reuse import feature_candidates, feature_reuse_pass
 from repro.lcmm.fusion import apply_fusion, find_fusion_candidates
 from repro.lcmm.prefetch import hiding_capacity
 from repro.lcmm.tables import (
-    latency_reduction,
     operation_latency_table,
     tensor_metric_table,
     virtual_buffer_table,
@@ -18,6 +17,7 @@ from repro.models.zoo import get_model, list_models
 from repro.perf.latency import LatencyModel
 
 from tests.conftest import build_chain, small_accel
+from tests.oracles import latency_reduction
 
 
 @pytest.fixture

@@ -210,6 +210,25 @@ class TestHostileBodies:
         assert "'precision' must be a string" in payload["error"]["message"]
 
     @pytest.mark.parametrize("path", ["/v1/compile", "/v1/dse"])
+    @pytest.mark.parametrize(
+        "value",
+        [
+            "NaN",
+            "Infinity",
+            pytest.param("1" + "0" * 400, id="int-beyond-float"),
+            "true",
+        ],
+    )
+    def test_non_finite_or_boolean_deadline_is_400(self, server, path, value):
+        status, payload = self.post(
+            server, path, '{"model": "alexnet", "deadline_seconds": %s}' % value
+        )
+        assert status == 400, payload
+        assert "'deadline_seconds' must be a positive finite number" in (
+            payload["error"]["message"]
+        )
+
+    @pytest.mark.parametrize("path", ["/v1/compile", "/v1/dse"])
     def test_unknown_precision_is_400(self, server, path):
         status, payload = self.post(
             server, path, '{"model": "alexnet", "precision": "int3"}'
