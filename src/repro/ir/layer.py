@@ -43,7 +43,7 @@ class OpType(str, enum.Enum):
 
 class ComputeKind(str, enum.Enum):
     """How the accelerator executes a layer — the dispatch axis of the
-    latency model, the tile simulator and the DSE sweep scorer.
+    latency model (which also scores the DSE sweep) and the tile simulator.
 
     ``DATA`` nodes (input, concat) are free; everything else maps to one
     of the datapath templates.  ``GEMM`` covers both standalone matrix

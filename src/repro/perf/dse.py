@@ -4,8 +4,10 @@ The paper plugs LCMM into an external DSE framework ([12, 18, 22]) that
 fixes the PE array and tile buffer structure; LCMM then manages whatever
 on-chip memory the tile buffers do not use (Fig. 4).  The explorer that
 stands in for that DSE is :func:`repro.perf.space.explore_space`; this
-module holds the parts it scores with: the candidate tile grid, the fast
-per-base UMM scorer, and the hardened parallel scoring loop.
+module holds the parts it scores with: the candidate tile grid and the
+hardened parallel scoring loop.  Every score is
+``LatencyModel.umm_latency(tile)`` on the base design's
+:class:`~repro.perf.latency.LatencyModel`.
 
 Tile sizes trade buffer footprint against reload traffic: larger ``tm``
 cuts input re-streaming (``ceil(M/tm)`` passes), larger ``th x tw`` cuts
@@ -24,17 +26,9 @@ from dataclasses import dataclass
 from repro.fingerprint import accel_fingerprint
 from repro.obs import spans as obs
 from repro.ir.graph import ComputationGraph
-from repro.ir.layer import Attention, Conv2D, DepthwiseConv2D, Gemm
-from repro.ir.tensor import TensorKind
 from repro.perf import pool as pool_mod
-from repro.perf.latency import LatencyModel
-from repro.perf.pool import ScorerPool
-from repro.perf.systolic import (
-    AcceleratorConfig,
-    gemm_compute_cycles,
-    gemm_cycles_lower_bound,
-    gemm_reload_trips,
-)
+from repro.perf.pool import BaseModels, ScorerPool
+from repro.perf.systolic import AcceleratorConfig
 from repro.perf.tiling import TileConfig
 
 #: Candidate tile extents; powers of two for channels (all benchmark models
@@ -60,11 +54,6 @@ class DesignPoint:
     umm_latency: float
     tile_buffer_bytes: int
 
-    @property
-    def throughput(self) -> float:
-        """Ops/second under UMM (for ranking)."""
-        return 1.0 / self.umm_latency
-
 
 def candidate_tiles(
     tm_values: tuple[int, ...] = _TM_CANDIDATES,
@@ -76,205 +65,6 @@ def candidate_tiles(
         TileConfig(tm=tm, tn=tn, th=sp, tw=sp)
         for tm, tn, sp in itertools.product(tm_values, tn_values, spatial_values)
     ]
-
-
-class _SweepScorer:
-    """Fast per-tile UMM scoring for a fixed (graph, base) pair.
-
-    Building a full :class:`LatencyModel` per tile re-characterises every
-    node, but only the conv/GEMM reload factors and the GEMM tile-loop
-    cycle counts actually depend on the tile — conv compute latencies,
-    output slots and every single-tile node are tile-invariant.  This
-    scorer characterises the graph once against the base design, keeps
-    the tile-independent byte counts and latencies, and re-evaluates only
-    the tile-dependent terms per tile.
-
-    The per-node arithmetic replays ``LatencyModel``'s operations in the
-    same order (integer byte products, one division per slot, the same
-    ``max`` and the same schedule-order summation), so ``score(tile)`` is
-    bit-for-bit equal to
-    ``LatencyModel(graph, replace(base, tile=tile)).umm_latency()``
-    (:func:`dataclasses.replace`).
-    """
-
-    def __init__(self, graph: ComputationGraph, base: AcceleratorConfig) -> None:
-        ref = LatencyModel(graph, base)
-        elem = base.precision.bytes
-        bw_if = base.interface_bandwidth(TensorKind.IFMAP.value)
-        bw_wt = base.interface_bandwidth(TensorKind.WEIGHT.value)
-        self._bw_if = bw_if
-        self._bw_wt = bw_wt
-        self._if_cap = base.if_resident_cap
-        self._wt_cap = base.wt_resident_cap
-        self._elem = elem
-        self._array = base.array
-        self._freq = base.frequency
-        # Plan entries in schedule order: (None, latency) for
-        # tile-invariant nodes, otherwise the conv/depthwise parameters.
-        self._plan: list[tuple] = []
-        for name in ref.nodes():
-            layer = graph.layer(name)
-            ll = ref.layer(name)
-            if isinstance(layer, DepthwiseConv2D):
-                out = graph.output_shape(name)
-                if_lat = ll.slot_latency(TensorKind.IFMAP)
-                wt_bytes = layer.weight_shape.volume * elem
-                of_lat = ll.slot_latency(TensorKind.OFMAP)
-                self._plan.append(
-                    ("dw", ll.compute, if_lat, wt_bytes, of_lat, out.height, out.width)
-                )
-            elif isinstance(layer, Conv2D):
-                out = graph.output_shape(name)
-                # One if-slot per feature source; latencies are computed
-                # per slot and summed in slot order, so keep per-source
-                # byte counts rather than one pooled total.
-                if_bytes = tuple(
-                    graph.output_shape(src).volume * elem
-                    for src in graph.feature_sources(name)
-                )
-                wt_bytes = layer.weight_shape.volume * elem
-                of_lat = ll.slot_latency(TensorKind.OFMAP)
-                if_ws_hw = (
-                    layer.in_channels * elem,
-                    layer.stride,
-                    layer.kernel,
-                )
-                self._plan.append(
-                    (
-                        "conv",
-                        ll.compute,
-                        if_bytes,
-                        wt_bytes,
-                        of_lat,
-                        out.channels,
-                        out.height,
-                        out.width,
-                        if_ws_hw,
-                    )
-                )
-            elif isinstance(layer, Attention):
-                if_bytes = tuple(
-                    graph.output_shape(src).volume * elem
-                    for src in graph.feature_sources(name)
-                )
-                wt_bytes = layer.weight_shape.volume * elem
-                of_lat = ll.slot_latency(TensorKind.OFMAP)
-                self._plan.append(
-                    ("attn", layer.gemm_dims(), if_bytes, wt_bytes, of_lat)
-                )
-            elif isinstance(layer, Gemm) and not layer.conv_datapath:
-                if_bytes = tuple(
-                    graph.output_shape(src).volume * elem
-                    for src in graph.feature_sources(name)
-                )
-                wt_bytes = layer.weight_shape.volume * elem
-                of_lat = ll.slot_latency(TensorKind.OFMAP)
-                self._plan.append(
-                    ("gemm", layer.gemm_dims(), if_bytes, wt_bytes, of_lat)
-                )
-            else:
-                self._plan.append((None, ll.latency()))
-
-    def score(self, tile: TileConfig) -> float:
-        """UMM latency of the base design with ``tile`` swapped in."""
-        bw_if = self._bw_if
-        bw_wt = self._bw_wt
-        if_cap = self._if_cap
-        wt_cap = self._wt_cap
-        total = 0.0
-        for entry in self._plan:
-            tag = entry[0]
-            if tag is None:
-                total += entry[1]
-                continue
-            if tag == "conv":
-                (_, compute, if_bytes, wt_bytes, of_lat, out_ch, h, w, ws) = entry
-                n_tm = tile.output_channel_trips(out_ch)
-                n_sp = tile.spatial_trips(h, w)
-                in_ch_elem, stride, kernel = ws
-                if n_tm > 1 and if_cap > 0:
-                    in_h = tile.th * stride[0] + kernel[0] - stride[0]
-                    in_w = tile.tw * stride[1] + kernel[1] - stride[1]
-                    if in_ch_elem * in_h * in_w <= if_cap:
-                        n_tm = 1
-                if n_sp > 1 and wt_cap > 0:
-                    if tile.tm * in_ch_elem * kernel[0] * kernel[1] <= wt_cap:
-                        n_sp = 1
-                if_lat = 0.0
-                for vol in if_bytes:
-                    nb = vol * n_tm
-                    if_lat += nb / bw_if if nb else 0.0
-                nb = wt_bytes * n_sp
-                wt_lat = nb / bw_wt if nb else 0.0
-                total += max(compute, if_lat, wt_lat, of_lat)
-            elif tag == "gemm" or tag == "attn":
-                (_, dims, if_bytes, wt_bytes, of_lat) = entry
-                if tag == "attn":
-                    cycles = sum(
-                        gemm_compute_cycles(d, self._array, tile) for d in dims
-                    )
-                    lead = dims[0]
-                else:
-                    cycles = gemm_compute_cycles(dims, self._array, tile)
-                    lead = dims
-                compute = cycles / self._freq
-                n_if, n_wt = gemm_reload_trips(
-                    lead, tile, self._elem, if_cap, wt_cap
-                )
-                if_lat = 0.0
-                for vol in if_bytes:
-                    nb = vol * n_if
-                    if_lat += nb / bw_if if nb else 0.0
-                nb = wt_bytes * n_wt
-                wt_lat = nb / bw_wt if nb else 0.0
-                total += max(compute, if_lat, wt_lat, of_lat)
-            else:  # depthwise: only the weight reload factor varies
-                (_, compute, if_lat, wt_bytes, of_lat, h, w) = entry
-                n_sp = tile.spatial_trips(h, w)
-                nb = wt_bytes * n_sp
-                wt_lat = nb / bw_wt if nb else 0.0
-                total += max(compute, if_lat, wt_lat, of_lat)
-        return total
-
-    def lower_bound(self) -> float:
-        """UMM latency no tile on this base can beat.
-
-        Evaluates the plan with every reload factor at its floor of 1 —
-        each tensor streamed exactly once.  ``score(tile)`` only ever
-        multiplies transfer terms by trip counts >= 1 (the residency
-        caps can reduce a trip count, but never below 1), and the
-        per-node ``max`` and the summation are monotone in those terms,
-        so ``lower_bound() <= score(tile)`` for *every* tile — the
-        soundness the roofline dominance pruning of
-        :mod:`repro.perf.space` relies on.
-        """
-        bw_if = self._bw_if
-        bw_wt = self._bw_wt
-        total = 0.0
-        for entry in self._plan:
-            tag = entry[0]
-            if tag is None:
-                total += entry[1]
-            elif tag == "conv":
-                (_, compute, if_bytes, wt_bytes, of_lat, _, _, _, _) = entry
-                if_lat = sum(vol / bw_if for vol in if_bytes if vol)
-                wt_lat = wt_bytes / bw_wt if wt_bytes else 0.0
-                total += max(compute, if_lat, wt_lat, of_lat)
-            elif tag == "gemm" or tag == "attn":
-                (_, dims, if_bytes, wt_bytes, of_lat) = entry
-                comps = dims if tag == "attn" else (dims,)
-                # Best-tile compute floor (single tile, one pipeline
-                # fill) with every reload factor at 1.
-                cycles = sum(gemm_cycles_lower_bound(d, self._array) for d in comps)
-                compute = cycles / self._freq
-                if_lat = sum(vol / bw_if for vol in if_bytes if vol)
-                wt_lat = wt_bytes / bw_wt if wt_bytes else 0.0
-                total += max(compute, if_lat, wt_lat, of_lat)
-            else:  # depthwise
-                (_, compute, if_lat, wt_bytes, of_lat, _, _) = entry
-                wt_lat = wt_bytes / bw_wt if wt_bytes else 0.0
-                total += max(compute, if_lat, wt_lat, of_lat)
-        return total
 
 
 @dataclass
@@ -344,7 +134,7 @@ def _score_parallel(
     chunk_timeout: float | None = None,
     chunk_retries: int = 1,
     stats: WorkerStats | None = None,
-    scorer: _SweepScorer | None = None,
+    models: BaseModels | None = None,
 ) -> list[float]:
     """Fan tile scoring out over ``pool``, preserving order.
 
@@ -358,8 +148,9 @@ def _score_parallel(
     ``chunk_timeout``* is resubmitted up to ``chunk_retries`` times; a
     chunk that exhausts its retries is re-executed *serially in the
     parent*, so the sweep always terminates with exact results.  The
-    serial path recomputes with a fresh scorer rather than trusting
-    anything a dying worker may have sent.
+    serial path recomputes with the parent's own model of ``base`` (from
+    ``models``, the sweep's memo) rather than trusting anything a dying
+    worker may have sent.
 
     A broken pool (``BrokenProcessPool``) or a timed-out chunk whose
     future is already running (uncancellable, stranding the hung worker
@@ -369,6 +160,7 @@ def _score_parallel(
     no slot stays occupied by a dead deadline.
     """
     stats = stats if stats is not None else WorkerStats()
+    models = models if models is not None else BaseModels(graph)
     tracer = obs.tracer()
     base_key = accel_fingerprint(base, include_tile=False)
     n = len(tiles)
@@ -379,9 +171,9 @@ def _score_parallel(
         # are part of the result.
         k = min(_CALIBRATION_POINTS, n // 2)
         if k > 0:
-            scorer = scorer if scorer is not None else _SweepScorer(graph, base)
+            score = models.get(base, base_key).umm_latency
             start = time.perf_counter()
-            prefix = [scorer.score(tile) for tile in tiles[:k]]
+            prefix = [score(tile) for tile in tiles[:k]]
             pool.observe(k, time.perf_counter() - start)
     rest = tiles[len(prefix):]
     chunk = pool.chunk_size(len(rest))
@@ -459,11 +251,10 @@ def _score_parallel(
     if lost:
         stats.serial_chunks += len(lost)
         with obs.span("dse.serial-rescore", chunks=len(lost)):
-            scorer = scorer if scorer is not None else _SweepScorer(graph, base)
+            score = models.get(base, base_key).umm_latency
             for i in lost:
                 results[i] = [
-                    scorer.score(tile)
-                    for tile in pool_mod.decode_tiles(chunks[i])
+                    score(tile) for tile in pool_mod.decode_tiles(chunks[i])
                 ]
     return prefix + [lat for part in results for lat in part]
 

@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, TypeVar
 
+from repro.errors import GraphValidationError
 from repro.ir.graph import ComputationGraph
 from repro.ir.layer import (
     Attention,
@@ -48,9 +49,12 @@ from repro.ir.tensor import (
 )
 from repro.perf.systolic import (
     AcceleratorConfig,
+    conv_reload_trips,
     gemm_compute_cycles,
+    gemm_cycles_lower_bound,
     gemm_reload_trips,
 )
+from repro.perf.tiling import TileConfig
 
 T = TypeVar("T")
 
@@ -182,12 +186,29 @@ class LatencyModel:
     allocation-dependent queries are then cheap, which matters because the
     DNNK dynamic program evaluates marginal gains in its inner loop.
 
+    Only conv, depthwise, GEMM and attention nodes depend on the tile: their
+    reload trips, and the cycle counts of the GEMMs.  The model records
+    those nodes' tile terms as it characterises them, so
+    :meth:`umm_latency` scores the same design at any other tile, and
+    :meth:`umm_floor` bounds every tile, without characterising the graph
+    again — the queries a tile sweep makes per base design.
+
     Args:
         graph: The DNN computation graph.
         accel: The accelerator design point.
+
+    Raises:
+        repro.errors.GraphValidationError: When the graph has no layer
+            the accelerator executes (only inputs and concats): it has no
+            latency to model.
     """
 
     def __init__(self, graph: ComputationGraph, accel: AcceleratorConfig) -> None:
+        schedule = graph.compute_schedule()
+        if not schedule:
+            raise GraphValidationError(
+                f"graph {graph.name!r} has no layer the accelerator executes"
+            )
         self.graph = graph
         self.accel = accel
         # Build-time constants: the element size and the per-kind
@@ -196,7 +217,12 @@ class LatencyModel:
         self._bandwidth = _Bandwidths(accel)
         self._derived: dict[Callable, object] = {}
         self._layers: dict[str, LayerLatency] = {}
-        for name in graph.compute_schedule():
+        # Tile-dependent nodes: (layer, extent, if trips, wt trips) at this
+        # design's tile; None once slots were edited.
+        self._tiled: dict[str, tuple] | None = {}
+        # What re-tiled queries walk; _retile_plan builds it on first use.
+        self._plan: list | None = None
+        for name in schedule:
             self._layers[name] = self._characterize(name)
 
     @classmethod
@@ -211,13 +237,16 @@ class LatencyModel:
         Used by passes that rewrite the transfer decomposition (layer
         fusion zeroes fused slots) without re-running characterisation:
         the derived model answers every allocation query against the
-        edited slots while keeping the graph/accel identity.
+        edited slots while keeping the graph/accel identity.  It cannot
+        be re-tiled.
         """
         model = cls.__new__(cls)
         model.graph = graph
         model.accel = accel
         model._layers = dict(layers)
         model._derived = {}
+        model._tiled = None
+        model._plan = None
         return model
 
     def derived(self, build: Callable[["LatencyModel"], T]) -> T:
@@ -253,7 +282,7 @@ class LatencyModel:
             return self._characterize_gemm(name, layer)
         if kind is ComputeKind.ATTENTION:
             assert isinstance(layer, Attention)
-            return self._characterize_attention(name, layer)
+            return self._characterize_gemm(name, layer)
         if kind is ComputeKind.NORM:
             return self._characterize_norm(name, layer)
         if kind is ComputeKind.POOL:
@@ -303,39 +332,29 @@ class LatencyModel:
             for kind, tensor, num_bytes in streams
         ]
 
-    def _conv_reloads(self, layer: Conv2D, out: FeatureMapShape) -> tuple[int, int]:
-        """Per-layer schedule selection: (ifmap reloads, weight reloads).
+    def _characterize_tiled(
+        self,
+        name: str,
+        layer: Layer,
+        extent: FeatureMapShape | tuple[GemmDims, ...],
+        compute: float,
+        macs: int,
+        weight_volume: int,
+        n_if: int,
+        n_wt: int,
+    ) -> LayerLatency:
+        """A node whose reload trips depend on the tile, at this design's tile.
 
-        The default loop order streams the input once per output-channel
-        tile and the weights once per spatial tile (Fig. 1's dataflow).
-        When the design provides residency buffers and the layer's
-        input-channel working set (or full weight tensor slice) fits, the
-        per-layer schedule chosen by the DSE keeps it resident and the
-        corresponding reload factor drops to one.
+        ``extent`` is the output shape of a conv or depthwise node and the
+        composed multiplies of a GEMM or attention node: what
+        :meth:`_retiled_total` re-derives the trips (and a GEMM's cycles)
+        from at another tile.
         """
-        tile = self.accel.tile
-        elem = self._elem
-        n_tm = tile.output_channel_trips(out.channels)
-        n_sp = tile.spatial_trips(out.height, out.width)
-
-        # Input residency: all input channels of one spatial tile (halo
-        # included) stay on chip across the output-channel loop.
-        if n_tm > 1 and self.accel.if_resident_cap > 0:
-            in_h = tile.th * layer.stride[0] + layer.kernel[0] - layer.stride[0]
-            in_w = tile.tw * layer.stride[1] + layer.kernel[1] - layer.stride[1]
-            if_working_set = layer.in_channels * in_h * in_w * elem
-            if if_working_set <= self.accel.if_resident_cap:
-                n_tm = 1
-
-        # Weight residency: one output-channel tile's weights over all
-        # input channels stay on chip across the spatial loop.
-        if n_sp > 1 and self.accel.wt_resident_cap > 0:
-            wt_working_set = (
-                tile.tm * layer.in_channels * layer.kernel[0] * layer.kernel[1] * elem
-            )
-            if wt_working_set <= self.accel.wt_resident_cap:
-                n_sp = 1
-        return n_tm, n_sp
+        slots = self._transfer_slots(
+            name, self.graph.output_shape(name).volume, n_if, weight_volume, n_wt
+        )
+        self._tiled[name] = (layer, extent, n_if, n_wt)
+        return LayerLatency(node=name, compute=compute, slots=slots, macs=macs)
 
     def _characterize_conv(self, name: str, layer: Conv2D) -> LayerLatency:
         # Shapes come from the graph, which resolved them at construction.
@@ -344,16 +363,17 @@ class LatencyModel:
         inp = graph.output_shape(layer.inputs[0])
         kh, kw = layer.kernel
         macs = out.channels * out.height * out.width * inp.channels * kh * kw
-        array = self.accel.array
-
-        n_tm, n_sp = self._conv_reloads(layer, out)
-
-        effective_macs = array.effective_macs(out.channels, layer.in_channels)
-        compute = macs / (effective_macs * self.accel.frequency)
-
+        accel = self.accel
+        effective_macs = accel.array.effective_macs(out.channels, layer.in_channels)
+        compute = macs / (effective_macs * accel.frequency)
         weight_volume = layer.out_channels * layer.in_channels * kh * kw
-        slots = self._transfer_slots(name, out.volume, n_tm, weight_volume, n_sp)
-        return LayerLatency(node=name, compute=compute, slots=slots, macs=macs)
+        n_tm, n_sp = conv_reload_trips(
+            layer, out, accel.tile, self._elem,
+            accel.if_resident_cap, accel.wt_resident_cap,
+        )
+        return self._characterize_tiled(
+            name, layer, out, compute, macs, weight_volume, n_tm, n_sp
+        )
 
     def _characterize_depthwise(self, name: str, layer: DepthwiseConv2D) -> LayerLatency:
         """Depthwise convolution: no input-channel reduction.
@@ -362,8 +382,8 @@ class LatencyModel:
         depthwise layer does not have, so only the rows x cols lanes do
         useful work — the characteristic inefficiency of depthwise layers
         on channel-parallel accelerators.  Each input channel feeds
-        exactly its own output channel, so the input streams once
-        (no output-channel reload factor).
+        exactly its own output channel, so the input streams once (no
+        output-channel reload factor).
         """
         out = self.graph.output_shape(name)
         macs = layer.macs(self.graph.input_shapes(name))
@@ -373,10 +393,10 @@ class LatencyModel:
         )
         effective = array.rows * array.cols * channel_eff
         compute = macs / (effective * self.accel.frequency)
-
         n_sp = self.accel.tile.spatial_trips(out.height, out.width)
-        slots = self._transfer_slots(name, out.volume, 1, _weight_volume(layer), n_sp)
-        return LayerLatency(node=name, compute=compute, slots=slots, macs=macs)
+        return self._characterize_tiled(
+            name, layer, out, compute, macs, _weight_volume(layer), 1, n_sp
+        )
 
     def _characterize_fc(self, name: str, layer: Gemm) -> LayerLatency:
         """Conv-datapath GEMM: the CNN classifier head.
@@ -395,44 +415,31 @@ class LatencyModel:
         )
         return LayerLatency(node=name, compute=compute, slots=slots, macs=macs)
 
-    def _gemm_reloads(self, dims: GemmDims) -> tuple[int, int]:
-        """Schedule selection for a GEMM node: (input, weight) reloads."""
-        return gemm_reload_trips(
-            dims,
-            self.accel.tile,
-            self._elem,
-            self.accel.if_resident_cap,
-            self.accel.wt_resident_cap,
-        )
+    def _characterize_gemm(self, name: str, layer: Gemm | Attention) -> LayerLatency:
+        """Systolic-datapath GEMM over a token sequence, or fused attention.
 
-    def _characterize_gemm(self, name: str, layer: Gemm) -> LayerLatency:
-        """Systolic-datapath GEMM over a token sequence."""
-        macs = layer.macs(self.graph.input_shapes(name))
-        dims = layer.gemm_dims()
-        cycles = gemm_compute_cycles(dims, self.accel.array, self.accel.tile)
-        compute = cycles / self.accel.frequency
-        n_if, n_wt = self._gemm_reloads(dims)
-        slots = self._transfer_slots(
-            name, self.graph.output_shape(name).volume, n_if, _weight_volume(layer), n_wt
-        )
-        return LayerLatency(node=name, compute=compute, slots=slots, macs=macs)
-
-    def _characterize_attention(self, name: str, layer: Attention) -> LayerLatency:
-        """Fused multi-head attention: compute is the sum of the composed
-        GEMMs; the attention intermediates stay in the tile buffers, so
-        the only off-chip streams are the input sequence (reloaded per
+        Attention's compute is the sum of its composed GEMMs; the
+        attention intermediates stay in the tile buffers, so the only
+        off-chip streams are the input sequence (reloaded per
         output-feature tile of the QKV projection), the fused projection
         weights and the output sequence.
         """
         macs = layer.macs(self.graph.input_shapes(name))
-        array, tile = self.accel.array, self.accel.tile
-        cycles = sum(gemm_compute_cycles(d, array, tile) for d in layer.gemm_dims())
-        compute = cycles / self.accel.frequency
-        n_if, n_wt = self._gemm_reloads(layer.gemm_dims()[0])
-        slots = self._transfer_slots(
-            name, self.graph.output_shape(name).volume, n_if, _weight_volume(layer), n_wt
+        dims = layer.gemm_dims()
+        extent = (dims,) if isinstance(dims, GemmDims) else dims
+        accel = self.accel
+        cycles = 0
+        for gemm in extent:
+            cycles += gemm_compute_cycles(gemm, accel.array, accel.tile)
+        # The reloads follow the leading multiply.
+        n_if, n_wt = gemm_reload_trips(
+            extent[0], accel.tile, self._elem,
+            accel.if_resident_cap, accel.wt_resident_cap,
         )
-        return LayerLatency(node=name, compute=compute, slots=slots, macs=macs)
+        return self._characterize_tiled(
+            name, layer, extent, cycles / accel.frequency, macs,
+            _weight_volume(layer), n_if, n_wt,
+        )
 
     def _characterize_norm(self, name: str, layer: Layer) -> LayerLatency:
         """Layer normalisation: two passes (statistics, normalise) over the
@@ -514,9 +521,130 @@ class LatencyModel:
             ll.latency(onchip, residuals, fractions) for ll in self._layers.values()
         )
 
-    def umm_latency(self) -> float:
-        """Latency with everything off-chip (the UMM baseline)."""
-        return self.total_latency(frozenset())
+    def umm_latency(self, tile: TileConfig | None = None) -> float:
+        """Latency with everything off-chip (the UMM baseline).
+
+        With ``tile``, the UMM latency of this design with ``tile``
+        swapped in, bit for bit
+        ``LatencyModel(graph, replace(accel, tile=tile)).umm_latency()``
+        (:func:`dataclasses.replace`): only the recorded tile terms are
+        re-derived, through the same helpers the characterisation calls,
+        and the node latencies are combined and summed as
+        :meth:`total_latency` does.
+        """
+        if tile is None:
+            return self.total_latency(frozenset())
+        return self._retiled_total(tile)
+
+    def umm_floor(self) -> float:
+        """UMM latency no tile on this design can beat.
+
+        Every reload trip at its floor of one and every GEMM at its
+        best-schedule cycle count.  A tile only multiplies transfer terms
+        by trips >= 1 (a residency cap can lower a trip count, never
+        below 1) and never runs a GEMM in fewer cycles, and the per-node
+        ``max`` and the sum are monotone in those terms, so
+        ``umm_floor() <= umm_latency(tile)`` for every tile — the bound
+        the roofline pruning of :mod:`repro.perf.space` relies on.
+        """
+        return self._retiled_total(None)
+
+    def _retiled_total(self, tile: TileConfig | None) -> float:
+        """UMM latency at ``tile`` (None: the floor), in schedule order.
+
+        Re-derives each tile-dependent node's trips (and a GEMM's cycles)
+        with the helpers its characterisation called, combines its terms
+        as :meth:`LayerLatency.latency` does and sums the nodes as
+        :meth:`total_latency` does, so the floats are the same.
+        """
+        plan = self._retile_plan()
+        accel = self.accel
+        array, freq = accel.array, accel.frequency
+        elem = self._elem
+        if_cap, wt_cap = accel.if_resident_cap, accel.wt_resident_cap
+        # A transfer with bytes at one tile has bytes at every tile, so
+        # its bandwidth was read when the node was characterised.
+        bw_if = self._bandwidth.get(TensorKind.IFMAP)
+        bw_wt = self._bandwidth.get(TensorKind.WEIGHT)
+        # Enum members read once: an attribute read per node costs more
+        # than the rest of a conv node's dispatch.
+        conv, depthwise = ComputeKind.CONV, ComputeKind.DEPTHWISE
+        gemm_kinds = (ComputeKind.GEMM, ComputeKind.ATTENTION)
+        total = 0.0
+        for entry in plan:
+            kind = entry[0]
+            if kind is None:
+                total += entry[1]
+                continue
+            _, layer, extent, compute, if_bytes, wt_bytes, of_lat = entry
+            if tile is None:
+                # Every tensor streamed once, each GEMM in a single tile
+                # with one pipeline fill.
+                n_if = n_wt = 1
+                if kind in gemm_kinds:
+                    cycles = 0
+                    for gemm in extent:
+                        cycles += gemm_cycles_lower_bound(gemm, array)
+                    compute = cycles / freq
+            elif kind is conv:
+                n_if, n_wt = conv_reload_trips(
+                    layer, extent, tile, elem, if_cap, wt_cap
+                )
+            elif kind is depthwise:
+                n_if, n_wt = 1, tile.spatial_trips(extent.height, extent.width)
+            else:
+                cycles = 0
+                for gemm in extent:
+                    cycles += gemm_compute_cycles(gemm, array, tile)
+                compute = cycles / freq
+                n_if, n_wt = gemm_reload_trips(
+                    extent[0], tile, elem, if_cap, wt_cap
+                )
+            if_lat = 0.0
+            for single in if_bytes:
+                num_bytes = single * n_if
+                if_lat += num_bytes / bw_if if num_bytes else 0.0
+            num_bytes = wt_bytes * n_wt
+            wt_lat = num_bytes / bw_wt if num_bytes else 0.0
+            total += max(compute, if_lat, wt_lat, of_lat)
+        return total
+
+    def _retile_plan(self) -> list:
+        """Per node in schedule order, what a re-tiled score needs.
+
+        A tile-invariant node's (None, UMM latency), or a tile-dependent
+        node's (compute kind, layer, extent, compute at this design's tile,
+        single-pass input bytes per slot, single-pass weight bytes,
+        output latency).  Its slots are (if..., wt, of), and each
+        transfer slot's bytes are its single-pass bytes times its trips
+        at this design's tile.  Built on the first re-tiled query, so a
+        model that is never re-tiled pays nothing for it.
+        """
+        plan = self._plan
+        if plan is not None:
+            return plan
+        tiled = self._tiled
+        if tiled is None:
+            raise ValueError("a model built from an edited layer table cannot be re-tiled")
+        plan = []
+        for name, ll in self._layers.items():
+            terms = tiled.get(name)
+            if terms is None:
+                plan.append((None, ll.latency()))
+                continue
+            layer, extent, if_trips, wt_trips = terms
+            slots = ll.slots
+            plan.append((
+                layer.compute_kind,
+                layer,
+                extent,
+                ll.compute,
+                tuple(slot.bytes // if_trips for slot in slots[:-2]),
+                slots[-2].bytes // wt_trips,
+                slots[-1].latency,
+            ))
+        self._plan = plan
+        return plan
 
     def compute_bound_latency(self, capacity: int | None = None) -> float:
         """Lower bound on the latency of any allocation of this model.

@@ -14,12 +14,14 @@ sized to the actual work:
   sweep scores on the same pool.  A sweep either scores on the pool its
   caller passes (the caller owns it and may keep it warm across sweeps)
   or builds a private pool and closes it before returning.
-* **Scorers memoised per worker.**  Chunks carry the *base* design point
-  (~1 kB of scalars) and a worker builds one
-  :class:`~repro.perf.dse._SweepScorer` per base fingerprint (small
-  LRU), so the graph is re-characterised at most once per
-  (worker, base) — exploded multi-base spaces stream through the same
-  warm pool.
+* **Models memoised per worker.**  Chunks carry the *base* design point
+  (~1 kB of scalars) and a worker keeps the
+  :class:`~repro.perf.latency.LatencyModel` of its last few bases in a
+  :class:`BaseModels` LRU keyed by base fingerprint, so the graph is
+  re-characterised at most once per (worker, base) visit — exploded
+  multi-base spaces stream through the same warm pool.  The model
+  scores every tile of its base itself (``umm_latency(tile)``), so a
+  worker and a serial sweep compute each score with the same code.
 * **Compact encoding.**  Tiles travel as a packed int array (16
   bytes/tile instead of a pickled :class:`TileConfig` each) and scores
   return as a packed float array plus the measured wall seconds —
@@ -50,6 +52,7 @@ from concurrent.futures import wait as futures_wait
 from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import ConfigError
+from repro.fingerprint import accel_fingerprint
 from repro.obs import spans as obs
 from repro.robustness import inject
 from repro.robustness.inject import declare_fault_point, fault_point
@@ -59,8 +62,11 @@ if TYPE_CHECKING:
     from concurrent.futures import Future
 
     from repro.ir.graph import ComputationGraph
+    from repro.perf.latency import LatencyModel
+    from repro.perf.systolic import AcceleratorConfig
 
 __all__ = [
+    "BaseModels",
     "ResilientPool",
     "ScorerPool",
     "TARGET_CHUNK_SECONDS",
@@ -82,9 +88,10 @@ TARGET_CHUNK_SECONDS = 0.05
 #: sweep into thousands of IPC round-trips.
 _MAX_ROUNDS_PER_WORKER = 64
 
-#: Scorers a worker keeps alive at once.  Exploded spaces walk bases
-#: sequentially, so consecutive chunks share a base and a tiny LRU hits.
-_SCORER_LRU = 4
+#: Latency models a :class:`BaseModels` memo keeps alive at once.
+#: Exploded spaces walk bases sequentially, so consecutive chunks share a
+#: base and a tiny LRU hits.
+_MODEL_LRU = 4
 
 #: Deadline for the warm-up pings that prove the pool came up at all.
 _WARMUP_TIMEOUT = 60.0
@@ -135,15 +142,49 @@ def adaptive_chunk_size(
     return size
 
 
+class BaseModels:
+    """The latency models of one graph's base designs, least recent out first.
+
+    A tile sweep asks each base design for its floor and for its score
+    at many tiles, and each answer needs the base's
+    :class:`~repro.perf.latency.LatencyModel`.  Building one
+    characterises the whole graph, so the sweep's parent process and
+    every pool worker keep their last :data:`_MODEL_LRU` models, keyed
+    by the base's fingerprint around the tile.
+
+    Args:
+        graph: The computation graph every model characterises.
+    """
+
+    def __init__(self, graph: "ComputationGraph") -> None:
+        self.graph = graph
+        self._models: "OrderedDict[str, LatencyModel]" = OrderedDict()
+
+    def get(self, base: "AcceleratorConfig", key: str | None = None) -> "LatencyModel":
+        """The model of ``base``; ``key`` is its fingerprint, if known."""
+        if key is None:
+            key = accel_fingerprint(base, include_tile=False)
+        model = self._models.get(key)
+        if model is None:
+            # Imported here so that processes which only borrow the pool
+            # lifecycle (the serving daemon) never load the latency model.
+            from repro.perf.latency import LatencyModel
+
+            model = self._models[key] = LatencyModel(self.graph, base)
+            if len(self._models) > _MODEL_LRU:
+                self._models.popitem(last=False)
+        else:
+            self._models.move_to_end(key)
+        return model
+
+
 # ----------------------------------------------------------------------
 # Worker-process side
 # ----------------------------------------------------------------------
 
-#: The graph this worker scores against, shipped once by the initializer.
-_worker_graph: "ComputationGraph | None" = None
-
-#: Per-worker scorer cache: base fingerprint -> _SweepScorer (LRU).
-_worker_scorers: "OrderedDict[str, object]" = OrderedDict()
+#: The models this worker scores with, over the graph the initializer
+#: shipped once.
+_worker_models: BaseModels | None = None
 
 
 def _pool_init(
@@ -152,9 +193,8 @@ def _pool_init(
     trace: bool = False,
 ) -> None:
     """Worker initializer: receives the graph exactly once per process."""
-    global _worker_graph
-    _worker_graph = graph
-    _worker_scorers.clear()
+    global _worker_models
+    _worker_models = BaseModels(graph)
     # Fault injection armed in the parent follows the work into the
     # worker (chaos tests for the crash/timeout recovery paths).
     inject.install_plans(fault_plans)
@@ -174,26 +214,11 @@ def _pool_ping() -> int:
     return os.getpid()
 
 
-def _scorer_for(base, base_key: str):
-    """This worker's memoised scorer for a base design point."""
-    scorer = _worker_scorers.get(base_key)
-    if scorer is None:
-        from repro.perf.dse import _SweepScorer
-
-        scorer = _SweepScorer(_worker_graph, base)
-        _worker_scorers[base_key] = scorer
-        while len(_worker_scorers) > _SCORER_LRU:
-            _worker_scorers.popitem(last=False)
-    else:
-        _worker_scorers.move_to_end(base_key)
-    return scorer
-
-
 def _pool_lower_bounds(bases, base_keys: Sequence[str]) -> array:
     """Characterise bases in a worker and return their sweep floors.
 
     The per-base graph characterisation behind
-    :meth:`~repro.perf.dse._SweepScorer.lower_bound` is the serial
+    :meth:`~repro.perf.latency.LatencyModel.umm_floor` is the serial
     bottleneck of a pruned exploded sweep (hundreds of bases, a handful
     of surviving tiles), so :func:`repro.perf.space.explore_space` fans
     it out over the same pool that scores the tiles.
@@ -201,7 +226,7 @@ def _pool_lower_bounds(bases, base_keys: Sequence[str]) -> array:
     return array(
         "d",
         [
-            _scorer_for(base, key).lower_bound()
+            _worker_models.get(base, key).umm_floor()
             for base, key in zip(bases, base_keys)
         ],
     )
@@ -223,8 +248,7 @@ def _pool_score_chunk(
     with obs.span(
         "dse.chunk", chunk=index, tiles=len(encoded) // TILE_WORDS
     ):
-        scorer = _scorer_for(base, base_key)
-        score = scorer.score
+        score = _worker_models.get(base, base_key).umm_latency
         scores = array("d", [score(tile) for tile in decode_tiles(encoded)])
     seconds = time.perf_counter() - start
     spans = (

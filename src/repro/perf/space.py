@@ -19,11 +19,12 @@ is *provably* uncompetitive before any scoring happens:
   ``(tm, th, tw)`` only the first-enumerated needs scoring — the rest
   are equal-score duplicates with a larger or equal buffer footprint.
 * **Roofline base dominance.**
-  :meth:`~repro.perf.dse._SweepScorer.lower_bound` evaluates a base with
-  every DDR reload at its floor of one trip; no tile on that base can do
-  better.  Bases are scored in ascending order of this bound, and a base
-  whose *floor* already exceeds the best design found so far is
-  discarded whole, with every tile unscored.
+  :meth:`~repro.perf.latency.LatencyModel.umm_floor` evaluates a base
+  with every DDR reload at its floor of one trip and every GEMM at its
+  best-schedule cycle count; no tile on that base can do better.  Bases
+  are scored in ascending order of this bound, and a base whose *floor*
+  already exceeds the best design found so far is discarded whole, with
+  every tile unscored.
 
 Both prunings are exact: :func:`explore_space` returns the bit-identical
 best design point (same accelerator, same score) with pruning on or off,
@@ -31,16 +32,21 @@ and every pruned count is reported — in the returned
 :class:`SpaceResult`, in ``WorkerStats.points_pruned`` and in the
 ``dse.points_pruned`` metric.  There are no silent caps.
 
+Each base's floor and tile scores come from its
+:class:`~repro.perf.latency.LatencyModel` (``umm_floor()`` and
+``umm_latency(tile)``); the parent and every worker memoise the last few
+models in a :class:`~repro.perf.pool.BaseModels` LRU, and a bound pass
+the parent runs holds the models of the lowest floors for the sweep.
 Scoring streams through one :class:`~repro.perf.pool.ScorerPool` shared
-across every base (workers memoise per-base scorers in a small LRU): the
-pool the caller passes, or a private one the sweep builds and closes.
-Per-tile scores warm-start from the
+across every base: the pool the caller passes, or a private one the
+sweep builds and closes.  Per-tile scores warm-start from the
 :class:`~repro.cache.store.CompilationCache` under each base's
 ``sweep_key`` — a repeated sweep only scores what it has never seen.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import random
@@ -58,16 +64,16 @@ from repro.perf.dse import (
     WorkerStats,
     _publish_sweep_metrics,
     _score_parallel,
-    _SweepScorer,
     candidate_tiles,
 )
-from repro.perf.pool import ScorerPool
+from repro.perf.pool import BaseModels, ScorerPool
 from repro.perf.systolic import AcceleratorConfig, SystolicArray
 from repro.perf.tiling import TileConfig
 
 if TYPE_CHECKING:
     from repro.cache.store import CompilationCache
     from repro.ir.graph import ComputationGraph
+    from repro.perf.latency import LatencyModel
 
 __all__ = [
     "DesignSpace",
@@ -349,23 +355,33 @@ def _dominant_tiles(
     return kept, len(feasible), len(feasible) - len(kept)
 
 
+#: Models a parent-side bound pass holds for the sweep: those of the
+#: lowest floors.  The sweep visits bases in ascending floor order and
+#: the bound discards a suffix of it, so these bases are the likeliest to
+#: be scored, and holding their models spares characterising them twice
+#: without keeping one model per base.
+_HELD_MODELS = 16
+
+
 def _lower_bounds(
-    graph: "ComputationGraph",
     prepped: list[tuple[int, "AcceleratorConfig", list[TileConfig]]],
     sweep_pool: ScorerPool | None,
     workers: int,
     stats: WorkerStats,
-    scorers: dict[int, _SweepScorer],
-) -> dict[int, float]:
+    models: BaseModels,
+) -> tuple[dict[int, float], dict[int, "LatencyModel"]]:
     """Roofline floor per base, fanned out to the pool when one exists.
 
     Characterising a base for its bound costs the same graph walk the
     sweep itself pays, so on heavily pruned exploded spaces the bounds
     are most of the total work.  With a pool the batches run in the
-    workers (warming their per-base scorer caches as a side effect);
-    without one — or if the pool fails mid-flight — the parent computes
-    the missing floors itself and keeps those scorers for the sweep.
-    The floats are identical either way, so pruning decisions are too.
+    workers (warming their model memos as a side effect); without one —
+    or if the pool fails mid-flight — the parent computes the missing
+    floors itself through ``models``.  The floats are identical either
+    way, so pruning decisions are too.
+
+    Returns the floors by base index, and the parent-side models of the
+    :data:`_HELD_MODELS` lowest floors (first in sweep order), by index.
     """
     bounds: dict[int, float] = {}
     if sweep_pool is not None and workers > 1 and len(prepped) > 1:
@@ -391,12 +407,18 @@ def _lower_bounds(
                     bounds[idx] = value
         except Exception:
             bounds.clear()  # broken pool: fall through to parent-side
-    for idx, base, _ in prepped:
-        if idx not in bounds:
-            scorer = _SweepScorer(graph, base)
-            scorers[idx] = scorer
-            bounds[idx] = scorer.lower_bound()
-    return bounds
+
+    def parent_floors():
+        for idx, base, _ in prepped:
+            if idx not in bounds:
+                model = models.get(base)
+                bounds[idx] = floor = model.umm_floor()
+                yield floor, idx, model
+
+    # Ranked by the sweep order (floor, index); nsmallest keeps only
+    # _HELD_MODELS entries while it consumes the generator.
+    held = heapq.nsmallest(_HELD_MODELS, parent_floors())
+    return bounds, {idx: model for _, idx, model in held}
 
 
 def _sweep_base(
@@ -407,7 +429,8 @@ def _sweep_base(
     stats: WorkerStats,
     cache: "CompilationCache | None",
     sweep_pool: ScorerPool | None,
-    scorer: _SweepScorer | None,
+    models: BaseModels,
+    model: "LatencyModel | None",
     chunk_timeout: float | None,
     chunk_retries: int,
 ) -> list[DesignPoint]:
@@ -416,7 +439,8 @@ def _sweep_base(
     Warm-starts from ``cache`` under the base's ``sweep_key`` and writes
     fresh scores back.  Pending tiles go to the pool when more than one
     worker can be used, otherwise they are scored serially with
-    ``scorer`` (built here if the bound pass did not already).  Only
+    ``model``, the base's model if the bound pass held it, or else the
+    one ``models`` holds or builds.  Only
     *environmental* pool failures fall back to the serial path; a
     taxonomy error raised while setting up the pool propagates.
     """
@@ -448,7 +472,7 @@ def _sweep_base(
                     chunk_timeout=chunk_timeout,
                     chunk_retries=chunk_retries,
                     stats=stats,
-                    scorer=scorer,
+                    models=models,
                 )
             except ReproError:
                 # A genuinely invalid graph/config surfaced during pool
@@ -464,9 +488,10 @@ def _sweep_base(
         if pending:
             if scored is None:
                 with obs.span("dse.serial-sweep", tiles=len(pending)):
-                    if scorer is None:
-                        scorer = _SweepScorer(graph, base)
-                    scored = [scorer.score(tile) for tile in pending]
+                    if model is None:
+                        model = models.get(base)
+                    score = model.umm_latency
+                    scored = [score(tile) for tile in pending]
             scores.update(zip(map(tile_key, pending), scored))
             if cache is not None:
                 cache.put(warm_key, scores, namespace="sweep")
@@ -606,12 +631,11 @@ def explore_space(
         prune=prune,
     ):
         try:
-            scorers: dict[int, _SweepScorer] = {}
+            models = BaseModels(graph)
             bounds: dict[int, float] = {}
+            held: dict[int, LatencyModel] = {}
             if prune:
-                bounds = _lower_bounds(
-                    graph, prepped, pool, workers, stats, scorers
-                )
+                bounds, held = _lower_bounds(prepped, pool, workers, stats, models)
                 # Most promising floors first maximises how early the
                 # incumbent tightens and how much the bound can discard.
                 order = sorted(prepped, key=lambda p: (bounds[p[0]], p[0]))
@@ -632,7 +656,8 @@ def explore_space(
                     stats,
                     cache,
                     pool,
-                    scorers.get(idx),
+                    models,
+                    held.pop(idx, None),
                     chunk_timeout,
                     chunk_retries,
                 )

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 from repro.hw.fpga import FPGADevice, VU9P
 from repro.hw.memory import DDRSystem, make_vu9p_ddr
 from repro.hw.precision import INT8, Precision
-from repro.ir.layer import GemmDims
+from repro.ir.layer import Conv2D, GemmDims
+from repro.ir.tensor import FeatureMapShape
 from repro.perf.tiling import TileConfig
 
 
@@ -84,9 +85,10 @@ class SystolicArray:
 # with the reduction folded over ``rows * simd`` lanes (see
 # ``SystolicArray.reduction_lanes``) and the P loop executed tile by tile,
 # so the ceil() waste is paid per tile — tile-boundary-exact, which the
-# hypothesis property tests pin down.  These helpers are shared by the
-# latency model, the tile simulator and the DSE sweep scorer so all three
-# agree bit for bit by construction.
+# hypothesis property tests pin down.  The latency model calls these
+# helpers (and the reload helpers below) both when it characterises a node
+# at its own tile and when it scores another tile, and the tile simulator
+# calls them too, so every tile-dependent term has one definition.
 
 
 def _tiled_ceil_sum(total: int, tile: int, unit: int) -> int:
@@ -127,6 +129,42 @@ def gemm_cycles_lower_bound(dims: GemmDims, array: SystolicArray) -> int:
     """
     inner = dims.m * math.ceil(dims.n / array.reduction_lanes) * math.ceil(dims.p / array.cols)
     return dims.batch * (inner + array.rows + array.cols)
+
+
+def conv_reload_trips(
+    layer: Conv2D,
+    out: FeatureMapShape,
+    tile: TileConfig,
+    element_bytes: int,
+    if_resident_cap: int,
+    wt_resident_cap: int,
+) -> tuple[int, int]:
+    """Per-layer schedule selection for a convolution: (input, weight) reloads.
+
+    The default loop order streams the input once per output-channel
+    tile and the weights once per spatial tile (Fig. 1's dataflow).
+    When the design provides residency buffers and the layer's
+    input-channel working set (or full weight tensor slice) fits, the
+    per-layer schedule chosen by the DSE keeps it resident and the
+    corresponding reload factor drops to one.
+    """
+    n_tm = tile.output_channel_trips(out.channels)
+    n_sp = tile.spatial_trips(out.height, out.width)
+    # Input residency: all input channels of one spatial tile (halo
+    # included) stay on chip across the output-channel loop.
+    if n_tm > 1 and if_resident_cap > 0:
+        (sh, sw), (kh, kw) = layer.stride, layer.kernel
+        in_h = tile.th * sh + kh - sh
+        in_w = tile.tw * sw + kw - sw
+        if layer.in_channels * in_h * in_w * element_bytes <= if_resident_cap:
+            n_tm = 1
+    # Weight residency: one output-channel tile's weights over all input
+    # channels stay on chip across the spatial loop.
+    if n_sp > 1 and wt_resident_cap > 0:
+        kh, kw = layer.kernel
+        if tile.tm * layer.in_channels * kh * kw * element_bytes <= wt_resident_cap:
+            n_sp = 1
+    return n_tm, n_sp
 
 
 def gemm_reload_trips(

@@ -60,6 +60,14 @@ def build_residual_block() -> ComputationGraph:
     return g
 
 
+def build_input_only() -> ComputationGraph:
+    """A graph whose only layer is its input: valid, but nothing executes."""
+    g = ComputationGraph(name="input-only")
+    g.add(InputLayer(name="data", shape=FeatureMapShape(3, 8, 8)))
+    g.validate()
+    return g
+
+
 def small_accel(
     precision=INT8,
     frequency: float = 200e6,

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import GraphValidationError
 from repro.hw.precision import INT16
 from repro.lcmm.framework import LCMMOptions, run_lcmm, umm_only_result
 from repro.lcmm.validate import validate_buffers, validate_result
@@ -9,6 +10,7 @@ from repro.perf.latency import LatencyModel
 
 from tests.conftest import (
     build_chain,
+    build_input_only,
     build_residual_block,
     build_snippet,
     small_accel,
@@ -43,6 +45,18 @@ class TestUMM:
         umm = umm_only_result(graph, accel, model)
         assert umm.sram_usage.used_bytes >= accel.tile_buffer_bytes()
         assert umm.sram_utilization < 0.05
+
+
+class TestComputeFreeGraph:
+    """A graph with nothing to execute is bad input, not a crash."""
+
+    def test_run_lcmm_raises_graph_validation_error(self):
+        with pytest.raises(GraphValidationError):
+            run_lcmm(build_input_only(), small_accel())
+
+    def test_umm_only_result_raises_graph_validation_error(self):
+        with pytest.raises(GraphValidationError):
+            umm_only_result(build_input_only(), small_accel())
 
 
 class TestLCMMPipeline:

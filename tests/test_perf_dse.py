@@ -1,15 +1,9 @@
 """Tests for repro.perf.dse and the single-base tile sweep."""
 
-from dataclasses import replace
-
 import pytest
 
-from repro.perf.dse import (
-    WorkerStats,
-    _score_parallel,
-    _SweepScorer,
-    candidate_tiles,
-)
+from repro.models.zoo import get_model
+from repro.perf.dse import WorkerStats, _score_parallel, candidate_tiles
 from repro.perf.latency import LatencyModel
 from repro.perf.pool import ScorerPool
 from repro.perf.space import SampledSpace, explore_space
@@ -17,6 +11,7 @@ from repro.perf.tiling import TileConfig
 from repro.robustness.inject import FaultPlan, injected
 
 from tests.conftest import build_chain, build_snippet, small_accel, sweep_base
+from tests.strategies import assert_retiled_equals_fresh
 
 
 class TestCandidates:
@@ -70,19 +65,20 @@ class TestExplore:
         assert points[0].accel.wt_resident_cap == 8192
 
 
+def mobilenet_v1():
+    # Depthwise layers: the input streams once whatever the tile.
+    return get_model("mobilenet_v1")
+
+
 class TestSweepScorer:
-    @pytest.mark.parametrize("graph_builder", [build_chain, build_snippet])
+    @pytest.mark.parametrize("graph_builder", [build_chain, build_snippet, mobilenet_v1])
     @pytest.mark.parametrize(
         "base",
         [small_accel(), small_accel(if_resident_cap=1 << 14, wt_resident_cap=1 << 13)],
         ids=["nocaps", "caps"],
     )
     def test_bit_identical_to_latency_model(self, graph_builder, base):
-        graph = graph_builder()
-        scorer = _SweepScorer(graph, base)
-        for tile in candidate_tiles():
-            expected = LatencyModel(graph, replace(base, tile=tile)).umm_latency()
-            assert scorer.score(tile) == expected
+        assert_retiled_equals_fresh(graph_builder(), base, candidate_tiles())
 
 
 class TestWorkers:
@@ -159,8 +155,8 @@ class TestWorkerRecovery:
             t for t in candidate_tiles()
             if t.tile_buffer_bytes(base.precision.bytes) <= 10 * 2**20
         ][:8]
-        scorer = _SweepScorer(graph, base)
-        expected = [scorer.score(t) for t in tiles]
+        model = LatencyModel(graph, base)
+        expected = [model.umm_latency(t) for t in tiles]
         return graph, base, tiles, expected
 
     @staticmethod

@@ -4,8 +4,8 @@ The cycle-model satellite: hand-computed closed-form cases for small
 (M, N, P) x (rows, cols, simd) configurations, hypothesis properties
 (monotone in each of M/N/P, exact at tile boundaries, lower bound
 admissible for every tile), and the two integration guarantees the DSE
-depends on — ``_SweepScorer.score`` stays bit-for-bit equal to a full
-``LatencyModel`` rebuild on transformer graphs, and the tile-level
+depends on — ``LatencyModel.umm_latency(tile)`` stays bit-for-bit equal
+to a full ``LatencyModel`` rebuild on transformer graphs, and the tile-level
 simulator agrees with the bulk Eq. 1 characterisation up to pipeline
 fill.
 """
@@ -20,7 +20,6 @@ from repro.ir.graph import ComputationGraph
 from repro.ir.layer import Attention, Gemm, GemmDims, InputLayer, LayerNorm
 from repro.ir.tensor import FeatureMapShape
 from repro.models.zoo import get_model
-from repro.perf.dse import _SweepScorer
 from repro.perf.latency import LatencyModel
 from repro.perf.systolic import (
     SystolicArray,
@@ -32,6 +31,7 @@ from repro.perf.systolic import (
 from repro.perf.tiling import TileConfig
 
 from tests.oracles import simulate_tiles
+from tests.strategies import assert_floor_below_every_tile, assert_retiled_equals_fresh
 
 _dims = st.integers(min_value=1, max_value=512)
 _small = st.integers(min_value=1, max_value=16)
@@ -180,8 +180,9 @@ _PARITY_TILES = [
 
 
 class TestScorerParity:
-    """``_SweepScorer`` must replay ``LatencyModel`` bit-for-bit on
-    GEMM/attention graphs, exactly as it does on conv graphs."""
+    """A re-tiled UMM latency equals a fresh model bit for bit on
+    GEMM/attention graphs, exactly as it does on conv graphs (the fixed
+    examples of the properties in ``tests/test_perf_latency.py``)."""
 
     @pytest.mark.parametrize("name", ["bert_base", "vit_b16"])
     def test_score_equals_full_model(self, name):
@@ -191,18 +192,12 @@ class TestScorerParity:
             if_resident_cap=65536,
             wt_resident_cap=65536,
         )
-        scorer = _SweepScorer(graph, base)
-        for tile in _PARITY_TILES:
-            full = LatencyModel(graph, dataclasses.replace(base, tile=tile)).umm_latency()
-            assert scorer.score(tile) == full
+        assert_retiled_equals_fresh(graph, base, _PARITY_TILES)
 
     def test_lower_bound_below_every_score(self):
-        graph = get_model("bert_base")
-        base = default_accelerator()
-        scorer = _SweepScorer(graph, base)
-        bound = scorer.lower_bound()
-        for tile in _PARITY_TILES:
-            assert bound <= scorer.score(tile)
+        assert_floor_below_every_tile(
+            get_model("bert_base"), default_accelerator(), _PARITY_TILES
+        )
 
 
 class TestTileSimulation:

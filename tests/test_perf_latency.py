@@ -1,12 +1,28 @@
 """Tests for repro.perf.latency — the Eq. 1 latency model."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.errors import GraphValidationError
 from repro.hw.precision import INT8, INT16, Precision
 from repro.ir.tensor import TensorKind
 from repro.perf.latency import LatencyModel
 
-from tests.conftest import build_chain, build_residual_block, build_snippet, small_accel
+from tests.conftest import (
+    build_chain,
+    build_input_only,
+    build_residual_block,
+    build_snippet,
+    small_accel,
+)
+from tests.strategies import (
+    accelerators,
+    assert_floor_below_every_tile,
+    assert_retiled_equals_fresh,
+    graphs,
+    tiles,
+)
 
 
 @pytest.fixture
@@ -179,6 +195,47 @@ class TestResidencyOptions:
         # int8: 9 KB fits; int16: 18 KB does not.
         assert int8_model.layer("c2").slots[1].bytes == 64 * 64 * 9
         assert int16_model.layer("c2").slots[1].bytes == 64 * 64 * 9 * 2 * 4
+
+
+class TestRetile:
+    """The model scores any tile of its design and bounds them all."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        graph=graphs(),
+        base=accelerators(),
+        tile_list=st.lists(tiles(), min_size=1, max_size=4),
+    )
+    def test_retiled_equals_fresh_model(self, graph, base, tile_list):
+        assert_retiled_equals_fresh(graph, base, tile_list)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        graph=graphs(),
+        base=accelerators(),
+        tile_list=st.lists(tiles(), min_size=1, max_size=4),
+    )
+    def test_floor_below_every_tile(self, graph, base, tile_list):
+        assert_floor_below_every_tile(graph, base, tile_list + [base.tile])
+
+    def test_own_tile_is_the_plain_umm_latency(self, chain_model):
+        tile = chain_model.accel.tile
+        assert chain_model.umm_latency(tile) == chain_model.umm_latency()
+
+    def test_edited_layer_table_cannot_be_retiled(self, chain_model):
+        edited = LatencyModel.from_layers(
+            chain_model.graph,
+            chain_model.accel,
+            {name: chain_model.layer(name) for name in chain_model.nodes()},
+        )
+        with pytest.raises(ValueError, match="re-tiled"):
+            edited.umm_floor()
+
+
+class TestComputeFreeGraph:
+    def test_model_construction_is_a_taxonomy_error(self):
+        with pytest.raises(GraphValidationError, match="no layer the accelerator executes"):
+            LatencyModel(build_input_only(), small_accel())
 
 
 def _without_ddr(accel):

@@ -1,22 +1,28 @@
 """Tests for repro.perf.space: exploded design spaces and pruning."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import CapacityError, ConfigError
+from repro.errors import CapacityError, ConfigError, GraphValidationError
 from repro.hw.precision import FP32, INT8, INT16
-from repro.perf.dse import WorkerStats, _SweepScorer, candidate_tiles
+from repro.perf.dse import WorkerStats, candidate_tiles
+from repro.perf import latency
+from repro.perf.latency import LatencyModel
 from repro.perf.pool import ScorerPool
 from repro.perf.space import (
     DesignSpace,
+    SampledSpace,
     explore_space,
     large_space,
     small_space,
 )
 from repro.perf.systolic import SystolicArray
 
-from tests.conftest import build_chain, build_snippet, small_accel
+from tests.conftest import build_chain, build_input_only, build_snippet, small_accel
+from tests.strategies import assert_floor_below_every_tile
 
 BUDGET = 2 * 2**20
 
@@ -87,26 +93,28 @@ class TestDesignSpace:
 class TestLowerBound:
     @pytest.mark.parametrize("graph_builder", [build_chain, build_snippet])
     def test_bounds_every_tile(self, graph_builder):
-        graph = graph_builder()
         base = small_accel(if_resident_cap=1 << 14, wt_resident_cap=1 << 13)
-        scorer = _SweepScorer(graph, base)
-        floor = scorer.lower_bound()
-        for tile in candidate_tiles():
-            assert floor <= scorer.score(tile)
+        assert_floor_below_every_tile(graph_builder(), base, candidate_tiles())
 
     def test_scorer_reused_when_given(self):
-        # explore_space scores a base with the scorer its bound was
+        # explore_space scores a base with the model its bound was
         # computed on; scoring must not move the bound.
         graph = build_chain()
         base = small_accel()
-        scorer = _SweepScorer(graph, base)
-        floor = scorer.lower_bound()
+        model = LatencyModel(graph, base)
+        floor = model.umm_floor()
         for tile in candidate_tiles():
-            scorer.score(tile)
-        assert scorer.lower_bound() == floor == _SweepScorer(graph, base).lower_bound()
+            model.umm_latency(tile)
+        assert model.umm_floor() == floor == LatencyModel(graph, base).umm_floor()
 
 
 class TestExploreSpace:
+    @pytest.mark.parametrize("prune", [True, False])
+    def test_compute_free_graph_is_a_taxonomy_error(self, prune):
+        # Nothing executes, so there is no latency to rank designs by.
+        with pytest.raises(GraphValidationError):
+            explore_space(build_input_only(), _tiny_space(), BUDGET, prune=prune)
+
     def test_pruned_best_identical_to_full(self):
         graph = build_chain()
         space = _tiny_space()
@@ -145,6 +153,27 @@ class TestExploreSpace:
         full = explore_space(graph, sample, BUDGET, prune=False)
         assert pruned.best.accel == full.best.accel
         assert pruned.best.umm_latency == full.best.umm_latency
+
+    def test_serial_pruned_sweep_characterises_each_base_once(self, monkeypatch):
+        # Residency caps never lower a floor, so every base ties on it
+        # and none is pruned; more bases than the model LRU holds.
+        builds = []
+
+        class CountingModel(LatencyModel):
+            def __init__(self, graph, accel):
+                builds.append(accel.name)
+                super().__init__(graph, accel)
+
+        monkeypatch.setattr(latency, "LatencyModel", CountingModel)
+        base = small_accel()
+        bases = [
+            replace(base, name=f"cap{i}", if_resident_cap=i << 12, wt_resident_cap=i << 12)
+            for i in range(6)
+        ]
+        space = SampledSpace([(b, candidate_tiles()) for b in bases])
+        result = explore_space(build_chain(), space, BUDGET, prune=True)
+        assert result.bases_pruned == 0
+        assert sorted(builds) == sorted(b.name for b in bases)
 
     def test_workers_match_serial(self):
         graph = build_chain()
