@@ -25,16 +25,22 @@ batch neither unpickles a result nor imports the compiler.
 from __future__ import annotations
 
 import json
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from pickle import PicklingError
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigError, ModelNotFoundError, ReproError
 from repro.fingerprint import compile_key_for_digest, graph_fingerprint, result_reply
 from repro.lcmm.options import LCMMOptions
 from repro.models.zoo import canonical_model_name, get_model, list_models
 from repro.obs import spans as obs
+
+if TYPE_CHECKING:
+    from repro.perf.latency import LatencyModel
 
 __all__ = [
     "BatchReport",
@@ -189,6 +195,18 @@ class BatchReport:
 #: read-only, so one instance can serve every job in a batch.
 _DESIGN_MEMO: dict[tuple[str, str], tuple] = {}
 
+#: Latency models a process keeps alive at once, least recent out first.
+#: A model carries what the compiles of its design share (the
+#: feature-reuse and weight-prefetch results, the engine tables), so an
+#: unbounded memo would grow with every design a daemon ever compiled.
+_MODEL_LRU = 4
+
+#: Per-process memo of latency models by (model, precision), built on
+#: the miss path only: key derivation and warm hits never build one.
+#: Serve's inline workers are threads, hence the lock.
+_MODEL_MEMO: "OrderedDict[tuple[str, str], LatencyModel]" = OrderedDict()
+_MODEL_LOCK = threading.Lock()
+
 #: Per-process memo of graph digests by (model, precision): every
 #: configuration of one model keys the same graph.
 _DIGEST_MEMO: dict[tuple[str, str], str] = {}
@@ -214,6 +232,26 @@ def _design(model_name: str, precision_name: str) -> tuple:
         pair = (graph, accel)
         _DESIGN_MEMO[memo] = pair
     return pair
+
+
+def _latency_model(model_name: str, precision_name: str) -> "LatencyModel":
+    """The shared :class:`~repro.perf.latency.LatencyModel` of one design."""
+    memo = (canonical_model_name(model_name), precision_name)
+    with _MODEL_LOCK:
+        model = _MODEL_MEMO.get(memo)
+        if model is not None:
+            _MODEL_MEMO.move_to_end(memo)
+            return model
+    from repro.perf.latency import LatencyModel
+
+    model = LatencyModel(*_design(*memo))
+    with _MODEL_LOCK:
+        # A thread that built the same design meanwhile keeps its model.
+        model = _MODEL_MEMO.setdefault(memo, model)
+        _MODEL_MEMO.move_to_end(memo)
+        while len(_MODEL_MEMO) > _MODEL_LRU:
+            _MODEL_MEMO.popitem(last=False)
+    return model
 
 
 def _job_key(model_name: str, config: str, precision_name: str) -> str:
@@ -291,7 +329,9 @@ def compile_job(
     cache directory and looks the key up first, so an artifact another
     writer stored meanwhile is still a hit.  A miss compiles and stores
     the result with its reply, but only a clean (level-0) result, as
-    ``run_lcmm(cache=...)`` does.
+    ``run_lcmm(cache=...)`` does.  Every configuration of one design
+    compiles on the process's shared latency model (:data:`_MODEL_LRU`
+    designs are kept).
 
     Raises:
         repro.errors.ModelNotFoundError: Unknown model.
@@ -309,12 +349,13 @@ def compile_job(
     start = time.perf_counter()
     key = _job_key(model_name, config, precision_name)
     graph, accel = _design(model_name, precision_name)
+    model = _latency_model(model_name, precision_name)
     options = standard_options(config)
     if options is None:
         # The UMM floor bypasses the pass machinery entirely.
-        result = umm_only_result(graph, accel)
+        result = umm_only_result(graph, accel, model=model)
     else:
-        result = run_lcmm(graph, accel, options=options)
+        result = run_lcmm(graph, accel, options=options, model=model)
     reply = result_reply(result)
     if cache is not None and result.degradation_level == 0:
         cache.put(key, result, reply=reply)
@@ -327,6 +368,16 @@ def compile_job(
         seconds=time.perf_counter() - start,
         **reply,
     )
+
+
+def _compile_group(
+    model_name: str, configs: list[str], precision_name: str, cache_dir: str | None
+) -> list[CompileOutcome]:
+    """One design's missed jobs, in order, in one pool worker."""
+    return [
+        compile_job(model_name, config, precision_name, cache_dir)
+        for config in configs
+    ]
 
 
 def batch_compile(
@@ -349,11 +400,12 @@ def batch_compile(
         cache_dir: Shared cache directory; ``None`` disables caching
             (every job compiles).
         workers: Process count for the misses.  ``1`` compiles
-            in-process; higher values shard the misses over a pool,
-            clamped to their count, so a batch of hits uses one
-            process.  A pool that cannot be created falls back to
-            in-process compilation (reported via ``pool_unavailable``),
-            exactly like the DSE sweep.
+            in-process; higher values shard the misses over a pool by
+            model, one task per model with a miss, clamped to the count
+            of such models, so each worker characterises a design once
+            and a batch of hits uses one process.  A pool that cannot be
+            created falls back to in-process compilation (reported via
+            ``pool_unavailable``), exactly like the DSE sweep.
 
     Raises:
         repro.errors.ConfigError: On unknown configuration labels or
@@ -387,29 +439,37 @@ def batch_compile(
                 for model, config in jobs
             ]
         missed = [i for i, outcome in enumerate(outcomes) if outcome is None]
-        workers = min(workers, len(missed)) if missed else 1
-        compiled: list[CompileOutcome] | None = None
+        # Misses by model, in job order: one pool task per design.
+        groups: dict[str, list[int]] = {}
+        for i in missed:
+            groups.setdefault(jobs[i][0], []).append(i)
+        workers = min(workers, len(groups)) if groups else 1
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 
             preload_compiler()
             try:
                 with ProcessPoolExecutor(max_workers=workers) as pool:
-                    futures = [
-                        pool.submit(compile_job, *jobs[i], precision, cache_str)
-                        for i in missed
-                    ]
-                    compiled = [future.result() for future in futures]
+                    futures = {
+                        pool.submit(
+                            _compile_group,
+                            model,
+                            [jobs[i][1] for i in indices],
+                            precision,
+                            cache_str,
+                        ): indices
+                        for model, indices in groups.items()
+                    }
+                    for future, indices in futures.items():
+                        for i, outcome in zip(indices, future.result()):
+                            outcomes[i] = outcome
             except ReproError:
                 raise
             except (OSError, RuntimeError, PicklingError):
                 pool_unavailable = True
-        if compiled is None:
-            compiled = [
-                compile_job(*jobs[i], precision, cache_str) for i in missed
-            ]
-        for i, outcome in zip(missed, compiled):
-            outcomes[i] = outcome
+        for i in missed:
+            if outcomes[i] is None:
+                outcomes[i] = compile_job(*jobs[i], precision, cache_str)
         report = BatchReport(
             outcomes=outcomes,
             seconds=time.perf_counter() - start,

@@ -58,6 +58,19 @@ class InterferenceGraph:
             active.append((tensor.live_range.end, tensor.name))
         return graph
 
+    def copy(self) -> "InterferenceGraph":
+        """An independent graph with the same tensors and edges.
+
+        The candidate tensors are shared; the adjacency and false-edge
+        sets are not, so false edges added to the copy leave this graph
+        as it is.
+        """
+        return InterferenceGraph(
+            tensors=dict(self.tensors),
+            _adjacency={name: set(adj) for name, adj in self._adjacency.items()},
+            _false_edges=set(self._false_edges),
+        )
+
     def add_false_edge(self, a: str, b: str) -> None:
         """Insert a false lifespan-overlap edge (buffer splitting, Sec. 3.4).
 

@@ -52,6 +52,7 @@ from repro.lcmm.passes.core import CompilationContext, Pass, register_pass
 from repro.lcmm.prefetch import PrefetchResult, weight_prefetch_pass
 from repro.lcmm.splitting import buffer_splitting_pass, combine_buffers
 from repro.perf.engine import AllocationEngine
+from repro.perf.latency import LatencyModel
 from repro.sim import Timeline, demand_bytes, simulate
 
 
@@ -220,15 +221,28 @@ def evaluate_allocation(
 # ---------------------------------------------------------------------------
 
 
+def _feature_reuse(model: LatencyModel) -> FeatureReuseResult:
+    return feature_reuse_pass(model.graph, model)
+
+
+def _weight_prefetch(model: LatencyModel) -> PrefetchResult:
+    return weight_prefetch_pass(model.graph, model)
+
+
 @register_pass
 class FeatureReusePass(Pass):
-    """Feature buffer reuse: liveness, interference, colouring (Sec. 3.1)."""
+    """Feature buffer reuse: liveness, interference, colouring (Sec. 3.1).
+
+    The result depends only on the (graph, design) of the model, so it is
+    built once per model (:meth:`LatencyModel.derived`) and shared by
+    every compile of that model; no pass edits it once published.
+    """
 
     name = "feature_reuse"
     produces = ("feature",)
 
     def run(self, ctx: CompilationContext) -> None:
-        result = feature_reuse_pass(ctx.graph, ctx.model)
+        result = ctx.model.derived(_feature_reuse)
         ctx.put("feature", result)
         ctx.diagnose(
             self.name,
@@ -242,13 +256,16 @@ class FeatureReusePass(Pass):
 
 @register_pass
 class WeightPrefetchPass(Pass):
-    """Weight prefetching: PDG back-trace and buffer colouring (Sec. 3.2)."""
+    """Weight prefetching: PDG back-trace and buffer colouring (Sec. 3.2).
+
+    Built once per model and shared, like :class:`FeatureReusePass`.
+    """
 
     name = "weight_prefetch"
     produces = ("prefetch",)
 
     def run(self, ctx: CompilationContext) -> None:
-        result = weight_prefetch_pass(ctx.graph, ctx.model)
+        result = ctx.model.derived(_weight_prefetch)
         ctx.put("prefetch", result)
         hidden = sum(1 for e in result.edges.values() if e.fully_hidden)
         ctx.diagnose(
@@ -372,12 +389,26 @@ class SplittingAllocatePass(_AllocateBase):
                 splitting_iterations=outcome.iterations,
             ),
         )
-        # The splitting loop may have added false edges; republish the
-        # per-technique results with the loop's colourings of the final
-        # graphs.  New objects, not field patches — pass results stay
-        # immutable once published.
-        ctx.put("feature", replace(feature, buffers=outcome.feature_buffers))
-        ctx.put("prefetch", replace(prefetch, buffers=outcome.weight_buffers))
+        # The splitting loop may have added false edges to its copies of
+        # the graphs; republish the per-technique results with the final
+        # graphs and their colourings.  New objects, not field patches —
+        # pass results stay immutable once published.
+        ctx.put(
+            "feature",
+            replace(
+                feature,
+                interference=outcome.feature_graph,
+                buffers=outcome.feature_buffers,
+            ),
+        )
+        ctx.put(
+            "prefetch",
+            replace(
+                prefetch,
+                interference=outcome.weight_graph,
+                buffers=outcome.weight_buffers,
+            ),
+        )
         for attempt in outcome.attempts:
             if attempt.accepted:
                 ctx.diagnose(

@@ -9,6 +9,11 @@ re-colour and re-run DNNK.  Each iteration targets the largest spilled
 multi-tensor buffer and splits its size-defining tensor away from the
 buffer-mate with the most latency to recover; the iteration is kept only
 if the exact end-to-end latency improves.
+
+The false edges go into copies of the interference graphs, which the
+outcome carries: the feature-reuse and weight-prefetch results the
+graphs came from stay as published, so every compile of one design can
+share them.
 """
 
 from __future__ import annotations
@@ -57,11 +62,13 @@ class SplittingOutcome:
         false_edges: False edges inserted across both interference graphs.
         attempts: Every split trialled, accepted or not, in order —
             the raw material for pipeline diagnostics.
-        feature_buffers: Colouring of the feature graph in its final
-            state, every false edge included (a rejected last split's
-            edge stays in the graph, so this can differ from the
-            colouring behind ``buffers``).
-        weight_buffers: Likewise for the weight graph.
+        feature_graph: The pass's copy of the feature interference
+            graph in its final state, every false edge included (a
+            rejected last split's edge stays in the graph).
+        weight_graph: Likewise for the weight graph.
+        feature_buffers: Colouring of ``feature_graph`` (so it can differ
+            from the colouring behind ``buffers``).
+        weight_buffers: Colouring of ``weight_graph``.
     """
 
     buffers: list[VirtualBuffer]
@@ -70,6 +77,8 @@ class SplittingOutcome:
     iterations: int
     false_edges: int
     attempts: tuple[SplitAttempt, ...] = ()
+    feature_graph: InterferenceGraph = field(default_factory=InterferenceGraph)
+    weight_graph: InterferenceGraph = field(default_factory=InterferenceGraph)
     feature_buffers: list[VirtualBuffer] = field(default_factory=list)
     weight_buffers: list[VirtualBuffer] = field(default_factory=list)
 
@@ -114,8 +123,8 @@ def buffer_splitting_pass(
     """Iteratively split misspilled buffers while latency improves.
 
     Args:
-        feature_graph: Feature tensor interference graph (mutated by the
-            false edges this pass inserts).
+        feature_graph: Feature tensor interference graph.  Left as it
+            is: the false edges go into a copy, returned in the outcome.
         weight_graph: Weight tensor interference graph (likewise).
         model: Latency model.
         capacity_bytes: On-chip memory available to tensor buffers.
@@ -127,10 +136,12 @@ def buffer_splitting_pass(
 
     Returns:
         The best configuration seen (the initial one if no split helps)
-        after at most :data:`DEFAULT_MAX_ITERATIONS` false edges.
+        after at most :data:`DEFAULT_MAX_ITERATIONS` false edges, with
+        the final graphs and their colourings.
     """
 
     engine = engine or AllocationEngine(model)
+    feature_graph, weight_graph = feature_graph.copy(), weight_graph.copy()
     # Each graph's latest colouring.  A false edge changes one graph and
     # colouring is deterministic, so only that graph is recoloured.
     feature_buffers = color_buffers(feature_graph)
@@ -187,6 +198,8 @@ def buffer_splitting_pass(
     return replace(
         best,
         attempts=tuple(attempts),
+        feature_graph=feature_graph,
+        weight_graph=weight_graph,
         feature_buffers=feature_buffers,
         weight_buffers=weight_buffers,
     )

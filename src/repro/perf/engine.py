@@ -101,13 +101,83 @@ class EngineStats:
             timer.observe(seconds, **dict(labels, pass_name=pass_name))
 
 
+class EngineTables:
+    """The immutable flattening of one :class:`LatencyModel`.
+
+    Node and tensor interning, the per-node slot arrays and the
+    all-off-chip per-kind sums and node latencies depend only on the
+    model, so every :class:`AllocationEngine` of one model shares one
+    instance through :meth:`LatencyModel.derived` and allocates only its
+    mutable state.  The all-off-chip sums accumulate each node's slots
+    in their original order, exactly as
+    :meth:`AllocationEngine._recompute_node` does with nothing resident.
+    """
+
+    def __init__(self, model: LatencyModel) -> None:
+        schedule = model.nodes()
+        self.node_names: list[str] = list(schedule)
+        self.node_index: dict[str, int] = {n: i for i, n in enumerate(schedule)}
+        self.compute: list[float] = []
+        self.slot_kinds: list[tuple[int, ...]] = []
+        self.slot_tids: list[tuple[int, ...]] = []
+        self.slot_lats: list[tuple[float, ...]] = []
+        self.tensor_index: dict[str, int] = {}
+        tensor_nodes: list[list[int]] = []
+        base_sums: list[tuple[float, float, float]] = []
+        base_lat: list[float] = []
+
+        for ni, name in enumerate(schedule):
+            ll = model.layer(name)
+            kinds: list[int] = []
+            tids: list[int] = []
+            lats: list[float] = []
+            sums = [0.0, 0.0, 0.0]
+            for slot in ll.slots:
+                tid = self.tensor_index.setdefault(slot.tensor, len(tensor_nodes))
+                if tid == len(tensor_nodes):
+                    tensor_nodes.append([])
+                if not tensor_nodes[tid] or tensor_nodes[tid][-1] != ni:
+                    tensor_nodes[tid].append(ni)
+                kind = KIND_INDEX[slot.kind]
+                kinds.append(kind)
+                tids.append(tid)
+                lats.append(slot.latency)
+                sums[kind] += slot.latency
+            self.compute.append(ll.compute)
+            self.slot_kinds.append(tuple(kinds))
+            self.slot_tids.append(tuple(tids))
+            self.slot_lats.append(tuple(lats))
+            base_sums.append((sums[0], sums[1], sums[2]))
+            base_lat.append(max(ll.compute, sums[0], sums[1], sums[2]))
+
+        self.tensor_nodes: list[tuple[int, ...]] = [tuple(ns) for ns in tensor_nodes]
+        #: All-off-chip per-kind interface sums per node.
+        self.base_sums: tuple[tuple[float, float, float], ...] = tuple(base_sums)
+        #: All-off-chip node latencies (the UMM decomposition).
+        self.base_node_lat: tuple[float, ...] = tuple(base_lat)
+        self._charged = False
+
+    def charge(self, stats: EngineStats) -> None:
+        """Count this build's node walks once, against the first engine's stats.
+
+        Later engines of the same model walk nothing at construction, so
+        they count nothing: ``node_evaluations`` and ``full_rescores``
+        stay a count of walks actually made.
+        """
+        if not self._charged:
+            self._charged = True
+            stats.node_evaluations += len(self.node_names)
+            stats.full_rescores += 1
+
+
 class AllocationEngine:
     """Flattened, incrementally-updated view of a :class:`LatencyModel`.
 
     The engine interns every tensor value that appears in a slot, flattens
     each node's decomposition into parallel ``(kind, tensor-id, latency)``
     arrays, and keeps the tensor -> nodes adjacency so a state change only
-    revisits the nodes it can affect.  Mutable state per tensor mirrors
+    revisits the nodes it can affect.  Those tables are the model's
+    shared :class:`EngineTables`.  Mutable state per tensor mirrors
     the three allocation inputs of ``LatencyModel.total_latency``: fully
     resident (``onchip``), resident with an unhidden prefetch residual,
     and fractionally pinned.
@@ -121,38 +191,19 @@ class AllocationEngine:
         self.model = model
         self.stats = stats if stats is not None else EngineStats()
 
-        schedule = model.nodes()
-        self.node_names: list[str] = list(schedule)
-        self.node_index: dict[str, int] = {n: i for i, n in enumerate(schedule)}
-        self.compute: list[float] = []
-        self.slot_kinds: list[tuple[int, ...]] = []
-        self.slot_tids: list[tuple[int, ...]] = []
-        self.slot_lats: list[tuple[float, ...]] = []
-        self.tensor_index: dict[str, int] = {}
-        tensor_nodes: list[list[int]] = []
-
-        for ni, name in enumerate(schedule):
-            ll = model.layer(name)
-            self.compute.append(ll.compute)
-            kinds: list[int] = []
-            tids: list[int] = []
-            lats: list[float] = []
-            for slot in ll.slots:
-                tid = self.tensor_index.setdefault(slot.tensor, len(tensor_nodes))
-                if tid == len(tensor_nodes):
-                    tensor_nodes.append([])
-                if not tensor_nodes[tid] or tensor_nodes[tid][-1] != ni:
-                    tensor_nodes[tid].append(ni)
-                kinds.append(KIND_INDEX[slot.kind])
-                tids.append(tid)
-                lats.append(slot.latency)
-            self.slot_kinds.append(tuple(kinds))
-            self.slot_tids.append(tuple(tids))
-            self.slot_lats.append(tuple(lats))
-
-        self.tensor_nodes: list[tuple[int, ...]] = [tuple(ns) for ns in tensor_nodes]
+        tables = model.derived(EngineTables)
+        tables.charge(self.stats)
+        self.node_names = tables.node_names
+        self.node_index = tables.node_index
+        self.compute = tables.compute
+        self.slot_kinds = tables.slot_kinds
+        self.slot_tids = tables.slot_tids
+        self.slot_lats = tables.slot_lats
+        self.tensor_index = tables.tensor_index
+        self.tensor_nodes = tables.tensor_nodes
+        #: Immutable all-off-chip node latencies (the UMM decomposition).
+        self.base_node_lat = tables.base_node_lat
         n_tensors = len(self.tensor_nodes)
-        n_nodes = len(schedule)
 
         # Mutable allocation state per interned tensor.
         self._resident = bytearray(n_tensors)
@@ -163,13 +214,8 @@ class AllocationEngine:
         self._dirty: set[int] = set()
 
         # Cached per-node results under the current state.
-        self._node_lat = [0.0] * n_nodes
-        self._node_sums: list[tuple[float, float, float]] = [(0.0, 0.0, 0.0)] * n_nodes
-        for ni in range(n_nodes):
-            self._recompute_node(ni)
-        #: Immutable all-off-chip node latencies (the UMM decomposition).
-        self.base_node_lat: tuple[float, ...] = tuple(self._node_lat)
-        self.stats.full_rescores += 1
+        self._node_lat = list(tables.base_node_lat)
+        self._node_sums = list(tables.base_sums)
 
         self._undo_stack: list[tuple[list, list]] = []
 

@@ -58,6 +58,9 @@ from repro.perf.tiling import TileConfig
 
 T = TypeVar("T")
 
+#: The three interface kinds, in the order Eq. 1's max considers them.
+_KINDS = (TensorKind.IFMAP, TensorKind.WEIGHT, TensorKind.OFMAP)
+
 
 @dataclass(frozen=True)
 class Slot:
@@ -132,11 +135,12 @@ class LayerLatency:
         fractions: dict[str, float] | None = None,
     ) -> float:
         """Effective node latency under an on-chip allocation (Eq. 1)."""
+        ifmap, weight, ofmap = _KINDS
         return max(
             self.compute,
-            self.slot_latency(TensorKind.IFMAP, onchip, residuals, fractions),
-            self.slot_latency(TensorKind.WEIGHT, onchip, residuals, fractions),
-            self.slot_latency(TensorKind.OFMAP, onchip, residuals, fractions),
+            self.slot_latency(ifmap, onchip, residuals, fractions),
+            self.slot_latency(weight, onchip, residuals, fractions),
+            self.slot_latency(ofmap, onchip, residuals, fractions),
         )
 
     @property
@@ -147,8 +151,7 @@ class LayerLatency:
     @property
     def worst_transfer(self) -> float:
         """Largest per-interface transfer latency with everything off-chip."""
-        kinds = (TensorKind.IFMAP, TensorKind.WEIGHT, TensorKind.OFMAP)
-        return max(self.slot_latency(k) for k in kinds)
+        return max(self.slot_latency(k) for k in _KINDS)
 
     @property
     def is_memory_bound(self) -> bool:

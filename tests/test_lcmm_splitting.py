@@ -178,13 +178,16 @@ class TestRecolouring:
         for module in (feature_reuse, prefetch, splitting, standard):
             monkeypatch.setattr(module, "color_buffers", spy, raising=False)
 
+        # The loop adds its false edges to its own copies of the graphs.
         graphs = []
-        real_split = splitting.buffer_splitting_pass
+        real_copy = InterferenceGraph.copy
 
-        def split(feature_graph, weight_graph, *args, **kwargs):
-            graphs.extend((feature_graph, weight_graph))
-            return real_split(feature_graph, weight_graph, *args, **kwargs)
+        def copy(graph):
+            clone = real_copy(graph)
+            graphs.append(clone)
+            return clone
 
+        monkeypatch.setattr(InterferenceGraph, "copy", copy)
         allocations = []
         real_allocate = splitting.dnnk_allocate
 
@@ -194,7 +197,6 @@ class TestRecolouring:
             allocations.append(buffers)
             return real_allocate(buffers, *args, **kwargs)
 
-        monkeypatch.setattr(standard, "buffer_splitting_pass", split)
         monkeypatch.setattr(splitting, "dnnk_allocate", allocate)
 
         result = run_lcmm(
@@ -215,5 +217,7 @@ class TestRecolouring:
         assert len(calls) == 2 + 2 + len(attempts)
         # The republished buffers colour the graphs in their final state.
         feature, weights = result.feature_result, result.prefetch_result
+        assert feature.interference is graphs[0]
+        assert weights.interference is graphs[1]
         assert feature.buffers == color_buffers(feature.interference)
         assert weights.buffers == color_buffers(weights.interference)

@@ -1,0 +1,212 @@
+"""Every compile of one design shares its latency model and analyses.
+
+The feature-reuse and weight-prefetch results and the engine tables are
+memoised on the :class:`~repro.perf.latency.LatencyModel`, and
+:mod:`repro.cache.batch` keeps one model per (model, precision) per
+process.  Sharing is sound only while no pass edits an artifact it did
+not create: these tests pin that the splitting pass leaves its inputs
+alone, and that shared compiles equal fresh ones in any order.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+from collections import OrderedDict
+from pathlib import Path
+
+import pytest
+
+from repro.analysis.reference import model_reference_design
+from repro.cache import batch
+from repro.cache.batch import (
+    FUSED_CONFIGS,
+    STANDARD_CONFIGS,
+    batch_compile,
+    compile_job,
+    standard_options,
+)
+from repro.fingerprint import fingerprint
+from repro.hw.precision import INT8, precision_by_name
+from repro.lcmm.feature_reuse import feature_reuse_pass
+from repro.lcmm.framework import LCMMOptions, run_lcmm, umm_only_result
+from repro.lcmm.passes import CompilationContext
+from repro.lcmm.passes.standard import evaluate_allocation
+from repro.lcmm.prefetch import weight_prefetch_pass
+from repro.lcmm.splitting import buffer_splitting_pass
+from repro.lcmm.validate import validate_buffers
+from repro.models.zoo import get_model, list_models
+from repro.perf.engine import AllocationEngine
+from repro.perf.latency import LatencyModel
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+def _googlenet_int8():
+    return get_model("googlenet"), model_reference_design("googlenet", INT8, "lcmm")
+
+
+class TestSplittingLeavesItsInputs:
+    def test_input_graphs_keep_no_false_edges(self):
+        graph, accel = _googlenet_int8()
+        ctx = CompilationContext.create(graph, accel)
+        model, engine = ctx.model, ctx.engine
+        feature = feature_reuse_pass(graph, model)
+        prefetch = weight_prefetch_pass(graph, model)
+        edges = (feature.interference.edge_count(), prefetch.interference.edge_count())
+
+        outcome = buffer_splitting_pass(
+            feature.interference,
+            prefetch.interference,
+            model,
+            ctx.capacity,
+            lambda onchip: evaluate_allocation(prefetch, onchip, engine)[1],
+            engine=engine,
+        )
+
+        assert not feature.interference.false_edges()
+        assert not prefetch.interference.false_edges()
+        assert (
+            feature.interference.edge_count(),
+            prefetch.interference.edge_count(),
+        ) == edges
+        added = outcome.feature_graph.false_edges() | outcome.weight_graph.false_edges()
+        assert added
+        assert (
+            outcome.feature_graph.edge_count() + outcome.weight_graph.edge_count()
+            == sum(edges) + len(added)
+        )
+
+    def test_published_results_hold_the_edges(self):
+        graph, accel = _googlenet_int8()
+        model = LatencyModel(graph, accel)
+        result = run_lcmm(graph, accel, options=LCMMOptions(), model=model, fallback=False)
+        published = (
+            result.feature_result.interference.false_edges()
+            | result.prefetch_result.interference.false_edges()
+        )
+        assert published
+        validate_buffers(result)
+        # The next compile of this model starts from the unsplit analyses.
+        again = run_lcmm(
+            graph, accel, options=LCMMOptions(splitting=False), model=model
+        )
+        assert not again.feature_result.interference.false_edges()
+        assert not again.prefetch_result.interference.false_edges()
+
+
+class TestModelSharing:
+    def test_compiles_of_one_model_share_the_analyses(self):
+        graph, accel = _googlenet_int8()
+        model = LatencyModel(graph, accel)
+        dnnk = run_lcmm(graph, accel, options=LCMMOptions(splitting=False), model=model)
+        greedy = run_lcmm(
+            graph, accel, options=LCMMOptions(use_greedy=True, splitting=False),
+            model=model,
+        )
+        assert greedy.feature_result is dnnk.feature_result
+        assert greedy.prefetch_result is dnnk.prefetch_result
+
+    def test_engines_share_the_model_tables(self):
+        graph, accel = _googlenet_int8()
+        model = LatencyModel(graph, accel)
+        first, second = AllocationEngine(model), AllocationEngine(model)
+        assert second.base_node_lat is first.base_node_lat
+        assert second.total() == first.total() == model.umm_latency()
+        # Only the engine that built the tables walked the nodes.
+        assert first.stats.full_rescores == 1
+        assert first.stats.node_evaluations == len(model.nodes())
+        assert second.stats.full_rescores == 0
+        assert second.stats.node_evaluations == 0
+        # Allocation state stays per engine.
+        assert first.apply(add=list(first.tensor_index)) < 0.0
+        assert second.total() == model.umm_latency()
+
+
+def _golden(model_name: str, config: str) -> dict:
+    stem = f"{model_name}.fused" if config in FUSED_CONFIGS else model_name
+    return json.loads((GOLDEN_DIR / f"{stem}.json").read_text())[config]
+
+
+SHARED_DESIGNS = [(name, "int8") for name in list_models()] + [
+    (name, "int16") for name in ("googlenet", "resnet50", "bert_base")
+]
+
+
+@pytest.mark.parametrize("model_name, precision", SHARED_DESIGNS)
+def test_shared_model_matches_fresh_compiles(model_name, precision):
+    """Six configs on one model, in two shuffled orders, equal fresh compiles."""
+    graph = get_model(model_name)
+    accel = model_reference_design(model_name, precision_by_name(precision), "lcmm")
+
+    def compile_config(config: str, model: LatencyModel) -> dict:
+        options = standard_options(config)
+        if options is None:
+            return fingerprint(umm_only_result(graph, accel, model=model))
+        return fingerprint(run_lcmm(graph, accel, options=options, model=model))
+
+    fresh = {
+        config: compile_config(config, LatencyModel(graph, accel))
+        for config in STANDARD_CONFIGS
+    }
+    if precision == "int8":
+        assert fresh == {config: _golden(model_name, config) for config in fresh}
+    for seed in (0, 1):
+        order = list(STANDARD_CONFIGS)
+        random.Random(seed).shuffle(order)
+        model = LatencyModel(graph, accel)
+        shared = {config: compile_config(config, model) for config in order}
+        assert shared == fresh, order
+
+
+class TestBatchModelMemo:
+    def test_pooled_batch_matches_in_process(self, tmp_path):
+        """Grouped pool tasks answer in job order, partial misses included."""
+        models = ["squeezenet", "alexnet"]
+        # Leaves squeezenet's misses non-contiguous in job order.
+        stored = {("squeezenet", "dnnk"), ("squeezenet", "fused"), ("alexnet", "umm")}
+        reports = {}
+        for workers in (1, 2):
+            cache_dir = tmp_path / f"w{workers}"
+            for model_name, config in sorted(stored):
+                compile_job(model_name, config, "int8", str(cache_dir))
+            reports[workers] = batch_compile(
+                models=models, cache_dir=cache_dir, workers=workers
+            )
+
+        def rows(report):
+            return [
+                (
+                    o.model, o.config, o.compile_key, o.cache_hit, o.latency,
+                    o.degradation_level, o.degradation_path, o.fingerprint,
+                )
+                for o in report.outcomes
+            ]
+
+        pooled, serial = reports[2], reports[1]
+        assert pooled.workers == 2
+        assert rows(pooled) == rows(serial)
+        assert [o.cache_hit for o in pooled.outcomes] == [
+            (m, c) in stored for m in models for c in STANDARD_CONFIGS
+        ]
+        assert pooled.verify_golden(GOLDEN_DIR) == []
+
+    def test_model_memo_stays_bounded(self, monkeypatch):
+        monkeypatch.setattr(batch, "_MODEL_MEMO", OrderedDict())
+        designs = [(name, "int8") for name in list_models()[: batch._MODEL_LRU + 2]]
+        for name, precision in designs:
+            compile_job(name, "umm", precision, None)
+        assert list(batch._MODEL_MEMO) == designs[-batch._MODEL_LRU :]
+
+    def test_one_model_per_design(self, monkeypatch):
+        monkeypatch.setattr(batch, "_MODEL_MEMO", OrderedDict())
+        batch_compile(models=["alexnet"], configs=["umm", "dnnk", "splitting"])
+        assert list(batch._MODEL_MEMO) == [("alexnet", "int8")]
+
+    def test_hits_build_no_model(self, tmp_path, monkeypatch):
+        configs = ["umm", "dnnk"]
+        batch_compile(models=["alexnet"], configs=configs, cache_dir=tmp_path)
+        monkeypatch.setattr(batch, "_MODEL_MEMO", OrderedDict())
+        warm = batch_compile(models=["alexnet"], configs=configs, cache_dir=tmp_path)
+        assert warm.all_hits
+        assert not batch._MODEL_MEMO
