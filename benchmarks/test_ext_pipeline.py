@@ -13,7 +13,7 @@ from repro.analysis.experiments import reference_design
 from repro.analysis.report import format_table
 from repro.hw.precision import INT16
 from repro.models import get_model
-from repro.perf.pipeline import design_pipeline
+from repro.perf.partition import ON_CHIP, design_partition
 
 from conftest import attach
 
@@ -23,7 +23,7 @@ DEPTHS = (1, 2, 4)
 def run_depths():
     graph = get_model("resnet152")
     base = reference_design("resnet152", INT16, "lcmm")
-    return {k: design_pipeline(graph, base, k) for k in DEPTHS}
+    return {k: design_partition(graph, base, k, link=ON_CHIP) for k in DEPTHS}
 
 
 def test_pipeline(benchmark):

@@ -38,10 +38,10 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "repro.perf.partition": (
             "DieStage",
             "InterDieLink",
+            "ON_CHIP",
             "PartitionResult",
             "design_partition",
             "partition_batched_latency",
         ),
-        "repro.perf.pipeline": ("PipelineResult", "PipelineStage", "design_pipeline"),
     },
 )

@@ -67,6 +67,57 @@ def persistent_weight_tensors(result: LCMMResult) -> frozenset[str]:
     return frozenset(persistent)
 
 
+def first_and_steady_latency(
+    model: LatencyModel,
+    result: LCMMResult,
+    streamed: frozenset[str] = frozenset(),
+) -> tuple[float, float]:
+    """(first-image, steady-state) latency of one compile.
+
+    The first image pays every prefetch residual and is never slower
+    than the compile's own latency (under ``transfer_schedule`` that is
+    the DDR-timeline makespan, below the Eq. 1 sum).  In steady state
+    only the recurring residuals remain, and an image is never slower
+    than the first.
+
+    Args:
+        model: The latency model the allocation was computed on.
+        result: The allocation to run under.
+        streamed: Tensors that count as on chip on top of the
+            allocation's (stage-boundary tensors streamed on chip).
+    """
+    onchip = result.onchip_tensors | streamed
+    fractions = result.fractions or None
+    persistent = persistent_weight_tensors(result)
+    recurring = {
+        name: value
+        for name, value in result.residuals.items()
+        if name not in persistent
+    }
+    first = min(
+        result.latency, model.total_latency(onchip, result.residuals, fractions)
+    )
+    steady = min(first, model.total_latency(onchip, recurring, fractions))
+    return first, steady
+
+
+def batch_profile(first: float, steady: float, batch: int) -> BatchResult:
+    """A batch whose first image takes ``first`` and every later one
+    ``steady``.
+
+    Raises:
+        ValueError: If ``batch`` is not positive.
+    """
+    if batch < 1:
+        raise ValueError(f"batch must be at least 1, got {batch}")
+    return BatchResult(
+        first_image_latency=first,
+        steady_image_latency=steady,
+        batch=batch,
+        total_latency=first + (batch - 1) * steady,
+    )
+
+
 def batched_latency(
     model: LatencyModel,
     result: LCMMResult,
@@ -82,21 +133,4 @@ def batched_latency(
     Raises:
         ValueError: If ``batch`` is not positive.
     """
-    if batch < 1:
-        raise ValueError(f"batch must be at least 1, got {batch}")
-
-    persistent = persistent_weight_tensors(result)
-    recurring_residuals = {
-        name: value
-        for name, value in result.residuals.items()
-        if name not in persistent
-    }
-    first = model.total_latency(result.onchip_tensors, result.residuals)
-    steady = model.total_latency(result.onchip_tensors, recurring_residuals)
-    total = first + (batch - 1) * steady
-    return BatchResult(
-        first_image_latency=first,
-        steady_image_latency=steady,
-        batch=batch,
-        total_latency=total,
-    )
+    return batch_profile(*first_and_steady_latency(model, result), batch)

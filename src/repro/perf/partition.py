@@ -1,54 +1,56 @@
-"""Multi-die layer-pipelined partitioning with an inter-die link model.
+"""Layer-pipelined partitioning: one stage designer, two die models.
 
-ROADMAP item 5 — the scale-out axis.  The network is partitioned into
-``k`` contiguous stages, one per FPGA **die**, arranged as a linear
-daisy-chain pipeline (AutoWS's deployment model for weight-streamed
-transformers; TGPA's for heterogeneous CNN stages):
+The network's schedule is split into ``k`` contiguous stages arranged
+as a linear pipeline.  The ``link`` argument of :func:`design_partition`
+chooses what a stage runs on:
 
-* every die is a *whole* device: it keeps its own SRAM budget, its own
-  DDR channels and (by default) the full systolic array of the base
-  design point — compute and memory genuinely scale with the die count,
-  unlike the single-chip fabric-division of :mod:`repro.perf.pipeline`;
-* stage-boundary feature tensors are **not free**: they cross the
-  inter-die link at a configurable per-link bandwidth.  A tensor
-  consumed two stages downstream physically traverses every link in
-  between (store-and-forward on the chain), so each cut's traffic is the
-  classic edge-cut of the dataflow graph at that schedule position;
-* per-die LCMM runs on a **stage subgraph** containing only the stage's
-  own nodes (boundary inputs become proxy input layers), so a die can
-  only spend its SRAM on tensors its own nodes live with — the
-  whole-graph over-approximation of the single-chip sketch cannot
-  happen by construction;
-* stage boundaries are chosen by a dynamic program over true per-stage
-  costs *including* link time: ``cost(i, j) = max(sum of node
-  latencies, receive time at cut i, send time at cut j)`` — the Eq.-1
-  ``max(compute, transfer)`` shape lifted to the stage level, since the
-  link streams while the die computes;
-* steady-state batch throughput integrates with
-  :mod:`repro.perf.batching`: persistent per-die weight buffers pay
-  their prefetch once, so the pipeline period is the slowest stage's
-  *steady* latency including its link time.
+* an :class:`InterDieLink` — each stage on a *whole* FPGA die of a
+  daisy chain (AutoWS's deployment model; TGPA's for heterogeneous CNN
+  stages), with its own SRAM, DDR channels and full array.  Boundary
+  feature tensors cross the link, store-and-forward, so a tensor read
+  two stages downstream pays every link in between;
+* :data:`ON_CHIP` — the stages share **one** device (TGPA's intra-FPGA
+  heterogeneity, which the paper's conclusion names as future work):
+  each stage gets a sub-array tuned to its layers within ``1/k`` of the
+  MACs (:func:`tune_stage_array`) and ``1/k`` of the SRAM, and boundary
+  tensors stream on chip for free;
+* ``None`` — the link model is off: the single-die compilation, not a
+  fabricated free-streaming speedup.
 
-Degradation: the requested die count clamps to ``[1, min(8, layers)]``;
-with the link model off (``link=None``) or when the partitioned design
-does not beat the single-die baseline, the result falls back to the
-single-die compilation (accept-if-improves, the PR-9 pass idiom).
+Either way LCMM runs per stage on a **stage subgraph** (boundary inputs
+become proxy input layers), so a stage spends its SRAM only on its own
+tensors.  Stage boundaries come from one DP over ``cost(i, j) = max(sum
+of node latencies, receive time at cut i, send time at cut j)`` — the
+Eq.-1 ``max(compute, transfer)`` shape at stage level.  Stage timing is
+:func:`repro.perf.batching.first_and_steady_latency`, so the period is
+the slowest stage's *steady* latency including its link time.
+
+Degradation: the stage count clamps to ``[1, min(8, layers)]`` and one
+stage is the plain single-die compilation.  Whole dies add hardware, so
+a partition that does not beat the single die falls back to it
+(accept-if-improves, the PR-9 pass idiom); an on-chip split reuses the
+same hardware, so its trade-off is reported as is.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
 
 from repro.ir.graph import ComputationGraph
 from repro.ir.layer import InputLayer, OpType
-from repro.ir.tensor import feature_tensor_name
 from repro.lcmm.framework import LCMMOptions, LCMMResult, run_lcmm
-from repro.perf.batching import BatchResult, persistent_weight_tensors
+from repro.perf.batching import (
+    BatchResult,
+    batch_profile,
+    first_and_steady_latency,
+)
 from repro.perf.latency import LatencyModel
-from repro.perf.systolic import AcceleratorConfig
+from repro.perf.systolic import AcceleratorConfig, SystolicArray
 
 __all__ = [
     "MAX_DEVICES",
+    "ON_CHIP",
     "InterDieLink",
     "DieStage",
     "PartitionResult",
@@ -57,6 +59,7 @@ __all__ = [
     "partition_batched_latency",
     "stage_subgraph",
     "throughput_balanced_cuts",
+    "tune_stage_array",
 ]
 
 #: Hard ceiling on the pipeline depth — the largest multi-FPGA chain the
@@ -94,6 +97,13 @@ class InterDieLink:
         if num_bytes <= 0:
             return 0.0
         return num_bytes / self.bytes_per_second
+
+
+#: The die model of one device split into fabric stages: boundary
+#: tensors stream between stages on chip, so every cut costs nothing.
+#: Pass it as ``link`` to :func:`design_partition`; it is recognised by
+#: identity, so an equal link built elsewhere still means whole dies.
+ON_CHIP = InterDieLink(gbps=math.inf)
 
 
 def cut_traffic_bytes(graph: ComputationGraph, element_bytes: int) -> list[int]:
@@ -254,21 +264,110 @@ def stage_subgraph(
     return sub
 
 
+def _stage_array(base: SystolicArray, k: int) -> SystolicArray:
+    """Divide the array between ``k`` stages along the column dimension."""
+    cols = max(1, base.cols // k)
+    return SystolicArray(rows=base.rows, cols=cols, simd=base.simd)
+
+
+def _clamp_to_budget(array: SystolicArray, mac_budget: int) -> SystolicArray:
+    """Shrink an array until it fits a per-stage MAC budget.
+
+    Halves the cheapest dimension first (columns, then SIMD, then rows)
+    so the shape degrades the way :func:`_stage_array` grows it.  The
+    1x1x1 array always fits any positive budget.
+    """
+    rows, cols, simd = array.rows, array.cols, array.simd
+    while rows * cols * simd > mac_budget:
+        if cols > 1:
+            cols //= 2
+        elif simd > 1:
+            simd //= 2
+        elif rows > 1:
+            rows //= 2
+        else:
+            break
+    return SystolicArray(rows=rows, cols=cols, simd=simd)
+
+
+#: Candidate dimensions for per-stage array tuning.
+_ROW_CANDIDATES = (8, 16, 32, 64)
+_COL_CANDIDATES = (1, 2, 4, 8, 16)
+_SIMD_CANDIDATES = (2, 4, 8, 11, 16)
+
+
+def tune_stage_array(
+    graph: ComputationGraph,
+    nodes: list[str],
+    mac_budget: int,
+    fallback: SystolicArray,
+) -> SystolicArray:
+    """Pick the array shape that minimises a stage's compute cycles.
+
+    This is the heterogeneity of TGPA [17]: each stage's array matches
+    *its* layers' channel geometry, cutting the padding waste a uniform
+    array pays on mismatched layers.
+
+    Args:
+        graph: The network.
+        nodes: The stage's executed nodes.
+        mac_budget: Maximum MAC units the stage's array may use.
+        fallback: Shape to fall back on if nothing fits the budget.  The
+            fallback is clamped to ``mac_budget`` too — the uniform
+            split divides only the column dimension, so ``rows * simd``
+            alone can exceed a deep pipeline's per-stage share, and an
+            unclamped fallback would overcommit the device's DSPs.
+    """
+    fallback = _clamp_to_budget(fallback, max(1, mac_budget))
+    jobs = []
+    for name in nodes:
+        layer = graph.layer(name)
+        if not layer.has_weights:
+            continue
+        out = graph.output_shape(name)
+        in_channels = getattr(layer, "in_channels", 0) or getattr(
+            layer, "in_features", 0
+        ) or out.channels
+        jobs.append((layer.macs(graph.input_shapes(name)), out.channels, in_channels))
+    if not jobs:
+        return fallback
+
+    best: SystolicArray | None = None
+    best_cycles = float("inf")
+    for rows in _ROW_CANDIDATES:
+        for cols in _COL_CANDIDATES:
+            for simd in _SIMD_CANDIDATES:
+                if rows * cols * simd > mac_budget:
+                    continue
+                array = SystolicArray(rows=rows, cols=cols, simd=simd)
+                cycles = sum(
+                    macs / array.effective_macs(m, c) for macs, m, c in jobs
+                )
+                if cycles < best_cycles:
+                    best_cycles = cycles
+                    best = array
+    if best is None:
+        return fallback
+    return best
+
 @dataclass
 class DieStage:
-    """One die of the partitioned pipeline.
+    """One stage of the partitioned pipeline.
 
     Attributes:
-        index: Die number along the chain, 0-based.
+        index: Stage number along the chain, 0-based.
         nodes: Executed nodes of this stage, in schedule order.
-        accel: The die's design point (a full device).
+        accel: The stage's design point: a full device, or on chip the
+            device with the stage's tuned sub-array.
         lcmm: The stage-local allocation, computed on the stage subgraph.
         compute_latency: First-image stage latency excluding link time
             (per-node Eq. 1 sums plus prefetch residuals).
         steady_compute_latency: Steady-state stage latency excluding
             link time — persistent weight buffers no longer re-fill.
-        recv_bytes: Boundary bytes received on the left link per image.
-        send_bytes: Boundary bytes sent on the right link per image.
+        recv_bytes: Boundary bytes received on the left link per image
+            (0 on chip, where nothing crosses a link).
+        send_bytes: Boundary bytes sent on the right link per image
+            (0 on chip).
         recv_latency: Seconds the left link streams per image.
         send_latency: Seconds the right link streams per image.
     """
@@ -310,12 +409,13 @@ class PartitionResult:
         stages: The per-die stages in chain order (one for single-die).
         boundaries: Schedule boundaries, ``len(stages) + 1`` entries.
         cut_bytes: Link traffic per internal cut, one per link.
-        link: The inter-die link model (None when disabled).
+        link: The inter-die link model (:data:`ON_CHIP` for stages on
+            one device, None for a single die).
         image_latency: One image end to end: every stage's first-image
             compute plus every link crossing on the critical path.
         period: Steady-state initiation interval — the slowest stage
             including its link time, after persistent weights settled.
-        devices_requested: Die count the caller asked for.
+        devices_requested: Stage count the caller asked for.
         fell_back: Why the single-die result was kept, or None when the
             partitioned design was accepted.
         single_latency: Latency of the single-die baseline compilation.
@@ -333,7 +433,7 @@ class PartitionResult:
 
     @property
     def num_devices(self) -> int:
-        """Dies actually used after clamping/fallback."""
+        """Stages actually used after clamping/fallback."""
         return len(self.stages)
 
     @property
@@ -345,34 +445,6 @@ class PartitionResult:
     def speedup_vs_single(self) -> float:
         """Steady-state throughput gain over the single-die design."""
         return self.single_latency / self.period
-
-
-def _die_accel(base: AcceleratorConfig, index: int) -> AcceleratorConfig:
-    """The design point of one die: the full base device, relabelled."""
-    return replace(base, name=f"{base.name}-die{index}")
-
-
-def _stage_latencies(
-    model: LatencyModel, lcmm: LCMMResult
-) -> tuple[float, float]:
-    """(first-image, steady-state) stage latency excluding link time.
-
-    The first image pays every prefetch residual; in steady state the
-    weight buffers that hold a single tensor stay resident across images
-    (:func:`repro.perf.batching.persistent_weight_tensors`), so only the
-    recurring residuals remain.
-    """
-    first = lcmm.latency
-    persistent = persistent_weight_tensors(lcmm)
-    recurring = {
-        name: value
-        for name, value in lcmm.residuals.items()
-        if name not in persistent
-    }
-    steady = model.total_latency(
-        lcmm.onchip_tensors, recurring, lcmm.fractions or None
-    )
-    return first, steady
 
 
 def _single_die(
@@ -388,7 +460,7 @@ def _single_die(
     same options), wrapped in the partition result shape."""
     model = LatencyModel(graph, base)
     lcmm = run_lcmm(graph, base, options=options, model=model, cache=cache)
-    first, steady = _stage_latencies(model, lcmm)
+    first, steady = first_and_steady_latency(model, lcmm)
     schedule = graph.compute_schedule()
     stage = DieStage(
         index=0,
@@ -415,6 +487,26 @@ def _single_die(
     )
 
 
+def _streamed_tensors(
+    graph: ComputationGraph, schedule: list[str], boundaries: list[int]
+) -> frozenset[str]:
+    """Feature tensors read outside their producer's stage."""
+    node_stage = {
+        node: idx
+        for idx in range(len(boundaries) - 1)
+        for node in schedule[boundaries[idx] : boundaries[idx + 1]]
+    }
+    return frozenset(
+        tensor.name
+        for tensor in graph.feature_tensors()
+        if tensor.producer in node_stage
+        and any(
+            node_stage.get(c) != node_stage[tensor.producer]
+            for c in tensor.consumers
+        )
+    )
+
+
 def design_partition(
     graph: ComputationGraph,
     base: AcceleratorConfig,
@@ -423,64 +515,85 @@ def design_partition(
     options: LCMMOptions | None = None,
     cache=None,
 ) -> PartitionResult:
-    """Partition a network across ``devices`` dies in a linear pipeline.
+    """Partition a network into a linear pipeline of ``devices`` stages.
 
     Args:
         graph: The DNN computation graph.
-        base: The per-die design point.  Every die is a whole device —
-            full array, full SRAM, own DDR channels.
-        devices: Requested die count; clamps to
-            ``[1, min(MAX_DEVICES, executed layers)]``.
-        link: Inter-die link model.  ``None`` disables it, which refuses
-            to fabricate free-streaming speedups: the result degrades to
-            the single-die compilation (``fell_back = "link-model-off"``).
-        options: LCMM switches applied on every die (``sram_budget``
-            caps each die's SRAM individually).
+        base: The single-device design point.
+        devices: Requested stage count; clamps to
+            ``[1, min(MAX_DEVICES, executed layers)]``.  One stage is
+            the plain single-die compilation.
+        link: The die model.  An :class:`InterDieLink` puts each stage
+            on a whole die (full array, full SRAM, own DDR channels)
+            and charges boundary tensors to the link.  :data:`ON_CHIP`
+            splits ``base``'s fabric: each stage gets a tuned sub-array
+            within ``1/k`` of the MACs and ``1/k`` of the SRAM, and
+            boundary tensors stream on chip for free.  ``None`` disables
+            the link model, which refuses to fabricate free-streaming
+            speedups: the result degrades to the single-die compilation
+            (``fell_back = "link-model-off"``).
+        options: LCMM switches applied in every stage (on whole dies
+            ``sram_budget`` caps each die's SRAM individually; on chip
+            each stage's share replaces it).
         cache: Optional :class:`~repro.cache.store.CompilationCache`
             forwarded to the single-die baseline compilation.  Per-stage
             subgraph compilations and the partitioned result are not
             cached.
 
     Returns:
-        The partitioned design, or the single-die result when the
-        partitioned pipeline does not improve steady-state throughput
-        (accept-if-improves — ``fell_back`` records why).
+        The partitioned design.  On whole dies, the single-die result
+        when the partitioned pipeline does not improve steady-state
+        throughput (accept-if-improves — ``fell_back`` records why).
     """
     schedule = graph.compute_schedule()
     options = options or LCMMOptions()
     requested = devices
     devices = max(1, min(devices, MAX_DEVICES, len(schedule)))
-    if devices == 1:
-        return _single_die(graph, base, options, requested, None, cache=cache)
-    if link is None:
-        single = _single_die(
-            graph, base, options, requested, "link-model-off", cache=cache
-        )
-        return single
+    if devices == 1 or link is None:
+        reason = None if devices == 1 else "link-model-off"
+        return _single_die(graph, base, options, requested, reason, cache=cache)
 
-    # Stage assignment: DP over per-node latencies under the per-die
+    # Stage assignment: DP over per-node latencies under the per-stage
     # model plus the exact link time each candidate boundary creates.
-    balance_model = LatencyModel(graph, base)
+    on_chip = link is ON_CHIP
+    stage_options = options
+    if on_chip:
+        uniform = _stage_array(base.array, devices)
+        balance_model = LatencyModel(graph, replace(base, array=uniform))
+        traffic = [0] * (len(schedule) + 1)
+        stage_options = replace(
+            options, sram_budget=int(base.device.sram_bytes * (1.0 / devices))
+        )
+    else:
+        balance_model = LatencyModel(graph, base)
+        traffic = cut_traffic_bytes(graph, base.precision.bytes)
     weights = [balance_model.node_latency(n) for n in schedule]
-    traffic = cut_traffic_bytes(graph, base.precision.bytes)
     cut_seconds = [link.latency(b) for b in traffic]
     cuts = throughput_balanced_cuts(weights, cut_seconds, devices)
     boundaries = [0] + cuts + [len(schedule)]
+    streamed = (
+        _streamed_tensors(graph, schedule, boundaries) if on_chip else frozenset()
+    )
 
     stages: list[DieStage] = []
     for idx in range(devices):
         nodes = schedule[boundaries[idx] : boundaries[idx + 1]]
-        accel = _die_accel(base, idx)
-        sub = stage_subgraph(graph, list(nodes), idx)
+        array = base.array
+        if on_chip:
+            array = tune_stage_array(
+                graph, nodes, max(1, base.array.macs // devices), uniform
+            )
+        accel = replace(base, name=f"{base.name}-die{idx}", array=array)
+        sub = stage_subgraph(graph, nodes, idx)
         model = LatencyModel(sub, accel)
-        lcmm = run_lcmm(sub, accel, options=options, model=model)
-        first, steady = _stage_latencies(model, lcmm)
+        lcmm = run_lcmm(sub, accel, options=stage_options, model=model)
+        first, steady = first_and_steady_latency(model, lcmm, streamed)
         recv = traffic[boundaries[idx]] if idx > 0 else 0
         send = traffic[boundaries[idx + 1]] if idx < devices - 1 else 0
         stages.append(
             DieStage(
                 index=idx,
-                nodes=list(nodes),
+                nodes=nodes,
                 accel=accel,
                 lcmm=lcmm,
                 compute_latency=first,
@@ -497,10 +610,12 @@ def design_partition(
     )
     period = max(s.steady_latency for s in stages)
 
-    # Accept-if-improves: the partitioned pipeline must beat the
-    # single-die steady state, else keep the known-good baseline.
+    # Accept-if-improves: whole dies add hardware, so the partitioned
+    # pipeline must beat the single-die steady state, else keep the
+    # known-good baseline.  An on-chip split reuses the same hardware,
+    # so its trade-off is reported as is.
     single = _single_die(graph, base, options, requested, None, cache=cache)
-    if period >= single.period:
+    if not on_chip and period >= single.period:
         single.fell_back = "no-improvement"
         return single
     return PartitionResult(
@@ -528,14 +643,4 @@ def partition_batched_latency(result: PartitionResult, batch: int) -> BatchResul
     Raises:
         ValueError: If ``batch`` is not positive.
     """
-    if batch < 1:
-        raise ValueError(f"batch must be at least 1, got {batch}")
-    first = result.image_latency
-    steady = result.period
-    total = first + (batch - 1) * steady
-    return BatchResult(
-        first_image_latency=first,
-        steady_image_latency=steady,
-        batch=batch,
-        total_latency=total,
-    )
+    return batch_profile(result.image_latency, result.period, batch)

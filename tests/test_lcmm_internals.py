@@ -3,7 +3,7 @@
 These pieces are exercised indirectly everywhere; testing them directly
 pins their contracts: the Eq. 2 optimistic metric, the idle-time hiding
 capacity, the naive gain oracle's mask-based node latencies, and the
-pipeline's stage-array tuner.
+partitioner's stage-array tuner.
 """
 
 import pytest
@@ -15,7 +15,7 @@ from repro.lcmm.prefetch import hiding_capacity, weight_prefetch_pass
 from repro.lcmm.splitting import combine_buffers
 from repro.lcmm.tables import eq2_latency_reduction
 from repro.perf.latency import LatencyModel
-from repro.perf.pipeline import tune_stage_array
+from repro.perf.partition import tune_stage_array
 from repro.perf.systolic import SystolicArray
 
 from tests.conftest import build_chain, small_accel

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.lcmm.framework import run_lcmm, umm_only_result
+from repro.lcmm.framework import LCMMOptions, run_lcmm, umm_only_result
 from repro.perf.batching import batched_latency, persistent_weight_tensors
 from repro.perf.latency import LatencyModel
 
@@ -62,6 +62,31 @@ class TestBatchedLatency:
         umm = umm_only_result(model.graph, model.accel, model)
         with pytest.raises(ValueError):
             batched_latency(model, umm, -3)
+
+
+class TestCompileOptions:
+    """The batch profile reads the compile it is given: fractional
+    residency and the DDR-timeline makespan included."""
+
+    @pytest.mark.parametrize(
+        "name, options",
+        [
+            ("vgg16", LCMMOptions(fractional_fill=True)),
+            ("resnet50", LCMMOptions(transfer_schedule=True)),
+        ],
+    )
+    def test_first_image_is_the_compile_latency(self, name, options):
+        from repro.analysis.experiments import reference_design
+        from repro.hw.precision import INT16
+        from repro.models.zoo import get_model
+
+        graph = get_model(name)
+        accel = reference_design("resnet152", INT16, "lcmm")
+        model = LatencyModel(graph, accel)
+        result = run_lcmm(graph, accel, options=options, model=model)
+        batch = batched_latency(model, result, 1)
+        assert batch.first_image_latency == result.latency
+        assert batch.steady_image_latency <= batch.first_image_latency
 
 
 class TestPersistence:

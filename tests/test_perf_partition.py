@@ -359,6 +359,24 @@ class TestDesignPartition:
         with pytest.raises(ValueError):
             partition_batched_latency(result, 0)
 
+    def test_steady_stage_never_slower_than_first_image(self):
+        """Under the transfer schedule a stage's first image runs at the
+        DDR-timeline makespan; the steady image must not fall back to
+        the slower Eq. 1 sum."""
+        from repro.analysis.experiments import reference_design
+        from repro.hw.precision import INT8
+        from repro.models.zoo import get_model
+
+        result = design_partition(
+            get_model("googlenet"),
+            reference_design("googlenet", INT8, "lcmm"),
+            4,
+            options=LCMMOptions(transfer_schedule=True),
+        )
+        assert result.num_devices == 4
+        for stage in result.stages:
+            assert stage.steady_compute_latency <= stage.compute_latency
+
     @settings(max_examples=8, deadline=None)
     @given(devices=st.integers(1, 10), num_convs=st.integers(2, 6))
     def test_property_limits_and_period(self, devices, num_convs):

@@ -1,13 +1,27 @@
-"""Tests for multi-accelerator pipelining with per-stage LCMM."""
+"""Tests for on-chip pipelining: one device's fabric split into stages,
+each with its own LCMM (``design_partition(..., link=ON_CHIP)``)."""
+
+from dataclasses import replace
 
 import pytest
 
 from repro.lcmm.framework import LCMMOptions
-from repro.perf.partition import throughput_balanced_cuts
-from repro.perf.pipeline import design_pipeline, tune_stage_array
+from repro.perf.partition import (
+    MAX_DEVICES,
+    ON_CHIP,
+    _stage_array,
+    design_partition,
+    throughput_balanced_cuts,
+    tune_stage_array,
+)
 from repro.perf.latency import LatencyModel
 
 from tests.conftest import build_chain, small_accel
+
+
+def on_chip_design(graph, base, k, options=None):
+    """The on-chip die model of the one stage designer."""
+    return design_partition(graph, base, k, link=ON_CHIP, options=options)
 
 
 def free_link_cuts(weights, k):
@@ -16,7 +30,7 @@ def free_link_cuts(weights, k):
 
 
 class TestBalancedPartition:
-    """``design_pipeline``'s stage split: on-chip streams cost nothing."""
+    """The on-chip stage split: on-chip streams cost nothing."""
 
     def test_single_run(self):
         assert free_link_cuts([1, 2, 3], 1) == []
@@ -65,36 +79,51 @@ class TestPipelineDesign:
 
     def test_single_stage_matches_plain_lcmm_shape(self, setup):
         graph, accel = setup
-        result = design_pipeline(graph, accel, 1)
-        assert result.num_stages == 1
+        result = on_chip_design(graph, accel, 1)
+        assert result.num_devices == 1
         assert result.period == pytest.approx(result.image_latency)
+
+    def test_single_stage_is_the_plain_compile(self, setup):
+        from repro.fingerprint import fingerprint
+        from repro.lcmm.framework import run_lcmm
+
+        graph, accel = setup
+        (stage,) = on_chip_design(graph, accel, 1).stages
+        assert stage.accel == accel
+        assert fingerprint(stage.lcmm) == fingerprint(run_lcmm(graph, accel))
 
     def test_stages_cover_schedule(self, setup):
         graph, accel = setup
-        result = design_pipeline(graph, accel, 3)
+        result = on_chip_design(graph, accel, 3)
         covered = [n for s in result.stages for n in s.nodes]
         assert covered == graph.compute_schedule()
 
     def test_period_is_slowest_stage(self, setup):
         graph, accel = setup
-        result = design_pipeline(graph, accel, 3)
-        assert result.period == pytest.approx(max(s.latency for s in result.stages))
+        result = on_chip_design(graph, accel, 3)
+        assert result.period == pytest.approx(
+            max(s.steady_latency for s in result.stages)
+        )
         assert result.image_latency == pytest.approx(
             sum(s.latency for s in result.stages)
         )
 
+    def test_stages_stream_for_free(self, setup):
+        graph, accel = setup
+        result = on_chip_design(graph, accel, 3)
+        assert result.link is ON_CHIP and result.fell_back is None
+        assert result.cut_bytes == [0, 0]
+        for stage in result.stages:
+            assert stage.recv_bytes == stage.send_bytes == 0
+            assert stage.recv_latency == stage.send_latency == 0.0
+            assert stage.lcmm.sram_usage.used_bytes <= accel.device.sram_bytes // 3
+
     def test_stage_arrays_respect_dsp_budget(self, setup):
         graph, accel = setup
-        result = design_pipeline(graph, accel, 4)
+        result = on_chip_design(graph, accel, 4)
         budget = accel.array.macs // 4
         for stage in result.stages:
             assert stage.accel.array.macs <= budget
-
-    def test_untuned_stage_arrays_divide_the_fabric(self, setup):
-        graph, accel = setup
-        result = design_pipeline(graph, accel, 4, tune_arrays=False)
-        for stage in result.stages:
-            assert stage.accel.array.cols == max(1, accel.array.cols // 4)
 
     def test_heterogeneous_workload_benefits_from_tuning(self):
         """Layers with mismatched channel geometry: per-stage tuned
@@ -116,9 +145,20 @@ class TestPipelineDesign:
         g.validate()
 
         accel = small_accel(ddr_efficiency=1.0)  # compute bound on purpose
-        tuned = design_pipeline(g, accel, 2, tune_arrays=True)
-        uniform = design_pipeline(g, accel, 2, tune_arrays=False)
-        assert tuned.period <= uniform.period + 1e-15
+        uniform = _stage_array(accel.array, 2)
+        schedule = g.compute_schedule()
+
+        def stage_latency(nodes, array):
+            model = LatencyModel(g, replace(accel, array=array))
+            return sum(model.node_latency(n) for n in nodes)
+
+        gains = []
+        for nodes in (schedule[:4], schedule[4:]):
+            tuned = tune_stage_array(g, nodes, accel.array.macs // 2, uniform)
+            assert tuned.macs <= accel.array.macs // 2
+            gains.append(stage_latency(nodes, uniform) - stage_latency(nodes, tuned))
+        assert min(gains) >= -1e-15
+        assert max(gains) > 0
 
     def test_pipelining_keeps_throughput_in_band(self, setup):
         """Dividing a compute-bound homogeneous chain across stages
@@ -126,8 +166,8 @@ class TestPipelineDesign:
         pipelining must stay within the partition-granularity loss: the
         bottleneck stage holds at most ceil(n/k) of the heavy layers."""
         graph, accel = setup
-        single = design_pipeline(graph, accel, 1)
-        deep = design_pipeline(graph, accel, 4)
+        single = on_chip_design(graph, accel, 1)
+        deep = on_chip_design(graph, accel, 4)
         assert deep.period <= deep.image_latency + 1e-15
         # 8 layers into 4 stages: the bottleneck carries 2 of ~8 equal
         # layers on a quarter of the fabric -> within ~25% of single.
@@ -135,7 +175,7 @@ class TestPipelineDesign:
 
     def test_boundary_tensors_streamed(self, setup):
         graph, accel = setup
-        two = design_pipeline(graph, accel, 2)
+        two = on_chip_design(graph, accel, 2)
         # The boundary producer's output pays no DDR transfer: stage
         # latencies computed with streaming must not exceed latencies
         # recomputed without it.
@@ -147,27 +187,53 @@ class TestPipelineDesign:
             )
             assert stage.latency <= no_stream + 1e-15
 
-    def test_too_deep_pipeline_rejected(self, setup):
+    def test_too_deep_pipeline_clamps(self, setup):
         graph, accel = setup
-        with pytest.raises(ValueError):
-            design_pipeline(graph, accel, 1000)
-
-    def test_bad_sram_share_rejected(self, setup):
-        graph, accel = setup
-        with pytest.raises(ValueError):
-            design_pipeline(graph, accel, 2, sram_share=0.0)
+        result = on_chip_design(graph, accel, 1000)
+        assert result.devices_requested == 1000
+        assert result.num_devices == min(MAX_DEVICES, len(graph.compute_schedule()))
+        assert result.fell_back is None
 
     def test_stage_compiles_keep_every_option(self, setup):
         graph, accel = setup
         options = LCMMOptions(
             fractional_fill=True, fuse_layers=True, transfer_schedule=True
         )
-        result = design_pipeline(graph, accel, 2, options=options)
+        result = on_chip_design(graph, accel, 2, options=options)
         for stage in result.stages:
             passes = stage.lcmm.pipeline_description.split(" -> ")
             assert {"fractional_fill", "fuse_layers", "transfer_schedule"} <= set(
                 passes
             )
+
+
+class TestReferenceFigures:
+    """ResNet-152 16-bit on chip: the figures of the fabric-split designer
+    before it folded into ``design_partition``, pinned bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def designs(self):
+        from repro.analysis.experiments import reference_design
+        from repro.hw.precision import INT16
+        from repro.models import get_model
+
+        graph = get_model("resnet152")
+        base = reference_design("resnet152", INT16, "lcmm")
+        return {k: on_chip_design(graph, base, k) for k in (1, 2, 4)}
+
+    @pytest.mark.parametrize(
+        "k, image_latency, period, array",
+        [
+            (1, 0.011979015151515142, 0.011979015151515142, "32x16x11"),
+            (2, 0.02393217648358585, 0.012235530018939388, "16x16x11"),
+            (4, 0.047864288036616166, 0.012804145454545455, "8x16x11"),
+        ],
+    )
+    def test_pinned(self, designs, k, image_latency, period, array):
+        result = designs[k]
+        assert result.image_latency == image_latency
+        assert result.period == period
+        assert [str(s.accel.array) for s in result.stages] == [array] * k
 
 
 class TestPartitionPadding:
@@ -246,7 +312,7 @@ class TestStageLocalAllocation:
 
         graph = build_chain(num_convs=8, channels=128, hw=14)
         accel = small_accel(ddr_efficiency=0.1)
-        result = design_pipeline(graph, accel, 3)
+        result = on_chip_design(graph, accel, 3)
         for idx, stage in enumerate(result.stages):
             sub = stage_subgraph(graph, list(stage.nodes), idx)
             allowed = {t.name for t in sub.feature_tensors()} | {
