@@ -44,15 +44,21 @@ import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.hw.sram import URAM_BYTES
 from repro.lcmm.buffers import VirtualBuffer
 from repro.perf.engine import AllocationEngine
 from repro.perf.latency import LatencyModel
 
-@dataclass
+@dataclass(frozen=True)
 class DNNKResult:
     """Outcome of a DNNK run.
+
+    Immutable: one result is shared by every compile of a design that
+    reaches the same knapsack (:func:`memoised_allocation`), so
+    ``allocated`` and ``spilled`` are stored as tuples whatever sequence
+    they are given as.
 
     Attributes:
         allocated: Virtual buffers granted on-chip memory, in input order.
@@ -67,12 +73,16 @@ class DNNKResult:
             accounts for it.
     """
 
-    allocated: list[VirtualBuffer]
-    spilled: list[VirtualBuffer]
+    allocated: tuple[VirtualBuffer, ...]
+    spilled: tuple[VirtualBuffer, ...]
     onchip_tensors: frozenset[str]
     predicted_reduction: float
     capacity_bytes: int
     used_bytes: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "allocated", tuple(self.allocated))
+        object.__setattr__(self, "spilled", tuple(self.spilled))
 
 
 class _EngineGainEvaluator:
@@ -680,3 +690,50 @@ def greedy_allocate(
         capacity_bytes=capacity_bytes,
         used_bytes=_block_rounded_bytes(buffers, chosen_set, granularity),
     )
+
+
+def _allocation_memo(model: LatencyModel) -> dict:
+    """The allocator outcomes stored on ``model``; see :func:`memoised_allocation`."""
+    return {}
+
+
+def memoised_allocation(
+    allocate: Callable[..., DNNKResult],
+    buffers: list[VirtualBuffer],
+    model: LatencyModel,
+    capacity_bytes: int,
+    granularity: int = URAM_BYTES,
+    engine: AllocationEngine | None = None,
+) -> tuple[list[VirtualBuffer], DNNKResult]:
+    """``allocate(buffers, model, ...)``, run once per model.
+
+    The pipeline's DNNK allocations and the fused reallocation go
+    through here.  Every compile of one design can run on one model, and
+    its ``dnnk``, ``splitting`` and fused configurations all begin with
+    the same knapsack; the splitting retries and the fused reallocation
+    repeat across configurations too.  Outcomes are stored on the model
+    (:meth:`LatencyModel.derived`), keyed by the allocator, the buffers'
+    tensor names in list order, the capacity and the granularity: the
+    pipeline builds a model's buffers from the analyses of that model (or
+    of the model a fused one derives from), so their names fix their
+    sizes and gains.  Only a completed run is stored, and a hit returns
+    the stored buffer list (as a new list) with its result, whose
+    buffers are that list's own.  A hit runs no DP, so the compile's
+    engine stats count none.
+
+    :func:`dnnk_allocate` and :func:`greedy_allocate` themselves stay
+    unmemoised: every direct call runs the allocator.
+    """
+    key = (
+        allocate,
+        tuple(tuple(b.tensor_names) for b in buffers),
+        capacity_bytes,
+        granularity,
+    )
+    memo = model.derived(_allocation_memo)
+    entry = memo.get(key)
+    if entry is None:
+        result = allocate(buffers, model, capacity_bytes, granularity, engine=engine)
+        entry = memo[key] = (tuple(buffers), result)
+    stored, result = entry
+    return list(stored), result

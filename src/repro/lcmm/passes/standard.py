@@ -44,7 +44,12 @@ from repro.errors import AllocationError
 from repro.hw.sram import SRAMUsage, blocks_for, BRAM36_BYTES, URAM_BYTES
 from repro.ir.tensor import TensorKind, weight_tensor_name
 from repro.lcmm.buffers import PhysicalBuffer, VirtualBuffer
-from repro.lcmm.dnnk import DNNKResult, dnnk_allocate, greedy_allocate
+from repro.lcmm.dnnk import (
+    DNNKResult,
+    dnnk_allocate,
+    greedy_allocate,
+    memoised_allocation,
+)
 from repro.lcmm.feature_reuse import FeatureReuseResult, feature_reuse_pass
 from repro.lcmm.fusion import FusedEdge, apply_fusion, find_fusion_candidates
 from repro.lcmm.interference import InterferenceGraph
@@ -338,9 +343,12 @@ class DNNKAllocatePass(_AllocateBase):
 
     def run(self, ctx: CompilationContext) -> None:
         feature, prefetch = self._inputs(ctx)
-        buffers = combine_buffers([feature.buffers, prefetch.buffers])
-        result = dnnk_allocate(
-            buffers, ctx.model, ctx.capacity, URAM_BYTES, engine=ctx.engine
+        buffers, result = memoised_allocation(
+            dnnk_allocate,
+            combine_buffers([feature.buffers, prefetch.buffers]),
+            ctx.model,
+            ctx.capacity,
+            engine=ctx.engine,
         )
         ctx.put("allocation", AllocationDecision(buffers=buffers, result=result))
         self._summarise(ctx, result)
@@ -495,6 +503,14 @@ def _verify_score(pass_name: str, ctx: CompilationContext) -> None:
             )
 
 
+def _fusion_edges(model: LatencyModel) -> tuple[FusedEdge, ...]:
+    return tuple(find_fusion_candidates(model))
+
+
+def _fused_model(model: LatencyModel) -> LatencyModel:
+    return apply_fusion(model, model.derived(_fusion_edges))
+
+
 @register_pass
 class FuseLayersPass(Pass):
     """Fused-layer tiling: adjacent pairs stream through on-chip.
@@ -522,6 +538,11 @@ class FuseLayersPass(Pass):
     test decided (``bound``: ``"compute"``, ``"capacity"`` or
     ``"evaluated"``); ``docs/algorithms.md`` gives the exactness
     argument.
+
+    The fusion edges and the fused model depend only on the unfused
+    model, so both are built once per model
+    (:meth:`LatencyModel.derived`): every fused compile of one design
+    shares the fused model, its engine tables and its allocator memo.
     """
 
     name = "fuse_layers"
@@ -535,7 +556,7 @@ class FuseLayersPass(Pass):
         if prefetch is None:
             prefetch = empty_prefetch_result()
 
-        edges = find_fusion_candidates(ctx.model)
+        edges = ctx.model.derived(_fusion_edges)
         if not edges:
             ctx.put("fusion", FusionDecision())
             ctx.diagnose(
@@ -551,7 +572,7 @@ class FuseLayersPass(Pass):
         if floor >= score.latency - 1e-15:
             self._reject(ctx, len(edges), floor, score.latency, "compute")
             return
-        fused_model = apply_fusion(ctx.model, edges)
+        fused_model = ctx.model.derived(_fused_model)
         # Fusion zeroes streams, so the capacity bound is the fused model's.
         floor = fused_model.compute_bound_latency(ctx.capacity)
         if floor >= score.latency - 1e-15:
@@ -563,18 +584,13 @@ class FuseLayersPass(Pass):
             prefetch, score.onchip, fused_engine
         )
         # Candidate "reallocate": the allocator re-run on the fused model.
-        if ctx.options.use_greedy:
-            fused_dnnk = greedy_allocate(
-                allocation.buffers, fused_model, ctx.capacity, engine=fused_engine
-            )
-        else:
-            fused_dnnk = dnnk_allocate(
-                allocation.buffers,
-                fused_model,
-                ctx.capacity,
-                URAM_BYTES,
-                engine=fused_engine,
-            )
+        fused_buffers, fused_dnnk = memoised_allocation(
+            greedy_allocate if ctx.options.use_greedy else dnnk_allocate,
+            allocation.buffers,
+            fused_model,
+            ctx.capacity,
+            engine=fused_engine,
+        )
         reall_residuals, reall_latency = evaluate_allocation(
             prefetch, fused_dnnk.onchip_tensors, fused_engine
         )
@@ -592,7 +608,7 @@ class FuseLayersPass(Pass):
             ctx.put(
                 "allocation",
                 AllocationDecision(
-                    buffers=allocation.buffers,
+                    buffers=fused_buffers,
                     result=fused_dnnk,
                     splitting_iterations=allocation.splitting_iterations,
                 ),

@@ -24,7 +24,7 @@ from typing import Callable
 from repro.hw.sram import URAM_BYTES
 from repro.lcmm.buffers import VirtualBuffer
 from repro.lcmm.coloring import color_buffers
-from repro.lcmm.dnnk import DNNKResult, dnnk_allocate
+from repro.lcmm.dnnk import DNNKResult, dnnk_allocate, memoised_allocation
 from repro.lcmm.interference import InterferenceGraph
 from repro.perf.engine import AllocationEngine
 from repro.perf.latency import LatencyModel
@@ -132,7 +132,10 @@ def buffer_splitting_pass(
             Supplied by the framework so prefetch residuals are included.
         granularity: DNNK capacity quantum.
         engine: :class:`AllocationEngine` of ``model`` shared by every
-            DNNK retry; one is built when absent.
+            DNNK retry; one is built when absent.  Each retry's DNNK
+            outcome is stored on ``model``
+            (:func:`~repro.lcmm.dnnk.memoised_allocation`), so a later
+            compile of the design replays the retries without the DP.
 
     Returns:
         The best configuration seen (the initial one if no split helps)
@@ -148,8 +151,14 @@ def buffer_splitting_pass(
     weight_buffers = color_buffers(weight_graph)
 
     def allocate() -> tuple[list[VirtualBuffer], DNNKResult, float]:
-        buffers = combine_buffers([feature_buffers, weight_buffers])
-        result = dnnk_allocate(buffers, model, capacity_bytes, granularity, engine=engine)
+        buffers, result = memoised_allocation(
+            dnnk_allocate,
+            combine_buffers([feature_buffers, weight_buffers]),
+            model,
+            capacity_bytes,
+            granularity,
+            engine=engine,
+        )
         return buffers, result, evaluate(result.onchip_tensors)
 
     buffers, result, latency = allocate()

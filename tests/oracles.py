@@ -228,7 +228,10 @@ def naive_allocators():
     sweeps with :func:`column_dp`, so the decisions share only the
     local-search driver with the engine-backed path.  (The run-length
     sweep keys its rows on the engine evaluator's gain masks, which the
-    naive evaluator does not have.)
+    naive evaluator does not have.)  A compile inside the block needs a
+    model no compile outside it ran on: the passes answer a knapsack
+    the model already solved from its memo
+    (:func:`repro.lcmm.dnnk.memoised_allocation`) without allocating.
     """
     with mock.patch(
         "repro.lcmm.dnnk._EngineGainEvaluator",

@@ -82,7 +82,7 @@ class TestDifferential:
         )
         with naive_allocators():
             naive = run_lcmm(
-                graph, accel, options=options, model=model,
+                graph, accel, options=options, model=LatencyModel(graph, accel),
                 strict=True, fallback=False,
             )
         assert engine.latency == naive.latency

@@ -85,4 +85,4 @@ class TestGuards:
     def test_empty_buffer_list(self, setup):
         model, _ = setup
         result = branch_and_bound_allocate([], model, 10 * URAM_BYTES)
-        assert result.allocated == []
+        assert result.allocated == ()

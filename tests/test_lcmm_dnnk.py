@@ -57,7 +57,7 @@ class TestBasicBehaviour:
     def test_zero_capacity_allocates_nothing(self, starved_model):
         buffers = make_buffers(starved_model)
         result = dnnk_allocate(buffers, starved_model, 0)
-        assert result.allocated == []
+        assert result.allocated == ()
         assert result.onchip_tensors == frozenset()
         assert result.used_bytes == 0
 
@@ -116,7 +116,7 @@ class TestBasicBehaviour:
 
     def test_empty_buffer_list(self, starved_model):
         result = dnnk_allocate([], starved_model, 10 * URAM_BYTES)
-        assert result.allocated == []
+        assert result.allocated == ()
         assert result.predicted_reduction == 0.0
 
 

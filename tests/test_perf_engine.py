@@ -428,7 +428,9 @@ def _assert_runs_identical(graph, accel, options):
     model = LatencyModel(graph, accel)
     fast = run_lcmm(graph, accel, options=options, model=model)
     with naive_allocators():
-        naive = run_lcmm(graph, accel, options=options, model=model)
+        naive = run_lcmm(
+            graph, accel, options=options, model=LatencyModel(graph, accel)
+        )
     assert fast.onchip_tensors == naive.onchip_tensors
     assert fast.fractions == naive.fractions
     assert fast.splitting_iterations == naive.splitting_iterations

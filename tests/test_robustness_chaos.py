@@ -26,6 +26,7 @@ import repro.lcmm.passes.standard  # noqa: F401
 import repro.perf.dse  # noqa: F401
 import repro.perf.engine  # noqa: F401
 from repro.errors import ReproError
+from repro.fingerprint import fingerprint
 from repro.lcmm.framework import LCMMOptions, run_lcmm, umm_only_result
 from repro.lcmm.validate import validate_result
 from repro.models.zoo import get_model, list_models
@@ -221,6 +222,41 @@ class TestFusionDegradation:
         validate_result(result, model)
         assert result.degradation_level >= 1
         assert result.degradation_path[0] == "fused-dnnk-splitting"
+
+
+class TestSharedModelFaults:
+    """A fault in one compile leaves nothing half-made on its model.
+
+    Every compile of a design shares the allocator outcomes and the fused
+    model memoised on its latency model, so a fault on the first compile
+    must not leave a partial outcome there: the next compile of the
+    design equals a compile on a fresh model.
+    """
+
+    CONFIGS = (
+        LCMMOptions(splitting=False),
+        LCMMOptions(),
+        LCMMOptions(fuse_layers=True),
+        LCMMOptions(fuse_layers=True, transfer_schedule=True),
+    )
+
+    @pytest.mark.parametrize("model_name", MODELS)
+    @pytest.mark.parametrize("point", ["pass.allocate_splitting", "engine.set_state"])
+    def test_next_compile_equals_fresh(self, model_name, point):
+        graph, accel, model = _build(model_name)
+        plan = FaultPlan(point, mode="raise", seed=CHAOS_SEED, max_fires=1)
+        with injected(plan) as armed:
+            faulted = run_lcmm(graph, accel, model=model, options=self.CONFIGS[2])
+        assert armed[point].fires == 1
+        assert faulted.degradation_level >= 1
+        validate_result(faulted, model)
+        for options in self.CONFIGS:
+            shared = run_lcmm(graph, accel, model=model, options=options)
+            fresh = run_lcmm(
+                graph, accel, model=LatencyModel(graph, accel), options=options
+            )
+            assert shared.degradation_level == 0
+            assert fingerprint(shared) == fingerprint(fresh), options
 
 
 class TestPersistentPoolLifecycle:

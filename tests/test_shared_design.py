@@ -1,21 +1,27 @@
 """Every compile of one design shares its latency model and analyses.
 
-The feature-reuse and weight-prefetch results and the engine tables are
-memoised on the :class:`~repro.perf.latency.LatencyModel`, and
-:mod:`repro.cache.batch` keeps one model per (model, precision) per
-process.  Sharing is sound only while no pass edits an artifact it did
-not create: these tests pin that the splitting pass leaves its inputs
-alone, and that shared compiles equal fresh ones in any order.
+The feature-reuse and weight-prefetch results, the engine tables, the
+allocator outcomes and the fused model are memoised on the
+:class:`~repro.perf.latency.LatencyModel`, and :mod:`repro.cache.batch`
+keeps one model per (model, precision) per process.  Sharing is sound
+only while no pass edits an artifact it did not create: these tests pin
+that the splitting pass leaves its inputs alone, that a shared allocator
+outcome cannot be edited, that no configuration re-runs a knapsack an
+earlier one solved, and that shared compiles equal fresh ones in any
+order.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 from collections import OrderedDict
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.reference import model_reference_design
 from repro.cache import batch
@@ -26,8 +32,10 @@ from repro.cache.batch import (
     compile_job,
     standard_options,
 )
+from repro.errors import ReproError
 from repro.fingerprint import fingerprint
 from repro.hw.precision import INT8, precision_by_name
+from repro.lcmm import dnnk
 from repro.lcmm.feature_reuse import feature_reuse_pass
 from repro.lcmm.framework import LCMMOptions, run_lcmm, umm_only_result
 from repro.lcmm.passes import CompilationContext
@@ -38,6 +46,8 @@ from repro.lcmm.validate import validate_buffers
 from repro.models.zoo import get_model, list_models
 from repro.perf.engine import AllocationEngine
 from repro.perf.latency import LatencyModel
+
+from tests.strategies import accelerators, graphs
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -157,6 +167,94 @@ def test_shared_model_matches_fresh_compiles(model_name, precision):
         model = LatencyModel(graph, accel)
         shared = {config: compile_config(config, model) for config in order}
         assert shared == fresh, order
+
+
+#: The configurations that run DNNK: ``splitting`` starts from ``dnnk``'s
+#: knapsack, and the fused ones also reallocate on one fused model.
+DNNK_CONFIGS = ("dnnk", "splitting", "fused", "fused_sched")
+
+
+def _dp_run(order, sizes, units, evaluator) -> tuple:
+    """What one DP sweep decides from: the model's slots, buffers, order, capacity."""
+    engine = evaluator._engine
+    return (
+        tuple(engine.compute),
+        tuple(engine.slot_lats),
+        tuple(tuple(b.tensor_names) for b in evaluator._buffers),
+        tuple(order),
+        tuple(sizes),
+        units,
+    )
+
+
+class TestAllocatorMemo:
+    @pytest.mark.parametrize("model_name", list_models())
+    def test_no_configuration_reruns_a_dp(self, monkeypatch, model_name):
+        graph = get_model(model_name)
+        accel = model_reference_design(model_name, INT8, "lcmm")
+        runs: list[tuple] = []
+        sweep = dnnk._dp_pass
+
+        def spy(*args):
+            runs.append(_dp_run(*args))
+            return sweep(*args)
+
+        monkeypatch.setattr(dnnk, "_dp_pass", spy)
+        for seed in (0, 1):
+            order = list(DNNK_CONFIGS)
+            random.Random(seed).shuffle(order)
+            model = LatencyModel(graph, accel)
+            done: set[tuple] = set()
+            for config in order:
+                runs.clear()
+                result = run_lcmm(
+                    graph, accel, options=standard_options(config), model=model
+                )
+                assert fingerprint(result) == _golden(model_name, config)
+                assert not done & set(runs), (order, config)
+                done.update(runs)
+            assert done
+
+    def test_shared_result_is_read_only(self):
+        graph, accel = _googlenet_int8()
+        model = LatencyModel(graph, accel)
+        options = standard_options("dnnk")
+        shared = run_lcmm(graph, accel, options=options, model=model).dnnk_result
+        victim = shared.allocated[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            shared.allocated = ()
+        with pytest.raises(AttributeError):
+            shared.spilled.append(victim)
+        with pytest.raises(TypeError):
+            shared.allocated[0] = shared.spilled[0]
+        later = run_lcmm(graph, accel, options=options, model=model)
+        assert later.dnnk_result is shared
+        assert later.engine_stats.gain_cache_misses == 0
+        assert fingerprint(later) == _golden("googlenet", "dnnk")
+
+    @settings(max_examples=30, deadline=None)
+    @given(graph=graphs(), accel=accelerators(), data=st.data())
+    def test_random_designs_compile_as_fresh(self, graph, accel, data):
+        """Any order of configs on one model equals each on a fresh model."""
+        budget = data.draw(st.integers(0, accel.device.sram_bytes), label="budget")
+        options = [
+            standard_options(config) for config in STANDARD_CONFIGS if config != "umm"
+        ] + [LCMMOptions(sram_budget=budget), LCMMOptions(fractional_fill=True)]
+
+        def outcome(options: LCMMOptions, model: LatencyModel):
+            try:
+                result = run_lcmm(graph, accel, options=options, model=model)
+            except ReproError as exc:
+                return type(exc).__name__
+            return fingerprint(result)
+
+        model = LatencyModel(graph, accel)
+        for each in data.draw(st.permutations(options), label="order"):
+            shared = outcome(each, model)
+            fresh = outcome(each, LatencyModel(graph, accel))
+            assert shared == fresh, each
+            if isinstance(fresh, dict):
+                assert shared["latency_hex"] == fresh["latency_hex"]
 
 
 class TestBatchModelMemo:
