@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Iterable, NamedTuple, TypeVar
 
 from repro.errors import GraphValidationError
 from repro.ir.graph import ComputationGraph
@@ -35,7 +35,6 @@ from repro.ir.layer import (
     Attention,
     ComputeKind,
     Conv2D,
-    DepthwiseConv2D,
     Gemm,
     GemmDims,
     Layer,
@@ -49,6 +48,7 @@ from repro.ir.tensor import (
 )
 from repro.perf.systolic import (
     AcceleratorConfig,
+    SystolicArray,
     conv_reload_trips,
     gemm_compute_cycles,
     gemm_cycles_lower_bound,
@@ -60,6 +60,10 @@ T = TypeVar("T")
 
 #: The three interface kinds, in the order Eq. 1's max considers them.
 _KINDS = (TensorKind.IFMAP, TensorKind.WEIGHT, TensorKind.OFMAP)
+
+#: Enum members the per-node dispatches compare against, read once: an
+#: enum attribute read costs more than the rest of a conv node's dispatch.
+_CONV, _DEPTHWISE = ComputeKind.CONV, ComputeKind.DEPTHWISE
 
 
 @dataclass(frozen=True)
@@ -182,6 +186,277 @@ def _weight_volume(layer: Layer) -> int:
     return shape.volume
 
 
+# ----------------------------------------------------------------------
+# Per-kind compute and transfer expressions
+# ----------------------------------------------------------------------
+# The one definition of each term: characterising a node at a design
+# and flooring it call these (a re-tiled score calls _gemm_compute and
+# inlines _transfer_latency), so all three agree bit for bit.  A compute
+# expression takes the node's work (see NodeTerms), the array, the clock
+# and the tile to time the node at; ``None`` as the tile asks for the
+# best schedule over every tile.
+
+
+def _mac_compute(
+    work: tuple[int, int, int],
+    array: SystolicArray,
+    frequency: float,
+    tile: TileConfig | None,
+) -> float:
+    """Conv datapath: the MACs at the array rate less channel-padding waste."""
+    macs, out_channels, in_channels = work
+    return macs / (array.effective_macs(out_channels, in_channels) * frequency)
+
+
+def _depthwise_compute(
+    work: tuple[int, int],
+    array: SystolicArray,
+    frequency: float,
+    tile: TileConfig | None,
+) -> float:
+    """Depthwise convolution: no input-channel reduction.
+
+    The SIMD lanes of the PE array reduce over input channels, which a
+    depthwise layer does not have, so only the rows x cols lanes do
+    useful work — the characteristic inefficiency of depthwise layers
+    on channel-parallel accelerators.
+    """
+    macs, channels = work
+    channel_eff = channels / (math.ceil(channels / array.rows) * array.rows)
+    return macs / (array.rows * array.cols * channel_eff * frequency)
+
+
+def _vector_compute(
+    ops: int, array: SystolicArray, frequency: float, tile: TileConfig | None
+) -> float:
+    """Pooling, eltwise and normalisation: one op per lane-cycle at the MAC rate."""
+    return ops / (array.macs * frequency)
+
+
+def _gemm_compute(
+    extent: tuple[GemmDims, ...],
+    array: SystolicArray,
+    frequency: float,
+    tile: TileConfig | None,
+) -> float:
+    """Systolic GEMMs: their summed cycles under ``tile``.
+
+    Under ``None``, each GEMM in a single tile with one pipeline fill.
+    """
+    cycles = 0
+    if tile is None:
+        for gemm in extent:
+            cycles += gemm_cycles_lower_bound(gemm, array)
+    else:
+        for gemm in extent:
+            cycles += gemm_compute_cycles(gemm, array, tile)
+    return cycles / frequency
+
+
+def _transfer_latency(
+    num_bytes: int, bandwidths: _Bandwidths, kind: TensorKind
+) -> float:
+    """Seconds ``num_bytes`` take on the ``kind`` interface.
+
+    A transfer of nothing takes none and reads no bandwidth.
+    """
+    return num_bytes / bandwidths[kind] if num_bytes else 0.0
+
+
+class NodeTerms(NamedTuple):
+    """What one executed node's latency is made of, at any design.
+
+    Attributes:
+        name: Node name.
+        layer: The node's layer.
+        kind: Its compute kind when a tile term depends on the tile (the
+            reload trips of a conv, depthwise, GEMM or attention node,
+            and a GEMM's cycles); None when none does.
+        extent: What the tile terms derive from: the output shape of a
+            conv or depthwise node, the composed multiplies of a GEMM or
+            attention node; None for a tile-invariant node.
+        compute: The node's compute expression.
+        work: Its argument: (MACs, output channels, input channels) on
+            the conv datapath, (MACs, channels) for depthwise, the op
+            count on the vector lanes, or the GEMM extent.
+        macs: Nominal multiply-accumulate count.
+        sources: Producers of the feature values the node reads, one
+            input slot each.
+        if_elems: Elements of each source's value.
+        wt_elems: Weight elements, or None for a node without weights.
+        of_elems: Output elements.
+    """
+
+    name: str
+    layer: Layer
+    kind: ComputeKind | None
+    extent: FeatureMapShape | tuple[GemmDims, ...] | None
+    compute: Callable[..., float]
+    work: object
+    macs: int
+    sources: tuple[str, ...]
+    if_elems: tuple[int, ...]
+    wt_elems: int | None
+    of_elems: int
+
+
+def _node_terms(graph: ComputationGraph, name: str) -> NodeTerms:
+    """The terms of one executed node, read from the graph."""
+    layer = graph.layer(name)
+    kind = layer.compute_kind
+    out = graph.output_shape(name)
+    # Tile-invariant, weightless and no nominal MACs unless a kind says so.
+    tiled = extent = wt_elems = None
+    macs = 0
+    if kind is ComputeKind.CONV:
+        assert isinstance(layer, Conv2D)
+        # Shapes come from the graph, which resolved them at construction.
+        inp = graph.output_shape(layer.inputs[0])
+        kh, kw = layer.kernel
+        macs = out.channels * out.height * out.width * inp.channels * kh * kw
+        tiled, extent = kind, out
+        compute, work = _mac_compute, (macs, out.channels, layer.in_channels)
+        # The weight volume, without building a WeightShape per node.
+        wt_elems = layer.out_channels * layer.in_channels * kh * kw
+    elif kind is ComputeKind.DEPTHWISE:
+        # Each input channel feeds exactly its own output channel, so the
+        # input streams once (no output-channel reload factor).
+        macs = layer.macs(graph.input_shapes(name))
+        tiled, extent = kind, out
+        compute, work = _depthwise_compute, (macs, out.channels)
+        wt_elems = _weight_volume(layer)
+    elif kind is ComputeKind.GEMM and layer.conv_datapath:
+        # The CNN classifier head runs on the convolution datapath as a 1x1
+        # convolution over a 1x1 spatial extent, so it pays the
+        # channel-padding waste model and a single streaming pass over
+        # every tensor.
+        assert isinstance(layer, Gemm)
+        macs = layer.macs(graph.input_shapes(name))
+        compute, work = _mac_compute, (macs, layer.out_features, layer.in_features)
+        wt_elems = _weight_volume(layer)
+    elif kind is ComputeKind.GEMM or kind is ComputeKind.ATTENTION:
+        # A systolic GEMM over a token sequence, or fused attention: its
+        # compute is the sum of its composed GEMMs; the attention
+        # intermediates stay in the tile buffers, so the only off-chip
+        # streams are the input sequence (reloaded per output-feature tile
+        # of the QKV projection), the fused projection weights and the
+        # output sequence.
+        assert isinstance(layer, (Gemm, Attention))
+        dims = layer.gemm_dims()
+        macs = layer.macs(graph.input_shapes(name))
+        tiled = kind
+        extent = (dims,) if isinstance(dims, GemmDims) else dims
+        compute, work = _gemm_compute, extent
+        wt_elems = _weight_volume(layer)
+    elif kind is ComputeKind.NORM:
+        # Two passes (statistics, normalise) over the data on the vector
+        # lanes: memory bound on any realistic design, like eltwise.
+        compute, work = _vector_compute, 2 * out.volume
+    elif kind is ComputeKind.POOL:
+        assert isinstance(layer, Pooling)
+        # One comparison/add per kernel element per output.
+        if layer.global_pool:
+            (inp,) = graph.input_shapes(name)
+            work = inp.volume
+        else:
+            work = out.volume * layer.kernel[0] * layer.kernel[1]
+        compute = _vector_compute
+    elif kind is ComputeKind.ELTWISE:
+        compute, work = _vector_compute, out.volume
+    else:
+        raise ValueError(f"cannot characterise compute kind {kind} of {name!r}")
+    sources = tuple(graph.feature_sources(name))
+    shape = graph.output_shape
+    return NodeTerms(
+        name, layer, tiled, extent, compute, work, macs, sources,
+        tuple([shape(src).volume for src in sources]),
+        wt_elems,
+        out.volume,
+    )
+
+
+#: Why a model built by :meth:`LatencyModel.from_layers` answers no tile query.
+_EDITED = "a model built from an edited layer table cannot be re-tiled"
+
+
+class FloorTable:
+    """One graph's node terms, and the roofline floor of any design on it.
+
+    The terms of every executed node (:class:`NodeTerms`), in schedule
+    order, hold nothing of a design, so one table serves every design
+    on the graph: a :class:`LatencyModel` characterises its design from
+    them, and :meth:`floor` bounds a design from them directly, without
+    characterising it — what the roofline pruning of
+    :mod:`repro.perf.space` asks of every base design of a sweep.
+
+    Args:
+        graph: The DNN computation graph.  The table reads it once, so a
+            node added to the graph later is not in it.
+
+    Raises:
+        repro.errors.GraphValidationError: When the graph has no layer
+            the accelerator executes (only inputs and concats).
+    """
+
+    def __init__(self, graph: ComputationGraph) -> None:
+        schedule = graph.compute_schedule()
+        if not schedule:
+            raise GraphValidationError(
+                f"graph {graph.name!r} has no layer the accelerator executes"
+            )
+        self.graph = graph
+        self.nodes = [_node_terms(graph, name) for name in schedule]
+        self._floors: dict[tuple, float] = {}
+
+    def floor(self, accel: AcceleratorConfig) -> float:
+        """UMM latency no tile on ``accel`` can beat.
+
+        Every reload trip at its floor of one and every GEMM at its
+        best-schedule cycle count.  A tile only multiplies transfer terms
+        by trips >= 1 (a residency cap can lower a trip count, never
+        below 1) and never runs a GEMM in fewer cycles, and the per-node
+        ``max`` and the sum are monotone in those terms, so the floor is
+        at most ``LatencyModel(graph, accel).umm_latency(tile)`` for
+        every tile.  The node terms are combined as
+        :meth:`LayerLatency.latency` does and summed as
+        :meth:`LatencyModel.total_latency` does.
+
+        The floor reads the design's element size, array, clock and
+        interface bandwidths, never its tile or residency caps, so designs
+        that differ only in those share one evaluation.
+        """
+        key = (
+            accel.precision.bytes,
+            accel.array,
+            accel.frequency,
+            accel.ddr,
+            accel.ddr_efficiency,
+        )
+        floor = self._floors.get(key)
+        if floor is None:
+            floor = self._floors[key] = self._evaluate(accel)
+        return floor
+
+    def _evaluate(self, accel: AcceleratorConfig) -> float:
+        array, frequency = accel.array, accel.frequency
+        elem = accel.precision.bytes
+        bandwidths = _Bandwidths(accel)
+        ifmap, weight, ofmap = _KINDS
+        total = 0.0
+        for node in self.nodes:
+            if_lat = 0.0
+            for elems in node.if_elems:
+                if_lat += _transfer_latency(elems * elem, bandwidths, ifmap)
+            wt_elems = node.wt_elems or 0
+            total += max(
+                node.compute(node.work, array, frequency, None),
+                if_lat,
+                _transfer_latency(wt_elems * elem, bandwidths, weight),
+                _transfer_latency(node.of_elems * elem, bandwidths, ofmap),
+            )
+        return total
+
+
 class LatencyModel:
     """Latency model of one (graph, accelerator design) pair.
 
@@ -190,11 +465,10 @@ class LatencyModel:
     DNNK dynamic program evaluates marginal gains in its inner loop.
 
     Only conv, depthwise, GEMM and attention nodes depend on the tile: their
-    reload trips, and the cycle counts of the GEMMs.  The model records
-    those nodes' tile terms as it characterises them, so
-    :meth:`umm_latency` scores the same design at any other tile, and
-    :meth:`umm_floor` bounds every tile, without characterising the graph
-    again — the queries a tile sweep makes per base design.
+    reload trips, and the cycle counts of the GEMMs.  So
+    :meth:`umm_latency` scores the same design at any other tile without
+    characterising the graph again — the query a tile sweep makes per
+    tile — and :meth:`umm_floor` bounds every tile.
 
     Args:
         graph: The DNN computation graph.
@@ -207,11 +481,7 @@ class LatencyModel:
     """
 
     def __init__(self, graph: ComputationGraph, accel: AcceleratorConfig) -> None:
-        schedule = graph.compute_schedule()
-        if not schedule:
-            raise GraphValidationError(
-                f"graph {graph.name!r} has no layer the accelerator executes"
-            )
+        table = FloorTable(graph)
         self.graph = graph
         self.accel = accel
         # Build-time constants: the element size and the per-kind
@@ -219,14 +489,14 @@ class LatencyModel:
         self._elem = accel.precision.bytes
         self._bandwidth = _Bandwidths(accel)
         self._derived: dict[Callable, object] = {}
-        self._layers: dict[str, LayerLatency] = {}
-        # Tile-dependent nodes: (layer, extent, if trips, wt trips) at this
-        # design's tile; None once slots were edited.
-        self._tiled: dict[str, tuple] | None = {}
+        # The node terms re-tiled queries derive from; None once slots
+        # were edited.
+        self._table: FloorTable | None = table
         # What re-tiled queries walk; _retile_plan builds it on first use.
         self._plan: list | None = None
-        for name in schedule:
-            self._layers[name] = self._characterize(name)
+        self._layers: dict[str, LayerLatency] = {}
+        for node in table.nodes:
+            self._layers[node.name] = self._characterize(node)
 
     @classmethod
     def from_layers(
@@ -241,14 +511,14 @@ class LatencyModel:
         fusion zeroes fused slots) without re-running characterisation:
         the derived model answers every allocation query against the
         edited slots while keeping the graph/accel identity.  It cannot
-        be re-tiled.
+        be re-tiled or floored.
         """
         model = cls.__new__(cls)
         model.graph = graph
         model.accel = accel
         model._layers = dict(layers)
         model._derived = {}
-        model._tiled = None
+        model._table = None
         model._plan = None
         return model
 
@@ -269,209 +539,58 @@ class LatencyModel:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def _characterize(self, name: str) -> LayerLatency:
-        layer = self.graph.layer(name)
-        kind = layer.compute_kind
-        if kind is ComputeKind.DEPTHWISE:
-            assert isinstance(layer, DepthwiseConv2D)
-            return self._characterize_depthwise(name, layer)
-        if kind is ComputeKind.CONV:
-            assert isinstance(layer, Conv2D)
-            return self._characterize_conv(name, layer)
-        if kind is ComputeKind.GEMM:
-            assert isinstance(layer, Gemm)
-            if layer.conv_datapath:
-                return self._characterize_fc(name, layer)
-            return self._characterize_gemm(name, layer)
-        if kind is ComputeKind.ATTENTION:
-            assert isinstance(layer, Attention)
-            return self._characterize_gemm(name, layer)
-        if kind is ComputeKind.NORM:
-            return self._characterize_norm(name, layer)
-        if kind is ComputeKind.POOL:
-            assert isinstance(layer, Pooling)
-            return self._characterize_pool(name, layer)
-        if kind is ComputeKind.ELTWISE:
-            return self._characterize_eltwise(name, layer)
-        raise ValueError(f"cannot characterise compute kind {kind} of {name!r}")
-
-    def _transfer_slots(
-        self,
-        name: str,
-        out_volume: int,
-        if_reloads: int = 1,
-        weight_volume: int | None = None,
-        wt_reloads: int = 1,
-    ) -> list[Slot]:
-        """The node's slots in (if..., wt, of) order.
+    def _characterize(self, node: NodeTerms) -> LayerLatency:
+        """The node at this design's tile: its compute and its slots.
 
         One if-slot per feature value the node reads, with reloads; a wt
-        slot only for a node with weights; then the output slot.  A slot
-        takes ``bytes / bandwidth`` seconds on its interface, and a
-        zero-byte slot takes none without reading the bandwidth.
+        slot only for a node with weights; then the output slot.
         """
-        graph = self.graph
+        (
+            name, layer, tiled, extent, compute, work, macs,
+            sources, if_elems, wt_elems, of_elems,
+        ) = node
+        accel = self.accel
+        tile = accel.tile
         elem = self._elem
-        streams = [
-            (
-                TensorKind.IFMAP,
-                feature_tensor_name(src),
-                graph.output_shape(src).volume * elem * if_reloads,
+        if tiled is None:
+            n_if = n_wt = 1
+        elif tiled is _CONV:
+            n_if, n_wt = conv_reload_trips(
+                layer, extent, tile, elem,
+                accel.if_resident_cap, accel.wt_resident_cap,
             )
-            for src in graph.feature_sources(name)
+        elif tiled is _DEPTHWISE:
+            n_if, n_wt = 1, tile.spatial_trips(extent.height, extent.width)
+        else:
+            # The reloads follow the leading multiply.
+            n_if, n_wt = gemm_reload_trips(
+                extent[0], tile, elem,
+                accel.if_resident_cap, accel.wt_resident_cap,
+            )
+        ifmap, weight, ofmap = _KINDS
+        streams = [
+            (ifmap, feature_tensor_name(src), elems * elem * n_if)
+            for src, elems in zip(sources, if_elems)
         ]
-        if weight_volume is not None:
-            wt_bytes = weight_volume * elem * wt_reloads
-            streams.append((TensorKind.WEIGHT, weight_tensor_name(name), wt_bytes))
-        streams.append((TensorKind.OFMAP, feature_tensor_name(name), out_volume * elem))
+        if wt_elems is not None:
+            streams.append((weight, weight_tensor_name(name), wt_elems * elem * n_wt))
+        streams.append((ofmap, feature_tensor_name(name), of_elems * elem))
         bandwidth = self._bandwidth
         # Slot(node, kind, tensor, bytes, latency), positionally: cheaper
         # than keywords at one call per slot.
-        return [
+        slots = [
             Slot(
                 name, kind, tensor, num_bytes,
-                num_bytes / bandwidth[kind] if num_bytes else 0.0,
+                _transfer_latency(num_bytes, bandwidth, kind),
             )
             for kind, tensor, num_bytes in streams
         ]
-
-    def _characterize_tiled(
-        self,
-        name: str,
-        layer: Layer,
-        extent: FeatureMapShape | tuple[GemmDims, ...],
-        compute: float,
-        macs: int,
-        weight_volume: int,
-        n_if: int,
-        n_wt: int,
-    ) -> LayerLatency:
-        """A node whose reload trips depend on the tile, at this design's tile.
-
-        ``extent`` is the output shape of a conv or depthwise node and the
-        composed multiplies of a GEMM or attention node: what
-        :meth:`_retiled_total` re-derives the trips (and a GEMM's cycles)
-        from at another tile.
-        """
-        slots = self._transfer_slots(
-            name, self.graph.output_shape(name).volume, n_if, weight_volume, n_wt
+        return LayerLatency(
+            node=name,
+            compute=compute(work, accel.array, accel.frequency, tile),
+            slots=slots,
+            macs=macs,
         )
-        self._tiled[name] = (layer, extent, n_if, n_wt)
-        return LayerLatency(node=name, compute=compute, slots=slots, macs=macs)
-
-    def _characterize_conv(self, name: str, layer: Conv2D) -> LayerLatency:
-        # Shapes come from the graph, which resolved them at construction.
-        graph = self.graph
-        out = graph.output_shape(name)
-        inp = graph.output_shape(layer.inputs[0])
-        kh, kw = layer.kernel
-        macs = out.channels * out.height * out.width * inp.channels * kh * kw
-        accel = self.accel
-        effective_macs = accel.array.effective_macs(out.channels, layer.in_channels)
-        compute = macs / (effective_macs * accel.frequency)
-        weight_volume = layer.out_channels * layer.in_channels * kh * kw
-        n_tm, n_sp = conv_reload_trips(
-            layer, out, accel.tile, self._elem,
-            accel.if_resident_cap, accel.wt_resident_cap,
-        )
-        return self._characterize_tiled(
-            name, layer, out, compute, macs, weight_volume, n_tm, n_sp
-        )
-
-    def _characterize_depthwise(self, name: str, layer: DepthwiseConv2D) -> LayerLatency:
-        """Depthwise convolution: no input-channel reduction.
-
-        The SIMD lanes of the PE array reduce over input channels, which a
-        depthwise layer does not have, so only the rows x cols lanes do
-        useful work — the characteristic inefficiency of depthwise layers
-        on channel-parallel accelerators.  Each input channel feeds
-        exactly its own output channel, so the input streams once (no
-        output-channel reload factor).
-        """
-        out = self.graph.output_shape(name)
-        macs = layer.macs(self.graph.input_shapes(name))
-        array = self.accel.array
-        channel_eff = out.channels / (
-            math.ceil(out.channels / array.rows) * array.rows
-        )
-        effective = array.rows * array.cols * channel_eff
-        compute = macs / (effective * self.accel.frequency)
-        n_sp = self.accel.tile.spatial_trips(out.height, out.width)
-        return self._characterize_tiled(
-            name, layer, out, compute, macs, _weight_volume(layer), 1, n_sp
-        )
-
-    def _characterize_fc(self, name: str, layer: Gemm) -> LayerLatency:
-        """Conv-datapath GEMM: the CNN classifier head.
-
-        Runs on the convolution datapath as a 1x1 convolution over a 1x1
-        spatial extent, so it pays the channel-padding waste model and a
-        single streaming pass over every tensor — the historical
-        ``FullyConnected`` characterisation, unchanged.
-        """
-        macs = layer.macs(self.graph.input_shapes(name))
-        array = self.accel.array
-        effective_macs = array.effective_macs(layer.out_features, layer.in_features)
-        compute = macs / (effective_macs * self.accel.frequency)
-        slots = self._transfer_slots(
-            name, self.graph.output_shape(name).volume, 1, _weight_volume(layer), 1
-        )
-        return LayerLatency(node=name, compute=compute, slots=slots, macs=macs)
-
-    def _characterize_gemm(self, name: str, layer: Gemm | Attention) -> LayerLatency:
-        """Systolic-datapath GEMM over a token sequence, or fused attention.
-
-        Attention's compute is the sum of its composed GEMMs; the
-        attention intermediates stay in the tile buffers, so the only
-        off-chip streams are the input sequence (reloaded per
-        output-feature tile of the QKV projection), the fused projection
-        weights and the output sequence.
-        """
-        macs = layer.macs(self.graph.input_shapes(name))
-        dims = layer.gemm_dims()
-        extent = (dims,) if isinstance(dims, GemmDims) else dims
-        accel = self.accel
-        cycles = 0
-        for gemm in extent:
-            cycles += gemm_compute_cycles(gemm, accel.array, accel.tile)
-        # The reloads follow the leading multiply.
-        n_if, n_wt = gemm_reload_trips(
-            extent[0], accel.tile, self._elem,
-            accel.if_resident_cap, accel.wt_resident_cap,
-        )
-        return self._characterize_tiled(
-            name, layer, extent, cycles / accel.frequency, macs,
-            _weight_volume(layer), n_if, n_wt,
-        )
-
-    def _characterize_norm(self, name: str, layer: Layer) -> LayerLatency:
-        """Layer normalisation: two passes (statistics, normalise) over the
-        data on the vector lanes, negligible arithmetic — memory bound on
-        any realistic design, like eltwise.
-        """
-        out = self.graph.output_shape(name)
-        compute = 2 * out.volume / (self.accel.array.macs * self.accel.frequency)
-        slots = self._transfer_slots(name, out.volume)
-        return LayerLatency(node=name, compute=compute, slots=slots, macs=0)
-
-    def _characterize_pool(self, name: str, layer: Pooling) -> LayerLatency:
-        out = self.graph.output_shape(name)
-        # One comparison/add per kernel element per output — executed on the
-        # array's vector lanes, so the rate matches the MAC rate.
-        if layer.global_pool:
-            (inp,) = self.graph.input_shapes(name)
-            ops = inp.volume
-        else:
-            ops = out.volume * layer.kernel[0] * layer.kernel[1]
-        compute = ops / (self.accel.array.macs * self.accel.frequency)
-        slots = self._transfer_slots(name, out.volume)
-        return LayerLatency(node=name, compute=compute, slots=slots, macs=0)
-
-    def _characterize_eltwise(self, name: str, layer: Layer) -> LayerLatency:
-        out = self.graph.output_shape(name)
-        compute = out.volume / (self.accel.array.macs * self.accel.frequency)
-        slots = self._transfer_slots(name, out.volume)
-        return LayerLatency(node=name, compute=compute, slots=slots, macs=0)
 
     # ------------------------------------------------------------------
     # Queries
@@ -530,7 +649,7 @@ class LatencyModel:
         With ``tile``, the UMM latency of this design with ``tile``
         swapped in, bit for bit
         ``LatencyModel(graph, replace(accel, tile=tile)).umm_latency()``
-        (:func:`dataclasses.replace`): only the recorded tile terms are
+        (:func:`dataclasses.replace`): only the tile terms are
         re-derived, through the same helpers the characterisation calls,
         and the node latencies are combined and summed as
         :meth:`total_latency` does.
@@ -542,18 +661,15 @@ class LatencyModel:
     def umm_floor(self) -> float:
         """UMM latency no tile on this design can beat.
 
-        Every reload trip at its floor of one and every GEMM at its
-        best-schedule cycle count.  A tile only multiplies transfer terms
-        by trips >= 1 (a residency cap can lower a trip count, never
-        below 1) and never runs a GEMM in fewer cycles, and the per-node
-        ``max`` and the sum are monotone in those terms, so
-        ``umm_floor() <= umm_latency(tile)`` for every tile — the bound
-        the roofline pruning of :mod:`repro.perf.space` relies on.
+        The graph's :meth:`FloorTable.floor` of this design, so
+        ``umm_floor() <= umm_latency(tile)`` for every tile.
         """
-        return self._retiled_total(None)
+        if self._table is None:
+            raise ValueError(_EDITED)
+        return self._table.floor(self.accel)
 
-    def _retiled_total(self, tile: TileConfig | None) -> float:
-        """UMM latency at ``tile`` (None: the floor), in schedule order.
+    def _retiled_total(self, tile: TileConfig) -> float:
+        """UMM latency at ``tile``, in schedule order.
 
         Re-derives each tile-dependent node's trips (and a GEMM's cycles)
         with the helpers its characterisation called, combines its terms
@@ -569,10 +685,7 @@ class LatencyModel:
         # its bandwidth was read when the node was characterised.
         bw_if = self._bandwidth.get(TensorKind.IFMAP)
         bw_wt = self._bandwidth.get(TensorKind.WEIGHT)
-        # Enum members read once: an attribute read per node costs more
-        # than the rest of a conv node's dispatch.
-        conv, depthwise = ComputeKind.CONV, ComputeKind.DEPTHWISE
-        gemm_kinds = (ComputeKind.GEMM, ComputeKind.ATTENTION)
+        conv, depthwise = _CONV, _DEPTHWISE
         total = 0.0
         for entry in plan:
             kind = entry[0]
@@ -580,29 +693,19 @@ class LatencyModel:
                 total += entry[1]
                 continue
             _, layer, extent, compute, if_bytes, wt_bytes, of_lat = entry
-            if tile is None:
-                # Every tensor streamed once, each GEMM in a single tile
-                # with one pipeline fill.
-                n_if = n_wt = 1
-                if kind in gemm_kinds:
-                    cycles = 0
-                    for gemm in extent:
-                        cycles += gemm_cycles_lower_bound(gemm, array)
-                    compute = cycles / freq
-            elif kind is conv:
+            if kind is conv:
                 n_if, n_wt = conv_reload_trips(
                     layer, extent, tile, elem, if_cap, wt_cap
                 )
             elif kind is depthwise:
                 n_if, n_wt = 1, tile.spatial_trips(extent.height, extent.width)
             else:
-                cycles = 0
-                for gemm in extent:
-                    cycles += gemm_compute_cycles(gemm, array, tile)
-                compute = cycles / freq
+                compute = _gemm_compute(extent, array, freq, tile)
                 n_if, n_wt = gemm_reload_trips(
                     extent[0], tile, elem, if_cap, wt_cap
                 )
+            # _transfer_latency's expression, inlined: this loop runs once
+            # per node per scored tile, and a call per slot costs ~15 %.
             if_lat = 0.0
             for single in if_bytes:
                 num_bytes = single * n_if
@@ -618,33 +721,29 @@ class LatencyModel:
         A tile-invariant node's (None, UMM latency), or a tile-dependent
         node's (compute kind, layer, extent, compute at this design's tile,
         single-pass input bytes per slot, single-pass weight bytes,
-        output latency).  Its slots are (if..., wt, of), and each
-        transfer slot's bytes are its single-pass bytes times its trips
-        at this design's tile.  Built on the first re-tiled query, so a
-        model that is never re-tiled pays nothing for it.
+        output latency).  Built on the first re-tiled query, so a model
+        that is never re-tiled pays nothing for it.
         """
         plan = self._plan
         if plan is not None:
             return plan
-        tiled = self._tiled
-        if tiled is None:
-            raise ValueError("a model built from an edited layer table cannot be re-tiled")
+        if self._table is None:
+            raise ValueError(_EDITED)
+        elem = self._elem
         plan = []
-        for name, ll in self._layers.items():
-            terms = tiled.get(name)
-            if terms is None:
+        for node in self._table.nodes:
+            ll = self._layers[node.name]
+            if node.kind is None:
                 plan.append((None, ll.latency()))
                 continue
-            layer, extent, if_trips, wt_trips = terms
-            slots = ll.slots
             plan.append((
-                layer.compute_kind,
-                layer,
-                extent,
+                node.kind,
+                node.layer,
+                node.extent,
                 ll.compute,
-                tuple(slot.bytes // if_trips for slot in slots[:-2]),
-                slots[-2].bytes // wt_trips,
-                slots[-1].latency,
+                tuple(elems * elem for elems in node.if_elems),
+                node.wt_elems * elem,
+                ll.slots[-1].latency,
             ))
         self._plan = plan
         return plan

@@ -22,6 +22,8 @@ sized to the actual work:
   multi-base spaces stream through the same warm pool.  The model
   scores every tile of its base itself (``umm_latency(tile)``), so a
   worker and a serial sweep compute each score with the same code.
+  Workers only score: the sweep floors its bases in the parent, from
+  the graph's one floor table, which needs no model.
 * **Compact encoding.**  Tiles travel as a packed int array (16
   bytes/tile instead of a pickled :class:`TileConfig` each) and scores
   return as a packed float array plus the measured wall seconds —
@@ -62,7 +64,7 @@ if TYPE_CHECKING:
     from concurrent.futures import Future
 
     from repro.ir.graph import ComputationGraph
-    from repro.perf.latency import LatencyModel
+    from repro.perf.latency import FloorTable, LatencyModel
     from repro.perf.systolic import AcceleratorConfig
 
 __all__ = [
@@ -143,11 +145,14 @@ def adaptive_chunk_size(
 
 
 class BaseModels:
-    """The latency models of one graph's base designs, least recent out first.
+    """What a tile sweep asks of one graph's base designs.
 
-    A tile sweep asks each base design for its floor and for its score
-    at many tiles, and each answer needs the base's
-    :class:`~repro.perf.latency.LatencyModel`.  Building one
+    The sweep asks every base for its floor, and the bases it does not
+    prune for their scores at many tiles.  Floors come from the graph's
+    one :class:`~repro.perf.latency.FloorTable`, built on the first
+    :meth:`floor` and held here (a graph can still grow, so no table
+    outlives its sweep), and need no model.  A score needs the base's
+    :class:`~repro.perf.latency.LatencyModel`, and building one
     characterises the whole graph, so the sweep's parent process and
     every pool worker keep their last :data:`_MODEL_LRU` models, keyed
     by the base's fingerprint around the tile.
@@ -159,6 +164,15 @@ class BaseModels:
     def __init__(self, graph: "ComputationGraph") -> None:
         self.graph = graph
         self._models: "OrderedDict[str, LatencyModel]" = OrderedDict()
+        self._table: "FloorTable | None" = None
+
+    def floor(self, base: "AcceleratorConfig") -> float:
+        """UMM latency no tile on ``base`` can beat."""
+        if self._table is None:
+            from repro.perf.latency import FloorTable
+
+            self._table = FloorTable(self.graph)
+        return self._table.floor(base)
 
     def get(self, base: "AcceleratorConfig", key: str | None = None) -> "LatencyModel":
         """The model of ``base``; ``key`` is its fingerprint, if known."""
@@ -212,24 +226,6 @@ def _pool_init(
 def _pool_ping() -> int:
     """Warm-up no-op proving a worker process came up and initialized."""
     return os.getpid()
-
-
-def _pool_lower_bounds(bases, base_keys: Sequence[str]) -> array:
-    """Characterise bases in a worker and return their sweep floors.
-
-    The per-base graph characterisation behind
-    :meth:`~repro.perf.latency.LatencyModel.umm_floor` is the serial
-    bottleneck of a pruned exploded sweep (hundreds of bases, a handful
-    of surviving tiles), so :func:`repro.perf.space.explore_space` fans
-    it out over the same pool that scores the tiles.
-    """
-    return array(
-        "d",
-        [
-            _worker_models.get(base, key).umm_floor()
-            for base, key in zip(bases, base_keys)
-        ],
-    )
 
 
 def _pool_score_chunk(
@@ -408,13 +404,6 @@ class ScorerPool(ResilientPool):
         if executor is None:
             raise RuntimeError("ensure() the pool before submitting chunks")
         return executor.submit(_pool_score_chunk, base, base_key, encoded, index)
-
-    def submit_bounds(self, bases, base_keys: Sequence[str]) -> "Future":
-        """Submit one batch of per-base lower-bound computations."""
-        executor = self._executor
-        if executor is None:
-            raise RuntimeError("ensure() the pool before submitting bounds")
-        return executor.submit(_pool_lower_bounds, bases, base_keys)
 
     def observe(self, points: int, seconds: float) -> None:
         """Feed one measured (points scored, wall seconds) sample."""

@@ -19,7 +19,7 @@ is *provably* uncompetitive before any scoring happens:
   ``(tm, th, tw)`` only the first-enumerated needs scoring — the rest
   are equal-score duplicates with a larger or equal buffer footprint.
 * **Roofline base dominance.**
-  :meth:`~repro.perf.latency.LatencyModel.umm_floor` evaluates a base
+  :meth:`~repro.perf.latency.FloorTable.floor` evaluates a base
   with every DDR reload at its floor of one trip and every GEMM at its
   best-schedule cycle count; no tile on that base can do better.  Bases
   are scored in ascending order of this bound, and a base whose *floor*
@@ -32,11 +32,13 @@ and every pruned count is reported — in the returned
 :class:`SpaceResult`, in ``WorkerStats.points_pruned`` and in the
 ``dse.points_pruned`` metric.  There are no silent caps.
 
-Each base's floor and tile scores come from its
-:class:`~repro.perf.latency.LatencyModel` (``umm_floor()`` and
-``umm_latency(tile)``); the parent and every worker memoise the last few
-models in a :class:`~repro.perf.pool.BaseModels` LRU, and a bound pass
-the parent runs holds the models of the lowest floors for the sweep.
+The parent floors every base from the graph's one
+:class:`~repro.perf.latency.FloorTable`, without characterising any;
+a base's tile scores come from its
+:class:`~repro.perf.latency.LatencyModel` (``umm_latency(tile)``),
+built only for a base that is scored.  The sweep's
+:class:`~repro.perf.pool.BaseModels` holds the table and, like every
+pool worker's, an LRU of the last few models.
 Scoring streams through one :class:`~repro.perf.pool.ScorerPool` shared
 across every base: the pool the caller passes, or a private one the
 sweep builds and closes.  Per-tile scores warm-start from the
@@ -46,16 +48,14 @@ sweep builds and closes.  Per-tile scores warm-start from the
 
 from __future__ import annotations
 
-import heapq
 import itertools
-import math
 import random
 from dataclasses import dataclass, field, replace
 from pickle import PicklingError
 from typing import TYPE_CHECKING
 
 from repro.errors import CapacityError, ConfigError, ReproError
-from repro.fingerprint import accel_fingerprint, sweep_key, tile_key
+from repro.fingerprint import sweep_key, tile_key
 from repro.hw.fpga import FPGADevice, VU9P
 from repro.hw.precision import ALL_PRECISIONS, INT8, INT16, Precision
 from repro.obs import spans as obs
@@ -73,7 +73,6 @@ from repro.perf.tiling import TileConfig
 if TYPE_CHECKING:
     from repro.cache.store import CompilationCache
     from repro.ir.graph import ComputationGraph
-    from repro.perf.latency import LatencyModel
 
 __all__ = [
     "DesignSpace",
@@ -355,72 +354,6 @@ def _dominant_tiles(
     return kept, len(feasible), len(feasible) - len(kept)
 
 
-#: Models a parent-side bound pass holds for the sweep: those of the
-#: lowest floors.  The sweep visits bases in ascending floor order and
-#: the bound discards a suffix of it, so these bases are the likeliest to
-#: be scored, and holding their models spares characterising them twice
-#: without keeping one model per base.
-_HELD_MODELS = 16
-
-
-def _lower_bounds(
-    prepped: list[tuple[int, "AcceleratorConfig", list[TileConfig]]],
-    sweep_pool: ScorerPool | None,
-    workers: int,
-    stats: WorkerStats,
-    models: BaseModels,
-) -> tuple[dict[int, float], dict[int, "LatencyModel"]]:
-    """Roofline floor per base, fanned out to the pool when one exists.
-
-    Characterising a base for its bound costs the same graph walk the
-    sweep itself pays, so on heavily pruned exploded spaces the bounds
-    are most of the total work.  With a pool the batches run in the
-    workers (warming their model memos as a side effect); without one —
-    or if the pool fails mid-flight — the parent computes the missing
-    floors itself through ``models``.  The floats are identical either
-    way, so pruning decisions are too.
-
-    Returns the floors by base index, and the parent-side models of the
-    :data:`_HELD_MODELS` lowest floors (first in sweep order), by index.
-    """
-    bounds: dict[int, float] = {}
-    if sweep_pool is not None and workers > 1 and len(prepped) > 1:
-        try:
-            _, elapsed = sweep_pool.ensure()
-            stats.init_seconds += elapsed
-            per_batch = max(1, math.ceil(len(prepped) / (workers * 2)))
-            futures = []
-            for start in range(0, len(prepped), per_batch):
-                batch = prepped[start : start + per_batch]
-                futures.append((
-                    [idx for idx, _, _ in batch],
-                    sweep_pool.submit_bounds(
-                        [base for _, base, _ in batch],
-                        [
-                            accel_fingerprint(base, include_tile=False)
-                            for _, base, _ in batch
-                        ],
-                    ),
-                ))
-            for idxs, future in futures:
-                for idx, value in zip(idxs, future.result()):
-                    bounds[idx] = value
-        except Exception:
-            bounds.clear()  # broken pool: fall through to parent-side
-
-    def parent_floors():
-        for idx, base, _ in prepped:
-            if idx not in bounds:
-                model = models.get(base)
-                bounds[idx] = floor = model.umm_floor()
-                yield floor, idx, model
-
-    # Ranked by the sweep order (floor, index); nsmallest keeps only
-    # _HELD_MODELS entries while it consumes the generator.
-    held = heapq.nsmallest(_HELD_MODELS, parent_floors())
-    return bounds, {idx: model for _, idx, model in held}
-
-
 def _sweep_base(
     graph: "ComputationGraph",
     base: AcceleratorConfig,
@@ -430,7 +363,6 @@ def _sweep_base(
     cache: "CompilationCache | None",
     sweep_pool: ScorerPool | None,
     models: BaseModels,
-    model: "LatencyModel | None",
     chunk_timeout: float | None,
     chunk_retries: int,
 ) -> list[DesignPoint]:
@@ -438,11 +370,10 @@ def _sweep_base(
 
     Warm-starts from ``cache`` under the base's ``sweep_key`` and writes
     fresh scores back.  Pending tiles go to the pool when more than one
-    worker can be used, otherwise they are scored serially with
-    ``model``, the base's model if the bound pass held it, or else the
-    one ``models`` holds or builds.  Only
-    *environmental* pool failures fall back to the serial path; a
-    taxonomy error raised while setting up the pool propagates.
+    worker can be used, otherwise they are scored serially with the
+    base's model from ``models``.  Only *environmental* pool failures
+    fall back to the serial path; a taxonomy error raised while setting
+    up the pool propagates.
     """
     with obs.span(
         "dse.explore",
@@ -488,9 +419,7 @@ def _sweep_base(
         if pending:
             if scored is None:
                 with obs.span("dse.serial-sweep", tiles=len(pending)):
-                    if model is None:
-                        model = models.get(base)
-                    score = model.umm_latency
+                    score = models.get(base).umm_latency
                     scored = [score(tile) for tile in pending]
             scores.update(zip(map(tile_key, pending), scored))
             if cache is not None:
@@ -632,10 +561,10 @@ def explore_space(
     ):
         try:
             models = BaseModels(graph)
-            bounds: dict[int, float] = {}
-            held: dict[int, LatencyModel] = {}
             if prune:
-                bounds, held = _lower_bounds(prepped, pool, workers, stats, models)
+                # Every floor comes from the graph's one floor table, in
+                # this process: no base is characterised for its bound.
+                bounds = {idx: models.floor(base) for idx, base, _ in prepped}
                 # Most promising floors first maximises how early the
                 # incumbent tightens and how much the bound can discard.
                 order = sorted(prepped, key=lambda p: (bounds[p[0]], p[0]))
@@ -657,7 +586,6 @@ def explore_space(
                     cache,
                     pool,
                     models,
-                    held.pop(idx, None),
                     chunk_timeout,
                     chunk_retries,
                 )

@@ -26,6 +26,9 @@ shares no evaluation code with :class:`repro.perf.engine.AllocationEngine`.
 * :func:`simulate_tiles` / :func:`network_tile_latency` — the dataflow
   of Fig. 1 simulated one outer-loop tile iteration at a time, the
   from-first-principles check of the bulk Eq.-1 latencies.
+* :func:`roofline_floor` — the floor no tile of a design can beat,
+  walked over the design's characterised model, the check of
+  ``FloorTable.floor``.
 """
 
 from __future__ import annotations
@@ -37,14 +40,14 @@ from dataclasses import dataclass
 from unittest import mock
 
 from repro.hw.sram import URAM_BYTES
-from repro.ir.layer import Attention, Conv2D, Gemm
+from repro.ir.layer import Attention, ComputeKind, Conv2D, Gemm, GemmDims
 from repro.ir.tensor import TensorKind, weight_tensor_name
 from repro.lcmm.buffers import VirtualBuffer
 from repro.lcmm.dnnk import DNNKResult, _block_rounded_bytes, dnnk_allocate
 from repro.lcmm.fusion import apply_fusion
 from repro.lcmm.prefetch import PrefetchResult
 from repro.perf.latency import LatencyModel
-from repro.perf.systolic import gemm_compute_cycles
+from repro.perf.systolic import gemm_compute_cycles, gemm_cycles_lower_bound
 from repro.sim import simulate
 
 
@@ -619,3 +622,54 @@ def network_tile_latency(
         else model.layer(node).latency(onchip)
         for node in model.nodes()
     )
+
+
+def roofline_floor(model: LatencyModel) -> float:
+    """The UMM latency floor of a model's design, walked over its nodes.
+
+    A node whose terms depend on the tile (conv, depthwise, systolic
+    GEMM, attention) streams every tensor once and runs each GEMM in a
+    single tile with one pipeline fill; every other node keeps its UMM
+    latency.  The nodes combine their terms as Eq. 1 does and sum in
+    schedule order — the floor ``FloorTable.floor`` must equal bit for
+    bit.
+    """
+    graph, accel = model.graph, model.accel
+    elem = accel.precision.bytes
+
+    def transfer(num_bytes: int, kind: str) -> float:
+        return num_bytes / accel.interface_bandwidth(kind) if num_bytes else 0.0
+
+    total = 0.0
+    for name in model.nodes():
+        node = model.layer(name)
+        layer = graph.layer(name)
+        kind = layer.compute_kind
+        if kind is ComputeKind.GEMM and layer.conv_datapath:
+            kind = None  # the FC head: one pass over every tensor at any tile
+        if kind not in _TILED_KINDS:
+            total += node.latency()
+            continue
+        compute = node.compute
+        if kind in (ComputeKind.GEMM, ComputeKind.ATTENTION):
+            dims = layer.gemm_dims()
+            cycles = 0
+            for gemm in (dims,) if isinstance(dims, GemmDims) else dims:
+                cycles += gemm_cycles_lower_bound(gemm, accel.array)
+            compute = cycles / accel.frequency
+        if_lat = 0.0
+        for slot in node.slots[:-2]:  # (if..., wt, of)
+            producer = slot.tensor.partition(":")[2]
+            if_lat += transfer(graph.output_shape(producer).volume * elem, "if")
+        wt_lat = transfer(layer.weight_shape.volume * elem, "wt")
+        total += max(compute, if_lat, wt_lat, node.slots[-1].latency)
+    return total
+
+
+#: Compute kinds whose latency terms depend on the tile.
+_TILED_KINDS = (
+    ComputeKind.CONV,
+    ComputeKind.DEPTHWISE,
+    ComputeKind.GEMM,
+    ComputeKind.ATTENTION,
+)

@@ -1,13 +1,20 @@
 """Tests for repro.perf.latency — the Eq. 1 latency model."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.reference import model_reference_design
 from repro.errors import GraphValidationError
-from repro.hw.precision import INT8, INT16, Precision
+from repro.hw.precision import ALL_PRECISIONS, INT8, INT16, Precision
 from repro.ir.tensor import TensorKind
-from repro.perf.latency import LatencyModel
+from repro.models.zoo import get_model, list_models
+from repro.perf.latency import FloorTable, LatencyModel
+from repro.perf.space import small_space
+from repro.perf.systolic import SystolicArray
+from repro.perf.tiling import TileConfig
 
 from tests.conftest import (
     build_chain,
@@ -16,6 +23,7 @@ from tests.conftest import (
     build_snippet,
     small_accel,
 )
+from tests.oracles import roofline_floor
 from tests.strategies import (
     accelerators,
     assert_floor_below_every_tile,
@@ -232,10 +240,79 @@ class TestRetile:
             edited.umm_floor()
 
 
+class TestFloorTable:
+    """One floor table per graph floors any design on it, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(graph=graphs(), designs=st.lists(accelerators(), min_size=1, max_size=3))
+    def test_floor_equals_oracle(self, graph, designs):
+        # One table floors every drawn design, in order, as a sweep does.
+        table = FloorTable(graph)
+        for accel in designs:
+            model = LatencyModel(graph, accel)
+            oracle = roofline_floor(model)
+            assert table.floor(accel) == oracle
+            assert model.umm_floor() == oracle
+
+    def test_zoo_floors_equal_oracle(self):
+        # The small space's bases, then the model's int8, int16 and fp32
+        # reference designs.
+        for name in list_models():
+            graph = get_model(name)
+            table = FloorTable(graph)
+            designs = small_space().bases() + [
+                model_reference_design(name, precision, "lcmm")
+                for precision in ALL_PRECISIONS
+            ]
+            for accel in designs:
+                oracle = roofline_floor(LatencyModel(graph, accel))
+                assert table.floor(accel) == oracle, (name, accel.name)
+
+    def test_tile_and_caps_share_a_floor(self):
+        graph = build_snippet()
+        base = small_accel()
+        table = FloorTable(graph)
+        floor = table.floor(base)
+        twin = replace(
+            base,
+            name="twin",
+            tile=TileConfig(tm=8, tn=8, th=7, tw=7),
+            if_resident_cap=1 << 15,
+            wt_resident_cap=1 << 13,
+        )
+        assert table.floor(twin) == floor
+        assert len(table._floors) == 1
+
+    @pytest.mark.parametrize(
+        "ddr_efficiency, change",
+        [
+            # A starved memory system for the transfer inputs, the
+            # compute-bound default for the compute inputs.
+            (0.01, {"precision": INT16}),
+            (0.01, {"ddr_efficiency": 0.02}),
+            (1.0, {"frequency": 150e6}),
+            (1.0, {"array": SystolicArray(rows=8, cols=8, simd=8)}),
+        ],
+    )
+    def test_floor_inputs_do_not_share(self, ddr_efficiency, change):
+        # A memo keyed too coarsely would answer the other design's floor.
+        graph = build_snippet()
+        base = small_accel(ddr_efficiency=ddr_efficiency)
+        other = replace(base, **change)
+        table = FloorTable(graph)
+        table.floor(base)
+        assert table.floor(other) == FloorTable(graph).floor(other)
+        assert table.floor(other) != table.floor(base)
+
+
 class TestComputeFreeGraph:
     def test_model_construction_is_a_taxonomy_error(self):
         with pytest.raises(GraphValidationError, match="no layer the accelerator executes"):
             LatencyModel(build_input_only(), small_accel())
+
+    def test_floor_table_is_a_taxonomy_error(self):
+        with pytest.raises(GraphValidationError, match="no layer the accelerator executes"):
+            FloorTable(build_input_only())
 
 
 def _without_ddr(accel):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.errors import CapacityError, ConfigError, GraphValidationError
 from repro.hw.precision import FP32, INT8, INT16
+from repro.models.zoo import get_model
 from repro.perf.dse import WorkerStats, candidate_tiles
 from repro.perf import latency
 from repro.perf.latency import LatencyModel
@@ -97,8 +98,8 @@ class TestLowerBound:
         assert_floor_below_every_tile(graph_builder(), base, candidate_tiles())
 
     def test_scorer_reused_when_given(self):
-        # explore_space scores a base with the model its bound was
-        # computed on; scoring must not move the bound.
+        # A model's floor is read from the graph's floor table, never
+        # from the model's re-tiled plan: scoring tiles must not move it.
         graph = build_chain()
         base = small_accel()
         model = LatencyModel(graph, base)
@@ -174,6 +175,48 @@ class TestExploreSpace:
         result = explore_space(build_chain(), space, BUDGET, prune=True)
         assert result.bases_pruned == 0
         assert sorted(builds) == sorted(b.name for b in bases)
+
+    def test_pruned_bases_are_never_characterised(self, monkeypatch):
+        # Floors come from the floor table: only a scored base builds a
+        # model, once, and a base the bound discards builds none.
+        builds = []
+
+        class CountingModel(LatencyModel):
+            def __init__(self, graph, accel):
+                builds.append(accel.name)
+                super().__init__(graph, accel)
+
+        monkeypatch.setattr(latency, "LatencyModel", CountingModel)
+        space = _tiny_space(
+            arrays=(
+                SystolicArray(rows=16, cols=8, simd=8),
+                SystolicArray(rows=8, cols=8, simd=8),
+            ),
+            precisions=(INT16, INT8),
+            frequencies=(150e6, 190e6, 230e6),
+        )
+        result = explore_space(build_chain(), space, BUDGET, prune=True)
+        assert result.bases_pruned > 0
+        assert len(builds) == result.bases_scored
+        assert len(set(builds)) == len(builds)
+        scored = {p.accel.name for p in result.points}
+        assert set(builds) == scored
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_large_sample_pool_matches_serial(self, seed):
+        # The sweep of CI's `lcmm dse --space large --sample 300` check.
+        graph = get_model("googlenet")
+        sample = large_space().sample(300, seed)
+        budget = 8 * 2**20
+        serial = explore_space(graph, sample, budget, workers=1)
+        pooled = explore_space(graph, sample, budget, workers=2)
+        key = lambda r: (
+            [(p.accel, p.umm_latency) for p in r.points],
+            r.pruned_bounded,
+            r.bases_pruned,
+        )
+        assert key(pooled) == key(serial)
+        assert serial.bases_pruned > 0
 
     def test_workers_match_serial(self):
         graph = build_chain()
