@@ -40,6 +40,7 @@ from repro.models.zoo import canonical_model_name, get_model, list_models
 from repro.obs import spans as obs
 
 if TYPE_CHECKING:
+    from repro.ir.graph import ComputationGraph
     from repro.perf.latency import LatencyModel
 
 __all__ = [
@@ -190,9 +191,12 @@ class BatchReport:
         return problems
 
 
-#: Per-process memo of built (graph, design) pairs by (model, precision).
-#: Zoo builds are deterministic and ``run_lcmm`` treats its inputs as
-#: read-only, so one instance can serve every job in a batch.
+#: Per-process memo of built graphs by model, and of (graph, design)
+#: pairs by (model, precision).  Zoo builds are deterministic and
+#: ``run_lcmm`` treats its inputs as read-only, so one graph serves every
+#: job of its model in a batch, every precision included, and the
+#: analyses the graph holds (``ComputationGraph.derived``) are built once.
+_GRAPH_MEMO: dict[str, "ComputationGraph"] = {}
 _DESIGN_MEMO: dict[tuple[str, str], tuple] = {}
 
 #: Latency models a process keeps alive at once, least recent out first.
@@ -207,9 +211,9 @@ _MODEL_LRU = 4
 _MODEL_MEMO: "OrderedDict[tuple[str, str], LatencyModel]" = OrderedDict()
 _MODEL_LOCK = threading.Lock()
 
-#: Per-process memo of graph digests by (model, precision): every
-#: configuration of one model keys the same graph.
-_DIGEST_MEMO: dict[tuple[str, str], str] = {}
+#: Per-process memo of graph digests by model: every configuration and
+#: precision of one model keys the same graph.
+_DIGEST_MEMO: dict[str, str] = {}
 
 #: Per-process memo of content keys by (model, config, precision).  The
 #: key is content-derived on first use; memoising the derivation lets a
@@ -225,7 +229,10 @@ def _design(model_name: str, precision_name: str) -> tuple:
         from repro.analysis.reference import model_reference_design
         from repro.hw.precision import precision_by_name
 
-        graph = get_model(model_name)
+        graph = _GRAPH_MEMO.get(model_name)
+        if graph is None:
+            # Threads that build the same graph at once settle on one.
+            graph = _GRAPH_MEMO.setdefault(model_name, get_model(model_name))
         accel = model_reference_design(
             model_name, precision_by_name(precision_name), "lcmm"
         )
@@ -267,10 +274,9 @@ def _job_key(model_name: str, config: str, precision_name: str) -> str:
     if key is None:
         options = standard_options(config)
         graph, accel = _design(model_name, precision_name)
-        design = (model_name, precision_name)
-        digest = _DIGEST_MEMO.get(design)
+        digest = _DIGEST_MEMO.get(model_name)
         if digest is None:
-            digest = _DIGEST_MEMO[design] = graph_fingerprint(graph)
+            digest = _DIGEST_MEMO[model_name] = graph_fingerprint(graph)
         # Matches the key run_lcmm(cache=...) derives for a default
         # (non-strict) run, so batch artifacts and `lcmm run --cache`
         # artifacts are interchangeable.

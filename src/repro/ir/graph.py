@@ -10,6 +10,7 @@ feature/weight tensor identities that the LCMM passes operate on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, TypeVar
 
 from repro.errors import GraphValidationError
 from repro.ir.layer import Concat, Layer, OpType
@@ -22,6 +23,8 @@ from repro.ir.tensor import (
 )
 
 __all__ = ["ComputationGraph", "GraphValidationError"]
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -43,14 +46,18 @@ class ComputationGraph:
     blocks: dict[str, list[str]] = field(default_factory=dict)
     _layers: dict[str, Layer] = field(default_factory=dict, repr=False)
     _shapes: dict[str, FeatureMapShape] = field(default_factory=dict, repr=False)
-    _schedule: list[str] | None = field(default=None, repr=False)
-    #: Lazy consumer index (producer -> consumers in schedule order, each
-    #: once) and schedule positions; reset by :meth:`add` with the schedule.
+    _current_block: str | None = field(default=None, repr=False)
+    #: What the definition above implies, built on first use and reset by
+    #: :meth:`add`: the schedule, the consumer index (producer ->
+    #: consumers in schedule order, each once) and the :meth:`derived`
+    #: analyses.  Neither compared nor pickled.
+    _schedule: list[str] | None = field(default=None, repr=False, compare=False)
     _consumers: dict[str, list[str]] | None = field(
         default=None, repr=False, compare=False
     )
-    _position: dict[str, int] | None = field(default=None, repr=False, compare=False)
-    _current_block: str | None = field(default=None, repr=False)
+    _derived: dict[Callable, object] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def add(self, layer: Layer) -> Layer:
         """Add a layer, checking name uniqueness and input availability.
@@ -72,12 +79,47 @@ class ComputationGraph:
         input_shapes = [self._shapes[src] for src in layer.inputs]
         self._shapes[layer.name] = layer.infer_output_shape(input_shapes)
         self._layers[layer.name] = layer
-        self._schedule = None
-        self._consumers = None
-        self._position = None
+        self._reset()
         if self._current_block is not None:
             self.blocks.setdefault(self._current_block, []).append(layer.name)
         return layer
+
+    def _reset(self) -> None:
+        self._schedule = None
+        self._consumers = None
+        self._derived = {}
+
+    def derived(self, build: Callable[["ComputationGraph"], T]) -> T:
+        """``build(self)``, computed on first use and kept on this graph.
+
+        For analyses that read only the graph (the tensor enumeration,
+        the liveness ranges of :mod:`repro.lcmm.liveness`, the node
+        terms of :class:`~repro.perf.latency.FloorTable`): every model
+        and compile on one graph shares one build.  :meth:`add` drops
+        them all, so the next reader builds over the grown graph.  A
+        value handed out here is shared, so a builder returns what its
+        readers cannot change (tuples, frozen records, read-only views).
+        """
+        try:
+            return self._derived[build]  # type: ignore[return-value]
+        except KeyError:
+            value = self._derived[build] = build(self)
+            return value
+
+    def __getstate__(self) -> dict:
+        """The graph's definition, without what :meth:`_reset` drops.
+
+        So a pickled graph (pool initargs, a copy) carries no analysis,
+        and is the same bytes before and after a compile on the graph.
+        """
+        state = self.__dict__.copy()
+        for name in ("_schedule", "_consumers", "_derived"):
+            del state[name]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._reset()
 
     def begin_block(self, block_name: str) -> None:
         """Start tagging subsequently added layers with ``block_name``."""
@@ -178,39 +220,9 @@ class ComputationGraph:
         recorded as a consumer of each of the concat's own inputs, because
         the accelerator reads the branch outputs directly via address
         steering.  Concat outputs therefore get no tensor of their own.
+        A fresh list of the tensors :meth:`derived` holds.
         """
-        tensors = []
-        for name, lyr in self._layers.items():
-            if lyr.op_type is OpType.CONCAT:
-                continue
-            consumers = self._transitive_consumers(name)
-            if not consumers:
-                continue
-            tensors.append(
-                FeatureTensor(
-                    name=feature_tensor_name(name),
-                    producer=name,
-                    consumers=tuple(consumers),
-                    shape=self._shapes[name],
-                )
-            )
-        return tensors
-
-    def _transitive_consumers(self, name: str) -> list[str]:
-        """Consumers of a layer output, looking through concat nodes."""
-        if self._position is None:
-            self._position = {node: idx for idx, node in enumerate(self.schedule())}
-        index = self._consumer_index()
-        # Visit order does not matter: the result is sorted by position.
-        result: set[str] = set()
-        stack = list(index.get(name, ()))
-        while stack:
-            consumer = stack.pop()
-            if self._layers[consumer].op_type is OpType.CONCAT:
-                stack.extend(index.get(consumer, ()))
-            else:
-                result.add(consumer)
-        return sorted(result, key=self._position.__getitem__)
+        return list(self.derived(_feature_tensors))
 
     def feature_sources(self, name: str) -> list[str]:
         """Producer names whose feature values ``name`` actually reads.
@@ -233,13 +245,11 @@ class ComputationGraph:
         return sources
 
     def weight_tensors(self) -> list[WeightTensor]:
-        """One weight tensor per weighted layer (conv/FC/GEMM/attention)."""
-        tensors = []
-        for name, lyr in self._layers.items():
-            shape = lyr.weight_shape
-            if shape is not None:
-                tensors.append(WeightTensor(weight_tensor_name(name), name, shape))
-        return tensors
+        """One weight tensor per weighted layer (conv/FC/GEMM/attention).
+
+        A fresh list of the tensors :meth:`derived` holds.
+        """
+        return list(self.derived(_weight_tensors))
 
     # ------------------------------------------------------------------
     # Statistics
@@ -289,3 +299,43 @@ class ComputationGraph:
             raise GraphValidationError(
                 f"graph {self.name!r} has unreachable layers: {sorted(unreachable)[:5]}"
             )
+
+
+def _feature_tensors(graph: ComputationGraph) -> tuple[FeatureTensor, ...]:
+    layers = graph._layers
+    index = graph._consumer_index()
+    position = {node: idx for idx, node in enumerate(layers)}
+    tensors = []
+    for name, lyr in layers.items():
+        if lyr.op_type is OpType.CONCAT:
+            continue
+        # Consumers looking through concat nodes.  Visit order does not
+        # matter: the result is sorted by schedule position.
+        consumers: set[str] = set()
+        stack = list(index.get(name, ()))
+        while stack:
+            consumer = stack.pop()
+            if layers[consumer].op_type is OpType.CONCAT:
+                stack.extend(index.get(consumer, ()))
+            else:
+                consumers.add(consumer)
+        if not consumers:
+            continue
+        tensors.append(
+            FeatureTensor(
+                name=feature_tensor_name(name),
+                producer=name,
+                consumers=tuple(sorted(consumers, key=position.__getitem__)),
+                shape=graph._shapes[name],
+            )
+        )
+    return tuple(tensors)
+
+
+def _weight_tensors(graph: ComputationGraph) -> tuple[WeightTensor, ...]:
+    tensors = []
+    for name, lyr in graph._layers.items():
+        shape = lyr.weight_shape
+        if shape is not None:
+            tensors.append(WeightTensor(weight_tensor_name(name), name, shape))
+    return tuple(tensors)

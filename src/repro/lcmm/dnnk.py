@@ -44,7 +44,7 @@ import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.hw.sram import URAM_BYTES
 from repro.lcmm.buffers import VirtualBuffer
@@ -258,7 +258,10 @@ class _EngineGainEvaluator:
         return total
 
     # -- move evaluation ------------------------------------------------
-    def _affected_union(self, indices: tuple[int, ...]) -> list[int]:
+    def _affected_union(self, indices: tuple[int, ...]) -> Sequence[int]:
+        if len(indices) == 1:
+            # Already unique and in name order.
+            return self._affected[indices[0]]
         affected: set[int] = set()
         for i in indices:
             affected.update(self._affected[i])

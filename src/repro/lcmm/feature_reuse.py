@@ -16,7 +16,7 @@ from repro.ir.layer import OpType
 from repro.lcmm.buffers import CandidateTensor, TensorClass
 from repro.lcmm.coloring import color_buffers
 from repro.lcmm.interference import InterferenceGraph
-from repro.lcmm.liveness import feature_live_range, schedule_positions
+from repro.lcmm.liveness import feature_live_ranges
 from repro.lcmm.tables import eq2_latency_reduction
 from repro.lcmm.buffers import VirtualBuffer
 from repro.perf.latency import LatencyModel
@@ -50,7 +50,7 @@ def feature_candidates(
     regardless of allocation — and so is any tensor whose move on-chip
     saves nothing (its producer and consumers are all compute bound).
     """
-    positions = schedule_positions(graph)
+    ranges = feature_live_ranges(graph)
     elem = model.accel.precision.bytes
     candidates = []
     for tensor in graph.feature_tensors():
@@ -65,7 +65,7 @@ def feature_candidates(
                 name=tensor.name,
                 tensor_class=TensorClass.FEATURE,
                 size_bytes=tensor.bytes(elem),
-                live_range=feature_live_range(tensor, positions),
+                live_range=ranges[tensor.name],
                 affected_nodes=affected,
                 latency_reduction=reduction,
             )

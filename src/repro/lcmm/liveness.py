@@ -12,9 +12,10 @@ consumer reads the former while the producer writes the latter.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 from repro.ir.graph import ComputationGraph
-from repro.ir.tensor import FeatureTensor
 
 
 @dataclass(frozen=True)
@@ -43,13 +44,18 @@ class LiveRange:
         return f"[{self.start}, {self.end}]"
 
 
-def schedule_positions(graph: ComputationGraph) -> dict[str, int]:
+def schedule_positions(graph: ComputationGraph) -> Mapping[str, int]:
     """Map each executed node to its position in the compute schedule.
 
     Non-executed nodes (input, concat) are assigned the position of the
     step at which their value becomes available: the input image is
     available before step 0, a concat value when its last branch finishes.
+    Built once per graph (:meth:`ComputationGraph.derived`) and read-only.
     """
+    return graph.derived(_schedule_positions)
+
+
+def _schedule_positions(graph: ComputationGraph) -> Mapping[str, int]:
     positions = {name: idx for idx, name in enumerate(graph.compute_schedule())}
     for name in graph.schedule():
         if name in positions:
@@ -59,21 +65,23 @@ def schedule_positions(graph: ComputationGraph) -> dict[str, int]:
             positions[name] = 0
         else:
             positions[name] = max(positions[p] for p in preds)
-    return positions
+    return MappingProxyType(positions)
 
 
-def feature_live_range(
-    tensor: FeatureTensor, positions: dict[str, int]
-) -> LiveRange:
-    """Live range of a feature tensor: producer step to last-consumer step."""
-    start = positions[tensor.producer]
-    end = max(positions[c] for c in tensor.consumers)
-    return LiveRange(start, end)
+def feature_live_ranges(graph: ComputationGraph) -> Mapping[str, LiveRange]:
+    """Live ranges of every feature tensor in the graph, by tensor name.
+
+    A tensor is live from its producer's step to its last consumer's.
+    Built once per graph (:meth:`ComputationGraph.derived`) and read-only.
+    """
+    return graph.derived(_feature_live_ranges)
 
 
-def feature_live_ranges(graph: ComputationGraph) -> dict[str, LiveRange]:
-    """Live ranges of every feature tensor in the graph, by tensor name."""
+def _feature_live_ranges(graph: ComputationGraph) -> Mapping[str, LiveRange]:
     positions = schedule_positions(graph)
-    return {
-        t.name: feature_live_range(t, positions) for t in graph.feature_tensors()
-    }
+    return MappingProxyType({
+        t.name: LiveRange(
+            positions[t.producer], max(positions[c] for c in t.consumers)
+        )
+        for t in graph.feature_tensors()
+    })

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, TypeVar
 
 from repro.errors import GraphValidationError
@@ -389,9 +390,13 @@ class FloorTable:
     characterising it — what the roofline pruning of
     :mod:`repro.perf.space` asks of every base design of a sweep.
 
+    The graph holds its table: readers take ``graph.derived(FloorTable)``,
+    so every model, floor and sweep on one graph shares one build, and
+    :meth:`ComputationGraph.add` drops it with the graph's other
+    analyses, so a node added later is in the next table.
+
     Args:
-        graph: The DNN computation graph.  The table reads it once, so a
-            node added to the graph later is not in it.
+        graph: The DNN computation graph.
 
     Raises:
         repro.errors.GraphValidationError: When the graph has no layer
@@ -407,6 +412,18 @@ class FloorTable:
         self.graph = graph
         self.nodes = [_node_terms(graph, name) for name in schedule]
         self._floors: dict[tuple, float] = {}
+
+    @cached_property
+    def tensor_elems(self) -> dict[str, int]:
+        """Elements of every tensor value a node's slot carries, by name."""
+        elems: dict[str, int] = {}
+        for node in self.nodes:
+            for src, count in zip(node.sources, node.if_elems):
+                elems[feature_tensor_name(src)] = count
+            if node.wt_elems is not None:
+                elems[weight_tensor_name(node.name)] = node.wt_elems
+            elems[feature_tensor_name(node.name)] = node.of_elems
+        return elems
 
     def floor(self, accel: AcceleratorConfig) -> float:
         """UMM latency no tile on ``accel`` can beat.
@@ -481,7 +498,7 @@ class LatencyModel:
     """
 
     def __init__(self, graph: ComputationGraph, accel: AcceleratorConfig) -> None:
-        table = FloorTable(graph)
+        table = graph.derived(FloorTable)
         self.graph = graph
         self.accel = accel
         # Build-time constants: the element size and the per-kind
@@ -765,29 +782,21 @@ class LatencyModel:
         """
         if capacity is None:
             return sum(ll.compute for ll in self._layers.values())
-        graph = self.graph
+        # A model built by from_layers has no table of its own; its
+        # graph's holds the same tensor volumes.
+        elems = self.graph.derived(FloorTable).tensor_elems
         elem = self.accel.precision.bytes
-
-        def tensor_bytes(slot: Slot) -> int:
-            if slot.kind is TensorKind.WEIGHT:
-                return _weight_volume(graph.layer(slot.node)) * elem
-            producer = slot.tensor.partition(":")[2]
-            return graph.output_shape(producer).volume * elem
+        ifmap, weight, ofmap = _KINDS
 
         def node_bound(ll: LayerLatency) -> float:
             # Per-kind sums in slot order, as the engine accumulates them.
-            sums = {TensorKind.IFMAP: 0.0, TensorKind.WEIGHT: 0.0, TensorKind.OFMAP: 0.0}
+            sums = {ifmap: 0.0, weight: 0.0, ofmap: 0.0}
             for slot in ll.slots:
                 if not slot.latency >= 0.0:
                     return ll.compute
-                if slot.latency and tensor_bytes(slot) > capacity:
+                if slot.latency and elems[slot.tensor] * elem > capacity:
                     sums[slot.kind] += slot.latency
-            return max(
-                ll.compute,
-                sums[TensorKind.IFMAP],
-                sums[TensorKind.WEIGHT],
-                sums[TensorKind.OFMAP],
-            )
+            return max(ll.compute, sums[ifmap], sums[weight], sums[ofmap])
 
         return sum(node_bound(ll) for ll in self._layers.values())
 

@@ -64,7 +64,7 @@ if TYPE_CHECKING:
     from concurrent.futures import Future
 
     from repro.ir.graph import ComputationGraph
-    from repro.perf.latency import FloorTable, LatencyModel
+    from repro.perf.latency import LatencyModel
     from repro.perf.systolic import AcceleratorConfig
 
 __all__ = [
@@ -148,10 +148,9 @@ class BaseModels:
     """What a tile sweep asks of one graph's base designs.
 
     The sweep asks every base for its floor, and the bases it does not
-    prune for their scores at many tiles.  Floors come from the graph's
-    one :class:`~repro.perf.latency.FloorTable`, built on the first
-    :meth:`floor` and held here (a graph can still grow, so no table
-    outlives its sweep), and need no model.  A score needs the base's
+    prune for their scores at many tiles.  Floors come from the
+    :class:`~repro.perf.latency.FloorTable` the graph holds (the one its
+    models characterise from), and need no model.  A score needs the base's
     :class:`~repro.perf.latency.LatencyModel`, and building one
     characterises the whole graph, so the sweep's parent process and
     every pool worker keep their last :data:`_MODEL_LRU` models, keyed
@@ -164,15 +163,12 @@ class BaseModels:
     def __init__(self, graph: "ComputationGraph") -> None:
         self.graph = graph
         self._models: "OrderedDict[str, LatencyModel]" = OrderedDict()
-        self._table: "FloorTable | None" = None
 
     def floor(self, base: "AcceleratorConfig") -> float:
         """UMM latency no tile on ``base`` can beat."""
-        if self._table is None:
-            from repro.perf.latency import FloorTable
+        from repro.perf.latency import FloorTable
 
-            self._table = FloorTable(self.graph)
-        return self._table.floor(base)
+        return self.graph.derived(FloorTable).floor(base)
 
     def get(self, base: "AcceleratorConfig", key: str | None = None) -> "LatencyModel":
         """The model of ``base``; ``key`` is its fingerprint, if known."""

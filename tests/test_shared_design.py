@@ -301,6 +301,16 @@ class TestBatchModelMemo:
         batch_compile(models=["alexnet"], configs=["umm", "dnnk", "splitting"])
         assert list(batch._MODEL_MEMO) == [("alexnet", "int8")]
 
+    def test_one_graph_per_model(self, monkeypatch):
+        """Every precision of a model compiles on one graph and one FloorTable."""
+        monkeypatch.setattr(batch, "_MODEL_MEMO", OrderedDict())
+        for precision in ("int8", "int16"):
+            compile_job("alexnet", "dnnk", precision, None)
+        int8, int16 = batch._MODEL_MEMO.values()
+        assert int8.accel != int16.accel
+        assert int8.graph is int16.graph
+        assert int8._table is int16._table
+
     def test_hits_build_no_model(self, tmp_path, monkeypatch):
         configs = ["umm", "dnnk"]
         batch_compile(models=["alexnet"], configs=configs, cache_dir=tmp_path)
