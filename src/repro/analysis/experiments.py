@@ -67,16 +67,15 @@ def run_comparison(
     precision: Precision,
     options: LCMMOptions | None = None,
     graph: ComputationGraph | None = None,
-    strict: bool = False,
     fallback: bool = True,
     cache=None,
 ) -> DesignComparison:
     """Evaluate one benchmark at one precision under UMM and LCMM.
 
-    ``strict``, ``fallback`` and ``cache`` are forwarded to
-    :func:`~repro.lcmm.framework.run_lcmm` (invariant checking after each
-    pass, the degradation chain on pipeline failure, and the optional
-    content-addressed compilation cache).
+    ``fallback`` and ``cache`` are forwarded to
+    :func:`~repro.lcmm.framework.run_lcmm` (the degradation chain on a
+    failed pass or violated invariant, and the optional content-addressed
+    compilation cache).
 
     Models outside :data:`BENCHMARKS` (the rest of the CNN zoo and the
     transformers) evaluate on the resnet152 reference design — the same
@@ -93,7 +92,6 @@ def run_comparison(
         accel_lcmm,
         options=options,
         model=lcmm_model,
-        strict=strict,
         fallback=fallback,
         cache=cache,
     )

@@ -277,11 +277,9 @@ def _job_key(model_name: str, config: str, precision_name: str) -> str:
         digest = _DIGEST_MEMO.get(model_name)
         if digest is None:
             digest = _DIGEST_MEMO[model_name] = graph_fingerprint(graph)
-        # Matches the key run_lcmm(cache=...) derives for a default
-        # (non-strict) run, so batch artifacts and `lcmm run --cache`
-        # artifacts are interchangeable.
-        extra = None if options is None else {"strict": False}
-        key = compile_key_for_digest(digest, accel, options, extra=extra)
+        # Matches the key run_lcmm(cache=...) derives, so batch artifacts
+        # and `lcmm run --cache` artifacts are interchangeable.
+        key = compile_key_for_digest(digest, accel, options)
         _KEY_MEMO[memo] = key
     return key
 

@@ -195,7 +195,6 @@ def _cmd_run(args: argparse.Namespace) -> None:
         args.model,
         precision_by_name(args.precision),
         options=options,
-        strict=args.strict,
         fallback=not args.no_fallback,
         cache=cache,
     )
@@ -758,11 +757,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         dest="transfer_schedule",
         help="enable the DMA transfer scheduling pass (transfer_schedule)",
-    )
-    prun.add_argument(
-        "--strict",
-        action="store_true",
-        help="run invariant checks after every pass (fail fast on corruption)",
     )
     prun.add_argument(
         "--no-fallback",

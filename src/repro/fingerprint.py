@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # avoid import cycles; these are type-only imports
     from repro.ir.graph import ComputationGraph
@@ -234,23 +234,20 @@ def compile_key(
     graph: "ComputationGraph",
     accel: "AcceleratorConfig",
     options: "LCMMOptions | None",
-    extra: Mapping[str, Any] | None = None,
 ) -> str:
     """Content-addressed identity of one compilation.
 
     Covers the canonical graph, every field of the design point, the
     options (``None`` = the UMM-only floor) and the cache schema
-    version; ``extra`` lets callers fold in additional switches that
-    change the result (e.g. ``strict``).
+    version.
     """
-    return compile_key_for_digest(graph_fingerprint(graph), accel, options, extra)
+    return compile_key_for_digest(graph_fingerprint(graph), accel, options)
 
 
 def compile_key_for_digest(
     graph_digest: str,
     accel: "AcceleratorConfig",
     options: "LCMMOptions | None",
-    extra: Mapping[str, Any] | None = None,
 ) -> str:
     """:func:`compile_key` from the graph's :func:`graph_fingerprint`.
 
@@ -264,7 +261,6 @@ def compile_key_for_digest(
             "graph": graph_digest,
             "accel": accel_fingerprint(accel),
             "options": options_fingerprint(options),
-            "extra": dict(extra or {}),
         }
     )
 

@@ -27,9 +27,12 @@ class TensorClass(str, enum.Enum):
     WEIGHT = "weight"
 
 
-@dataclass
+@dataclass(frozen=True)
 class CandidateTensor:
     """One tensor the allocator may pin on chip.
+
+    Immutable: the colourings and allocator outcomes that hold it are
+    shared by every compile of a design.
 
     Attributes:
         name: Tensor value name (``f:<producer>`` or ``w:<node>``).
@@ -57,9 +60,12 @@ class CandidateTensor:
             raise ValueError(f"tensor {self.name!r} has non-positive size")
 
 
-@dataclass
+@dataclass(frozen=True)
 class VirtualBuffer:
     """A group of lifetime-disjoint tensors sharing one storage slot.
+
+    Immutable, like :class:`CandidateTensor`: ``tensors`` is stored as a
+    tuple whatever sequence it is given as.
 
     Attributes:
         index: Position in the allocator's buffer list (``vbuf<k>``).
@@ -67,9 +73,10 @@ class VirtualBuffer:
     """
 
     index: int
-    tensors: list[CandidateTensor]
+    tensors: tuple[CandidateTensor, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "tensors", tuple(self.tensors))
         if not self.tensors:
             raise ValueError("virtual buffer must contain at least one tensor")
 

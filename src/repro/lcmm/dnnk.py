@@ -223,7 +223,7 @@ class _EngineGainEvaluator:
         # Every buffer bit of a live kind is in the live mask, so ``key``
         # decides residency; bit 0 (no buffer) never tests as on chip.
         # Skipped dominated kinds sum to <= compute and could not have
-        # replaced it under ``max``'s strict ``>``.
+        # replaced it: ``max`` keeps the first of tied values.
         value = self._engine.compute[ni]
         for terms in walk:
             s = 0.0
@@ -707,7 +707,7 @@ def memoised_allocation(
     capacity_bytes: int,
     granularity: int = URAM_BYTES,
     engine: AllocationEngine | None = None,
-) -> tuple[list[VirtualBuffer], DNNKResult]:
+) -> tuple[tuple[VirtualBuffer, ...], DNNKResult]:
     """``allocate(buffers, model, ...)``, run once per model.
 
     The pipeline's DNNK allocations and the fused reallocation go
@@ -720,9 +720,9 @@ def memoised_allocation(
     pipeline builds a model's buffers from the analyses of that model (or
     of the model a fused one derives from), so their names fix their
     sizes and gains.  Only a completed run is stored, and a hit returns
-    the stored buffer list (as a new list) with its result, whose
-    buffers are that list's own.  A hit runs no DP, so the compile's
-    engine stats count none.
+    the stored buffers with their result, whose buffers are the same
+    (immutable) objects.  A hit runs no DP, so the compile's engine
+    stats count none.
 
     :func:`dnnk_allocate` and :func:`greedy_allocate` themselves stay
     unmemoised: every direct call runs the allocator.
@@ -738,5 +738,4 @@ def memoised_allocation(
     if entry is None:
         result = allocate(buffers, model, capacity_bytes, granularity, engine=engine)
         entry = memo[key] = (tuple(buffers), result)
-    stored, result = entry
-    return list(stored), result
+    return entry

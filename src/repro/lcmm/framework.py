@@ -16,10 +16,10 @@ default :func:`run_lcmm` falls back along a degradation chain — the
 requested pipeline, then plain DNNK, then the greedy allocator, then a
 pure UMM result built without any pass machinery at all — and records
 the level it landed on in :attr:`LCMMResult.degradation_level` plus a
-``degraded`` diagnostic per abandoned attempt.  ``fallback=False``
-restores fail-fast behaviour; ``strict=True`` additionally runs each
-pass's invariant check in-line (see
-:class:`~repro.lcmm.passes.PassManager`).
+``degraded`` diagnostic per abandoned attempt.  Every attempt's result
+must pass :func:`repro.lcmm.validate.validate_result` before it is
+returned or cached; a violated invariant fails the attempt like a
+crashing pass.  ``fallback=False`` restores fail-fast behaviour.
 
 The result carries the exact end-to-end latency (Eq. 1 with prefetch
 residuals), the physical buffer map, the utilisation metrics Tab. 1,
@@ -56,6 +56,7 @@ from repro.lcmm.passes import (
     empty_prefetch_result,
 )
 from repro.lcmm.prefetch import PrefetchResult
+from repro.lcmm.validate import validate_result
 from repro.perf.engine import EngineStats
 from repro.perf.latency import LatencyModel
 from repro.perf.systolic import AcceleratorConfig
@@ -235,13 +236,6 @@ def umm_only_result(
     )
 
 
-#: Default per-pass recovery policy of the fallback-enabled driver: the
-#: optional fractional fill is skippable (the pipeline is already in a
-#: valid scored state when it runs), everything else degrades the whole
-#: attempt.
-_DEFAULT_RECOVERY = {"fractional_fill": "skip"}
-
-
 def _degradation_chain(
     options: LCMMOptions,
     pipeline: Sequence[Pass] | None,
@@ -286,7 +280,6 @@ def run_lcmm(
     options: LCMMOptions | None = None,
     model: LatencyModel | None = None,
     pipeline: Sequence[Pass] | None = None,
-    strict: bool = False,
     fallback: bool = True,
     cache: "CompilationCache | None" = None,
 ) -> LCMMResult:
@@ -301,13 +294,11 @@ def run_lcmm(
             assembled from ``options`` — the entry point for custom and
             ablation pipelines (it must still produce the
             ``"allocation"``, ``"score"`` and ``"placement"`` artifacts).
-        strict: Run each pass's invariant check in-line (checked
-            execution); violations fail the attempt like any other pass
-            error.
         fallback: Degrade along the chain *requested pipeline -> DNNK ->
-            greedy -> UMM-only* instead of raising; the landed level is
-            recorded in :attr:`LCMMResult.degradation_level`.  With
-            ``False``, the first failure propagates.
+            greedy -> UMM-only* instead of raising when a pass fails or
+            a result violates an invariant; the landed level is recorded
+            in :attr:`LCMMResult.degradation_level`.  With ``False``, the
+            first failure propagates.
         cache: Optional :class:`~repro.cache.store.CompilationCache`.
             When given, the compilation is short-circuited by a
             content-addressed lookup (key: canonical graph + every
@@ -320,14 +311,16 @@ def run_lcmm(
 
     Raises:
         repro.errors.ReproError: With ``fallback=False``, whatever the
-            failing pass raised; with ``fallback=True`` only if even the
+            failing pass raised, or the
+            :class:`~repro.errors.AllocationError` of a violated
+            invariant; with ``fallback=True`` only if even the
             UMM-only floor cannot be built (e.g. the tile buffers do not
             fit the device at all).
     """
     options = options or LCMMOptions()
     cache_key: str | None = None
     if cache is not None and pipeline is None:
-        cache_key = compile_key(graph, accel, options, extra={"strict": strict})
+        cache_key = compile_key(graph, accel, options)
         cached = cache.get(cache_key)
         if cached is not None:
             with obs_span("lcmm.run", graph=graph.name, cached=True) as run_span:
@@ -340,13 +333,10 @@ def run_lcmm(
                 if obs_enabled():
                     _publish_run_metrics(cached, graph.name)
                 return cached
-    recovery = _DEFAULT_RECOVERY if fallback else None
     attempts = _degradation_chain(options, pipeline)
     failed: list[str] = []
     carried: list[PassDiagnostic] = []
-    with obs_span(
-        "lcmm.run", graph=graph.name, strict=strict, fallback=fallback
-    ) as run_span:
+    with obs_span("lcmm.run", graph=graph.name, fallback=fallback) as run_span:
         for label, attempt_options in attempts:
             if attempt_options is None:
                 with obs_span("lcmm.attempt", label=label, graph=graph.name):
@@ -360,13 +350,14 @@ def run_lcmm(
                 ctx = CompilationContext.create(
                     graph, accel, options=attempt_options, model=model
                 )
-                manager = PassManager(
-                    attempt_pipeline, strict=strict, recovery=recovery
-                )
+                # The model before fusion: FuseLayersPass swaps ctx.model.
+                base_model = ctx.model
+                manager = PassManager(attempt_pipeline)
                 try:
                     with obs_span("lcmm.attempt", label=label, graph=graph.name):
                         manager.run(ctx)
                         result = package_result(ctx, manager)
+                        validate_result(result, base_model)
                 except PipelineError:
                     # A malformed pipeline (unknown pass, broken artifact
                     # contract) is a caller error, not a runtime fault —

@@ -27,7 +27,6 @@ from repro.lcmm.passes.core import (
     Pass,
     PassDiagnostic,
     PassExecution,
-    PassFailure,
     PassManager,
     PipelineError,
     make_pass,
@@ -64,7 +63,6 @@ __all__ = [
     "Pass",
     "PassDiagnostic",
     "PassExecution",
-    "PassFailure",
     "PassManager",
     "PipelineError",
     "make_pass",

@@ -27,8 +27,7 @@ import abc
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
-from repro.errors import CapacityError, PassError, PipelineError
-from repro.obs.spans import annotate as obs_annotate
+from repro.errors import CapacityError, PassError, PipelineError, ReproError
 from repro.obs.spans import span, timed_span
 from repro.hw.sram import BRAM36_BYTES, blocks_for
 from repro.ir.graph import ComputationGraph
@@ -44,7 +43,6 @@ __all__ = [
     "Pass",
     "PassDiagnostic",
     "PassExecution",
-    "PassFailure",
     "PassManager",
     "PipelineError",
     "PASS_REGISTRY",
@@ -84,25 +82,6 @@ class PassExecution:
     name: str
     seconds: float
     produced: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class PassFailure:
-    """Record of one failed pass and how the manager handled it.
-
-    Attributes:
-        name: The failing pass.
-        error: The exception (already wrapped in a taxonomy type when it
-            was an ad-hoc exception).
-        action: ``"skip"`` when the recovery policy let the pipeline
-            continue, ``"raise"`` when the failure was propagated.
-        seconds: Wall time spent in the pass before it failed.
-    """
-
-    name: str
-    error: BaseException
-    action: str
-    seconds: float
 
 
 @dataclass
@@ -230,15 +209,6 @@ class Pass(abc.ABC):
     def run(self, ctx: CompilationContext) -> None:
         """Execute against the shared context."""
 
-    def verify(self, ctx: CompilationContext) -> None:
-        """Invariant check run after :meth:`run` under strict execution.
-
-        Implementations must only *read* the context (artifacts and the
-        pure latency model) — never touch the engine or republish
-        artifacts — and raise :class:`repro.errors.AllocationError` on a
-        violated invariant.  The default checks nothing.
-        """
-
     @classmethod
     def describe(cls) -> str:
         """First docstring line — the ``lcmm passes`` summary."""
@@ -297,58 +267,34 @@ class PassManager:
     checked; violations raise :class:`PipelineError` naming the pass and
     the artifact.
 
-    **Checked execution.**  With ``strict=True`` each pass's
-    :meth:`Pass.verify` invariant check runs right after the pass, so a
-    corrupt intermediate is caught at the pass that produced it rather
-    than at the end of the pipeline.  A failing pass (including a failed
-    verify) is recorded as a :class:`PassFailure` plus a ``pass-failed``
-    :class:`PassDiagnostic`; the per-pass ``recovery`` policy then
-    decides what happens:
-
-    * ``"raise"`` (default) — wrap the exception in
-      :class:`repro.errors.PassError` (taxonomy exceptions propagate
-      as-is) and abort the pipeline.  :func:`repro.lcmm.framework.run_lcmm`
-      catches this and falls back along its degradation chain.
-    * ``"skip"`` — restore the artifacts published before the pass ran,
-      re-park the engine on the last accepted score, and continue.  Only
-      meaningful for optional improvement passes (fractional fill) whose
-      output downstream passes can live without.
+    A failing pass aborts the pipeline: its wall time still lands in
+    ``pass_seconds``, a ``pass-failed`` :class:`PassDiagnostic` names it,
+    and the exception propagates (an ad-hoc exception wrapped in
+    :class:`repro.errors.PassError`, taxonomy exceptions as-is).
+    :func:`repro.lcmm.framework.run_lcmm` catches it and degrades along
+    its chain — the one recovery mechanism.
 
     Args:
         passes: The pipeline, in execution order.
         observers: Optional callbacks ``(pass_, ctx, seconds)`` invoked
             after each pass — validation or tracing hooks for tests and
             tools.
-        strict: Run per-pass invariant verification.
-        recovery: Pass name -> ``"raise"`` | ``"skip"``.
     """
 
-    def __init__(
-        self,
-        passes: Sequence[Pass],
-        observers: Iterable[Any] = (),
-        strict: bool = False,
-        recovery: Mapping[str, str] | None = None,
-    ) -> None:
+    def __init__(self, passes: Sequence[Pass], observers: Iterable[Any] = ()) -> None:
         self.passes: list[Pass] = list(passes)
         self.observers = tuple(observers)
-        self.strict = strict
-        self.recovery: dict[str, str] = dict(recovery or {})
-        for name, action in self.recovery.items():
-            if action not in ("raise", "skip"):
-                raise PipelineError(
-                    f"unknown recovery action {action!r} for pass {name!r}; "
-                    "expected 'raise' or 'skip'"
-                )
         #: Per-pass execution records of the most recent :meth:`run`.
         self.executions: list[PassExecution] = []
-        #: Failures seen (and possibly recovered) during the most recent run.
-        self.failures: list[PassFailure] = []
 
     def run(self, ctx: CompilationContext) -> CompilationContext:
-        """Execute the pipeline; returns the same context for chaining."""
+        """Execute the pipeline; returns the same context for chaining.
+
+        Raises:
+            PipelineError: On a broken requires/produces contract.
+            repro.errors.ReproError: Whatever a failing pass raised.
+        """
         self.executions = []
-        self.failures = []
         for pass_ in self.passes:
             # Cooperative deadline: a budgeted caller (the serving front
             # door) gets control back at the next pass boundary instead
@@ -363,32 +309,35 @@ class PassManager:
                         pass_name=pass_.name,
                         artifact=key,
                     )
-            snapshot = dict(ctx.artifacts)
-            # One span per pass is the *single* timing measurement: its
+            # One span per pass is the single timing measurement: its
             # wall time feeds timings(), EngineStats.pass_seconds and the
-            # trace record alike, on the success and failure paths both
-            # (the old start/except branches each computed their own
-            # elapsed).  The span also lands in the active trace with the
-            # pass name and, on failure, the error type.
-            pass_span = timed_span(
-                f"pass.{pass_.name}", graph=ctx.graph.name, strict=self.strict
-            )
+            # trace record alike, on the success and failure paths both.
+            # The span also lands in the active trace with the pass name
+            # and, on failure, the error type.
+            pass_span = timed_span(f"pass.{pass_.name}", graph=ctx.graph.name)
             try:
                 with pass_span:
                     fault_point(f"pass.{pass_.name}", pass_name=pass_.name)
                     pass_.run(ctx)
-                    if self.strict:
-                        pass_.verify(ctx)
             except PipelineError:
                 raise
-            except Exception as exc:  # noqa: BLE001 — recovery boundary
+            except Exception as exc:  # noqa: BLE001 — the attempt's failure boundary
+                ctx.diagnose(
+                    pass_.name,
+                    "pass-failed",
+                    f"pass {pass_.name!r} failed ({type(exc).__name__}: {exc})",
+                    error=type(exc).__name__,
+                )
+                if isinstance(exc, ReproError):
+                    raise
+                raise PassError(
+                    f"pass {pass_.name!r} failed: {exc}", pass_name=pass_.name
+                ) from exc
+            finally:
                 elapsed = pass_span.seconds
                 ctx.stats.pass_seconds[pass_.name] = (
                     ctx.stats.pass_seconds.get(pass_.name, 0.0) + elapsed
                 )
-                self._handle_failure(ctx, pass_, exc, elapsed, snapshot)
-                continue
-            elapsed = pass_span.seconds
             for key in pass_.produces:
                 if not ctx.has(key):
                     raise PipelineError(
@@ -397,9 +346,6 @@ class PassManager:
                         pass_name=pass_.name,
                         artifact=key,
                     )
-            ctx.stats.pass_seconds[pass_.name] = (
-                ctx.stats.pass_seconds.get(pass_.name, 0.0) + elapsed
-            )
             self.executions.append(
                 PassExecution(
                     name=pass_.name, seconds=elapsed, produced=tuple(pass_.produces)
@@ -408,55 +354,6 @@ class PassManager:
             for observer in self.observers:
                 observer(pass_, ctx, elapsed)
         return ctx
-
-    def _handle_failure(
-        self,
-        ctx: CompilationContext,
-        pass_: Pass,
-        exc: Exception,
-        elapsed: float,
-        snapshot: dict[str, Any],
-    ) -> None:
-        """Record a failing pass and apply its recovery policy."""
-        from repro.errors import ReproError
-
-        action = self.recovery.get(pass_.name, "raise")
-        wrapped: BaseException = exc
-        if not isinstance(exc, ReproError):
-            wrapped = PassError(
-                f"pass {pass_.name!r} failed: {exc}", pass_name=pass_.name
-            )
-            wrapped.__cause__ = exc
-        self.failures.append(
-            PassFailure(name=pass_.name, error=wrapped, action=action, seconds=elapsed)
-        )
-        ctx.diagnose(
-            pass_.name,
-            "pass-failed",
-            f"pass {pass_.name!r} failed ({type(exc).__name__}: {exc}); "
-            + ("skipping it" if action == "skip" else "aborting the pipeline"),
-            error=type(exc).__name__,
-            action=action,
-        )
-        obs_annotate(
-            "pass-recovery",
-            pass_name=pass_.name,
-            action=action,
-            error=type(exc).__name__,
-        )
-        if action != "skip":
-            raise wrapped from exc
-        # A pass may die mid-flight having republished some artifacts but
-        # not others; restore the pre-pass artifact set so downstream
-        # passes see a consistent snapshot, and re-park the engine on the
-        # last accepted score (the pass may have left it on a trial state).
-        ctx.artifacts.clear()
-        ctx.artifacts.update(snapshot)
-        score = ctx.get("score")
-        if score is not None:
-            ctx.engine.set_state(
-                score.onchip, score.residuals, ctx.get("fractions")
-            )
 
     def description(self) -> str:
         """The pipeline as ``a -> b -> c`` (executed order when run)."""

@@ -39,10 +39,10 @@ what gets recomputed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Sequence
 
-from repro.errors import AllocationError
 from repro.hw.sram import SRAMUsage, blocks_for, BRAM36_BYTES, URAM_BYTES
-from repro.ir.tensor import TensorKind, weight_tensor_name
+from repro.ir.tensor import weight_tensor_name
 from repro.lcmm.buffers import PhysicalBuffer, VirtualBuffer
 from repro.lcmm.dnnk import (
     DNNKResult,
@@ -58,7 +58,7 @@ from repro.lcmm.prefetch import PrefetchResult, weight_prefetch_pass
 from repro.lcmm.splitting import buffer_splitting_pass, combine_buffers
 from repro.perf.engine import AllocationEngine
 from repro.perf.latency import LatencyModel
-from repro.sim import Timeline, demand_bytes, simulate
+from repro.sim import simulate
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +77,7 @@ class AllocationDecision:
             non-splitting variants).
     """
 
-    buffers: list[VirtualBuffer]
+    buffers: Sequence[VirtualBuffer]
     result: DNNKResult
     splitting_iterations: int = 0
 
@@ -289,25 +289,6 @@ class _AllocateBase(Pass):
 
     produces = ("allocation",)
 
-    def verify(self, ctx: CompilationContext) -> None:
-        """Strict check: the chosen allocation fits and is consistent."""
-        allocation: AllocationDecision = ctx.require("allocation")
-        result = allocation.result
-        if result.used_bytes > result.capacity_bytes:
-            raise AllocationError(
-                f"allocator used {result.used_bytes} of "
-                f"{result.capacity_bytes} capacity bytes",
-                pass_name=self.name,
-            )
-        from_buffers = {
-            t.name for buf in result.allocated for t in buf.tensors
-        }
-        if from_buffers != set(result.onchip_tensors):
-            raise AllocationError(
-                "on-chip tensor set does not match the allocated buffers",
-                pass_name=self.name,
-            )
-
     def _inputs(
         self, ctx: CompilationContext
     ) -> tuple[FeatureReuseResult, PrefetchResult]:
@@ -468,46 +449,15 @@ class ScorePass(Pass):
             ),
         )
 
-    def verify(self, ctx: CompilationContext) -> None:
-        _verify_score(self.name, ctx)
-
-
-def _verify_score(pass_name: str, ctx: CompilationContext) -> None:
-    """Strict check shared by the scoring passes.
-
-    The score must sit inside the paper's bounds — never slower than UMM,
-    never faster than the compute bound — and residuals may only attach
-    to on-chip weight tensors.  Reads only the pure latency model.
-    """
-    score: AllocationScore = ctx.require("score")
-    umm = ctx.model.umm_latency()
-    if score.latency > umm + 1e-12:
-        raise AllocationError(
-            f"scored latency {score.latency} exceeds UMM latency {umm}",
-            pass_name=pass_name,
-        )
-    floor = ctx.model.compute_bound_latency()
-    if score.latency < floor - 1e-12:
-        raise AllocationError(
-            f"scored latency {score.latency} below compute bound {floor}",
-            pass_name=pass_name,
-        )
-    for tensor, residual in score.residuals.items():
-        if tensor not in score.onchip:
-            raise AllocationError(
-                f"residual on off-chip tensor {tensor!r}", pass_name=pass_name
-            )
-        if residual < 0:
-            raise AllocationError(
-                f"negative residual on {tensor!r}", pass_name=pass_name
-            )
-
-
 def _fusion_edges(model: LatencyModel) -> tuple[FusedEdge, ...]:
     return tuple(find_fusion_candidates(model))
 
 
-def _fused_model(model: LatencyModel) -> LatencyModel:
+def fused_model(model: LatencyModel) -> LatencyModel:
+    """The model of record of an accepted fusion: every legal edge fused.
+
+    Built once per unfused model (:meth:`LatencyModel.derived`).
+    """
     return apply_fusion(model, model.derived(_fusion_edges))
 
 
@@ -572,13 +522,13 @@ class FuseLayersPass(Pass):
         if floor >= score.latency - 1e-15:
             self._reject(ctx, len(edges), floor, score.latency, "compute")
             return
-        fused_model = ctx.model.derived(_fused_model)
+        fused = ctx.model.derived(fused_model)
         # Fusion zeroes streams, so the capacity bound is the fused model's.
-        floor = fused_model.compute_bound_latency(ctx.capacity)
+        floor = fused.compute_bound_latency(ctx.capacity)
         if floor >= score.latency - 1e-15:
             self._reject(ctx, len(edges), floor, score.latency, "capacity")
             return
-        fused_engine = AllocationEngine(fused_model, stats=ctx.stats)
+        fused_engine = AllocationEngine(fused, stats=ctx.stats)
         # Candidate "keep": the incumbent on-chip set on the fused model.
         keep_residuals, keep_latency = evaluate_allocation(
             prefetch, score.onchip, fused_engine
@@ -587,7 +537,7 @@ class FuseLayersPass(Pass):
         fused_buffers, fused_dnnk = memoised_allocation(
             greedy_allocate if ctx.options.use_greedy else dnnk_allocate,
             allocation.buffers,
-            fused_model,
+            fused,
             ctx.capacity,
             engine=fused_engine,
         )
@@ -623,7 +573,7 @@ class FuseLayersPass(Pass):
         # The fused model is now the model of record: every downstream
         # pass (placement, fractional fill, scheduling) and the packaged
         # result evaluate against the fused transfers.
-        ctx.model = fused_model
+        ctx.model = fused
         ctx.engine = fused_engine
         node_latencies = fused_engine.node_latencies()
         ctx.put(
@@ -685,24 +635,6 @@ class FuseLayersPass(Pass):
             bound=bound,
         )
 
-    def verify(self, ctx: CompilationContext) -> None:
-        decision: FusionDecision = ctx.require("fusion")
-        if decision.accepted:
-            for edge in decision.edges:
-                for slot in ctx.model.layer(edge.consumer).slots:
-                    if (
-                        slot.kind is TensorKind.IFMAP
-                        and slot.tensor == edge.tensor
-                        and slot.bytes != 0
-                    ):
-                        raise AllocationError(
-                            f"fused edge {edge.producer!r} -> "
-                            f"{edge.consumer!r} still streams its read",
-                            pass_name=self.name,
-                        )
-        _verify_score(self.name, ctx)
-
-
 @register_pass
 class PlacementPass(Pass):
     """Block-granular physical placement: tile buffers, then URAM-first tensors."""
@@ -724,22 +656,6 @@ class PlacementPass(Pass):
                 )
             )
         ctx.put("placement", Placement(usage=usage, buffers=physical))
-
-    def verify(self, ctx: CompilationContext) -> None:
-        """Strict check: block-level placement stays within the device."""
-        placement: Placement = ctx.require("placement")
-        usage = placement.usage
-        if usage.uram_used > usage.budget.uram_blocks:
-            raise AllocationError("URAM over-committed", pass_name=self.name)
-        if usage.bram36_used > usage.budget.bram36_blocks:
-            raise AllocationError("BRAM over-committed", pass_name=self.name)
-        allocation: AllocationDecision = ctx.require("allocation")
-        if len(placement.buffers) != len(allocation.result.allocated):
-            raise AllocationError(
-                "placement did not place every allocated buffer",
-                pass_name=self.name,
-            )
-
 
 @register_pass
 class FractionalFillPass(Pass):
@@ -837,22 +753,6 @@ class FractionalFillPass(Pass):
             pins=len(fractions),
         )
 
-    def verify(self, ctx: CompilationContext) -> None:
-        score: AllocationScore = ctx.require("score")
-        for tensor, fraction in ctx.require("fractions").items():
-            if not 0.0 < fraction <= 1.0:
-                raise AllocationError(
-                    f"fraction {fraction} for {tensor!r} outside (0, 1]",
-                    pass_name=self.name,
-                )
-            if tensor in score.onchip:
-                raise AllocationError(
-                    f"fraction pinned for already-resident tensor {tensor!r}",
-                    pass_name=self.name,
-                )
-        _verify_score(self.name, ctx)
-
-
 @register_pass
 class TransferSchedulePass(Pass):
     """DMA transfer scheduling: rewrite the simulator's transfer timeline.
@@ -907,35 +807,6 @@ class TransferSchedulePass(Pass):
                 transfers=len(timeline.records),
                 latency=score.latency,
             )
-
-    def verify(self, ctx: CompilationContext) -> None:
-        timeline: Timeline = ctx.require("transfer_schedule")
-        score: AllocationScore = ctx.require("score")
-        if timeline.makespan > timeline.baseline + 1e-12:
-            raise AllocationError(
-                f"scheduled makespan {timeline.makespan} exceeds the "
-                f"bulk-synchronous baseline {timeline.baseline}",
-                pass_name=self.name,
-            )
-        expected = demand_bytes(
-            ctx.model, score.onchip, score.residuals, ctx.get("fractions", {})
-        )
-        if timeline.total_bytes != expected:
-            raise AllocationError(
-                f"scheduled timeline moves {timeline.total_bytes} bytes, "
-                f"allocation demands {expected}",
-                pass_name=self.name,
-            )
-        for kind in (TensorKind.IFMAP, TensorKind.WEIGHT, TensorKind.OFMAP):
-            recs = timeline.channel_records(kind)
-            for a, b in zip(recs, recs[1:]):
-                if b.start < a.end - 1e-15:
-                    raise AllocationError(
-                        f"overlapping transfers on the {kind.value} channel",
-                        pass_name=self.name,
-                    )
-        _verify_score(self.name, ctx)
-
 
 def default_pipeline(options) -> list[Pass]:
     """The pass list :func:`repro.lcmm.framework.run_lcmm` executes.

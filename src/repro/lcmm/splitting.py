@@ -19,7 +19,7 @@ share them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.hw.sram import URAM_BYTES
 from repro.lcmm.buffers import VirtualBuffer
@@ -71,7 +71,7 @@ class SplittingOutcome:
         weight_buffers: Colouring of ``weight_graph``.
     """
 
-    buffers: list[VirtualBuffer]
+    buffers: Sequence[VirtualBuffer]
     result: DNNKResult
     latency: float
     iterations: int
@@ -150,7 +150,7 @@ def buffer_splitting_pass(
     feature_buffers = color_buffers(feature_graph)
     weight_buffers = color_buffers(weight_graph)
 
-    def allocate() -> tuple[list[VirtualBuffer], DNNKResult, float]:
+    def allocate() -> tuple[Sequence[VirtualBuffer], DNNKResult, float]:
         buffers, result = memoised_allocation(
             dnnk_allocate,
             combine_buffers([feature_buffers, weight_buffers]),

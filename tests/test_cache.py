@@ -9,7 +9,7 @@ import pytest
 
 from repro import obs
 from repro.cache import CompilationCache, batch_compile, standard_options
-from repro.cache.batch import _design, _job_key
+from repro.cache.batch import STANDARD_CONFIGS, _design, _job_key
 from repro.cache.store import RESULT_NAMESPACE, SWEEP_NAMESPACE
 from repro.errors import ConfigError, ModelNotFoundError
 from repro.fingerprint import (
@@ -42,7 +42,6 @@ class TestFingerprints:
         assert compile_key(g, small_accel(ddr_efficiency=0.8), LCMMOptions()) != base
         assert compile_key(g, a, LCMMOptions(splitting=False)) != base
         assert compile_key(g, a, None) != base
-        assert compile_key(g, a, LCMMOptions(), extra={"strict": True}) != base
 
     def test_graph_fingerprint_tracks_structure(self):
         assert graph_fingerprint(build_chain()) == graph_fingerprint(build_chain())
@@ -256,6 +255,17 @@ class TestBatchCompile:
         )
         assert warm.all_hits
         assert warm.verify_golden("tests/golden") == []
+
+    def test_job_keys_match_run_lcmm_keys(self):
+        # Batch artifacts and `lcmm run --cache` artifacts share one key.
+        graph, accel = _design("alexnet", "int8")
+        for config in STANDARD_CONFIGS:
+            assert _job_key("alexnet", config, "int8") == compile_key(
+                graph, accel, standard_options(config)
+            )
+        cache = CompilationCache()
+        run_lcmm(graph, accel, options=standard_options("dnnk"), cache=cache)
+        assert cache.get(_job_key("alexnet", "dnnk", "int8")) is not None
 
     def test_bad_inputs_rejected_up_front(self):
         with pytest.raises(ConfigError):

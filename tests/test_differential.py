@@ -78,12 +78,12 @@ class TestDifferential:
         model = LatencyModel(graph, accel)
         engine = run_lcmm(
             graph, accel, options=options, model=model,
-            strict=True, fallback=False,
+            fallback=False,
         )
         with naive_allocators():
             naive = run_lcmm(
                 graph, accel, options=options, model=LatencyModel(graph, accel),
-                strict=True, fallback=False,
+                fallback=False,
             )
         assert engine.latency == naive.latency
         assert engine.onchip_tensors == naive.onchip_tensors
@@ -98,7 +98,7 @@ class TestDifferential:
         model = LatencyModel(graph, accel)
         result = run_lcmm(
             graph, accel, options=options, model=model,
-            strict=True, fallback=False,
+            fallback=False,
         )
         latency, node_latencies, residuals = naive_walk(result, model)
         assert result.latency == latency
@@ -113,7 +113,7 @@ class TestDifferential:
 
         def latency(**flags):
             return run_lcmm(
-                graph, accel, model=model, strict=True, fallback=False,
+                graph, accel, model=model, fallback=False,
                 options=LCMMOptions(sram_budget=_BUDGET, **flags),
             ).latency
 
@@ -168,13 +168,11 @@ class TestCacheKeyStability:
     def test_compile_keys_stable(self):
         graph = get_model("squeezenet")
         accel = reference_design("resnet152", INT8, "lcmm")
-        assert compile_key(
-            graph, accel, LCMMOptions(), extra={"strict": False}
-        ) == (
-            "14953a5418fbf76631560887e0b45a4c5f668c848d89f0e04e3701fa46f5a095"
+        assert compile_key(graph, accel, LCMMOptions()) == (
+            "bddba2351fecf9f6a0c1efb406e2f2f34f041d1b71296d8730060f8bf34da46c"
         )
         assert compile_key(graph, accel, None) == (
-            "12c2bfe9583a34328a0a1ad09c31a39cf1de9856c988bd68bf8561e9fd58c80c"
+            "390437b9c77f96b2b79c6e5de75b38fa286bfa8e3d30c9d7ea1ab10550582ac1"
         )
         assert sweep_key(graph, accel) == (
             "1a568fa1b9cfbb68f267b8506b3136a5afd6b6065317783139b37c84749e7e31"
@@ -183,10 +181,8 @@ class TestCacheKeyStability:
     def test_gemm_compile_key_stable(self):
         graph = get_model("bert_base")
         accel = reference_design("resnet152", INT8, "lcmm")
-        assert compile_key(
-            graph, accel, LCMMOptions(), extra={"strict": False}
-        ) == (
-            "62a29562ffcd93dfda5c5f79aa60e9a546f67fe70857e6748e9687673762cac9"
+        assert compile_key(graph, accel, LCMMOptions()) == (
+            "060772d00c39ce9595f2809a221465390efbfaf9ad98cb6d4ddb7c45f6565e29"
         )
 
     def test_fusion_options_change_keys(self):

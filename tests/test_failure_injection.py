@@ -6,15 +6,24 @@ the validator rejects each corruption.  A validator that silently accepts
 a broken allocation is worse than none.
 """
 
-import copy
+from dataclasses import replace
 
 import pytest
 
+from repro.analysis.experiments import (
+    FUSION_ABLATION_SRAM_HEADROOM,
+    fusion_ablation_design,
+)
 from repro.errors import ReproError
-from repro.lcmm.buffers import CandidateTensor, TensorClass, VirtualBuffer
-from repro.lcmm.framework import run_lcmm
+from repro.hw.precision import INT8
+from repro.ir.tensor import TensorKind
+from repro.lcmm.buffers import CandidateTensor, TensorClass
+from repro.lcmm.framework import LCMMOptions, run_lcmm
+from repro.lcmm.fusion import FusedEdge
 from repro.lcmm.liveness import LiveRange
+from repro.lcmm.passes.standard import fused_model
 from repro.lcmm.validate import AllocationError, validate_result
+from repro.models.zoo import get_model
 from repro.perf.latency import LatencyModel
 
 from tests.conftest import build_chain, small_accel
@@ -52,6 +61,41 @@ def healthy():
     return model, lcmm
 
 
+@pytest.fixture
+def fused():
+    """resnet50 on the bandwidth-starved fusion ablation design: fusion is
+    accepted, the transfer schedule hides time and one tensor is pinned
+    in part, so every check of a fused, scheduled result has data."""
+    graph = get_model("resnet50")
+    accel = fusion_ablation_design(INT8, "lcmm")
+    model = LatencyModel(graph, accel)
+    options = LCMMOptions(
+        sram_budget=accel.tile_buffer_bytes() + FUSION_ABLATION_SRAM_HEADROOM,
+        fuse_layers=True,
+        transfer_schedule=True,
+        fractional_fill=True,
+    )
+    lcmm = run_lcmm(graph, accel, options=options, model=model)
+    assert lcmm.degradation_level == 0
+    assert lcmm.fused_edges and lcmm.fractions
+    assert lcmm.transfer_timeline.improvement > 0
+    return model, lcmm
+
+
+def with_buffer(lcmm, index, virtual):
+    """A copy of ``lcmm`` whose ``index``-th buffer is ``virtual``, both in
+    the allocation and in the placement (buffers are immutable)."""
+    physical = list(lcmm.physical_buffers)
+    physical[index] = replace(physical[index], virtual=virtual)
+    allocated = list(lcmm.dnnk_result.allocated)
+    allocated[index] = virtual
+    return replace(
+        lcmm,
+        physical_buffers=physical,
+        dnnk_result=replace(lcmm.dnnk_result, allocated=allocated),
+    )
+
+
 class TestFieldCorruptions:
     def test_healthy_passes(self, healthy):
         model, lcmm = healthy
@@ -84,11 +128,14 @@ class TestFieldCorruptions:
 
     def test_duplicated_buffer_tensor_caught(self, healthy):
         model, lcmm = healthy
-        if len(lcmm.physical_buffers) >= 2:
-            first = lcmm.physical_buffers[0].virtual.tensors[0]
-            lcmm.physical_buffers[1].virtual.tensors.append(first)
-            with pytest.raises(AllocationError):
-                validate_result(lcmm, model)
+        assert len(lcmm.physical_buffers) >= 2
+        first = lcmm.physical_buffers[0].virtual.tensors[0]
+        victim = lcmm.physical_buffers[1].virtual
+        corrupt = with_buffer(
+            lcmm, 1, replace(victim, tensors=victim.tensors + (first,))
+        )
+        with pytest.raises(AllocationError, match="two physical buffers"):
+            validate_result(corrupt, model)
 
     def test_overlapping_cohabitants_caught(self, healthy):
         model, lcmm = healthy
@@ -100,9 +147,36 @@ class TestFieldCorruptions:
             live_range=LiveRange(0, 10**6),  # overlaps everything
             affected_nodes=("c1",),
         )
-        buf.tensors.append(clash)
-        lcmm.onchip_tensors = lcmm.onchip_tensors | {"f:clash"}
-        with pytest.raises(AllocationError):
+        corrupt = with_buffer(lcmm, 0, replace(buf, tensors=buf.tensors + (clash,)))
+        corrupt.onchip_tensors = corrupt.onchip_tensors | {"f:clash"}
+        with pytest.raises(AllocationError, match="share pbuf1"):
+            validate_result(corrupt, model)
+
+    def test_over_capacity_allocation_caught(self, healthy):
+        model, lcmm = healthy
+        allocation = lcmm.dnnk_result
+        lcmm.dnnk_result = replace(
+            allocation, used_bytes=allocation.capacity_bytes + 1
+        )
+        with pytest.raises(AllocationError, match="capacity bytes"):
+            validate_result(lcmm, model)
+
+    def test_unplaced_buffer_caught(self, healthy):
+        model, lcmm = healthy
+        lcmm.physical_buffers = lcmm.physical_buffers[:-1]
+        with pytest.raises(AllocationError, match="place every allocated buffer"):
+            validate_result(lcmm, model)
+
+    def test_fraction_out_of_range_caught(self, healthy):
+        model, lcmm = healthy
+        lcmm.fractions = {"f:c1": 1.5}
+        with pytest.raises(AllocationError, match=r"outside \(0, 1\]"):
+            validate_result(lcmm, model)
+
+    def test_fraction_on_resident_tensor_caught(self, healthy):
+        model, lcmm = healthy
+        lcmm.fractions = {next(iter(lcmm.onchip_tensors)): 0.5}
+        with pytest.raises(AllocationError, match="already-resident"):
             validate_result(lcmm, model)
 
     def test_uram_overcommit_caught(self, healthy):
@@ -133,15 +207,72 @@ class TestFieldCorruptions:
                 validate_result(lcmm, model)
 
 
+class TestFusedCorruptions:
+    def test_healthy_passes(self, fused):
+        model, lcmm = fused
+        validate_result(lcmm, model)
+
+    def test_streaming_fused_read_caught(self, fused):
+        model, lcmm = fused
+        record = model.derived(fused_model)
+        node, tensor = next(
+            (node, slot.tensor)
+            for node in record.nodes()
+            for slot in record.layer(node).slots
+            if slot.kind is TensorKind.IFMAP and slot.bytes
+        )
+        ghost = FusedEdge(
+            producer="ghost",
+            consumer=node,
+            tensor=tensor,
+            slice_bytes=1,
+            bytes_saved=1,
+            shortcut=False,
+        )
+        lcmm.fused_edges = lcmm.fused_edges + (ghost,)
+        with pytest.raises(AllocationError, match="still streams its read"):
+            validate_result(lcmm, model)
+
+    def test_lost_timeline_bytes_caught(self, fused):
+        model, lcmm = fused
+        timeline = lcmm.transfer_timeline
+        lost = next(i for i, r in enumerate(timeline.records) if r.bytes)
+        records = timeline.records[:lost] + timeline.records[lost + 1 :]
+        lcmm.transfer_timeline = replace(timeline, records=records)
+        with pytest.raises(AllocationError, match="allocation demands"):
+            validate_result(lcmm, model)
+
+    def test_channel_overlap_caught(self, fused):
+        model, lcmm = fused
+        timeline = lcmm.transfer_timeline
+        first, second = timeline.channel_records(TensorKind.IFMAP)[:2]
+        records = tuple(
+            replace(r, start=first.start) if r is second else r
+            for r in timeline.records
+        )
+        lcmm.transfer_timeline = replace(timeline, records=records)
+        with pytest.raises(AllocationError, match="overlapping transfers"):
+            validate_result(lcmm, model)
+
+    def test_makespan_over_baseline_caught(self, fused):
+        model, lcmm = fused
+        timeline = lcmm.transfer_timeline
+        lcmm.transfer_timeline = replace(timeline, makespan=timeline.baseline * 1.5)
+        with pytest.raises(AllocationError, match="bulk-synchronous baseline"):
+            validate_result(lcmm, model)
+
+
 class TestColoringCorruptions:
     def test_corrupted_feature_coloring_caught(self, healthy):
         from repro.lcmm.validate import validate_buffers
 
         model, lcmm = healthy
         feature = lcmm.feature_result
-        if len(feature.buffers) >= 2:
-            # Move a tensor into a buffer where it interferes.
-            donor = feature.buffers[0].tensors[0]
-            feature.buffers[1].tensors.append(donor)
-            with pytest.raises(AllocationError):
-                validate_buffers(lcmm)
+        assert len(feature.buffers) >= 2
+        # Move a tensor into a buffer where it interferes.
+        donor = feature.buffers[0].tensors[0]
+        buffers = list(feature.buffers)
+        buffers[1] = replace(buffers[1], tensors=buffers[1].tensors + (donor,))
+        lcmm.feature_result = replace(feature, buffers=buffers)
+        with pytest.raises(AllocationError):
+            validate_buffers(lcmm)

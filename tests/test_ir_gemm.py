@@ -258,7 +258,6 @@ class TestCacheKeyStability:
                     "graph": graph_fingerprint(graph),
                     "accel": accel_fingerprint(accel),
                     "options": options_fingerprint(None),
-                    "extra": {},
                 }
             )
             assert compile_key(graph, accel, None) == expected

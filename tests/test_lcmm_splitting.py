@@ -1,5 +1,7 @@
 """Tests for repro.lcmm.splitting — misspilling and its fix."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis.reference import model_reference_design
@@ -102,8 +104,8 @@ class TestSplittingPass:
         ordered = sorted(feature.candidates, key=lambda t: t.live_range.start)
         a, b = ordered[0], ordered[-1]
         assert not a.live_range.overlaps(b.live_range)
-        a.size_bytes = 10_000_000  # force the hull buffer over capacity
-        b.size_bytes = 1_000
+        a = replace(a, size_bytes=10_000_000)  # force the hull buffer over capacity
+        b = replace(b, size_bytes=1_000)
         graph = InterferenceGraph.from_tensors([a, b])
         weight_graph = InterferenceGraph()
         capacity = 100_000

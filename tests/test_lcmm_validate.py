@@ -1,10 +1,17 @@
-"""Tests for repro.lcmm.validate — the invariant checker itself."""
+"""Tests for repro.lcmm.validate — the invariant checker itself, and
+its place as the post-condition of every compile."""
+
+from dataclasses import replace
 
 import pytest
 
-from repro.lcmm.framework import run_lcmm, umm_only_result
+from repro.lcmm.framework import LCMMOptions, run_lcmm, umm_only_result
+from repro.lcmm.passes import ScorePass, default_pipeline
 from repro.lcmm.validate import AllocationError, validate_buffers, validate_result
+from repro.models.zoo import get_model
+from repro.perf.engine import EngineTables
 from repro.perf.latency import LatencyModel
+from repro.robustness.inject import FaultPlan, injected
 
 from tests.conftest import build_chain, small_accel
 
@@ -91,3 +98,77 @@ class TestValidatorCatchesCorruption:
         lcmm.onchip_tensors = lcmm.onchip_tensors | {"f:phantom"}
         with pytest.raises(AllocationError, match="does not match"):
             validate_result(lcmm, model)
+
+
+class TestUmmDecomposition:
+    @pytest.mark.parametrize("model_name", ["googlenet", "resnet50", "bert_base"])
+    def test_engine_tables_equal_the_model_bit_for_bit(self, model_name):
+        # The checker reads the UMM per-node latencies and their sum from
+        # the engine tables the compile already built.
+        model = LatencyModel(get_model(model_name), small_accel(ddr_efficiency=0.1))
+        tables = model.derived(EngineTables)
+        assert tables.node_names == model.nodes()
+        assert list(tables.base_node_lat) == [
+            model.node_latency(n) for n in model.nodes()
+        ]
+        assert sum(tables.base_node_lat) == model.umm_latency()
+        assert sum(tables.compute) == model.compute_bound_latency()
+
+
+class _InflatedScore(ScorePass):
+    """Scores the allocation, then publishes a latency above UMM."""
+
+    def run(self, ctx) -> None:
+        super().run(ctx)
+        score = ctx.require("score")
+        ctx.put("score", replace(score, latency=ctx.model.umm_latency() * 2))
+
+
+def _inflated_pipeline():
+    return [
+        _InflatedScore() if isinstance(p, ScorePass) else p
+        for p in default_pipeline(LCMMOptions())
+    ]
+
+
+class TestPostCondition:
+    """run_lcmm validates every attempt; a violation degrades like a failing pass."""
+
+    def test_violating_pipeline_degrades(self, valid_setup):
+        model, _ = valid_setup
+        result = run_lcmm(
+            model.graph, model.accel, model=model, pipeline=_inflated_pipeline()
+        )
+        assert result.degradation_level == 1
+        assert result.degradation_path == ("custom",)
+        (degraded,) = [d for d in result.diagnostics if d.category == "degraded"]
+        assert degraded.data["error"] == "AllocationError"
+        assert "exceeds UMM" in degraded.message
+        validate_result(result, model)
+
+    def test_violating_pipeline_raises_without_fallback(self, valid_setup):
+        model, _ = valid_setup
+        with pytest.raises(AllocationError, match="exceeds UMM"):
+            run_lcmm(
+                model.graph, model.accel, model=model,
+                pipeline=_inflated_pipeline(), fallback=False,
+            )
+
+    def test_failing_fractional_fill_lands_on_dnnk(self, valid_setup):
+        model, _ = valid_setup
+        with injected(FaultPlan("pass.fractional_fill", mode="raise")) as armed:
+            result = run_lcmm(
+                model.graph, model.accel, model=model,
+                options=LCMMOptions(fractional_fill=True),
+            )
+        assert armed["pass.fractional_fill"].fires == 1
+        assert result.degradation_level == 1
+        assert result.degradation_path == ("dnnk-splitting",)
+        assert result.pipeline_description == (
+            "feature_reuse -> weight_prefetch -> allocate_dnnk -> score -> placement"
+        )
+        assert result.fractions == {}
+        assert any(d.category == "degraded" for d in result.diagnostics)
+        failed = [d for d in result.diagnostics if d.category == "pass-failed"]
+        assert [d.pass_name for d in failed] == ["fractional_fill"]
+        validate_result(result, model)

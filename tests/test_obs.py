@@ -15,7 +15,7 @@ import threading
 import pytest
 
 from repro import obs
-from repro.errors import InjectedFault
+from repro.errors import InjectedFault, PassError
 from repro.lcmm.passes import CompilationContext, Pass, PassManager, default_pipeline
 from repro.obs.spans import NULL_SPAN, SpanRecord, Tracer
 from repro.robustness.inject import FaultPlan, injected
@@ -268,15 +268,14 @@ class TestPassManagerFailureTiming:
         self, snippet_graph, accel
     ):
         ctx = CompilationContext.create(snippet_graph, accel)
-        manager = PassManager([_Exploding()], recovery={"exploding": "skip"})
-        manager.run(ctx)
-        (failure,) = manager.failures
-        assert failure.name == "exploding"
-        assert failure.seconds >= 0.0
+        manager = PassManager([_Exploding()])
+        with pytest.raises(PassError, match="boom"):
+            manager.run(ctx)
         # The failed pass never executed to completion, so it must not
         # appear in timings(); its wall time lands once in pass_seconds.
         assert manager.timings() == ()
-        assert ctx.stats.pass_seconds == {"exploding": failure.seconds}
+        assert list(ctx.stats.pass_seconds) == ["exploding"]
+        assert ctx.stats.pass_seconds["exploding"] >= 0.0
 
     def test_injected_pass_failure_single_timing_and_trace_record(
         self, snippet_graph, accel
@@ -284,30 +283,26 @@ class TestPassManagerFailureTiming:
         point = "pass.feature_reuse"
         with obs.tracing("main") as tr:
             ctx = CompilationContext.create(snippet_graph, accel)
-            manager = PassManager(
-                default_pipeline(ctx.options),
-                recovery={"feature_reuse": "raise"},
-            )
+            manager = PassManager(default_pipeline(ctx.options))
             with injected(FaultPlan(point, mode="raise")):
                 with pytest.raises(InjectedFault):
                     manager.run(ctx)
-        (failure,) = manager.failures
-        assert ctx.stats.pass_seconds["feature_reuse"] == failure.seconds
         spans = [r for r in tr.records if r.name == point]
         assert len(spans) == 1, "a failing pass records exactly one span"
+        assert ctx.stats.pass_seconds == {"feature_reuse": spans[0].duration}
         assert spans[0].attrs["error"] == "InjectedFault"
         # The injected fault itself shows up as an instant event on the
         # pass span (fault_point fires inside it).
         assert any(e.name == "fault-injected" for e in spans[0].events)
 
-    def test_skip_recovery_annotates_the_trace(self, snippet_graph, accel):
+    def test_failing_pass_names_itself_and_its_error(self, snippet_graph, accel):
         with obs.tracing("main") as tr:
             ctx = CompilationContext.create(snippet_graph, accel)
-            manager = PassManager([_Exploding()], recovery={"exploding": "skip"})
-            manager.run(ctx)
-        events = list(tr.events)
-        for record in tr.records:
-            events.extend(record.events)
-        recovery = [e for e in events if e.name == "pass-recovery"]
-        assert len(recovery) == 1
-        assert recovery[0].attrs["action"] == "skip"
+            manager = PassManager([_Exploding()])
+            with pytest.raises(PassError):
+                manager.run(ctx)
+        (span,) = [r for r in tr.records if r.name == "pass.exploding"]
+        assert span.attrs["error"] == "ValueError"
+        (diag,) = [d for d in ctx.diagnostics if d.category == "pass-failed"]
+        assert diag.pass_name == "exploding"
+        assert diag.data["error"] == "ValueError"

@@ -232,6 +232,32 @@ class TestAllocatorMemo:
         assert later.engine_stats.gain_cache_misses == 0
         assert fingerprint(later) == _golden("googlenet", "dnnk")
 
+    def test_shared_buffers_are_read_only(self):
+        """Appending a spilled tensor to an allocated buffer of a shared
+        result once changed the next ``dnnk`` and ``greedy`` compiles of
+        the model; buffers and their tensors are immutable now."""
+        graph, accel = _googlenet_int8()
+        model = LatencyModel(graph, accel)
+        shared = run_lcmm(
+            graph, accel, options=standard_options("dnnk"), model=model
+        ).dnnk_result
+        buf = shared.allocated[0]
+        spilled = shared.spilled[0].tensors[0]
+        with pytest.raises(AttributeError):
+            buf.tensors.append(spilled)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            buf.tensors = buf.tensors + (spilled,)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            buf.tensors[0].size_bytes = 1
+        for config in ("dnnk", "greedy"):
+            options = standard_options(config)
+            on_shared = run_lcmm(graph, accel, options=options, model=model)
+            on_fresh = run_lcmm(
+                graph, accel, options=options, model=LatencyModel(graph, accel)
+            )
+            assert fingerprint(on_shared) == fingerprint(on_fresh)
+            assert fingerprint(on_shared) == _golden("googlenet", config)
+
     @settings(max_examples=30, deadline=None)
     @given(graph=graphs(), accel=accelerators(), data=st.data())
     def test_random_designs_compile_as_fresh(self, graph, accel, data):
