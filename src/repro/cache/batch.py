@@ -25,9 +25,7 @@ batch neither unpickles a result nor imports the compiler.
 from __future__ import annotations
 
 import json
-import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from pickle import PicklingError
@@ -41,7 +39,7 @@ from repro.obs import spans as obs
 
 if TYPE_CHECKING:
     from repro.ir.graph import ComputationGraph
-    from repro.perf.latency import LatencyModel
+    from repro.perf.systolic import AcceleratorConfig
 
 __all__ = [
     "BatchReport",
@@ -51,6 +49,7 @@ __all__ = [
     "batch_compile",
     "compile_job",
     "standard_options",
+    "zoo_design",
 ]
 
 #: Configuration label -> LCMM options (``None`` = the pass-free UMM
@@ -191,25 +190,12 @@ class BatchReport:
         return problems
 
 
-#: Per-process memo of built graphs by model, and of (graph, design)
-#: pairs by (model, precision).  Zoo builds are deterministic and
-#: ``run_lcmm`` treats its inputs as read-only, so one graph serves every
-#: job of its model in a batch, every precision included, and the
-#: analyses the graph holds (``ComputationGraph.derived``) are built once.
+#: Per-process memo of built graphs by model.  Zoo builds are
+#: deterministic and ``run_lcmm`` treats its inputs as read-only, so one
+#: graph serves every job of its model in a process, every precision
+#: included, and the analyses the graph holds
+#: (``ComputationGraph.derived``) are built once.
 _GRAPH_MEMO: dict[str, "ComputationGraph"] = {}
-_DESIGN_MEMO: dict[tuple[str, str], tuple] = {}
-
-#: Latency models a process keeps alive at once, least recent out first.
-#: A model carries what the compiles of its design share (the
-#: feature-reuse and weight-prefetch results, the engine tables), so an
-#: unbounded memo would grow with every design a daemon ever compiled.
-_MODEL_LRU = 4
-
-#: Per-process memo of latency models by (model, precision), built on
-#: the miss path only: key derivation and warm hits never build one.
-#: Serve's inline workers are threads, hence the lock.
-_MODEL_MEMO: "OrderedDict[tuple[str, str], LatencyModel]" = OrderedDict()
-_MODEL_LOCK = threading.Lock()
 
 #: Per-process memo of graph digests by model: every configuration and
 #: precision of one model keys the same graph.
@@ -221,44 +207,31 @@ _DIGEST_MEMO: dict[str, str] = {}
 _KEY_MEMO: dict[tuple[str, str, str], str] = {}
 
 
-def _design(model_name: str, precision_name: str) -> tuple:
+def zoo_design(
+    model_name: str, precision_name: str
+) -> tuple["ComputationGraph", "AcceleratorConfig"]:
+    """The (graph, reference design) of one zoo model at one precision.
+
+    The graph is the process's one build of the model; the design is
+    derived afresh (a few microseconds).  Compile and DSE jobs on the
+    pair share one :func:`~repro.perf.latency.design_model`.
+
+    Raises:
+        repro.errors.ModelNotFoundError: Unknown model.
+        repro.errors.PrecisionNotFoundError: Unknown precision.
+    """
+    from repro.analysis.reference import model_reference_design
+    from repro.hw.precision import precision_by_name
+
     model_name = canonical_model_name(model_name)
-    memo = (model_name, precision_name)
-    pair = _DESIGN_MEMO.get(memo)
-    if pair is None:
-        from repro.analysis.reference import model_reference_design
-        from repro.hw.precision import precision_by_name
-
-        graph = _GRAPH_MEMO.get(model_name)
-        if graph is None:
-            # Threads that build the same graph at once settle on one.
-            graph = _GRAPH_MEMO.setdefault(model_name, get_model(model_name))
-        accel = model_reference_design(
-            model_name, precision_by_name(precision_name), "lcmm"
-        )
-        pair = (graph, accel)
-        _DESIGN_MEMO[memo] = pair
-    return pair
-
-
-def _latency_model(model_name: str, precision_name: str) -> "LatencyModel":
-    """The shared :class:`~repro.perf.latency.LatencyModel` of one design."""
-    memo = (canonical_model_name(model_name), precision_name)
-    with _MODEL_LOCK:
-        model = _MODEL_MEMO.get(memo)
-        if model is not None:
-            _MODEL_MEMO.move_to_end(memo)
-            return model
-    from repro.perf.latency import LatencyModel
-
-    model = LatencyModel(*_design(*memo))
-    with _MODEL_LOCK:
-        # A thread that built the same design meanwhile keeps its model.
-        model = _MODEL_MEMO.setdefault(memo, model)
-        _MODEL_MEMO.move_to_end(memo)
-        while len(_MODEL_MEMO) > _MODEL_LRU:
-            _MODEL_MEMO.popitem(last=False)
-    return model
+    graph = _GRAPH_MEMO.get(model_name)
+    if graph is None:
+        # Threads that build the same graph at once settle on one.
+        graph = _GRAPH_MEMO.setdefault(model_name, get_model(model_name))
+    accel = model_reference_design(
+        model_name, precision_by_name(precision_name), "lcmm"
+    )
+    return graph, accel
 
 
 def _job_key(model_name: str, config: str, precision_name: str) -> str:
@@ -273,7 +246,7 @@ def _job_key(model_name: str, config: str, precision_name: str) -> str:
     key = _KEY_MEMO.get(memo)
     if key is None:
         options = standard_options(config)
-        graph, accel = _design(model_name, precision_name)
+        graph, accel = zoo_design(model_name, precision_name)
         digest = _DIGEST_MEMO.get(model_name)
         if digest is None:
             digest = _DIGEST_MEMO[model_name] = graph_fingerprint(graph)
@@ -334,8 +307,8 @@ def compile_job(
     writer stored meanwhile is still a hit.  A miss compiles and stores
     the result with its reply, but only a clean (level-0) result, as
     ``run_lcmm(cache=...)`` does.  Every configuration of one design
-    compiles on the process's shared latency model (:data:`_MODEL_LRU`
-    designs are kept).
+    compiles on the process's shared latency model
+    (:func:`~repro.perf.latency.design_model`).
 
     Raises:
         repro.errors.ModelNotFoundError: Unknown model.
@@ -349,11 +322,12 @@ def compile_job(
         if outcome is not None:
             return outcome
     from repro.lcmm.framework import run_lcmm, umm_only_result
+    from repro.perf.latency import design_model
 
     start = time.perf_counter()
     key = _job_key(model_name, config, precision_name)
-    graph, accel = _design(model_name, precision_name)
-    model = _latency_model(model_name, precision_name)
+    graph, accel = zoo_design(model_name, precision_name)
+    model = design_model(graph, accel)
     options = standard_options(config)
     if options is None:
         # The UMM floor bypasses the pass machinery entirely.
@@ -399,7 +373,7 @@ def batch_compile(
     Args:
         models: Zoo model names (default: the whole zoo).
         configs: Configuration labels from :data:`STANDARD_CONFIGS`
-            (default: all four).
+            (default: all of them).
         precision: Arithmetic precision name.
         cache_dir: Shared cache directory; ``None`` disables caching
             (every job compiles).

@@ -103,8 +103,8 @@ class ComputationGraph:
         try:
             return self._derived[build]  # type: ignore[return-value]
         except KeyError:
-            value = self._derived[build] = build(self)
-            return value
+            # Threads that build at once settle on the first value stored.
+            return self._derived.setdefault(build, build(self))
 
     def __getstate__(self) -> dict:
         """The graph's definition, without what :meth:`_reset` drops.

@@ -23,11 +23,10 @@ from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
-from repro.fingerprint import accel_fingerprint
 from repro.obs import spans as obs
 from repro.ir.graph import ComputationGraph
 from repro.perf import pool as pool_mod
-from repro.perf.pool import BaseModels, ScorerPool
+from repro.perf.pool import ScorerPool
 from repro.perf.systolic import AcceleratorConfig
 from repro.perf.tiling import TileConfig
 
@@ -134,7 +133,6 @@ def _score_parallel(
     chunk_timeout: float | None = None,
     chunk_retries: int = 1,
     stats: WorkerStats | None = None,
-    models: BaseModels | None = None,
 ) -> list[float]:
     """Fan tile scoring out over ``pool``, preserving order.
 
@@ -148,9 +146,9 @@ def _score_parallel(
     ``chunk_timeout``* is resubmitted up to ``chunk_retries`` times; a
     chunk that exhausts its retries is re-executed *serially in the
     parent*, so the sweep always terminates with exact results.  The
-    serial path recomputes with the parent's own model of ``base`` (from
-    ``models``, the sweep's memo) rather than trusting anything a dying
-    worker may have sent.
+    serial path recomputes with the parent's own model of ``base``
+    (:func:`~repro.perf.latency.design_model`) rather than trusting
+    anything a dying worker may have sent.
 
     A broken pool (``BrokenProcessPool``) or a timed-out chunk whose
     future is already running (uncancellable, stranding the hung worker
@@ -159,10 +157,10 @@ def _score_parallel(
     *object* survives, so no broken executor leaks into later sweeps and
     no slot stays occupied by a dead deadline.
     """
+    from repro.perf.latency import design_model
+
     stats = stats if stats is not None else WorkerStats()
-    models = models if models is not None else BaseModels(graph)
     tracer = obs.tracer()
-    base_key = accel_fingerprint(base, include_tile=False)
     n = len(tiles)
     prefix: list[float] = []
     if pool.per_point_seconds is None and n > 1:
@@ -171,7 +169,7 @@ def _score_parallel(
         # are part of the result.
         k = min(_CALIBRATION_POINTS, n // 2)
         if k > 0:
-            score = models.get(base, base_key).umm_latency
+            score = design_model(graph, base).umm_latency
             start = time.perf_counter()
             prefix = [score(tile) for tile in tiles[:k]]
             pool.observe(k, time.perf_counter() - start)
@@ -207,7 +205,7 @@ def _score_parallel(
         stranded = False
         for pos, i in enumerate(pending):
             try:
-                futures.append((pool.submit_chunk(base, base_key, chunks[i], i), i))
+                futures.append((pool.submit_chunk(base, chunks[i], i), i))
             except BrokenProcessPool:
                 # A worker died while chunks were still being handed out:
                 # the rest count an attempt, as if their result had raised.
@@ -251,7 +249,7 @@ def _score_parallel(
     if lost:
         stats.serial_chunks += len(lost)
         with obs.span("dse.serial-rescore", chunks=len(lost)):
-            score = models.get(base, base_key).umm_latency
+            score = design_model(graph, base).umm_latency
             for i in lost:
                 results[i] = [
                     score(tile) for tile in pool_mod.decode_tiles(chunks[i])

@@ -26,11 +26,14 @@ on-chip tensors stop paying off-chip transfer (see DESIGN.md).
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, TypeVar
 
 from repro.errors import GraphValidationError
+from repro.fingerprint import accel_fingerprint
 from repro.ir.graph import ComputationGraph
 from repro.ir.layer import (
     Attention,
@@ -817,3 +820,45 @@ class LatencyModel:
         if ll.compute <= 0:
             return float("inf")
         return ll.total_transfer_bytes / ll.compute
+
+
+#: Latency models a process keeps alive at once, least recent out first.
+#: A model carries what every compile of its design shares (the
+#: feature-reuse and weight-prefetch results, the engine tables, the
+#: allocator outcomes), so an unbounded cache would grow with every
+#: design a daemon or a sweep ever visited.
+_MODEL_LRU = 4
+
+#: The process's one design cache: models by (the graph's floor table,
+#: the design's fingerprint).  Serve's inline workers are threads, hence
+#: the lock.
+_DESIGN_CACHE: "OrderedDict[tuple[FloorTable, str], LatencyModel]" = OrderedDict()
+_DESIGN_LOCK = threading.Lock()
+
+
+def design_model(graph: ComputationGraph, accel: AcceleratorConfig) -> LatencyModel:
+    """The process's shared :class:`LatencyModel` of one design.
+
+    Every compile of a design (``cache.batch.compile_job``) and every
+    score of a DSE base (the sweep's parent and its pool workers) reads
+    the model from here, so a design is characterised once per process
+    while it stays among the last :data:`_MODEL_LRU` asked for.  The
+    key is the graph's :class:`FloorTable`, which hashes by identity and
+    which :meth:`ComputationGraph.add` replaces, so a graph that grew
+    never gets a stale model, and the design's fingerprint, tile
+    included, which covers everything a compile reads.
+    """
+    key = (graph.derived(FloorTable), accel_fingerprint(accel))
+    with _DESIGN_LOCK:
+        model = _DESIGN_CACHE.get(key)
+        if model is not None:
+            _DESIGN_CACHE.move_to_end(key)
+            return model
+    model = LatencyModel(graph, accel)
+    with _DESIGN_LOCK:
+        # A thread that built the same design meanwhile keeps its model.
+        model = _DESIGN_CACHE.setdefault(key, model)
+        _DESIGN_CACHE.move_to_end(key)
+        while len(_DESIGN_CACHE) > _MODEL_LRU:
+            _DESIGN_CACHE.popitem(last=False)
+    return model

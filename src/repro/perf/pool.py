@@ -14,16 +14,16 @@ sized to the actual work:
   sweep scores on the same pool.  A sweep either scores on the pool its
   caller passes (the caller owns it and may keep it warm across sweeps)
   or builds a private pool and closes it before returning.
-* **Models memoised per worker.**  Chunks carry the *base* design point
-  (~1 kB of scalars) and a worker keeps the
-  :class:`~repro.perf.latency.LatencyModel` of its last few bases in a
-  :class:`BaseModels` LRU keyed by base fingerprint, so the graph is
-  re-characterised at most once per (worker, base) visit — exploded
-  multi-base spaces stream through the same warm pool.  The model
-  scores every tile of its base itself (``umm_latency(tile)``), so a
-  worker and a serial sweep compute each score with the same code.
-  Workers only score: the sweep floors its bases in the parent, from
-  the graph's one floor table, which needs no model.
+* **One model per (worker, base).**  Chunks carry the *base* design
+  point (~1 kB of scalars) and a worker scores it on
+  :func:`~repro.perf.latency.design_model` of its graph and the base,
+  the process's one design cache, so the graph is re-characterised at
+  most once per (worker, base) visit — exploded multi-base spaces
+  stream through the same warm pool.  The model scores every tile of
+  its base itself (``umm_latency(tile)``), so a worker and a serial
+  sweep compute each score with the same code.  Workers only score:
+  the sweep floors its bases in the parent, from the graph's one floor
+  table, which needs no model.
 * **Compact encoding.**  Tiles travel as a packed int array (16
   bytes/tile instead of a pickled :class:`TileConfig` each) and scores
   return as a packed float array plus the measured wall seconds —
@@ -48,13 +48,11 @@ import math
 import os
 import time
 from array import array
-from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
 from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import ConfigError
-from repro.fingerprint import accel_fingerprint
 from repro.obs import spans as obs
 from repro.robustness import inject
 from repro.robustness.inject import declare_fault_point, fault_point
@@ -64,11 +62,8 @@ if TYPE_CHECKING:
     from concurrent.futures import Future
 
     from repro.ir.graph import ComputationGraph
-    from repro.perf.latency import LatencyModel
-    from repro.perf.systolic import AcceleratorConfig
 
 __all__ = [
-    "BaseModels",
     "ResilientPool",
     "ScorerPool",
     "TARGET_CHUNK_SECONDS",
@@ -89,11 +84,6 @@ TARGET_CHUNK_SECONDS = 0.05
 #: Ceiling on chunks per worker, so tiny per-point costs never shatter a
 #: sweep into thousands of IPC round-trips.
 _MAX_ROUNDS_PER_WORKER = 64
-
-#: Latency models a :class:`BaseModels` memo keeps alive at once.
-#: Exploded spaces walk bases sequentially, so consecutive chunks share a
-#: base and a tiny LRU hits.
-_MODEL_LRU = 4
 
 #: Deadline for the warm-up pings that prove the pool came up at all.
 _WARMUP_TIMEOUT = 60.0
@@ -144,57 +134,12 @@ def adaptive_chunk_size(
     return size
 
 
-class BaseModels:
-    """What a tile sweep asks of one graph's base designs.
-
-    The sweep asks every base for its floor, and the bases it does not
-    prune for their scores at many tiles.  Floors come from the
-    :class:`~repro.perf.latency.FloorTable` the graph holds (the one its
-    models characterise from), and need no model.  A score needs the base's
-    :class:`~repro.perf.latency.LatencyModel`, and building one
-    characterises the whole graph, so the sweep's parent process and
-    every pool worker keep their last :data:`_MODEL_LRU` models, keyed
-    by the base's fingerprint around the tile.
-
-    Args:
-        graph: The computation graph every model characterises.
-    """
-
-    def __init__(self, graph: "ComputationGraph") -> None:
-        self.graph = graph
-        self._models: "OrderedDict[str, LatencyModel]" = OrderedDict()
-
-    def floor(self, base: "AcceleratorConfig") -> float:
-        """UMM latency no tile on ``base`` can beat."""
-        from repro.perf.latency import FloorTable
-
-        return self.graph.derived(FloorTable).floor(base)
-
-    def get(self, base: "AcceleratorConfig", key: str | None = None) -> "LatencyModel":
-        """The model of ``base``; ``key`` is its fingerprint, if known."""
-        if key is None:
-            key = accel_fingerprint(base, include_tile=False)
-        model = self._models.get(key)
-        if model is None:
-            # Imported here so that processes which only borrow the pool
-            # lifecycle (the serving daemon) never load the latency model.
-            from repro.perf.latency import LatencyModel
-
-            model = self._models[key] = LatencyModel(self.graph, base)
-            if len(self._models) > _MODEL_LRU:
-                self._models.popitem(last=False)
-        else:
-            self._models.move_to_end(key)
-        return model
-
-
 # ----------------------------------------------------------------------
 # Worker-process side
 # ----------------------------------------------------------------------
 
-#: The models this worker scores with, over the graph the initializer
-#: shipped once.
-_worker_models: BaseModels | None = None
+#: The graph the initializer shipped once; chunks score its designs.
+_worker_graph: "ComputationGraph | None" = None
 
 
 def _pool_init(
@@ -203,8 +148,8 @@ def _pool_init(
     trace: bool = False,
 ) -> None:
     """Worker initializer: receives the graph exactly once per process."""
-    global _worker_models
-    _worker_models = BaseModels(graph)
+    global _worker_graph
+    _worker_graph = graph
     # Fault injection armed in the parent follows the work into the
     # worker (chaos tests for the crash/timeout recovery paths).
     inject.install_plans(fault_plans)
@@ -225,7 +170,7 @@ def _pool_ping() -> int:
 
 
 def _pool_score_chunk(
-    base, base_key: str, encoded: array, index: int = 0
+    base, encoded: array, index: int = 0
 ) -> tuple[array, float, list[dict]]:
     """Score one packed chunk of tiles in a worker process.
 
@@ -233,6 +178,10 @@ def _pool_score_chunk(
     seconds (fed back into the parent's adaptive chunk sizing), and the
     serialized spans recorded while scoring (empty when tracing is off).
     """
+    # Imported here so that processes which only borrow the pool
+    # lifecycle (the serving daemon) never load the latency model.
+    from repro.perf.latency import design_model
+
     fault_point("dse.chunk", chunk=index)
     tracer = obs.tracer()
     mark = len(tracer.records) if tracer is not None else 0
@@ -240,7 +189,7 @@ def _pool_score_chunk(
     with obs.span(
         "dse.chunk", chunk=index, tiles=len(encoded) // TILE_WORDS
     ):
-        score = _worker_models.get(base, base_key).umm_latency
+        score = design_model(_worker_graph, base).umm_latency
         scores = array("d", [score(tile) for tile in decode_tiles(encoded)])
     seconds = time.perf_counter() - start
     spans = (
@@ -392,14 +341,12 @@ class ScorerPool(ResilientPool):
 
     # -- scoring support ----------------------------------------------
 
-    def submit_chunk(
-        self, base, base_key: str, encoded: array, index: int
-    ) -> "Future":
+    def submit_chunk(self, base, encoded: array, index: int) -> "Future":
         """Submit one packed chunk against the live executor."""
         executor = self._executor
         if executor is None:
             raise RuntimeError("ensure() the pool before submitting chunks")
-        return executor.submit(_pool_score_chunk, base, base_key, encoded, index)
+        return executor.submit(_pool_score_chunk, base, encoded, index)
 
     def observe(self, points: int, seconds: float) -> None:
         """Feed one measured (points scored, wall seconds) sample."""

@@ -36,9 +36,9 @@ The parent floors every base from the graph's one
 :class:`~repro.perf.latency.FloorTable`, without characterising any;
 a base's tile scores come from its
 :class:`~repro.perf.latency.LatencyModel` (``umm_latency(tile)``),
-built only for a base that is scored.  The sweep's
-:class:`~repro.perf.pool.BaseModels` holds the table and, like every
-pool worker's, an LRU of the last few models.
+built only for a base that is scored, and taken from the process's
+one design cache (:func:`~repro.perf.latency.design_model`) in the
+parent and in every pool worker alike.
 Scoring streams through one :class:`~repro.perf.pool.ScorerPool` shared
 across every base: the pool the caller passes, or a private one the
 sweep builds and closes.  Per-tile scores warm-start from the
@@ -66,7 +66,7 @@ from repro.perf.dse import (
     _score_parallel,
     candidate_tiles,
 )
-from repro.perf.pool import BaseModels, ScorerPool
+from repro.perf.pool import ScorerPool
 from repro.perf.systolic import AcceleratorConfig, SystolicArray
 from repro.perf.tiling import TileConfig
 
@@ -362,7 +362,6 @@ def _sweep_base(
     stats: WorkerStats,
     cache: "CompilationCache | None",
     sweep_pool: ScorerPool | None,
-    models: BaseModels,
     chunk_timeout: float | None,
     chunk_retries: int,
 ) -> list[DesignPoint]:
@@ -371,9 +370,9 @@ def _sweep_base(
     Warm-starts from ``cache`` under the base's ``sweep_key`` and writes
     fresh scores back.  Pending tiles go to the pool when more than one
     worker can be used, otherwise they are scored serially with the
-    base's model from ``models``.  Only *environmental* pool failures
-    fall back to the serial path; a taxonomy error raised while setting
-    up the pool propagates.
+    base's model from :func:`~repro.perf.latency.design_model`.  Only
+    *environmental* pool failures fall back to the serial path; a
+    taxonomy error raised while setting up the pool propagates.
     """
     with obs.span(
         "dse.explore",
@@ -403,7 +402,6 @@ def _sweep_base(
                     chunk_timeout=chunk_timeout,
                     chunk_retries=chunk_retries,
                     stats=stats,
-                    models=models,
                 )
             except ReproError:
                 # A genuinely invalid graph/config surfaced during pool
@@ -418,8 +416,10 @@ def _sweep_base(
                 stats.pool_unavailable = True
         if pending:
             if scored is None:
+                from repro.perf.latency import design_model
+
                 with obs.span("dse.serial-sweep", tiles=len(pending)):
-                    score = models.get(base).umm_latency
+                    score = design_model(graph, base).umm_latency
                     scored = [score(tile) for tile in pending]
             scores.update(zip(map(tile_key, pending), scored))
             if cache is not None:
@@ -560,11 +560,13 @@ def explore_space(
         prune=prune,
     ):
         try:
-            models = BaseModels(graph)
             if prune:
+                from repro.perf.latency import FloorTable
+
                 # Every floor comes from the graph's one floor table, in
                 # this process: no base is characterised for its bound.
-                bounds = {idx: models.floor(base) for idx, base, _ in prepped}
+                table = graph.derived(FloorTable)
+                bounds = {idx: table.floor(base) for idx, base, _ in prepped}
                 # Most promising floors first maximises how early the
                 # incumbent tightens and how much the bound can discard.
                 order = sorted(prepped, key=lambda p: (bounds[p[0]], p[0]))
@@ -585,7 +587,6 @@ def explore_space(
                     stats,
                     cache,
                     pool,
-                    models,
                     chunk_timeout,
                     chunk_retries,
                 )

@@ -106,12 +106,14 @@ def run_dse_job(
     The sweep runs ``workers=1`` inside this worker — the daemon's
     parallelism lives at the request level, and nesting a process pool
     inside a pool worker would not survive the spawn limits anyway.
-    Sweep-score warm-starts come from the shared cache directory.
+    Sweep-score warm-starts come from the shared cache directory.  The
+    graph and design are the ones compile jobs use
+    (:func:`repro.cache.batch.zoo_design`), so compiles and sweeps of one
+    model and precision share one graph and one latency model per
+    process.
     """
-    from repro.analysis.reference import model_reference_design
+    from repro.cache.batch import zoo_design
     from repro.cache.store import CompilationCache
-    from repro.hw.precision import precision_by_name
-    from repro.models.zoo import get_model
     from repro.perf.dse import candidate_tiles
     from repro.perf.space import SampledSpace, explore_space
 
@@ -119,8 +121,7 @@ def run_dse_job(
     with deadline_scope(None, epoch=deadline_epoch):
         fault_point("serve.worker", model=model, config="dse")
         check_deadline("serve.worker")
-        graph = get_model(model)
-        base = model_reference_design(model, precision_by_name(precision), "lcmm")
+        graph, base = zoo_design(model, precision)
         cache = CompilationCache(cache_dir) if cache_dir is not None else None
         result = explore_space(
             graph,

@@ -9,7 +9,7 @@ import pytest
 
 from repro import obs
 from repro.cache import CompilationCache, batch_compile, standard_options
-from repro.cache.batch import STANDARD_CONFIGS, _design, _job_key
+from repro.cache.batch import STANDARD_CONFIGS, _job_key, zoo_design
 from repro.cache.store import RESULT_NAMESPACE, SWEEP_NAMESPACE
 from repro.errors import ConfigError, ModelNotFoundError
 from repro.fingerprint import (
@@ -258,7 +258,7 @@ class TestBatchCompile:
 
     def test_job_keys_match_run_lcmm_keys(self):
         # Batch artifacts and `lcmm run --cache` artifacts share one key.
-        graph, accel = _design("alexnet", "int8")
+        graph, accel = zoo_design("alexnet", "int8")
         for config in STANDARD_CONFIGS:
             assert _job_key("alexnet", config, "int8") == compile_key(
                 graph, accel, standard_options(config)
@@ -329,7 +329,7 @@ class TestResultArtifact:
         from repro.cli import main
 
         configs = ["dnnk", "greedy", "splitting"]
-        graph, accel = _design("alexnet", "int8")
+        graph, accel = zoo_design("alexnet", "int8")
         cache = CompilationCache(tmp_path)
         for config in configs:
             result = run_lcmm(graph, accel, options=standard_options(config), cache=cache)
@@ -349,7 +349,7 @@ class TestResultArtifact:
         assert "All results match the golden fingerprints" in out
 
     def test_artifact_without_reply_falls_back_to_get(self, tmp_path):
-        graph, accel = _design("alexnet", "int8")
+        graph, accel = zoo_design("alexnet", "int8")
         result = run_lcmm(graph, accel, options=standard_options("dnnk"))
         key = _job_key("alexnet", "dnnk", "int8")
         CompilationCache(tmp_path).put(key, result)  # no reply stored

@@ -23,7 +23,6 @@ from repro.models.common import conv
 from repro.models.zoo import get_model
 from repro.perf import latency
 from repro.perf.latency import FloorTable, LatencyModel
-from repro.perf.pool import BaseModels
 from repro.perf.tiling import TileConfig
 
 from tests.conftest import build_chain, build_snippet, small_accel
@@ -46,7 +45,7 @@ def test_derived_builds_once_per_graph():
 
 
 def test_models_and_floors_share_one_table(monkeypatch):
-    """Two models of one graph and BaseModels.floor read one FloorTable."""
+    """Two models of one graph and the graph's floors read one FloorTable."""
     terms = []
     node_terms = latency._node_terms
     monkeypatch.setattr(
@@ -57,7 +56,7 @@ def test_models_and_floors_share_one_table(monkeypatch):
     other = replace(accel, frequency=150e6, tile=TileConfig(tm=8, tn=8, th=7, tw=7))
     first = LatencyModel(graph, accel)
     second = LatencyModel(graph, other)
-    floor = BaseModels(graph).floor(other)
+    floor = graph.derived(FloorTable).floor(other)
 
     assert terms == graph.compute_schedule()
     table = graph.derived(FloorTable)
@@ -90,7 +89,7 @@ def test_pickle_and_equality_ignore_analyses():
     copy = pickle.loads(before)
     for options in (LCMMOptions(), LCMMOptions(fuse_layers=True)):
         compiled = run_lcmm(graph, accel, options=options)
-    BaseModels(graph).floor(accel)
+    graph.derived(FloorTable).floor(accel)
 
     assert pickle.dumps(graph) == before
     assert graph == copy

@@ -173,11 +173,11 @@ class TestCacheFaultPoints:
         assert CompilationCache(tmp_path).get("b" * 64) is None
 
     def test_compile_is_correct_under_cache_faults(self, tmp_path):
-        from repro.cache.batch import _design, standard_options
+        from repro.cache.batch import standard_options, zoo_design
         from repro.fingerprint import fingerprint
         from repro.lcmm.framework import run_lcmm
 
-        graph, accel = _design("alexnet", "int8")
+        graph, accel = zoo_design("alexnet", "int8")
         options = standard_options("dnnk")
         clean = run_lcmm(graph, accel, options=options)
         with injected(FaultPlan("cache.get"), FaultPlan("cache.put")):

@@ -136,8 +136,11 @@ class TestDseModelNames:
     """DSE requests validate the name without building the graph."""
 
     def test_no_zoo_builder_runs_on_the_server_side(self, server, monkeypatch):
+        from repro.cache import batch
         from repro.models import zoo
 
+        # The job builds its graph once per process; start with none built.
+        monkeypatch.setattr(batch, "_GRAPH_MEMO", {})
         threads = []
         for name, builder in list(zoo.MODEL_BUILDERS.items()):
             monkeypatch.setitem(

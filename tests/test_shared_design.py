@@ -2,8 +2,9 @@
 
 The feature-reuse and weight-prefetch results, the engine tables, the
 allocator outcomes and the fused model are memoised on the
-:class:`~repro.perf.latency.LatencyModel`, and :mod:`repro.cache.batch`
-keeps one model per (model, precision) per process.  Sharing is sound
+:class:`~repro.perf.latency.LatencyModel`, and a process keeps one
+model per design (:func:`~repro.perf.latency.design_model`) for every
+compile and DSE score of it.  Sharing is sound
 only while no pass edits an artifact it did not create: these tests pin
 that the splitting pass leaves its inputs alone, that a shared allocator
 outcome cannot be edited, that no configuration re-runs a knapsack an
@@ -16,6 +17,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
+import threading
+import time
 from collections import OrderedDict
 from pathlib import Path
 
@@ -24,13 +27,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.reference import model_reference_design
-from repro.cache import batch
 from repro.cache.batch import (
     FUSED_CONFIGS,
     STANDARD_CONFIGS,
     batch_compile,
     compile_job,
     standard_options,
+    zoo_design,
 )
 from repro.errors import ReproError
 from repro.fingerprint import fingerprint
@@ -43,10 +46,14 @@ from repro.lcmm.passes.standard import evaluate_allocation
 from repro.lcmm.prefetch import weight_prefetch_pass
 from repro.lcmm.splitting import buffer_splitting_pass
 from repro.lcmm.validate import validate_buffers
+from repro.models.common import conv
 from repro.models.zoo import get_model, list_models
+from repro.perf import latency
 from repro.perf.engine import AllocationEngine
-from repro.perf.latency import LatencyModel
+from repro.perf.latency import LatencyModel, design_model
+from repro.serve.jobs import run_dse_job
 
+from tests.conftest import build_chain, small_accel
 from tests.strategies import accelerators, graphs
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -315,24 +322,25 @@ class TestBatchModelMemo:
         ]
         assert pooled.verify_golden(GOLDEN_DIR) == []
 
-    def test_model_memo_stays_bounded(self, monkeypatch):
-        monkeypatch.setattr(batch, "_MODEL_MEMO", OrderedDict())
-        designs = [(name, "int8") for name in list_models()[: batch._MODEL_LRU + 2]]
+    def test_model_memo_stays_bounded(self, fresh_designs):
+        designs = [
+            (name, "int8") for name in list_models()[: latency._MODEL_LRU + 2]
+        ]
         for name, precision in designs:
             compile_job(name, "umm", precision, None)
-        assert list(batch._MODEL_MEMO) == designs[-batch._MODEL_LRU :]
+        assert _cached_designs() == [
+            zoo_design(*design) for design in designs[-latency._MODEL_LRU :]
+        ]
 
-    def test_one_model_per_design(self, monkeypatch):
-        monkeypatch.setattr(batch, "_MODEL_MEMO", OrderedDict())
+    def test_one_model_per_design(self, fresh_designs):
         batch_compile(models=["alexnet"], configs=["umm", "dnnk", "splitting"])
-        assert list(batch._MODEL_MEMO) == [("alexnet", "int8")]
+        assert _cached_designs() == [zoo_design("alexnet", "int8")]
 
-    def test_one_graph_per_model(self, monkeypatch):
+    def test_one_graph_per_model(self, fresh_designs):
         """Every precision of a model compiles on one graph and one FloorTable."""
-        monkeypatch.setattr(batch, "_MODEL_MEMO", OrderedDict())
         for precision in ("int8", "int16"):
             compile_job("alexnet", "dnnk", precision, None)
-        int8, int16 = batch._MODEL_MEMO.values()
+        int8, int16 = fresh_designs.values()
         assert int8.accel != int16.accel
         assert int8.graph is int16.graph
         assert int8._table is int16._table
@@ -340,7 +348,75 @@ class TestBatchModelMemo:
     def test_hits_build_no_model(self, tmp_path, monkeypatch):
         configs = ["umm", "dnnk"]
         batch_compile(models=["alexnet"], configs=configs, cache_dir=tmp_path)
-        monkeypatch.setattr(batch, "_MODEL_MEMO", OrderedDict())
+        monkeypatch.setattr(latency, "_DESIGN_CACHE", OrderedDict())
         warm = batch_compile(models=["alexnet"], configs=configs, cache_dir=tmp_path)
         assert warm.all_hits
-        assert not batch._MODEL_MEMO
+        assert not latency._DESIGN_CACHE
+
+
+@pytest.fixture
+def fresh_designs(monkeypatch):
+    """An empty design cache for this test; the process's is restored after."""
+    cache = OrderedDict()
+    monkeypatch.setattr(latency, "_DESIGN_CACHE", cache)
+    return cache
+
+
+def _cached_designs() -> list:
+    """The (graph, design) pairs the design cache holds, least recent first."""
+    return [(model.graph, model.accel) for model in latency._DESIGN_CACHE.values()]
+
+
+class TestDesignModel:
+    """One design cache serves every compile and DSE score of a design."""
+
+    def test_compile_then_dse_build_one_model(self, fresh_designs, monkeypatch):
+        builds = []
+        init = LatencyModel.__init__
+
+        def counted(self, graph, accel):
+            builds.append(accel)
+            init(self, graph, accel)
+
+        monkeypatch.setattr(LatencyModel, "__init__", counted)
+        compile_job("alexnet", "dnnk", "int8", None)
+        payload = run_dse_job("alexnet", "int8", 2.0, 1, None)
+        assert payload["points"]
+        assert builds == [zoo_design("alexnet", "int8")[1]]
+
+    def test_grown_graph_gets_a_new_model(self, fresh_designs):
+        graph, accel = build_chain(num_convs=2), small_accel()
+        before = design_model(graph, accel)
+        assert design_model(graph, accel) is before
+
+        conv(graph, "c3", "c2", 64, 1)
+
+        after = design_model(graph, accel)
+        assert after is not before
+        assert after.nodes() == ["c1", "c2", "c3"]
+        assert design_model(graph, accel) is after
+
+    def test_threads_share_one_model(self, fresh_designs, monkeypatch):
+        init = LatencyModel.__init__
+
+        def slow(self, graph, accel):
+            # Widens the window in which both threads miss the cache.
+            time.sleep(0.05)
+            init(self, graph, accel)
+
+        monkeypatch.setattr(LatencyModel, "__init__", slow)
+        graph, accel = build_chain(), small_accel()
+        start = threading.Barrier(2)
+        models = []
+
+        def ask():
+            start.wait()
+            models.append(design_model(graph, accel))
+
+        threads = [threading.Thread(target=ask) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(models) == 2 and models[0] is models[1]
+        assert list(fresh_designs.values()) == [models[0]]
