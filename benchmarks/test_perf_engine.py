@@ -144,7 +144,7 @@ def test_dse_pool_beats_serial_on_multicore():
 
     The pre-pool parallel path was slower than the serial fast path
     (the BENCH_engine.json staleness this PR fixes).  On a >=4-core
-    runner a warm persistent pool with adaptive chunks has to beat one
+    runner a warm persistent pool with one chunk per worker has to beat one
     worker on a sweep large enough to amortise the chunk IPC.
     """
     cores = os.cpu_count() or 1

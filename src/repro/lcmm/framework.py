@@ -289,7 +289,8 @@ def run_lcmm(
         graph: The DNN computation graph.
         accel: The accelerator design point (from DSE).
         options: Feature switches; defaults enable everything.
-        model: Optional pre-built latency model to reuse.
+        model: Optional pre-built latency model to reuse; without one,
+            the compile builds one and every attempt shares it.
         pipeline: Optional explicit pass list, overriding the default
             assembled from ``options`` — the entry point for custom and
             ablation pipelines (it must still produce the
@@ -333,6 +334,8 @@ def run_lcmm(
                 if obs_enabled():
                     _publish_run_metrics(cached, graph.name)
                 return cached
+    # One model serves every attempt of the chain, the UMM floor included.
+    model = model or LatencyModel(graph, accel)
     attempts = _degradation_chain(options, pipeline)
     failed: list[str] = []
     carried: list[PassDiagnostic] = []

@@ -18,14 +18,13 @@ LCMM's tensor buffers for SRAM.
 from __future__ import annotations
 
 import itertools
-import time
+import math
 from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 from repro.obs import spans as obs
 from repro.ir.graph import ComputationGraph
-from repro.perf import pool as pool_mod
 from repro.perf.pool import ScorerPool
 from repro.perf.systolic import AcceleratorConfig
 from repro.perf.tiling import TileConfig
@@ -118,11 +117,23 @@ class WorkerStats:
         )
 
 
-#: Points the parent scores itself to measure the per-point cost when a
-#: pool has no throughput estimate yet.  Their scores are part of the
-#: sweep result, so calibration is never wasted work; capped at half the
-#: workload so small sweeps still exercise the pool.
-_CALIBRATION_POINTS = 8
+def score_serially(
+    graph: ComputationGraph,
+    base: AcceleratorConfig,
+    tiles: list[TileConfig],
+) -> list[float]:
+    """Score ``tiles`` on ``base`` in this process, in tile order.
+
+    The one place the parent scores tiles: a one-worker sweep, a sweep
+    whose pool could not be built and the chunks a pool lost all land
+    here, on the base's model from the process's design cache
+    (:func:`~repro.perf.latency.design_model`).
+    """
+    from repro.perf.latency import design_model
+
+    with obs.span("dse.serial-sweep", tiles=len(tiles)):
+        score = design_model(graph, base).umm_latency
+        return [score(tile) for tile in tiles]
 
 
 def _score_parallel(
@@ -136,19 +147,16 @@ def _score_parallel(
 ) -> list[float]:
     """Fan tile scoring out over ``pool``, preserving order.
 
-    Chunks are sized adaptively from the pool's measured per-point cost
-    (a cold pool first calibrates on a small parent-scored prefix),
-    encoded as packed int arrays, scored in worker processes and
+    ``tiles`` split evenly over the pool's workers, ``ceil(n / workers)``
+    tiles a chunk; each chunk is scored in a worker process and
     reassembled by index, so the result lines up with ``tiles``
     regardless of which worker finished first.
 
     Hardened against worker failure: a chunk that raises *or misses
     ``chunk_timeout``* is resubmitted up to ``chunk_retries`` times; a
-    chunk that exhausts its retries is re-executed *serially in the
-    parent*, so the sweep always terminates with exact results.  The
-    serial path recomputes with the parent's own model of ``base``
-    (:func:`~repro.perf.latency.design_model`) rather than trusting
-    anything a dying worker may have sent.
+    chunk that exhausts its retries is re-scored in the parent by
+    :func:`score_serially`, so the sweep always terminates with exact
+    results and never trusts anything a dying worker may have sent.
 
     A broken pool (``BrokenProcessPool``) or a timed-out chunk whose
     future is already running (uncancellable, stranding the hung worker
@@ -157,29 +165,10 @@ def _score_parallel(
     *object* survives, so no broken executor leaks into later sweeps and
     no slot stays occupied by a dead deadline.
     """
-    from repro.perf.latency import design_model
-
     stats = stats if stats is not None else WorkerStats()
     tracer = obs.tracer()
-    n = len(tiles)
-    prefix: list[float] = []
-    if pool.per_point_seconds is None and n > 1:
-        # Cold pool: measure the per-point cost on a small prefix so the
-        # very first chunking is already informed.  The prefix scores
-        # are part of the result.
-        k = min(_CALIBRATION_POINTS, n // 2)
-        if k > 0:
-            score = design_model(graph, base).umm_latency
-            start = time.perf_counter()
-            prefix = [score(tile) for tile in tiles[:k]]
-            pool.observe(k, time.perf_counter() - start)
-    rest = tiles[len(prefix):]
-    chunk = pool.chunk_size(len(rest))
-    chunks = [
-        pool_mod.encode_tiles(rest[i : i + chunk])
-        for i in range(0, len(rest), chunk)
-    ]
-    sizes = [len(encoded) // pool_mod.TILE_WORDS for encoded in chunks]
+    size = max(1, math.ceil(len(tiles) / pool.workers))
+    chunks = [tiles[i : i + size] for i in range(0, len(tiles), size)]
     stats.chunks += len(chunks)
     preexisting = pool.is_warm()
     start_generation = pool.generation
@@ -218,9 +207,7 @@ def _score_parallel(
                 # Chunks run concurrently, so waiting on them in
                 # submission order still gives each roughly its own
                 # deadline — and never mislabels a healthy chunk.
-                scores, seconds, worker_spans = future.result(timeout=chunk_timeout)
-                results[i] = list(scores)
-                pool.observe(sizes[i], seconds)
+                results[i], worker_spans = future.result(timeout=chunk_timeout)
                 if tracer is not None and worker_spans:
                     tracer.merge(worker_spans)
             except FutureTimeout:
@@ -248,13 +235,9 @@ def _score_parallel(
     lost = [i for i in range(len(chunks)) if results[i] is None]
     if lost:
         stats.serial_chunks += len(lost)
-        with obs.span("dse.serial-rescore", chunks=len(lost)):
-            score = design_model(graph, base).umm_latency
-            for i in lost:
-                results[i] = [
-                    score(tile) for tile in pool_mod.decode_tiles(chunks[i])
-                ]
-    return prefix + [lat for part in results for lat in part]
+        for i in lost:
+            results[i] = score_serially(graph, base, chunks[i])
+    return [lat for part in results for lat in part]
 
 
 def _publish_sweep_metrics(stats: WorkerStats, graph_name: str) -> None:

@@ -5,8 +5,8 @@ the serial fast path (64-point sweep: 17.6x serial vs 4.4x with
 ``workers=4``): every sweep paid full ``ProcessPoolExecutor`` spin-up,
 every chunk re-pickled result objects, and the fixed ``n / (workers*4)``
 chunking left nothing to amortise any of it against.  This module is the
-fix — a pool that outlives a single base design and a wire protocol
-sized to the actual work:
+fix — a pool that outlives a single base design and one chunk per
+worker per base:
 
 * **One pool per sweep, warm across bases.**  The initializer ships the
   computation graph (the only heavy payload) exactly once per worker
@@ -24,33 +24,26 @@ sized to the actual work:
   sweep compute each score with the same code.  Workers only score:
   the sweep floors its bases in the parent, from the graph's one floor
   table, which needs no model.
-* **Compact encoding.**  Tiles travel as a packed int array (16
-  bytes/tile instead of a pickled :class:`TileConfig` each) and scores
-  return as a packed float array plus the measured wall seconds —
-  no per-point object pickling in either direction.
-* **Adaptive chunking.**  Chunk sizes are derived from the measured
-  per-point scoring cost (:meth:`ScorerPool.observe` keeps an EWMA fed
-  by both parent-side calibration and worker-reported chunk timings)
-  so each chunk costs roughly :data:`TARGET_CHUNK_SECONDS` of work —
-  large enough to bury the IPC, small enough to balance and retry.
+* **One chunk rule.**  Each base's pending tiles split evenly over
+  the workers, ``ceil(n / workers)`` tiles a chunk.  Chunks carry plain
+  :class:`TileConfig` lists and return plain score lists; pickling
+  them costs microseconds against milliseconds of scoring.
 
 Fault handling composes with the hardened retry loop in
 :mod:`repro.perf.dse`: a broken or stranded pool is *refreshed*
 (:meth:`ScorerPool.refresh` discards the executor; the next
 :meth:`ScorerPool.ensure` builds a fresh one with identical initargs),
 so crash/hang faults trigger fresh-pool retries without losing the
-pool object or its measurements.
+pool object.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import time
-from array import array
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigError
 from repro.obs import spans as obs
@@ -63,75 +56,12 @@ if TYPE_CHECKING:
 
     from repro.ir.graph import ComputationGraph
 
-__all__ = [
-    "ResilientPool",
-    "ScorerPool",
-    "TARGET_CHUNK_SECONDS",
-    "adaptive_chunk_size",
-    "decode_tiles",
-    "encode_tiles",
-]
-
-#: Ints per tile in the packed wire encoding (tm, tn, th, tw).
-TILE_WORDS = 4
-
-#: Wall seconds of scoring work one adaptive chunk aims to hold.  Large
-#: against the ~100 us submit/receive cost of a chunk, small enough that
-#: a sweep still splits into enough chunks to balance and to retry
-#: cheaply on a fault.
-TARGET_CHUNK_SECONDS = 0.05
-
-#: Ceiling on chunks per worker, so tiny per-point costs never shatter a
-#: sweep into thousands of IPC round-trips.
-_MAX_ROUNDS_PER_WORKER = 64
+__all__ = ["ResilientPool", "ScorerPool"]
 
 #: Deadline for the warm-up pings that prove the pool came up at all.
 _WARMUP_TIMEOUT = 60.0
 
 declare_fault_point("dse.chunk", "one tile chunk scored in a DSE worker")
-
-
-# ----------------------------------------------------------------------
-# Wire encoding
-# ----------------------------------------------------------------------
-
-def encode_tiles(tiles: Sequence[TileConfig]) -> array:
-    """Pack tiles into a flat int array (``TILE_WORDS`` ints per tile)."""
-    flat = array("i")
-    for tile in tiles:
-        flat.extend((tile.tm, tile.tn, tile.th, tile.tw))
-    return flat
-
-
-def decode_tiles(encoded: array) -> list[TileConfig]:
-    """Rebuild :class:`TileConfig` objects from :func:`encode_tiles` output."""
-    it = iter(encoded)
-    return [TileConfig(tm, tn, th, tw) for tm, tn, th, tw in zip(it, it, it, it)]
-
-
-def adaptive_chunk_size(
-    points: int,
-    workers: int,
-    per_point_seconds: float | None,
-    target_seconds: float = TARGET_CHUNK_SECONDS,
-) -> int:
-    """Chunk size scaled from the measured per-point cost and worker count.
-
-    With no measurement yet (a cold pool) this falls back to the fixed
-    four-rounds-per-worker split; with one, the chunk holds roughly
-    ``target_seconds`` of scoring work, clamped so every worker gets at
-    least one chunk and no worker sees more than
-    :data:`_MAX_ROUNDS_PER_WORKER` of them.
-    """
-    if points <= 0:
-        return 1
-    workers = max(1, workers)
-    if per_point_seconds is None or per_point_seconds <= 0.0:
-        return max(1, math.ceil(points / (workers * 4)))
-    size = max(1, int(target_seconds / per_point_seconds))
-    size = min(size, math.ceil(points / workers))
-    size = max(size, math.ceil(points / (workers * _MAX_ROUNDS_PER_WORKER)))
-    return size
 
 
 # ----------------------------------------------------------------------
@@ -170,13 +100,12 @@ def _pool_ping() -> int:
 
 
 def _pool_score_chunk(
-    base, encoded: array, index: int = 0
-) -> tuple[array, float, list[dict]]:
-    """Score one packed chunk of tiles in a worker process.
+    base, tiles: list[TileConfig], index: int = 0
+) -> tuple[list[float], list[dict]]:
+    """Score one chunk of tiles in a worker process.
 
-    Returns the scores as a packed float array, the measured wall
-    seconds (fed back into the parent's adaptive chunk sizing), and the
-    serialized spans recorded while scoring (empty when tracing is off).
+    Returns the scores, in tile order, and the serialized spans recorded
+    while scoring (empty when tracing is off).
     """
     # Imported here so that processes which only borrow the pool
     # lifecycle (the serving daemon) never load the latency model.
@@ -185,19 +114,15 @@ def _pool_score_chunk(
     fault_point("dse.chunk", chunk=index)
     tracer = obs.tracer()
     mark = len(tracer.records) if tracer is not None else 0
-    start = time.perf_counter()
-    with obs.span(
-        "dse.chunk", chunk=index, tiles=len(encoded) // TILE_WORDS
-    ):
+    with obs.span("dse.chunk", chunk=index, tiles=len(tiles)):
         score = design_model(_worker_graph, base).umm_latency
-        scores = array("d", [score(tile) for tile in decode_tiles(encoded)])
-    seconds = time.perf_counter() - start
+        scores = [score(tile) for tile in tiles]
     spans = (
         [record.as_dict() for record in tracer.records[mark:]]
         if tracer is not None
         else []
     )
-    return scores, seconds, spans
+    return scores, spans
 
 
 # ----------------------------------------------------------------------
@@ -309,8 +234,7 @@ class ScorerPool(ResilientPool):
 
     Extends :class:`ResilientPool` with the DSE worker initializer —
     the graph, the tracing state and the fault plans armed in this
-    process at construction time — and the adaptive chunk-size
-    measurements that survive across sweeps.
+    process at construction time.
 
     Args:
         graph: The computation graph workers score against.
@@ -329,8 +253,6 @@ class ScorerPool(ResilientPool):
         self.graph = graph
         self.trace = bool(trace)
         self.plans = inject.active_plans()
-        #: EWMA of measured seconds per scored point (None until observed).
-        self.per_point_seconds: float | None = None
 
     def _build_executor(self) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(
@@ -341,26 +263,12 @@ class ScorerPool(ResilientPool):
 
     # -- scoring support ----------------------------------------------
 
-    def submit_chunk(self, base, encoded: array, index: int) -> "Future":
-        """Submit one packed chunk against the live executor."""
+    def submit_chunk(self, base, tiles: list[TileConfig], index: int) -> "Future":
+        """Submit one chunk of tiles against the live executor."""
         executor = self._executor
         if executor is None:
             raise RuntimeError("ensure() the pool before submitting chunks")
-        return executor.submit(_pool_score_chunk, base, encoded, index)
-
-    def observe(self, points: int, seconds: float) -> None:
-        """Feed one measured (points scored, wall seconds) sample."""
-        if points <= 0 or seconds <= 0.0:
-            return
-        sample = seconds / points
-        if self.per_point_seconds is None:
-            self.per_point_seconds = sample
-        else:
-            self.per_point_seconds = 0.5 * self.per_point_seconds + 0.5 * sample
-
-    def chunk_size(self, points: int) -> int:
-        """Adaptive chunk size for a sweep of ``points`` on this pool."""
-        return adaptive_chunk_size(points, self.workers, self.per_point_seconds)
+        return executor.submit(_pool_score_chunk, base, tiles, index)
 
     def __repr__(self) -> str:  # pragma: no cover — debug aid
         state = "closed" if self._closed else ("warm" if self.is_warm() else "cold")

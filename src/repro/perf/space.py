@@ -65,6 +65,7 @@ from repro.perf.dse import (
     _publish_sweep_metrics,
     _score_parallel,
     candidate_tiles,
+    score_serially,
 )
 from repro.perf.pool import ScorerPool
 from repro.perf.systolic import AcceleratorConfig, SystolicArray
@@ -369,8 +370,8 @@ def _sweep_base(
 
     Warm-starts from ``cache`` under the base's ``sweep_key`` and writes
     fresh scores back.  Pending tiles go to the pool when more than one
-    worker can be used, otherwise they are scored serially with the
-    base's model from :func:`~repro.perf.latency.design_model`.  Only
+    worker can be used, otherwise to
+    :func:`~repro.perf.dse.score_serially`.  Only
     *environmental* pool failures fall back to the serial path; a
     taxonomy error raised while setting up the pool propagates.
     """
@@ -416,11 +417,7 @@ def _sweep_base(
                 stats.pool_unavailable = True
         if pending:
             if scored is None:
-                from repro.perf.latency import design_model
-
-                with obs.span("dse.serial-sweep", tiles=len(pending)):
-                    score = design_model(graph, base).umm_latency
-                    scored = [score(tile) for tile in pending]
+                scored = score_serially(graph, base, pending)
             scores.update(zip(map(tile_key, pending), scored))
             if cache is not None:
                 cache.put(warm_key, scores, namespace="sweep")

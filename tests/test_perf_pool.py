@@ -2,16 +2,9 @@
 
 import pytest
 
-from repro.perf import pool as pool_mod
-from repro.perf.dse import WorkerStats
+from repro.perf.dse import WorkerStats, candidate_tiles
 from repro.errors import ConfigError
-from repro.perf.pool import (
-    ScorerPool,
-    adaptive_chunk_size,
-    decode_tiles,
-    encode_tiles,
-)
-from repro.perf.tiling import TileConfig
+from repro.perf.pool import ScorerPool
 
 from tests.conftest import (
     build_chain,
@@ -20,44 +13,6 @@ from tests.conftest import (
     sweep_base,
     wait_for_exit,
 )
-
-
-class TestWireEncoding:
-    def test_roundtrip(self):
-        tiles = [TileConfig(16, 32, 7, 14), TileConfig(128, 64, 56, 56)]
-        assert decode_tiles(encode_tiles(tiles)) == tiles
-
-    def test_empty(self):
-        assert decode_tiles(encode_tiles([])) == []
-
-    def test_packing_density(self):
-        tiles = [TileConfig(8, 8, 7, 7)] * 100
-        encoded = encode_tiles(tiles)
-        assert len(encoded) == 100 * pool_mod.TILE_WORDS
-
-
-class TestAdaptiveChunking:
-    def test_cold_pool_falls_back_to_fixed_split(self):
-        # No measurement yet: the historical four-rounds-per-worker split.
-        assert adaptive_chunk_size(64, 4, None) == 4
-
-    def test_sized_to_target_seconds(self):
-        # 1 ms per point, 50 ms target -> 50-point chunks.
-        assert adaptive_chunk_size(10_000, 4, 1e-3) == 50
-
-    def test_every_worker_gets_a_chunk(self):
-        # Huge per-point cost: chunk of 1, never 0.
-        assert adaptive_chunk_size(100, 4, 10.0) == 1
-        # Tiny per-point cost: chunks grow until workers would idle.
-        assert adaptive_chunk_size(8, 4, 1e-9) == 2
-
-    def test_rounds_per_worker_capped(self):
-        size = adaptive_chunk_size(10_000_000, 2, 1e-9)
-        rounds = 10_000_000 / (size * 2)
-        assert rounds <= pool_mod._MAX_ROUNDS_PER_WORKER
-
-    def test_zero_points(self):
-        assert adaptive_chunk_size(0, 4, 1e-3) == 1
 
 
 class TestScorerPool:
@@ -92,18 +47,6 @@ class TestScorerPool:
     def test_invalid_workers(self):
         with pytest.raises(ConfigError):
             ScorerPool(build_chain(), 0)
-
-    def test_observe_feeds_ewma(self):
-        pool = ScorerPool(build_chain(), 2)
-        assert pool.per_point_seconds is None
-        pool.observe(10, 0.01)
-        assert pool.per_point_seconds == pytest.approx(1e-3)
-        pool.observe(10, 0.03)
-        assert pool.per_point_seconds == pytest.approx(2e-3)
-        # Degenerate samples are ignored, not divide-by-zeroed.
-        pool.observe(0, 0.5)
-        pool.observe(10, 0.0)
-        assert pool.per_point_seconds == pytest.approx(2e-3)
 
 
 class TestPoolReuseAcrossSweeps:
@@ -176,17 +119,29 @@ class TestPoolReuseAcrossSweeps:
         assert all(p.startswith("dse-worker-") for p in chunk_processes)
         assert not wait_for_exit(child_pids() - before)
 
-    def test_calibration_scores_count_toward_results(self):
-        # A cold pool calibrates on a parent-scored prefix; those scores
-        # must appear in the result exactly once.
+    def test_cold_private_pool_ships_every_pending_tile(self):
+        # A cold private pool scores nothing in the parent: each scored
+        # base's tiles split evenly into min(workers, n) chunks, and the
+        # pooled points equal a serial sweep's bit for bit.
+        from repro import obs
+        from repro.perf.space import SampledSpace, explore_space
+
         graph = build_chain()
-        base = small_accel()
-        serial = sweep_base(graph, base, 10 * 2**20)
-        pool = ScorerPool(graph, 2)
-        try:
-            pooled = sweep_base(graph, base, 10 * 2**20, pool=pool)
-        finally:
-            pool.close()
-        key = lambda points: [(p.accel.tile, p.umm_latency) for p in points]
+        tiles = candidate_tiles()
+        space = SampledSpace(
+            [(small_accel(), tiles[:7]), (small_accel(frequency=300e6), tiles)]
+        )
+        budget = 10 * 2**20
+        serial = explore_space(graph, space, budget, prune=False)
+        stats = WorkerStats()
+        with obs.tracing("main") as tracer:
+            pooled = explore_space(
+                graph, space, budget, workers=2, prune=False, stats=stats
+            )
+        key = lambda result: [(p.accel, p.umm_latency) for p in result.points]
         assert key(pooled) == key(serial)
-        assert pool.per_point_seconds is not None
+        chunks = [r for r in tracer.records if r.name == "dse.chunk"]
+        assert sorted(r.attrs["tiles"] for r in chunks) == [3, 4, 24, 24]
+        assert sum(r.attrs["tiles"] for r in chunks) == serial.scored_points
+        assert stats.chunks == len(chunks) and not stats.recovered()
+        assert not any(r.name == "dse.serial-sweep" for r in tracer.records)

@@ -51,6 +51,7 @@ from repro.models.zoo import get_model, list_models
 from repro.perf import latency
 from repro.perf.engine import AllocationEngine
 from repro.perf.latency import LatencyModel, design_model
+from repro.robustness.inject import FaultPlan, injected
 from repro.serve.jobs import run_dse_job
 
 from tests.conftest import build_chain, small_accel
@@ -352,6 +353,31 @@ class TestBatchModelMemo:
         warm = batch_compile(models=["alexnet"], configs=configs, cache_dir=tmp_path)
         assert warm.all_hits
         assert not latency._DESIGN_CACHE
+
+
+class TestOneModelPerCompile:
+    @pytest.mark.parametrize(
+        "point, level",
+        [(None, 0), ("pass.allocate_splitting", 1), ("pass.placement", 3)],
+    )
+    def test_degradation_chain_builds_one_model(self, monkeypatch, point, level):
+        # Without a model, ``run_lcmm`` builds one and every attempt of
+        # the degradation chain, the UMM floor included, shares it.
+        builds = []
+        init = LatencyModel.__init__
+
+        def counted(self, graph, accel):
+            builds.append(accel)
+            init(self, graph, accel)
+
+        monkeypatch.setattr(LatencyModel, "__init__", counted)
+        graph = get_model("alexnet")
+        accel = model_reference_design("alexnet", INT8, "lcmm")
+        plans = [FaultPlan(point, mode="raise")] if point else []
+        with injected(*plans):
+            result = run_lcmm(graph, accel)
+        assert result.degradation_level == level
+        assert builds == [accel]
 
 
 @pytest.fixture
