@@ -22,8 +22,8 @@ Eq. 1 evaluator; tests compare DNNK against exhaustive search on small
 instances.
 
 Gains are evaluated by :class:`_EngineGainEvaluator`, which reads the
-flattened slot arrays of a :class:`repro.perf.engine.AllocationEngine`
-so a node query is one pass over small int/float tuples.  Its per-node
+model's flat per-node table (:class:`repro.perf.node_table.NodeTable`), so
+a node query is one pass over small int/float tuples.  Its per-node
 sums accumulate in the same order as ``LayerLatency.latency``, so every
 gain, delta and total equals the plain latency-model walk bit for bit
 (``tests/oracles.py`` keeps that walk as the test oracle).  It also
@@ -89,95 +89,83 @@ class _EngineGainEvaluator:
     """Exact marginal latency gain of taking one buffer, given a context.
 
     The context is the bitmask of buffers already decided on-chip in the
-    same capacity column.  Reads the flattened per-node slot arrays of an
-    :class:`AllocationEngine` (never its mutable state: DNNK evaluates
-    allocations without residuals or fractions) and binds each candidate
-    slot to the virtual buffer holding its tensor.  A node query is then
-    one pass over small tuples; the per-kind sums accumulate in the same
-    slot order as ``LayerLatency.slot_latency`` and per-buffer node
-    iteration follows name-sorted order, so every gain, delta and total
-    is bit-for-bit equal to walking the latency model.
+    same capacity column.  Reads the model's
+    :class:`~repro.perf.node_table.NodeTable` through an
+    :class:`AllocationEngine` (never the engine's mutable state: DNNK
+    evaluates allocations without residuals or fractions).  What does
+    not depend on the buffers — each node's slot kinds that can bind and
+    its compute floor (:meth:`NodeTable.binding`) — is built once per
+    model; a call only binds each of those slots to the virtual buffer
+    holding its tensor.  A node query is then one pass over small
+    tuples; the per-kind sums accumulate in the same slot order as
+    ``LayerLatency.slot_latency`` and per-buffer node iteration follows
+    name-sorted order, so every gain, delta and total is bit-for-bit
+    equal to walking the latency model.
     """
 
     def __init__(self, engine: AllocationEngine, buffers: list[VirtualBuffer]) -> None:
         self._engine = engine
         self._buffers = buffers
-        node_index = engine.node_index
-        node_names = engine.node_names
-        self._by_name = node_names.__getitem__
+        table = engine.model.node_table
+        node_index = table.index
+        self._rank = table.rank.__getitem__
 
-        tid_buffer: dict[int, int] = {}
+        # Each tensor's buffer bit, 0 for a tensor no buffer holds.
+        tensor_bit = [0] * len(table.tensor_names)
+        tensor_index = table.tensor_index
         for bi, buf in enumerate(buffers):
+            bit = 1 << bi
             for t in buf.tensors:
-                tid = engine.tensor_index.get(t.name)
+                tid = tensor_index.get(t.name)
                 if tid is not None:
-                    tid_buffer[tid] = bi
+                    tensor_bit[tid] = bit
 
         # Per-buffer affected nodes as schedule indices, in name-sorted
-        # order (gains sum per-node differences in exactly that order).
+        # order (gains sum per-node differences in exactly that order),
+        # and per touched node the mask of buffers affecting it.
         self._affected: list[tuple[int, ...]] = []
-        node_to_buffers: dict[int, set[int]] = {}
+        node_buffers: dict[int, int] = {}
         for bi, buf in enumerate(buffers):
-            names = sorted({n for t in buf.tensors for n in t.affected_nodes})
-            idxs = tuple(node_index[n] for n in names if n in node_index)
-            self._affected.append(idxs)
-            for ni in idxs:
-                node_to_buffers.setdefault(ni, set()).add(bi)
+            idxs = set()
+            for t in buf.tensors:
+                for n in t.affected_nodes:
+                    ni = node_index.get(n)
+                    if ni is not None:
+                        idxs.add(ni)
+            ordered = tuple(sorted(idxs, key=self._rank))
+            self._affected.append(ordered)
+            bit = 1 << bi
+            for ni in ordered:
+                node_buffers[ni] = node_buffers.get(ni, 0) | bit
         self._relevant_mask: list[int] = []
-        for bi in range(len(buffers)):
+        for idxs in self._affected:
             mask = 0
-            for ni in self._affected[bi]:
-                for other in node_to_buffers[ni]:
-                    mask |= 1 << other
+            for ni in idxs:
+                mask |= node_buffers[ni]
             self._relevant_mask.append(mask)
 
-        # Touched nodes only.  A slot kind whose all-off-chip sum is <=
-        # the node's compute can never bind Eq. 1's max: adding
-        # non-negative floats is monotone under round-to-nearest, so
-        # every subset sum in slot order is <= the full sum.  Each node
-        # keeps only the kinds that can bind ("live" kinds), in kind
-        # order, as (buffer bit or 0, latency) tuples in slot order, plus
-        # its *live* mask — the bits of buffers with a slot in a live
-        # kind, the only bits that change the node's latency — which
-        # keys the per-node memo.
+        # Touched nodes only.  Each keeps the kinds that can bind
+        # ("live" kinds), in kind order, as (buffer bit or 0, latency)
+        # tuples in slot order, plus its *live* mask — the bits of
+        # buffers with a slot in a live kind, the only bits that change
+        # the node's latency — which keys the per-node memo.
         self._node_walk: dict[int, tuple[tuple[tuple[int, float], ...], ...]] = {}
         self._node_mask: dict[int, int] = {}
         self._node_cache: dict[int, dict[int, float]] = {}
-        # The compute-floor rule (see ``gain``): the node's compute where
-        # every term is non-negative and not NaN, else NaN, which no
-        # latency compares equal to.
         node_floor: dict[int, float] = {}
-        for ni in node_to_buffers:
-            # A negative or NaN term voids the monotonicity argument, and
-            # an infinite latency makes a plain walk's per-node difference
-            # inf - inf = NaN rather than 0.0: a node prunes only when its
-            # compute and every kind's all-off-chip sum are finite.
-            compute = engine.compute[ni]
-            clean = compute == compute
-            full = [0.0, 0.0, 0.0]
-            per_kind: tuple[list, list, list] = ([], [], [])
-            for kind, tid, lat in zip(
-                engine.slot_kinds[ni], engine.slot_tids[ni], engine.slot_lats[ni]
-            ):
-                bi = tid_buffer.get(tid)
-                per_kind[kind].append((0 if bi is None else 1 << bi, lat))
-                if lat >= 0.0:
-                    full[kind] += lat
-                else:
-                    full[kind] = math.inf
-                    clean = False
-            prune = max(compute, *full) < math.inf
+        bit_of = tensor_bit.__getitem__
+        for ni in node_buffers:
+            groups, node_floor[ni] = table.binding(ni)
             walk = []
             live = 0
-            for terms, total in zip(per_kind, full):
-                if terms and not (prune and total <= compute):
-                    walk.append(tuple(terms))
-                    for bit, _ in terms:
-                        live |= bit
+            for tids, lats in groups:
+                bits = tuple(map(bit_of, tids))
+                for bit in bits:
+                    live |= bit
+                walk.append(tuple(zip(bits, lats)))
             self._node_walk[ni] = tuple(walk)
             self._node_mask[ni] = live
-            self._node_cache[ni] = {0: engine.base_node_lat[ni]}
-            node_floor[ni] = compute if clean else math.nan
+            self._node_cache[ni] = {0: table.umm[ni]}
 
         # Gain loop inputs: the affected nodes where a buffer's bit is
         # live (elsewhere its per-node difference is exactly 0.0, and
@@ -265,7 +253,7 @@ class _EngineGainEvaluator:
         affected: set[int] = set()
         for i in indices:
             affected.update(self._affected[i])
-        return sorted(affected, key=self._by_name)
+        return sorted(affected, key=self._rank)
 
     def move_delta(self, context_mask: int, add: int | None, drop: int | None) -> float:
         """Exact latency change of adding/dropping buffers (negative = better)."""

@@ -225,7 +225,7 @@ def umm_only_result(
         throughput=model.throughput(latency),
         onchip_tensors=frozenset(),
         residuals={},
-        node_latencies={name: model.node_latency(name) for name in model.nodes()},
+        node_latencies=dict(zip(model.node_table.names, model.node_table.umm)),
         feature_result=empty_feature_result(),
         prefetch_result=empty_prefetch_result(),
         dnnk_result=empty_dnnk_result(),

@@ -36,11 +36,11 @@ construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.ir.layer import Attention, ComputeKind, Conv2D, DepthwiseConv2D, Gemm
-from repro.ir.tensor import TensorKind, feature_tensor_name
-from repro.perf.latency import LatencyModel, LayerLatency, Slot
+from repro.ir.tensor import feature_tensor_name
+from repro.perf.latency import LatencyModel
 
 __all__ = [
     "FusedEdge",
@@ -114,13 +114,6 @@ def _tile_slice_capacity(model: LatencyModel) -> int:
     return 2 * tile.ifmap_tile_elems((3, 3), (1, 1)) * elem
 
 
-def _if_slot(layer: LayerLatency, tensor: str) -> Slot | None:
-    for slot in layer.slots:
-        if slot.kind is TensorKind.IFMAP and slot.tensor == tensor:
-            return slot
-    return None
-
-
 def find_fusion_candidates(model: LatencyModel) -> list[FusedEdge]:
     """Enumerate every legal fusion edge of a characterised model.
 
@@ -132,37 +125,51 @@ def find_fusion_candidates(model: LatencyModel) -> list[FusedEdge]:
     graph = model.graph
     elem = model.accel.precision.bytes
     capacity = _tile_slice_capacity(model)
-    schedule = model.nodes()
+    table = model.node_table
+    schedule = table.names
+    kinds, tids, byte_counts = table.kinds, table.tids, table.bytes
 
     # Reader count per feature tensor across the whole schedule — a
     # tensor with more than one reader is a shortcut (residual add,
     # dense concat fan-out) and keeps its DRAM write.
-    readers: dict[str, int] = {}
-    for name in schedule:
-        for slot in model.layer(name).slots:
-            if slot.kind is TensorKind.IFMAP:
-                readers[slot.tensor] = readers.get(slot.tensor, 0) + 1
+    readers = [0] * len(table.tensor_names)
+    for node_kinds, node_tids in zip(kinds, tids):
+        for kind, tid in zip(node_kinds, node_tids):
+            if kind == 0:
+                readers[tid] += 1
 
     edges: list[FusedEdge] = []
-    for producer, consumer in zip(schedule, schedule[1:]):
+    for producer_ni, (producer, consumer) in enumerate(zip(schedule, schedule[1:])):
         tensor = feature_tensor_name(producer)
-        slot = _if_slot(model.layer(consumer), tensor)
-        if slot is None or slot.bytes == 0:
+        tid = table.tensor_index.get(tensor)
+        consumer_ni = producer_ni + 1
+        read = next(
+            (
+                num_bytes
+                for kind, slot_tid, num_bytes in zip(
+                    kinds[consumer_ni], tids[consumer_ni], byte_counts[consumer_ni]
+                )
+                if kind == 0 and slot_tid == tid
+            ),
+            0,
+        )
+        if read == 0:
             continue  # not a direct edge (or already elided)
         expected = graph.output_shape(producer).volume * elem
-        if slot.bytes != expected:
+        if read != expected:
             continue  # consumer re-streams the intermediate (reload > 1)
         slice_bytes = fusion_slice_bytes(model, consumer)
         if slice_bytes > capacity:
             continue  # fused slice overflows the borrowed tile buffer
-        shortcut = readers.get(tensor, 0) > 1
-        saved = slot.bytes
+        shortcut = readers[tid] > 1
+        saved = read
         if not shortcut:
-            producer_layer = model.layer(producer)
             saved += sum(
-                s.bytes
-                for s in producer_layer.slots
-                if s.kind is TensorKind.OFMAP and s.tensor == tensor
+                num_bytes
+                for kind, slot_tid, num_bytes in zip(
+                    kinds[producer_ni], tids[producer_ni], byte_counts[producer_ni]
+                )
+                if kind == 2 and slot_tid == tid
             )
         edges.append(
             FusedEdge(
@@ -177,10 +184,6 @@ def find_fusion_candidates(model: LatencyModel) -> list[FusedEdge]:
     return edges
 
 
-def _zero(slot: Slot) -> Slot:
-    return replace(slot, bytes=0, latency=0.0)
-
-
 def apply_fusion(
     model: LatencyModel, edges: list[FusedEdge] | tuple[FusedEdge, ...]
 ) -> LatencyModel:
@@ -188,25 +191,25 @@ def apply_fusion(
 
     Each edge zeroes the consumer's read slot of the fused tensor and,
     for non-shortcut edges, the producer's write slot.  Slots are kept
-    in place (zero bytes, zero latency) so downstream consumers — the
-    allocation engine, the tile simulator, the transfer scheduler — see
-    the same slot structure with the fused streams removed.
+    in place (zero bytes, zero latency), so the fused model's node
+    table shares the source's layout and untouched rows
+    (:meth:`~repro.perf.node_table.NodeTable.zeroed`), and downstream
+    consumers — the allocation engine, the tile simulator, the transfer
+    scheduler — see the same slot structure with the fused streams
+    removed.
     """
-    zero_reads = {(e.consumer, e.tensor) for e in edges}
-    zero_writes = {(e.producer, e.tensor) for e in edges if not e.shortcut}
-    layers: dict[str, LayerLatency] = {}
-    for name in model.nodes():
-        ll = model.layer(name)
-        slots = []
-        for slot in ll.slots:
-            key = (name, slot.tensor)
-            if slot.kind is TensorKind.IFMAP and key in zero_reads:
-                slots.append(_zero(slot))
-            elif slot.kind is TensorKind.OFMAP and key in zero_writes:
-                slots.append(_zero(slot))
-            else:
-                slots.append(slot)
-        layers[name] = LayerLatency(
-            node=name, compute=ll.compute, slots=slots, macs=ll.macs
-        )
-    return LatencyModel.from_layers(model.graph, model.accel, layers)
+    table = model.node_table
+    index, tensor_index = table.index, table.tensor_index
+    zero: dict[int, set[int]] = {}
+
+    def zero_slots(node: str, tensor: str, kind: int) -> None:
+        ni, tid = index[node], tensor_index.get(tensor)
+        for position, (slot_kind, slot_tid) in enumerate(zip(table.kinds[ni], table.tids[ni])):
+            if slot_kind == kind and slot_tid == tid:
+                zero.setdefault(ni, set()).add(position)
+
+    for edge in edges:
+        zero_slots(edge.consumer, edge.tensor, 0)
+        if not edge.shortcut:
+            zero_slots(edge.producer, edge.tensor, 2)
+    return LatencyModel.with_table(model.graph, model.accel, table.zeroed(zero))

@@ -21,7 +21,7 @@ from repro.lcmm.buffers import CandidateTensor, TensorClass, VirtualBuffer
 from repro.lcmm.coloring import color_buffers
 from repro.lcmm.interference import InterferenceGraph
 from repro.lcmm.liveness import LiveRange
-from repro.lcmm.tables import eq2_latency_reduction, operation_latency_table
+from repro.lcmm.tables import eq2_latency_reduction
 from repro.perf.latency import LatencyModel
 
 
@@ -107,11 +107,11 @@ def hiding_capacity(
     A prefetch shares the weight interface with the demand tile streams
     of the nodes it hides behind, so only the part of each node's latency
     not already consumed by its own weight traffic counts.  With nothing
-    on chip that demand is the operation latency table's weight column.
+    on chip that demand is the node's all-off-chip weight sum.
     """
-    table = operation_latency_table(model)
+    table = model.node_table
     return [
-        max(0.0, latency - table[name].lat_weight)
+        max(0.0, latency - table.sums[table.index[name]][1])
         for latency, name in zip(node_latencies, schedule)
     ]
 
@@ -129,9 +129,8 @@ def weight_prefetch_pass(
         model: Latency model.
     """
     schedule = model.nodes()
-    table = operation_latency_table(model)
-    baseline = [table[name].latency for name in schedule]
-    capacities = hiding_capacity(model, baseline, schedule)
+    table = model.node_table
+    capacities = hiding_capacity(model, table.umm, schedule)
     elem = model.accel.precision.bytes
     wt_bandwidth = model.accel.interface_bandwidth(TensorKind.WEIGHT.value)
 
@@ -143,8 +142,7 @@ def weight_prefetch_pass(
         tensor = weight_shapes.get(name)
         if tensor is None:
             continue
-        row = table[name]
-        if not row.is_memory_bound:
+        if not table.memory_bound(idx):
             # Compute-bound nodes gain nothing from resident weights.
             continue
         wname = weight_tensor_name(name)

@@ -22,9 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from repro.ir.tensor import TensorKind
 from repro.lcmm.buffers import VirtualBuffer
-from repro.perf.latency import LatencyModel, Slot
+from repro.perf.latency import LatencyModel
 
 
 class OperationLatencyRow(NamedTuple):
@@ -73,38 +72,27 @@ class OperationLatencyRow(NamedTuple):
 def operation_latency_table(model: LatencyModel) -> dict[str, OperationLatencyRow]:
     """The operation latency table of a latency model, in schedule order.
 
-    Built once per model instance and shared by every reader of that
-    model (the colouring passes read it on each compile); do not mutate
-    the returned mapping.
+    A view of the model's :class:`~repro.perf.node_table.NodeTable` for
+    reporting, built on first use and shared by every reader of that
+    model; the passes read the node table itself.  Do not mutate the
+    returned mapping.
     """
-    return model.derived(_build_operation_table)
+    return model.derived(_operation_rows)
 
 
-_KIND_INDEX = {TensorKind.IFMAP: 0, TensorKind.WEIGHT: 1, TensorKind.OFMAP: 2}
-
-
-def _build_operation_table(model: LatencyModel) -> dict[str, OperationLatencyRow]:
-    table = {}
-    for name in model.nodes():
-        ll = model.layer(name)
-        compute, slots = ll.compute, ll.slots
-        # Kind sums in slot order, as ``LayerLatency.slot_latency`` with
-        # everything off chip.
-        kinds = [_KIND_INDEX[slot.kind] for slot in slots]
-        sums = [0.0, 0.0, 0.0]
-        for k, slot in zip(kinds, slots):
-            sums[k] += slot.latency
-        s_if, s_wt, s_of = sums
-        table[name] = OperationLatencyRow(
+def _operation_rows(model: LatencyModel) -> dict[str, OperationLatencyRow]:
+    table = model.node_table
+    tensor_names = table.tensor_names
+    return {
+        name: OperationLatencyRow(
             name,
-            compute,
-            s_if,
-            s_wt,
-            s_of,
-            max(compute, s_if, s_wt, s_of),
-            _eq2_terms(compute, slots, kinds, sums),
+            table.compute[ni],
+            *table.sums[ni],
+            table.umm[ni],
+            {tensor_names[tid]: term for tid, term in table.eq2(ni)},
         )
-    return table
+        for ni, name in enumerate(table.names)
+    }
 
 
 def eq2_latency_reduction(
@@ -125,55 +113,17 @@ def eq2_latency_reduction(
     When several input values share the "if" interface, the if-component
     gap is apportioned between them in proportion to their slot
     latencies.  The per-node terms come from the model's
-    :func:`operation_latency_table`.
+    :meth:`~repro.perf.node_table.NodeTable.eq2`.
     """
-    table = operation_latency_table(model)
+    table = model.node_table
+    tid = table.tensor_index.get(tensor_name)
     total = 0.0
     for node in affected_nodes:
-        term = table[node].eq2_terms.get(tensor_name)
-        if term is not None:
-            total += term
+        for term_tid, term in table.eq2(table.index[node]):
+            if term_tid == tid:
+                total += term
+                break
     return total
-
-
-#: Per kind (if, wt, of), the positions of the other three components
-#: in ``(compute, if, wt, of)``, in that order.
-_OTHERS = ((0, 2, 3), (0, 1, 3), (0, 1, 2))
-
-
-def _eq2_terms(
-    compute: float, slots: list[Slot], kinds: list[int], sums: list[float]
-) -> dict[str, float]:
-    """Each tensor's Eq. 2 term at one node, keyed by tensor name.
-
-    A tensor's term comes from its first slot at the node; a tensor
-    whose component is not positive has no term.
-    """
-    # Per kind: its total and its gap to the next-lower component.  The
-    # next-lower component is the first largest of the others below the
-    # total (``max``'s tie rule), or 0.0 when none is below it.
-    components = (compute, *sums)
-    gaps: list[tuple[float, float] | None] = [None, None, None]
-    for k, kind_total in enumerate(sums):
-        if kind_total <= 0.0:
-            continue
-        lower = None
-        for j in _OTHERS[k]:
-            v = components[j]
-            if v < kind_total and (lower is None or v > lower):
-                lower = v
-        gaps[k] = (kind_total, kind_total - (0.0 if lower is None else lower))
-    terms: dict[str, float] = {}
-    seen: set[str] = set()
-    for k, slot in zip(kinds, slots):
-        tensor = slot.tensor
-        if tensor in seen:
-            continue
-        seen.add(tensor)
-        gap = gaps[k]
-        if gap is not None:
-            terms[tensor] = gap[1] * (slot.latency / gap[0])
-    return terms
 
 
 def tensor_metric_table(

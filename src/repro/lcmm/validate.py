@@ -19,7 +19,6 @@ from repro.errors import AllocationError
 from repro.ir.tensor import TensorKind
 from repro.lcmm.coloring import validate_coloring
 from repro.lcmm.passes.standard import fused_model
-from repro.perf.engine import EngineTables
 from repro.perf.latency import LatencyModel
 from repro.sim import demand_bytes
 
@@ -99,11 +98,11 @@ def validate_result(result: "LCMMResult", model: LatencyModel) -> None:
     if usage.bram36_used > usage.budget.bram36_blocks:
         raise AllocationError("BRAM over-committed")
 
-    # (4) per-node monotonicity against the UMM decomposition the
-    # compile's engine already built.
-    tables = model.derived(EngineTables)
+    # (4) per-node monotonicity against the UMM decomposition of the
+    # model's node table.
+    table = model.node_table
     node_latencies = result.node_latencies
-    for node, before in zip(tables.node_names, tables.base_node_lat):
+    for node, before in zip(table.names, table.umm):
         after = node_latencies.get(node)
         if after is None:
             raise AllocationError(f"node {node!r} has no latency under LCMM")
@@ -113,12 +112,12 @@ def validate_result(result: "LCMMResult", model: LatencyModel) -> None:
             )
 
     # (5) end-to-end bounds.
-    umm_latency = sum(tables.base_node_lat)
+    umm_latency = sum(table.umm)
     if result.latency > umm_latency + 1e-12:
         raise AllocationError(
             f"LCMM latency {result.latency} exceeds UMM latency {umm_latency}"
         )
-    floor = sum(tables.compute)
+    floor = sum(table.compute)
     if result.latency < floor - 1e-12:
         raise AllocationError(
             f"LCMM latency {result.latency} below compute bound {floor}"

@@ -22,7 +22,8 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "default_accelerator",
         ),
         "repro.perf.engine": ("AllocationEngine", "EngineStats"),
-        "repro.perf.latency": ("LatencyModel", "LayerLatency", "Slot"),
+        "repro.perf.latency": ("LatencyModel",),
+        "repro.perf.node_table": ("LayerLatency", "NodeTable", "Slot"),
         "repro.perf.roofline": ("RooflineModel", "RooflinePoint"),
         "repro.perf.dse": ("DesignPoint", "WorkerStats", "candidate_tiles"),
         "repro.perf.pool": ("ScorerPool",),

@@ -5,10 +5,11 @@ buffer splitting, fractional fill — bottoms out in
 re-evaluating Eq. 1 latencies.  The naive route walks every node and every
 slot per query (``LatencyModel.total_latency``) and rebuilds frozensets of
 resident tensors on the way, so one candidate evaluation costs
-O(nodes x slots).  This module flattens the per-node ``LayerLatency``
-decomposition into parallel arrays once and then maintains a mutable
-resident-set with cached per-node latencies, so a state change costs
-O(slots of the affected nodes) and a total query costs O(nodes).
+O(nodes x slots).  This module reads the model's flat per-node arrays
+(its :class:`~repro.perf.node_table.NodeTable`, built once when the model
+characterises its design) and maintains a mutable resident-set with
+cached per-node latencies, so a state change costs O(slots of the
+affected nodes) and a total query costs O(nodes).
 
 Exactness contract
 ------------------
@@ -29,17 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from repro.ir.tensor import TensorKind
 from repro.perf.latency import LatencyModel
 from repro.robustness.inject import declare_fault_point, fault_point
 
 declare_fault_point(
     "engine.set_state", "absolute state jump of the incremental engine"
 )
-
-#: Interface index per tensor kind, in the order Eq. 1's max considers them.
-KIND_INDEX = {TensorKind.IFMAP: 0, TensorKind.WEIGHT: 1, TensorKind.OFMAP: 2}
-
 
 @dataclass
 class EngineStats:
@@ -101,89 +97,22 @@ class EngineStats:
             timer.observe(seconds, **dict(labels, pass_name=pass_name))
 
 
-class EngineTables:
-    """The immutable flattening of one :class:`LatencyModel`.
-
-    Node and tensor interning, the per-node slot arrays and the
-    all-off-chip per-kind sums and node latencies depend only on the
-    model, so every :class:`AllocationEngine` of one model shares one
-    instance through :meth:`LatencyModel.derived` and allocates only its
-    mutable state.  The all-off-chip sums accumulate each node's slots
-    in their original order, exactly as
-    :meth:`AllocationEngine._recompute_node` does with nothing resident.
-    """
-
-    def __init__(self, model: LatencyModel) -> None:
-        schedule = model.nodes()
-        self.node_names: list[str] = list(schedule)
-        self.node_index: dict[str, int] = {n: i for i, n in enumerate(schedule)}
-        self.compute: list[float] = []
-        self.slot_kinds: list[tuple[int, ...]] = []
-        self.slot_tids: list[tuple[int, ...]] = []
-        self.slot_lats: list[tuple[float, ...]] = []
-        self.tensor_index: dict[str, int] = {}
-        tensor_nodes: list[list[int]] = []
-        base_sums: list[tuple[float, float, float]] = []
-        base_lat: list[float] = []
-
-        for ni, name in enumerate(schedule):
-            ll = model.layer(name)
-            kinds: list[int] = []
-            tids: list[int] = []
-            lats: list[float] = []
-            sums = [0.0, 0.0, 0.0]
-            for slot in ll.slots:
-                tid = self.tensor_index.setdefault(slot.tensor, len(tensor_nodes))
-                if tid == len(tensor_nodes):
-                    tensor_nodes.append([])
-                if not tensor_nodes[tid] or tensor_nodes[tid][-1] != ni:
-                    tensor_nodes[tid].append(ni)
-                kind = KIND_INDEX[slot.kind]
-                kinds.append(kind)
-                tids.append(tid)
-                lats.append(slot.latency)
-                sums[kind] += slot.latency
-            self.compute.append(ll.compute)
-            self.slot_kinds.append(tuple(kinds))
-            self.slot_tids.append(tuple(tids))
-            self.slot_lats.append(tuple(lats))
-            base_sums.append((sums[0], sums[1], sums[2]))
-            base_lat.append(max(ll.compute, sums[0], sums[1], sums[2]))
-
-        self.tensor_nodes: list[tuple[int, ...]] = [tuple(ns) for ns in tensor_nodes]
-        #: All-off-chip per-kind interface sums per node.
-        self.base_sums: tuple[tuple[float, float, float], ...] = tuple(base_sums)
-        #: All-off-chip node latencies (the UMM decomposition).
-        self.base_node_lat: tuple[float, ...] = tuple(base_lat)
-        self._charged = False
-
-    def charge(self, stats: EngineStats) -> None:
-        """Count this build's node walks once, against the first engine's stats.
-
-        Later engines of the same model walk nothing at construction, so
-        they count nothing: ``node_evaluations`` and ``full_rescores``
-        stay a count of walks actually made.
-        """
-        if not self._charged:
-            self._charged = True
-            stats.node_evaluations += len(self.node_names)
-            stats.full_rescores += 1
-
-
 class AllocationEngine:
-    """Flattened, incrementally-updated view of a :class:`LatencyModel`.
+    """Incrementally-updated allocation state over a :class:`LatencyModel`.
 
-    The engine interns every tensor value that appears in a slot, flattens
-    each node's decomposition into parallel ``(kind, tensor-id, latency)``
-    arrays, and keeps the tensor -> nodes adjacency so a state change only
-    revisits the nodes it can affect.  Those tables are the model's
-    shared :class:`EngineTables`.  Mutable state per tensor mirrors
+    The engine reads the model's :class:`~repro.perf.node_table.NodeTable`:
+    the interned tensor ids, each node's parallel ``(kind, tensor-id,
+    latency)`` slot arrays, the all-off-chip per-kind sums and node
+    latencies, and the tensor -> nodes adjacency, so a state change only
+    revisits the nodes it can affect.  Every engine of one model shares
+    that table and allocates only its mutable state.  Mutable state per
+    tensor mirrors
     the three allocation inputs of ``LatencyModel.total_latency``: fully
     resident (``onchip``), resident with an unhidden prefetch residual,
     and fractionally pinned.
 
     Args:
-        model: The latency model to flatten.  The engine never mutates it.
+        model: The latency model to evaluate.  The engine never mutates it.
         stats: Optional shared stats sink; a fresh one is created if absent.
     """
 
@@ -191,18 +120,25 @@ class AllocationEngine:
         self.model = model
         self.stats = stats if stats is not None else EngineStats()
 
-        tables = model.derived(EngineTables)
-        tables.charge(self.stats)
-        self.node_names = tables.node_names
-        self.node_index = tables.node_index
-        self.compute = tables.compute
-        self.slot_kinds = tables.slot_kinds
-        self.slot_tids = tables.slot_tids
-        self.slot_lats = tables.slot_lats
-        self.tensor_index = tables.tensor_index
-        self.tensor_nodes = tables.tensor_nodes
+        table = model.node_table
+        if not table.charged:
+            # The first engine of a model counts the characterisation's
+            # node walk; later engines walk nothing at construction, so
+            # ``node_evaluations`` and ``full_rescores`` stay a count of
+            # walks actually made.
+            table.charged = True
+            self.stats.node_evaluations += len(table.names)
+            self.stats.full_rescores += 1
+        self.node_names = table.names
+        self.node_index = table.index
+        self.compute = table.compute
+        self.slot_kinds = table.kinds
+        self.slot_tids = table.tids
+        self.slot_lats = table.lats
+        self.tensor_index = table.tensor_index
+        self.tensor_nodes = table.tensor_nodes
         #: Immutable all-off-chip node latencies (the UMM decomposition).
-        self.base_node_lat = tables.base_node_lat
+        self.base_node_lat = table.umm
         n_tensors = len(self.tensor_nodes)
 
         # Mutable allocation state per interned tensor.
@@ -214,8 +150,8 @@ class AllocationEngine:
         self._dirty: set[int] = set()
 
         # Cached per-node results under the current state.
-        self._node_lat = list(tables.base_node_lat)
-        self._node_sums = list(tables.base_sums)
+        self._node_lat = list(table.umm)
+        self._node_sums = list(table.sums)
 
         self._undo_stack: list[tuple[list, list]] = []
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, TypeVar
 
@@ -50,6 +49,14 @@ from repro.ir.tensor import (
     feature_tensor_name,
     weight_tensor_name,
 )
+from repro.perf.node_table import (
+    KINDS,
+    LayerLatency,
+    NodeTable,
+    Slot,
+    SlotLayout,
+    slot_layout,
+)
 from repro.perf.systolic import (
     AcceleratorConfig,
     SystolicArray,
@@ -62,109 +69,9 @@ from repro.perf.tiling import TileConfig
 
 T = TypeVar("T")
 
-#: The three interface kinds, in the order Eq. 1's max considers them.
-_KINDS = (TensorKind.IFMAP, TensorKind.WEIGHT, TensorKind.OFMAP)
-
 #: Enum members the per-node dispatches compare against, read once: an
 #: enum attribute read costs more than the rest of a conv node's dispatch.
 _CONV, _DEPTHWISE = ComputeKind.CONV, ComputeKind.DEPTHWISE
-
-
-@dataclass(frozen=True)
-class Slot:
-    """One off-chip tensor stream of one node.
-
-    Attributes:
-        node: Node name.
-        kind: Tensor kind (if / wt / of).
-        tensor: Name of the tensor value carried — ``f:<producer>`` for
-            features, ``w:<node>`` for weights.  Putting this value
-            on-chip removes the slot's transfer latency from the node.
-        bytes: Total bytes transferred for this slot in one inference,
-            tile reloads included.
-        latency: Transfer latency in seconds on the slot's interface.
-    """
-
-    node: str
-    kind: TensorKind
-    tensor: str
-    bytes: int
-    latency: float
-
-
-@dataclass
-class LayerLatency:
-    """Latency decomposition of one node.
-
-    Attributes:
-        node: Node name.
-        compute: Compute latency ``lat_c(i)`` in seconds.
-        slots: Transfer slots, in (if..., wt, of) order.
-        macs: Nominal multiply-accumulate count of the node.
-    """
-
-    node: str
-    compute: float
-    slots: list[Slot]
-    macs: int
-
-    def slot_latency(
-        self,
-        kind: TensorKind,
-        onchip: frozenset[str] = frozenset(),
-        residuals: dict[str, float] | None = None,
-        fractions: dict[str, float] | None = None,
-    ) -> float:
-        """Summed latency of this node's slots of one kind.
-
-        Off-chip slots contribute their full transfer latency; on-chip
-        slots contribute their *residual* (the unhidden part of a weight
-        prefetch), defaulting to zero.  A tensor pinned *fractionally*
-        (``fractions[name] = f``) keeps ``1 - f`` of its transfer — the
-        resident channels stop streaming, the rest still do.
-        """
-        total = 0.0
-        for s in self.slots:
-            if s.kind is not kind:
-                continue
-            if s.tensor in onchip:
-                if residuals:
-                    total += residuals.get(s.tensor, 0.0)
-            elif fractions and s.tensor in fractions:
-                total += s.latency * (1.0 - fractions[s.tensor])
-            else:
-                total += s.latency
-        return total
-
-    def latency(
-        self,
-        onchip: frozenset[str] = frozenset(),
-        residuals: dict[str, float] | None = None,
-        fractions: dict[str, float] | None = None,
-    ) -> float:
-        """Effective node latency under an on-chip allocation (Eq. 1)."""
-        ifmap, weight, ofmap = _KINDS
-        return max(
-            self.compute,
-            self.slot_latency(ifmap, onchip, residuals, fractions),
-            self.slot_latency(weight, onchip, residuals, fractions),
-            self.slot_latency(ofmap, onchip, residuals, fractions),
-        )
-
-    @property
-    def total_transfer_bytes(self) -> int:
-        """Bytes moved over all interfaces with everything off-chip."""
-        return sum(s.bytes for s in self.slots)
-
-    @property
-    def worst_transfer(self) -> float:
-        """Largest per-interface transfer latency with everything off-chip."""
-        return max(self.slot_latency(k) for k in _KINDS)
-
-    @property
-    def is_memory_bound(self) -> bool:
-        """Whether off-chip transfer, not compute, limits this node."""
-        return self.worst_transfer > self.compute
 
 
 class _Bandwidths(dict):
@@ -417,6 +324,20 @@ class FloorTable:
         self._floors: dict[tuple, float] = {}
 
     @cached_property
+    def layout(self) -> "SlotLayout":
+        """Every node's slots and the tensor each carries, for any design."""
+        streams = []
+        for node in self.nodes:
+            node_streams = [(0, feature_tensor_name(src)) for src in node.sources]
+            if node.wt_elems is not None:
+                node_streams.append((1, weight_tensor_name(node.name)))
+            node_streams.append((2, feature_tensor_name(node.name)))
+            streams.append(node_streams)
+        return slot_layout(
+            [node.name for node in self.nodes], streams, [node.macs for node in self.nodes]
+        )
+
+    @cached_property
     def tensor_elems(self) -> dict[str, int]:
         """Elements of every tensor value a node's slot carries, by name."""
         elems: dict[str, int] = {}
@@ -461,7 +382,7 @@ class FloorTable:
         array, frequency = accel.array, accel.frequency
         elem = accel.precision.bytes
         bandwidths = _Bandwidths(accel)
-        ifmap, weight, ofmap = _KINDS
+        ifmap, weight, ofmap = KINDS
         total = 0.0
         for node in self.nodes:
             if_lat = 0.0
@@ -480,9 +401,12 @@ class FloorTable:
 class LatencyModel:
     """Latency model of one (graph, accelerator design) pair.
 
-    Precomputes the latency decomposition of every executed node once;
-    allocation-dependent queries are then cheap, which matters because the
-    DNNK dynamic program evaluates marginal gains in its inner loop.
+    Characterises every executed node once, into one :class:`NodeTable`
+    (``node_table``) that every allocation-dependent query, the
+    allocation engine, the Eq. 2 metric and DNNK's gain evaluator read,
+    which matters because the DNNK dynamic program evaluates marginal
+    gains in its inner loop.  :meth:`layer` and :meth:`slots` build
+    :class:`LayerLatency` and :class:`Slot` views of it on demand.
 
     Only conv, depthwise, GEMM and attention nodes depend on the tile: their
     reload trips, and the cycle counts of the GEMMs.  So
@@ -514,9 +438,7 @@ class LatencyModel:
         self._table: FloorTable | None = table
         # What re-tiled queries walk; _retile_plan builds it on first use.
         self._plan: list | None = None
-        self._layers: dict[str, LayerLatency] = {}
-        for node in table.nodes:
-            self._layers[node.name] = self._characterize(node)
+        self.node_table = self._characterize(table)
 
     @classmethod
     def from_layers(
@@ -527,16 +449,27 @@ class LatencyModel:
     ) -> "LatencyModel":
         """Build a model from an already-characterised layer table.
 
-        Used by passes that rewrite the transfer decomposition (layer
-        fusion zeroes fused slots) without re-running characterisation:
-        the derived model answers every allocation query against the
-        edited slots while keeping the graph/accel identity.  It cannot
-        be re-tiled or floored.
+        The derived model answers every allocation query against the
+        given (possibly edited) slots while keeping the graph/accel
+        identity.  It cannot be re-tiled or floored.
+        """
+        return cls.with_table(graph, accel, NodeTable.from_layers(layers))
+
+    @classmethod
+    def with_table(
+        cls, graph: ComputationGraph, accel: AcceleratorConfig, table: NodeTable
+    ) -> "LatencyModel":
+        """A model answering every allocation query against ``table``.
+
+        Used by passes that rewrite the transfer terms (layer fusion
+        zeroes fused slots, :meth:`NodeTable.zeroed`) without re-running
+        characterisation.  Like :meth:`from_layers`, it cannot be
+        re-tiled or floored.
         """
         model = cls.__new__(cls)
         model.graph = graph
         model.accel = accel
-        model._layers = dict(layers)
+        model.node_table = table
         model._derived = {}
         model._table = None
         model._plan = None
@@ -545,10 +478,11 @@ class LatencyModel:
     def derived(self, build: Callable[["LatencyModel"], T]) -> T:
         """``build(self)``, computed on first use and kept on this model.
 
-        For tables derived from the per-node decomposition (the
-        operation latency table of :mod:`repro.lcmm.tables`): every
-        reader of one model shares one build, and a model built by
-        :meth:`from_layers` starts with none of its source's.
+        For results derived from the model (the fused model, the pass
+        results and allocator outcomes every compile of a design
+        shares): every reader of one model shares one build, and a
+        model built by :meth:`with_table` starts with none of its
+        source's.
         """
         try:
             return self._derived[build]  # type: ignore[return-value]
@@ -559,77 +493,87 @@ class LatencyModel:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def _characterize(self, node: NodeTerms) -> LayerLatency:
-        """The node at this design's tile: its compute and its slots.
+    def _characterize(self, floors: FloorTable) -> NodeTable:
+        """Every executed node at this design's tile, into one table.
 
-        One if-slot per feature value the node reads, with reloads; a wt
-        slot only for a node with weights; then the output slot.
+        Per node: one if-slot per feature value it reads, with reloads;
+        a wt slot only for a node with weights; then the output slot —
+        each slot's bytes and transfer latency, and the per-kind sums in
+        slot order — and its compute.
         """
-        (
-            name, layer, tiled, extent, compute, work, macs,
-            sources, if_elems, wt_elems, of_elems,
-        ) = node
         accel = self.accel
-        tile = accel.tile
+        tile, array, frequency = accel.tile, accel.array, accel.frequency
+        if_cap, wt_cap = accel.if_resident_cap, accel.wt_resident_cap
         elem = self._elem
-        if tiled is None:
-            n_if = n_wt = 1
-        elif tiled is _CONV:
-            n_if, n_wt = conv_reload_trips(
-                layer, extent, tile, elem,
-                accel.if_resident_cap, accel.wt_resident_cap,
-            )
-        elif tiled is _DEPTHWISE:
-            n_if, n_wt = 1, tile.spatial_trips(extent.height, extent.width)
-        else:
-            # The reloads follow the leading multiply.
-            n_if, n_wt = gemm_reload_trips(
-                extent[0], tile, elem,
-                accel.if_resident_cap, accel.wt_resident_cap,
-            )
-        ifmap, weight, ofmap = _KINDS
-        streams = [
-            (ifmap, feature_tensor_name(src), elems * elem * n_if)
-            for src, elems in zip(sources, if_elems)
-        ]
-        if wt_elems is not None:
-            streams.append((weight, weight_tensor_name(name), wt_elems * elem * n_wt))
-        streams.append((ofmap, feature_tensor_name(name), of_elems * elem))
         bandwidth = self._bandwidth
-        # Slot(node, kind, tensor, bytes, latency), positionally: cheaper
-        # than keywords at one call per slot.
-        slots = [
-            Slot(
-                name, kind, tensor, num_bytes,
-                _transfer_latency(num_bytes, bandwidth, kind),
-            )
-            for kind, tensor, num_bytes in streams
-        ]
-        return LayerLatency(
-            node=name,
-            compute=compute(work, accel.array, accel.frequency, tile),
-            slots=slots,
-            macs=macs,
-        )
+        ifmap, weight, ofmap = KINDS
+        computes: list[float] = []
+        byte_counts: list[tuple[int, ...]] = []
+        lats: list[tuple[float, ...]] = []
+        sums: list[tuple[float, float, float]] = []
+        umm: list[float] = []
+        for node in floors.nodes:
+            (
+                _, layer, tiled, extent, compute, work, _,
+                _, if_elems, wt_elems, of_elems,
+            ) = node
+            if tiled is None:
+                n_if = n_wt = 1
+            elif tiled is _CONV:
+                n_if, n_wt = conv_reload_trips(layer, extent, tile, elem, if_cap, wt_cap)
+            elif tiled is _DEPTHWISE:
+                n_if, n_wt = 1, tile.spatial_trips(extent.height, extent.width)
+            else:
+                # The reloads follow the leading multiply.
+                n_if, n_wt = gemm_reload_trips(extent[0], tile, elem, if_cap, wt_cap)
+            node_bytes = [elems * elem * n_if for elems in if_elems]
+            node_lats = [_transfer_latency(b, bandwidth, ifmap) for b in node_bytes]
+            # Each kind's sum in slot order from 0.0, as every walk of the
+            # slots accumulates it.
+            s_if = s_wt = s_of = 0.0
+            for lat in node_lats:
+                s_if += lat
+            if wt_elems is not None:
+                num_bytes = wt_elems * elem * n_wt
+                lat = _transfer_latency(num_bytes, bandwidth, weight)
+                node_bytes.append(num_bytes)
+                node_lats.append(lat)
+                s_wt += lat
+            num_bytes = of_elems * elem
+            lat = _transfer_latency(num_bytes, bandwidth, ofmap)
+            node_bytes.append(num_bytes)
+            node_lats.append(lat)
+            s_of += lat
+            value = compute(work, array, frequency, tile)
+            computes.append(value)
+            byte_counts.append(tuple(node_bytes))
+            lats.append(tuple(node_lats))
+            sums.append((s_if, s_wt, s_of))
+            umm.append(max(value, s_if, s_wt, s_of))
+        return NodeTable(floors.layout, computes, byte_counts, lats, sums, umm)
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def nodes(self) -> list[str]:
         """Executed nodes in schedule order."""
-        return list(self._layers)
+        return list(self.node_table.names)
 
-    def layer(self, name: str) -> LayerLatency:
-        """Latency decomposition of one node."""
+    def _node_index(self, name: str) -> int:
         try:
-            return self._layers[name]
+            return self.node_table.index[name]
         except KeyError:
             raise KeyError(f"node {name!r} is not an executed layer") from None
 
+    def layer(self, name: str) -> LayerLatency:
+        """Latency decomposition of one node (a view, built on each call)."""
+        return self.node_table.layer(self._node_index(name))
+
     def slots(self) -> Iterable[Slot]:
         """All transfer slots of all nodes, in schedule order."""
-        for ll in self._layers.values():
-            yield from ll.slots
+        table = self.node_table
+        for ni in range(len(table.names)):
+            yield from table.layer(ni).slots
 
     def node_latency(
         self,
@@ -639,7 +583,7 @@ class LatencyModel:
         fractions: dict[str, float] | None = None,
     ) -> float:
         """Effective latency of one node under an allocation (Eq. 1)."""
-        return self.layer(name).latency(onchip, residuals, fractions)
+        return self.node_table.latency(self._node_index(name), onchip, residuals, fractions)
 
     def total_latency(
         self,
@@ -659,8 +603,12 @@ class LatencyModel:
             fractions: Partial residency per tensor (0, 1): the resident
                 share stops streaming, the remainder still pays transfer.
         """
+        table = self.node_table
+        if not onchip and not fractions:
+            return sum(table.umm)
         return sum(
-            ll.latency(onchip, residuals, fractions) for ll in self._layers.values()
+            table.latency(ni, onchip, residuals, fractions)
+            for ni in range(len(table.names))
         )
 
     def umm_latency(self, tile: TileConfig | None = None) -> float:
@@ -751,19 +699,21 @@ class LatencyModel:
             raise ValueError(_EDITED)
         elem = self._elem
         plan = []
-        for node in self._table.nodes:
-            ll = self._layers[node.name]
+        table = self.node_table
+        for node, compute, lats, umm in zip(
+            self._table.nodes, table.compute, table.lats, table.umm
+        ):
             if node.kind is None:
-                plan.append((None, ll.latency()))
+                plan.append((None, umm))
                 continue
             plan.append((
                 node.kind,
                 node.layer,
                 node.extent,
-                ll.compute,
+                compute,
                 tuple(elems * elem for elems in node.if_elems),
                 node.wt_elems * elem,
-                ll.slots[-1].latency,
+                lats[-1],
             ))
         self._plan = plan
         return plan
@@ -783,43 +733,46 @@ class LatencyModel:
         the capacity bound does not hold under fractional fill or for an
         overlapped transfer schedule (see ``docs/algorithms.md``).
         """
+        table = self.node_table
         if capacity is None:
-            return sum(ll.compute for ll in self._layers.values())
-        # A model built by from_layers has no table of its own; its
+            return sum(table.compute)
+        # A model built by with_table has no floor table of its own; its
         # graph's holds the same tensor volumes.
         elems = self.graph.derived(FloorTable).tensor_elems
         elem = self.accel.precision.bytes
-        ifmap, weight, ofmap = _KINDS
+        oversized = [elems[name] * elem > capacity for name in table.tensor_names]
 
-        def node_bound(ll: LayerLatency) -> float:
+        def node_bound(compute: float, kinds, tids, lats) -> float:
             # Per-kind sums in slot order, as the engine accumulates them.
-            sums = {ifmap: 0.0, weight: 0.0, ofmap: 0.0}
-            for slot in ll.slots:
-                if not slot.latency >= 0.0:
-                    return ll.compute
-                if slot.latency and elems[slot.tensor] * elem > capacity:
-                    sums[slot.kind] += slot.latency
-            return max(ll.compute, sums[ifmap], sums[weight], sums[ofmap])
+            sums = [0.0, 0.0, 0.0]
+            for kind, tid, lat in zip(kinds, tids, lats):
+                if not lat >= 0.0:
+                    return compute
+                if lat and oversized[tid]:
+                    sums[kind] += lat
+            return max(compute, sums[0], sums[1], sums[2])
 
-        return sum(node_bound(ll) for ll in self._layers.values())
+        return sum(map(node_bound, table.compute, table.kinds, table.tids, table.lats))
 
     def memory_bound_nodes(self) -> list[str]:
         """Executed nodes whose UMM latency is transfer-limited."""
-        return [name for name, ll in self._layers.items() if ll.is_memory_bound]
+        table = self.node_table
+        return [name for ni, name in enumerate(table.names) if table.memory_bound(ni)]
 
     def throughput(self, latency: float) -> float:
         """Ops/second achieved for one inference finishing in ``latency``."""
         if latency <= 0:
             raise ValueError("latency must be positive")
-        total_ops = 2 * sum(ll.macs for ll in self._layers.values())
+        total_ops = 2 * sum(self.node_table.macs)
         return total_ops / latency
 
     def bandwidth_requirement(self, name: str) -> float:
         """Bytes/second the node needs to never stall (paper Sec. 2.2)."""
-        ll = self.layer(name)
-        if ll.compute <= 0:
+        ni = self._node_index(name)
+        compute = self.node_table.compute[ni]
+        if compute <= 0:
             return float("inf")
-        return ll.total_transfer_bytes / ll.compute
+        return sum(self.node_table.bytes[ni]) / compute
 
 
 #: Latency models a process keeps alive at once, least recent out first.

@@ -221,10 +221,16 @@ class ResilientPool:
             self._executor = None
             self.generation += 1
 
-    def close(self) -> None:
-        """Shut the pool down for good (idempotent)."""
+    def close(self, wait: bool = False) -> None:
+        """Shut the pool down for good (idempotent).
+
+        With ``wait``, join the executor's workers and management thread
+        — for an idle pool only, since a hung worker would block the
+        join.  Without it, the executor winds down on its own, which is
+        what a pool abandoned around a hung chunk needs.
+        """
         if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
+            self._executor.shutdown(wait=wait, cancel_futures=True)
             self._executor = None
         self._closed = True
 

@@ -548,6 +548,7 @@ def explore_space(
     owned = pool is None and workers > 1
     if owned:
         pool = ScorerPool(graph, workers, trace=obs.enabled())
+    swept = False
     with obs.span(
         "dse.space",
         graph=graph.name,
@@ -589,9 +590,14 @@ def explore_space(
                 )
                 per_base[idx] = points
                 incumbent = min(incumbent, points[0].umm_latency)
+            swept = True
         finally:
             if owned:
-                pool.close()
+                # A sweep that returns leaves its pool idle (an executor
+                # stranded by a hung chunk was already discarded), so join
+                # it: an executor shut down without waiting can race the
+                # interpreter's exit hook on its closed wakeup pipe.
+                pool.close(wait=swept)
         stats.points_pruned += pruned_dominated + pruned_bounded
         obs.annotate(
             "dse.pruned",

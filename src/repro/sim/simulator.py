@@ -35,7 +35,7 @@ from repro.errors import AllocationError, ConfigError
 from repro.ir.tensor import TensorKind, weight_tensor_name
 from repro.lcmm.prefetch import PrefetchResult
 from repro.obs.spans import span as obs_span
-from repro.perf.latency import LatencyModel, Slot
+from repro.perf.latency import LatencyModel
 
 _KINDS = (TensorKind.IFMAP, TensorKind.WEIGHT, TensorKind.OFMAP)
 
@@ -167,16 +167,18 @@ class Timeline:
         return events
 
 
-def _effective(slot: Slot, onchip, residuals, fractions) -> tuple[int, float]:
-    """(bytes, seconds) a slot occupies under an allocation; mirrors
-    :meth:`repro.perf.latency.LayerLatency.slot_latency` bit for bit."""
-    if slot.tensor in onchip:
-        residual = residuals.get(slot.tensor, 0.0) if residuals else 0.0
+def _effective(
+    tensor: str, num_bytes: int, latency: float, onchip, residuals, fractions
+) -> tuple[int, float]:
+    """(bytes, seconds) a slot of ``tensor`` occupies under an allocation;
+    mirrors :meth:`repro.perf.node_table.LayerLatency.slot_latency` bit for bit."""
+    if tensor in onchip:
+        residual = residuals.get(tensor, 0.0) if residuals else 0.0
         return 0, residual
-    if fractions and slot.tensor in fractions:
-        keep = 1.0 - fractions[slot.tensor]
-        return round(slot.bytes * keep), slot.latency * keep
-    return slot.bytes, slot.latency
+    if fractions and tensor in fractions:
+        keep = 1.0 - fractions[tensor]
+        return round(num_bytes * keep), latency * keep
+    return num_bytes, latency
 
 
 def demand_bytes(
@@ -186,9 +188,12 @@ def demand_bytes(
     fractions: dict[str, float] | None = None,
 ) -> int:
     """Total DDR bytes one inference demands under an allocation."""
+    table = model.node_table
+    names = table.tensor_names
     return sum(
-        _effective(slot, onchip, residuals, fractions)[0]
-        for slot in model.slots()
+        _effective(names[tid], num_bytes, lat, onchip, residuals, fractions)[0]
+        for tids, byte_counts, lats in zip(table.tids, table.bytes, table.lats)
+        for tid, num_bytes, lat in zip(tids, byte_counts, lats)
     )
 
 
@@ -263,7 +268,9 @@ def simulate(
                     ))
                     outstanding.pop(0)
 
-        for name in model.nodes():
+        table = model.node_table
+        tensor_names = table.tensor_names
+        for ni, name in enumerate(table.names):
             for target, load_time in issue_at.get(name, ()):
                 outstanding.append([target, load_time])
                 prefetch_events.append(TimelineEvent(
@@ -286,18 +293,23 @@ def simulate(
                 drain(start, start + wait)
                 start += wait
 
-            ll = model.layer(name)
             load_start = window if overlap_loads else start
-            end = start + ll.compute
-            for slot in ll.slots:
-                num_bytes, duration = _effective(slot, onchip, residuals, fractions)
+            end = start + table.compute[ni]
+            for k, tid, slot_bytes, lat in zip(
+                table.kinds[ni], table.tids[ni], table.bytes[ni], table.lats[ni]
+            ):
+                tensor = tensor_names[tid]
+                num_bytes, duration = _effective(
+                    tensor, slot_bytes, lat, onchip, residuals, fractions
+                )
                 if num_bytes == 0 and duration == 0.0:
                     continue
-                earliest = start if slot.kind is TensorKind.OFMAP else load_start
-                begin = max(free[slot.kind], earliest)
-                free[slot.kind] = finish = begin + duration
+                kind = _KINDS[k]
+                earliest = start if kind is TensorKind.OFMAP else load_start
+                begin = max(free[kind], earliest)
+                free[kind] = finish = begin + duration
                 records.append(TransferRecord(
-                    name, slot.kind, slot.tensor, num_bytes, begin, duration
+                    name, kind, tensor, num_bytes, begin, duration
                 ))
                 end = max(end, finish)
             if outstanding:

@@ -9,6 +9,12 @@ shares no evaluation code with :class:`repro.perf.engine.AllocationEngine`.
   swaps it into ``dnnk_allocate`` / ``greedy_allocate`` (on
   :func:`column_dp`) so a whole compile can be re-decided without the
   engine.
+* :func:`flat_tables`, :func:`operation_rows` and
+  :func:`evaluator_node_walks` — the per-node terms of Eq. 1 (the
+  engine's flat arrays, the operation latency table with its Eq. 2
+  terms, and the gain evaluator's prunable kinds and compute floors),
+  each re-derived by walking the model's ``LayerLatency`` views, the
+  check of the model's one :class:`~repro.perf.node_table.NodeTable`.
 * :func:`column_dp` — Alg. 1's sweep one capacity column at a time, the
   check of the run-length sweep ``dnnk._dp_pass``.
 * :func:`exhaustive_allocate` / :func:`branch_and_bound_allocate` —
@@ -172,7 +178,164 @@ class NaiveGainEvaluator:
         onchip = frozenset(
             name for i in chosen for name in self._buffers[i].tensor_names
         )
-        return self._model.total_latency(onchip)
+        model = self._model
+        return sum(model.layer(name).latency(onchip) for name in model.nodes())
+
+
+#: Interface index per tensor kind, in the order Eq. 1's max considers them.
+_KIND_INDEX = {TensorKind.IFMAP: 0, TensorKind.WEIGHT: 1, TensorKind.OFMAP: 2}
+
+
+@dataclass
+class FlatTables:
+    """A model's per-node slot arrays, flattened from its layer views.
+
+    Node and tensor ids are schedule order and first-slot order; the
+    all-off-chip per-kind sums accumulate each node's slots in order.
+    """
+
+    node_names: list[str]
+    node_index: dict[str, int]
+    compute: list[float]
+    slot_kinds: list[tuple[int, ...]]
+    slot_tids: list[tuple[int, ...]]
+    slot_lats: list[tuple[float, ...]]
+    tensor_index: dict[str, int]
+    tensor_nodes: list[tuple[int, ...]]
+    base_sums: list[tuple[float, float, float]]
+    base_node_lat: list[float]
+
+
+def flat_tables(model: LatencyModel) -> FlatTables:
+    """Flatten every ``LayerLatency`` view of ``model`` into slot arrays."""
+    names = model.nodes()
+    tables = FlatTables(
+        names, {n: i for i, n in enumerate(names)}, [], [], [], [], {}, [], [], []
+    )
+    tensor_nodes: list[list[int]] = []
+    for ni, name in enumerate(names):
+        ll = model.layer(name)
+        kinds, tids, lats = [], [], []
+        sums = [0.0, 0.0, 0.0]
+        for slot in ll.slots:
+            tid = tables.tensor_index.setdefault(slot.tensor, len(tensor_nodes))
+            if tid == len(tensor_nodes):
+                tensor_nodes.append([])
+            if not tensor_nodes[tid] or tensor_nodes[tid][-1] != ni:
+                tensor_nodes[tid].append(ni)
+            kind = _KIND_INDEX[slot.kind]
+            kinds.append(kind)
+            tids.append(tid)
+            lats.append(slot.latency)
+            sums[kind] += slot.latency
+        tables.compute.append(ll.compute)
+        tables.slot_kinds.append(tuple(kinds))
+        tables.slot_tids.append(tuple(tids))
+        tables.slot_lats.append(tuple(lats))
+        tables.base_sums.append((sums[0], sums[1], sums[2]))
+        tables.base_node_lat.append(max(ll.compute, sums[0], sums[1], sums[2]))
+    tables.tensor_nodes = [tuple(ns) for ns in tensor_nodes]
+    return tables
+
+
+#: Per kind (if, wt, of), the positions of the other three components
+#: in ``(compute, if, wt, of)``, in that order.
+_OTHERS = ((0, 2, 3), (0, 1, 3), (0, 1, 2))
+
+
+def operation_rows(model: LatencyModel) -> dict[str, tuple]:
+    """Each node's operation-table row, from its layer view.
+
+    A row is ``(compute, lat_if, lat_weight, lat_of, latency,
+    eq2_terms)``: the all-off-chip kind sums in slot order, the node's
+    UMM latency, and each tensor's Eq. 2 term keyed by name — the
+    kind's gap to the next-lower component (the first largest of the
+    others below it, or 0.0), apportioned by the tensor's first slot.
+    """
+    rows = {}
+    for name in model.nodes():
+        ll = model.layer(name)
+        kinds = [_KIND_INDEX[slot.kind] for slot in ll.slots]
+        sums = [0.0, 0.0, 0.0]
+        for k, slot in zip(kinds, ll.slots):
+            sums[k] += slot.latency
+        components = (ll.compute, *sums)
+        gaps: list[tuple[float, float] | None] = [None, None, None]
+        for k, kind_total in enumerate(sums):
+            if kind_total <= 0.0:
+                continue
+            lower = None
+            for j in _OTHERS[k]:
+                v = components[j]
+                if v < kind_total and (lower is None or v > lower):
+                    lower = v
+            gaps[k] = (kind_total, kind_total - (0.0 if lower is None else lower))
+        terms: dict[str, float] = {}
+        seen: set[str] = set()
+        for k, slot in zip(kinds, ll.slots):
+            if slot.tensor in seen:
+                continue
+            seen.add(slot.tensor)
+            gap = gaps[k]
+            if gap is not None:
+                terms[slot.tensor] = gap[1] * (slot.latency / gap[0])
+        rows[name] = (ll.compute, *sums, max(ll.compute, *sums), terms)
+    return rows
+
+
+def evaluator_node_walks(
+    model: LatencyModel, buffers: list[VirtualBuffer]
+) -> dict[int, tuple[tuple, int, float]]:
+    """DNNK's per-node gain analysis, node by node from the flat arrays.
+
+    For each node some buffer touches, by schedule index: the kinds that
+    can bind Eq. 1's max, in kind order, each as ``(buffer bit or 0,
+    latency)`` pairs in slot order; the *live* mask of the buffer bits
+    in those kinds; and the compute floor — the node's compute when no
+    term is negative or NaN, else NaN.  A kind is dropped only when its
+    all-off-chip sum is at most the compute and the compute and every
+    kind's sum are finite.
+    """
+    tables = flat_tables(model)
+    tid_buffer: dict[int, int] = {}
+    for bi, buf in enumerate(buffers):
+        for t in buf.tensors:
+            tid = tables.tensor_index.get(t.name)
+            if tid is not None:
+                tid_buffer[tid] = bi
+    touched = {
+        tables.node_index[n]
+        for buf in buffers
+        for t in buf.tensors
+        for n in t.affected_nodes
+        if n in tables.node_index
+    }
+    walks = {}
+    for ni in sorted(touched):
+        compute = tables.compute[ni]
+        clean = compute == compute
+        full = [0.0, 0.0, 0.0]
+        per_kind: tuple[list, list, list] = ([], [], [])
+        for kind, tid, lat in zip(
+            tables.slot_kinds[ni], tables.slot_tids[ni], tables.slot_lats[ni]
+        ):
+            bi = tid_buffer.get(tid)
+            per_kind[kind].append((0 if bi is None else 1 << bi, lat))
+            if lat >= 0.0:
+                full[kind] += lat
+            else:
+                full[kind] = math.inf
+                clean = False
+        prune = max(compute, *full) < math.inf
+        walk = []
+        live = 0
+        for terms, total in zip(per_kind, full):
+            if terms and not (prune and total <= compute):
+                walk.append(tuple(terms))
+                for bit, _ in terms:
+                    live |= bit
+        walks[ni] = (tuple(walk), live, compute if clean else math.nan)
+    return walks
 
 
 def column_dp(

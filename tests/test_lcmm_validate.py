@@ -9,7 +9,6 @@ from repro.lcmm.framework import LCMMOptions, run_lcmm, umm_only_result
 from repro.lcmm.passes import ScorePass, default_pipeline
 from repro.lcmm.validate import AllocationError, validate_buffers, validate_result
 from repro.models.zoo import get_model
-from repro.perf.engine import EngineTables
 from repro.perf.latency import LatencyModel
 from repro.robustness.inject import FaultPlan, injected
 
@@ -104,15 +103,16 @@ class TestUmmDecomposition:
     @pytest.mark.parametrize("model_name", ["googlenet", "resnet50", "bert_base"])
     def test_engine_tables_equal_the_model_bit_for_bit(self, model_name):
         # The checker reads the UMM per-node latencies and their sum from
-        # the engine tables the compile already built.
+        # the node table the model characterised, which every compile's
+        # engine reads too.
         model = LatencyModel(get_model(model_name), small_accel(ddr_efficiency=0.1))
-        tables = model.derived(EngineTables)
-        assert tables.node_names == model.nodes()
-        assert list(tables.base_node_lat) == [
-            model.node_latency(n) for n in model.nodes()
+        table = model.node_table
+        assert table.names == model.nodes()
+        assert list(table.umm) == [
+            model.layer(n).latency() for n in model.nodes()
         ]
-        assert sum(tables.base_node_lat) == model.umm_latency()
-        assert sum(tables.compute) == model.compute_bound_latency()
+        assert sum(table.umm) == model.umm_latency()
+        assert sum(table.compute) == model.compute_bound_latency()
 
 
 class _InflatedScore(ScorePass):

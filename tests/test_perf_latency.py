@@ -125,9 +125,7 @@ class TestEquationOne:
         ) == pytest.approx(1.0)
 
     def test_latency_never_below_compute(self, chain_model):
-        all_tensors = frozenset(
-            s.tensor for ll_ in chain_model._layers.values() for s in ll_.slots
-        )
+        all_tensors = frozenset(s.tensor for s in chain_model.slots())
         for name in chain_model.nodes():
             assert chain_model.node_latency(name, all_tensors) == pytest.approx(
                 chain_model.layer(name).compute

@@ -119,6 +119,26 @@ class TestPoolReuseAcrossSweeps:
         assert all(p.startswith("dse-worker-") for p in chunk_processes)
         assert not wait_for_exit(child_pids() - before)
 
+    def test_private_pool_is_joined_when_the_sweep_returns(self):
+        # An idle private pool is shut down with a join, so no executor
+        # management thread outlives the sweep for the interpreter's exit
+        # hook to wake through a closed pipe.
+        from concurrent.futures.process import _ExecutorManagerThread
+        import threading
+
+        from repro.perf.space import SampledSpace, explore_space
+
+        def managers() -> set:
+            return {
+                t for t in threading.enumerate()
+                if isinstance(t, _ExecutorManagerThread) and t.is_alive()
+            }
+
+        before = managers()
+        space = SampledSpace([(small_accel(), candidate_tiles()[:8])])
+        explore_space(build_chain(), space, 10 * 2**20, workers=2, prune=False)
+        assert not managers() - before
+
     def test_cold_private_pool_ships_every_pending_tile(self):
         # A cold private pool scores nothing in the parent: each scored
         # base's tiles split evenly into min(workers, n) chunks, and the
